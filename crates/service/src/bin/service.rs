@@ -2,8 +2,11 @@
 //!
 //! ```text
 //! service                    serve JSON lines on stdin/stdout (Movies corpus)
-//! service --tcp ADDR         serve JSON lines over TCP (e.g. 127.0.0.1:7878)
-//! service --smoke            protocol + resilience smoke gate (tier-1)
+//! service --tcp ADDR         serve JSON lines over TCP (e.g. 127.0.0.1:7878),
+//!                            a thread per connection
+//! service --smoke            protocol + resilience smoke gate (tier-1): the
+//!                            scripted transcript in memory, then over two
+//!                            concurrent sockets, then the telemetry surface
 //! service --chaos [--seed N] [--full]
 //!                            replay the seeded fault matrix; nonzero exit on
 //!                            any isolation violation
@@ -11,7 +14,10 @@
 
 use iflex_corpus::{Corpus, CorpusConfig};
 use iflex_engine::Engine;
-use iflex_service::{chaos, fixture, serve_lines, serve_stdio, serve_tcp, Host, Json, ServiceConfig};
+use iflex_service::{chaos, fixture, serve_lines, serve_stdio, serve_tcp, Client, Host, Json, ServiceConfig};
+use std::net::SocketAddr;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::{Duration, Instant};
 
 /// The default program served over the Movies corpus — the same starting
 /// point as the interactive example.
@@ -76,7 +82,95 @@ fn smoke() -> Result<(), String> {
     expect(6, "sessions", &Json::num(2))?;
     expect(7, "published", &Json::Bool(true))?;
     expect(8, "drained_sessions", &Json::num(1))?;
+    tcp_smoke()?;
     telemetry_smoke()
+}
+
+/// One session's worth of the smoke transcript over its own socket.
+/// Returns every round trip's duration.
+fn tcp_client(addr: SocketAddr) -> Result<Vec<Duration>, String> {
+    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    let mut trips = Vec::new();
+    let mut call = |line: String| -> Result<Json, String> {
+        let t0 = Instant::now();
+        let reply = client.call(&line).map_err(|e| format!("no reply to {line}: {e}"))?;
+        trips.push(t0.elapsed());
+        iflex_service::json::parse(&reply).map_err(|e| format!("bad reply {reply:?}: {e}"))
+    };
+    let created = call("{\"cmd\":\"create-session\"}".into())?;
+    let session = created
+        .get("session")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("create failed: {}", created.render()))?;
+    call(format!("{{\"cmd\":\"ask-question\",\"session\":{session},\"count\":2}}"))?;
+    let answered = call(format!(
+        "{{\"cmd\":\"answer\",\"session\":{session},\"attr\":\"extractV.v\",\"feature\":\"bold-font\",\"value\":\"yes\"}}"
+    ))?;
+    if answered.get("applied") != Some(&Json::Bool(true)) {
+        return Err(format!("answer not applied: {}", answered.render()));
+    }
+    for _ in 0..4 {
+        let results = call(format!("{{\"cmd\":\"get-results\",\"session\":{session},\"limit\":8}}"))?;
+        if results.get("tuples") != Some(&Json::num(5)) || results.get("degraded") != Some(&Json::Bool(false)) {
+            return Err(format!("wrong results over TCP: {}", results.render()));
+        }
+    }
+    let closed = call(format!("{{\"cmd\":\"close-session\",\"session\":{session}}}"))?;
+    if closed.get("ok") != Some(&Json::Bool(true)) {
+        return Err(format!("close failed: {}", closed.render()));
+    }
+    Ok(trips)
+}
+
+/// The TCP pass of the smoke gate: two clients at once against
+/// `serve_tcp`, every reply checked, and the median round trip under
+/// 5 ms — a reply that leaves in two segments takes ≈44 ms.
+fn tcp_smoke() -> Result<(), String> {
+    // Room for the two clients and the connection that stops the server.
+    let cfg = ServiceConfig { max_sessions: 3, ..ServiceConfig::default() };
+    let host = Host::new(fixture::tiny_core(), fixture::PROGRAM, cfg);
+    let (addr_tx, addr_rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            serve_tcp(&host, "127.0.0.1:0", move |a| {
+                let _ = addr_tx.send(a);
+            })
+        });
+        let addr = addr_rx
+            .recv_timeout(Duration::from_secs(5))
+            .map_err(|_| "serve_tcp never bound 127.0.0.1:0".to_string())?;
+        // Connected first, so it is inside the connection bound for sure.
+        let control = Client::connect(addr);
+        let clients: Vec<_> = (0..2).map(|_| scope.spawn(move || tcp_client(addr))).collect();
+        let outcomes: Vec<_> = clients
+            .into_iter()
+            .map(|c| c.join().unwrap_or_else(|_| Err("a smoke client panicked".into())))
+            .collect();
+        // Stop the listener before reporting, whatever the clients found.
+        control
+            .and_then(|mut c| c.send("{\"cmd\":\"shutdown\"}"))
+            .map_err(|e| format!("could not stop serve_tcp: {e}"))?;
+        match server.join() {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => return Err(format!("serve_tcp failed: {e}")),
+            Err(_) => return Err("serve_tcp panicked".into()),
+        }
+        let mut trips = Vec::new();
+        for outcome in outcomes {
+            trips.extend(outcome?);
+        }
+        trips.sort();
+        let median = trips[trips.len() / 2];
+        println!(
+            "service smoke: {} TCP round trips over 2 concurrent connections, median {:.3} ms",
+            trips.len(),
+            median.as_secs_f64() * 1e3
+        );
+        if median >= Duration::from_millis(5) {
+            return Err(format!("median TCP round trip {median:?} is not under 5 ms"));
+        }
+        Ok(())
+    })
 }
 
 /// Scrapes one exposition via the server's `GET /metrics` path and
@@ -202,7 +296,25 @@ fn main() {
     let host = corpus_host();
     if let Some(addr) = value_of("--tcp") {
         eprintln!("iflex service: listening on {addr}");
-        if let Err(e) = serve_tcp(&host, &addr, |a| eprintln!("iflex service: bound {a}")) {
+        let served = std::thread::scope(|scope| {
+            // Rejected connections, reported once a second at most.
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            let rejected = || host.metrics().counter_value("service.rejected_connections").unwrap_or(0);
+            scope.spawn(move || {
+                let mut seen = 0;
+                while done_rx.recv_timeout(Duration::from_secs(1)) == Err(RecvTimeoutError::Timeout) {
+                    let now = rejected();
+                    if now > seen {
+                        eprintln!("iflex service: turned away {} connections (too many open)", now - seen);
+                        seen = now;
+                    }
+                }
+            });
+            let served = serve_tcp(&host, &addr, |a| eprintln!("iflex service: bound {a}"));
+            drop(done_tx);
+            served
+        });
+        if let Err(e) = served {
             eprintln!("iflex service: {e}");
             std::process::exit(1);
         }

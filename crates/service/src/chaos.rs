@@ -24,8 +24,9 @@ use crate::fixture;
 use crate::host::{Host, ServiceConfig};
 use crate::json::Json;
 use crate::protocol::Request;
-use crate::server::serve_lines;
+use crate::server::{serve_lines, serve_tcp, Client};
 use iflex_engine::{fault, Fault, Trigger};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// The outcome of one matrix replay.
@@ -200,9 +201,10 @@ fn engine_scenario(
     host.shutdown();
 }
 
-/// Service-layer scenarios: spawn, decode, write, cache-share faults
-/// plus the admission-cap check. Tailored assertions per site — these
-/// faults live outside any session's bulkhead.
+/// Service-layer scenarios: spawn, decode, write (in memory and over
+/// TCP), cache-share faults plus the admission-cap check. Tailored
+/// assertions per site — these faults live outside any session's
+/// bulkhead.
 fn service_scenarios(report: &mut ChaosReport, baseline: &str, seed: u64) {
     // session-spawn, transient: retried inside create; everything clean.
     {
@@ -292,6 +294,13 @@ fn service_scenarios(report: &mut ChaosReport, baseline: &str, seed: u64) {
             report.failures.push(format!("write: sibling diverged: {}", resp.render()));
         }
     }
+    // response-write over TCP: see `tcp_write_scenario`.
+    {
+        report.scenarios += 1;
+        if let Err(e) = tcp_write_scenario(baseline, seed) {
+            report.failures.push(format!("tcp-write: {e}"));
+        }
+    }
     // cache-share: every hand-off faulted — sessions run cold, results
     // must still be byte-identical (entries are pure; sharing is an
     // optimization, never a correctness dependency).
@@ -334,6 +343,83 @@ fn service_scenarios(report: &mut ChaosReport, baseline: &str, seed: u64) {
             }
         }
     }
+}
+
+/// response-write over TCP: every reply to the victim connection is
+/// lost while a sibling connection holds a session on the same listener.
+/// The sibling's transcript must match the solo baseline byte for byte,
+/// the victim's replies must all be counted as lost, and the listener
+/// must still accept a connection and stop when told to. The fault plan
+/// is host-wide, so the sibling speaks before the fault is armed and
+/// after the victim is done: what the two share is the listener, not the
+/// instant.
+fn tcp_write_scenario(baseline: &str, seed: u64) -> Result<(), String> {
+    let host = Host::new(fixture::tiny_core(), fixture::PROGRAM, chaos_cfg());
+    let (addr_tx, addr_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            serve_tcp(&host, "127.0.0.1:0", move |a| {
+                let _ = addr_tx.send(a);
+            })
+        });
+        let addr = addr_rx
+            .recv_timeout(Duration::from_secs(5))
+            .map_err(|_| "listener never bound".to_string())?;
+        let outcome = tcp_victim_and_sibling(&host, addr, baseline, seed);
+        host.fault().disarm_all();
+        Client::connect(addr)
+            .and_then(|mut c| c.call("{\"cmd\":\"shutdown\"}"))
+            .map_err(|e| format!("listener did not survive: {e}"))?;
+        match server.join() {
+            Ok(Ok(())) => outcome,
+            Ok(Err(e)) => Err(format!("serve_tcp failed: {e}")),
+            Err(_) => Err("serve_tcp panicked".into()),
+        }
+    })
+}
+
+fn tcp_victim_and_sibling(host: &Host, addr: SocketAddr, baseline: &str, seed: u64) -> Result<(), String> {
+    let io = |e: std::io::Error| format!("socket: {e}");
+    let mut sibling = Client::connect(addr).map_err(io)?;
+    let created = sibling.call("{\"cmd\":\"create-session\"}").map_err(io)?;
+    let session = crate::json::parse(&created)
+        .ok()
+        .and_then(|j| j.get("session").and_then(Json::as_u64))
+        .ok_or_else(|| format!("sibling create failed: {created}"))?;
+
+    host.fault().arm(fault::site::RESPONSE_WRITE, Trigger::Always, Fault::Io("wire".into()), seed);
+    let mut victim = Client::connect(addr).map_err(io)?;
+    for _ in 0..3 {
+        victim.send("{\"cmd\":\"stats\"}").map_err(io)?;
+    }
+    // Half-close: the server works through all three requests, meets the
+    // end of the input and closes, so EOF here means all three are done.
+    victim.finish_sending().map_err(io)?;
+    let got = victim.recv().map_err(io)?;
+    host.fault().disarm_all();
+    if let Some(reply) = got {
+        return Err(format!("victim replies should have been lost, got {reply}"));
+    }
+    let lost = host.metrics().counter_value("service.responses_lost");
+    if lost != Some(3) {
+        return Err(format!("3 victim replies were lost, the counter says {lost:?}"));
+    }
+
+    let answer = Json::obj(vec![
+        ("cmd", Json::str("answer")),
+        ("session", Json::num(session)),
+        ("attr", Json::str(fixture::ANSWER_ATTR)),
+        ("feature", Json::str("bold-font")),
+        ("value", Json::str("yes")),
+    ]);
+    sibling.call(&answer.render()).map_err(io)?;
+    let results = sibling
+        .call(&format!("{{\"cmd\":\"get-results\",\"session\":{session},\"limit\":16}}"))
+        .map_err(io)?;
+    if results != baseline {
+        return Err(format!("sibling diverged:\n got {results}\n want {baseline}"));
+    }
+    Ok(())
 }
 
 /// Flight-recorder scenarios: the two hard-failure triggers — a worker
@@ -543,8 +629,8 @@ mod tests {
         let report = run_matrix(7, true);
         assert!(report.passed(), "chaos failures:\n{}", report.failures.join("\n"));
         // 5 engine sites x 2 faults x 1 trigger + 1 worker-steal victim
-        // + 6 service scenarios + 2 flight-recorder scenarios.
-        assert_eq!(report.scenarios, 19);
+        // + 7 service scenarios + 2 flight-recorder scenarios.
+        assert_eq!(report.scenarios, 20);
         // Always-triggered faults must actually bite the victim.
         assert!(
             report.victim_degraded + report.victim_errors > 0,

@@ -32,7 +32,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::protocol::{decode, err_response, ok_response, Request};
+use crate::protocol::{decode, err_response, ok_response, DecodeError, Request};
 use iflex_alog::{parse_program, Program};
 use iflex_assistant::{add_constraint, attributes, ordered_questions, AssistContext};
 use iflex_engine::obs::metrics::names;
@@ -115,6 +115,7 @@ pub(crate) struct ServiceCounters {
     pub sessions_created: Counter,
     pub rejected_admission: Counter,
     pub rejected_backpressure: Counter,
+    pub rejected_connections: Counter,
     pub spawn_failures: Counter,
     pub cancels: Counter,
     pub worker_panics: Counter,
@@ -136,6 +137,7 @@ impl ServiceCounters {
             sessions_created: reg.counter("service.sessions_created"),
             rejected_admission: reg.counter("service.rejected_admission"),
             rejected_backpressure: reg.counter("service.rejected_backpressure"),
+            rejected_connections: reg.counter("service.rejected_connections"),
             spawn_failures: reg.counter("service.spawn_failures"),
             cancels: reg.counter("service.cancels"),
             worker_panics: reg.counter("service.worker_panics"),
@@ -250,6 +252,8 @@ struct Inner {
     next_id: AtomicU64,
     accepting: AtomicBool,
     stop: AtomicBool,
+    /// Live TCP connections, kept by the transport.
+    connections: AtomicU64,
     /// Service-layer fault plan: session-spawn, request-decode,
     /// response-write, cache-share probes.
     fault: Arc<FaultPlan>,
@@ -292,6 +296,7 @@ impl Host {
             next_id: AtomicU64::new(1),
             accepting: AtomicBool::new(true),
             stop: AtomicBool::new(false),
+            connections: AtomicU64::new(0),
             fault: Arc::new(FaultPlan::disarmed()),
             metrics,
             counters,
@@ -326,6 +331,17 @@ impl Host {
     /// through these, never through a by-name registry lookup).
     pub(crate) fn counters(&self) -> &ServiceCounters {
         &self.inner.counters
+    }
+
+    /// The configuration the host was built with.
+    pub(crate) fn config(&self) -> &ServiceConfig {
+        &self.inner.cfg
+    }
+
+    /// The live-connection gauge. The TCP transport owns its updates;
+    /// `stats` reports it.
+    pub(crate) fn connections(&self) -> &AtomicU64 {
+        &self.inner.connections
     }
 
     /// Flight-recorder dumps captured so far (watchdog cancels, worker
@@ -377,11 +393,14 @@ impl Host {
     pub fn handle_line(&self, line: &str) -> Json {
         match decode(line) {
             Ok(req) => self.handle(req),
-            Err(e) => {
-                self.inner.counters.decode_errors.inc();
-                err_response(e.id.as_deref(), &e.msg, None)
-            }
+            Err(e) => self.decode_failed(&e),
         }
+    }
+
+    /// The non-retryable reply to a line that is not a request.
+    pub(crate) fn decode_failed(&self, e: &DecodeError) -> Json {
+        self.inner.counters.decode_errors.inc();
+        err_response(e.id.as_deref(), &e.msg, None)
     }
 
     /// Handles one decoded request.
@@ -660,6 +679,8 @@ impl Host {
                 ("created", c(&k.sessions_created)),
                 ("rejected_admission", c(&k.rejected_admission)),
                 ("rejected_backpressure", c(&k.rejected_backpressure)),
+                ("connections", Json::num(inner.connections.load(Ordering::Relaxed))),
+                ("rejected_connections", c(&k.rejected_connections)),
                 ("spawn_failures", c(&k.spawn_failures)),
                 ("decode_errors", c(&k.decode_errors)),
                 ("worker_panics", c(&k.worker_panics)),
@@ -988,7 +1009,6 @@ fn watchdog_loop(inner: &Inner) {
                 .map(|t| t.elapsed() > inner.cfg.stuck_limit)
                 .unwrap_or(false);
             if stuck && !h.cancel.is_cancelled() {
-                h.cancel.cancel();
                 inner.counters.watchdog_cancels.inc();
                 inner.telemetry.watchdog_cancels.add_count(1);
                 if h.telemetry.flight.is_enabled() {
@@ -999,6 +1019,9 @@ fn watchdog_loop(inner: &Inner) {
                     );
                 }
                 record_flight_dump(inner, *sid, "watchdog_cancel", &h.telemetry.flight);
+                // Last: whoever sees the cancelled reply finds the counter
+                // moved and the dump already written.
+                h.cancel.cancel();
             }
         }
     }

@@ -6,7 +6,7 @@
 //! (a `Vec` of pairs, not a map), which makes every rendered response
 //! byte-deterministic: the chaos harness compares transcripts verbatim.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +92,19 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends the compact rendering to `out` — what [`Json::render`]
+    /// does, into a buffer the caller reuses.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                // Formatting into a `String` cannot fail.
+                let _ = if n.fract() == 0.0 && n.abs() < 9e15 {
+                    write!(out, "{}", *n as i64)
                 } else {
-                    out.push_str(&format!("{n}"));
-                }
+                    write!(out, "{n}")
+                };
             }
             Json::Str(s) => render_string(s, out),
             Json::Arr(items) => {
@@ -139,7 +142,9 @@ fn render_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -263,12 +268,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always well-formed).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| err("bad utf-8", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash.
+                // Both are ASCII, so the run ends on a char boundary of
+                // the caller's `&str` and validates in time linear in
+                // its own length.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos]).map_err(|_| err("bad utf-8", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -348,6 +357,68 @@ mod tests {
     fn escapes_roundtrip() {
         let v = Json::obj(vec![("s", Json::str("a\"b\\c\nd\te\u{1}"))]);
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    /// xorshift64*: deterministic test input without a dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    #[test]
+    fn random_strings_roundtrip() {
+        // Every character the renderer escapes, every other control
+        // character, and scalars of each UTF-8 width.
+        let alphabet: Vec<char> = "\"\\/\n\r\t\u{8}\u{c}\u{0}\u{1}\u{1f}\u{7f} aZ09{}[]:,éß€→𝄞😀\u{fffd}"
+            .chars()
+            .collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..500 {
+            let len = (next(&mut state) % 64) as usize;
+            let s: String = (0..len)
+                .map(|_| alphabet[(next(&mut state) % alphabet.len() as u64) as usize])
+                .collect();
+            let rendered = Json::str(s.as_str()).render();
+            assert_eq!(parse(&rendered), Ok(Json::Str(s.clone())), "round {round}: {rendered}");
+            // As an object key too: keys go through the same string parser.
+            let obj = Json::Obj(vec![(s.clone(), Json::Null)]);
+            assert_eq!(parse(&obj.render()), Ok(obj));
+        }
+    }
+
+    #[test]
+    fn every_escape_parses() {
+        let v = parse(r#""\"\\\/\n\r\t\b\fAé€\ud800""#).unwrap();
+        assert_eq!(v, Json::str("\"\\/\n\r\t\u{8}\u{c}Aé€\u{fffd}"));
+        assert!(parse(r#""\x""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+        assert!(parse(r#""\u00é""#).is_err());
+    }
+
+    #[test]
+    fn string_parse_time_is_linear() {
+        // 16× the input may cost 16× the time, plus a few milliseconds of
+        // allocator and cache noise; the quadratic parser this pins
+        // against cost 256×, i.e. minutes. Tests run beside each other, so
+        // one quiet round out of ten is asked for, not ten.
+        let time = |src: &str| {
+            let t0 = std::time::Instant::now();
+            let v = parse(src).unwrap();
+            let dt = t0.elapsed();
+            assert_eq!(v.as_str().map(str::len), Some(src.len() - 2));
+            dt
+        };
+        let text = |len: usize| format!("\"{}\"", "añb€".repeat(len / 7));
+        let (small, large) = (text(256 << 10), text(4 << 20));
+        let rounds: Vec<_> = (0..10).map(|_| (time(&small), time(&large))).collect();
+        assert!(
+            rounds
+                .iter()
+                .any(|&(s, l)| l < s * 16 + std::time::Duration::from_millis(5)),
+            "(256 KiB, 4 MiB) took {rounds:?}"
+        );
     }
 
     #[test]

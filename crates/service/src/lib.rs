@@ -27,7 +27,7 @@ pub use chaos::{run_matrix, ChaosReport};
 pub use host::{FlightDump, Host, ServiceConfig};
 pub use json::Json;
 pub use protocol::{decode, Request};
-pub use server::{serve_lines, serve_stdio, serve_tcp};
+pub use server::{serve_lines, serve_stdio, serve_tcp, Client};
 
 /// Shared demo fixtures: a tiny synthetic corpus and program used by the
 /// chaos harness, the `--smoke` gate, and the crate's own tests. Kept in

@@ -48,7 +48,11 @@ echo "== incremental smoke =="
 echo "== service smoke =="
 # A scripted client transcript through the multi-session server:
 # create / ask / answer / get-results, an admission-cap rejection, and
-# a graceful drain; asserts inside the binary check every response.
+# a graceful drain; asserts inside the binary check every response. The
+# same session script then runs over two concurrent TCP connections to
+# serve_tcp on 127.0.0.1:0; the binary prints the median round trip and
+# fails when it is not under 5 ms (a reply split over two segments costs
+# ~44 ms to the client's delayed ACK).
 ./target/release/service --smoke
 
 echo "== trace smoke =="
