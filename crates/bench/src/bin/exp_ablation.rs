@@ -59,7 +59,7 @@ fn main() {
     ];
     for (label, reuse) in [("reuse/on", true), ("reuse/off", false)] {
         let mut eng = t8.engine(&corpus);
-        eng.limits.reuse_enabled = reuse;
+        eng.limits.use_incremental = reuse;
         let attrs = iflex::assistant::attributes(&t8.program);
         let lp = attrs.iter().find(|a| a.var == "lp").unwrap().clone();
         let secs = time(

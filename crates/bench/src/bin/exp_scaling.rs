@@ -20,14 +20,10 @@
 //! * `--smoke [path]` — alias for `--parallel-report [path] --smoke`,
 //!   kept for the tier-1 gate;
 //! * `--plan-report [path] [--smoke] [--scale f]...` — the logical-plan
-//!   optimizer ablation (DESIGN.md §11) plus the columnar-core ablation
-//!   (DESIGN.md §14): serial / +feature-memo / +optimizer / row-core,
-//!   single-threaded with sampling and the incremental cache off so
-//!   plan-execution cost is isolated, writing `BENCH_plan.json`,
-//!   asserting all configurations produce identical results and that
-//!   `Limits::use_columnar` on/off is byte-identical (table, stop
-//!   reason, degradations); on ≥4-core hosts the full sweep also gates
-//!   the columnar core beating the row core on T5/T8 at scale 10;
+//!   optimizer ablation (DESIGN.md §11): serial / +feature-memo /
+//!   +optimizer, single-threaded with sampling and the incremental cache
+//!   off so plan-execution cost is isolated, writing `BENCH_plan.json`
+//!   and asserting all three configurations produce identical results;
 //! * `--telemetry-report [path] [--smoke]` — the live-telemetry overhead
 //!   gate (DESIGN.md §12): the same session with the engine's window /
 //!   sketch / flight-recorder instrumentation off vs on, asserting the
@@ -476,20 +472,18 @@ fn incremental_report(path: &str, smoke: bool) {
 }
 
 /// One workload of the optimizer ablation: the same single-threaded
-/// session under three plans-and-caches configurations plus the
-/// columnar-core ablation arm, asserting every arm converges to the
-/// identical result.
+/// session under three plans-and-caches configurations, asserting all
+/// three converge to the identical result.
 struct PlanRow {
     task: String,
     scale: f64,
     serial_secs: f64,
     memo_secs: f64,
     optimized_secs: f64,
-    row_core_secs: f64,
     result_tuples: usize,
 }
 
-fn render_plan_json(rows: &[PlanRow], columnar_gate: &str) -> String {
+fn render_plan_json(rows: &[PlanRow]) -> String {
     let mut out = String::from("{\n");
     out += &format!(
         "  \"host_parallelism\": {},\n",
@@ -497,7 +491,6 @@ fn render_plan_json(rows: &[PlanRow], columnar_gate: &str) -> String {
     );
     out += "  \"strategy\": \"Simulation\",\n";
     out += "  \"regime\": \"threads=1, sampling off, incremental off\",\n";
-    out += &format!("  \"columnar_gate\": \"{columnar_gate}\",\n");
     out += "  \"workloads\": [\n";
     for (i, r) in rows.iter().enumerate() {
         out += "    {\n";
@@ -506,7 +499,6 @@ fn render_plan_json(rows: &[PlanRow], columnar_gate: &str) -> String {
         out += &format!("      \"serial_secs\": {:.4},\n", r.serial_secs);
         out += &format!("      \"serial_memo_secs\": {:.4},\n", r.memo_secs);
         out += &format!("      \"optimized_secs\": {:.4},\n", r.optimized_secs);
-        out += &format!("      \"row_core_secs\": {:.4},\n", r.row_core_secs);
         out += &format!(
             "      \"speedup_vs_serial\": {:.2},\n",
             r.serial_secs / r.optimized_secs.max(1e-9)
@@ -514,10 +506,6 @@ fn render_plan_json(rows: &[PlanRow], columnar_gate: &str) -> String {
         out += &format!(
             "      \"speedup_vs_serial_memo\": {:.2},\n",
             r.memo_secs / r.optimized_secs.max(1e-9)
-        );
-        out += &format!(
-            "      \"columnar_speedup_vs_row\": {:.2},\n",
-            r.row_core_secs / r.optimized_secs.max(1e-9)
         );
         out += &format!("      \"result_tuples\": {}\n", r.result_tuples);
         out += if i + 1 == rows.len() { "    }\n" } else { "    },\n" };
@@ -528,21 +516,12 @@ fn render_plan_json(rows: &[PlanRow], columnar_gate: &str) -> String {
 
 /// The logical-plan optimizer sweep (`--plan-report`): three
 /// configurations per workload — `serial` (no feature memo, no
-/// optimizer), `memo` (feature memo, no optimizer), `optimized` (both)
-/// — plus the columnar-core ablation arm `row` (optimized, but with
-/// `use_columnar` off; DESIGN.md §14). Single-threaded, sampling and
-/// the incremental cache off, so the comparison isolates plan-execution
-/// cost; the binary asserts every configuration converges to the
-/// identical result (tuple-for-tuple count and recall — the optimizer
-/// is byte-exact, see the `prop_opt` property suite for the byte-level
-/// ablation), and that the columnar and row cores are **byte-identical**
-/// end to end: the final table's `Debug` rendering, the session's
-/// `StopReason`, and the final run's degradation records.
-///
-/// On hosts with ≥4 cores the full sweep additionally gates the columnar
-/// core's win: it must beat the row core on T5 and T8 at scale 10. On
-/// smaller hosts the gate is skipped with a notice recorded in the
-/// report — identity is still asserted on every row.
+/// optimizer), `memo` (feature memo, no optimizer), `optimized` (both).
+/// Single-threaded, sampling and the incremental cache off, so the
+/// comparison isolates plan-execution cost; the binary asserts every
+/// configuration converges to the identical result (tuple-for-tuple
+/// count and recall — the optimizer is byte-exact, see the `prop_opt`
+/// property suite for the byte-level ablation).
 fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
     let base = ExecConfig {
         threads: Some(1),
@@ -560,10 +539,6 @@ fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
         ..base
     };
     let optimized = base;
-    let row_core = ExecConfig {
-        use_columnar: false,
-        ..base
-    };
     let (scales, tasks): (Vec<f64>, Vec<TaskId>) = if smoke {
         (vec![0.1], vec![TaskId::T1])
     } else {
@@ -581,88 +556,34 @@ fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
             let (serial_secs, s) = timed(&corpus, id, serial);
             let (memo_secs, m) = timed(&corpus, id, memo);
             let (optimized_secs, o) = timed(&corpus, id, optimized);
-            let (row_core_secs, r) = timed(&corpus, id, row_core);
-            for run in [&m, &o, &r] {
+            for run in [&m, &o] {
                 assert_eq!(
                     run.quality.result_tuples, s.quality.result_tuples,
                     "{id:?} scale {scale}: configuration changed the result"
                 );
                 assert!((run.quality.recall - s.quality.recall).abs() < 1e-12);
             }
-            // The columnar ablation contract is stronger than identical
-            // quality: byte-identical tables, stop reasons, and
-            // degradation records.
-            assert_eq!(
-                format!("{:?}", o.outcome.table),
-                format!("{:?}", r.outcome.table),
-                "{id:?} scale {scale}: columnar core changed the result table"
-            );
-            assert_eq!(
-                format!("{:?}", o.outcome.stop),
-                format!("{:?}", r.outcome.stop),
-                "{id:?} scale {scale}: columnar core changed the stop reason"
-            );
-            assert_eq!(
-                format!("{:?}", o.outcome.final_stats.degradations),
-                format!("{:?}", r.outcome.final_stats.degradations),
-                "{id:?} scale {scale}: columnar core changed the degradation records"
-            );
             let r = PlanRow {
                 task: format!("{id:?}"),
                 scale,
                 serial_secs,
                 memo_secs,
                 optimized_secs,
-                row_core_secs,
                 result_tuples: o.quality.result_tuples,
             };
             println!(
-                "{:>6} @{}: serial {:.2}s  serial+memo {:.2}s  optimized {:.2}s  \
-                 ({:.2}x vs serial+memo)  row core {:.2}s  (columnar {:.2}x vs row)",
+                "{:>6} @{}: serial {:.2}s  serial+memo {:.2}s  optimized {:.2}s  ({:.2}x vs serial+memo)",
                 r.task,
                 r.scale,
                 r.serial_secs,
                 r.memo_secs,
                 r.optimized_secs,
                 r.memo_secs / r.optimized_secs.max(1e-9),
-                r.row_core_secs,
-                r.row_core_secs / r.optimized_secs.max(1e-9),
             );
             rows.push(r);
         }
     }
-    println!("columnar/row byte-identity: OK on every workload");
-    // The columnar perf gate, PR-8 convention: a 1-core container's
-    // timings are too noisy to gate on — skip with a recorded notice,
-    // never silently weaken.
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let columnar_gate = if smoke {
-        "smoke: byte-identity only".to_string()
-    } else if host >= 4 {
-        for r in rows
-            .iter()
-            .filter(|r| (r.task == "T5" || r.task == "T8") && (r.scale - 10.0).abs() < f64::EPSILON)
-        {
-            assert!(
-                r.optimized_secs < r.row_core_secs,
-                "{} @{}: columnar core ({:.2}s) does not beat the row core ({:.2}s)",
-                r.task,
-                r.scale,
-                r.optimized_secs,
-                r.row_core_secs
-            );
-        }
-        println!("columnar perf gate (T5/T8 @10): OK");
-        "OK".to_string()
-    } else {
-        let note = format!(
-            "SKIPPED: host has {host} core(s), the gate needs >= 4 \
-             (byte-identity was still asserted on every row)"
-        );
-        println!("columnar perf gate {note}");
-        note
-    };
-    std::fs::write(path, render_plan_json(&rows, &columnar_gate)).expect("write report");
+    std::fs::write(path, render_plan_json(&rows)).expect("write report");
     println!("wrote {path}");
 }
 

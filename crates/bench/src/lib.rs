@@ -95,10 +95,6 @@ pub struct ExecConfig {
     /// Whether the logical-plan optimizer (DESIGN.md §11) rewrites
     /// compiled rules; `false` is the ablation arm of the plan report.
     pub use_optimizer: bool,
-    /// Whether σ/constraint/fused passes run over the columnar core
-    /// (DESIGN.md §14); `false` is the row arm of the plan report's
-    /// columnar ablation. Results are byte-identical either way.
-    pub use_columnar: bool,
     /// Whether live telemetry (the engine's per-run window/sketch series
     /// and flight recorder) records during the session — the axis
     /// `exp_scaling --telemetry-report` measures the overhead of.
@@ -113,7 +109,6 @@ impl Default for ExecConfig {
             use_incremental: true,
             use_sampling: true,
             use_optimizer: true,
-            use_columnar: true,
             telemetry: false,
         }
     }
@@ -139,7 +134,6 @@ pub fn run_session_configured(
     engine.limits.use_feature_memo = exec.use_feature_memo;
     engine.limits.use_incremental = exec.use_incremental;
     engine.limits.use_optimizer = exec.use_optimizer;
-    engine.limits.use_columnar = exec.use_columnar;
     if exec.telemetry {
         engine.live = iflex_engine::obs::LiveSet::enabled();
         engine.flight = iflex_engine::obs::FlightRecorder::new(0);

@@ -15,7 +15,7 @@ use std::fmt;
 /// * Expansion cell (`expand == true`): the tuple stands for **one tuple
 ///   per value** encoded by `assigns` (tuple-multiplying shorthand, used by
 ///   the `from` predicate).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cell {
     assigns: Vec<Assignment>,
     expand: bool,

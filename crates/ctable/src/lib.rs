@@ -44,7 +44,6 @@
 pub mod assignment;
 pub mod atable;
 pub mod cell;
-pub mod columnar;
 pub mod table;
 pub mod tuple;
 pub mod value;
@@ -53,7 +52,6 @@ pub mod worlds;
 pub use assignment::Assignment;
 pub use atable::{condense_values, ATable, ATuple, TooLarge};
 pub use cell::Cell;
-pub use columnar::{CAssign, CellMeta, Column, ColumnarTable, SpanInterner};
 pub use table::{CompactTable, TableStats};
 pub use tuple::CompactTuple;
 pub use value::Value;

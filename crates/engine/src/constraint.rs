@@ -6,8 +6,7 @@ use crate::memo::{CellCtx, FeatureMemo, MemoQuery, MemoValue};
 use crate::plan::CompiledConstraint;
 use iflex_ctable::{Assignment, Cell, Value};
 use iflex_features::{FeatureArg, FeatureError, FeatureRegistry};
-use iflex_text::{DocumentStore, Span};
-use std::collections::HashMap;
+use iflex_text::DocumentStore;
 use std::sync::Arc;
 
 /// Memoizing wrapper around `Feature::verify_value`.
@@ -163,146 +162,6 @@ pub fn apply_constraint(
     apply_constraint_memo(cell, new, priors, store, features, None)
 }
 
-/// Results of one batch `Verify`/`Refine` sweep over a column run
-/// (DESIGN.md §14), consulted by the worklist before calling a feature:
-/// first-round `Refine` results of the *new* constraint keyed by span,
-/// and `Verify` results for the run's exact values against the whole
-/// chain (aligned with the worklist's `all` order: `new`, then priors).
-/// Features are pure, so serving a worklist step from the seed instead of
-/// a direct call is byte-invisible — only the batching changes.
-#[derive(Default)]
-struct RunSeed {
-    refine_new: HashMap<Span, Arc<Vec<Assignment>>>,
-    verify: HashMap<Value, Vec<bool>>,
-}
-
-/// Batch constraint application over one column run of **distinct** cells
-/// (the columnar operators dedup per run before calling). Byte-identical
-/// to calling [`apply_constraint_cached`] / [`apply_constraint_memo`] per
-/// cell — the worklist is the same code — but batched at every layer:
-///
-/// * one [`FeatureMemo::get_cell_batch`] / `insert_cell_batch` round-trip
-///   per run (one lock per shard, borrowed-key hits) instead of one
-///   scalar cache round-trip per tuple;
-/// * one [`iflex_features::Feature::refine_run`] call seeding the first
-///   refinement round of every miss cell, and one `verify_value_run` call
-///   per chain constraint covering the run's exact values.
-///
-/// Returns output cells positionally aligned with `cells`. `ctx` must be
-/// `Some` exactly when `memo` is (the chain identity for the cell cache).
-pub fn apply_constraint_run(
-    cells: &[&Cell],
-    new: &CompiledConstraint,
-    priors: &[CompiledConstraint],
-    store: &DocumentStore,
-    features: &FeatureRegistry,
-    memo: Option<&FeatureMemo>,
-    ctx: Option<&CellCtx>,
-) -> Result<Vec<Cell>, FeatureError> {
-    let mut outs: Vec<Option<Cell>> = vec![None; cells.len()];
-
-    // Cell-cache sweep, refinable cells only (exact-only cells bypass the
-    // cache — same policy as the scalar `apply_constraint_cached` path).
-    let refinable: Vec<bool> = cells
-        .iter()
-        .map(|c| {
-            c.assignments()
-                .iter()
-                .any(|a| matches!(a, Assignment::Contain(_)))
-        })
-        .collect();
-    // (cell index, cache-insert hash) for refinable cache misses.
-    let mut pending: Vec<(usize, Option<u64>)> = Vec::new();
-    if let (Some(m), Some(cx)) = (memo, ctx) {
-        let probe: Vec<usize> = (0..cells.len()).filter(|&i| refinable[i]).collect();
-        let probed: Vec<&Cell> = probe.iter().map(|&i| cells[i]).collect();
-        for (&i, (h, hit)) in probe.iter().zip(m.get_cell_batch(cx, &probed)) {
-            match hit {
-                Some(out) => outs[i] = Some(out),
-                None => pending.push((i, Some(h))),
-            }
-        }
-        pending.extend((0..cells.len()).filter(|&i| !refinable[i]).map(|i| (i, None)));
-    } else {
-        pending.extend((0..cells.len()).map(|i| (i, None)));
-    }
-
-    // Batch feature sweep over everything the misses will ask on their
-    // first worklist round: Refine(new) for every distinct contain span,
-    // Verify for every distinct exact value against every chain
-    // constraint. Purity makes the seed byte-invisible to the worklist.
-    let mut seed = RunSeed::default();
-    if !pending.is_empty() {
-        let f = features.get(&new.feature)?;
-        let mut spans: Vec<Span> = Vec::new();
-        let mut values: Vec<Value> = Vec::new();
-        for &(i, _) in &pending {
-            for a in cells[i].assignments() {
-                match a {
-                    Assignment::Contain(s) => {
-                        if !seed.refine_new.contains_key(s) {
-                            seed.refine_new.insert(*s, Arc::new(Vec::new()));
-                            spans.push(*s);
-                        }
-                    }
-                    Assignment::Exact(v) => {
-                        if !seed.verify.contains_key(v) {
-                            seed.verify.insert(v.clone(), Vec::new());
-                            values.push(v.clone());
-                        }
-                    }
-                }
-            }
-        }
-        if !spans.is_empty() {
-            for (s, refined) in spans.iter().zip(f.refine_run(store, &spans, &new.arg)?) {
-                seed.refine_new.insert(*s, Arc::new(refined));
-            }
-        }
-        if !values.is_empty() {
-            let mut per_value: Vec<Vec<bool>> = vec![Vec::new(); values.len()];
-            let mut chain: Vec<&CompiledConstraint> = Vec::with_capacity(priors.len() + 1);
-            chain.push(new);
-            chain.extend(priors.iter());
-            for k in chain {
-                let kf = features.get(&k.feature)?;
-                for (row, ok) in per_value
-                    .iter_mut()
-                    .zip(kf.verify_value_run(store, &values, &k.arg)?)
-                {
-                    row.push(ok);
-                }
-            }
-            for (v, row) in values.into_iter().zip(per_value) {
-                seed.verify.insert(v, row);
-            }
-        }
-    }
-
-    // Per-cell worklists (the exact scalar code path), served from the
-    // seed; note the same selectivity signals the scalar paths note.
-    let mut inserts: Vec<(u64, &Cell, Cell)> = Vec::new();
-    for (i, hash) in pending {
-        let out = apply_constraint_inner(cells[i], new, priors, store, features, None, Some(&seed))?;
-        if let Some(m) = memo {
-            m.note_verify(&new.feature, !out.is_empty());
-            if refinable[i] {
-                m.note_refine(&new.feature, out.assignments().len());
-                if let Some(h) = hash {
-                    inserts.push((h, cells[i], out.clone()));
-                }
-            }
-        }
-        outs[i] = Some(out);
-    }
-    if let (Some(m), Some(cx)) = (memo, ctx) {
-        if !inserts.is_empty() {
-            m.insert_cell_batch(cx, &inserts);
-        }
-    }
-    Ok(outs.into_iter().map(|o| o.expect("every slot filled")).collect())
-}
-
 /// [`apply_constraint`] with an optional shared [`FeatureMemo`]:
 /// `Verify`/`Refine` results are served from (and recorded into) the memo,
 /// which the engine shares across rules, runs, and simulation probes.
@@ -313,19 +172,6 @@ pub fn apply_constraint_memo(
     store: &DocumentStore,
     features: &FeatureRegistry,
     memo: Option<&FeatureMemo>,
-) -> Result<Cell, FeatureError> {
-    apply_constraint_inner(cell, new, priors, store, features, memo, None)
-}
-
-/// The §4.2 worklist, optionally served from a batch [`RunSeed`].
-fn apply_constraint_inner(
-    cell: &Cell,
-    new: &CompiledConstraint,
-    priors: &[CompiledConstraint],
-    store: &DocumentStore,
-    features: &FeatureRegistry,
-    memo: Option<&FeatureMemo>,
-    seed: Option<&RunSeed>,
 ) -> Result<Cell, FeatureError> {
     // Full constraint list; `new` is applied first, then priors re-checked
     // (order is immaterial for the final set — §4.2).
@@ -358,15 +204,9 @@ fn apply_constraint_inner(
         }
         match &assign {
             Assignment::Exact(v) => {
-                // One shot: verify all constraints (batch-seeded values
-                // skip the per-call dispatch; results are identical).
-                let row = seed.and_then(|sd| sd.verify.get(v));
-                for (ki, k) in all.iter().enumerate() {
-                    let ok = match row.and_then(|r| r.get(ki)) {
-                        Some(&ok) => ok,
-                        None => verify_memo(features, store, v, k, memo)?,
-                    };
-                    if !ok {
+                // One shot: verify all constraints.
+                for k in &all {
+                    if !verify_memo(features, store, v, k, memo)? {
                         continue 'work; // dropped
                     }
                 }
@@ -378,17 +218,7 @@ fn apply_constraint_inner(
                     continue;
                 }
                 let k = all[next];
-                // First-round refines of the new constraint (`next == 0`)
-                // come from the run's batch `refine_run` sweep when one
-                // is seeded; later rounds and prior re-checks dispatch
-                // per call as before.
-                let seeded = (next == 0)
-                    .then(|| seed.and_then(|sd| sd.refine_new.get(s).cloned()))
-                    .flatten();
-                let refined = match seeded {
-                    Some(r) => r,
-                    None => refine_memo(features, store, *s, k, memo)?,
-                };
+                let refined = refine_memo(features, store, *s, k, memo)?;
                 if refined.len() == 1 && refined[0] == assign {
                     // Region stable under this constraint; move on.
                     work.push((assign, next + 1));

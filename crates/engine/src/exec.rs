@@ -29,16 +29,15 @@ use iflex_alog::{
     evaluation_order, unfold, validate, Program, Rule, ValidateEnv, ValidateError,
 };
 
-use iflex_ctable::{Assignment, Cell, ColumnarTable, CompactTable, CompactTuple, Value};
+use iflex_ctable::{Assignment, Cell, CompactTable, CompactTuple, Value};
 use iflex_features::{FeatureError, FeatureRegistry};
 use iflex_obs::{
     metrics::names, Counter, FlightRecorder, Histogram, LiveSet, Registry, SpanId, SpanKind,
     Tracer,
 };
 use iflex_text::{DocId, DocumentStore};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Enumeration / conversion budgets for superset-safe evaluation.
@@ -67,9 +66,6 @@ pub struct Limits {
     pub morsel_tuples: (usize, usize),
     /// Which ψ implementation to use (ablation knob).
     pub annotate_policy: AnnotatePolicy,
-    /// Disable to re-execute every rule on every run (ablation knob for
-    /// the §5.2 reuse optimization).
-    pub reuse_enabled: bool,
     /// Max values enumerated per cell for *comparison* operands. Smaller
     /// than `enum_cap`: beyond it the numeric-token fallback kicks in,
     /// which is exact for ordering comparisons and conservative for
@@ -107,18 +103,6 @@ pub struct Limits {
     /// incremental-cache fingerprints hash the *pre-optimization* rule and
     /// stay valid either way.
     pub use_optimizer: bool,
-    /// Run batch selection operators over the columnar compact-table core
-    /// (DESIGN.md §14): stable inputs are converted once per allocation
-    /// (on second sight — per-iteration scratch tables keep the row loop)
-    /// into the struct-of-arrays [`iflex_ctable::ColumnarTable`] (shared
-    /// via [`crate::incr::ColumnarShare`]), morsels slice contiguous
-    /// column runs, and each run's *distinct* cells are constrained once
-    /// through the batch `Verify`/`Refine` path. Pure ablation knob (default on):
-    /// results, `StopReason`s, and degradation records are byte-identical
-    /// to the row core — asserted end-to-end by `exp_scaling
-    /// --plan-report` and the `prop_batch` property suite. The row path
-    /// stays alive for one release behind `use_columnar = false`.
-    pub use_columnar: bool,
 }
 
 impl Default for Limits {
@@ -133,13 +117,11 @@ impl Default for Limits {
             threads: default_threads(),
             morsel_tuples: (16, 65_536),
             annotate_policy: AnnotatePolicy::default(),
-            reuse_enabled: true,
             degrade: true,
             use_feature_memo: true,
             use_incremental: true,
             trace: false,
             use_optimizer: true,
-            use_columnar: true,
         }
     }
 }
@@ -574,10 +556,6 @@ pub struct EngineCore {
     /// Warm rule-result entries; forks start from a clone and may publish
     /// clean entries back through [`EngineCore::publish`].
     incr: std::sync::Mutex<crate::incr::IncrCache>,
-    /// Shared columnar conversions (keyed by row-table allocation): forks
-    /// running over the same extensional tables and warm incremental
-    /// entries reuse one conversion (DESIGN.md §14).
-    colshare: Arc<crate::incr::ColumnarShare>,
     epoch: u64,
     limits: Limits,
 }
@@ -601,7 +579,6 @@ impl EngineCore {
             procs: self.procs.clone(),
             ext: self.ext.clone(),
             incr,
-            colshare: Arc::clone(&self.colshare),
             epoch: self.epoch,
             limits: self.limits,
             stats: ExecStats::default(),
@@ -667,10 +644,6 @@ pub struct Engine {
     /// fingerprint, input versions)`, with dependency-cone invalidation
     /// at run start.
     incr: crate::incr::IncrCache,
-    /// Shared columnar conversions of row tables (DESIGN.md §14), keyed by
-    /// allocation so incremental-cache hits and extensional scans reuse
-    /// one conversion across runs; shared with snapshots and core forks.
-    colshare: Arc<crate::incr::ColumnarShare>,
     epoch: u64,
     /// The limits.
     pub limits: Limits,
@@ -739,7 +712,6 @@ impl Engine {
             procs: builtin_procs(),
             ext: BTreeMap::new(),
             incr: crate::incr::IncrCache::new(),
-            colshare: Arc::new(crate::incr::ColumnarShare::new()),
             epoch: 0,
             limits: Limits::default(),
             stats: ExecStats::default(),
@@ -776,7 +748,6 @@ impl Engine {
             procs: self.procs.clone(),
             ext: self.ext.clone(),
             incr: self.incr.clone(),
-            colshare: Arc::clone(&self.colshare),
             epoch: self.epoch,
             limits: self.limits,
             stats: ExecStats::default(),
@@ -820,7 +791,6 @@ impl Engine {
             ext: self.ext,
             memo: self.memo,
             incr: std::sync::Mutex::new(self.incr),
-            colshare: self.colshare,
             epoch: self.epoch,
             limits: self.limits,
         }
@@ -850,15 +820,6 @@ impl Engine {
     /// The shared `Verify`/`Refine` memo.
     pub fn memo(&self) -> &Arc<crate::memo::FeatureMemo> {
         &self.memo
-    }
-
-    /// How many row tables currently hold a shared columnar conversion
-    /// (DESIGN.md §14). Under the second-sight policy this goes non-zero
-    /// once a constraint pass revisits a stable table (e.g. the second
-    /// run over an extensional scan) — the `prop_batch` suite pins this
-    /// so the ablation tests cannot pass vacuously.
-    pub fn columnar_conversions(&self) -> usize {
-        self.colshare.len()
     }
 
     /// Procs.
@@ -899,11 +860,9 @@ impl Engine {
         self.ext.iter().map(|(k, v)| (k.as_str(), v.as_ref()))
     }
 
-    /// Drops all memoized rule results (and the columnar conversions
-    /// their tables anchored).
+    /// Drops all memoized rule results.
     pub fn clear_cache(&mut self) {
         self.incr.clear();
-        self.colshare.clear();
     }
 
     /// Signatures of the registered procedures for the rule compiler.
@@ -1243,7 +1202,7 @@ impl Engine {
                 // (or a panic during the lookup itself) degrades just this
                 // rule rather than failing the run.
                 let mut lookup_err: Option<EngineError> = None;
-                if use_incr && self.limits.reuse_enabled {
+                if use_incr {
                     match self.memo_lookup_guarded(name, &sample_key, fp, inputs) {
                         Ok(Some((hit, volume))) => {
                             self.counters.cache_hits.inc();
@@ -1597,51 +1556,6 @@ impl Engine {
                 // dedups repeated `Verify`/`Refine` calls across morsels.
                 let t = self.eval_plan(input, computed, sample, span)?;
                 let col = *col;
-                // Columnar path (DESIGN.md §14): one shared conversion per
-                // table allocation (converted on second sight — scratch
-                // tables fall through to the row core below), morsels slice
-                // the column's id run, and every distinct cell in a morsel
-                // goes through the batch constraint entry point exactly
-                // once.
-                if let Some(ct) = self
-                    .limits
-                    .use_columnar
-                    .then(|| self.colshare.get_adaptive(&t))
-                    .flatten()
-                {
-                    let mr = {
-                        let ec = self.eval_ctx();
-                        let ops = vec![FusedOp::Constraint {
-                            col,
-                            constraint: constraint.clone(),
-                            priors: priors.clone(),
-                        }];
-                        let ctxs = vec![ec
-                            .memo_opt()
-                            .map(|_| crate::constraint::chain_ctx(constraint, priors))];
-                        let ct = Arc::clone(&ct);
-                        crate::par::scatter(&self.section_ctx(span), ct.len(), move |range| {
-                            // No tuple ctx: the standalone row path uses
-                            // the cell-level memo only, and so does this.
-                            let out = ec.fused_columnar_run(
-                                &ct,
-                                range,
-                                &ops,
-                                &ctxs,
-                                &BTreeMap::new(),
-                                None,
-                                None,
-                            )?;
-                            Ok(out.into_iter().map(|(tup, _)| tup).collect::<Vec<_>>())
-                        })
-                    };
-                    self.note_section(&mr.stats);
-                    let mut out = CompactTable::new(t.columns().to_vec());
-                    for tup in mr.merge()? {
-                        out.push(tup);
-                    }
-                    return Ok(Arc::new(out));
-                }
                 let mr = {
                     let ec = self.eval_ctx();
                     let constraint = constraint.clone();
@@ -1708,9 +1622,9 @@ impl Engine {
                     let left = left.clone();
                     let right = right.clone();
                     return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
-                        let lc = ec.cell_operand_cands(&left, cells);
+                        let lc = ec.operand_cands(&left, |c| cells[c]);
                         let rc = shift_cands(
-                            ec.cell_operand_cands(&right, cells),
+                            ec.operand_cands(&right, |c| cells[c]),
                             offset,
                             &ec.store,
                         );
@@ -1727,9 +1641,12 @@ impl Engine {
                         let mut out = Vec::new();
                         for tup in &t.tuples()[range] {
                             ec.clock.tick().map_err(EngineError::from)?;
-                            let lc = ec.operand_cands(&left, tup);
-                            let rc =
-                                shift_cands(ec.operand_cands(&right, tup), offset, &ec.store);
+                            let lc = ec.operand_cands(&left, |c| &tup.cells[c]);
+                            let rc = shift_cands(
+                                ec.operand_cands(&right, |c| &tup.cells[c]),
+                                offset,
+                                &ec.store,
+                            );
                             let mm = compare_cands(&lc, op, &rc, &ec.store);
                             if !mm.may {
                                 continue;
@@ -1792,28 +1709,31 @@ impl Engine {
                     return Err(EngineError::BadProcedure(name.clone()));
                 };
                 let f = f.clone();
-                // Approximate string join: similar(a, b) over a cross join
-                // with one column per side runs through a token prefilter
-                // with per-side precomputed profiles (§4.1's "significantly
-                // more involved" join; see DESIGN.md).
-                if let (Plan::CrossJoin { left: jl, right: jr }, true, [ca, cb]) = (
-                    input.as_ref(),
-                    name == "similar" || name == "approxMatch",
-                    cols.as_slice(),
-                ) {
+                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
                     let l = self.eval_plan(jl, computed, sample, span)?;
                     let r = self.eval_plan(jr, computed, sample, span)?;
-                    if *ca < l.arity() && *cb >= l.arity() {
-                        let rcol = *cb - l.arity();
-                        return self.similar_join(l, r, *ca, rcol, span);
+                    // Approximate string join: similar(a, b) with one
+                    // column per side, left side first, runs through a
+                    // token prefilter with per-side precomputed profiles
+                    // (§4.1's "significantly more involved" join; see
+                    // DESIGN.md). Any other filter over a cross join —
+                    // `similar(b, a)` included — is the pair predicate of
+                    // the streaming join over the same two tables.
+                    match cols.as_slice() {
+                        [ca, cb]
+                            if (name == "similar" || name == "approxMatch")
+                                && *ca < l.arity()
+                                && *cb >= l.arity() =>
+                        {
+                            let rcol = *cb - l.arity();
+                            return self.similar_join(l, r, *ca, rcol, span);
+                        }
+                        _ => {}
                     }
-                }
-                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
                     let cols = cols.clone();
                     let combo_cap = self.limits.combo_cap;
                     let enum_cap = self.limits.enum_cap;
-                    let ff = f.clone();
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
+                    return self.join_tables(l, r, span, move |ec, cells| {
                         let cands: Vec<Cands> = cols
                             .iter()
                             .map(|&c| {
@@ -1826,7 +1746,7 @@ impl Engine {
                             })
                             .collect();
                         let store: &DocumentStore = &ec.store;
-                        filter_cands(&cands, &|args: &[Value]| ff(store, args), combo_cap)
+                        filter_cands(&cands, &|args: &[Value]| f(store, args), combo_cap)
                     });
                 }
                 let t = self.eval_plan(input, computed, sample, span)?;
@@ -2130,10 +2050,22 @@ impl Engine {
         computed: &BTreeMap<String, Arc<CompactTable>>,
         sample: Option<Sample>,
         span: SpanId,
-        pred: impl Fn(&EvalCtx, &[&Cell]) -> crate::eval::MayMust + Send + Sync + 'static,
+        pred: impl Fn(&EvalCtx, &[&Cell]) -> MayMust + Send + Sync + 'static,
     ) -> Result<Arc<CompactTable>, EngineError> {
         let l = self.eval_plan(left, computed, sample, span)?;
         let r = self.eval_plan(right, computed, sample, span)?;
+        self.join_tables(l, r, span, pred)
+    }
+
+    /// The pairwise loop of [`Engine::fused_join`] over two already
+    /// evaluated inputs.
+    fn join_tables(
+        &mut self,
+        l: Arc<CompactTable>,
+        r: Arc<CompactTable>,
+        span: SpanId,
+        pred: impl Fn(&EvalCtx, &[&Cell]) -> MayMust + Send + Sync + 'static,
+    ) -> Result<Arc<CompactTable>, EngineError> {
         let mut cols = l.columns().to_vec();
         cols.extend(r.columns().iter().cloned());
         let cap = self.limits.max_result_tuples;
@@ -2385,51 +2317,6 @@ impl Engine {
             .all(|op| !matches!(op, FusedOp::FilterProc { .. }));
         let tctx = (memo_on && pure)
             .then(|| crate::memo::CellCtx::new(fused_cache_ctx(ops, project, &self.limits)));
-        // Columnar mode (DESIGN.md §14): morsels slice column runs of
-        // one shared conversion (second sight only — per-iteration
-        // scratch tables take the row loop below) and the pipeline
-        // evaluates distinct cells once per morsel; the tuple-level memo
-        // serves rows the row path already resolved (and vice versa —
-        // the entries are a pure function of the input cells, shared by
-        // both arms).
-        if let Some(ct) = self
-            .limits
-            .use_columnar
-            .then(|| self.colshare.get_adaptive(&t))
-            .flatten()
-        {
-            let mr = {
-                let ec = self.eval_ctx();
-                let ops = ops.to_vec();
-                let ctxs = ctxs.clone();
-                let filters = filters.clone();
-                let tctx = tctx.clone();
-                let proj: Option<Vec<usize>> = project.map(|(cols, _)| cols.clone());
-                let ct = Arc::clone(&ct);
-                crate::par::scatter(&self.section_ctx(span), ct.len(), move |range| {
-                    ec.fused_columnar_run(
-                        &ct,
-                        range,
-                        &ops,
-                        &ctxs,
-                        &filters,
-                        tctx.as_ref(),
-                        proj.as_deref(),
-                    )
-                })
-            };
-            self.note_section(&mr.stats);
-            let mut out = CompactTable::new(out_cols);
-            let mut volume = 0u64;
-            for (tup, v) in mr.merge()? {
-                volume = volume.saturating_add(v);
-                out.push(tup);
-            }
-            if project.is_some() {
-                self.counters.assignments_produced.add(volume);
-            }
-            return Ok(Arc::new(out));
-        }
         let mr = {
             let ec = self.eval_ctx();
             let ops = ops.to_vec();
@@ -2698,22 +2585,13 @@ impl EvalCtx {
         self.limits.use_feature_memo.then_some(self.memo.as_ref())
     }
 
-    fn cell_operand_cands(&self, op: &Operand, cells: &[&Cell]) -> Cands {
+    /// A comparison operand's candidate values: a constant as itself, a
+    /// column through `cell` (how the caller reaches its cells — a built
+    /// tuple, a fused pass's cell slice, a join pair's borrowed cells).
+    fn operand_cands<'a>(&self, op: &Operand, cell: impl Fn(usize) -> &'a Cell) -> Cands {
         match op {
             Operand::Col(c) => candidates_budgeted(
-                cells[*c],
-                &self.store,
-                self.limits.cmp_enum_cap,
-                self.clock.tripped(),
-            ),
-            Operand::Const(v) => Cands::Full(vec![v.clone()]),
-        }
-    }
-
-    fn operand_cands(&self, op: &Operand, tup: &CompactTuple) -> Cands {
-        match op {
-            Operand::Col(c) => candidates_budgeted(
-                &tup.cells[*c],
+                cell(*c),
                 &self.store,
                 self.limits.cmp_enum_cap,
                 self.clock.tripped(),
@@ -2772,9 +2650,9 @@ impl EvalCtx {
                     right,
                     offset,
                 } => {
-                    let lc = self.fused_operand_cands(left, cells);
+                    let lc = self.operand_cands(left, |c| &cells[c]);
                     let rc = shift_cands(
-                        self.fused_operand_cands(right, cells),
+                        self.operand_cands(right, |c| &cells[c]),
                         *offset,
                         &self.store,
                     );
@@ -2826,20 +2704,6 @@ impl EvalCtx {
         Ok(true)
     }
 
-    /// [`EvalCtx::operand_cands`] over a bare cell slice (a fused pass
-    /// carries cells, not a built tuple).
-    fn fused_operand_cands(&self, op: &Operand, cells: &[Cell]) -> Cands {
-        match op {
-            Operand::Col(c) => candidates_budgeted(
-                &cells[*c],
-                &self.store,
-                self.limits.cmp_enum_cap,
-                self.clock.tripped(),
-            ),
-            Operand::Const(v) => Cands::Full(vec![v.clone()]),
-        }
-    }
-
     /// One tuple's contribution to the pre-projection convergence-signal
     /// volume — exactly the [`Plan::Project`] accounting, applied per
     /// tuple so a fused π feeds the §5.1 convergence monitor the same
@@ -2848,429 +2712,6 @@ impl EvalCtx {
         cells.iter().fold(0u64, |acc, c| {
             acc.saturating_add(c.value_count(&self.store).min(1 << 20))
         })
-    }
-
-    /// [`EvalCtx::fused_operand_cands`] over one morsel's column runs.
-    fn run_operand_cands(&self, op: &Operand, runs: &[Option<ColRun>], i: usize) -> Cands {
-        match op {
-            Operand::Col(c) => candidates_budgeted(
-                run_cell(runs, *c, i),
-                &self.store,
-                self.limits.cmp_enum_cap,
-                self.clock.tripped(),
-            ),
-            Operand::Const(v) => Cands::Full(vec![v.clone()]),
-        }
-    }
-
-    /// The columnar counterpart of the per-tuple fused pass (DESIGN.md
-    /// §14): evaluates the pipeline over one morsel's slice of a
-    /// [`ColumnarTable`]'s column runs, op by op, evaluating each
-    /// *distinct* cell (or distinct cell pair) once per morsel instead of
-    /// once per row:
-    ///
-    /// * constraint steps collect the distinct live cells of their column
-    ///   and go through the batch [`crate::constraint::apply_constraint_run`]
-    ///   entry point — one `refine_run`/`verify_value_run` seed per run;
-    /// * comparisons and variable unifications memoize their
-    ///   [`MayMust`] verdict per distinct cell pair (skipped once the run
-    ///   clock has tripped — budgeted enumerations may then degrade, and
-    ///   degraded verdicts must not be replayed);
-    /// * p-predicate filters run per row, exactly like the row path —
-    ///   filter procedures are arbitrary host code, the same reason the
-    ///   tuple-level memo excludes them.
-    ///
-    /// Byte-identity with the row path holds by construction: the
-    /// per-distinct-cell bodies are the standalone operators' exact code
-    /// paths, features are pure (so deduplication changes cost, never
-    /// results), the conversion is lossless, and the per-row tick count
-    /// is unchanged. Pure pipelines additionally consult the same
-    /// tuple-level cache as the row path (`tctx`): the cache is
-    /// content-keyed, so iterative sessions re-running the same rules
-    /// over rebuilt-but-equal tables hit across runs even where the
-    /// pointer-keyed conversion cache misses, and the entries are a pure
-    /// function of the input cells — both arms read and write the same
-    /// mapping, so sharing it is invisible in the output.
-    #[allow(clippy::too_many_arguments)]
-    fn fused_columnar_run(
-        &self,
-        ct: &ColumnarTable,
-        range: Range<usize>,
-        ops: &[FusedOp],
-        ctxs: &[Option<crate::memo::CellCtx>],
-        filters: &BTreeMap<String, crate::pfunc::FilterFn>,
-        tctx: Option<&crate::memo::CellCtx>,
-        proj: Option<&[usize]>,
-    ) -> Result<Vec<(CompactTuple, u64)>, EngineError> {
-        let n = range.len();
-        // Same budget accounting as the row path: one tick per input row.
-        for _ in 0..n {
-            self.clock.tick().map_err(EngineError::from)?;
-        }
-        let mut alive = vec![true; n];
-        let mut extra = vec![false; n];
-        // Tuple-level memo probe, once per *distinct column-id signature*:
-        // duplicate rows share an allocation-light `u32` signature, so
-        // cell contents are materialized and hashed once per distinct
-        // tuple, not once per row. Hits (including cached kills) bypass
-        // the group machinery entirely; misses remember their hash and
-        // key and are inserted on the way out. Reads and writes stop once
-        // the run clock trips, exactly like the row path — degraded
-        // outcomes must never enter or leave the shared cache (serving
-        // already-probed signatures stays pure either way).
-        const NO_SIG: u32 = u32::MAX;
-        let mut sig_of: Vec<u32> = vec![NO_SIG; n];
-        let mut sig_served: Vec<Option<crate::memo::TupleOutcome>> = Vec::new();
-        let mut sig_pending: Vec<Option<(u64, Vec<Cell>)>> = Vec::new();
-        if let Some(ctx) = tctx {
-            let mut remap: HashMap<Vec<u32>, u32> = HashMap::new();
-            for i in 0..n {
-                if self.clock.tripped() {
-                    break;
-                }
-                let row = range.start + i;
-                let sig: Vec<u32> = (0..ct.arity()).map(|c| ct.col(c).cell_id(row)).collect();
-                let s = match remap.entry(sig) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let key = ct.row_cells(row);
-                        let (h, hit) = self.memo.get_tuple(ctx, &key);
-                        let s = sig_served.len() as u32;
-                        match hit {
-                            Some(o) => {
-                                sig_served.push(Some(o));
-                                sig_pending.push(None);
-                            }
-                            None => {
-                                sig_served.push(None);
-                                sig_pending.push(Some((h, key)));
-                            }
-                        }
-                        *e.insert(s)
-                    }
-                };
-                sig_of[i] = s;
-                if sig_served[s as usize].is_some() {
-                    alive[i] = false;
-                }
-            }
-        }
-        let mut runs: Vec<Option<ColRun>> = (0..ct.arity()).map(|_| None).collect();
-        let ensure = |runs: &mut Vec<Option<ColRun>>, c: usize| {
-            if runs[c].is_none() {
-                runs[c] = Some(ColRun::new(ct, c, &range));
-            }
-        };
-        for (op, ctx) in ops.iter().zip(ctxs) {
-            match op {
-                FusedOp::Constraint {
-                    col,
-                    constraint,
-                    priors,
-                } => {
-                    ensure(&mut runs, *col);
-                    let run = runs[*col].as_mut().expect("run just ensured");
-                    // Distinct cells still referenced by a live row — dead
-                    // rows never reach this op in the row path either.
-                    let mut live = vec![false; run.reps.len()];
-                    for (i, &g) in run.groups.iter().enumerate() {
-                        if alive[i] {
-                            live[g as usize] = true;
-                        }
-                    }
-                    let idxs: Vec<usize> = (0..run.reps.len()).filter(|&g| live[g]).collect();
-                    let refs: Vec<&Cell> = idxs.iter().map(|&g| &run.reps[g]).collect();
-                    let outs = crate::constraint::apply_constraint_run(
-                        &refs,
-                        constraint,
-                        priors,
-                        &self.store,
-                        &self.features,
-                        self.memo_opt(),
-                        ctx.as_ref(),
-                    )?;
-                    let mut emptied = vec![false; run.reps.len()];
-                    for (&g, out) in idxs.iter().zip(outs) {
-                        if out.is_empty() {
-                            emptied[g] = true;
-                        } else {
-                            run.reps[g] = out;
-                        }
-                    }
-                    for (i, &g) in run.groups.iter().enumerate() {
-                        if emptied[g as usize] {
-                            alive[i] = false;
-                        }
-                    }
-                }
-                FusedOp::Compare {
-                    left,
-                    op,
-                    right,
-                    offset,
-                } => {
-                    if let Operand::Col(c) = left {
-                        ensure(&mut runs, *c);
-                    }
-                    if let Operand::Col(c) = right {
-                        ensure(&mut runs, *c);
-                    }
-                    let mut cache: HashMap<(u32, u32), MayMust> = HashMap::new();
-                    for i in 0..n {
-                        if !alive[i] {
-                            continue;
-                        }
-                        let key = (operand_group(left, &runs, i), operand_group(right, &runs, i));
-                        let cached = (!self.clock.tripped())
-                            .then(|| cache.get(&key).copied())
-                            .flatten();
-                        let mm = match cached {
-                            Some(mm) => mm,
-                            None => {
-                                let lc = self.run_operand_cands(left, &runs, i);
-                                let rc = shift_cands(
-                                    self.run_operand_cands(right, &runs, i),
-                                    *offset,
-                                    &self.store,
-                                );
-                                let mm = compare_cands(&lc, *op, &rc, &self.store);
-                                if !self.clock.tripped() {
-                                    cache.insert(key, mm);
-                                }
-                                mm
-                            }
-                        };
-                        if !mm.may {
-                            alive[i] = false;
-                        } else {
-                            extra[i] |= !mm.must;
-                        }
-                    }
-                }
-                FusedOp::VarUnify { col_a, col_b } => {
-                    ensure(&mut runs, *col_a);
-                    ensure(&mut runs, *col_b);
-                    let mut cache: HashMap<(u32, u32), MayMust> = HashMap::new();
-                    for i in 0..n {
-                        if !alive[i] {
-                            continue;
-                        }
-                        let key = (group_of(&runs, *col_a, i), group_of(&runs, *col_b, i));
-                        let mm = match cache.get(&key) {
-                            Some(&mm) => mm,
-                            None => {
-                                let mm = cells_may_equal(
-                                    run_cell(&runs, *col_a, i),
-                                    run_cell(&runs, *col_b, i),
-                                    &self.store,
-                                    self.limits.cmp_enum_cap,
-                                );
-                                cache.insert(key, mm);
-                                mm
-                            }
-                        };
-                        if !mm.may {
-                            alive[i] = false;
-                        } else {
-                            extra[i] |= !mm.must;
-                        }
-                    }
-                }
-                FusedOp::FilterProc { name, cols } => {
-                    for &c in cols {
-                        ensure(&mut runs, c);
-                    }
-                    let f = filters
-                        .get(name)
-                        .ok_or_else(|| EngineError::BadProcedure(name.clone()))?;
-                    for i in 0..n {
-                        if !alive[i] {
-                            continue;
-                        }
-                        let cands: Vec<Cands> = cols
-                            .iter()
-                            .map(|&c| {
-                                candidates_budgeted(
-                                    run_cell(&runs, c, i),
-                                    &self.store,
-                                    self.limits.enum_cap,
-                                    self.clock.tripped(),
-                                )
-                            })
-                            .collect();
-                        let mm = filter_cands(
-                            &cands,
-                            &|args: &[Value]| f(&self.store, args),
-                            self.limits.combo_cap,
-                        );
-                        if !mm.may {
-                            alive[i] = false;
-                        } else {
-                            extra[i] |= !mm.must;
-                        }
-                    }
-                }
-            }
-        }
-        // Emission: survivors materialize per distinct cell (cloned per
-        // row); with a projection the convergence volume sums every
-        // column's value count, memoized per distinct cell.
-        if alive.iter().any(|&a| a) {
-            for c in 0..ct.arity() {
-                ensure(&mut runs, c);
-            }
-        }
-        let mut gvol: Vec<Vec<Option<u64>>> = runs
-            .iter()
-            .map(|r| match r {
-                Some(r) => vec![None; r.reps.len()],
-                None => Vec::new(),
-            })
-            .collect();
-        let mut out = Vec::new();
-        for i in 0..n {
-            let row = range.start + i;
-            let sig = sig_of[i];
-            // A tuple-memo hit replays its cached outcome verbatim (the
-            // outcome is per-signature; the input row's own maybe flag
-            // composes outside the cache, as in the row path).
-            if sig != NO_SIG {
-                if let Some(o) = &sig_served[sig as usize] {
-                    if let Some(cells) = &o.cells {
-                        out.push((
-                            CompactTuple {
-                                cells: (**cells).clone(),
-                                maybe: ct.maybe(row) || o.extra_maybe,
-                            },
-                            o.volume,
-                        ));
-                    }
-                    continue;
-                }
-            }
-            if !alive[i] {
-                // A probed miss the pipeline then dropped: cache the kill
-                // (once per signature) so later runs skip it outright.
-                if sig != NO_SIG {
-                    if let (Some(ctx), Some((h, key))) =
-                        (tctx, sig_pending[sig as usize].take())
-                    {
-                        if !self.clock.tripped() {
-                            self.memo.insert_tuple(
-                                h,
-                                ctx,
-                                &key,
-                                crate::memo::TupleOutcome {
-                                    cells: None,
-                                    extra_maybe: false,
-                                    volume: 0,
-                                },
-                            );
-                        }
-                    }
-                }
-                continue;
-            }
-            let volume = if proj.is_some() {
-                let mut acc = 0u64;
-                for c in 0..ct.arity() {
-                    let r = runs[c].as_ref().expect("all runs ensured");
-                    let g = r.groups[i] as usize;
-                    let v = *gvol[c][g]
-                        .get_or_insert_with(|| r.reps[g].value_count(&self.store).min(1 << 20));
-                    acc = acc.saturating_add(v);
-                }
-                acc
-            } else {
-                0
-            };
-            let cells: Vec<Cell> = match proj {
-                Some(cols) => cols.iter().map(|&c| run_cell(&runs, c, i).clone()).collect(),
-                None => (0..ct.arity())
-                    .map(|c| run_cell(&runs, c, i).clone())
-                    .collect(),
-            };
-            if sig != NO_SIG {
-                if let (Some(ctx), Some((h, key))) = (tctx, sig_pending[sig as usize].take()) {
-                    // Re-check: a trip *during* the pipeline means a
-                    // budgeted enumeration may have degraded this outcome
-                    // — never cache it.
-                    if !self.clock.tripped() {
-                        self.memo.insert_tuple(
-                            h,
-                            ctx,
-                            &key,
-                            crate::memo::TupleOutcome {
-                                cells: Some(Arc::new(cells.clone())),
-                                extra_maybe: extra[i],
-                                volume,
-                            },
-                        );
-                    }
-                }
-            }
-            out.push((
-                CompactTuple {
-                    cells,
-                    maybe: ct.maybe(row) || extra[i],
-                },
-                volume,
-            ));
-        }
-        Ok(out)
-    }
-}
-
-/// One column's evaluation state inside one columnar morsel: a dense
-/// group id per local row over representative cells, seeded from the
-/// column dictionary's id run. Constraint steps rewrite representatives
-/// in place — rows that shared an input cell keep sharing the output
-/// cell, so the grouping survives the whole pipeline (no later op splits
-/// a group: comparisons and filters only drop rows or widen `maybe`).
-struct ColRun {
-    /// Per local row: index into `reps`.
-    groups: Vec<u32>,
-    /// Representative (current) cell contents per group.
-    reps: Vec<Cell>,
-}
-
-impl ColRun {
-    fn new(ct: &ColumnarTable, c: usize, range: &Range<usize>) -> ColRun {
-        let ids = &ct.col(c).ids()[range.clone()];
-        let mut remap: HashMap<u32, u32> = HashMap::new();
-        let mut groups = Vec::with_capacity(ids.len());
-        let mut reps: Vec<Cell> = Vec::new();
-        for &id in ids {
-            let g = *remap.entry(id).or_insert_with(|| {
-                reps.push(ct.materialize(c, id));
-                (reps.len() - 1) as u32
-            });
-            groups.push(g);
-        }
-        ColRun { groups, reps }
-    }
-}
-
-/// The current cell of local row `i` in column `c` (the run must have
-/// been initialized).
-fn run_cell(runs: &[Option<ColRun>], c: usize, i: usize) -> &Cell {
-    let r = runs[c].as_ref().expect("column run initialized before read");
-    &r.reps[r.groups[i] as usize]
-}
-
-/// The group id of local row `i` in column `c`.
-fn group_of(runs: &[Option<ColRun>], c: usize, i: usize) -> u32 {
-    let r = runs[c].as_ref().expect("column run initialized before read");
-    r.groups[i]
-}
-
-/// The memo-key group of an operand: a column's group id, or `u32::MAX`
-/// for a constant (one constant per op, so the sentinel cannot collide
-/// with a second distinct constant).
-fn operand_group(op: &Operand, runs: &[Option<ColRun>], i: usize) -> u32 {
-    match op {
-        Operand::Col(c) => group_of(runs, *c, i),
-        Operand::Const(_) => u32::MAX,
     }
 }
 

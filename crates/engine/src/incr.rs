@@ -46,9 +46,9 @@
 //! may have been produced by optimized runs, which muddies ablation
 //! timing.
 
-use iflex_ctable::{ColumnarTable, CompactTable};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, Weak};
+use iflex_ctable::CompactTable;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Cache key: relation name, sample key, rule fingerprint, input-version
 /// hash. The relation name is first so one relation's entries are a
@@ -246,128 +246,6 @@ impl IncrCache {
     }
 }
 
-/// Shares one columnar conversion per row table across operators, runs,
-/// and iterations (DESIGN.md §14). Keyed by the row table's `Arc`
-/// allocation: the [`IncrCache`]'s entries — and the engine's extensional
-/// tables — hand out the *same* `Arc<CompactTable>` on every hit, so a
-/// warm incremental entry carries its columnar form along behind the same
-/// sharing, converted at most once. Values hold only a [`Weak`] row
-/// handle: the share never extends a table's lifetime, and stale slots
-/// (dead weak, or a reused allocation address) are detected on lookup and
-/// swept opportunistically.
-///
-/// Conversion is **adaptive** ([`ColumnarShare::get_adaptive`]): an
-/// allocation is only converted the *second* time it is seen. Stable
-/// tables (extensional scans, warm cache entries) pay one conversion and
-/// amortize it over every later pass; per-iteration scratch tables —
-/// rebuilt at a fresh address every run — are never converted, so the
-/// columnar arm never pays an O(rows × cols) conversion it cannot
-/// amortize. Callers fall back to the row core on first sight, which is
-/// byte-identical by the §14 equivalence contract.
-#[derive(Debug, Default)]
-pub struct ColumnarShare {
-    map: Mutex<HashMap<usize, ShareSlot>>,
-}
-
-/// One share slot: the weak row-table handle that validates the address
-/// key, plus the conversion once the allocation earned it.
-#[derive(Debug)]
-enum ShareSlot {
-    /// Allocation noted once — not converted yet.
-    Seen(Weak<CompactTable>),
-    /// Allocation seen again — conversion shared from here on.
-    Conv(Weak<CompactTable>, Arc<ColumnarTable>),
-}
-
-impl ShareSlot {
-    fn weak(&self) -> &Weak<CompactTable> {
-        match self {
-            ShareSlot::Seen(w) | ShareSlot::Conv(w, _) => w,
-        }
-    }
-}
-
-/// Sweep threshold: once the share holds this many slots, dead weaks are
-/// collected before the next insert.
-const SHARE_SWEEP_AT: usize = 256;
-
-impl ColumnarShare {
-    /// An empty share.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The columnar form of `t` under the second-sight policy: `None` on
-    /// first sight of this allocation (noted; the caller should run the
-    /// row core), the shared conversion from the second sight on. An
-    /// address reused by a *different* table is detected via the stored
-    /// weak handle (`upgrade` + pointer equality) and demoted back to
-    /// first sight.
-    pub fn get_adaptive(&self, t: &Arc<CompactTable>) -> Option<Arc<ColumnarTable>> {
-        let key = Arc::as_ptr(t) as usize;
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        match map.get(&key) {
-            Some(slot) if slot.weak().upgrade().is_some_and(|l| Arc::ptr_eq(&l, t)) => {
-                if let ShareSlot::Conv(_, col) = slot {
-                    return Some(Arc::clone(col));
-                }
-                let col = Arc::new(ColumnarTable::from_rows(t));
-                map.insert(key, ShareSlot::Conv(Arc::downgrade(t), Arc::clone(&col)));
-                Some(col)
-            }
-            _ => {
-                if map.len() >= SHARE_SWEEP_AT {
-                    map.retain(|_, s| s.weak().strong_count() > 0);
-                }
-                map.insert(key, ShareSlot::Seen(Arc::downgrade(t)));
-                None
-            }
-        }
-    }
-
-    /// The columnar form of `t`, converting immediately regardless of the
-    /// second-sight policy. For callers that know the table is stable.
-    pub fn get_or_convert(&self, t: &Arc<CompactTable>) -> Arc<ColumnarTable> {
-        let key = Arc::as_ptr(t) as usize;
-        let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(ShareSlot::Conv(weak, col)) = map.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, t) {
-                    return Arc::clone(col);
-                }
-            }
-        }
-        let col = Arc::new(ColumnarTable::from_rows(t));
-        if map.len() >= SHARE_SWEEP_AT {
-            map.retain(|_, s| s.weak().strong_count() > 0);
-        }
-        map.insert(key, ShareSlot::Conv(Arc::downgrade(t), Arc::clone(&col)));
-        col
-    }
-
-    /// Conversions currently held (dead weaks included until the next
-    /// sweep; first-sight markers not counted).
-    pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-            .filter(|s| matches!(s, ShareSlot::Conv(..)))
-            .count()
-    }
-
-    /// True when no conversion is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached conversion (paired with
-    /// [`IncrCache::clear`] in `Engine::clear_cache`).
-    pub fn clear(&self) {
-        self.map.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    }
-}
-
 /// The downstream dependency cone: `changed` plus every relation that
 /// (transitively) reads a changed relation.
 fn downstream_cone<'a>(
@@ -491,65 +369,6 @@ mod tests {
         base.absorb(snap);
         assert_eq!(base.get("q", "full", 1, 0).expect("q").1, 5, "existing wins");
         assert_eq!(base.get("r", "full", 2, 0).expect("r").1, 1, "new folds in");
-    }
-
-    #[test]
-    fn columnar_share_converts_once_per_allocation() {
-        let share = ColumnarShare::new();
-        let t = table();
-        let a = share.get_or_convert(&t);
-        let b = share.get_or_convert(&t);
-        assert!(Arc::ptr_eq(&a, &b), "same allocation shares one conversion");
-        assert_eq!(share.len(), 1);
-        // A different allocation with identical contents converts anew.
-        let t2 = table();
-        let c = share.get_or_convert(&t2);
-        assert!(!Arc::ptr_eq(&a, &c));
-        share.clear();
-        assert!(share.is_empty());
-    }
-
-    #[test]
-    fn columnar_share_detects_reused_address() {
-        let share = ColumnarShare::new();
-        // Drop the table after conversion: its weak handle dies, so even
-        // if a later allocation lands on the same address the share must
-        // reconvert rather than serve the stale columnar form.
-        let stale_key = {
-            let t = table();
-            share.get_or_convert(&t);
-            Arc::as_ptr(&t) as usize
-        };
-        let mut fresh = Arc::new(CompactTable::new(vec!["y".to_string()]));
-        // Best-effort: allocate until the address is reused or give up —
-        // either way the lookup path below must not return a stale entry.
-        for _ in 0..64 {
-            if Arc::as_ptr(&fresh) as usize == stale_key {
-                break;
-            }
-            fresh = Arc::new(CompactTable::new(vec!["y".to_string()]));
-        }
-        let col = share.get_or_convert(&fresh);
-        assert_eq!(col.columns(), &["y".to_string()]);
-    }
-
-    #[test]
-    fn columnar_share_adaptive_converts_on_second_sight() {
-        let share = ColumnarShare::new();
-        let t = table();
-        // First sight: noted, not converted — the caller runs the row core.
-        assert!(share.get_adaptive(&t).is_none());
-        assert_eq!(share.len(), 0, "a first-sight marker is not a conversion");
-        // Second sight of the same allocation: converted and shared.
-        let a = share.get_adaptive(&t).expect("second sight converts");
-        let b = share.get_adaptive(&t).expect("third sight serves the share");
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(share.len(), 1);
-        // A scratch allocation per "iteration" never reaches second sight.
-        for _ in 0..4 {
-            assert!(share.get_adaptive(&table()).is_none());
-        }
-        assert_eq!(share.len(), 1);
     }
 
     #[test]

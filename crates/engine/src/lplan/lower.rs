@@ -64,9 +64,9 @@ fn lower_run(
 ) -> Option<Plan> {
     // Column references are resolved to `usize` indices at compile time
     // and carried through rewriting untouched; re-check them against the
-    // base arity here, once, so the interpreter's per-run bodies (row and
-    // columnar alike) index cells without a per-access name lookup —
-    // `CompactTable::col_index`'s linear scan stays off every hot path.
+    // base arity here, once, so the interpreter's per-tuple bodies index
+    // cells without a per-access name lookup — `CompactTable::col_index`'s
+    // linear scan stays off every hot path.
     if let Some(arity) = analyze::arity(&base, ctx) {
         debug_assert!(
             fused_in_bounds(&ops, project.as_ref(), arity),

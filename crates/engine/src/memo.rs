@@ -542,71 +542,6 @@ impl FeatureMemo {
         }
     }
 
-    /// Batch form of [`FeatureMemo::get_cell`] for one column run
-    /// (DESIGN.md §14): hashes every cell up front, groups lookups by
-    /// shard, and takes each shard lock **once per run** instead of once
-    /// per tuple. Hits are resolved with the same borrowed-key compares
-    /// as the scalar path (no allocation on a hit). Results are aligned
-    /// positionally with `cells`; each `(hash, hit)` pair feeds the paired
-    /// [`FeatureMemo::insert_cell_batch`] on the miss path.
-    pub fn get_cell_batch(&self, ctx: &CellCtx, cells: &[&Cell]) -> Vec<(u64, Option<Cell>)> {
-        let mut out: Vec<(u64, Option<Cell>)> = cells
-            .iter()
-            .map(|c| (cell_hash(ctx, c), None))
-            .collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (i, (h, _)) in out.iter().enumerate() {
-            by_shard[*h as usize % SHARDS].push(i);
-        }
-        for (s, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let shard = self.cells[s].lock().unwrap();
-            for &i in idxs {
-                let (h, slot) = &mut out[i];
-                *slot = shard
-                    .get(h)
-                    .and_then(|b| b.iter().find(|(k, _)| k.matches(ctx, cells[i])))
-                    .map(|(_, v)| v.clone());
-            }
-        }
-        for (_, found) in &out {
-            self.count(found.is_some());
-        }
-        out
-    }
-
-    /// Batch form of [`FeatureMemo::insert_cell`]: stores one run's miss
-    /// results, taking each shard lock once. Hashes come from the paired
-    /// [`FeatureMemo::get_cell_batch`].
-    pub fn insert_cell_batch(&self, ctx: &CellCtx, entries: &[(u64, &Cell, Cell)]) {
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (i, (h, _, _)) in entries.iter().enumerate() {
-            by_shard[*h as usize % SHARDS].push(i);
-        }
-        for (s, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = self.cells[s].lock().unwrap();
-            for &i in idxs {
-                let (h, cell, out) = &entries[i];
-                let bucket = shard.entry(*h).or_default();
-                if !bucket.iter().any(|(k, _)| k.matches(ctx, cell)) {
-                    bucket.push((
-                        CellKey {
-                            ctx: Arc::clone(&ctx.text),
-                            assigns: cell.assignments().to_vec(),
-                            expand: cell.is_expand(),
-                        },
-                        out.clone(),
-                    ));
-                }
-            }
-        }
-    }
-
     /// Looks up a fused-pipeline outcome for one tuple, counting the hit
     /// or miss. Returns the hash for the paired insert.
     pub fn get_tuple(&self, ctx: &CellCtx, cells: &[Cell]) -> (u64, Option<TupleOutcome>) {

@@ -24,12 +24,6 @@
 //! error is the one with the lowest start index, which is the error a
 //! serial scan would have surfaced first.
 //!
-//! The closure receives plain index ranges, so morsels are agnostic to
-//! the table layout: over the row core a morsel is a slice of tuples,
-//! over the columnar core (DESIGN.md §14) the same `Range<usize>` slices
-//! every column's contiguous per-row id run (`Column::ids()[range]`) —
-//! one dispenser serves both ablation arms of `Limits::use_columnar`.
-//!
 //! A panicking morsel is contained: its part becomes
 //! [`EngineError::RulePanic`], which the rule boundary in `exec.rs` turns
 //! into a per-rule degradation rather than an abort. Busy time is

@@ -50,51 +50,6 @@ pub trait Feature: Send + Sync {
         }
     }
 
-    /// Batch `Verify` over a contiguous run of spans (DESIGN.md §14): one
-    /// call per *run* instead of one per tuple, so the engine's columnar
-    /// operators amortize dispatch and let a feature share per-document
-    /// work across the run. The default loops [`Feature::verify`];
-    /// results must be positionally aligned with `spans` and identical to
-    /// the per-span calls (features are pure, so overriding
-    /// implementations only change cost, never results).
-    fn verify_run(
-        &self,
-        store: &DocumentStore,
-        spans: &[Span],
-        arg: &FeatureArg,
-    ) -> Result<Vec<bool>, FeatureError> {
-        spans.iter().map(|&s| self.verify(store, s, arg)).collect()
-    }
-
-    /// Batch [`Feature::verify_value`] over a run of values, aligned
-    /// positionally. Same purity contract as [`Feature::verify_run`].
-    fn verify_value_run(
-        &self,
-        store: &DocumentStore,
-        values: &[Value],
-        arg: &FeatureArg,
-    ) -> Result<Vec<bool>, FeatureError> {
-        values
-            .iter()
-            .map(|v| self.verify_value(store, v, arg))
-            .collect()
-    }
-
-    /// Batch `Refine` over a contiguous run of spans, aligned
-    /// positionally. Same purity contract as [`Feature::verify_run`]: the
-    /// engine's batch constraint path (`apply_constraint_run`) seeds its
-    /// first refinement round from one `refine_run` call per column run,
-    /// and results must match the per-span [`Feature::refine`] calls
-    /// byte-for-byte.
-    fn refine_run(
-        &self,
-        store: &DocumentStore,
-        spans: &[Span],
-        arg: &FeatureArg,
-    ) -> Result<Vec<Vec<Assignment>>, FeatureError> {
-        spans.iter().map(|&s| self.refine(store, s, arg)).collect()
-    }
-
     /// Whether the refined regions of a `yes` answer should be *pruned
     /// further* by later constraints (true for every built-in).
     fn refinable(&self) -> bool {

@@ -72,10 +72,6 @@ pub struct ServiceConfig {
     pub telemetry: bool,
     /// Per-session flight-recorder ring capacity (0 = library default).
     pub flight_capacity: usize,
-    /// Whether session engines run σ/constraint passes over the columnar
-    /// core (DESIGN.md §14). Results are byte-identical either way — this
-    /// is the fleet-wide ablation switch for `Limits::use_columnar`.
-    pub use_columnar: bool,
     /// When set, every flight dump is also written to this directory as
     /// `flight-<session>-<seq>-<reason>.jsonl`. Dumps are always kept
     /// in memory regardless (see [`Host::flight_dumps`]).
@@ -99,7 +95,6 @@ impl Default for ServiceConfig {
             backoff_cap: Duration::from_millis(100),
             telemetry: true,
             flight_capacity: 0,
-            use_columnar: true,
             flight_dir: None,
             slo_p99_ms: 1_000,
         }
@@ -578,7 +573,6 @@ impl Host {
             warm = 0;
         }
         engine.budget.deadline = inner.cfg.run_deadline;
-        engine.limits.use_columnar = inner.cfg.use_columnar;
         let cancel = engine.budget.cancel_token();
         let engine_fault = Arc::clone(&engine.fault);
         let session_id = inner.next_id.fetch_add(1, Ordering::Relaxed);

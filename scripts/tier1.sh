@@ -28,15 +28,11 @@ echo "== parallel speedup smoke =="
 # notice (the identity sweep still runs at a tiny scale).
 ./target/release/exp_scaling --parallel-report target/BENCH_parallel_speedup_smoke.json --smoke
 
-echo "== plan-optimizer + columnar smoke =="
-# One tiny workload through the serial / memo / optimized / row-core
-# sweep; asserts inside the binary check that the optimized configuration
-# produces results identical to the unoptimized ones (the DESIGN.md §11
-# ablation gate; the byte-level version lives in the prop_opt property
-# suite) AND that `Limits::use_columnar` on vs off yields byte-identical
-# tables, stop reasons, and degradation records on T1@0.1 (the
-# DESIGN.md §14 columnar equivalence gate; the byte-level version lives
-# in the prop_batch property suite).
+echo "== plan-optimizer smoke =="
+# One tiny workload through the serial / memo / optimized sweep; asserts
+# inside the binary check that the optimized configuration produces
+# results identical to the unoptimized ones (the DESIGN.md §11 ablation
+# gate; the byte-level version lives in the prop_opt property suite).
 ./target/release/exp_scaling --plan-report target/BENCH_plan_smoke.json --smoke
 
 echo "== incremental smoke =="

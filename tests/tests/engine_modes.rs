@@ -262,11 +262,37 @@ fn reuse_off_gives_identical_results() {
     let task = c.task(TaskId::T1, Some(20));
     let run_with = |reuse: bool| {
         let mut engine = task.engine(&c);
-        engine.limits.reuse_enabled = reuse;
+        engine.limits.use_incremental = reuse;
         engine.run(&task.program).unwrap();
         engine.run(&task.program).unwrap()
     };
     assert_eq!(run_with(true), run_with(false));
+}
+
+#[test]
+fn similarity_join_argument_order_changes_neither_table_nor_scans() {
+    // `similar(y, x)` misses the token-prefilter join (which wants the
+    // left side's column first) and streams the pairs instead — over the
+    // two inputs it already evaluated, not over a second evaluation.
+    let run = |filter: &str| {
+        let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
+        engine.limits.use_optimizer = false;
+        let names = |rows: &[&str]| {
+            CompactTable::from_exact_rows(
+                vec!["n".into()],
+                rows.iter().map(|r| vec![Value::Str((*r).into())]).collect(),
+            )
+        };
+        engine.add_table("r", names(&["Basktall HS", "Vanhise High", "The Big Sleep"]));
+        engine.add_table("s", names(&["Basktall", "Big Sleep"]));
+        let prog = parse_program(&format!("q(x, y) :- r(x), s(y), {filter}.")).unwrap();
+        let table = engine.run(&prog).unwrap();
+        (format!("{table:?}"), engine.stats.tuples_scanned)
+    };
+    let (forward, scanned) = run("similar(x, y)");
+    assert!(forward.contains("Basktall HS") && !forward.contains("Vanhise"));
+    assert_eq!(scanned, 5, "each input is scanned once");
+    assert_eq!(run("similar(y, x)"), (forward, scanned));
 }
 
 #[test]

@@ -9,7 +9,7 @@
 use iflex_alog::parse_program;
 use iflex_ctable::{worlds, Assignment, Cell, CompactTable, CompactTuple, Value};
 use iflex_engine::Engine;
-use iflex_features::FeatureArg;
+use iflex_features::{FeatureArg, FeatureRegistry};
 use iflex_text::{DocumentStore, Span};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -50,34 +50,43 @@ fn assert_worlds_contain(
     }
 }
 
-/// Runs `prog_src` under both table cores (`Limits::use_columnar` on and
-/// off) against the same input tables, asserts the two results have
-/// identical possible-world sets, and returns the columnar result for
-/// the oracle check — so every σ/π/⋈/constraint case below exercises
-/// the row core and the columnar core in one pass (DESIGN.md §14).
-fn run_both_cores(
+/// Runs `prog_src` once on a fresh engine over `tables`.
+fn run(
     store: &Arc<DocumentStore>,
     tables: &[(&str, CompactTable)],
     prog_src: &str,
 ) -> CompactTable {
-    let prog = parse_program(prog_src).unwrap();
-    let mut results = Vec::new();
-    for use_columnar in [true, false] {
-        let mut eng = Engine::new(Arc::clone(store));
-        eng.limits.use_columnar = use_columnar;
-        for (name, t) in tables {
-            eng.add_table(name, t.clone());
-        }
-        results.push(eng.run(&prog).unwrap());
+    let mut eng = Engine::new(Arc::clone(store));
+    for (name, t) in tables {
+        eng.add_table(name, t.clone());
     }
-    let row = results.pop().unwrap();
-    let col = results.pop().unwrap();
-    assert_eq!(
-        worlds::worlds_of_compact(&col, store, BUDGET).unwrap(),
-        worlds::worlds_of_compact(&row, store, BUDGET).unwrap(),
-        "columnar and row cores disagree on world sets: {prog_src}"
-    );
-    (*col).clone()
+    (*eng.run(&parse_program(prog_src).unwrap()).unwrap()).clone()
+}
+
+/// The reference refinement of `numeric(col) = yes`: keep only the
+/// candidate values the feature verifies; a tuple whose cell empties out
+/// cannot exist in any world.
+fn numeric_refined(t: &CompactTable, col: usize, store: &DocumentStore) -> CompactTable {
+    let features = FeatureRegistry::default();
+    let numeric = features.get("numeric").unwrap();
+    let mut refined = CompactTable::new(t.columns().to_vec());
+    for tuple in t.tuples() {
+        let kept: Vec<Assignment> = tuple.cells[col]
+            .values(store)
+            .filter(|v| numeric.verify_value(store, v, &FeatureArg::yes()).unwrap())
+            .map(Assignment::Exact)
+            .collect();
+        if kept.is_empty() {
+            continue;
+        }
+        let mut cells = tuple.cells.clone();
+        cells[col] = Cell::of(kept);
+        refined.push(CompactTuple {
+            cells,
+            maybe: tuple.maybe,
+        });
+    }
+    refined
 }
 
 /// σ: `q(a) :- t(a), a < 10.` over a table mixing a certain exact tuple, a
@@ -102,7 +111,7 @@ fn selection_contains_every_world_result() {
     let input_worlds = worlds::worlds_of_compact(&t, &store, BUDGET).unwrap();
     assert!(input_worlds.len() > 1, "inputs must be genuinely uncertain");
 
-    let result = run_both_cores(&store, &[("t", t)], "q(a) :- t(a), a < 10.");
+    let result = run(&store, &[("t", t)], "q(a) :- t(a), a < 10.");
 
     let expected: BTreeSet<Relation> = input_worlds
         .iter()
@@ -136,7 +145,7 @@ fn projection_contains_every_world_result() {
 
     let input_worlds = worlds::worlds_of_compact(&t, &store, BUDGET).unwrap();
 
-    let result = run_both_cores(&store, &[("t", t)], "q(a) :- t(a, b).");
+    let result = run(&store, &[("t", t)], "q(a) :- t(a, b).");
 
     let expected: BTreeSet<Relation> = input_worlds
         .iter()
@@ -163,7 +172,7 @@ fn join_contains_every_world_result() {
     let r_worlds = worlds::worlds_of_compact(&r, &store, BUDGET).unwrap();
     let s_worlds = worlds::worlds_of_compact(&s, &store, BUDGET).unwrap();
 
-    let result = run_both_cores(
+    let result = run(
         &store,
         &[("r", r), ("s", s)],
         "q(a, b, c) :- r(a, b), s(b2, c), b = b2.",
@@ -211,38 +220,11 @@ fn constraint_selection_contains_every_world_result() {
         Assignment::exact_span(n7),
     ])]));
 
-    let mut eng = Engine::new(Arc::clone(&store));
-    eng.add_table("t", t.clone());
-    let numeric = eng.features().get("numeric").unwrap();
-    let holds = |s: &Span| numeric.verify(&store, *s, &FeatureArg::yes()).unwrap();
-
-    // The reference refinement: keep only candidates the feature verifies;
-    // a tuple whose cell empties out cannot exist in any world.
-    let mut refined = CompactTable::new(vec!["v".into()]);
-    for tuple in t.tuples() {
-        let kept: Vec<Assignment> = tuple.cells[0]
-            .assignments()
-            .iter()
-            .filter(|a| match a {
-                Assignment::Exact(Value::Span(s)) => holds(s),
-                _ => false,
-            })
-            .cloned()
-            .collect();
-        if kept.is_empty() {
-            continue;
-        }
-        let cells = vec![Cell::of(kept)];
-        refined.push(if tuple.maybe {
-            CompactTuple::maybe(cells)
-        } else {
-            CompactTuple::new(cells)
-        });
-    }
+    let refined = numeric_refined(&t, 0, &store);
     let expected = worlds::worlds_of_compact(&refined, &store, BUDGET).unwrap();
     assert!(expected.len() > 1, "refined input must stay uncertain");
 
-    let result = run_both_cores(&store, &[("t", t)], "q(v) :- t(v), numeric(v) = yes.");
+    let result = run(&store, &[("t", t)], "q(v) :- t(v), numeric(v) = yes.");
     assert_worlds_contain(&result, &store, &expected, "σ_numeric(v)=yes");
 
     // Differential form: the same containment stated through the library's
@@ -251,6 +233,70 @@ fn constraint_selection_contains_every_world_result() {
     assert!(
         worlds::worlds_superset(&result, &refined, &store, BUDGET).unwrap(),
         "engine result is not a worlds-superset of the reference refinement"
+    );
+}
+
+/// A fused constraint → compare → projection chain,
+/// `q(a) :- t(a, b), numeric(a) = yes, a > 4.`, over duplicate rows, a
+/// refinable `contain` cell and a maybe row, run twice on one engine.
+/// The reference applies the constraint as candidate knowledge (as
+/// above), then σ and π world by world; both runs must contain every
+/// such answer. The rule cache is dropped between the runs, so the
+/// second one re-executes the chain and is answered row by row from the
+/// tuple-level memo — byte-identical to the first, without a single miss.
+#[test]
+fn fused_chain_contains_every_world_result_cold_and_memoized() {
+    let mut store = DocumentStore::new();
+    let d = store.add_plain("5 abc 20 3 42");
+    let five = Span::new(d, 0, 1);
+    let abc = Span::new(d, 2, 5);
+    let twenty_three = Span::new(d, 6, 10);
+    let n42 = Span::new(d, 11, 13);
+    let store = Arc::new(store);
+
+    let dup = || {
+        CompactTuple::new(vec![
+            Cell::of(vec![Assignment::exact_span(five), Assignment::exact_span(abc)]),
+            exact_num(10.0),
+        ])
+    };
+    let mut t = CompactTable::new(vec!["a".into(), "b".into()]);
+    t.push(dup());
+    t.push(dup());
+    t.push(CompactTuple::new(vec![Cell::contain(twenty_three), exact_num(20.0)]));
+    t.push(CompactTuple::maybe(vec![
+        Cell::of(vec![Assignment::exact_span(n42)]),
+        exact_num(30.0),
+    ]));
+
+    let refined = numeric_refined(&t, 0, &store);
+    let expected: BTreeSet<Relation> = worlds::worlds_of_compact(&refined, &store, BUDGET)
+        .unwrap()
+        .iter()
+        .map(|w| {
+            w.iter()
+                .filter(|row| num_of(&store, &row[0]).is_some_and(|n| n > 4.0))
+                .map(|row| vec![row[0].clone()])
+                .collect()
+        })
+        .collect();
+    assert!(expected.len() > 1, "the answer must stay uncertain");
+
+    let mut eng = Engine::new(Arc::clone(&store));
+    eng.add_table("t", t.clone());
+    let prog = parse_program("q(a) :- t(a, b), numeric(a) = yes, a > 4.").unwrap();
+    let first = eng.run(&prog).unwrap();
+    assert_worlds_contain(&first, &store, &expected, "π_a σ_{a>4} σ_numeric, cold");
+
+    eng.clear_cache();
+    let second = eng.run(&prog).unwrap();
+    assert_worlds_contain(&second, &store, &expected, "π_a σ_{a>4} σ_numeric, memoized");
+    assert_eq!(format!("{first:?}"), format!("{second:?}"));
+    assert_eq!(eng.stats.cache_hits, 0, "the rule cache must not answer the second run");
+    assert_eq!(
+        (eng.stats.feature_cache_hits, eng.stats.feature_cache_misses),
+        (t.len(), 0),
+        "every input row of the second run is a tuple-memo hit"
     );
 }
 
@@ -297,10 +343,9 @@ fn optimizer_ablation_is_byte_identical_on_oracle_shapes() {
     ];
     for maybe in [false, true] {
         for prog_src in programs {
-            let run = |use_optimizer: bool, use_columnar: bool| {
+            let run = |use_optimizer: bool| {
                 let mut eng = Engine::new(Arc::clone(&store));
                 eng.limits.use_optimizer = use_optimizer;
-                eng.limits.use_columnar = use_columnar;
                 eng.add_table("t", uncertain(maybe));
                 let mut s = CompactTable::new(vec!["b2".into(), "c".into()]);
                 s.push(CompactTuple::new(vec![
@@ -315,24 +360,11 @@ fn optimizer_ablation_is_byte_identical_on_oracle_shapes() {
                 let prog = parse_program(prog_src).unwrap();
                 format!("{:?}", eng.run(&prog).unwrap())
             };
-            // Optimizer ablation (columnar at its default)…
             assert_eq!(
-                run(true, true),
-                run(false, true),
-                "optimizer ablation diverged: {prog_src} (maybe={maybe})"
+                run(true),
+                run(false),
+                "ablation diverged: {prog_src} (maybe={maybe})"
             );
-            // …and the columnar ablation under both optimizer settings —
-            // the columnar core must be byte-invisible whether the
-            // constraint ran standalone or inside a fused pipeline
-            // (DESIGN.md §14).
-            for use_optimizer in [true, false] {
-                assert_eq!(
-                    run(use_optimizer, true),
-                    run(use_optimizer, false),
-                    "columnar ablation diverged: {prog_src} \
-                     (maybe={maybe}, optimizer={use_optimizer})"
-                );
-            }
         }
     }
 }
