@@ -2,85 +2,18 @@
 //! `A(k, m(s))` per assignment via the feature's `Verify`/`Refine`, and
 //! re-checks every *prior* constraint on freshly created sub-spans.
 
-use crate::memo::{CellCtx, FeatureMemo, MemoQuery, MemoValue};
+use crate::memo::{CellCtx, FeatureMemo};
 use crate::plan::CompiledConstraint;
 use iflex_ctable::{Assignment, Cell, Value};
 use iflex_features::{FeatureArg, FeatureError, FeatureRegistry};
 use iflex_text::DocumentStore;
-use std::sync::Arc;
-
-/// Memoizing wrapper around `Feature::verify_value`.
-fn verify_memo(
-    features: &FeatureRegistry,
-    store: &DocumentStore,
-    v: &Value,
-    k: &CompiledConstraint,
-    memo: Option<&FeatureMemo>,
-) -> Result<bool, FeatureError> {
-    let q = MemoQuery::Verify {
-        value: v,
-        feature: &k.feature,
-        arg: &k.arg,
-    };
-    let hash = match memo {
-        Some(m) => {
-            let (h, found) = m.get(&q);
-            if let Some(MemoValue::Verified(ok)) = found {
-                return Ok(ok);
-            }
-            Some(h)
-        }
-        None => None,
-    };
-    let f = features.get(&k.feature)?;
-    let ok = f.verify_value(store, v, &k.arg)?;
-    if let (Some(m), Some(h)) = (memo, hash) {
-        m.insert(h, &q, MemoValue::Verified(ok));
-        // Selectivity signal for the plan optimizer (DESIGN.md §11):
-        // recorded on the miss path only, where the feature actually ran.
-        m.note_verify(&k.feature, ok);
-    }
-    Ok(ok)
-}
-
-/// Memoizing wrapper around `Feature::refine`.
-fn refine_memo(
-    features: &FeatureRegistry,
-    store: &DocumentStore,
-    span: iflex_text::Span,
-    k: &CompiledConstraint,
-    memo: Option<&FeatureMemo>,
-) -> Result<Arc<Vec<Assignment>>, FeatureError> {
-    let q = MemoQuery::Refine {
-        span,
-        feature: &k.feature,
-        arg: &k.arg,
-    };
-    let hash = match memo {
-        Some(m) => {
-            let (h, found) = m.get(&q);
-            if let Some(MemoValue::Refined(v)) = found {
-                return Ok(v);
-            }
-            Some(h)
-        }
-        None => None,
-    };
-    let f = features.get(&k.feature)?;
-    let refined = Arc::new(f.refine(store, span, &k.arg)?);
-    if let (Some(m), Some(h)) = (memo, hash) {
-        m.insert(h, &q, MemoValue::Refined(Arc::clone(&refined)));
-        m.note_refine(&k.feature, refined.len());
-    }
-    Ok(refined)
-}
 
 /// Renders a constraint chain into the injective identity string backing
 /// [`CellCtx`]: `\u{1}` separates constraints, `\u{2}` separates fields,
 /// and numeric arguments are rendered by bit pattern. Feature names and
 /// text arguments never contain control characters, so distinct chains
 /// render distinctly.
-pub fn chain_ctx(new: &CompiledConstraint, priors: &[CompiledConstraint]) -> CellCtx {
+pub(crate) fn chain_ctx(new: &CompiledConstraint, priors: &[CompiledConstraint]) -> CellCtx {
     fn push(out: &mut String, k: &CompiledConstraint) {
         out.push_str(&k.feature);
         out.push('\u{2}');
@@ -102,11 +35,11 @@ pub fn chain_ctx(new: &CompiledConstraint, priors: &[CompiledConstraint]) -> Cel
     CellCtx::new(text)
 }
 
-/// [`apply_constraint_memo`] behind the coarser *cell-level* cache: when
-/// this exact cell has already been refined under this exact constraint
-/// chain (by any rule, run, or simulation probe sharing the memo), the
-/// cached output cell is returned without touching the worklist at all.
-pub fn apply_constraint_cached(
+/// [`apply_constraint`] behind the *cell-level* cache: when this exact
+/// cell has already been refined under this exact constraint chain (by
+/// any rule, run, or simulation probe sharing the memo), the cached
+/// output cell is returned without touching the worklist at all.
+pub(crate) fn apply_constraint_cached(
     cell: &Cell,
     new: &CompiledConstraint,
     priors: &[CompiledConstraint],
@@ -124,7 +57,7 @@ pub fn apply_constraint_cached(
         .iter()
         .any(|a| matches!(a, Assignment::Contain(_)));
     if !refinable {
-        let out = apply_constraint_memo(cell, new, priors, store, features, None)?;
+        let out = apply_constraint(cell, new, priors, store, features)?;
         memo.note_verify(&new.feature, !out.is_empty());
         return Ok(out);
     }
@@ -132,14 +65,7 @@ pub fn apply_constraint_cached(
     if let Some(out) = found {
         return Ok(out);
     }
-    // On a cell miss the worklist recomputes from scratch *without* the
-    // finer span-level memo: with this corpus's cheap features, per-call
-    // Verify/Refine lookups cost more than the calls they save, and the
-    // cell entry inserted below already captures the reuse across rules,
-    // iterations, and simulation probes. Callers that pay more per
-    // feature call can still thread the memo through
-    // [`apply_constraint_memo`] directly.
-    let out = apply_constraint_memo(cell, new, priors, store, features, None)?;
+    let out = apply_constraint(cell, new, priors, store, features)?;
     // Cell-granularity selectivity signal for the plan optimizer: did the
     // chain drop this cell, and how many assignments survived? Recorded
     // on the miss path only (hits carry no new information).
@@ -158,20 +84,6 @@ pub fn apply_constraint(
     priors: &[CompiledConstraint],
     store: &DocumentStore,
     features: &FeatureRegistry,
-) -> Result<Cell, FeatureError> {
-    apply_constraint_memo(cell, new, priors, store, features, None)
-}
-
-/// [`apply_constraint`] with an optional shared [`FeatureMemo`]:
-/// `Verify`/`Refine` results are served from (and recorded into) the memo,
-/// which the engine shares across rules, runs, and simulation probes.
-pub fn apply_constraint_memo(
-    cell: &Cell,
-    new: &CompiledConstraint,
-    priors: &[CompiledConstraint],
-    store: &DocumentStore,
-    features: &FeatureRegistry,
-    memo: Option<&FeatureMemo>,
 ) -> Result<Cell, FeatureError> {
     // Full constraint list; `new` is applied first, then priors re-checked
     // (order is immaterial for the final set — §4.2).
@@ -206,7 +118,7 @@ pub fn apply_constraint_memo(
             Assignment::Exact(v) => {
                 // One shot: verify all constraints.
                 for k in &all {
-                    if !verify_memo(features, store, v, k, memo)? {
+                    if !features.get(&k.feature)?.verify_value(store, v, &k.arg)? {
                         continue 'work; // dropped
                     }
                 }
@@ -218,12 +130,12 @@ pub fn apply_constraint_memo(
                     continue;
                 }
                 let k = all[next];
-                let refined = refine_memo(features, store, *s, k, memo)?;
+                let refined = features.get(&k.feature)?.refine(store, *s, &k.arg)?;
                 if refined.len() == 1 && refined[0] == assign {
                     // Region stable under this constraint; move on.
                     work.push((assign, next + 1));
                 } else {
-                    for r in refined.iter().cloned() {
+                    for r in refined {
                         match r {
                             // New exact values still need all other checks.
                             Assignment::Exact(_) => work.push((r, 0)),

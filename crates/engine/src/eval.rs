@@ -4,7 +4,7 @@
 
 use iflex_alog::CmpOp;
 use iflex_ctable::{Assignment, Cell, Value};
-use iflex_text::{parse_number, DocumentStore, Span, TokenKind};
+use iflex_text::{DocumentStore, Span, TokenKind};
 
 /// Candidate values of a cell for predicate evaluation.
 #[derive(Debug, Clone)]
@@ -282,16 +282,6 @@ pub fn cells_may_equal(
     let ca = candidates(a, store, cap);
     let cb = candidates(b, store, cap);
     compare_cands(&ca, CmpOp::Eq, &cb, store)
-}
-
-/// Numeric value of a span cell when it encodes exactly one number.
-pub fn singleton_number(cell: &Cell, store: &DocumentStore) -> Option<f64> {
-    match cell.exact_singleton()? {
-        Value::Num(n) => Some(*n),
-        Value::Span(s) => parse_number(store.span_text(s)),
-        Value::Str(s) => parse_number(s),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

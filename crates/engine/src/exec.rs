@@ -18,9 +18,7 @@
 
 use crate::annotate::{apply_annotations_with, degraded_policy, AnnotatePolicy};
 use crate::budget::{DegradeCause, RunBudget, RunClock};
-use crate::eval::{
-    candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands, MayMust,
-};
+use crate::eval::{candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands};
 use crate::fault::{self, Fault, FaultPlan};
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, CompileEnv, FusedOp, Operand, Plan, PlanError};
@@ -58,7 +56,7 @@ pub struct Limits {
     /// Worker threads for the large join operators (1 = sequential).
     pub threads: usize,
     /// `(min, max)` clamp, in tuples, for the auto-tuned morsel size of
-    /// the work-stealing executor (see [`crate::par`]). Each parallel
+    /// the work-stealing executor (`par.rs`). Each parallel
     /// section calibrates on its first `min` tuples and sizes later
     /// morsels to ~1ms of work within this clamp. `min` doubles as the
     /// serial threshold: inputs of at most `2 * min` tuples never engage
@@ -84,7 +82,7 @@ pub struct Limits {
     pub use_feature_memo: bool,
     /// Run the incremental re-execution engine (DESIGN.md §9): fingerprint
     /// rules, version relations, and serve unchanged rule results from the
-    /// [`crate::incr::IncrCache`] across iterations and simulation probes.
+    /// incremental cache (`incr.rs`) across iterations and simulation probes.
     /// Disabling it (ablation knob) re-executes every rule on every run —
     /// no lookups, no inserts, no cone invalidation.
     pub use_incremental: bool,
@@ -227,7 +225,7 @@ impl fmt::Display for Degradation {
 ///
 /// Since the observability refactor this is a **view** over the engine's
 /// [`Registry`]: operators increment registry counters (through handles
-/// cached in [`EngineCounters`]) while a run executes, and the numeric
+/// resolved once per engine) while a run executes, and the numeric
 /// fields below are filled from the registry when the run finishes — on
 /// every exit path, success or error. `degradations` is the one field
 /// still carried directly (it holds structured records, not numbers);
@@ -439,10 +437,12 @@ fn op_idx(plan: &Plan) -> usize {
         Plan::ScanExt { .. } => 0,
         Plan::ScanRel { .. } => 1,
         Plan::FromExtract { .. } => 2,
-        Plan::Constraint { .. } => 3,
-        Plan::Compare { .. } => 4,
-        Plan::VarUnify { .. } => 5,
-        Plan::FilterProc { .. } => 6,
+        Plan::Select { step, .. } => match step {
+            FusedOp::Constraint { .. } => 3,
+            FusedOp::Compare { .. } => 4,
+            FusedOp::VarUnify { .. } => 5,
+            FusedOp::FilterProc { .. } => 6,
+        },
         Plan::GenerateProc { .. } => 7,
         Plan::CrossJoin { .. } => 8,
         Plan::Project { .. } => 9,
@@ -537,7 +537,7 @@ impl EngineCounters {
 /// Shared (by reference count): the immutable [`DocumentStore`], the
 /// extensional tables, the feature/procedure registries, the sharded
 /// `Verify`/`Refine` [`FeatureMemo`](crate::FeatureMemo), and a warm
-/// [`IncrCache`](crate::IncrCache) of rule results. Sharing the caches is
+/// incremental cache of rule results. Sharing the caches is
 /// observationally invisible: every entry is a pure function of its key,
 /// and degraded (widened) results are never inserted — so a session can
 /// never observe another session's faults through them.
@@ -1545,253 +1545,15 @@ impl Engine {
                 }
                 Ok(Arc::new(out))
             }
-            Plan::Constraint {
+            Plan::Select { input, step } => self.eval_pass(
                 input,
-                col,
-                constraint,
-                priors,
-            } => {
-                // Domain-constraint selection fans out across worker
-                // threads: tuples are independent, and the feature memo
-                // dedups repeated `Verify`/`Refine` calls across morsels.
-                let t = self.eval_plan(input, computed, sample, span)?;
-                let col = *col;
-                let mr = {
-                    let ec = self.eval_ctx();
-                    let constraint = constraint.clone();
-                    let priors = priors.clone();
-                    let ctx = ec
-                        .memo_opt()
-                        .map(|_| crate::constraint::chain_ctx(&constraint, &priors));
-                    let t = Arc::clone(&t);
-                    crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
-                        let mut out = Vec::new();
-                        for tup in &t.tuples()[range] {
-                            ec.clock.tick().map_err(EngineError::from)?;
-                            let new_cell = match (ec.memo_opt(), ctx.as_ref()) {
-                                (Some(m), Some(c)) => crate::constraint::apply_constraint_cached(
-                                    &tup.cells[col],
-                                    &constraint,
-                                    &priors,
-                                    &ec.store,
-                                    &ec.features,
-                                    m,
-                                    c,
-                                )?,
-                                _ => crate::constraint::apply_constraint_memo(
-                                    &tup.cells[col],
-                                    &constraint,
-                                    &priors,
-                                    &ec.store,
-                                    &ec.features,
-                                    None,
-                                )?,
-                            };
-                            if new_cell.is_empty() {
-                                continue;
-                            }
-                            let mut cells = tup.cells.clone();
-                            cells[col] = new_cell;
-                            out.push(CompactTuple {
-                                cells,
-                                maybe: tup.maybe,
-                            });
-                        }
-                        Ok(out)
-                    })
-                };
-                self.note_section(&mr.stats);
-                let mut out = CompactTable::new(t.columns().to_vec());
-                for tup in mr.merge()? {
-                    out.push(tup);
-                }
-                Ok(Arc::new(out))
-            }
-            Plan::Compare {
-                input,
-                left,
-                op,
-                right,
-                offset,
-            } => {
-                // Fused path: a selection directly above a cross join is
-                // evaluated pairwise so the full product never materializes.
-                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
-                    let op = *op;
-                    let offset = *offset;
-                    let left = left.clone();
-                    let right = right.clone();
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
-                        let lc = ec.operand_cands(&left, |c| cells[c]);
-                        let rc = shift_cands(
-                            ec.operand_cands(&right, |c| cells[c]),
-                            offset,
-                            &ec.store,
-                        );
-                        compare_cands(&lc, op, &rc, &ec.store)
-                    });
-                }
-                let t = self.eval_plan(input, computed, sample, span)?;
-                let (op, offset) = (*op, *offset);
-                let mr = {
-                    let ec = self.eval_ctx();
-                    let (left, right) = (left.clone(), right.clone());
-                    let t = Arc::clone(&t);
-                    crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
-                        let mut out = Vec::new();
-                        for tup in &t.tuples()[range] {
-                            ec.clock.tick().map_err(EngineError::from)?;
-                            let lc = ec.operand_cands(&left, |c| &tup.cells[c]);
-                            let rc = shift_cands(
-                                ec.operand_cands(&right, |c| &tup.cells[c]),
-                                offset,
-                                &ec.store,
-                            );
-                            let mm = compare_cands(&lc, op, &rc, &ec.store);
-                            if !mm.may {
-                                continue;
-                            }
-                            let mut new = tup.clone();
-                            new.maybe |= !mm.must;
-                            out.push(new);
-                        }
-                        Ok(out)
-                    })
-                };
-                self.note_section(&mr.stats);
-                let mut out = CompactTable::new(t.columns().to_vec());
-                for tup in mr.merge()? {
-                    out.push(tup);
-                }
-                Ok(Arc::new(out))
-            }
-            Plan::VarUnify { input, col_a, col_b } => {
-                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
-                    let (a, b) = (*col_a, *col_b);
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
-                        cells_may_equal(cells[a], cells[b], &ec.store, ec.limits.cmp_enum_cap)
-                    });
-                }
-                let t = self.eval_plan(input, computed, sample, span)?;
-                let (a, b) = (*col_a, *col_b);
-                let mr = {
-                    let ec = self.eval_ctx();
-                    let t = Arc::clone(&t);
-                    crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
-                        let mut out = Vec::new();
-                        for tup in &t.tuples()[range] {
-                            ec.clock.tick().map_err(EngineError::from)?;
-                            let mm = cells_may_equal(
-                                &tup.cells[a],
-                                &tup.cells[b],
-                                &ec.store,
-                                ec.limits.cmp_enum_cap,
-                            );
-                            if !mm.may {
-                                continue;
-                            }
-                            let mut new = tup.clone();
-                            new.maybe |= !mm.must;
-                            out.push(new);
-                        }
-                        Ok(out)
-                    })
-                };
-                self.note_section(&mr.stats);
-                let mut out = CompactTable::new(t.columns().to_vec());
-                for tup in mr.merge()? {
-                    out.push(tup);
-                }
-                Ok(Arc::new(out))
-            }
-            Plan::FilterProc { input, name, cols } => {
-                let Some(Procedure::Filter(f)) = self.procs.get(name) else {
-                    return Err(EngineError::BadProcedure(name.clone()));
-                };
-                let f = f.clone();
-                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
-                    let l = self.eval_plan(jl, computed, sample, span)?;
-                    let r = self.eval_plan(jr, computed, sample, span)?;
-                    // Approximate string join: similar(a, b) with one
-                    // column per side, left side first, runs through a
-                    // token prefilter with per-side precomputed profiles
-                    // (§4.1's "significantly more involved" join; see
-                    // DESIGN.md). Any other filter over a cross join —
-                    // `similar(b, a)` included — is the pair predicate of
-                    // the streaming join over the same two tables.
-                    match cols.as_slice() {
-                        [ca, cb]
-                            if (name == "similar" || name == "approxMatch")
-                                && *ca < l.arity()
-                                && *cb >= l.arity() =>
-                        {
-                            let rcol = *cb - l.arity();
-                            return self.similar_join(l, r, *ca, rcol, span);
-                        }
-                        _ => {}
-                    }
-                    let cols = cols.clone();
-                    let combo_cap = self.limits.combo_cap;
-                    let enum_cap = self.limits.enum_cap;
-                    return self.join_tables(l, r, span, move |ec, cells| {
-                        let cands: Vec<Cands> = cols
-                            .iter()
-                            .map(|&c| {
-                                candidates_budgeted(
-                                    cells[c],
-                                    &ec.store,
-                                    enum_cap,
-                                    ec.clock.tripped(),
-                                )
-                            })
-                            .collect();
-                        let store: &DocumentStore = &ec.store;
-                        filter_cands(&cands, &|args: &[Value]| f(store, args), combo_cap)
-                    });
-                }
-                let t = self.eval_plan(input, computed, sample, span)?;
-                let mr = {
-                    let ec = self.eval_ctx();
-                    let cols = cols.clone();
-                    let t = Arc::clone(&t);
-                    crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
-                        let mut out = Vec::new();
-                        for tup in &t.tuples()[range] {
-                            ec.clock.tick().map_err(EngineError::from)?;
-                            let cands: Vec<Cands> = cols
-                                .iter()
-                                .map(|&c| {
-                                    candidates_budgeted(
-                                        &tup.cells[c],
-                                        &ec.store,
-                                        ec.limits.enum_cap,
-                                        ec.clock.tripped(),
-                                    )
-                                })
-                                .collect();
-                            let store: &DocumentStore = &ec.store;
-                            let mm = filter_cands(
-                                &cands,
-                                &|args: &[Value]| f(store, args),
-                                ec.limits.combo_cap,
-                            );
-                            if !mm.may {
-                                continue;
-                            }
-                            let mut new = tup.clone();
-                            new.maybe |= !mm.must;
-                            out.push(new);
-                        }
-                        Ok(out)
-                    })
-                };
-                self.note_section(&mr.stats);
-                let mut out = CompactTable::new(t.columns().to_vec());
-                for tup in mr.merge()? {
-                    out.push(tup);
-                }
-                Ok(Arc::new(out))
-            }
+                std::slice::from_ref(step),
+                None,
+                false,
+                computed,
+                sample,
+                span,
+            ),
             Plan::GenerateProc {
                 input,
                 name,
@@ -1806,9 +1568,7 @@ impl Engine {
                 let f = f.clone();
                 let out_arity = *out_arity;
                 let mut cols = t.columns().to_vec();
-                for k in 0..out_arity {
-                    cols.push(format!("_g{}", cols.len() + k));
-                }
+                cols.extend((0..out_arity).map(|k| format!("_g{}", t.arity() + k)));
                 let mr = {
                     let ec = self.eval_ctx();
                     let name = name.clone();
@@ -1896,72 +1656,13 @@ impl Engine {
                 }
                 Ok(Arc::new(out))
             }
-            Plan::CrossJoin { left, right } => {
-                let l = self.eval_plan(left, computed, sample, span)?;
-                let r = self.eval_plan(right, computed, sample, span)?;
-                let mut cols = l.columns().to_vec();
-                cols.extend(r.columns().iter().cloned());
-                let cap = self.limits.max_result_tuples;
-                let mr = {
-                    let ec = self.eval_ctx();
-                    let l = Arc::clone(&l);
-                    let r = Arc::clone(&r);
-                    crate::par::scatter(&self.section_ctx(span), l.len(), move |range| {
-                        let mut out = Vec::new();
-                        for lt in &l.tuples()[range] {
-                            for rt in r.tuples() {
-                                ec.clock.tick().map_err(EngineError::from)?;
-                                if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
-                                    return Err(injected(f));
-                                }
-                                // Per-morsel heuristic; the authoritative cap
-                                // check happens again at merge time below.
-                                if out.len() >= cap {
-                                    return Err(EngineError::TooLarge("cross join result".into()));
-                                }
-                                let mut cells = lt.cells.clone();
-                                cells.extend(rt.cells.iter().cloned());
-                                out.push(CompactTuple {
-                                    cells,
-                                    maybe: lt.maybe || rt.maybe,
-                                });
-                            }
-                        }
-                        Ok(out)
-                    })
-                };
-                self.note_section(&mr.stats);
-                let mut out = CompactTable::new(cols);
-                for tup in mr.merge()? {
-                    if out.len() >= cap {
-                        return Err(EngineError::TooLarge("cross join result".into()));
-                    }
-                    out.push(tup);
-                }
-                Ok(Arc::new(out))
+            // A cross join is a pass with no steps over itself: every
+            // pair survives.
+            Plan::CrossJoin { .. } => {
+                self.eval_pass(plan, &[], None, false, computed, sample, span)
             }
             Plan::Project { input, cols, names } => {
-                let t = self.eval_plan(input, computed, sample, span)?;
-                // The convergence monitor watches assignments "produced by
-                // the extraction process" (§5.1) — measure extraction
-                // volume before projection hides refined-but-unprojected
-                // attributes.
-                let volume: u64 = t
-                    .tuples()
-                    .iter()
-                    .flat_map(|tup| tup.cells.iter())
-                    .fold(0u64, |acc, c| {
-                        acc.saturating_add(c.value_count(&self.store).min(1 << 20))
-                    });
-                self.counters.assignments_produced.add(volume);
-                let mut out = CompactTable::new(names.clone());
-                for tup in t.tuples() {
-                    out.push(CompactTuple {
-                        cells: cols.iter().map(|&c| tup.cells[c].clone()).collect(),
-                        maybe: tup.maybe,
-                    });
-                }
-                Ok(Arc::new(out))
+                self.eval_pass(input, &[], Some((cols, names)), false, computed, sample, span)
             }
             Plan::Annotate {
                 input,
@@ -1994,10 +1695,10 @@ impl Engine {
                 ops,
                 project,
                 outer_right,
-            } => self.eval_fused(
+            } => self.eval_pass(
                 input,
                 ops,
-                project.as_ref(),
+                project.as_ref().map(|(cols, names)| (cols.as_slice(), names.as_slice())),
                 *outer_right,
                 computed,
                 sample,
@@ -2038,89 +1739,10 @@ impl Engine {
         }
     }
 
-    /// Streams the cross product of two sub-plans, keeping only pairs the
-    /// predicate admits (may = true). The full product is never
-    /// materialized — essential for the large similarity joins. With
-    /// `Limits::threads > 1` the outer side is morsel-scattered across
-    /// the run's worker pool (the predicate only reads the [`EvalCtx`]).
-    fn fused_join(
-        &mut self,
-        left: &Plan,
-        right: &Plan,
-        computed: &BTreeMap<String, Arc<CompactTable>>,
-        sample: Option<Sample>,
-        span: SpanId,
-        pred: impl Fn(&EvalCtx, &[&Cell]) -> MayMust + Send + Sync + 'static,
-    ) -> Result<Arc<CompactTable>, EngineError> {
-        let l = self.eval_plan(left, computed, sample, span)?;
-        let r = self.eval_plan(right, computed, sample, span)?;
-        self.join_tables(l, r, span, pred)
-    }
-
-    /// The pairwise loop of [`Engine::fused_join`] over two already
-    /// evaluated inputs.
-    fn join_tables(
-        &mut self,
-        l: Arc<CompactTable>,
-        r: Arc<CompactTable>,
-        span: SpanId,
-        pred: impl Fn(&EvalCtx, &[&Cell]) -> MayMust + Send + Sync + 'static,
-    ) -> Result<Arc<CompactTable>, EngineError> {
-        let mut cols = l.columns().to_vec();
-        cols.extend(r.columns().iter().cloned());
-        let cap = self.limits.max_result_tuples;
-
-        let mr = {
-            let ec = self.eval_ctx();
-            let l = Arc::clone(&l);
-            let r = Arc::clone(&r);
-            crate::par::scatter(&self.section_ctx(span), l.len(), move |range| {
-                let mut out = Vec::new();
-                let mut cells_ref: Vec<&Cell> = Vec::new();
-                for lt in &l.tuples()[range] {
-                    for rt in r.tuples() {
-                        ec.clock.tick().map_err(EngineError::from)?;
-                        if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
-                            return Err(injected(f));
-                        }
-                        cells_ref.clear();
-                        cells_ref.extend(lt.cells.iter());
-                        cells_ref.extend(rt.cells.iter());
-                        let mm = pred(&ec, &cells_ref);
-                        if !mm.may {
-                            continue;
-                        }
-                        // Per-morsel heuristic; the authoritative cap check
-                        // happens again at merge time below.
-                        if out.len() >= cap {
-                            return Err(EngineError::TooLarge("fused join result".into()));
-                        }
-                        let mut cells = Vec::with_capacity(cells_ref.len());
-                        cells.extend(lt.cells.iter().cloned());
-                        cells.extend(rt.cells.iter().cloned());
-                        out.push(CompactTuple {
-                            cells,
-                            maybe: lt.maybe || rt.maybe || !mm.must,
-                        });
-                    }
-                }
-                Ok(out)
-            })
-        };
-        self.note_section(&mr.stats);
-        let mut out = CompactTable::new(cols);
-        for t in mr.merge()? {
-            if out.len() >= cap {
-                return Err(EngineError::TooLarge("fused join result".into()));
-            }
-            out.push(t);
-        }
-        Ok(Arc::new(out))
-    }
-
-    /// Token-prefilter similarity join: precomputes a [`SimProfile`] per
-    /// side and keeps only pairs that may match. Exact (non-maybe) when
-    /// both cells are singletons.
+    /// Token-prefilter similarity join: precomputes a
+    /// [`SimProfile`](crate::similarity::SimProfile) per side and keeps
+    /// only pairs that may match. Exact (non-maybe) when both cells are
+    /// singletons.
     fn similar_join(
         &mut self,
         l: Arc<CompactTable>,
@@ -2237,330 +1859,268 @@ impl Engine {
         }
     }
 
-    /// Interprets a [`Plan::Fused`] batch pass: one streaming sweep that
-    /// replays the folded selection steps per tuple (per *pair* over a
-    /// cross-join input) and applies the trailing projection, so the
-    /// interpreter materializes no intermediate table per operator.
-    /// Results are byte-identical to the standalone operator chain by
-    /// construction — the per-tuple bodies are the standalone operators'
-    /// exact code paths, applied in the same order.
+    /// Resolves a pass once per operator: each constraint step's chain
+    /// identity (its cell-memo key, when [`Limits::use_feature_memo`] is
+    /// on) and each filter step's procedure.
+    fn resolve_pass(
+        &self,
+        ops: &[FusedOp],
+        project: Option<(&[usize], &[String])>,
+    ) -> Result<Pass, EngineError> {
+        let memo_on = self.limits.use_feature_memo;
+        let steps = ops
+            .iter()
+            .map(|op| {
+                let (ctx, filter) = match op {
+                    FusedOp::Constraint {
+                        constraint, priors, ..
+                    } if memo_on => {
+                        (Some(crate::constraint::chain_ctx(constraint, priors)), None)
+                    }
+                    FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
+                        Some(Procedure::Filter(f)) => (None, Some(f.clone())),
+                        _ => return Err(EngineError::BadProcedure(name.clone())),
+                    },
+                    _ => (None, None),
+                };
+                Ok(Step {
+                    op: op.clone(),
+                    ctx,
+                    filter,
+                })
+            })
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        Ok(Pass {
+            steps,
+            proj: project.map(|(cols, _)| cols.to_vec()),
+        })
+    }
+
+    /// The one σ/π/× evaluator: a [`Plan::Select`] (one step), a
+    /// [`Plan::Project`] (no steps, a projection), a [`Plan::CrossJoin`]
+    /// (no steps over itself) and a [`Plan::Fused`] run all execute as one
+    /// streaming pass that sends each row through [`EvalCtx::pass_row`] —
+    /// per *pair* when `input` is a cross join, whose product is then
+    /// never materialized — so no intermediate table exists per step.
     ///
-    /// Pure pipelines (no p-predicate filter steps, whose procedures are
-    /// arbitrary host code) are additionally served from the memo's
-    /// tuple-level cache when [`Limits::use_feature_memo`] is on:
-    /// iterative sessions re-run near-identical rules against unchanged
-    /// tables hundreds of times, and a tuple hit skips the entire
-    /// pipeline. Entries are only read or written while the run clock has
-    /// not tripped — past the deadline, candidate budgeting degrades
+    /// A pure pass (no p-predicate filter steps, whose procedures are
+    /// arbitrary host code) of two or more steps, the projection counted,
+    /// is additionally served from the memo's tuple-level cache when
+    /// [`Limits::use_feature_memo`] is on: iterative sessions re-run
+    /// near-identical rules against unchanged tables hundreds of times,
+    /// and a tuple hit skips the entire pipeline. A one-step pass has
+    /// nothing to skip beyond what the cell-level cache already serves.
+    /// Entries are only read or written while the run clock has not
+    /// tripped — past the deadline, candidate budgeting degrades
     /// conservatively, and degraded outcomes must never enter (or leave)
     /// the shared cache.
     #[allow(clippy::too_many_arguments)]
-    fn eval_fused(
+    fn eval_pass(
         &mut self,
         input: &Plan,
         ops: &[FusedOp],
-        project: Option<&(Vec<usize>, Vec<String>)>,
+        project: Option<(&[usize], &[String])>,
         outer_right: bool,
         computed: &BTreeMap<String, Arc<CompactTable>>,
         sample: Option<Sample>,
         span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        // Resolve every filter step's procedure once, up front.
-        let mut filters: BTreeMap<String, crate::pfunc::FilterFn> = BTreeMap::new();
-        for op in ops {
-            if let FusedOp::FilterProc { name, .. } = op {
-                let Some(Procedure::Filter(f)) = self.procs.get(name) else {
-                    return Err(EngineError::BadProcedure(name.clone()));
-                };
-                filters.insert(name.clone(), f.clone());
-            }
-        }
-        let memo_on = self.limits.use_feature_memo;
-        // Per-constraint chain identities (feature-memo keys), aligned
-        // with `ops` — computed once, not per tuple.
-        let ctxs: Vec<Option<crate::memo::CellCtx>> = ops
-            .iter()
-            .map(|op| match op {
-                FusedOp::Constraint {
-                    constraint, priors, ..
-                } if memo_on => Some(crate::constraint::chain_ctx(constraint, priors)),
-                _ => None,
-            })
-            .collect();
-
-        // Streaming mode: the fused pass sits directly on a cross join —
-        // pairs are filtered as they are generated and the product is
-        // never materialized.
+        let pass = self.resolve_pass(ops, project)?;
         if let Plan::CrossJoin { left, right } = input {
-            return self.eval_fused_join(
-                left,
-                right,
-                ops,
-                &ctxs,
-                &filters,
-                project,
-                outer_right,
-                computed,
-                sample,
-                span,
-            );
+            let l = self.eval_plan(left, computed, sample, span)?;
+            let r = self.eval_plan(right, computed, sample, span)?;
+            // Approximate string join: similar(a, b) with one column per
+            // side, left side first, runs through a token prefilter with
+            // per-side precomputed profiles (§4.1's "significantly more
+            // involved" join; see DESIGN.md). Any other step over a cross
+            // join — `similar(b, a)` included — is a pass over the pairs
+            // of the same two tables.
+            if let ([step], None) = (ops, project) {
+                if let Some((lcol, rcol)) = crate::lplan::straddling_similar(step, l.arity()) {
+                    return self.similar_join(l, r, lcol, rcol, span);
+                }
+            }
+            return self.pass_over_pairs(l, r, pass, project, outer_right, span);
         }
 
-        // Linear mode: one pass over the input table.
         let t = self.eval_plan(input, computed, sample, span)?;
         let out_cols: Vec<String> = match project {
-            Some((_, names)) => names.clone(),
+            Some((_, names)) => names.to_vec(),
             None => t.columns().to_vec(),
         };
-        let pure = ops
-            .iter()
-            .all(|op| !matches!(op, FusedOp::FilterProc { .. }));
-        let tctx = (memo_on && pure)
+        let memoized = self.limits.use_feature_memo
+            && ops.len() + usize::from(project.is_some()) >= 2
+            && pass.steps.iter().all(|s| s.filter.is_none());
+        let tctx = memoized
             .then(|| crate::memo::CellCtx::new(fused_cache_ctx(ops, project, &self.limits)));
         let mr = {
             let ec = self.eval_ctx();
-            let ops = ops.to_vec();
-            let ctxs = ctxs.clone();
-            let filters = filters.clone();
-            let tctx = tctx.clone();
-            let proj: Option<Vec<usize>> = project.map(|(cols, _)| cols.clone());
             let t = Arc::clone(&t);
             crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
+                let mut overlay = vec![None; t.arity()];
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for tup in &t.tuples()[range] {
                     ec.clock.tick().map_err(EngineError::from)?;
-                    let mut insert_hash = None;
-                    if let Some(ctx) = &tctx {
-                        if !ec.clock.tripped() {
-                            let (h, hit) = ec.memo.get_tuple(ctx, &tup.cells);
-                            if let Some(o) = hit {
-                                if let Some(cells) = &o.cells {
-                                    out.push((
-                                        CompactTuple {
-                                            cells: (**cells).clone(),
-                                            maybe: tup.maybe || o.extra_maybe,
-                                        },
-                                        o.volume,
-                                    ));
-                                }
-                                continue;
-                            }
-                            insert_hash = Some(h);
-                        }
-                    }
-                    let mut cells = tup.cells.clone();
-                    let mut extra = false;
-                    if !ec.fused_apply(&ops, &ctxs, &filters, &mut cells, &mut extra)? {
-                        if let (Some(ctx), Some(h)) = (&tctx, insert_hash) {
-                            if !ec.clock.tripped() {
-                                ec.memo.insert_tuple(
-                                    h,
-                                    ctx,
-                                    &tup.cells,
-                                    crate::memo::TupleOutcome {
-                                        cells: None,
-                                        extra_maybe: false,
-                                        volume: 0,
+                    let mut probe = None;
+                    if let Some(ctx) = tctx.as_ref().filter(|_| !ec.clock.tripped()) {
+                        let (h, hit) = ec.memo.get_tuple(ctx, &tup.cells);
+                        if let Some(o) = hit {
+                            if let Some(cells) = &o.cells {
+                                out.push((
+                                    CompactTuple {
+                                        cells: (**cells).clone(),
+                                        maybe: tup.maybe || o.extra_maybe,
                                     },
-                                );
+                                    o.volume,
+                                ));
                             }
+                            continue;
                         }
-                        continue;
+                        probe = Some((ctx, h));
                     }
-                    let volume = if proj.is_some() {
-                        ec.cells_volume(&cells)
-                    } else {
-                        0
-                    };
-                    let final_cells: Vec<Cell> = match proj.as_deref() {
-                        Some(cols) => cols.iter().map(|&c| cells[c].clone()).collect(),
-                        None => cells,
-                    };
-                    if let (Some(ctx), Some(h)) = (&tctx, insert_hash) {
+                    let row = ec.pass_row(&pass, &tup.cells, &[], &mut overlay)?;
+                    if let Some((ctx, h)) = probe {
                         // Re-check: a trip *during* the pipeline means a
                         // budgeted enumeration may have degraded this
                         // outcome — never cache it.
                         if !ec.clock.tripped() {
-                            ec.memo.insert_tuple(
-                                h,
-                                ctx,
-                                &tup.cells,
-                                crate::memo::TupleOutcome {
-                                    cells: Some(Arc::new(final_cells.clone())),
-                                    extra_maybe: extra,
-                                    volume,
+                            let outcome = match &row {
+                                Some((cells, extra, volume)) => crate::memo::TupleOutcome {
+                                    cells: Some(Arc::new(cells.clone())),
+                                    extra_maybe: *extra,
+                                    volume: *volume,
                                 },
-                            );
+                                None => crate::memo::TupleOutcome {
+                                    cells: None,
+                                    extra_maybe: false,
+                                    volume: 0,
+                                },
+                            };
+                            ec.memo.insert_tuple(h, ctx, &tup.cells, outcome);
                         }
                     }
-                    out.push((
-                        CompactTuple {
-                            cells: final_cells,
-                            maybe: tup.maybe || extra,
-                        },
-                        volume,
-                    ));
+                    if let Some((cells, extra, volume)) = row {
+                        out.push((
+                            CompactTuple {
+                                cells,
+                                maybe: tup.maybe || extra,
+                            },
+                            volume,
+                        ));
+                    }
                 }
                 Ok(out)
             })
         };
         self.note_section(&mr.stats);
-        let mut out = CompactTable::new(out_cols);
-        let mut volume = 0u64;
-        for (tup, v) in mr.merge()? {
-            volume = volume.saturating_add(v);
-            out.push(tup);
-        }
-        if project.is_some() {
-            self.counters.assignments_produced.add(volume);
-        }
-        Ok(Arc::new(out))
+        self.pass_table(out_cols, mr.merge()?, usize::MAX, project.is_some())
     }
 
-    /// The streaming (join-input) mode of [`Engine::eval_fused`]: the
-    /// whole pipeline runs as the pair predicate of a fused join, with the
-    /// projection applied to surviving pairs on the way out. With
-    /// `outer_right` the (larger) right side is the sharded outer loop;
-    /// tagging every emitted pair with its (left, right) indices and
-    /// sorting afterwards restores left-major output order exactly, so a
-    /// flipped join is byte-identical to an unflipped one.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_fused_join(
-        &mut self,
-        left: &Plan,
-        right: &Plan,
-        ops: &[FusedOp],
-        ctxs: &[Option<crate::memo::CellCtx>],
-        filters: &BTreeMap<String, crate::pfunc::FilterFn>,
-        project: Option<&(Vec<usize>, Vec<String>)>,
-        outer_right: bool,
-        computed: &BTreeMap<String, Arc<CompactTable>>,
-        sample: Option<Sample>,
-        span: SpanId,
+    /// A pass's output table from its surviving rows and their volumes:
+    /// refused past `cap` rows, the volume added to the convergence
+    /// signal when the pass projects — a rule's π is where §5.1's
+    /// "assignments produced by the extraction process" are counted.
+    fn pass_table(
+        &self,
+        cols: Vec<String>,
+        rows: impl IntoIterator<Item = (CompactTuple, u64)>,
+        cap: usize,
+        projects: bool,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let l = self.eval_plan(left, computed, sample, span)?;
-        let r = self.eval_plan(right, computed, sample, span)?;
-        let mut cols = l.columns().to_vec();
-        cols.extend(r.columns().iter().cloned());
-        let out_cols: Vec<String> = match project {
-            Some((_, names)) => names.clone(),
-            None => cols,
-        };
-        let cap = self.limits.max_result_tuples;
-
-        // One pair: tick, fault probe, concatenate, pipeline, project.
-        // `Arc`'d so both morsel branches can own a handle to it.
-        type PairResult = Result<Option<(CompactTuple, u64)>, EngineError>;
-        type PairFn =
-            Arc<dyn Fn(&EvalCtx, &CompactTuple, &CompactTuple) -> PairResult + Send + Sync>;
-        let eval_pair: PairFn = {
-            let ops = ops.to_vec();
-            let ctxs = ctxs.to_vec();
-            let filters = filters.clone();
-            let proj: Option<Vec<usize>> = project.map(|(c, _)| c.clone());
-            Arc::new(move |ec, lt, rt| {
-                ec.clock.tick().map_err(EngineError::from)?;
-                if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
-                    return Err(injected(f));
-                }
-                let mut cells = Vec::with_capacity(lt.cells.len() + rt.cells.len());
-                cells.extend(lt.cells.iter().cloned());
-                cells.extend(rt.cells.iter().cloned());
-                let mut extra = false;
-                if !ec.fused_apply(&ops, &ctxs, &filters, &mut cells, &mut extra)? {
-                    return Ok(None);
-                }
-                let volume = if proj.is_some() {
-                    ec.cells_volume(&cells)
-                } else {
-                    0
-                };
-                let final_cells: Vec<Cell> = match proj.as_deref() {
-                    Some(cols) => cols.iter().map(|&c| cells[c].clone()).collect(),
-                    None => cells,
-                };
-                Ok(Some((
-                    CompactTuple {
-                        cells: final_cells,
-                        maybe: lt.maybe || rt.maybe || extra,
-                    },
-                    volume,
-                )))
-            })
-        };
-
-        let rows: Vec<(CompactTuple, u64)> = if outer_right {
-            let mr = {
-                let ec = self.eval_ctx();
-                let l = Arc::clone(&l);
-                let r = Arc::clone(&r);
-                let eval_pair = Arc::clone(&eval_pair);
-                crate::par::scatter(&self.section_ctx(span), r.len(), move |range| {
-                    let mut out = Vec::new();
-                    for ri in range {
-                        let rt = &r.tuples()[ri];
-                        for (li, lt) in l.tuples().iter().enumerate() {
-                            if let Some(row) = eval_pair(&ec, lt, rt)? {
-                                // Per-morsel heuristic; re-checked at merge.
-                                if out.len() >= cap {
-                                    return Err(EngineError::TooLarge(
-                                        "fused join result".into(),
-                                    ));
-                                }
-                                out.push(((li, ri), row));
-                            }
-                        }
-                    }
-                    Ok(out)
-                })
-            };
-            self.note_section(&mr.stats);
-            let mut tagged = mr.merge()?;
-            tagged.sort_by_key(|(k, _)| *k);
-            tagged.into_iter().map(|(_, row)| row).collect()
-        } else {
-            let mr = {
-                let ec = self.eval_ctx();
-                let l = Arc::clone(&l);
-                let r = Arc::clone(&r);
-                let eval_pair = Arc::clone(&eval_pair);
-                crate::par::scatter(&self.section_ctx(span), l.len(), move |range| {
-                    let mut out = Vec::new();
-                    for lt in &l.tuples()[range] {
-                        for rt in r.tuples() {
-                            if let Some(row) = eval_pair(&ec, lt, rt)? {
-                                // Per-morsel heuristic; re-checked at merge.
-                                if out.len() >= cap {
-                                    return Err(EngineError::TooLarge(
-                                        "fused join result".into(),
-                                    ));
-                                }
-                                out.push(row);
-                            }
-                        }
-                    }
-                    Ok(out)
-                })
-            };
-            self.note_section(&mr.stats);
-            mr.merge()?
-        };
-
-        let mut out = CompactTable::new(out_cols);
+        let mut out = CompactTable::new(cols);
         let mut volume = 0u64;
         for (tup, v) in rows {
             if out.len() >= cap {
-                return Err(EngineError::TooLarge("fused join result".into()));
+                return Err(EngineError::TooLarge("join result".into()));
             }
             volume = volume.saturating_add(v);
             out.push(tup);
         }
-        if project.is_some() {
+        if projects {
             self.counters.assignments_produced.add(volume);
         }
         Ok(Arc::new(out))
     }
 
+    /// The pairwise mode of [`Engine::eval_pass`] over two already
+    /// evaluated join inputs: pairs are sent through the pass as they are
+    /// generated, and only survivors are built. With `outer_right` the
+    /// (larger) right side is the sharded outer loop; tagging every
+    /// emitted pair with its left index and stable-sorting afterwards
+    /// restores left-major output order exactly, so a flipped join is
+    /// byte-identical to an unflipped one.
+    fn pass_over_pairs(
+        &mut self,
+        l: Arc<CompactTable>,
+        r: Arc<CompactTable>,
+        pass: Pass,
+        project: Option<(&[usize], &[String])>,
+        outer_right: bool,
+        span: SpanId,
+    ) -> Result<Arc<CompactTable>, EngineError> {
+        let out_cols: Vec<String> = match project {
+            Some((_, names)) => names.to_vec(),
+            None => l.columns().iter().chain(r.columns()).cloned().collect(),
+        };
+        let cap = self.limits.max_result_tuples;
+        let mr = {
+            let ec = self.eval_ctx();
+            let outer_len = if outer_right { r.len() } else { l.len() };
+            crate::par::scatter(&self.section_ctx(span), outer_len, move |range| {
+                let (outer, inner) = if outer_right { (&r, &l) } else { (&l, &r) };
+                let mut overlay = vec![None; l.arity() + r.arity()];
+                let mut out: Vec<(usize, CompactTuple, u64)> = Vec::new();
+                for oi in range {
+                    let ot = &outer.tuples()[oi];
+                    for (ii, it) in inner.tuples().iter().enumerate() {
+                        let (li, lt, rt) = if outer_right { (ii, it, ot) } else { (oi, ot, it) };
+                        ec.clock.tick().map_err(EngineError::from)?;
+                        if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
+                            return Err(injected(f));
+                        }
+                        let Some((cells, extra, volume)) =
+                            ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay)?
+                        else {
+                            continue;
+                        };
+                        // Per-morsel heuristic; the authoritative cap check
+                        // is `pass_table`'s, over the merged rows.
+                        if out.len() >= cap {
+                            return Err(EngineError::TooLarge("join result".into()));
+                        }
+                        let maybe = lt.maybe || rt.maybe || extra;
+                        out.push((li, CompactTuple { cells, maybe }, volume));
+                    }
+                }
+                Ok(out)
+            })
+        };
+        self.note_section(&mr.stats);
+        let mut rows = mr.merge()?;
+        if outer_right {
+            rows.sort_by_key(|(li, ..)| *li);
+        }
+        let rows = rows.into_iter().map(|(_, tup, v)| (tup, v));
+        self.pass_table(out_cols, rows, cap, project.is_some())
+    }
+}
+
+/// One pass as [`Engine::resolve_pass`] prepares it for the morsel
+/// closures: selection steps in application order and the trailing
+/// projection's columns.
+struct Pass {
+    steps: Vec<Step>,
+    proj: Option<Vec<usize>>,
+}
+
+/// One selection step with what evaluating it per row needs.
+struct Step {
+    op: FusedOp,
+    /// A constraint's chain identity — its cell-memo key — when the
+    /// feature memo is on.
+    ctx: Option<crate::memo::CellCtx>,
+    /// A filter step's procedure.
+    filter: Option<crate::pfunc::FilterFn>,
 }
 
 /// Everything an operator's per-tuple body needs from the engine, as
@@ -2580,11 +2140,6 @@ struct EvalCtx {
 }
 
 impl EvalCtx {
-    /// The feature memo, when [`Limits::use_feature_memo`] is on.
-    fn memo_opt(&self) -> Option<&crate::memo::FeatureMemo> {
-        self.limits.use_feature_memo.then_some(self.memo.as_ref())
-    }
-
     /// A comparison operand's candidate values: a constant as itself, a
     /// column through `cell` (how the caller reaches its cells — a built
     /// tuple, a fused pass's cell slice, a join pair's borrowed cells).
@@ -2600,118 +2155,132 @@ impl EvalCtx {
         }
     }
 
-    /// Replays the fused selection steps against one tuple's cells, in
-    /// order, using the standalone operators' exact per-tuple bodies.
-    /// Returns `Ok(false)` when a step drops the tuple; `extra` collects
-    /// the may/must widening (`maybe |= extra` at emission).
-    fn fused_apply(
+    /// One row through one pass — the only place a selection step is
+    /// evaluated. The input cells are read where they are (`left` then
+    /// `right`: a table row and nothing, or the two halves of a join
+    /// pair); a cell a constraint refines goes to `overlay` (the caller's
+    /// per-morsel scratch, one slot per column), and output cells are
+    /// built only for a row that survives every step. Returns those
+    /// cells, whether a may-but-not-must step widened the row (`maybe |=`
+    /// at emission — never the input row's own flag, so the result is a
+    /// function of the cells alone and can be cached), and the row's
+    /// pre-projection convergence volume; `None` when a step drops it.
+    fn pass_row(
         &self,
-        ops: &[FusedOp],
-        ctxs: &[Option<crate::memo::CellCtx>],
-        filters: &BTreeMap<String, crate::pfunc::FilterFn>,
-        cells: &mut [Cell],
-        extra: &mut bool,
-    ) -> Result<bool, EngineError> {
-        let memo = self.memo_opt();
-        for (op, ctx) in ops.iter().zip(ctxs) {
-            match op {
+        pass: &Pass,
+        left: &[Cell],
+        right: &[Cell],
+        overlay: &mut [Option<Cell>],
+    ) -> Result<Option<(Vec<Cell>, bool, u64)>, EngineError> {
+        fn cell<'a>(o: &'a [Option<Cell>], l: &'a [Cell], r: &'a [Cell], c: usize) -> &'a Cell {
+            match &o[c] {
+                Some(refined) => refined,
+                None if c < l.len() => &l[c],
+                None => &r[c - l.len()],
+            }
+        }
+        overlay.fill(None);
+        let mut extra = false;
+        for step in &pass.steps {
+            let mm = match &step.op {
                 FusedOp::Constraint {
                     col,
                     constraint,
                     priors,
                 } => {
-                    let new_cell = match (memo, ctx.as_ref()) {
-                        (Some(m), Some(c)) => crate::constraint::apply_constraint_cached(
-                            &cells[*col],
+                    let input = cell(overlay, left, right, *col);
+                    let refined = match &step.ctx {
+                        Some(ctx) => crate::constraint::apply_constraint_cached(
+                            input,
                             constraint,
                             priors,
                             &self.store,
                             &self.features,
-                            m,
-                            c,
+                            &self.memo,
+                            ctx,
                         )?,
-                        _ => crate::constraint::apply_constraint_memo(
-                            &cells[*col],
+                        None => crate::constraint::apply_constraint(
+                            input,
                             constraint,
                             priors,
                             &self.store,
                             &self.features,
-                            None,
                         )?,
                     };
-                    if new_cell.is_empty() {
-                        return Ok(false);
+                    if refined.is_empty() {
+                        return Ok(None);
                     }
-                    cells[*col] = new_cell;
+                    overlay[*col] = Some(refined);
+                    continue;
                 }
                 FusedOp::Compare {
-                    left,
+                    left: lhs,
                     op,
-                    right,
+                    right: rhs,
                     offset,
                 } => {
-                    let lc = self.operand_cands(left, |c| &cells[c]);
+                    let lc = self.operand_cands(lhs, |c| cell(overlay, left, right, c));
                     let rc = shift_cands(
-                        self.operand_cands(right, |c| &cells[c]),
+                        self.operand_cands(rhs, |c| cell(overlay, left, right, c)),
                         *offset,
                         &self.store,
                     );
-                    let mm = compare_cands(&lc, *op, &rc, &self.store);
-                    if !mm.may {
-                        return Ok(false);
-                    }
-                    *extra |= !mm.must;
+                    compare_cands(&lc, *op, &rc, &self.store)
                 }
-                FusedOp::VarUnify { col_a, col_b } => {
-                    let mm = cells_may_equal(
-                        &cells[*col_a],
-                        &cells[*col_b],
-                        &self.store,
-                        self.limits.cmp_enum_cap,
-                    );
-                    if !mm.may {
-                        return Ok(false);
-                    }
-                    *extra |= !mm.must;
-                }
+                FusedOp::VarUnify { col_a, col_b } => cells_may_equal(
+                    cell(overlay, left, right, *col_a),
+                    cell(overlay, left, right, *col_b),
+                    &self.store,
+                    self.limits.cmp_enum_cap,
+                ),
                 FusedOp::FilterProc { name, cols } => {
-                    let f = filters
-                        .get(name)
+                    let f = step
+                        .filter
+                        .as_ref()
                         .ok_or_else(|| EngineError::BadProcedure(name.clone()))?;
                     let cands: Vec<Cands> = cols
                         .iter()
                         .map(|&c| {
                             candidates_budgeted(
-                                &cells[c],
+                                cell(overlay, left, right, c),
                                 &self.store,
                                 self.limits.enum_cap,
                                 self.clock.tripped(),
                             )
                         })
                         .collect();
-                    let mm = filter_cands(
+                    filter_cands(
                         &cands,
                         &|args: &[Value]| f(&self.store, args),
                         self.limits.combo_cap,
-                    );
-                    if !mm.may {
-                        return Ok(false);
-                    }
-                    *extra |= !mm.must;
+                    )
                 }
+            };
+            if !mm.may {
+                return Ok(None);
             }
+            extra |= !mm.must;
         }
-        Ok(true)
-    }
-
-    /// One tuple's contribution to the pre-projection convergence-signal
-    /// volume — exactly the [`Plan::Project`] accounting, applied per
-    /// tuple so a fused π feeds the §5.1 convergence monitor the same
-    /// number the standalone π would.
-    fn cells_volume(&self, cells: &[Cell]) -> u64 {
-        cells.iter().fold(0u64, |acc, c| {
-            acc.saturating_add(c.value_count(&self.store).min(1 << 20))
-        })
+        let arity = left.len() + right.len();
+        Ok(Some(match &pass.proj {
+            Some(cols) => {
+                // The convergence monitor watches assignments "produced by
+                // the extraction process" (§5.1) — measure extraction
+                // volume before projection hides refined-but-unprojected
+                // attributes.
+                let volume = (0..arity).fold(0u64, |acc, c| {
+                    let count = cell(overlay, left, right, c).value_count(&self.store);
+                    acc.saturating_add(count.min(1 << 20))
+                });
+                let cells = cols.iter().map(|&c| cell(overlay, left, right, c).clone());
+                (cells.collect(), extra, volume)
+            }
+            None => {
+                let cells = left.iter().chain(right).zip(overlay.iter_mut());
+                let cells = cells.map(|(c, o)| o.take().unwrap_or_else(|| c.clone()));
+                (cells.collect(), extra, 0)
+            }
+        }))
     }
 }
 
@@ -2723,7 +2292,7 @@ impl EvalCtx {
 /// one [`EngineCore`], and sessions may run with different budgets.
 fn fused_cache_ctx(
     ops: &[FusedOp],
-    project: Option<&(Vec<usize>, Vec<String>)>,
+    project: Option<(&[usize], &[String])>,
     limits: &Limits,
 ) -> String {
     format!(
@@ -3017,6 +2586,17 @@ mod tests {
         let out = eng.run(&prog).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.tuples().iter().all(|t| !t.maybe));
+        // Appended columns are named by position, however many there are.
+        eng.procs_mut().register_generator("three", 3, |_, _| vec![]);
+        eng.add_table("r", CompactTable::new(vec!["a".into(), "b".into()]));
+        let plan = Plan::GenerateProc {
+            input: Box::new(Plan::ScanExt { name: "r".into() }),
+            name: "three".into(),
+            in_cols: vec![0],
+            out_arity: 3,
+        };
+        let out = eng.eval_plan(&plan, &BTreeMap::new(), None, SpanId::NONE).unwrap();
+        assert_eq!(out.columns(), ["a", "b", "_g2", "_g3", "_g4"]);
     }
 
     #[test]

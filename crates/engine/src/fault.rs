@@ -30,7 +30,7 @@ pub mod site {
     /// contained as a per-rule degradation.
     pub const PAR_STEAL: &str = "engine.par_steal";
     /// Per rule-result lookup in the shared memo/incremental-cache path
-    /// (`Engine::run` consults the [`crate::IncrCache`] before evaluating
+    /// (`Engine::run` consults the incremental cache before evaluating
     /// a rule; a fault here degrades just that rule, exactly like an
     /// evaluation failure).
     pub const MEMO_LOOKUP: &str = "engine.memo_lookup";

@@ -115,11 +115,6 @@ impl IncrCache {
         self.entries.len()
     }
 
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Drops every entry (registry mutations and session fallback retries
     /// call this through [`crate::Engine::clear_cache`]).
     pub fn clear(&mut self) {
@@ -378,7 +373,7 @@ mod tests {
         c.begin_run(&fps(&[("q", &[1])]), &d);
         c.insert("q", "full", 1, 0, table(), 0);
         c.clear();
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         // After clear, the next begin_run sees a fresh history: nothing
         // to evict even though the fingerprints "changed".
         assert_eq!(c.begin_run(&fps(&[("q", &[2])]), &d), 0);

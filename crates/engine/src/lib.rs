@@ -18,34 +18,28 @@
 pub mod annotate;
 pub mod budget;
 pub mod constraint;
-pub mod eval;
+mod eval;
 pub mod exec;
 pub mod fault;
-pub mod incr;
-pub mod lplan;
-pub mod memo;
-pub mod par;
+mod incr;
+mod lplan;
+mod memo;
+mod par;
 pub mod pfunc;
-pub mod plan;
+mod plan;
 pub mod sample;
 pub mod similarity;
 
 pub use annotate::{apply_annotations, apply_annotations_with, AnnotatePath, AnnotatePolicy};
 pub use budget::{CancelToken, DegradeCause, RunBudget, RunClock};
-pub use eval::{Cands, MayMust};
 pub use exec::{
     default_threads, degrade_cause, render_universe, Degradation, Engine, EngineCore, EngineError,
     ExecStats, Limits,
 };
 pub use fault::{Fault, FaultPlan, Trigger};
-pub use incr::IncrCache;
-pub use lplan::{optimize, OptCtx, OptReport};
 pub use memo::{FeatStats, FeatureMemo};
 pub use pfunc::{builtin_procs, ProcRegistry, Procedure};
-pub use plan::{
-    compile_rule, rule_fingerprint, CompileEnv, CompiledConstraint, FusedOp, Operand, Plan,
-    PlanError,
-};
+pub use plan::{CompiledConstraint, PlanError};
 pub use sample::Sample;
 
 // The observability crate travels with the engine: downstream crates take

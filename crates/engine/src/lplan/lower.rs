@@ -87,21 +87,14 @@ fn lower_run(
                 right: Box::new(lower(*right, ctx, report)?),
             };
             // Keep the interpreter's token-prefilter similarity join: the
-            // straddling filter stays a standalone FilterProc directly
-            // above the CrossJoin, and the rest of the run fuses above it.
-            if ops.first().is_some_and(|op| straddling_similar(op, la)) {
-                match ops.remove(0) {
-                    FusedOp::FilterProc { name, cols } => (
-                        Plan::FilterProc {
-                            input: Box::new(cj),
-                            name,
-                            cols,
-                        },
-                        false,
-                        false,
-                    ),
-                    _ => unreachable!("straddling_similar only matches FilterProc"),
-                }
+            // straddling filter stays a one-step Select directly above
+            // the CrossJoin, and the rest of the run fuses above it.
+            if ops.first().is_some_and(|op| straddling_similar(op, la).is_some()) {
+                let select = Plan::Select {
+                    input: Box::new(cj),
+                    step: ops.remove(0),
+                };
+                (select, false, false)
             } else {
                 (cj, true, outer_right)
             }
@@ -120,10 +113,13 @@ fn lower_run(
             outer_right,
         });
     }
-    // Nothing worth fusing: re-emit standalone operators.
+    // Nothing worth fusing: re-emit one operator per step.
     let mut out = base_plan;
-    for op in ops {
-        out = standalone(op, out);
+    for step in ops {
+        out = Plan::Select {
+            input: Box::new(out),
+            step,
+        };
     }
     if let Some((cols, names)) = project {
         out = Plan::Project {
@@ -145,38 +141,6 @@ fn fused_in_bounds(
 ) -> bool {
     ops.iter().all(|op| op.cols().iter().all(|&c| c < arity))
         && project.is_none_or(|(cols, _)| cols.iter().all(|&c| c < arity))
-}
-
-/// The standalone physical operator for one selection step (inverse of
-/// [`super::node::build`]'s Select mapping).
-fn standalone(op: FusedOp, input: Plan) -> Plan {
-    let input = Box::new(input);
-    match op {
-        FusedOp::Constraint {
-            col,
-            constraint,
-            priors,
-        } => Plan::Constraint {
-            input,
-            col,
-            constraint,
-            priors,
-        },
-        FusedOp::Compare {
-            left,
-            op,
-            right,
-            offset,
-        } => Plan::Compare {
-            input,
-            left,
-            op,
-            right,
-            offset,
-        },
-        FusedOp::VarUnify { col_a, col_b } => Plan::VarUnify { input, col_a, col_b },
-        FusedOp::FilterProc { name, cols } => Plan::FilterProc { input, name, cols },
-    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //!
 //! Sits between the rule compiler ([`crate::plan::compile_rule`]) and the
 //! interpreter ([`crate::exec`]): the compiled [`Plan`] is rebuilt as a
-//! [`LNode`] tree, analyzed for arity / cardinality / selectivity, run
+//! [`node::LNode`] tree, analyzed for arity / cardinality / selectivity, run
 //! through cost-driven rewrite passes, and lowered back to a physical
 //! [`Plan`] with adjacent σ/constraint/π operators fused into single
 //! batch passes ([`crate::plan::Plan::Fused`]).
@@ -40,8 +40,7 @@ mod lower;
 mod node;
 mod rewrite;
 
-pub use analyze::SelModel;
-pub use node::LNode;
+pub(crate) use rewrite::straddling_similar;
 
 use crate::memo::FeatStats;
 use crate::plan::Plan;
@@ -112,7 +111,7 @@ pub fn optimize(plan: &Plan, ctx: &OptCtx<'_>) -> Option<(Plan, OptReport)> {
     let mut report = OptReport::default();
     let node = node::build(plan)?;
     report.est_in_rows = analyze::input_rows(&node, ctx)?;
-    let model = SelModel::new(ctx.stats);
+    let model = analyze::SelModel::new(ctx.stats);
     let node = rewrite::pushdown(node, ctx, &mut report)?;
     let node = rewrite::reorder(node, &model, &mut report);
     let node = rewrite::orient_joins(node, ctx, &model, &mut report)?;
@@ -198,7 +197,7 @@ mod tests {
             "q(a, b) :- small(x), from(#x, a), big(y), from(#y, b), similar(#a, #b).",
         );
         let explained = plan.explain();
-        // The straddling similar filter must stay a standalone FilterProc
+        // The straddling similar filter must stay a one-step Select
         // directly above the CrossJoin so exec's token-prefilter join
         // specialization still applies.
         assert!(
@@ -328,10 +327,7 @@ mod tests {
             Plan::Annotate { input, .. }
             | Plan::Project { input, .. }
             | Plan::FromExtract { input, .. }
-            | Plan::Constraint { input, .. }
-            | Plan::Compare { input, .. }
-            | Plan::VarUnify { input, .. }
-            | Plan::FilterProc { input, .. }
+            | Plan::Select { input, .. }
             | Plan::GenerateProc { input, .. } => find_fused(input),
             Plan::CrossJoin { left, right } => find_fused(left).or_else(|| find_fused(right)),
             Plan::ScanExt { .. } | Plan::ScanRel { .. } => None,

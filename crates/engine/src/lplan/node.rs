@@ -1,13 +1,12 @@
 //! The logical plan-node tree: a rewrite-friendly mirror of
-//! [`Plan`](crate::plan::Plan) in which every selection operator is one
-//! uniform [`Select`](LNode::Select) node carrying its per-tuple body as
-//! a [`FusedOp`], so the passes can peel, sink, and reschedule selection
-//! chains without matching four node shapes each time.
+//! [`Plan`] — owned children the passes can peel,
+//! sink, and reschedule, a join that carries its orientation, and no
+//! fused node (fusion is decided when lowering back).
 
 use crate::plan::{FusedOp, Plan};
 
 /// One logical plan node. Built 1:1 from a compiled [`Plan`] by
-/// [`build`]; lowered back (with fusion) by [`super::lower`].
+/// [`build`]; lowered back (with fusion) by [`super::lower::lower`].
 #[derive(Debug, Clone)]
 pub enum LNode {
     /// A scan leaf — keeps the original `ScanExt` / `ScanRel` node.
@@ -79,47 +78,9 @@ pub fn build(p: &Plan) -> Option<LNode> {
             input: Box::new(build(input)?),
             in_col: *in_col,
         },
-        Plan::Constraint {
-            input,
-            col,
-            constraint,
-            priors,
-        } => LNode::Select {
+        Plan::Select { input, step } => LNode::Select {
             input: Box::new(build(input)?),
-            op: FusedOp::Constraint {
-                col: *col,
-                constraint: constraint.clone(),
-                priors: priors.clone(),
-            },
-        },
-        Plan::Compare {
-            input,
-            left,
-            op,
-            right,
-            offset,
-        } => LNode::Select {
-            input: Box::new(build(input)?),
-            op: FusedOp::Compare {
-                left: left.clone(),
-                op: *op,
-                right: right.clone(),
-                offset: *offset,
-            },
-        },
-        Plan::VarUnify { input, col_a, col_b } => LNode::Select {
-            input: Box::new(build(input)?),
-            op: FusedOp::VarUnify {
-                col_a: *col_a,
-                col_b: *col_b,
-            },
-        },
-        Plan::FilterProc { input, name, cols } => LNode::Select {
-            input: Box::new(build(input)?),
-            op: FusedOp::FilterProc {
-                name: name.clone(),
-                cols: cols.clone(),
-            },
+            op: step.clone(),
         },
         Plan::GenerateProc {
             input,

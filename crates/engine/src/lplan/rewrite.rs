@@ -299,14 +299,17 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
 
 /// Is this step the interpreter's specialized token-prefilter similarity
 /// join: a `similar`/`approxMatch` filter with exactly one column on
-/// each side of a join with left arity `la`?
-pub(super) fn straddling_similar(op: &FusedOp, la: usize) -> bool {
+/// each side, left side first, of a join with left arity `la`? Returns
+/// the left input's column and the right input's (rebased) column.
+pub(crate) fn straddling_similar(op: &FusedOp, la: usize) -> Option<(usize, usize)> {
     match op {
-        FusedOp::FilterProc { name, cols } => {
-            (name == "similar" || name == "approxMatch")
-                && matches!(cols.as_slice(), [a, b] if *a < la && *b >= la)
+        FusedOp::FilterProc { name, cols } if name == "similar" || name == "approxMatch" => {
+            match cols.as_slice() {
+                [a, b] if *a < la && *b >= la => Some((*a, *b - la)),
+                _ => None,
+            }
         }
-        _ => false,
+        _ => None,
     }
 }
 
@@ -330,7 +333,7 @@ pub fn orient_joins(
             } = *input
             {
                 let la = analyze::arity(&left, ctx)?;
-                if straddling_similar(&op, la) {
+                if straddling_similar(&op, la).is_some() {
                     let left = orient_joins(*left, ctx, model, report)?;
                     let right = orient_joins(*right, ctx, model, report)?;
                     return Some(LNode::Select {

@@ -1,9 +1,13 @@
-//! Shared memo cache for feature `Verify` / `Refine` results.
+//! Shared memo cache for the results of feature `Verify` / `Refine` work.
 //!
 //! Feature procedures are pure functions of `(span-or-value, feature,
-//! arg)` over an immutable [`DocumentStore`], so their results can be
-//! memoized across rules, iterations of the interactive loop, and the
-//! assistant's simulation probes. The cache is sharded behind mutexes so
+//! arg)` over an immutable [`DocumentStore`], so what they produce — a
+//! cell refined under a constraint chain, a tuple run through a fused
+//! pass — can be memoized across rules, iterations of the interactive
+//! loop, and the assistant's simulation probes. (A third, per-call
+//! span/value level existed below the cell level; no call site used it
+//! once the cell level landed, and it was removed.) The cache is sharded
+//! behind mutexes so
 //! the parallel operators ([`crate::par`]) can share one instance, and
 //! it is reference-counted so engine snapshots keep feeding the same
 //! memo. Invalidation follows the rule cache: any mutation of the
@@ -27,9 +31,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use iflex_ctable::{Assignment, Cell, Value};
-use iflex_features::FeatureArg;
-use iflex_text::Span;
+use iflex_ctable::{Assignment, Cell};
 
 /// Shard count. Small power of two: enough to keep worker threads from
 /// serializing on one lock without wasting memory on empty maps.
@@ -40,7 +42,7 @@ const SHARDS: usize = 16;
 /// cost would eat the savings on cheap features. Shard choice and map
 /// hashing only affect speed, never results.
 #[derive(Default)]
-pub struct FxHasher {
+struct FxHasher {
     hash: u64,
 }
 
@@ -84,233 +86,11 @@ fn fx_hash<T: Hash>(t: &T) -> u64 {
     h.finish()
 }
 
-/// A hashable stand-in for [`FeatureArg`] (`f64` params are canonicalized
-/// to their bit pattern; feature procedures are bit-pattern-pure).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ArgKey {
-    /// Tri-state arg, by token.
-    Tri(iflex_features::FeatureValue),
-    /// Numeric arg, by IEEE-754 bits.
-    Num(u64),
-    /// String arg.
-    Text(String),
-}
-
-impl From<&FeatureArg> for ArgKey {
-    fn from(a: &FeatureArg) -> Self {
-        match a {
-            FeatureArg::Tri(v) => ArgKey::Tri(*v),
-            FeatureArg::Num(n) => ArgKey::Num(n.to_bits()),
-            FeatureArg::Text(s) => ArgKey::Text(s.clone()),
-        }
-    }
-}
-
-/// A hashable stand-in for [`Value`] (same `f64` canonicalization).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum ValueKey {
-    /// A document span.
-    Span(Span),
-    /// A string constant.
-    Str(String),
-    /// A numeric constant, by IEEE-754 bits.
-    Num(u64),
-    /// A boolean constant.
-    Bool(bool),
-    /// Null.
-    Null,
-}
-
-impl From<&Value> for ValueKey {
-    fn from(v: &Value) -> Self {
-        match v {
-            Value::Span(s) => ValueKey::Span(*s),
-            Value::Str(s) => ValueKey::Str(s.clone()),
-            Value::Num(n) => ValueKey::Num(n.to_bits()),
-            Value::Bool(b) => ValueKey::Bool(*b),
-            Value::Null => ValueKey::Null,
-        }
-    }
-}
-
-/// Cache key: one entry per distinct feature invocation. The document is
-/// implied by the span / value (spans carry their `DocId`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum MemoKey {
-    /// `Refine(span, feature, arg)`.
-    Refine {
-        /// The refined span.
-        span: Span,
-        /// Feature name.
-        feature: String,
-        /// Constraint argument.
-        arg: ArgKey,
-    },
-    /// `Verify(value, feature, arg)`.
-    Verify {
-        /// The verified value.
-        value: ValueKey,
-        /// Feature name.
-        feature: String,
-        /// Constraint argument.
-        arg: ArgKey,
-    },
-}
-
-/// Cached feature result. Refine vectors are `Arc`-shared: hits hand out
-/// the same allocation to every rule and probe.
-#[derive(Debug, Clone)]
-pub enum MemoValue {
-    /// A `Refine` result.
-    Refined(Arc<Vec<Assignment>>),
-    /// A `Verify` result.
-    Verified(bool),
-}
-
-/// A borrowed feature-call key: hashes and compares against stored
-/// [`MemoKey`]s **without allocating**, so a cache hit costs no clones.
-#[derive(Debug, Clone, Copy)]
-pub enum MemoQuery<'a> {
-    /// `Refine(span, feature, arg)`.
-    Refine {
-        /// The refined span.
-        span: Span,
-        /// Feature name.
-        feature: &'a str,
-        /// Constraint argument.
-        arg: &'a FeatureArg,
-    },
-    /// `Verify(value, feature, arg)`.
-    Verify {
-        /// The verified value.
-        value: &'a Value,
-        /// Feature name.
-        feature: &'a str,
-        /// Constraint argument.
-        arg: &'a FeatureArg,
-    },
-}
-
-fn hash_arg(h: &mut FxHasher, arg: &FeatureArg) {
-    match arg {
-        FeatureArg::Tri(v) => {
-            h.write_u8(0);
-            h.write_u8(*v as u8);
-        }
-        FeatureArg::Num(n) => {
-            h.write_u8(1);
-            h.write_u64(n.to_bits());
-        }
-        FeatureArg::Text(s) => {
-            h.write_u8(2);
-            h.write(s.as_bytes());
-        }
-    }
-}
-
-fn arg_matches(arg: &FeatureArg, key: &ArgKey) -> bool {
-    match (arg, key) {
-        (FeatureArg::Tri(a), ArgKey::Tri(b)) => a == b,
-        (FeatureArg::Num(a), ArgKey::Num(b)) => a.to_bits() == *b,
-        (FeatureArg::Text(a), ArgKey::Text(b)) => a == b,
-        _ => false,
-    }
-}
-
-fn value_matches(v: &Value, key: &ValueKey) -> bool {
-    match (v, key) {
-        (Value::Span(a), ValueKey::Span(b)) => a == b,
-        (Value::Str(a), ValueKey::Str(b)) => a == b,
-        (Value::Num(a), ValueKey::Num(b)) => a.to_bits() == *b,
-        (Value::Bool(a), ValueKey::Bool(b)) => a == b,
-        (Value::Null, ValueKey::Null) => true,
-        _ => false,
-    }
-}
-
-impl MemoQuery<'_> {
-    fn hash64(&self) -> u64 {
-        let mut h = FxHasher::default();
-        match self {
-            MemoQuery::Refine { span, feature, arg } => {
-                h.write_u8(0);
-                span.hash(&mut h);
-                h.write(feature.as_bytes());
-                hash_arg(&mut h, arg);
-            }
-            MemoQuery::Verify { value, feature, arg } => {
-                h.write_u8(1);
-                match value {
-                    Value::Span(s) => {
-                        h.write_u8(0);
-                        s.hash(&mut h);
-                    }
-                    Value::Str(s) => {
-                        h.write_u8(1);
-                        h.write(s.as_bytes());
-                    }
-                    Value::Num(n) => {
-                        h.write_u8(2);
-                        h.write_u64(n.to_bits());
-                    }
-                    Value::Bool(b) => {
-                        h.write_u8(3);
-                        h.write_u8(u8::from(*b));
-                    }
-                    Value::Null => h.write_u8(4),
-                }
-                h.write(feature.as_bytes());
-                hash_arg(&mut h, arg);
-            }
-        }
-        h.finish()
-    }
-
-    fn matches(&self, key: &MemoKey) -> bool {
-        match (self, key) {
-            (
-                MemoQuery::Refine { span, feature, arg },
-                MemoKey::Refine {
-                    span: ks,
-                    feature: kf,
-                    arg: ka,
-                },
-            ) => span == ks && *feature == kf.as_str() && arg_matches(arg, ka),
-            (
-                MemoQuery::Verify { value, feature, arg },
-                MemoKey::Verify {
-                    value: kv,
-                    feature: kf,
-                    arg: ka,
-                },
-            ) => *feature == kf.as_str() && value_matches(value, kv) && arg_matches(arg, ka),
-            _ => false,
-        }
-    }
-
-    /// The owned key this query corresponds to (built on the miss path
-    /// only, where the feature computation dwarfs the clones).
-    pub fn to_key(&self) -> MemoKey {
-        match self {
-            MemoQuery::Refine { span, feature, arg } => MemoKey::Refine {
-                span: *span,
-                feature: (*feature).to_string(),
-                arg: ArgKey::from(*arg),
-            },
-            MemoQuery::Verify { value, feature, arg } => MemoKey::Verify {
-                value: ValueKey::from(*value),
-                feature: (*feature).to_string(),
-                arg: ArgKey::from(*arg),
-            },
-        }
-    }
-}
-
 /// The rendered identity of one constraint chain (`new` + priors), shared
 /// by every cell-level lookup under one Constraint operator evaluation.
 /// Rendering is done once per operator call, not once per tuple.
 #[derive(Debug, Clone)]
-pub struct CellCtx {
+pub(crate) struct CellCtx {
     text: Arc<str>,
     hash: u64,
 }
@@ -319,7 +99,7 @@ impl CellCtx {
     /// Builds the chain identity from its rendered text. The rendering
     /// must be injective over (feature, arg) chains — see
     /// [`crate::constraint::chain_ctx`].
-    pub fn new(text: String) -> Self {
+    pub(crate) fn new(text: String) -> Self {
         let hash = fx_hash(&text.as_bytes());
         CellCtx {
             text: text.into(),
@@ -411,7 +191,7 @@ impl TupleKey {
 /// can be replayed for every identical tuple across rules, iterations,
 /// and simulation probes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TupleOutcome {
+pub(crate) struct TupleOutcome {
     /// Output cells (post-projection when the pipeline ends in π);
     /// `None` when the tuple was dropped by a selection.
     pub cells: Option<Arc<Vec<Cell>>>,
@@ -440,19 +220,18 @@ type Bucket<K, V> = HashMap<u64, Vec<(K, V)>, FxBuild>;
 
 /// The sharded, thread-safe memo table. See the module docs.
 ///
-/// Three levels share the hit/miss counters:
-/// * **feature level** — one entry per `Verify`/`Refine` invocation;
+/// Two levels share the hit/miss counters:
 /// * **cell level** — one entry per (cell contents, constraint chain)
 ///   pair, so a hit skips the whole §4.2 refinement worklist;
 /// * **tuple level** — one entry per (tuple cells, fused pipeline) pair,
-///   so a hit skips an entire fused σ/π pass (DESIGN.md §11).
+///   so a hit skips an entire fused σ/π pass of two or more steps
+///   (DESIGN.md §11).
 ///
 /// Entries live in per-shard buckets keyed by a precomputed 64-bit hash;
 /// collisions fall back to exact key comparison, so a hit is always a
 /// true hit.
 #[derive(Debug)]
 pub struct FeatureMemo {
-    feat: Vec<Mutex<Bucket<MemoKey, MemoValue>>>,
     cells: Vec<Mutex<Bucket<CellKey, Cell>>>,
     tuples: Vec<Mutex<Bucket<TupleKey, TupleOutcome>>>,
     stats: Mutex<HashMap<String, FeatStats>>,
@@ -463,7 +242,6 @@ pub struct FeatureMemo {
 impl Default for FeatureMemo {
     fn default() -> Self {
         FeatureMemo {
-            feat: (0..SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
             cells: (0..SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
             tuples: (0..SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
             stats: Mutex::new(HashMap::new()),
@@ -487,34 +265,9 @@ impl FeatureMemo {
         }
     }
 
-    /// Looks up a feature result, counting the hit or miss. Returns the
-    /// query's hash so the miss path can insert without rehashing.
-    pub fn get(&self, q: &MemoQuery<'_>) -> (u64, Option<MemoValue>) {
-        let h = q.hash64();
-        let shard = self.feat[h as usize % SHARDS].lock().unwrap();
-        let found = shard
-            .get(&h)
-            .and_then(|b| b.iter().find(|(k, _)| q.matches(k)))
-            .map(|(_, v)| v.clone());
-        drop(shard);
-        self.count(found.is_some());
-        (h, found)
-    }
-
-    /// Stores a feature result under the hash [`FeatureMemo::get`]
-    /// returned (last write wins; feature procedures are pure, so racing
-    /// writers store the same value).
-    pub fn insert(&self, hash: u64, q: &MemoQuery<'_>, value: MemoValue) {
-        let mut shard = self.feat[hash as usize % SHARDS].lock().unwrap();
-        let bucket = shard.entry(hash).or_default();
-        if !bucket.iter().any(|(k, _)| q.matches(k)) {
-            bucket.push((q.to_key(), value));
-        }
-    }
-
     /// Looks up a whole-cell constraint application, counting the hit or
     /// miss. Returns the hash for the paired insert.
-    pub fn get_cell(&self, ctx: &CellCtx, cell: &Cell) -> (u64, Option<Cell>) {
+    pub(crate) fn get_cell(&self, ctx: &CellCtx, cell: &Cell) -> (u64, Option<Cell>) {
         let h = cell_hash(ctx, cell);
         let shard = self.cells[h as usize % SHARDS].lock().unwrap();
         let found = shard
@@ -527,7 +280,7 @@ impl FeatureMemo {
     }
 
     /// Stores the result of applying a constraint chain to one cell.
-    pub fn insert_cell(&self, hash: u64, ctx: &CellCtx, cell: &Cell, out: Cell) {
+    pub(crate) fn insert_cell(&self, hash: u64, ctx: &CellCtx, cell: &Cell, out: Cell) {
         let mut shard = self.cells[hash as usize % SHARDS].lock().unwrap();
         let bucket = shard.entry(hash).or_default();
         if !bucket.iter().any(|(k, _)| k.matches(ctx, cell)) {
@@ -544,7 +297,7 @@ impl FeatureMemo {
 
     /// Looks up a fused-pipeline outcome for one tuple, counting the hit
     /// or miss. Returns the hash for the paired insert.
-    pub fn get_tuple(&self, ctx: &CellCtx, cells: &[Cell]) -> (u64, Option<TupleOutcome>) {
+    pub(crate) fn get_tuple(&self, ctx: &CellCtx, cells: &[Cell]) -> (u64, Option<TupleOutcome>) {
         let h = tuple_hash(ctx, cells);
         let shard = self.tuples[h as usize % SHARDS].lock().unwrap();
         let found = shard
@@ -557,7 +310,7 @@ impl FeatureMemo {
     }
 
     /// Stores the outcome of running one tuple through a fused pipeline.
-    pub fn insert_tuple(&self, hash: u64, ctx: &CellCtx, cells: &[Cell], out: TupleOutcome) {
+    pub(crate) fn insert_tuple(&self, hash: u64, ctx: &CellCtx, cells: &[Cell], out: TupleOutcome) {
         let mut shard = self.tuples[hash as usize % SHARDS].lock().unwrap();
         let bucket = shard.entry(hash).or_default();
         if !bucket.iter().any(|(k, _)| k.matches(ctx, cells)) {
@@ -573,7 +326,7 @@ impl FeatureMemo {
 
     /// Records one `Verify` invocation (miss path only — hits never call
     /// the feature, so they carry no new selectivity signal).
-    pub fn note_verify(&self, feature: &str, passed: bool) {
+    pub(crate) fn note_verify(&self, feature: &str, passed: bool) {
         let mut stats = self.stats.lock().unwrap();
         let s = stats.entry(feature.to_string()).or_default();
         s.verify_calls += 1;
@@ -582,7 +335,7 @@ impl FeatureMemo {
 
     /// Records one `Refine` invocation and how many assignments it
     /// produced (miss path only).
-    pub fn note_refine(&self, feature: &str, out_len: usize) {
+    pub(crate) fn note_refine(&self, feature: &str, out_len: usize) {
         let mut stats = self.stats.lock().unwrap();
         let s = stats.entry(feature.to_string()).or_default();
         s.refine_calls += 1;
@@ -592,15 +345,12 @@ impl FeatureMemo {
     /// A snapshot of per-feature call statistics, for the optimizer's
     /// selectivity model. Cheap: the stats map has one entry per feature
     /// name, not per call.
-    pub fn feature_stats(&self) -> HashMap<String, FeatStats> {
+    pub(crate) fn feature_stats(&self) -> HashMap<String, FeatStats> {
         self.stats.lock().unwrap().clone()
     }
 
     /// Drops every entry (feature registry changed).
     pub fn clear(&self) {
-        for s in &self.feat {
-            s.lock().unwrap().clear();
-        }
         for s in &self.cells {
             s.lock().unwrap().clear();
         }
@@ -612,11 +362,6 @@ impl FeatureMemo {
 
     /// Total entries across shards (all levels).
     pub fn len(&self) -> usize {
-        let feat: usize = self
-            .feat
-            .iter()
-            .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
-            .sum();
         let cells: usize = self
             .cells
             .iter()
@@ -627,7 +372,7 @@ impl FeatureMemo {
             .iter()
             .map(|s| s.lock().unwrap().values().map(Vec::len).sum::<usize>())
             .sum();
-        feat + cells + tuples
+        cells + tuples
     }
 
     /// Whether the memo holds no entries.
@@ -659,6 +404,11 @@ impl FeatureMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::chain_ctx;
+    use crate::plan::CompiledConstraint;
+    use iflex_ctable::Value;
+    use iflex_features::FeatureArg;
+    use iflex_text::Span;
 
     fn span(doc: u32, start: u32, end: u32) -> Span {
         Span {
@@ -668,66 +418,56 @@ mod tests {
         }
     }
 
+    fn cc(feature: &str, arg: FeatureArg) -> CompiledConstraint {
+        CompiledConstraint {
+            feature: feature.into(),
+            arg,
+        }
+    }
+
+    fn exact(n: f64) -> Cell {
+        Cell::of(vec![Assignment::Exact(Value::Num(n))])
+    }
+
     #[test]
     fn hit_and_miss_counting() {
         let memo = FeatureMemo::new();
-        let value = Value::Span(span(0, 0, 4));
-        let arg = FeatureArg::yes();
-        let q = MemoQuery::Verify {
-            value: &value,
-            feature: "bold-font",
-            arg: &arg,
-        };
-        let (h, found) = memo.get(&q);
+        let ctx = chain_ctx(&cc("bold-font", FeatureArg::yes()), &[]);
+        let cell = Cell::contain(span(0, 0, 4));
+        let (h, found) = memo.get_cell(&ctx, &cell);
         assert!(found.is_none());
-        memo.insert(h, &q, MemoValue::Verified(true));
-        let (h2, found) = memo.get(&q);
-        assert_eq!(h, h2, "query hash is stable");
-        assert!(matches!(found, Some(MemoValue::Verified(true))));
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.misses(), 1);
+        memo.insert_cell(h, &ctx, &cell, exact(1.0));
+        let (h2, found) = memo.get_cell(&ctx, &cell);
+        assert_eq!(h, h2, "cell hash is stable");
+        assert_eq!(found, Some(exact(1.0)));
+        assert_eq!(memo.counters(), (1, 1));
     }
 
     #[test]
     fn num_args_distinguished_by_bits_not_text() {
-        let a = ArgKey::from(&FeatureArg::Num(1.0));
-        let b = ArgKey::from(&FeatureArg::Num(1.0 + f64::EPSILON));
-        assert_ne!(a, b);
-        assert_eq!(a, ArgKey::from(&FeatureArg::Num(1.0)));
-        // the borrowed query distinguishes the same way
-        let arg_a = FeatureArg::Num(1.0);
-        let arg_b = FeatureArg::Num(1.0 + f64::EPSILON);
+        let chain = |n: f64| chain_ctx(&cc("min-value", FeatureArg::Num(n)), &[]);
+        let (a, b) = (chain(1.0), chain(1.0 + f64::EPSILON));
         let memo = FeatureMemo::new();
-        let qa = MemoQuery::Refine {
-            span: span(0, 0, 4),
-            feature: "min-value",
-            arg: &arg_a,
-        };
-        let qb = MemoQuery::Refine {
-            span: span(0, 0, 4),
-            feature: "min-value",
-            arg: &arg_b,
-        };
-        let (ha, _) = memo.get(&qa);
-        memo.insert(ha, &qa, MemoValue::Refined(Arc::new(vec![])));
-        assert!(memo.get(&qb).1.is_none());
-        assert!(memo.get(&qa).1.is_some());
+        let cell = Cell::contain(span(0, 0, 4));
+        let (ha, _) = memo.get_cell(&a, &cell);
+        memo.insert_cell(ha, &a, &cell, exact(7.0));
+        assert!(memo.get_cell(&b, &cell).1.is_none());
+        // an equal chain rendered afresh (no shared `Arc`) still hits
+        assert!(memo.get_cell(&chain(1.0), &cell).1.is_some());
     }
 
     #[test]
     fn clear_empties_every_shard() {
         let memo = FeatureMemo::new();
-        let arg = FeatureArg::yes();
+        let ctx = chain_ctx(&cc("bold-font", FeatureArg::yes()), &[]);
         for i in 0..100 {
-            let q = MemoQuery::Refine {
-                span: span(i, 0, 8),
-                feature: "bold-font",
-                arg: &arg,
-            };
-            let (h, _) = memo.get(&q);
-            memo.insert(h, &q, MemoValue::Refined(Arc::new(vec![])));
+            let cell = Cell::contain(span(i, 0, 8));
+            let (h, _) = memo.get_cell(&ctx, &cell);
+            memo.insert_cell(h, &ctx, &cell, exact(0.0));
         }
         assert_eq!(memo.len(), 100);
+        let occupied = memo.cells.iter().filter(|s| !s.lock().unwrap().is_empty());
+        assert!(occupied.count() > 1, "entries spread over shards");
         memo.clear();
         assert!(memo.is_empty());
     }
@@ -736,16 +476,12 @@ mod tests {
     fn shared_across_clones_of_the_arc() {
         let memo = Arc::new(FeatureMemo::new());
         let other = Arc::clone(&memo);
-        let value = Value::Null;
-        let arg = FeatureArg::no();
-        let q = MemoQuery::Verify {
-            value: &value,
-            feature: "f",
-            arg: &arg,
-        };
-        let (h, _) = memo.get(&q);
-        memo.insert(h, &q, MemoValue::Verified(false));
+        let ctx = chain_ctx(&cc("f", FeatureArg::no()), &[]);
+        let cell = exact(3.0);
+        let (h, _) = memo.get_cell(&ctx, &cell);
+        memo.insert_cell(h, &ctx, &cell, cell.clone());
         assert_eq!(other.len(), 1);
+        assert!(other.get_cell(&ctx, &cell).1.is_some());
     }
 
     #[test]

@@ -219,7 +219,8 @@ pub struct SectionCtx<'a> {
 }
 
 impl<'a> SectionCtx<'a> {
-    /// A bare context (tests; production uses `Engine::section_ctx`).
+    /// A bare context (production uses `Engine::section_ctx`).
+    #[cfg(test)]
     pub fn new(pool: Option<&'a RunPool>, cfg: MorselCfg) -> Self {
         SectionCtx {
             pool,
@@ -247,8 +248,6 @@ pub struct SectionStats {
     pub steals: u64,
     /// Wall-clock spent claiming/stealing ranges, in microseconds.
     pub dispense_us: u64,
-    /// The auto-tuned morsel size used after calibration.
-    pub morsel_size: usize,
 }
 
 /// The outcome of one [`scatter`] call: parts keyed by morsel start
@@ -484,7 +483,6 @@ fn run_serial<R: Send>(
             morsels: 1,
             steals: 0,
             dispense_us: 0,
-            morsel_size: n,
         },
     }
 }
@@ -540,7 +538,6 @@ pub fn scatter<R: Send + 'static>(
                 morsels: 2,
                 steals: 0,
                 dispense_us: 0,
-                morsel_size: morsel as usize,
             },
         };
     }
@@ -608,7 +605,6 @@ pub fn scatter<R: Send + 'static>(
         morsels: section.morsels.load(Ordering::Relaxed),
         steals: section.steals.load(Ordering::Relaxed),
         dispense_us: section.dispense_ns.load(Ordering::Relaxed) / 1_000,
-        morsel_size: morsel as usize,
     };
     MorselRun { parts, stats }
 }

@@ -26,23 +26,24 @@ pub struct CompiledConstraint {
     pub arg: FeatureArg,
 }
 
-/// One selection step of a fused batch pipeline ([`Plan::Fused`]). Each
-/// step is the per-tuple body of the corresponding standalone operator;
-/// the fused interpreter replays them in order against one tuple without
-/// materializing intermediate tables. Column indices refer to the fused
-/// node's input schema (selections never change the schema).
+/// One selection step: what a [`Plan::Select`] node applies on its own and
+/// a [`Plan::Fused`] pass applies in sequence, per tuple, without
+/// materializing intermediate tables. Column indices refer to the node's
+/// input schema (selections never change the schema).
 #[derive(Debug, Clone)]
 pub enum FusedOp {
-    /// Per-tuple body of [`Plan::Constraint`].
+    /// Domain-constraint selection σ_{f(a)=v} on `col`, re-checking all
+    /// `priors` on refined sub-spans (§4.2).
     Constraint {
         /// Column the constraint applies to.
         col: usize,
         /// The newly applied constraint.
         constraint: CompiledConstraint,
-        /// Constraints applied earlier to the same attribute.
+        /// Constraints applied earlier to the same attribute (§4.2 re-checks).
         priors: Vec<CompiledConstraint>,
     },
-    /// Per-tuple body of [`Plan::Compare`].
+    /// Comparison selection with may/must (superset) semantics; `offset`
+    /// is added to the right operand (`lp < fp + 5`).
     Compare {
         /// Left operand.
         left: Operand,
@@ -53,14 +54,14 @@ pub enum FusedOp {
         /// Constant added to the right operand.
         offset: f64,
     },
-    /// Per-tuple body of [`Plan::VarUnify`].
+    /// Equality of two columns bound to the same rule variable.
     VarUnify {
         /// First unified column.
         col_a: usize,
         /// Second unified column.
         col_b: usize,
     },
-    /// Per-tuple body of [`Plan::FilterProc`].
+    /// Boolean p-function filter.
     FilterProc {
         /// Procedure name.
         name: String,
@@ -108,7 +109,7 @@ impl FusedOp {
                 format!("σ[{left:?} {op} {right:?} + {offset}]")
             }
             FusedOp::VarUnify { col_a, col_b } => format!("σ[col {col_a} == col {col_b}]"),
-            FusedOp::FilterProc { name, cols } => format!("σ[{name}{cols:?}]"),
+            FusedOp::FilterProc { name, cols } => format!("Filter[{name}{cols:?}]"),
         }
     }
 }
@@ -135,49 +136,13 @@ pub enum Plan {
         /// Column holding the source spans.
         in_col: usize,
     },
-    /// Domain-constraint selection σ_{f(a)=v} on `col`, re-checking all
-    /// `priors` on refined sub-spans (§4.2).
-    Constraint {
+    /// One selection step over the child's tuples (σ, constraint,
+    /// unification, or filter — see [`FusedOp`]).
+    Select {
         /// Child plan.
         input: Box<Plan>,
-        /// Column the constraint applies to.
-        col: usize,
-        /// The newly applied constraint.
-        constraint: CompiledConstraint,
-        /// Constraints applied earlier to the same attribute (§4.2 re-checks).
-        priors: Vec<CompiledConstraint>,
-    },
-    /// Comparison selection with may/must (superset) semantics; `offset`
-    /// is added to the right operand (`lp < fp + 5`).
-    Compare {
-        /// Child plan.
-        input: Box<Plan>,
-        /// Left operand.
-        left: Operand,
-        /// Comparison operator.
-        op: CmpOp,
-        /// Right operand.
-        right: Operand,
-        /// Constant added to the right operand.
-        offset: f64,
-    },
-    /// Equality of two columns bound to the same rule variable.
-    VarUnify {
-        /// Child plan.
-        input: Box<Plan>,
-        /// First unified column.
-        col_a: usize,
-        /// Second unified column.
-        col_b: usize,
-    },
-    /// Boolean p-function filter.
-    FilterProc {
-        /// Child plan.
-        input: Box<Plan>,
-        /// Procedure / relation name.
-        name: String,
-        /// Argument / projected columns.
-        cols: Vec<usize>,
+        /// The selection applied per tuple.
+        step: FusedOp,
     },
     /// Generating p-predicate: appends `out_arity` columns.
     GenerateProc {
@@ -218,12 +183,11 @@ pub enum Plan {
     /// A fused batch pass (DESIGN.md §11): a run of adjacent selections —
     /// optionally capped by a projection — executed as **one** pass over
     /// the input's tuples, with no intermediate table per operator. Only
-    /// ever produced by the `lplan` optimizer; the compiler emits the
-    /// standalone operators.
+    /// ever produced by the `lplan` optimizer; the compiler emits one
+    /// [`Plan::Select`] per step.
     ///
     /// When `input` is a [`Plan::CrossJoin`], the pass streams over the
-    /// cross product directly (like the interpreter's ad-hoc fused join)
-    /// instead of materializing it.
+    /// cross product directly instead of materializing it.
     Fused {
         /// Child plan.
         input: Box<Plan>,
@@ -261,37 +225,8 @@ impl Plan {
                 let _ = writeln!(out, "{pad}FromExtract(col {in_col})");
                 input.explain_into(out, depth + 1);
             }
-            Plan::Constraint {
-                input,
-                col,
-                constraint,
-                priors,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}σ[{}(col {col}) = {}] (+{} priors)",
-                    constraint.feature,
-                    constraint.arg,
-                    priors.len()
-                );
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Compare {
-                input,
-                left,
-                op,
-                right,
-                offset,
-            } => {
-                let _ = writeln!(out, "{pad}σ[{left:?} {op} {right:?} + {offset}]");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::VarUnify { input, col_a, col_b } => {
-                let _ = writeln!(out, "{pad}σ[col {col_a} == col {col_b}]");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::FilterProc { input, name, cols } => {
-                let _ = writeln!(out, "{pad}Filter[{name}{cols:?}]");
+            Plan::Select { input, step } => {
+                let _ = writeln!(out, "{pad}{}", step.render());
                 input.explain_into(out, depth + 1);
             }
             Plan::GenerateProc {
@@ -482,14 +417,21 @@ struct Branch {
 }
 
 impl Branch {
+    /// Caps the branch's plan with one selection step.
+    fn select(&mut self, step: FusedOp) {
+        let input = std::mem::replace(&mut self.plan, Plan::ScanExt { name: String::new() });
+        self.plan = Plan::Select {
+            input: Box::new(input),
+            step,
+        };
+    }
+
     fn unify_dup(&mut self, var: &str, new_col: usize) {
         if let Some(&old) = self.bound.get(var) {
-            let input = std::mem::replace(&mut self.plan, Plan::ScanExt { name: String::new() });
-            self.plan = Plan::VarUnify {
-                input: Box::new(input),
+            self.select(FusedOp::VarUnify {
                 col_a: old,
                 col_b: new_col,
-            };
+            });
         } else {
             self.bound.insert(var.to_string(), new_col);
         }
@@ -513,10 +455,12 @@ fn merge(a: Branch, b: Branch) -> Branch {
         let bcol = col + shift;
         match bound.get(&var) {
             Some(&acol) => {
-                plan = Plan::VarUnify {
+                plan = Plan::Select {
                     input: Box::new(plan),
-                    col_a: acol,
-                    col_b: bcol,
+                    step: FusedOp::VarUnify {
+                        col_a: acol,
+                        col_b: bcol,
+                    },
                 };
             }
             None => {
@@ -702,17 +646,12 @@ fn apply_atom(
                                 rule: rule_str.to_string(),
                                 detail: "variable term in constant position".into(),
                             })?;
-                            let input = std::mem::replace(
-                                &mut b.plan,
-                                Plan::ScanExt { name: String::new() },
-                            );
-                            b.plan = Plan::Compare {
-                                input: Box::new(input),
+                            b.select(FusedOp::Compare {
                                 left: Operand::Col(col),
                                 op: CmpOp::Eq,
                                 right: Operand::Const(c),
                                 offset: 0.0,
-                            };
+                            });
                         }
                     }
                 }
@@ -754,13 +693,10 @@ fn apply_atom(
                     })?;
                     let b = &mut branches[bi];
                     let cols: Vec<usize> = vars.iter().map(|v| b.bound[*v]).collect();
-                    let input =
-                        std::mem::replace(&mut b.plan, Plan::ScanExt { name: String::new() });
-                    b.plan = Plan::FilterProc {
-                        input: Box::new(input),
+                    b.select(FusedOp::FilterProc {
                         name: name.clone(),
                         cols,
-                    };
+                    });
                     Ok(true)
                 } else {
                     // generator: `#`-marked args are inputs, the rest outputs
@@ -811,17 +747,12 @@ fn apply_atom(
                                     rule: rule_str.to_string(),
                                     detail: "variable term in constant position".into(),
                                 })?;
-                                let input = std::mem::replace(
-                                    &mut b.plan,
-                                    Plan::ScanExt { name: String::new() },
-                                );
-                                b.plan = Plan::Compare {
-                                    input: Box::new(input),
+                                b.select(FusedOp::Compare {
                                     left: Operand::Col(col),
                                     op: CmpOp::Eq,
                                     right: Operand::Const(c),
                                     offset: 0.0,
-                                };
+                                });
                             }
                         }
                     }
@@ -874,14 +805,12 @@ fn apply_atom(
             };
             let l = resolve(left, b)?;
             let r = resolve(right, b)?;
-            let input = std::mem::replace(&mut b.plan, Plan::ScanExt { name: String::new() });
-            b.plan = Plan::Compare {
-                input: Box::new(input),
+            b.select(FusedOp::Compare {
                 left: l,
                 op: *op,
                 right: r,
                 offset: *offset,
-            };
+            });
             Ok(true)
         }
         BodyAtom::Constraint {
@@ -905,13 +834,11 @@ fn apply_atom(
             let priors = b.applied.entry(var.clone()).or_default();
             let prior_list = priors.clone();
             priors.push(cc.clone());
-            let input = std::mem::replace(&mut b.plan, Plan::ScanExt { name: String::new() });
-            b.plan = Plan::Constraint {
-                input: Box::new(input),
+            b.select(FusedOp::Constraint {
                 col,
                 constraint: cc,
                 priors: prior_list,
-            };
+            });
             Ok(true)
         }
     }

@@ -15,6 +15,12 @@ cargo clippy --workspace \
   --exclude criterion --exclude proptest --exclude rand --exclude serde \
   -- -D warnings
 
+echo "== rustdoc (engine, private items included) =="
+# Broken and public-to-private intra-doc links are errors, so a doc
+# comment naming a deleted item fails here. --document-private-items
+# extends the check to the crate-private modules (plan, lplan, memo, ...).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p iflex-engine --document-private-items
+
 echo "== parallel smoke =="
 # One tiny workload through the serial / memo / threaded sweep; asserts
 # inside the binary check that every configuration yields the same table.

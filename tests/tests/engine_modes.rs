@@ -296,6 +296,55 @@ fn similarity_join_argument_order_changes_neither_table_nor_scans() {
 }
 
 #[test]
+fn selective_step_over_a_cross_join_streams_under_the_cap() {
+    // With the optimizer off a selection sits directly on its cross join.
+    // The pass filters the 40 × 40 pairs as it generates them, so a cap
+    // of 100 tuples is never reached by the 5 that survive — for a
+    // comparison, a shared-variable unification, and a filter that is not
+    // the `similar(x, y)` prefilter join alike.
+    let engine_with = |optimizer: bool| {
+        let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
+        engine.limits.use_optimizer = optimizer;
+        engine.limits.max_result_tuples = 100;
+        let column = |rows: Vec<Value>| {
+            CompactTable::from_exact_rows(
+                vec!["v".into()],
+                rows.into_iter().map(|v| vec![v]).collect(),
+            )
+        };
+        engine.add_table("r", column((0..40).map(|i| Value::Num(i.into())).collect()));
+        engine.add_table("s", column((35..75).map(|i| Value::Num(i.into())).collect()));
+        engine.add_table("rn", column((0..40).map(|i| Value::Str(format!("n{i}"))).collect()));
+        engine.add_table("sn", column((35..75).map(|i| Value::Str(format!("n{i}"))).collect()));
+        engine
+    };
+    for body in ["r(x), s(y), x = y", "r(x), s(x)", "rn(x), sn(y), similar(y, x)"] {
+        let prog = parse_program(&format!("q(x) :- {body}.")).unwrap();
+        let run = |optimizer: bool| {
+            let mut engine = engine_with(optimizer);
+            let table = engine.run(&prog).unwrap();
+            assert!(!engine.stats.degraded(), "{body}: {:?}", engine.stats.degradations);
+            assert_eq!(table.len(), 5, "{body}");
+            format!("{table:?}")
+        };
+        assert_eq!(run(false), run(true), "{body}");
+    }
+    // A *result* over the cap still fails, also when no single morsel
+    // reaches it and only the merge can notice.
+    let prog = parse_program("q(x, y) :- r(x), s(y), x != y.").unwrap();
+    for optimizer in [false, true] {
+        let mut engine = engine_with(optimizer);
+        engine.limits.degrade = false;
+        engine.limits.threads = 4;
+        engine.limits.morsel_tuples = (1, 2);
+        match engine.run(&prog) {
+            Err(iflex::engine::EngineError::TooLarge(_)) => {}
+            other => panic!("optimizer={optimizer}: expected TooLarge, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn parallel_and_sequential_joins_agree() {
     // Limits::threads only changes wall clock, never results.
     let c = Corpus::build(CorpusConfig::tiny());

@@ -300,6 +300,66 @@ fn fused_chain_contains_every_world_result_cold_and_memoized() {
     );
 }
 
+/// The tuple memo caches what a pass does to a row's *cells*; the row's
+/// own `maybe` flag is not part of the key and must not leak into the
+/// cached outcome. Rows with identical cells, the `maybe` one first, go
+/// through a two-step pass (σ_{a>10}, π) — once where the comparison may
+/// but need not hold (`extra`), once where it must — cold, then answered
+/// from the memo: every output flag is `input.maybe || extra` both times.
+#[test]
+fn memoized_pass_keeps_the_input_rows_own_maybe_flag() {
+    let mut store = DocumentStore::new();
+    let d = store.add_plain("5 20");
+    let five = Span::new(d, 0, 1);
+    let twenty = Span::new(d, 2, 4);
+    let store = Arc::new(store);
+
+    let either = || vec![Cell::of(vec![Assignment::exact_span(five), Assignment::exact_span(twenty)])];
+    let certain = || vec![Cell::of(vec![Assignment::exact_span(twenty)])];
+    let mut t = CompactTable::new(vec!["a".into()]);
+    t.push(CompactTuple::maybe(either()));
+    t.push(CompactTuple::new(either()));
+    t.push(CompactTuple::maybe(certain()));
+    t.push(CompactTuple::new(certain()));
+
+    let mut eng = Engine::new(Arc::clone(&store));
+    eng.add_table("t", t.clone());
+    let prog = parse_program("q(a) :- t(a), a > 10.").unwrap();
+    let flags = |table: &CompactTable| table.tuples().iter().map(|r| r.maybe).collect::<Vec<_>>();
+    let cold = eng.run(&prog).unwrap();
+    assert_eq!(flags(&cold), [true, true, true, false]);
+    eng.clear_cache();
+    let memoized = eng.run(&prog).unwrap();
+    assert_eq!(flags(&memoized), [true, true, true, false]);
+    assert_eq!(
+        (eng.stats.feature_cache_hits, eng.stats.feature_cache_misses),
+        (t.len(), 0),
+        "every input row of the second run is a tuple-memo hit"
+    );
+}
+
+/// Only a pass of two or more steps uses the tuple memo. With the
+/// optimizer off every step is a pass of its own, and all the run leaves
+/// in the memo is the one refinable cell's cell-level entry.
+#[test]
+fn one_step_passes_add_no_tuple_memo_entries() {
+    let mut store = DocumentStore::new();
+    let d = store.add_plain("5 abc 20 3");
+    let store = Arc::new(store);
+    let mut t = CompactTable::new(vec!["a".into()]);
+    t.push(CompactTuple::new(vec![Cell::contain(Span::new(d, 6, 10))]));
+    t.push(CompactTuple::new(vec![Cell::of(vec![Assignment::exact_span(Span::new(d, 0, 1))])]));
+    let entries = |optimizer: bool| {
+        let mut eng = Engine::new(Arc::clone(&store));
+        eng.limits.use_optimizer = optimizer;
+        eng.add_table("t", t.clone());
+        eng.run(&parse_program("q(a) :- t(a), numeric(a) = yes, a > 4.").unwrap()).unwrap();
+        eng.memo().len()
+    };
+    assert_eq!(entries(false), 1, "cell entries only");
+    assert_eq!(entries(true), 1 + t.len(), "the fused pass adds one tuple entry per row");
+}
+
 /// Optimizer ablation over genuinely uncertain inputs: each oracle
 /// shape (σ with comparison, π, ⋈ with a straddling equality, domain
 /// constraint) must yield a **byte-identical** table with
