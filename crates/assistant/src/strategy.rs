@@ -351,8 +351,8 @@ fn simulate_probe(
 ///
 /// With a thread budget above one, jobs are split into contiguous chunks
 /// and each chunk runs on its own [`Engine::snapshot`] — sharing the
-/// document store, fault plan, and feature memo with the live engine, and
-/// starting from a **copy of the live incremental cache** (so every probe
+/// document store, fault plan, and feature statistics with the live
+/// engine, and starting from a **copy of the live incremental cache** (so every probe
 /// reuses the base program's upstream rule results and overlays only its
 /// probed cone). Snapshot engines run their probes serially
 /// (`threads = 1`) so simulation-level fan-out does not multiply with

@@ -9,21 +9,20 @@
 //!   corpus scale(s) instead of the default ladder; factors ≥10× the
 //!   paper's sizes are supported (the corpus generators stay injective
 //!   at any scale);
-//! * `--parallel-report [path] [--smoke]` — sweeps the parallel-execution
-//!   knobs (serial baseline without the feature memo, serial with it,
-//!   threaded with it) at corpus scales 1 and 10, asserts the threaded
-//!   result is byte-identical to serial, and — on hosts with ≥4 cores —
-//!   asserts the morsel executor actually beats serial+memo at scale 10;
-//!   writes a `BENCH_parallel.json` report. With `--smoke` the sweep is
+//! * `--parallel-report [path] [--smoke]` — runs each workload serial
+//!   and threaded at corpus scales 1 and 10, asserts the threaded result
+//!   is byte-identical to serial, and — on hosts with ≥4 cores — asserts
+//!   the morsel executor is never slower than serial; writes a
+//!   `BENCH_parallel.json` report. With `--smoke` the sweep is
 //!   the speedup gate alone (or, on smaller hosts, a tiny identity-only
 //!   sweep with a skip notice);
 //! * `--smoke [path]` — alias for `--parallel-report [path] --smoke`,
 //!   kept for the tier-1 gate;
 //! * `--plan-report [path] [--smoke] [--scale f]...` — the logical-plan
-//!   optimizer ablation (DESIGN.md §11): serial / +feature-memo /
-//!   +optimizer, single-threaded with sampling and the incremental cache
-//!   off so plan-execution cost is isolated, writing `BENCH_plan.json`
-//!   and asserting all three configurations produce identical results;
+//!   optimizer ablation (DESIGN.md §11): serial vs optimized,
+//!   single-threaded with sampling and the incremental cache off so
+//!   plan-execution cost is isolated, writing `BENCH_plan.json` and
+//!   asserting both configurations produce identical results;
 //! * `--telemetry-report [path] [--smoke]` — the live-telemetry overhead
 //!   gate (DESIGN.md §12): the same session with the engine's window /
 //!   sketch / flight-recorder instrumentation off vs on, asserting the
@@ -63,11 +62,8 @@ struct Workload {
 struct Row {
     task: String,
     scale: f64,
-    baseline_secs: f64,
     serial_secs: f64,
     threaded_secs: f64,
-    memo_hits: usize,
-    memo_misses: usize,
     /// Morsels dispensed by the threaded final run's work-stealing
     /// executor, and how many of them were stolen from another
     /// participant's segment.
@@ -109,16 +105,11 @@ fn timed(corpus: &Corpus, id: TaskId, exec: ExecConfig) -> (f64, RunResult) {
     (run.session_secs, run)
 }
 
-/// Sweeps one workload across the three configurations, checking that
-/// every configuration produces the byte-identical result table (parallel
-/// execution and memoization are performance levers, not semantics).
+/// Runs one workload serial and threaded, checking that both produce the
+/// byte-identical result table (parallel execution is a performance
+/// lever, not semantics).
 fn sweep(workload: &Workload, threads: usize) -> Row {
     let corpus = Corpus::build(CorpusConfig::scaled(workload.scale));
-    let baseline = ExecConfig {
-        threads: Some(1),
-        use_feature_memo: false,
-        ..ExecConfig::default()
-    };
     let serial = ExecConfig {
         threads: Some(1),
         ..ExecConfig::default()
@@ -127,35 +118,28 @@ fn sweep(workload: &Workload, threads: usize) -> Row {
         threads: Some(threads),
         ..ExecConfig::default()
     };
-    let (baseline_secs, b) = timed(&corpus, workload.id, baseline);
     let (serial_secs, s) = timed(&corpus, workload.id, serial);
     let (threaded_secs, t) = timed(&corpus, workload.id, threaded);
-    let b_table = format!("{:?}", b.outcome.table);
-    for run in [&s, &t] {
-        assert_eq!(
-            run.quality.result_tuples, b.quality.result_tuples,
-            "{:?} scale {}: config changed the result",
-            workload.id, workload.scale
-        );
-        assert!((run.quality.recall - b.quality.recall).abs() < 1e-12);
-        // The determinism contract is byte-level, not just count-level:
-        // morsel-parallel execution must fold to the exact serial table.
-        assert_eq!(
-            format!("{:?}", run.outcome.table),
-            b_table,
-            "{:?} scale {}: config changed the result bytes",
-            workload.id, workload.scale
-        );
-    }
+    assert_eq!(
+        t.quality.result_tuples, s.quality.result_tuples,
+        "{:?} scale {}: threads changed the result",
+        workload.id, workload.scale
+    );
+    assert!((t.quality.recall - s.quality.recall).abs() < 1e-12);
+    // The determinism contract is byte-level, not just count-level:
+    // morsel-parallel execution must fold to the exact serial table.
+    assert_eq!(
+        format!("{:?}", t.outcome.table),
+        format!("{:?}", s.outcome.table),
+        "{:?} scale {}: threads changed the result bytes",
+        workload.id, workload.scale
+    );
     let stats = &t.outcome.final_stats;
     Row {
         task: format!("{:?}", workload.id),
         scale: workload.scale,
-        baseline_secs,
         serial_secs,
         threaded_secs,
-        memo_hits: t.memo_hits,
-        memo_misses: t.memo_misses,
         par_morsels: stats.par_morsels,
         par_steals: stats.par_steals,
         shard_balance: shard_balance(&stats.shard_busy_us),
@@ -174,28 +158,15 @@ fn render_json(rows: &[Row], threads: usize) -> String {
     );
     out += "  \"workloads\": [\n";
     for (i, r) in rows.iter().enumerate() {
-        let hit_rate = if r.memo_hits + r.memo_misses > 0 {
-            r.memo_hits as f64 / (r.memo_hits + r.memo_misses) as f64
-        } else {
-            0.0
-        };
         out += "    {\n";
         out += &format!("      \"task\": \"{}\",\n", r.task);
         out += &format!("      \"scale\": {},\n", r.scale);
-        out += &format!("      \"serial_baseline_secs\": {:.4},\n", r.baseline_secs);
-        out += &format!("      \"serial_memo_secs\": {:.4},\n", r.serial_secs);
-        out += &format!("      \"threaded_memo_secs\": {:.4},\n", r.threaded_secs);
+        out += &format!("      \"serial_secs\": {:.4},\n", r.serial_secs);
+        out += &format!("      \"threaded_secs\": {:.4},\n", r.threaded_secs);
         out += &format!(
-            "      \"speedup_vs_baseline\": {:.2},\n",
-            r.baseline_secs / r.threaded_secs.max(1e-9)
-        );
-        out += &format!(
-            "      \"speedup_vs_serial_memo\": {:.2},\n",
+            "      \"speedup_vs_serial\": {:.2},\n",
             r.serial_secs / r.threaded_secs.max(1e-9)
         );
-        out += &format!("      \"feature_cache_hits\": {},\n", r.memo_hits);
-        out += &format!("      \"feature_cache_misses\": {},\n", r.memo_misses);
-        out += &format!("      \"feature_cache_hit_rate\": {hit_rate:.4},\n");
         out += &format!("      \"par_morsels\": {},\n", r.par_morsels);
         out += &format!("      \"par_steals\": {},\n", r.par_steals);
         match r.shard_balance {
@@ -234,11 +205,9 @@ fn warn_if_oversubscribed(requested: usize) -> usize {
     host
 }
 
-/// The corpus scale at which the morsel executor must demonstrably beat
-/// serial+memo (per-tuple work is deep enough to amortize dispatch).
+/// The corpus scale of the smoke gate's workload (per-tuple work is deep
+/// enough to amortize dispatch).
 const GATE_SCALE: f64 = 10.0;
-/// Required threaded speedup over serial+memo at [`GATE_SCALE`].
-const GATE_SPEEDUP: f64 = 1.3;
 
 fn parallel_report(path: &str, smoke: bool) {
     let threads = default_threads().max(4);
@@ -306,43 +275,30 @@ fn parallel_report(path: &str, smoke: bool) {
             None => "no parallel sections".to_string(),
         };
         println!(
-            "{:>6} @{}: baseline {:.2}s  serial+memo {:.2}s  {}-threads+memo {:.2}s  \
-             ({:.2}x vs baseline)  morsels {} (stolen {})  {balance}",
+            "{:>6} @{}: serial {:.2}s  {}-threads {:.2}s  ({:.2}x vs serial)  \
+             morsels {} (stolen {})  {balance}",
             r.task,
             r.scale,
-            r.baseline_secs,
             r.serial_secs,
             threads,
             r.threaded_secs,
-            r.baseline_secs / r.threaded_secs.max(1e-9),
+            r.serial_secs / r.threaded_secs.max(1e-9),
             r.par_morsels,
             r.par_steals,
         );
     }
     if gate {
-        // The perf gate proper: threads must not lose to serial+memo at
-        // scale 1, and must beat it by GATE_SPEEDUP at GATE_SCALE (Panel
+        // The perf gate proper: threads must not lose to serial (Panel
         // is excluded — its sessions are dominated by question rounds,
         // not engine runs).
         for r in rows.iter().filter(|r| r.task != "Panel") {
             let speedup = r.serial_secs / r.threaded_secs.max(1e-9);
-            if r.scale >= GATE_SCALE {
-                let need = if smoke { 1.0 } else { GATE_SPEEDUP };
-                assert!(
-                    speedup >= need,
-                    "{} @{}: threaded speedup vs serial+memo is {speedup:.2}x, \
-                     below the {need:.1}x gate",
-                    r.task,
-                    r.scale
-                );
-            } else if (r.scale - 1.0).abs() < f64::EPSILON {
-                assert!(
-                    speedup >= 1.0,
-                    "{} @{}: threads lose to serial+memo ({speedup:.2}x)",
-                    r.task,
-                    r.scale
-                );
-            }
+            assert!(
+                speedup >= 1.0,
+                "{} @{}: threads lose to serial ({speedup:.2}x)",
+                r.task,
+                r.scale
+            );
         }
         println!("parallel speedup gate: OK");
     } else if !smoke {
@@ -472,13 +428,12 @@ fn incremental_report(path: &str, smoke: bool) {
 }
 
 /// One workload of the optimizer ablation: the same single-threaded
-/// session under three plans-and-caches configurations, asserting all
-/// three converge to the identical result.
+/// session with the optimizer off and on, asserting both converge to the
+/// identical result.
 struct PlanRow {
     task: String,
     scale: f64,
     serial_secs: f64,
-    memo_secs: f64,
     optimized_secs: f64,
     result_tuples: usize,
 }
@@ -497,15 +452,10 @@ fn render_plan_json(rows: &[PlanRow]) -> String {
         out += &format!("      \"task\": \"{}\",\n", r.task);
         out += &format!("      \"scale\": {},\n", r.scale);
         out += &format!("      \"serial_secs\": {:.4},\n", r.serial_secs);
-        out += &format!("      \"serial_memo_secs\": {:.4},\n", r.memo_secs);
         out += &format!("      \"optimized_secs\": {:.4},\n", r.optimized_secs);
         out += &format!(
             "      \"speedup_vs_serial\": {:.2},\n",
             r.serial_secs / r.optimized_secs.max(1e-9)
-        );
-        out += &format!(
-            "      \"speedup_vs_serial_memo\": {:.2},\n",
-            r.memo_secs / r.optimized_secs.max(1e-9)
         );
         out += &format!("      \"result_tuples\": {}\n", r.result_tuples);
         out += if i + 1 == rows.len() { "    }\n" } else { "    },\n" };
@@ -514,12 +464,11 @@ fn render_plan_json(rows: &[PlanRow]) -> String {
     out
 }
 
-/// The logical-plan optimizer sweep (`--plan-report`): three
-/// configurations per workload — `serial` (no feature memo, no
-/// optimizer), `memo` (feature memo, no optimizer), `optimized` (both).
-/// Single-threaded, sampling and the incremental cache off, so the
-/// comparison isolates plan-execution cost; the binary asserts every
-/// configuration converges to the identical result (tuple-for-tuple
+/// The logical-plan optimizer sweep (`--plan-report`): two
+/// configurations per workload — `serial` (no optimizer) and
+/// `optimized`. Single-threaded, sampling and the incremental cache off,
+/// so the comparison isolates plan-execution cost; the binary asserts
+/// both configurations converge to the identical result (tuple-for-tuple
 /// count and recall — the optimizer is byte-exact, see the `prop_opt`
 /// property suite for the byte-level ablation).
 fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
@@ -530,11 +479,6 @@ fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
         ..ExecConfig::default()
     };
     let serial = ExecConfig {
-        use_feature_memo: false,
-        use_optimizer: false,
-        ..base
-    };
-    let memo = ExecConfig {
         use_optimizer: false,
         ..base
     };
@@ -554,31 +498,26 @@ fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
         let corpus = Corpus::build(CorpusConfig::scaled(scale));
         for &id in &tasks {
             let (serial_secs, s) = timed(&corpus, id, serial);
-            let (memo_secs, m) = timed(&corpus, id, memo);
             let (optimized_secs, o) = timed(&corpus, id, optimized);
-            for run in [&m, &o] {
-                assert_eq!(
-                    run.quality.result_tuples, s.quality.result_tuples,
-                    "{id:?} scale {scale}: configuration changed the result"
-                );
-                assert!((run.quality.recall - s.quality.recall).abs() < 1e-12);
-            }
+            assert_eq!(
+                o.quality.result_tuples, s.quality.result_tuples,
+                "{id:?} scale {scale}: the optimizer changed the result"
+            );
+            assert!((o.quality.recall - s.quality.recall).abs() < 1e-12);
             let r = PlanRow {
                 task: format!("{id:?}"),
                 scale,
                 serial_secs,
-                memo_secs,
                 optimized_secs,
                 result_tuples: o.quality.result_tuples,
             };
             println!(
-                "{:>6} @{}: serial {:.2}s  serial+memo {:.2}s  optimized {:.2}s  ({:.2}x vs serial+memo)",
+                "{:>6} @{}: serial {:.2}s  optimized {:.2}s  ({:.2}x vs serial)",
                 r.task,
                 r.scale,
                 r.serial_secs,
-                r.memo_secs,
                 r.optimized_secs,
-                r.memo_secs / r.optimized_secs.max(1e-9),
+                r.serial_secs / r.optimized_secs.max(1e-9),
             );
             rows.push(r);
         }

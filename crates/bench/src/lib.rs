@@ -64,10 +64,6 @@ pub struct RunResult {
     pub outcome: SessionOutcome,
     /// The quality.
     pub quality: Quality,
-    /// Lifetime feature-memo hits across the whole session.
-    pub memo_hits: usize,
-    /// Lifetime feature-memo misses across the whole session.
-    pub memo_misses: usize,
     /// Wall-clock seconds of [`Session::run`] alone — iterations,
     /// simulation probes, and the final full execution, excluding engine
     /// construction and quality scoring (the quantity the incremental
@@ -81,8 +77,6 @@ pub struct RunResult {
 pub struct ExecConfig {
     /// Worker threads (`None` = the engine default).
     pub threads: Option<usize>,
-    /// Whether feature `Verify`/`Refine` results are memoized.
-    pub use_feature_memo: bool,
     /// Whether the incremental re-execution engine (DESIGN.md §9) serves
     /// unchanged rule results across iterations and simulation probes;
     /// `false` re-executes the whole program on every run.
@@ -105,7 +99,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             threads: None,
-            use_feature_memo: true,
             use_incremental: true,
             use_sampling: true,
             use_optimizer: true,
@@ -122,7 +115,7 @@ pub fn run_session(corpus: &Corpus, task: &Task, strat: Strat) -> RunResult {
     run_session_configured(corpus, task, strat, ExecConfig::default())
 }
 
-/// [`run_session`] with explicit thread / memo configuration — the knobs
+/// [`run_session`] with an explicit engine configuration — the knobs
 /// `exp_scaling --parallel-report` sweeps.
 pub fn run_session_configured(
     corpus: &Corpus,
@@ -131,7 +124,6 @@ pub fn run_session_configured(
     exec: ExecConfig,
 ) -> RunResult {
     let mut engine = task.engine(corpus);
-    engine.limits.use_feature_memo = exec.use_feature_memo;
     engine.limits.use_incremental = exec.use_incremental;
     engine.limits.use_optimizer = exec.use_optimizer;
     if exec.telemetry {
@@ -163,13 +155,9 @@ pub fn run_session_configured(
     // Quality lands in the engine registry so in-process consumers (and
     // a later snapshot render) see it next to the execution counters.
     quality.export(&session.engine.metrics);
-    let memo_hits = session.engine.memo().hits();
-    let memo_misses = session.engine.memo().misses();
     RunResult {
         outcome,
         quality,
-        memo_hits,
-        memo_misses,
         session_secs,
     }
 }

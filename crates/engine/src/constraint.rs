@@ -2,78 +2,10 @@
 //! `A(k, m(s))` per assignment via the feature's `Verify`/`Refine`, and
 //! re-checks every *prior* constraint on freshly created sub-spans.
 
-use crate::memo::{CellCtx, FeatureMemo};
 use crate::plan::CompiledConstraint;
 use iflex_ctable::{Assignment, Cell, Value};
-use iflex_features::{FeatureArg, FeatureError, FeatureRegistry};
+use iflex_features::{FeatureError, FeatureRegistry};
 use iflex_text::DocumentStore;
-
-/// Renders a constraint chain into the injective identity string backing
-/// [`CellCtx`]: `\u{1}` separates constraints, `\u{2}` separates fields,
-/// and numeric arguments are rendered by bit pattern. Feature names and
-/// text arguments never contain control characters, so distinct chains
-/// render distinctly.
-pub(crate) fn chain_ctx(new: &CompiledConstraint, priors: &[CompiledConstraint]) -> CellCtx {
-    fn push(out: &mut String, k: &CompiledConstraint) {
-        out.push_str(&k.feature);
-        out.push('\u{2}');
-        match &k.arg {
-            FeatureArg::Tri(v) => out.push_str(&format!("t{}", *v as u8)),
-            FeatureArg::Num(n) => out.push_str(&format!("n{:016x}", n.to_bits())),
-            FeatureArg::Text(s) => {
-                out.push('x');
-                out.push_str(s);
-            }
-        }
-        out.push('\u{1}');
-    }
-    let mut text = String::new();
-    push(&mut text, new);
-    for k in priors {
-        push(&mut text, k);
-    }
-    CellCtx::new(text)
-}
-
-/// [`apply_constraint`] behind the *cell-level* cache: when this exact
-/// cell has already been refined under this exact constraint chain (by
-/// any rule, run, or simulation probe sharing the memo), the cached
-/// output cell is returned without touching the worklist at all.
-pub(crate) fn apply_constraint_cached(
-    cell: &Cell,
-    new: &CompiledConstraint,
-    priors: &[CompiledConstraint],
-    store: &DocumentStore,
-    features: &FeatureRegistry,
-    memo: &FeatureMemo,
-    ctx: &CellCtx,
-) -> Result<Cell, FeatureError> {
-    // Cells without a `Contain` region only take the verify fast path of
-    // the worklist — a handful of direct feature calls that are cheaper
-    // than any cache round-trip. Caching pays exactly where refinement
-    // worklists run, so exact-only cells bypass the memo entirely.
-    let refinable = cell
-        .assignments()
-        .iter()
-        .any(|a| matches!(a, Assignment::Contain(_)));
-    if !refinable {
-        let out = apply_constraint(cell, new, priors, store, features)?;
-        memo.note_verify(&new.feature, !out.is_empty());
-        return Ok(out);
-    }
-    let (hash, found) = memo.get_cell(ctx, cell);
-    if let Some(out) = found {
-        return Ok(out);
-    }
-    let out = apply_constraint(cell, new, priors, store, features)?;
-    // Cell-granularity selectivity signal for the plan optimizer: did the
-    // chain drop this cell, and how many assignments survived? Recorded
-    // on the miss path only (hits carry no new information).
-    memo.note_verify(&new.feature, !out.is_empty());
-    memo.note_refine(&new.feature, out.assignments().len());
-    memo.insert_cell(hash, ctx, cell, out.clone());
-    Ok(out)
-}
 
 /// Applies `new` (and re-checks `priors`) to one cell, returning the
 /// transformed cell. Expansion flags are preserved (§4.2: "if c is an

@@ -20,6 +20,7 @@ use crate::annotate::{apply_annotations_with, degraded_policy, AnnotatePolicy};
 use crate::budget::{DegradeCause, RunBudget, RunClock};
 use crate::eval::{candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands};
 use crate::fault::{self, Fault, FaultPlan};
+use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
@@ -76,10 +77,6 @@ pub struct Limits {
     /// [`ExecStats::degradations`]. With `false` (strict mode) those
     /// conditions surface as hard [`EngineError`]s as in earlier versions.
     pub degrade: bool,
-    /// Serve feature `Verify`/`Refine` calls from the shared
-    /// [`FeatureMemo`](crate::FeatureMemo) (ablation knob; disabling it
-    /// restores the recompute-every-call behavior).
-    pub use_feature_memo: bool,
     /// Run the incremental re-execution engine (DESIGN.md §9): fingerprint
     /// rules, version relations, and serve unchanged rule results from the
     /// incremental cache (`incr.rs`) across iterations and simulation probes.
@@ -116,7 +113,6 @@ impl Default for Limits {
             morsel_tuples: (16, 65_536),
             annotate_policy: AnnotatePolicy::default(),
             degrade: true,
-            use_feature_memo: true,
             use_incremental: true,
             trace: false,
             use_optimizer: true,
@@ -248,10 +244,6 @@ pub struct ExecStats {
     pub assignments_produced: usize,
     /// Rules degraded this run (empty for an exact run).
     pub degradations: Vec<Degradation>,
-    /// Feature-memo (`Verify`/`Refine`) cache hits this run.
-    pub feature_cache_hits: usize,
-    /// Feature-memo cache misses this run.
-    pub feature_cache_misses: usize,
     /// Parallel operator sections that actually fanned out to worker
     /// threads this run (small inputs fall back to in-thread shards and
     /// are not counted).
@@ -460,8 +452,6 @@ struct EngineCounters {
     tuples_scanned: Counter,
     assignments_produced: Counter,
     degradations: Counter,
-    feature_cache_hits: Counter,
-    feature_cache_misses: Counter,
     par_sections: Counter,
     par_morsels: Counter,
     par_steals: Counter,
@@ -495,8 +485,6 @@ impl EngineCounters {
             tuples_scanned: reg.counter(names::TUPLES_SCANNED),
             assignments_produced: reg.counter(names::ASSIGNMENTS_PRODUCED),
             degradations: reg.counter(names::DEGRADATIONS),
-            feature_cache_hits: reg.counter(names::FEATURE_CACHE_HITS),
-            feature_cache_misses: reg.counter(names::FEATURE_CACHE_MISSES),
             par_sections: reg.counter(names::PAR_SECTIONS),
             par_morsels: reg.counter(names::PAR_MORSELS),
             par_steals: reg.counter(names::PAR_STEALS),
@@ -535,12 +523,13 @@ impl EngineCounters {
 /// they must **not** share.
 ///
 /// Shared (by reference count): the immutable [`DocumentStore`], the
-/// extensional tables, the feature/procedure registries, the sharded
-/// `Verify`/`Refine` [`FeatureMemo`](crate::FeatureMemo), and a warm
-/// incremental cache of rule results. Sharing the caches is
-/// observationally invisible: every entry is a pure function of its key,
-/// and degraded (widened) results are never inserted — so a session can
-/// never observe another session's faults through them.
+/// extensional tables, the feature/procedure registries, the measured
+/// per-feature selectivity statistics the optimizer ranks constraints
+/// by, and a warm incremental cache of rule results. Sharing the rule
+/// cache is observationally invisible: every entry is a pure function of
+/// its key, and degraded (widened) results are never inserted — so a
+/// session can never observe another session's faults through it. The
+/// statistics only steer which byte-exact rewrite fires.
 ///
 /// Per-session (fresh on every [`EngineCore::fork`]): the fault plan, the
 /// run budget and its cancellation token, the run clock, the metrics
@@ -552,7 +541,7 @@ pub struct EngineCore {
     features: FeatureRegistry,
     procs: ProcRegistry,
     ext: BTreeMap<String, Arc<CompactTable>>,
-    memo: Arc<crate::memo::FeatureMemo>,
+    feat_stats: Arc<crate::lplan::FeatureStats>,
     /// Warm rule-result entries; forks start from a clone and may publish
     /// clean entries back through [`EngineCore::publish`].
     incr: std::sync::Mutex<crate::incr::IncrCache>,
@@ -562,9 +551,10 @@ pub struct EngineCore {
 
 impl EngineCore {
     /// Forks a fresh engine off the shared core: read-only inputs and the
-    /// feature memo are shared by `Arc`, the incremental cache starts from
-    /// a clone of the core's warm entries, and every isolation-relevant
-    /// part — fault plan, budget, clock, metrics, tracer — is brand new.
+    /// feature statistics are shared by `Arc`, the incremental cache
+    /// starts from a clone of the core's warm entries, and every
+    /// isolation-relevant part — fault plan, budget, clock, metrics,
+    /// tracer — is brand new.
     pub fn fork(&self) -> Engine {
         let metrics = Registry::new();
         let counters = EngineCounters::new(&metrics);
@@ -585,7 +575,7 @@ impl EngineCore {
             budget: RunBudget::unlimited(),
             fault: Arc::new(FaultPlan::disarmed()),
             clock: Arc::new(RunClock::unlimited()),
-            memo: Arc::clone(&self.memo),
+            feat_stats: Arc::clone(&self.feat_stats),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: Tracer::disabled(),
@@ -658,9 +648,10 @@ pub struct Engine {
     /// The clock of the current (or last) run; `Arc` so snapshots and
     /// worker threads observe this engine's deadline/cancellation.
     clock: Arc<RunClock>,
-    /// Shared `Verify`/`Refine` memo (see [`crate::memo`]); one instance
-    /// serves this engine, its snapshots, and every worker thread.
-    memo: Arc<crate::memo::FeatureMemo>,
+    /// Measured per-feature selectivity (see
+    /// [`crate::lplan::FeatureStats`]); one instance is fed by this
+    /// engine, its snapshots, and every worker thread.
+    feat_stats: Arc<crate::lplan::FeatureStats>,
     /// Lazily computed procedure signatures, reset whenever the
     /// procedure or feature registries are touched mutably.
     proc_sigs_cache: std::sync::OnceLock<Arc<BTreeMap<String, (bool, usize)>>>,
@@ -718,7 +709,7 @@ impl Engine {
             budget: RunBudget::unlimited(),
             fault: Arc::new(FaultPlan::disarmed()),
             clock: Arc::new(RunClock::unlimited()),
-            memo: Arc::new(crate::memo::FeatureMemo::new()),
+            feat_stats: Arc::default(),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: Tracer::disabled(),
@@ -731,8 +722,8 @@ impl Engine {
     }
 
     /// A cheap concurrent-execution snapshot: shares the document store,
-    /// extensional tables, reuse-cache entries, feature memo, fault plan,
-    /// and the *current* run clock by reference count, with fresh stats
+    /// extensional tables, reuse-cache entries, feature statistics, fault
+    /// plan, and the *current* run clock by reference count, with fresh stats
     /// and a fresh metrics registry (a snapshot's runs never perturb this
     /// engine's metrics). The trace journal **is** shared — snapshot spans
     /// land in the same timeline, nested under [`Engine::trace_parent`]
@@ -754,7 +745,7 @@ impl Engine {
             budget: self.budget.clone(),
             fault: Arc::clone(&self.fault),
             clock: Arc::clone(&self.clock),
-            memo: Arc::clone(&self.memo),
+            feat_stats: Arc::clone(&self.feat_stats),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: self.tracer.clone(),
@@ -779,8 +770,8 @@ impl Engine {
     }
 
     /// Freezes this engine into a shareable [`EngineCore`]: the store,
-    /// tables, registries, feature memo, and any warm incremental-cache
-    /// entries it accumulated become the seed that every
+    /// tables, registries, feature statistics, and any warm
+    /// incremental-cache entries it accumulated become the seed that every
     /// [`EngineCore::fork`] starts from. The typical service pattern is
     /// *configure → warm up → `into_core` → fork per session*.
     pub fn into_core(self) -> EngineCore {
@@ -789,7 +780,7 @@ impl Engine {
             features: self.features,
             procs: self.procs,
             ext: self.ext,
-            memo: self.memo,
+            feat_stats: self.feat_stats,
             incr: std::sync::Mutex::new(self.incr),
             epoch: self.epoch,
             limits: self.limits,
@@ -808,18 +799,13 @@ impl Engine {
 
     /// Features mut. Mutable access may change feature behavior, so it
     /// invalidates everything derived from feature results: the rule
-    /// reuse cache (by epoch bump) and the `Verify`/`Refine` memo.
+    /// reuse cache (by epoch bump) and the measured feature statistics.
     pub fn features_mut(&mut self) -> &mut FeatureRegistry {
         self.epoch += 1;
         self.incr.clear();
-        self.memo.clear();
+        self.feat_stats.clear();
         self.proc_sigs_cache = std::sync::OnceLock::new();
         &mut self.features
-    }
-
-    /// The shared `Verify`/`Refine` memo.
-    pub fn memo(&self) -> &Arc<crate::memo::FeatureMemo> {
-        &self.memo
     }
 
     /// Procs.
@@ -934,7 +920,7 @@ impl Engine {
         for (k, a) in &int_arity {
             rels.entry(k.clone()).or_insert((*a, 0));
         }
-        let stats = self.memo.feature_stats();
+        let stats = self.feat_stats.snapshot();
         let octx = crate::lplan::OptCtx {
             relations: &rels,
             stats: &stats,
@@ -999,7 +985,6 @@ impl Engine {
         // Clear stale fault-site attribution from a previous run so a
         // degradation this run is never blamed on last run's injection.
         self.fault.take_last_fired();
-        let (memo_hits0, memo_misses0) = self.memo.counters();
         self.clock = Arc::new(self.budget.start());
         // Arm the run's worker pool. Creation is free — threads spawn
         // lazily on the first parallel-worthy section and are reused by
@@ -1028,13 +1013,6 @@ impl Engine {
         self.stats.incr_misses = c.incr_misses.get() as usize;
         self.stats.incr_invalidations = c.incr_invalidations.get() as usize;
         self.stats.shard_busy_us = self.metrics.indexed_counters(names::SHARD_BUSY_PREFIX);
-        self.stats.feature_cache_hits = self.memo.hits().saturating_sub(memo_hits0);
-        self.stats.feature_cache_misses = self.memo.misses().saturating_sub(memo_misses0);
-        // Mirror the memo deltas into the registry so a metrics snapshot
-        // is self-contained.
-        c.feature_cache_hits.set(self.stats.feature_cache_hits as u64);
-        c.feature_cache_misses
-            .set(self.stats.feature_cache_misses as u64);
 
         self.tracer.end_with(
             run_span,
@@ -1203,7 +1181,7 @@ impl Engine {
                 // rule rather than failing the run.
                 let mut lookup_err: Option<EngineError> = None;
                 if use_incr {
-                    match self.memo_lookup_guarded(name, &sample_key, fp, inputs) {
+                    match self.rule_cache_lookup_guarded(name, &sample_key, fp, inputs) {
                         Ok(Some((hit, volume))) => {
                             self.counters.cache_hits.inc();
                             self.counters.incr_hits.inc();
@@ -1357,8 +1335,8 @@ impl Engine {
     /// Runs one compiled plan through the logical-plan optimizer when
     /// [`Limits::use_optimizer`] is on, feeding it actual relation sizes
     /// (extensional tables plus every intensional relation computed so
-    /// far) and the feature memo's measured per-feature pass rates. A
-    /// plan the optimizer cannot model runs unchanged.
+    /// far) and the measured per-feature pass rates. A plan the optimizer
+    /// cannot model runs unchanged.
     fn maybe_optimize(
         &self,
         plan: Plan,
@@ -1375,7 +1353,7 @@ impl Engine {
         for (k, v) in computed {
             rels.insert(k.clone(), (v.arity(), v.len()));
         }
-        let stats = self.memo.feature_stats();
+        let stats = self.feat_stats.snapshot();
         let octx = crate::lplan::OptCtx {
             relations: &rels,
             stats: &stats,
@@ -1397,12 +1375,13 @@ impl Engine {
         }
     }
 
-    /// Looks up a rule's cached result behind the fault-containment
-    /// boundary: the [`fault::site::MEMO_LOOKUP`] injection site fires
-    /// here, and a panic raised during the lookup is caught and converted
-    /// into [`EngineError::RulePanic`] — a corrupted or faulted shared
-    /// cache degrades one rule, never the run or the process.
-    fn memo_lookup_guarded(
+    /// Looks up a rule's result in the incremental rule cache behind the
+    /// fault-containment boundary: the [`fault::site::MEMO_LOOKUP`]
+    /// injection site fires here, and a panic raised during the lookup is
+    /// caught and converted into [`EngineError::RulePanic`] — a corrupted
+    /// or faulted shared cache degrades one rule, never the run or the
+    /// process.
+    fn rule_cache_lookup_guarded(
         &mut self,
         rel: &str,
         sample_key: &str,
@@ -1835,7 +1814,7 @@ impl Engine {
         EvalCtx {
             store: Arc::clone(&self.store),
             features: self.features.clone(),
-            memo: Arc::clone(&self.memo),
+            feat_stats: Arc::clone(&self.feat_stats),
             clock: Arc::clone(&self.clock),
             fault: Arc::clone(&self.fault),
             limits: self.limits,
@@ -1859,33 +1838,24 @@ impl Engine {
         }
     }
 
-    /// Resolves a pass once per operator: each constraint step's chain
-    /// identity (its cell-memo key, when [`Limits::use_feature_memo`] is
-    /// on) and each filter step's procedure.
+    /// Resolves a pass once per operator: each filter step's procedure.
     fn resolve_pass(
         &self,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
     ) -> Result<Pass, EngineError> {
-        let memo_on = self.limits.use_feature_memo;
         let steps = ops
             .iter()
             .map(|op| {
-                let (ctx, filter) = match op {
-                    FusedOp::Constraint {
-                        constraint, priors, ..
-                    } if memo_on => {
-                        (Some(crate::constraint::chain_ctx(constraint, priors)), None)
-                    }
+                let filter = match op {
                     FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
-                        Some(Procedure::Filter(f)) => (None, Some(f.clone())),
+                        Some(Procedure::Filter(f)) => Some(f.clone()),
                         _ => return Err(EngineError::BadProcedure(name.clone())),
                     },
-                    _ => (None, None),
+                    _ => None,
                 };
                 Ok(Step {
                     op: op.clone(),
-                    ctx,
                     filter,
                 })
             })
@@ -1902,18 +1872,9 @@ impl Engine {
     /// streaming pass that sends each row through [`EvalCtx::pass_row`] —
     /// per *pair* when `input` is a cross join, whose product is then
     /// never materialized — so no intermediate table exists per step.
-    ///
-    /// A pure pass (no p-predicate filter steps, whose procedures are
-    /// arbitrary host code) of two or more steps, the projection counted,
-    /// is additionally served from the memo's tuple-level cache when
-    /// [`Limits::use_feature_memo`] is on: iterative sessions re-run
-    /// near-identical rules against unchanged tables hundreds of times,
-    /// and a tuple hit skips the entire pipeline. A one-step pass has
-    /// nothing to skip beyond what the cell-level cache already serves.
-    /// Entries are only read or written while the run clock has not
-    /// tripped — past the deadline, candidate budgeting degrades
-    /// conservatively, and degraded outcomes must never enter (or leave)
-    /// the shared cache.
+    /// Each morsel tallies its constraint steps' [`FeatStats`] locally
+    /// and folds them into the engine's shared statistics once, when it
+    /// finishes.
     #[allow(clippy::too_many_arguments)]
     fn eval_pass(
         &mut self,
@@ -1948,57 +1909,16 @@ impl Engine {
             Some((_, names)) => names.to_vec(),
             None => t.columns().to_vec(),
         };
-        let memoized = self.limits.use_feature_memo
-            && ops.len() + usize::from(project.is_some()) >= 2
-            && pass.steps.iter().all(|s| s.filter.is_none());
-        let tctx = memoized
-            .then(|| crate::memo::CellCtx::new(fused_cache_ctx(ops, project, &self.limits)));
         let mr = {
             let ec = self.eval_ctx();
             let t = Arc::clone(&t);
             crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
                 let mut overlay = vec![None; t.arity()];
+                let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for tup in &t.tuples()[range] {
                     ec.clock.tick().map_err(EngineError::from)?;
-                    let mut probe = None;
-                    if let Some(ctx) = tctx.as_ref().filter(|_| !ec.clock.tripped()) {
-                        let (h, hit) = ec.memo.get_tuple(ctx, &tup.cells);
-                        if let Some(o) = hit {
-                            if let Some(cells) = &o.cells {
-                                out.push((
-                                    CompactTuple {
-                                        cells: (**cells).clone(),
-                                        maybe: tup.maybe || o.extra_maybe,
-                                    },
-                                    o.volume,
-                                ));
-                            }
-                            continue;
-                        }
-                        probe = Some((ctx, h));
-                    }
-                    let row = ec.pass_row(&pass, &tup.cells, &[], &mut overlay)?;
-                    if let Some((ctx, h)) = probe {
-                        // Re-check: a trip *during* the pipeline means a
-                        // budgeted enumeration may have degraded this
-                        // outcome — never cache it.
-                        if !ec.clock.tripped() {
-                            let outcome = match &row {
-                                Some((cells, extra, volume)) => crate::memo::TupleOutcome {
-                                    cells: Some(Arc::new(cells.clone())),
-                                    extra_maybe: *extra,
-                                    volume: *volume,
-                                },
-                                None => crate::memo::TupleOutcome {
-                                    cells: None,
-                                    extra_maybe: false,
-                                    volume: 0,
-                                },
-                            };
-                            ec.memo.insert_tuple(h, ctx, &tup.cells, outcome);
-                        }
-                    }
+                    let row = ec.pass_row(&pass, &tup.cells, &[], &mut overlay, &mut tally)?;
                     if let Some((cells, extra, volume)) = row {
                         out.push((
                             CompactTuple {
@@ -2009,6 +1929,7 @@ impl Engine {
                         ));
                     }
                 }
+                ec.fold_tally(&pass, &tally);
                 Ok(out)
             })
         };
@@ -2069,6 +1990,7 @@ impl Engine {
             crate::par::scatter(&self.section_ctx(span), outer_len, move |range| {
                 let (outer, inner) = if outer_right { (&r, &l) } else { (&l, &r) };
                 let mut overlay = vec![None; l.arity() + r.arity()];
+                let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(usize, CompactTuple, u64)> = Vec::new();
                 for oi in range {
                     let ot = &outer.tuples()[oi];
@@ -2079,7 +2001,7 @@ impl Engine {
                             return Err(injected(f));
                         }
                         let Some((cells, extra, volume)) =
-                            ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay)?
+                            ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay, &mut tally)?
                         else {
                             continue;
                         };
@@ -2092,6 +2014,7 @@ impl Engine {
                         out.push((li, CompactTuple { cells, maybe }, volume));
                     }
                 }
+                ec.fold_tally(&pass, &tally);
                 Ok(out)
             })
         };
@@ -2116,9 +2039,6 @@ struct Pass {
 /// One selection step with what evaluating it per row needs.
 struct Step {
     op: FusedOp,
-    /// A constraint's chain identity — its cell-memo key — when the
-    /// feature memo is on.
-    ctx: Option<crate::memo::CellCtx>,
     /// A filter step's procedure.
     filter: Option<crate::pfunc::FilterFn>,
 }
@@ -2127,13 +2047,14 @@ struct Step {
 /// owned (`Arc`-shared) handles. Morsel closures run on the run's
 /// worker pool, whose threads outlive any one operator's stack frame —
 /// so the bodies capture this snapshot by value instead of borrowing
-/// `&Engine`. All handles alias the engine's own (the memo, clock, and
-/// fault plan share state with the engine that built the snapshot).
+/// `&Engine`. All handles alias the engine's own (the feature
+/// statistics, clock, and fault plan share state with the engine that
+/// built the snapshot).
 #[derive(Clone)]
 struct EvalCtx {
     store: Arc<DocumentStore>,
     features: FeatureRegistry,
-    memo: Arc<crate::memo::FeatureMemo>,
+    feat_stats: Arc<crate::lplan::FeatureStats>,
     clock: Arc<RunClock>,
     fault: Arc<FaultPlan>,
     limits: Limits,
@@ -2160,17 +2081,20 @@ impl EvalCtx {
     /// `right`: a table row and nothing, or the two halves of a join
     /// pair); a cell a constraint refines goes to `overlay` (the caller's
     /// per-morsel scratch, one slot per column), and output cells are
-    /// built only for a row that survives every step. Returns those
-    /// cells, whether a may-but-not-must step widened the row (`maybe |=`
-    /// at emission — never the input row's own flag, so the result is a
-    /// function of the cells alone and can be cached), and the row's
-    /// pre-projection convergence volume; `None` when a step drops it.
+    /// built only for a row that survives every step. Each constraint
+    /// application is counted in `tally` (the caller's per-morsel
+    /// scratch, one slot per step). Returns the output cells, whether a
+    /// may-but-not-must step widened the row (`maybe |=` at emission —
+    /// never the input row's own flag, which the caller ORs in), and the
+    /// row's pre-projection convergence volume; `None` when a step drops
+    /// it.
     fn pass_row(
         &self,
         pass: &Pass,
         left: &[Cell],
         right: &[Cell],
         overlay: &mut [Option<Cell>],
+        tally: &mut [FeatStats],
     ) -> Result<Option<(Vec<Cell>, bool, u64)>, EngineError> {
         fn cell<'a>(o: &'a [Option<Cell>], l: &'a [Cell], r: &'a [Cell], c: usize) -> &'a Cell {
             match &o[c] {
@@ -2181,7 +2105,7 @@ impl EvalCtx {
         }
         overlay.fill(None);
         let mut extra = false;
-        for step in &pass.steps {
+        for (step, tally) in pass.steps.iter().zip(tally.iter_mut()) {
             let mm = match &step.op {
                 FusedOp::Constraint {
                     col,
@@ -2189,24 +2113,14 @@ impl EvalCtx {
                     priors,
                 } => {
                     let input = cell(overlay, left, right, *col);
-                    let refined = match &step.ctx {
-                        Some(ctx) => crate::constraint::apply_constraint_cached(
-                            input,
-                            constraint,
-                            priors,
-                            &self.store,
-                            &self.features,
-                            &self.memo,
-                            ctx,
-                        )?,
-                        None => crate::constraint::apply_constraint(
-                            input,
-                            constraint,
-                            priors,
-                            &self.store,
-                            &self.features,
-                        )?,
-                    };
+                    let refined = crate::constraint::apply_constraint(
+                        input,
+                        constraint,
+                        priors,
+                        &self.store,
+                        &self.features,
+                    )?;
+                    tally.note(input, &refined);
                     if refined.is_empty() {
                         return Ok(None);
                     }
@@ -2282,23 +2196,16 @@ impl EvalCtx {
             }
         }))
     }
-}
 
-/// Injective identity of a fused pipeline for the memo's tuple-level
-/// cache: the ops and projection via their `Debug` rendering (Rust
-/// renders floats as shortest-round-trip strings, so distinct pipelines
-/// render distinctly), salted with every limit that changes a budgeted
-/// candidate enumeration — cache entries are shared across sessions of
-/// one [`EngineCore`], and sessions may run with different budgets.
-fn fused_cache_ctx(
-    ops: &[FusedOp],
-    project: Option<(&[usize], &[String])>,
-    limits: &Limits,
-) -> String {
-    format!(
-        "fused|{ops:?}|{project:?}|cmp{}|enum{}|combo{}",
-        limits.cmp_enum_cap, limits.enum_cap, limits.combo_cap
-    )
+    /// Folds one morsel's per-step tallies into the shared statistics,
+    /// under each constraint step's feature name.
+    fn fold_tally(&self, pass: &Pass, tally: &[FeatStats]) {
+        self.feat_stats
+            .fold(pass.steps.iter().zip(tally).filter_map(|(step, t)| match &step.op {
+                FusedOp::Constraint { constraint, .. } => Some((constraint.feature.as_str(), t)),
+                _ => None,
+            }));
+    }
 }
 
 /// Adds a constant offset to the numeric values of a candidate set (the
@@ -2814,6 +2721,94 @@ mod tests {
         let after = eng.run(&prog).unwrap();
         assert!(!eng.stats.degraded());
         assert_eq!(after.tuples(), exact.tuples());
+    }
+
+    /// An engine over `n` house pages, each with a bold area and a price.
+    fn bold_pages_engine(n: u32) -> Engine {
+        let mut store = DocumentStore::new();
+        let ids: Vec<DocId> = (0..n)
+            .map(|i| store.add_markup(&format!("House {i}: <b>Sqft: {}</b> price {}", 2000 + i, 9 * i)))
+            .collect();
+        let mut eng = Engine::new(Arc::new(store));
+        eng.add_doc_table("housePages", &ids);
+        eng
+    }
+
+    /// A feature that holds nowhere: `Verify` rejects every span and
+    /// `Refine` finds no sub-span.
+    struct RejectAll;
+
+    impl iflex_features::Feature for RejectAll {
+        fn name(&self) -> &'static str {
+            "reject-all"
+        }
+
+        fn verify(
+            &self,
+            _: &DocumentStore,
+            _: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<bool, FeatureError> {
+            Ok(false)
+        }
+
+        fn refine(
+            &self,
+            _: &DocumentStore,
+            _: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<Vec<Assignment>, FeatureError> {
+            Ok(Vec::new())
+        }
+    }
+
+    #[test]
+    fn measured_selectivity_moves_the_rejecting_step_first() {
+        let mut eng = bold_pages_engine(10);
+        eng.features_mut().register(Arc::new(RejectAll));
+        let prog = parse_program(
+            "q(a, b) :- housePages(x), from(#x, a), from(#x, b), \
+             bold-font(a) = yes, reject-all(b) = yes.",
+        )
+        .unwrap();
+        // EXPLAIN prints a pass's steps last-applied first.
+        let rejects_first =
+            |text: &str| text.find("σ[bold-font").unwrap() < text.find("σ[reject-all").unwrap();
+        let cold = eng.explain(&prog).unwrap();
+        assert!(!rejects_first(&cold), "no statistics yet: source order\n{cold}");
+        assert!(cold.contains("reorders=0"), "{cold}");
+        let first = eng.run(&prog).unwrap();
+        let warm = eng.explain(&prog).unwrap();
+        assert!(rejects_first(&warm), "the rejecting step runs first once measured\n{warm}");
+        assert!(!warm.contains("reorders=0"), "{warm}");
+        eng.clear_cache(); // re-evaluate under the reordered plan
+        let second = eng.run(&prog).unwrap();
+        assert_eq!(eng.stats.incr_hits, 0);
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        // A registry change forgets the measurements.
+        eng.features_mut();
+        assert!(eng.feat_stats.snapshot().is_empty());
+    }
+
+    #[test]
+    fn morsel_tallies_fold_to_the_serial_totals() {
+        let prog = parse_program(
+            "q(a) :- housePages(x), from(#x, a), bold-font(a) = yes, numeric(a) = yes.",
+        )
+        .unwrap();
+        let measured = |threads: usize| {
+            let mut eng = bold_pages_engine(24);
+            eng.limits.threads = threads;
+            eng.limits.morsel_tuples = (1, 2);
+            let out = eng.run(&prog).unwrap();
+            (format!("{out:?}"), eng.stats.par_morsels, eng.feat_stats.snapshot())
+        };
+        let (serial, _, serial_stats) = measured(1);
+        let (threaded, morsels, threaded_stats) = measured(4);
+        assert!(morsels >= 2, "the pass must split into morsels");
+        assert_eq!(threaded, serial);
+        assert_eq!(serial_stats["bold-font"].verify_calls, 24);
+        assert_eq!(threaded_stats, serial_stats);
     }
 
     #[test]

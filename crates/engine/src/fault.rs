@@ -29,10 +29,11 @@ pub mod site {
     /// the worst spot for the dispenser's bookkeeping — and must still be
     /// contained as a per-rule degradation.
     pub const PAR_STEAL: &str = "engine.par_steal";
-    /// Per rule-result lookup in the shared memo/incremental-cache path
-    /// (`Engine::run` consults the incremental cache before evaluating
-    /// a rule; a fault here degrades just that rule, exactly like an
-    /// evaluation failure).
+    /// Per rule-result lookup in the incremental rule cache (`Engine::run`
+    /// consults it before evaluating a rule; a fault here degrades just
+    /// that rule, exactly like an evaluation failure). The site name
+    /// predates the rule cache's name and is kept so fault plans and chaos
+    /// scenarios written against it stay valid.
     pub const MEMO_LOOKUP: &str = "engine.memo_lookup";
     /// Per session-spawn attempt in the multi-session service (worker
     /// thread creation + engine fork).

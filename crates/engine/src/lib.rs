@@ -23,7 +23,6 @@ pub mod exec;
 pub mod fault;
 mod incr;
 mod lplan;
-mod memo;
 mod par;
 pub mod pfunc;
 mod plan;
@@ -37,7 +36,6 @@ pub use exec::{
     ExecStats, Limits,
 };
 pub use fault::{Fault, FaultPlan, Trigger};
-pub use memo::{FeatStats, FeatureMemo};
 pub use pfunc::{builtin_procs, ProcRegistry, Procedure};
 pub use plan::{CompiledConstraint, PlanError};
 pub use sample::Sample;

@@ -17,7 +17,7 @@
 //!    with disjoint column sets (steps sharing a column keep their
 //!    source order, which the §4.2 prior-recheck worklist depends on).
 //!    Constraint selectivities are seeded from the per-feature
-//!    [`FeatStats`] the feature memo collects.
+//!    [`FeatStats`] the pass evaluator tallies.
 //! 3. **join orientation** — the larger input becomes the sharded outer
 //!    loop of a fused join; output order is restored by index-sorting,
 //!    so results are unchanged.
@@ -40,9 +40,9 @@ mod lower;
 mod node;
 mod rewrite;
 
+pub(crate) use analyze::{FeatStats, FeatureStats};
 pub(crate) use rewrite::straddling_similar;
 
-use crate::memo::FeatStats;
 use crate::plan::Plan;
 use std::collections::{BTreeMap, HashMap};
 
@@ -53,9 +53,8 @@ pub struct OptCtx<'a> {
     /// in evaluation order; row counts are *actual* sizes, so the
     /// cardinality model is exact at the leaves.
     pub relations: &'a BTreeMap<String, (usize, usize)>,
-    /// Per-feature call statistics snapshotted from the feature memo
-    /// ([`crate::memo::FeatureMemo::feature_stats`]); seeds constraint
-    /// selectivities.
+    /// Per-feature call statistics ([`FeatureStats::snapshot`]); seeds
+    /// constraint selectivities.
     pub stats: &'a HashMap<String, FeatStats>,
 }
 

@@ -177,11 +177,10 @@ proptest! {
         }
     }
 
-    /// Warm caches with the optimizer on (rule cache, feature memo, and
-    /// the fused-pipeline tuple cache) must be invisible: a second run on
-    /// the same engine returns exactly what a fresh unoptimized engine
-    /// returns — and warmed feature stats may reorder plans but never
-    /// change results.
+    /// A warm rule cache with the optimizer on must be invisible: a
+    /// second run on the same engine returns exactly what a fresh
+    /// unoptimized engine returns — and warmed feature stats may reorder
+    /// plans but never change results.
     #[test]
     fn warm_optimized_caches_preserve_results(
         n in 3usize..16,

@@ -146,8 +146,8 @@ proptest! {
         }
     }
 
-    /// Warm caches (rule cache + feature memo) must be invisible: a second
-    /// run on the same engine returns exactly what a fresh engine returns.
+    /// A warm rule cache must be invisible: a second run on the same
+    /// engine returns exactly what a fresh engine returns.
     #[test]
     fn warm_caches_preserve_results(
         n in 1usize..16,

@@ -28,10 +28,6 @@ pub mod names {
     pub const DEGRADATIONS: &str = "engine.degradations";
     /// Per-cause degradation counters are `engine.degradations.<cause>`.
     pub const DEGRADATIONS_PREFIX: &str = "engine.degradations.";
-    /// Feature-memo (`Verify`/`Refine`) hits this run.
-    pub const FEATURE_CACHE_HITS: &str = "engine.feature_cache_hits";
-    /// Feature-memo misses this run.
-    pub const FEATURE_CACHE_MISSES: &str = "engine.feature_cache_misses";
     /// Parallel operator sections that fanned out to worker threads.
     pub const PAR_SECTIONS: &str = "engine.par_sections";
     /// Morsels (index ranges) dispensed by the work-stealing executor,

@@ -2,9 +2,10 @@
 //!
 //! A resilient multi-session iFlex server. Many concurrent development
 //! sessions (§2.2.4's execute → examine → refine loop) share one
-//! immutable document store, the sharded feature memo, and the warm
-//! incremental cache through an [`iflex_engine::EngineCore`], while a
-//! bulkhead-per-session worker model keeps every tenant's faults —
+//! immutable document store, the measured feature statistics, and the
+//! warm incremental rule cache through an
+//! [`iflex_engine::EngineCore`], while a bulkhead-per-session worker
+//! model keeps every tenant's faults —
 //! panics, budget overflows, deadline expiry, injected chaos — strictly
 //! contained: siblings produce byte-identical results to a solo run.
 //!

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Benchmark driver: regenerates the parallel-execution report committed
 # as BENCH_parallel.json, the incremental-iteration report committed as
-# BENCH_incremental.json, the logical-plan-optimizer report committed as
-# BENCH_plan.json, and the live-telemetry overhead report committed as
-# BENCH_telemetry.json, plus the Table 1 inventory as a sanity anchor.
+# BENCH_incremental.json, the logical-plan-optimizer report (written
+# under target/, not committed), and the live-telemetry overhead report
+# committed as BENCH_telemetry.json, plus the Table 1 inventory as a
+# sanity anchor.
 # Run from the repository root:
 #   scripts/bench.sh [parallel-report-path] [incremental-report-path] \
 #                    [plan-report-path] [telemetry-report-path]
@@ -12,7 +13,7 @@ cd "$(dirname "$0")/.."
 
 REPORT="${1:-BENCH_parallel.json}"
 INCR_REPORT="${2:-BENCH_incremental.json}"
-PLAN_REPORT="${3:-BENCH_plan.json}"
+PLAN_REPORT="${3:-target/BENCH_plan.json}"
 TEL_REPORT="${4:-BENCH_telemetry.json}"
 
 echo "== build (release) =="
@@ -22,11 +23,11 @@ echo "== exp_table1 (inventory sanity) =="
 ./target/release/exp_table1
 
 echo "== exp_scaling --parallel-report =="
-# The morsel-executor report (DESIGN.md §13): serial / serial+memo /
-# threads+memo over T1/T5/T8/Panel at corpus scale 1 plus T1/T5/T8 at
-# scale 10, with morsel and steal counts per row. On a ≥4-core host the
-# binary asserts the speedup gate: threads=4 ≥ serial+memo at scale 1
-# and > 1.3x at scale 10; smaller hosts print a skip notice.
+# The morsel-executor report (DESIGN.md §13): serial vs threads over
+# T1/T5/T8/Panel at corpus scale 1 plus T1/T5/T8 at scale 10, with
+# morsel and steal counts per row. On a ≥4-core host the binary asserts
+# the speedup gate: threads=4 ≥ serial on every non-Panel row; smaller
+# hosts print a skip notice.
 ./target/release/exp_scaling --parallel-report "$REPORT"
 
 echo "== exp_scaling --incremental-report =="
@@ -35,10 +36,10 @@ echo "== exp_scaling --incremental-report =="
 ./target/release/exp_scaling --incremental-report "$INCR_REPORT"
 
 echo "== exp_scaling --plan-report =="
-# The DESIGN.md §11 optimizer ablation: serial / +feature-memo /
-# +optimizer over T1/T5/T8/Panel at corpus scale 1 and 10, single-
-# threaded with sampling and the incremental cache off. The binary
-# asserts all three configurations produce identical results. The
+# The DESIGN.md §11 optimizer ablation: serial vs optimized over
+# T1/T5/T8/Panel at corpus scale 1 and 10, single-threaded with
+# sampling and the incremental cache off. The binary asserts both
+# configurations produce identical results. The
 # scale-10 sweep is long; pass extra scales via the binary directly
 # (e.g. `exp_scaling --plan-report out.json --scale 1`) for quick runs.
 ./target/release/exp_scaling --plan-report "$PLAN_REPORT"

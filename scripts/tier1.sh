@@ -18,26 +18,26 @@ cargo clippy --workspace \
 echo "== rustdoc (engine, private items included) =="
 # Broken and public-to-private intra-doc links are errors, so a doc
 # comment naming a deleted item fails here. --document-private-items
-# extends the check to the crate-private modules (plan, lplan, memo, ...).
+# extends the check to the crate-private modules (plan, lplan, incr, ...).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p iflex-engine --document-private-items
 
 echo "== parallel smoke =="
-# One tiny workload through the serial / memo / threaded sweep; asserts
-# inside the binary check that every configuration yields the same table.
+# One tiny workload run serial and threaded; asserts inside the binary
+# check that both yield the same table.
 ./target/release/exp_scaling --smoke target/BENCH_parallel_smoke.json
 
 echo "== parallel speedup smoke =="
 # The morsel-executor gate (DESIGN.md §13): one T1 workload at the gate
-# scale; asserts inside the binary check that threads=4 with the memo
-# beats serial-with-memo, plus the usual byte-identity sweep. On hosts
+# scale; asserts inside the binary check that threads=4 is not slower
+# than serial, plus the usual byte-identity check. On hosts
 # with fewer than 4 cores the speedup assertion is skipped with a
 # notice (the identity sweep still runs at a tiny scale).
 ./target/release/exp_scaling --parallel-report target/BENCH_parallel_speedup_smoke.json --smoke
 
 echo "== plan-optimizer smoke =="
-# One tiny workload through the serial / memo / optimized sweep; asserts
-# inside the binary check that the optimized configuration produces
-# results identical to the unoptimized ones (the DESIGN.md §11 ablation
+# One tiny workload run serial and optimized; asserts inside the binary
+# check that the optimized configuration produces results identical to
+# the unoptimized one (the DESIGN.md §11 ablation
 # gate; the byte-level version lives in the prop_opt property suite).
 ./target/release/exp_scaling --plan-report target/BENCH_plan_smoke.json --smoke
 

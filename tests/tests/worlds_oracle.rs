@@ -242,8 +242,7 @@ fn constraint_selection_contains_every_world_result() {
 /// The reference applies the constraint as candidate knowledge (as
 /// above), then σ and π world by world; both runs must contain every
 /// such answer. The rule cache is dropped between the runs, so the
-/// second one re-executes the chain and is answered row by row from the
-/// tuple-level memo — byte-identical to the first, without a single miss.
+/// second one re-executes the chain — byte-identical to the first.
 #[test]
 fn fused_chain_contains_every_world_result_cold_and_memoized() {
     let mut store = DocumentStore::new();
@@ -290,22 +289,18 @@ fn fused_chain_contains_every_world_result_cold_and_memoized() {
 
     eng.clear_cache();
     let second = eng.run(&prog).unwrap();
-    assert_worlds_contain(&second, &store, &expected, "π_a σ_{a>4} σ_numeric, memoized");
+    assert_worlds_contain(&second, &store, &expected, "π_a σ_{a>4} σ_numeric, re-executed");
     assert_eq!(format!("{first:?}"), format!("{second:?}"));
     assert_eq!(eng.stats.cache_hits, 0, "the rule cache must not answer the second run");
-    assert_eq!(
-        (eng.stats.feature_cache_hits, eng.stats.feature_cache_misses),
-        (t.len(), 0),
-        "every input row of the second run is a tuple-memo hit"
-    );
 }
 
-/// The tuple memo caches what a pass does to a row's *cells*; the row's
-/// own `maybe` flag is not part of the key and must not leak into the
-/// cached outcome. Rows with identical cells, the `maybe` one first, go
-/// through a two-step pass (σ_{a>10}, π) — once where the comparison may
-/// but need not hold (`extra`), once where it must — cold, then answered
-/// from the memo: every output flag is `input.maybe || extra` both times.
+/// A pass computes what it does to a row's *cells* apart from the row's
+/// own `maybe` flag, which is OR-ed in at emission and must not leak
+/// from one row to the next. Rows with identical cells, the `maybe` one
+/// first, go through a two-step pass (σ_{a>10}, π) — once where the
+/// comparison may but need not hold (`extra`), once where it must —
+/// cold, then re-executed with the rule cache dropped: every output flag
+/// is `input.maybe || extra` both times, and the bytes are identical.
 #[test]
 fn memoized_pass_keeps_the_input_rows_own_maybe_flag() {
     let mut store = DocumentStore::new();
@@ -329,35 +324,9 @@ fn memoized_pass_keeps_the_input_rows_own_maybe_flag() {
     let cold = eng.run(&prog).unwrap();
     assert_eq!(flags(&cold), [true, true, true, false]);
     eng.clear_cache();
-    let memoized = eng.run(&prog).unwrap();
-    assert_eq!(flags(&memoized), [true, true, true, false]);
-    assert_eq!(
-        (eng.stats.feature_cache_hits, eng.stats.feature_cache_misses),
-        (t.len(), 0),
-        "every input row of the second run is a tuple-memo hit"
-    );
-}
-
-/// Only a pass of two or more steps uses the tuple memo. With the
-/// optimizer off every step is a pass of its own, and all the run leaves
-/// in the memo is the one refinable cell's cell-level entry.
-#[test]
-fn one_step_passes_add_no_tuple_memo_entries() {
-    let mut store = DocumentStore::new();
-    let d = store.add_plain("5 abc 20 3");
-    let store = Arc::new(store);
-    let mut t = CompactTable::new(vec!["a".into()]);
-    t.push(CompactTuple::new(vec![Cell::contain(Span::new(d, 6, 10))]));
-    t.push(CompactTuple::new(vec![Cell::of(vec![Assignment::exact_span(Span::new(d, 0, 1))])]));
-    let entries = |optimizer: bool| {
-        let mut eng = Engine::new(Arc::clone(&store));
-        eng.limits.use_optimizer = optimizer;
-        eng.add_table("t", t.clone());
-        eng.run(&parse_program("q(a) :- t(a), numeric(a) = yes, a > 4.").unwrap()).unwrap();
-        eng.memo().len()
-    };
-    assert_eq!(entries(false), 1, "cell entries only");
-    assert_eq!(entries(true), 1 + t.len(), "the fused pass adds one tuple entry per row");
+    let second = eng.run(&prog).unwrap();
+    assert_eq!(flags(&second), [true, true, true, false]);
+    assert_eq!(format!("{cold:?}"), format!("{second:?}"));
 }
 
 /// Optimizer ablation over genuinely uncertain inputs: each oracle
