@@ -18,11 +18,6 @@
 //!   sweep with a skip notice);
 //! * `--smoke [path]` — alias for `--parallel-report [path] --smoke`,
 //!   kept for the tier-1 gate;
-//! * `--plan-report [path] [--smoke] [--scale f]...` — the logical-plan
-//!   optimizer ablation (DESIGN.md §11): serial vs optimized,
-//!   single-threaded with sampling and the incremental cache off so
-//!   plan-execution cost is isolated, writing `BENCH_plan.json` and
-//!   asserting both configurations produce identical results;
 //! * `--telemetry-report [path] [--smoke]` — the live-telemetry overhead
 //!   gate (DESIGN.md §12): the same session with the engine's window /
 //!   sketch / flight-recorder instrumentation off vs on, asserting the
@@ -427,105 +422,6 @@ fn incremental_report(path: &str, smoke: bool) {
     println!("wrote {path}");
 }
 
-/// One workload of the optimizer ablation: the same single-threaded
-/// session with the optimizer off and on, asserting both converge to the
-/// identical result.
-struct PlanRow {
-    task: String,
-    scale: f64,
-    serial_secs: f64,
-    optimized_secs: f64,
-    result_tuples: usize,
-}
-
-fn render_plan_json(rows: &[PlanRow]) -> String {
-    let mut out = String::from("{\n");
-    out += &format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
-    out += "  \"strategy\": \"Simulation\",\n";
-    out += "  \"regime\": \"threads=1, sampling off, incremental off\",\n";
-    out += "  \"workloads\": [\n";
-    for (i, r) in rows.iter().enumerate() {
-        out += "    {\n";
-        out += &format!("      \"task\": \"{}\",\n", r.task);
-        out += &format!("      \"scale\": {},\n", r.scale);
-        out += &format!("      \"serial_secs\": {:.4},\n", r.serial_secs);
-        out += &format!("      \"optimized_secs\": {:.4},\n", r.optimized_secs);
-        out += &format!(
-            "      \"speedup_vs_serial\": {:.2},\n",
-            r.serial_secs / r.optimized_secs.max(1e-9)
-        );
-        out += &format!("      \"result_tuples\": {}\n", r.result_tuples);
-        out += if i + 1 == rows.len() { "    }\n" } else { "    },\n" };
-    }
-    out += "  ]\n}\n";
-    out
-}
-
-/// The logical-plan optimizer sweep (`--plan-report`): two
-/// configurations per workload — `serial` (no optimizer) and
-/// `optimized`. Single-threaded, sampling and the incremental cache off,
-/// so the comparison isolates plan-execution cost; the binary asserts
-/// both configurations converge to the identical result (tuple-for-tuple
-/// count and recall — the optimizer is byte-exact, see the `prop_opt`
-/// property suite for the byte-level ablation).
-fn plan_report(path: &str, smoke: bool, scales: &[f64]) {
-    let base = ExecConfig {
-        threads: Some(1),
-        use_incremental: false,
-        use_sampling: false,
-        ..ExecConfig::default()
-    };
-    let serial = ExecConfig {
-        use_optimizer: false,
-        ..base
-    };
-    let optimized = base;
-    let (scales, tasks): (Vec<f64>, Vec<TaskId>) = if smoke {
-        (vec![0.1], vec![TaskId::T1])
-    } else {
-        let scales = if scales.is_empty() {
-            vec![1.0, 10.0]
-        } else {
-            scales.to_vec()
-        };
-        (scales, vec![TaskId::T1, TaskId::T5, TaskId::T8, TaskId::Panel])
-    };
-    let mut rows = Vec::new();
-    for &scale in &scales {
-        let corpus = Corpus::build(CorpusConfig::scaled(scale));
-        for &id in &tasks {
-            let (serial_secs, s) = timed(&corpus, id, serial);
-            let (optimized_secs, o) = timed(&corpus, id, optimized);
-            assert_eq!(
-                o.quality.result_tuples, s.quality.result_tuples,
-                "{id:?} scale {scale}: the optimizer changed the result"
-            );
-            assert!((o.quality.recall - s.quality.recall).abs() < 1e-12);
-            let r = PlanRow {
-                task: format!("{id:?}"),
-                scale,
-                serial_secs,
-                optimized_secs,
-                result_tuples: o.quality.result_tuples,
-            };
-            println!(
-                "{:>6} @{}: serial {:.2}s  optimized {:.2}s  ({:.2}x vs serial)",
-                r.task,
-                r.scale,
-                r.serial_secs,
-                r.optimized_secs,
-                r.serial_secs / r.optimized_secs.max(1e-9),
-            );
-            rows.push(r);
-        }
-    }
-    std::fs::write(path, render_plan_json(&rows)).expect("write report");
-    println!("wrote {path}");
-}
-
 /// One workload of the telemetry-overhead comparison: the identical
 /// session with live telemetry off and on.
 struct TelRow {
@@ -722,26 +618,6 @@ fn main() {
                 .map(|s| s.as_str())
                 .unwrap_or(default);
             incremental_report(path, smoke);
-        }
-        Some("--plan-report") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let default = if smoke {
-                "BENCH_plan_smoke.json"
-            } else {
-                "BENCH_plan.json"
-            };
-            let mut skip_next = false;
-            let path = args[1..]
-                .iter()
-                .filter(|a| {
-                    let keep = !skip_next;
-                    skip_next = *a == "--scale";
-                    keep && !a.starts_with("--")
-                })
-                .map(|s| s.as_str())
-                .next()
-                .unwrap_or(default);
-            plan_report(path, smoke, &scale_args(&args));
         }
         Some("--telemetry-report") => {
             let smoke = args.iter().any(|a| a == "--smoke");

@@ -86,9 +86,6 @@ pub struct ExecConfig {
     /// probes run at full scale — the regime where redundant
     /// re-execution, not subset approximation, is the cost being measured.
     pub use_sampling: bool,
-    /// Whether the logical-plan optimizer (DESIGN.md §11) rewrites
-    /// compiled rules; `false` is the ablation arm of the plan report.
-    pub use_optimizer: bool,
     /// Whether live telemetry (the engine's per-run window/sketch series
     /// and flight recorder) records during the session — the axis
     /// `exp_scaling --telemetry-report` measures the overhead of.
@@ -101,7 +98,6 @@ impl Default for ExecConfig {
             threads: None,
             use_incremental: true,
             use_sampling: true,
-            use_optimizer: true,
             telemetry: false,
         }
     }
@@ -125,7 +121,6 @@ pub fn run_session_configured(
 ) -> RunResult {
     let mut engine = task.engine(corpus);
     engine.limits.use_incremental = exec.use_incremental;
-    engine.limits.use_optimizer = exec.use_optimizer;
     if exec.telemetry {
         engine.live = iflex_engine::obs::LiveSet::enabled();
         engine.flight = iflex_engine::obs::FlightRecorder::new(0);

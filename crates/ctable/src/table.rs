@@ -52,8 +52,8 @@ impl CompactTable {
     }
 
     /// Index of column `name`. An O(arity) scan — **cold-path only**: the
-    /// engine resolves every column reference to a `usize` index at plan
-    /// compile / lowering time (`iflex_engine::plan`), so per-tuple
+    /// engine resolves every column reference to a `usize` index when it
+    /// compiles a plan (`iflex_engine::plan`), so per-tuple
     /// operator loops never call this (pinned by the `project_by_index`
     /// regression tests below).
     pub fn col_index(&self, name: &str) -> Option<usize> {
@@ -121,7 +121,7 @@ impl CompactTable {
     }
 
     /// Projection by pre-resolved column indices (bag semantics), renaming
-    /// to `cols` — the hot path callers with lowering-time-resolved
+    /// to `cols` — the hot path callers with compile-time-resolved
     /// indices use directly, bypassing name resolution entirely.
     ///
     /// # Panics
@@ -307,7 +307,7 @@ mod tests {
     /// Pins the hot-path contract `col_index` documents: projection by
     /// pre-resolved indices equals name-based projection (which resolves
     /// each name exactly once, outside the tuple loop) — so operator
-    /// loops can carry `usize` indices from plan lowering and never pay
+    /// loops can carry `usize` indices from plan compilation and never pay
     /// the O(arity) name scan per tuple.
     #[test]
     fn project_by_index_equals_project_by_name() {
@@ -329,7 +329,7 @@ mod tests {
         assert!(by_idx.tuples()[1].maybe);
     }
 
-    /// Index projection renames freely — the lowering layer aliases
+    /// Index projection renames freely — the plan compiler aliases
     /// head columns without round-tripping through `col_index`.
     #[test]
     fn project_by_index_renames_without_name_resolution() {

@@ -93,10 +93,11 @@ pub struct Limits {
     /// Run each compiled rule plan through the logical-plan optimizer
     /// (DESIGN.md §11): σ pushdown below joins, selectivity-driven
     /// reordering, join orientation, and fusion of adjacent selection /
-    /// projection operators into single batch passes. Every rewrite
-    /// preserves results byte-for-byte, so this is a pure ablation knob;
-    /// incremental-cache fingerprints hash the *pre-optimization* rule and
-    /// stay valid either way.
+    /// projection operators into single batch passes. Rewrites preserve
+    /// results byte-for-byte except where reordering moves a `similar`
+    /// filter off the similarity join (DESIGN.md §11), so this is an
+    /// ablation knob; incremental-cache fingerprints hash the
+    /// *pre-optimization* rule and stay valid either way.
     pub use_optimizer: bool,
 }
 
@@ -423,23 +424,25 @@ const OP_NAMES: [&str; 12] = [
     "fused",
 ];
 
-/// The [`OP_NAMES`] index of a plan node.
-fn op_idx(plan: &Plan) -> usize {
+/// The [`OP_NAMES`] index of a plan node. A pass is named from its
+/// shape: `fused` when it is one ([`Plan::fused`]), else after its one
+/// step, else `project`.
+fn op_idx(plan: &Plan, fused: bool) -> usize {
     match plan {
         Plan::ScanExt { .. } => 0,
         Plan::ScanRel { .. } => 1,
         Plan::FromExtract { .. } => 2,
-        Plan::Select { step, .. } => match step {
-            FusedOp::Constraint { .. } => 3,
-            FusedOp::Compare { .. } => 4,
-            FusedOp::VarUnify { .. } => 5,
-            FusedOp::FilterProc { .. } => 6,
+        Plan::Pass { .. } if fused => 11,
+        Plan::Pass { steps, .. } => match steps.first() {
+            Some(FusedOp::Constraint { .. }) => 3,
+            Some(FusedOp::Compare { .. }) => 4,
+            Some(FusedOp::VarUnify { .. }) => 5,
+            Some(FusedOp::FilterProc { .. }) => 6,
+            None => 9,
         },
         Plan::GenerateProc { .. } => 7,
         Plan::CrossJoin { .. } => 8,
-        Plan::Project { .. } => 9,
         Plan::Annotate { .. } => 10,
-        Plan::Fused { .. } => 11,
     }
 }
 
@@ -883,65 +886,78 @@ impl Engine {
         env
     }
 
-    /// Renders the compiled execution plan of `prog` (one fragment per
-    /// unfolded rule, evaluation order first) — EXPLAIN for Alog.
-    pub fn explain(&self, prog: &Program) -> Result<String, EngineError> {
-        let env = self.validate_env();
-        let errors = validate(prog, &env);
+    /// What every run and every EXPLAIN starts from: `prog` validated,
+    /// unfolded and put in evaluation order, with the compiler's arity
+    /// maps.
+    fn prologue(&self, prog: &Program) -> Result<Prologue, EngineError> {
+        let errors = validate(prog, &self.validate_env());
         if !errors.is_empty() {
             return Err(EngineError::Validation(errors));
         }
         let unfolded = unfold(prog);
         let order = evaluation_order(&unfolded).map_err(|e| EngineError::Validation(vec![e]))?;
-        let ext_arity: BTreeMap<String, usize> = self
-            .ext
+        let ext_arity = self.ext.iter().map(|(k, v)| (k.clone(), v.arity())).collect();
+        let int_arity = unfolded
+            .rules
             .iter()
-            .map(|(k, v)| (k.clone(), v.arity()))
+            .map(|r| (r.head.name.clone(), r.head.args.len()))
             .collect();
-        let mut int_arity: BTreeMap<String, usize> = BTreeMap::new();
-        for r in &unfolded.rules {
-            int_arity.insert(r.head.name.clone(), r.head.args.len());
-        }
-        let proc_sigs = self.proc_sigs();
-        let cenv = CompileEnv {
-            extensional: &ext_arity,
-            intensional: &int_arity,
-            procedures: proc_sigs.as_ref(),
-        };
-        // Relation sizes for the optimizer's cardinality model:
-        // extensional tables report their actual row counts; intensional
-        // relations are unknown before a run and modeled as empty (the
-        // rewrites still show, only size-driven choices stay neutral).
+        Ok(Prologue {
+            unfolded,
+            order,
+            ext_arity,
+            int_arity,
+            proc_sigs: self.proc_sigs(),
+        })
+    }
+
+    /// Relation name → (arity, rows) for the optimizer's cardinality
+    /// model: every extensional table at its actual size, then each of
+    /// `intensional` not shadowed by one.
+    fn relation_sizes<'a>(
+        &self,
+        intensional: impl IntoIterator<Item = (&'a String, (usize, usize))>,
+    ) -> BTreeMap<String, (usize, usize)> {
         let mut rels: BTreeMap<String, (usize, usize)> = self
             .ext
             .iter()
             .map(|(k, v)| (k.clone(), (v.arity(), v.len())))
             .collect();
-        for (k, a) in &int_arity {
-            rels.entry(k.clone()).or_insert((*a, 0));
+        for (k, size) in intensional {
+            rels.entry(k.clone()).or_insert(size);
         }
+        rels
+    }
+
+    /// Renders the compiled execution plan of `prog` (one fragment per
+    /// unfolded rule, evaluation order first) — EXPLAIN for Alog.
+    pub fn explain(&self, prog: &Program) -> Result<String, EngineError> {
+        let pro = self.prologue(prog)?;
+        let cenv = pro.env();
+        // Intensional relations are unknown before a run and modeled as
+        // empty (the rewrites still show, only size-driven choices stay
+        // neutral).
+        let rels = self.relation_sizes(pro.int_arity.iter().map(|(k, &a)| (k, (a, 0))));
         let stats = self.feat_stats.snapshot();
         let octx = crate::lplan::OptCtx {
             relations: &rels,
             stats: &stats,
         };
+        let arity = |name: &str| Some(rels.get(name)?.0);
         let mut out = String::new();
         use std::fmt::Write as _;
-        for name in &order {
-            for rule in unfolded.rules_for(name) {
-                let plan = compile_rule(rule, &cenv)?;
+        for name in &pro.order {
+            for rule in pro.unfolded.rules_for(name) {
+                let mut plan = compile_rule(rule, &cenv)?;
                 let _ = writeln!(out, "-- {rule}");
-                match self
-                    .limits
-                    .use_optimizer
-                    .then(|| crate::lplan::optimize(&plan, &octx))
-                    .flatten()
-                {
-                    Some((optimized, report)) => {
-                        out.push_str(&optimized.explain());
-                        let _ = writeln!(out, "-- opt: {}", report.summary());
-                    }
-                    None => out.push_str(&plan.explain()),
+                let report = if self.limits.use_optimizer {
+                    crate::lplan::optimize(&mut plan, &octx)
+                } else {
+                    None
+                };
+                out.push_str(&plan.explain(&arity));
+                if let Some(report) = report {
+                    let _ = writeln!(out, "-- opt: {}", report.summary());
                 }
             }
         }
@@ -1056,54 +1072,36 @@ impl Engine {
         sample: Option<Sample>,
         run_span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let env = self.validate_env();
-        let errors = validate(prog, &env);
-        if !errors.is_empty() {
-            return Err(EngineError::Validation(errors));
-        }
-        let unfolded = unfold(prog);
-        let order = evaluation_order(&unfolded).map_err(|e| EngineError::Validation(vec![e]))?;
-
-        // Predicate arities for the compiler.
-        let ext_arity: BTreeMap<String, usize> = self
-            .ext
-            .iter()
-            .map(|(k, v)| (k.clone(), v.arity()))
-            .collect();
-        let mut int_arity: BTreeMap<String, usize> = BTreeMap::new();
-        for r in &unfolded.rules {
-            int_arity.insert(r.head.name.clone(), r.head.args.len());
-        }
-        let proc_sigs = self.proc_sigs();
-
+        let pro = self.prologue(prog)?;
+        let (unfolded, order, cenv) = (&pro.unfolded, &pro.order, pro.env());
         let sample_key = sample.map(|s| s.key()).unwrap_or_else(|| "full".into());
-        let cenv = CompileEnv {
-            extensional: &ext_arity,
-            intensional: &int_arity,
-            procedures: proc_sigs.as_ref(),
-        };
         let use_incr = self.limits.use_incremental;
         use std::hash::{Hash, Hasher};
 
-        // Incremental pre-pass (DESIGN.md §9): fingerprint every rule and
-        // record which intensional relations each relation reads, then let
-        // the cache diff the fingerprints against the previous run and
-        // evict entries stranded in the changed dependency cone.
+        // Incremental pre-pass (DESIGN.md §9): fingerprint every rule —
+        // once per run; `rule_fps` keeps them in rule order for the rule
+        // loop — and record which intensional relations each relation
+        // reads, then let the cache diff the fingerprints against the
+        // previous run and evict entries stranded in the changed
+        // dependency cone.
         let mut fps: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let mut rule_fps: Vec<Vec<u64>> = Vec::with_capacity(order.len());
         let mut deps: BTreeMap<String, std::collections::BTreeSet<String>> = BTreeMap::new();
-        for name in &order {
-            let mut rule_fps: Vec<u64> = unfolded
+        for name in order {
+            let in_order: Vec<u64> = unfolded
                 .rules_for(name)
                 .map(|r| crate::plan::rule_fingerprint(r, &cenv))
                 .collect();
-            rule_fps.sort_unstable();
-            fps.insert(name.clone(), rule_fps);
+            let mut sorted = in_order.clone();
+            sorted.sort_unstable();
+            fps.insert(name.clone(), sorted);
+            rule_fps.push(in_order);
             let reads: std::collections::BTreeSet<String> = unfolded
                 .rules_for(name)
                 .flat_map(|r| r.body.iter())
                 .filter_map(|atom| match atom {
                     iflex_alog::BodyAtom::Pred { name: dep, .. }
-                        if int_arity.contains_key(dep) =>
+                        if pro.int_arity.contains_key(dep) =>
                     {
                         Some(dep.clone())
                     }
@@ -1126,7 +1124,7 @@ impl Engine {
         // plan that may possibly have changed", §5.2).
         let mut versions: BTreeMap<String, u64> = BTreeMap::new();
 
-        for name in &order {
+        for (name, rule_fps) in order.iter().zip(&rule_fps) {
             let rules: Vec<&Rule> = unfolded.rules_for(name).collect();
             let Some(first_rule) = rules.first() else {
                 // evaluation_order only yields defined relations; guard
@@ -1160,8 +1158,7 @@ impl Engine {
                 Widened(CompactTuple),
             }
             let mut parts: Vec<Part> = Vec::new();
-            for rule in rules {
-                let fp = crate::plan::rule_fingerprint(rule, &cenv);
+            for (rule, &fp) in rules.into_iter().zip(rule_fps) {
                 // The rule's input versions: what its intensional reads
                 // currently are. Extensional inputs are covered by the
                 // epoch (any `add_table` clears the cache outright).
@@ -1196,13 +1193,13 @@ impl Engine {
                         Err(e) => lookup_err = Some(e),
                     }
                 }
-                let plan = compile_rule(rule, &cenv)?;
+                let mut plan = compile_rule(rule, &cenv)?;
                 // Logical-plan optimization (DESIGN.md §11). Runs *after*
                 // fingerprinting — `rule_fingerprint` hashes the rendered
                 // rule, so cache identities are optimizer-invariant — and
                 // rewrites only byte-exactly, so a cached unoptimized
                 // result and a fresh optimized one are interchangeable.
-                let (plan, opt_report) = self.maybe_optimize(plan, &computed);
+                let opt_report = self.maybe_optimize(&mut plan, &computed);
                 let rule_span = match self.tracer.ctx(run_span) {
                     Some((t, parent)) => t.begin(parent, SpanKind::Rule, &rule.to_string()),
                     None => SpanId::NONE,
@@ -1339,40 +1336,29 @@ impl Engine {
     /// cannot model runs unchanged.
     fn maybe_optimize(
         &self,
-        plan: Plan,
+        plan: &mut Plan,
         computed: &BTreeMap<String, Arc<CompactTable>>,
-    ) -> (Plan, Option<crate::lplan::OptReport>) {
+    ) -> Option<crate::lplan::OptReport> {
         if !self.limits.use_optimizer {
-            return (plan, None);
+            return None;
         }
-        let mut rels: BTreeMap<String, (usize, usize)> = self
-            .ext
-            .iter()
-            .map(|(k, v)| (k.clone(), (v.arity(), v.len())))
-            .collect();
-        for (k, v) in computed {
-            rels.insert(k.clone(), (v.arity(), v.len()));
-        }
+        let rels = self.relation_sizes(computed.iter().map(|(k, v)| (k, (v.arity(), v.len()))));
         let stats = self.feat_stats.snapshot();
         let octx = crate::lplan::OptCtx {
             relations: &rels,
             stats: &stats,
         };
-        match crate::lplan::optimize(&plan, &octx) {
-            Some((optimized, report)) => {
-                let c = &self.counters;
-                c.opt_plans.inc();
-                c.opt_pushdowns.add(u64::from(report.pushdowns));
-                c.opt_reorders.add(u64::from(report.reorders));
-                c.opt_join_flips.add(u64::from(report.join_flips));
-                c.opt_fused_nodes.add(u64::from(report.fused_nodes));
-                c.opt_fused_steps.add(u64::from(report.fused_steps));
-                c.opt_est_sel_bp
-                    .observe((report.est_selectivity() * 10_000.0) as u64);
-                (optimized, Some(report))
-            }
-            None => (plan, None),
-        }
+        let report = crate::lplan::optimize(plan, &octx)?;
+        let c = &self.counters;
+        c.opt_plans.inc();
+        c.opt_pushdowns.add(u64::from(report.pushdowns));
+        c.opt_reorders.add(u64::from(report.reorders));
+        c.opt_join_flips.add(u64::from(report.join_flips));
+        c.opt_fused_nodes.add(u64::from(report.fused_nodes));
+        c.opt_fused_steps.add(u64::from(report.fused_steps));
+        c.opt_est_sel_bp
+            .observe((report.est_selectivity() * 10_000.0) as u64);
+        Some(report)
     }
 
     /// Looks up a rule's result in the incremental rule cache behind the
@@ -1460,7 +1446,11 @@ impl Engine {
         parent: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
         self.clock.tick().map_err(EngineError::from)?;
-        let op = op_idx(plan);
+        let arity = |name: &str| {
+            let table = self.ext.get(name).or_else(|| computed.get(name))?;
+            Some(table.arity())
+        };
+        let op = op_idx(plan, plan.fused(&arity));
         let t0 = std::time::Instant::now();
         let span = self
             .tracer
@@ -1524,15 +1514,6 @@ impl Engine {
                 }
                 Ok(Arc::new(out))
             }
-            Plan::Select { input, step } => self.eval_pass(
-                input,
-                std::slice::from_ref(step),
-                None,
-                false,
-                computed,
-                sample,
-                span,
-            ),
             Plan::GenerateProc {
                 input,
                 name,
@@ -1640,9 +1621,6 @@ impl Engine {
             Plan::CrossJoin { .. } => {
                 self.eval_pass(plan, &[], None, false, computed, sample, span)
             }
-            Plan::Project { input, cols, names } => {
-                self.eval_pass(input, &[], Some((cols, names)), false, computed, sample, span)
-            }
             Plan::Annotate {
                 input,
                 existence,
@@ -1669,14 +1647,14 @@ impl Engine {
                 );
                 Ok(Arc::new(out))
             }
-            Plan::Fused {
+            Plan::Pass {
                 input,
-                ops,
+                steps,
                 project,
                 outer_right,
             } => self.eval_pass(
                 input,
-                ops,
+                steps,
                 project.as_ref().map(|(cols, names)| (cols.as_slice(), names.as_slice())),
                 *outer_right,
                 computed,
@@ -1866,10 +1844,9 @@ impl Engine {
         })
     }
 
-    /// The one σ/π/× evaluator: a [`Plan::Select`] (one step), a
-    /// [`Plan::Project`] (no steps, a projection), a [`Plan::CrossJoin`]
-    /// (no steps over itself) and a [`Plan::Fused`] run all execute as one
-    /// streaming pass that sends each row through [`EvalCtx::pass_row`] —
+    /// The one σ/π/× evaluator: a [`Plan::Pass`] and a [`Plan::CrossJoin`]
+    /// (no steps over itself) both execute as one streaming pass that
+    /// sends each row through [`EvalCtx::pass_row`] —
     /// per *pair* when `input` is a cross join, whose product is then
     /// never materialized — so no intermediate table exists per step.
     /// Each morsel tallies its constraint steps' [`FeatStats`] locally
@@ -1897,7 +1874,7 @@ impl Engine {
             // join — `similar(b, a)` included — is a pass over the pairs
             // of the same two tables.
             if let ([step], None) = (ops, project) {
-                if let Some((lcol, rcol)) = crate::lplan::straddling_similar(step, l.arity()) {
+                if let Some((lcol, rcol)) = step.similar_cols(l.arity()) {
                     return self.similar_join(l, r, lcol, rcol, span);
                 }
             }
@@ -2025,6 +2002,26 @@ impl Engine {
         }
         let rows = rows.into_iter().map(|(_, tup, v)| (tup, v));
         self.pass_table(out_cols, rows, cap, project.is_some())
+    }
+}
+
+/// What [`Engine::prologue`] hands a run or an EXPLAIN.
+struct Prologue {
+    unfolded: Program,
+    order: Vec<String>,
+    ext_arity: BTreeMap<String, usize>,
+    int_arity: BTreeMap<String, usize>,
+    proc_sigs: Arc<BTreeMap<String, (bool, usize)>>,
+}
+
+impl Prologue {
+    /// The compiler's view of the program's predicates.
+    fn env(&self) -> CompileEnv<'_> {
+        CompileEnv {
+            extensional: &self.ext_arity,
+            intensional: &self.int_arity,
+            procedures: &self.proc_sigs,
+        }
     }
 }
 

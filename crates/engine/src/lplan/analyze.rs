@@ -8,7 +8,6 @@
 //! measured signal. The estimates only steer *which* byte-exact rewrite
 //! fires — a bad estimate can cost speed, never correctness.
 
-use super::node::LNode;
 use super::OptCtx;
 use crate::plan::{FusedOp, Operand, Plan};
 use iflex_alog::CmpOp;
@@ -106,59 +105,39 @@ impl FeatureStats {
     }
 }
 
-/// Arity (column count) of a node's output schema. `None` when a scanned
+/// A scanned relation's arity, from the context.
+pub fn relation_arity(ctx: &OptCtx<'_>, name: &str) -> Option<usize> {
+    Some(ctx.relations.get(name)?.0)
+}
+
+/// Arity (column count) of a plan's output schema. `None` when a scanned
 /// relation is unknown to the context.
-pub fn arity(n: &LNode, ctx: &OptCtx<'_>) -> Option<usize> {
-    Some(match n {
-        LNode::Leaf { plan } => match plan {
-            Plan::ScanExt { name } | Plan::ScanRel { name } => ctx.relations.get(name)?.0,
-            _ => return None,
-        },
-        LNode::FromExtract { input, .. } => arity(input, ctx)? + 1,
-        LNode::GenerateProc {
-            input, out_arity, ..
-        } => arity(input, ctx)? + out_arity,
-        LNode::Select { input, .. } => arity(input, ctx)?,
-        LNode::Join { left, right, .. } => arity(left, ctx)? + arity(right, ctx)?,
-        LNode::Project { cols, .. } => cols.len(),
-        LNode::Annotate { input, .. } => arity(input, ctx)?,
-    })
+pub fn arity(p: &Plan, ctx: &OptCtx<'_>) -> Option<usize> {
+    p.arity(&|name| relation_arity(ctx, name))
 }
 
 /// Product of leaf cardinalities: the rows the rule would touch with no
 /// selection at all (denominator of the whole-rule selectivity figure).
-pub fn input_rows(n: &LNode, ctx: &OptCtx<'_>) -> Option<f64> {
-    Some(match n {
-        LNode::Leaf { plan } => match plan {
-            Plan::ScanExt { name } | Plan::ScanRel { name } => ctx.relations.get(name)?.1 as f64,
-            _ => return None,
-        },
-        LNode::FromExtract { input, .. }
-        | LNode::GenerateProc { input, .. }
-        | LNode::Select { input, .. }
-        | LNode::Project { input, .. }
-        | LNode::Annotate { input, .. } => input_rows(input, ctx)?,
-        LNode::Join { left, right, .. } => input_rows(left, ctx)? * input_rows(right, ctx)?,
-    })
+pub fn input_rows(p: &Plan, ctx: &OptCtx<'_>) -> Option<f64> {
+    match p {
+        Plan::ScanExt { name } | Plan::ScanRel { name } => Some(ctx.relations.get(name)?.1 as f64),
+        _ => p.inputs().try_fold(1.0, |rows, input| Some(rows * input_rows(input, ctx)?)),
+    }
 }
 
 /// Estimated output cardinality under the selectivity model.
-pub fn est_rows(n: &LNode, ctx: &OptCtx<'_>, model: &SelModel<'_>) -> Option<f64> {
-    Some(match n {
-        LNode::Leaf { plan } => match plan {
-            Plan::ScanExt { name } | Plan::ScanRel { name } => ctx.relations.get(name)?.1 as f64,
-            _ => return None,
-        },
-        LNode::FromExtract { input, .. } | LNode::GenerateProc { input, .. } => {
-            est_rows(input, ctx, model)?
+pub fn est_rows(p: &Plan, ctx: &OptCtx<'_>, model: &SelModel<'_>) -> Option<f64> {
+    let rows = match p {
+        Plan::ScanExt { name } | Plan::ScanRel { name } => {
+            return Some(ctx.relations.get(name)?.1 as f64)
         }
-        LNode::Select { input, op } => est_rows(input, ctx, model)? * model.selectivity(op),
-        LNode::Join { left, right, .. } => {
-            est_rows(left, ctx, model)? * est_rows(right, ctx, model)?
+        _ => p.inputs().try_fold(1.0, |rows, input| Some(rows * est_rows(input, ctx, model)?))?,
+    };
+    Some(match p {
+        Plan::Pass { steps, .. } => {
+            steps.iter().fold(rows, |rows, step| rows * model.selectivity(step))
         }
-        LNode::Project { input, .. } | LNode::Annotate { input, .. } => {
-            est_rows(input, ctx, model)?
-        }
+        _ => rows,
     })
 }
 

@@ -1,47 +1,48 @@
 //! Logical-plan optimizer (DESIGN.md §11).
 //!
 //! Sits between the rule compiler ([`crate::plan::compile_rule`]) and the
-//! interpreter ([`crate::exec`]): the compiled [`Plan`] is rebuilt as a
-//! [`node::LNode`] tree, analyzed for arity / cardinality / selectivity, run
-//! through cost-driven rewrite passes, and lowered back to a physical
-//! [`Plan`] with adjacent σ/constraint/π operators fused into single
-//! batch passes ([`crate::plan::Plan::Fused`]).
+//! interpreter ([`crate::exec`]) and rewrites the compiled [`Plan`] in
+//! place — there is no second plan tree. The compiler emits one
+//! [`Plan::Pass`] per selection step plus one for the head projection;
+//! the optimizer analyzes arity / cardinality / selectivity and runs its
+//! passes, in order:
 //!
-//! The passes, in order:
-//!
-//! 1. **σ pushdown** — selections touching only one side of a cross join
-//!    sink below it (and keep sinking through nested joins), so per-side
+//! 0. **merge** — each chain of passes becomes one pass (its steps in
+//!    application order, the chain's projection last).
+//! 1. **σ pushdown** — steps touching only one side of a cross join sink
+//!    below it (and keep sinking through nested joins), so per-side
 //!    filtering happens before the product is formed.
-//! 2. **selectivity reordering** — runs of adjacent selections are
-//!    rescheduled cheapest-and-most-selective first, *only* across steps
-//!    with disjoint column sets (steps sharing a column keep their
-//!    source order, which the §4.2 prior-recheck worklist depends on).
+//! 2. **selectivity reordering** — each pass's steps are rescheduled
+//!    cheapest-and-most-selective first, *only* across steps with
+//!    disjoint column sets (steps sharing a column keep their source
+//!    order, which the §4.2 prior-recheck worklist depends on).
 //!    Constraint selectivities are seeded from the per-feature
 //!    [`FeatStats`] the pass evaluator tallies.
 //! 3. **join orientation** — the larger input becomes the sharded outer
-//!    loop of a fused join; output order is restored by index-sorting,
-//!    so results are unchanged.
-//! 4. **fusion** — each remaining run of selections (plus a trailing
-//!    projection) becomes one [`Plan::Fused`] pass; a fused pass over a
-//!    cross join streams the product pairwise instead of materializing
-//!    it.
+//!    loop of the pass streaming over a join; output order is restored
+//!    by index-sorting, so results are unchanged.
+//! 4. **split** — a straddling `similar` step left first over a join
+//!    becomes its own one-step pass, the interpreter's token-prefilter
+//!    similarity join; every pass then run fused ([`Plan::fused`]) is
+//!    counted. A pass over a cross join streams the product pairwise
+//!    instead of materializing it.
 //!
 //! Every pass preserves results **byte-for-byte**, not just up to
 //! worlds-equivalence: moves are restricted to transformations that
 //! provably commute at the tuple/cell level (disjoint columns, whole
-//! same-side chains, order-compensated join flips). This is what lets
-//! `Limits::use_optimizer` be a pure ablation knob, and why incremental
-//! cache fingerprints — which hash the *pre-optimization* unfolded rule
-//! (see [`crate::plan::rule_fingerprint`]) — remain valid for optimized
-//! and unoptimized executions alike.
+//! same-side steps, order-compensated join flips) — with one exception:
+//! scheduling a step ahead of a straddling `similar` filter moves the
+//! filter off the token-prefilter join onto candidate enumeration, a
+//! different approximation of the same predicate (DESIGN.md §11). This
+//! is what makes `Limits::use_optimizer` an ablation knob, and why
+//! incremental cache fingerprints — which hash the *pre-optimization*
+//! unfolded rule (see [`crate::plan::rule_fingerprint`]) — remain valid
+//! for optimized and unoptimized executions alike.
 
 mod analyze;
-mod lower;
-mod node;
 mod rewrite;
 
 pub(crate) use analyze::{FeatStats, FeatureStats};
-pub(crate) use rewrite::straddling_similar;
 
 use crate::plan::Plan;
 use std::collections::{BTreeMap, HashMap};
@@ -68,9 +69,9 @@ pub struct OptReport {
     pub reorders: u32,
     /// Joins whose outer loop was flipped to the larger input.
     pub join_flips: u32,
-    /// `Fused` nodes emitted.
+    /// Fused passes in the optimized plan ([`Plan::fused`]).
     pub fused_nodes: u32,
-    /// Selection steps folded into `Fused` nodes.
+    /// Selection steps in those passes.
     pub fused_steps: u32,
     /// Estimated rows entering the rule (product of leaf cardinalities).
     pub est_in_rows: f64,
@@ -102,21 +103,24 @@ impl OptReport {
     }
 }
 
-/// Optimizes one compiled plan. Returns `None` when the plan contains a
-/// shape the optimizer does not model (already-fused nodes, relations
-/// missing from `ctx`) — the caller then runs the original plan, which
-/// is always correct.
-pub fn optimize(plan: &Plan, ctx: &OptCtx<'_>) -> Option<(Plan, OptReport)> {
-    let mut report = OptReport::default();
-    let node = node::build(plan)?;
-    report.est_in_rows = analyze::input_rows(&node, ctx)?;
+/// Optimizes one compiled plan in place. Returns `None`, with the plan
+/// untouched, when it scans a relation missing from `ctx` — the caller
+/// then runs the original plan, which is always correct.
+pub fn optimize(plan: &mut Plan, ctx: &OptCtx<'_>) -> Option<OptReport> {
+    // Every leaf is looked up here, before anything is rewritten; the
+    // passes below cannot meet an unknown relation after this.
+    let mut report = OptReport {
+        est_in_rows: analyze::input_rows(plan, ctx)?,
+        ..OptReport::default()
+    };
     let model = analyze::SelModel::new(ctx.stats);
-    let node = rewrite::pushdown(node, ctx, &mut report)?;
-    let node = rewrite::reorder(node, &model, &mut report);
-    let node = rewrite::orient_joins(node, ctx, &model, &mut report)?;
-    report.est_out_rows = analyze::est_rows(&node, ctx, &model)?;
-    let plan = lower::lower(node, ctx, &mut report)?;
-    Some((plan, report))
+    rewrite::merge(plan);
+    rewrite::pushdown(plan, ctx, &mut report)?;
+    rewrite::reorder(plan, &model, &mut report);
+    rewrite::orient_joins(plan, ctx, &model, &mut report)?;
+    report.est_out_rows = analyze::est_rows(plan, ctx, &model)?;
+    rewrite::split(plan, ctx, &mut report)?;
+    Some(report)
 }
 
 #[cfg(test)]
@@ -155,7 +159,15 @@ mod tests {
             relations: &rel,
             stats: &stats,
         };
-        optimize(&compile(src), &ctx).expect("optimizable")
+        let mut plan = compile(src);
+        let report = optimize(&mut plan, &ctx).expect("optimizable");
+        (plan, report)
+    }
+
+    /// EXPLAIN over the test relations.
+    fn explain(plan: &Plan) -> String {
+        let (rel, _) = ctx_maps();
+        plan.explain(&|name| Some(rel.get(name)?.0))
     }
 
     #[test]
@@ -167,7 +179,7 @@ mod tests {
         let (plan, report) =
             optimize_src("q(x, a, b) :- small(x), r2(a, b), x < a, numeric(b) = yes.");
         assert!(report.pushdowns >= 1, "report: {report:?}");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         let join = explained.find("CrossJoin").unwrap();
         let numeric = explained.find("numeric").unwrap();
         assert!(numeric > join, "σ must print below the join:\n{explained}");
@@ -184,7 +196,7 @@ mod tests {
              similar(#a, #b), numeric(a) = yes.",
         );
         assert_eq!(report.pushdowns, 0, "report: {report:?}");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         let sim = explained.find("similar").unwrap();
         let numeric = explained.find("numeric").unwrap();
         assert!(numeric < sim, "σ must stay above the filter:\n{explained}");
@@ -195,8 +207,8 @@ mod tests {
         let (plan, _) = optimize_src(
             "q(a, b) :- small(x), from(#x, a), big(y), from(#y, b), similar(#a, #b).",
         );
-        let explained = plan.explain();
-        // The straddling similar filter must stay a one-step Select
+        let explained = explain(&plan);
+        // The straddling similar filter must stay a one-step pass
         // directly above the CrossJoin so exec's token-prefilter join
         // specialization still applies.
         assert!(
@@ -206,11 +218,46 @@ mod tests {
     }
 
     #[test]
+    fn similar_then_comparison_over_a_join_keeps_its_plan() {
+        // T9's top rule: the cheap comparison is scheduled ahead of the
+        // similarity filter, so `similar` is no longer the first step over
+        // the join — it runs inside the fused pairwise pass, and the join
+        // is free to put the larger side outermost.
+        let (plan, report) = optimize_src(
+            "q(a) :- small(x), from(#x, a), from(#x, p), numeric(p) = yes, \
+             big(y), from(#y, b), from(#y, c), numeric(c) = yes, \
+             similar(#a, #b), p < c.",
+        );
+        assert_eq!(
+            (report.pushdowns, report.reorders, report.join_flips),
+            (0, 2, 1),
+            "{report:?}"
+        );
+        assert_eq!((report.fused_nodes, report.fused_steps), (1, 2), "{report:?}");
+        assert_eq!(
+            explain(&plan),
+            "Fused[2 steps, outer=right]\n\
+             \x20 π[[1] as [\"a\"]]\n\
+             \x20 Filter[similar[1, 4]]\n\
+             \x20 σ[Col(2) < Col(5) + 0]\n\
+             \x20 CrossJoin\n\
+             \x20   σ[numeric(col 2) = yes]\n\
+             \x20     FromExtract(col 0)\n\
+             \x20       FromExtract(col 0)\n\
+             \x20         ScanExt(small)\n\
+             \x20   σ[numeric(col 2) = yes]\n\
+             \x20     FromExtract(col 0)\n\
+             \x20       FromExtract(col 0)\n\
+             \x20         ScanExt(big)\n"
+        );
+    }
+
+    #[test]
     fn join_flips_to_larger_outer() {
         let (plan, report) = optimize_src("q(x, y) :- small(x), big(y), x = \"a\".");
         // left branch small(10) + σ, right big(1000): outer should flip.
         assert!(report.join_flips >= 1, "report: {report:?}");
-        assert!(plan.explain().contains("outer=right"), "{}", plan.explain());
+        assert!(explain(&plan).contains("outer=right"), "{}", explain(&plan));
     }
 
     #[test]
@@ -220,7 +267,7 @@ mod tests {
         );
         assert!(report.fused_nodes >= 1, "report: {report:?}");
         assert!(report.fused_steps >= 2, "report: {report:?}");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         assert!(explained.contains("Fused["), "{explained}");
         assert!(explained.contains("π["), "{explained}");
     }
@@ -230,7 +277,7 @@ mod tests {
         // One σ, no trailing π on the branch below FromExtract: nothing
         // worth fusing there.
         let (plan, _) = optimize_src("q(x) :- small(x).");
-        assert!(!plan.explain().contains("Fused["), "{}", plan.explain());
+        assert!(!explain(&plan).contains("Fused["), "{}", explain(&plan));
     }
 
     #[test]
@@ -261,13 +308,13 @@ mod tests {
             relations: &rel,
             stats: &stats,
         };
-        let plan = compile(
+        let mut plan = compile(
             "q(a) :- small(x), from(#x, a), numeric(a) = yes, min-value(a) = 10.",
         );
-        let (opt, report) = optimize(&plan, &ctx).unwrap();
+        let report = optimize(&mut plan, &ctx).unwrap();
         assert_eq!(report.reorders, 0, "same-column chain must not move");
-        if let Plan::Fused { ops, .. } = find_fused(&opt).expect("fused node") {
-            let feats: Vec<&str> = ops
+        if let Plan::Pass { steps, .. } = find_fused(&plan).expect("fused node") {
+            let feats: Vec<&str> = steps
                 .iter()
                 .filter_map(|o| match o {
                     FusedOp::Constraint { constraint, .. } => Some(constraint.feature.as_str()),
@@ -297,13 +344,13 @@ mod tests {
             relations: &rel,
             stats: &stats,
         };
-        let plan = compile("q(a, y) :- r2(x, y), from(#x, a), numeric(a) = yes, y = 5.");
-        let (opt, report) = optimize(&plan, &ctx).unwrap();
+        let mut plan = compile("q(a, y) :- r2(x, y), from(#x, a), numeric(a) = yes, y = 5.");
+        let report = optimize(&mut plan, &ctx).unwrap();
         assert!(report.reorders >= 1, "report: {report:?}");
-        if let Plan::Fused { ops, .. } = find_fused(&opt).expect("fused node") {
+        if let Plan::Pass { steps, .. } = find_fused(&plan).expect("fused node") {
             assert!(
-                matches!(ops[0], FusedOp::Compare { .. }),
-                "comparison should be scheduled first: {ops:?}"
+                matches!(steps[0], FusedOp::Compare { .. }),
+                "comparison should be scheduled first: {steps:?}"
             );
         }
     }
@@ -316,20 +363,17 @@ mod tests {
             relations: &rel,
             stats: &stats,
         };
-        let plan = compile("q(x) :- small(x), x = 5.");
-        assert!(optimize(&plan, &ctx).is_none());
+        let mut plan = compile("q(x) :- small(x), x = 5.");
+        let before = format!("{plan:?}");
+        assert!(optimize(&mut plan, &ctx).is_none());
+        assert_eq!(format!("{plan:?}"), before, "plan left untouched");
     }
 
     fn find_fused(p: &Plan) -> Option<&Plan> {
-        match p {
-            Plan::Fused { .. } => Some(p),
-            Plan::Annotate { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::FromExtract { input, .. }
-            | Plan::Select { input, .. }
-            | Plan::GenerateProc { input, .. } => find_fused(input),
-            Plan::CrossJoin { left, right } => find_fused(left).or_else(|| find_fused(right)),
-            Plan::ScanExt { .. } | Plan::ScanRel { .. } => None,
+        let (rel, _) = ctx_maps();
+        if p.fused(&|name| Some(rel.get(name)?.0)) {
+            return Some(p);
         }
+        p.inputs().find_map(find_fused)
     }
 }

@@ -1,157 +1,116 @@
-//! The cost-driven rewrite passes. Every rewrite here is byte-exact by
-//! construction (see the module docs in [`super`]): pushdown moves whole
-//! same-side steps across a join, reordering only permutes steps with
-//! disjoint column sets, and join flips are compensated at execution
-//! time by order-restoring index sorts.
+//! The rewrite passes, each editing a [`Plan`] in place. The rewrites
+//! are byte-exact by construction, with the one `similar` exception
+//! the module docs in [`super`] name: merging and splitting only
+//! regroup the same steps into passes, pushdown moves whole same-side
+//! steps across a join, reordering only permutes steps with disjoint
+//! column sets, and join flips are compensated at execution time by
+//! order-restoring index sorts.
 
 use super::analyze::{self, SelModel};
-use super::node::{peel, LNode};
 use super::{OptCtx, OptReport};
-use crate::plan::FusedOp;
+use crate::plan::{FusedOp, Plan};
 
-/// Pass 1: sink single-side selections below cross joins (recursively,
-/// so a step can cross several nested joins). Steps whose columns span
-/// both sides — or that read no columns at all — stay put.
-pub fn pushdown(n: LNode, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<LNode> {
-    Some(match n {
-        LNode::Select { input, op } => {
-            let input = pushdown(*input, ctx, report)?;
-            sink(op, input, ctx, report)?
-        }
-        LNode::FromExtract { input, in_col } => LNode::FromExtract {
-            input: Box::new(pushdown(*input, ctx, report)?),
-            in_col,
-        },
-        LNode::GenerateProc {
-            input,
-            name,
-            in_cols,
-            out_arity,
-        } => LNode::GenerateProc {
-            input: Box::new(pushdown(*input, ctx, report)?),
-            name,
-            in_cols,
-            out_arity,
-        },
-        LNode::Join {
-            left,
-            right,
-            outer_right,
-        } => LNode::Join {
-            left: Box::new(pushdown(*left, ctx, report)?),
-            right: Box::new(pushdown(*right, ctx, report)?),
-            outer_right,
-        },
-        LNode::Project { input, cols, names } => LNode::Project {
-            input: Box::new(pushdown(*input, ctx, report)?),
-            cols,
-            names,
-        },
-        LNode::Annotate {
-            input,
-            existence,
-            annotated,
-        } => LNode::Annotate {
-            input: Box::new(pushdown(*input, ctx, report)?),
-            existence,
-            annotated,
-        },
-        leaf @ LNode::Leaf { .. } => leaf,
-    })
-}
-
-/// Pushes one selection step as deep as it can go into `input`. On the
-/// way down it may commute past other selections whose column sets are
-/// disjoint (independent drops over disjoint cells — byte-exact), which
-/// is what lets a late σ reach a join buried under the branch-merging
-/// comparison that forced the join in the first place.
-fn sink(op: FusedOp, input: LNode, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<LNode> {
-    match input {
-        LNode::Select {
-            input: inner_input,
-            op: inner_op,
-        } => {
-            let cols = op.cols();
-            let inner_cols = inner_op.cols();
-            let disjoint = !cols.is_empty() && !cols.iter().any(|c| inner_cols.contains(c));
-            if disjoint && sinks_into_join(&op, &inner_input, ctx) {
-                let sunk = sink(op, *inner_input, ctx, report)?;
-                Some(LNode::Select {
-                    input: Box::new(sunk),
-                    op: inner_op,
-                })
-            } else {
-                Some(LNode::Select {
-                    input: Box::new(LNode::Select {
-                        input: inner_input,
-                        op: inner_op,
-                    }),
-                    op,
-                })
+/// Pass 0: merge each chain of passes into one — a pass whose input is a
+/// pass without a projection takes over that pass's steps (they apply
+/// first) and its input.
+pub fn merge(p: &mut Plan) {
+    p.inputs_mut().for_each(merge);
+    if let Plan::Pass { input, steps, .. } = p {
+        if let Plan::Pass {
+            project: None,
+            outer_right: false,
+            ..
+        } = **input
+        {
+            if let Plan::Pass {
+                input: inner,
+                steps: mut first,
+                ..
+            } = input.take()
+            {
+                first.append(steps);
+                *steps = first;
+                *input = inner;
             }
         }
-        LNode::Join {
-            left,
-            right,
-            outer_right,
-        } => {
-            let cols = op.cols();
-            let la = analyze::arity(&left, ctx)?;
-            if !cols.is_empty() && cols.iter().all(|&c| c < la) {
-                report.pushdowns += 1;
-                let left = sink(op, *left, ctx, report)?;
-                Some(LNode::Join {
-                    left: Box::new(left),
-                    right,
-                    outer_right,
-                })
-            } else if !cols.is_empty() && cols.iter().all(|&c| c >= la) {
-                report.pushdowns += 1;
-                let right = sink(shift_down(op, la), *right, ctx, report)?;
-                Some(LNode::Join {
-                    left,
-                    right: Box::new(right),
-                    outer_right,
-                })
-            } else {
-                Some(LNode::Select {
-                    input: Box::new(LNode::Join {
-                        left,
-                        right,
-                        outer_right,
-                    }),
-                    op,
-                })
-            }
-        }
-        other => Some(LNode::Select {
-            input: Box::new(other),
-            op,
-        }),
     }
 }
 
-/// Would `op` actually cross a join if sunk through the selection chain
-/// below? Commuting past disjoint selections is only done when it ends
-/// at a sinkable join — otherwise the step stays put and the
-/// selectivity reorderer decides the chain's final order (with
-/// attribution under the right counter).
-fn sinks_into_join(op: &FusedOp, node: &LNode, ctx: &OptCtx<'_>) -> bool {
-    let cols = op.cols();
-    if cols.is_empty() {
-        return false;
+/// Pass 1: sink single-side steps below cross joins (recursively, so a
+/// step can cross several nested joins). Steps whose columns span both
+/// sides — or that read no columns at all — stay put; a pass left with
+/// nothing to do disappears.
+pub fn pushdown(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<()> {
+    for input in p.inputs_mut() {
+        pushdown(input, ctx, report)?;
     }
-    match node {
-        LNode::Select { input, op: inner } => {
-            let inner_cols = inner.cols();
-            !cols.iter().any(|c| inner_cols.contains(c)) && sinks_into_join(op, input, ctx)
+    if let Plan::Pass {
+        input,
+        steps,
+        project,
+        ..
+    } = p
+    {
+        for step in std::mem::take(steps) {
+            if let Some(step) = sink(step, steps, input, ctx, report)? {
+                steps.push(step);
+            }
         }
-        LNode::Join { left, .. } => match analyze::arity(left, ctx) {
-            Some(la) => cols.iter().all(|&c| c < la) || cols.iter().all(|&c| c >= la),
-            None => false,
-        },
-        _ => false,
+        if steps.is_empty() && project.is_none() {
+            let input = input.take();
+            *p = input;
+        }
     }
+    Some(())
+}
+
+/// Sinks one step that applies after the `kept` steps over `base` as
+/// deep as it can go; returns it back when it stays above `base`. On
+/// the way down it commutes past the kept steps when their column sets
+/// are disjoint (independent drops over disjoint cells — byte-exact),
+/// which is what lets a late σ reach a join buried under the
+/// branch-merging comparison that forced the join in the first place.
+/// It only does so when it ends at a join it can sink below — otherwise
+/// the step stays put and the selectivity reorderer decides the pass's
+/// final order (with attribution under the right counter).
+fn sink(
+    step: FusedOp,
+    kept: &[FusedOp],
+    base: &mut Plan,
+    ctx: &OptCtx<'_>,
+    report: &mut OptReport,
+) -> Option<Option<FusedOp>> {
+    let cols = step.cols();
+    let Plan::CrossJoin { left, right } = base else {
+        return Some(Some(step));
+    };
+    if cols.is_empty() || kept.iter().any(|k| k.cols().iter().any(|c| cols.contains(c))) {
+        return Some(Some(step));
+    }
+    let la = analyze::arity(left, ctx)?;
+    let (side, step) = if cols.iter().all(|&c| c < la) {
+        (left, step)
+    } else if cols.iter().all(|&c| c >= la) {
+        (right, shift_down(step, la))
+    } else {
+        return Some(Some(step));
+    };
+    report.pushdowns += 1;
+    if let Plan::Pass {
+        input,
+        steps,
+        project: None,
+        ..
+    } = &mut **side
+    {
+        if let Some(step) = sink(step, steps, input, ctx, report)? {
+            steps.push(step);
+        }
+    } else if let Some(step) = sink(step, &[], side, ctx, report)? {
+        let input = side.take();
+        **side = Plan::pass(input, vec![step], None);
+    }
+    Some(None)
 }
 
 /// Rebases a right-side step's columns onto the right input's schema.
@@ -195,77 +154,33 @@ fn shift_down(op: FusedOp, la: usize) -> FusedOp {
     }
 }
 
-/// Pass 2: reschedule each maximal selection chain cheapest-and-most-
-/// selective first, keeping the source order of any two steps whose
-/// column sets overlap (their relative order is semantically binding —
-/// §4.2 prior re-checks, cell refinement before candidate enumeration).
-pub fn reorder(n: LNode, model: &SelModel<'_>, report: &mut OptReport) -> LNode {
-    match n {
-        LNode::Select { .. } => {
-            let (ops, base) = peel(n);
-            let base = reorder(base, model, report);
-            let order = schedule(&ops, model);
-            report.reorders += order
-                .iter()
-                .enumerate()
-                .filter(|&(pos, &i)| pos != i)
-                .count() as u32;
-            let mut out = base;
-            let mut ops: Vec<Option<FusedOp>> = ops.into_iter().map(Some).collect();
-            for i in order {
-                let op = ops[i].take().expect("schedule emits each step once");
-                out = LNode::Select {
-                    input: Box::new(out),
-                    op,
-                };
-            }
-            out
-        }
-        LNode::FromExtract { input, in_col } => LNode::FromExtract {
-            input: Box::new(reorder(*input, model, report)),
-            in_col,
-        },
-        LNode::GenerateProc {
-            input,
-            name,
-            in_cols,
-            out_arity,
-        } => LNode::GenerateProc {
-            input: Box::new(reorder(*input, model, report)),
-            name,
-            in_cols,
-            out_arity,
-        },
-        LNode::Join {
-            left,
-            right,
-            outer_right,
-        } => LNode::Join {
-            left: Box::new(reorder(*left, model, report)),
-            right: Box::new(reorder(*right, model, report)),
-            outer_right,
-        },
-        LNode::Project { input, cols, names } => LNode::Project {
-            input: Box::new(reorder(*input, model, report)),
-            cols,
-            names,
-        },
-        LNode::Annotate {
-            input,
-            existence,
-            annotated,
-        } => LNode::Annotate {
-            input: Box::new(reorder(*input, model, report)),
-            existence,
-            annotated,
-        },
-        leaf @ LNode::Leaf { .. } => leaf,
+/// Pass 2: reschedule each pass's steps cheapest-and-most-selective
+/// first, keeping the source order of any two steps whose column sets
+/// overlap (their relative order is semantically binding — §4.2 prior
+/// re-checks, cell refinement before candidate enumeration).
+pub fn reorder(p: &mut Plan, model: &SelModel<'_>, report: &mut OptReport) {
+    for input in p.inputs_mut() {
+        reorder(input, model, report);
+    }
+    if let Plan::Pass { steps, .. } = p {
+        let order = schedule(steps, model);
+        report.reorders += order
+            .iter()
+            .enumerate()
+            .filter(|&(pos, &i)| pos != i)
+            .count() as u32;
+        let mut source: Vec<Option<FusedOp>> =
+            std::mem::take(steps).into_iter().map(Some).collect();
+        *steps = order
+            .into_iter()
+            .map(|i| source[i].take().expect("schedule emits each step once"))
+            .collect();
     }
 }
 
-/// Greedy list scheduling over the chain's dependency partial order:
+/// Greedy list scheduling over the steps' dependency partial order:
 /// repeatedly emit the ready step with the best (lowest) rank; ties keep
-/// the earliest source position, so equal-rank chains are untouched and
+/// the earliest source position, so equal-rank passes are untouched and
 /// the result is deterministic.
 fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     let n = ops.len();
@@ -297,125 +212,154 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     order
 }
 
-/// Is this step the interpreter's specialized token-prefilter similarity
-/// join: a `similar`/`approxMatch` filter with exactly one column on
-/// each side, left side first, of a join with left arity `la`? Returns
-/// the left input's column and the right input's (rebased) column.
-pub(crate) fn straddling_similar(op: &FusedOp, la: usize) -> Option<(usize, usize)> {
-    match op {
-        FusedOp::FilterProc { name, cols } if name == "similar" || name == "approxMatch" => {
-            match cols.as_slice() {
-                [a, b] if *a < la && *b >= la => Some((*a, *b - la)),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
 /// Pass 3: orient each cross join so its larger input becomes the outer
-/// (sharded) loop — better parallel granularity and a cache-resident
-/// inner side. Joins feeding the specialized similarity filter keep the
-/// compiler's orientation (that path shards the left side by design).
+/// (sharded) loop of the pass streaming over it — better parallel
+/// granularity and a cache-resident inner side. A join under the
+/// specialized similarity filter keeps the compiler's orientation (that
+/// path shards the left side by design). A join no pass streams over
+/// materializes its product left-major: its flip is counted but has
+/// nowhere to go.
 pub fn orient_joins(
-    n: LNode,
+    p: &mut Plan,
     ctx: &OptCtx<'_>,
     model: &SelModel<'_>,
     report: &mut OptReport,
-) -> Option<LNode> {
-    Some(match n {
-        LNode::Select { input, op } => {
-            // Detect (and protect) the similarity-join specialization.
-            if let LNode::Join {
-                left,
-                right,
-                outer_right,
-            } = *input
-            {
-                let la = analyze::arity(&left, ctx)?;
-                if straddling_similar(&op, la).is_some() {
-                    let left = orient_joins(*left, ctx, model, report)?;
-                    let right = orient_joins(*right, ctx, model, report)?;
-                    return Some(LNode::Select {
-                        input: Box::new(LNode::Join {
-                            left: Box::new(left),
-                            right: Box::new(right),
-                            outer_right,
-                        }),
-                        op,
-                    });
-                }
-                let join = orient_joins(
-                    LNode::Join {
-                        left,
-                        right,
-                        outer_right,
-                    },
-                    ctx,
-                    model,
-                    report,
-                )?;
-                LNode::Select {
-                    input: Box::new(join),
-                    op,
-                }
-            } else {
-                LNode::Select {
-                    input: Box::new(orient_joins(*input, ctx, model, report)?),
-                    op,
-                }
-            }
-        }
-        LNode::Join {
-            left,
-            right,
+) -> Option<()> {
+    let mut unused = false;
+    let (left, right, outer_right) = match p {
+        Plan::Pass {
+            input,
+            steps,
             outer_right,
-        } => {
-            let lrows = analyze::est_rows(&left, ctx, model)?;
-            let rrows = analyze::est_rows(&right, ctx, model)?;
-            let left = Box::new(orient_joins(*left, ctx, model, report)?);
-            let right = Box::new(orient_joins(*right, ctx, model, report)?);
-            // Hysteresis: only flip on a clear margin, so estimate noise
-            // near parity doesn't churn plans between runs.
-            let flip = rrows > lrows * 2.0;
-            if flip && !outer_right {
-                report.join_flips += 1;
+            ..
+        } => match &mut **input {
+            Plan::CrossJoin { left, right } => {
+                let la = analyze::arity(left, ctx)?;
+                if steps.first().is_some_and(|s| s.similar_cols(la).is_some()) {
+                    orient_joins(left, ctx, model, report)?;
+                    return orient_joins(right, ctx, model, report);
+                }
+                (left, right, outer_right)
             }
-            LNode::Join {
-                left,
-                right,
-                outer_right: outer_right || flip,
+            other => return orient_joins(other, ctx, model, report),
+        },
+        Plan::CrossJoin { left, right } => (left, right, &mut unused),
+        other => {
+            for input in other.inputs_mut() {
+                orient_joins(input, ctx, model, report)?;
+            }
+            return Some(());
+        }
+    };
+    let lrows = analyze::est_rows(left, ctx, model)?;
+    let rrows = analyze::est_rows(right, ctx, model)?;
+    orient_joins(left, ctx, model, report)?;
+    orient_joins(right, ctx, model, report)?;
+    // Hysteresis: only flip on a clear margin, so estimate noise near
+    // parity doesn't churn plans between runs.
+    let flip = rrows > lrows * 2.0;
+    if flip && !*outer_right {
+        report.join_flips += 1;
+    }
+    *outer_right |= flip;
+    Some(())
+}
+
+/// Pass 4: split, then count what runs fused. A straddling similarity
+/// filter scheduled first over a join leaves its pass for a one-step
+/// pass of its own directly above the join — the interpreter's
+/// token-prefilter similarity join — and the rest of the pass runs above
+/// that. Every pass the interpreter then runs fused (see
+/// [`Plan::fused`]) is counted in `report`.
+pub fn split(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<()> {
+    if let Plan::Pass {
+        input,
+        steps,
+        project,
+        ..
+    } = p
+    {
+        // Column references are resolved to `usize` indices at compile
+        // time and carried through rewriting untouched; re-check them
+        // against the input arity here, once, so the interpreter's
+        // per-tuple bodies index cells without a per-access name lookup.
+        if let Some(arity) = analyze::arity(input, ctx) {
+            debug_assert!(
+                in_bounds(steps, project.as_ref(), arity),
+                "rewriting produced an out-of-bounds column index (arity {arity})"
+            );
+        }
+        if let Plan::CrossJoin { left, .. } = &**input {
+            let la = analyze::arity(left, ctx)?;
+            let alone = steps.len() == 1 && project.is_none();
+            if !alone && steps.first().is_some_and(|s| s.similar_cols(la).is_some()) {
+                let similar = steps.remove(0);
+                **input = Plan::pass(input.take(), vec![similar], None);
             }
         }
-        LNode::FromExtract { input, in_col } => LNode::FromExtract {
-            input: Box::new(orient_joins(*input, ctx, model, report)?),
-            in_col,
-        },
-        LNode::GenerateProc {
-            input,
-            name,
-            in_cols,
-            out_arity,
-        } => LNode::GenerateProc {
-            input: Box::new(orient_joins(*input, ctx, model, report)?),
-            name,
-            in_cols,
-            out_arity,
-        },
-        LNode::Project { input, cols, names } => LNode::Project {
-            input: Box::new(orient_joins(*input, ctx, model, report)?),
-            cols,
-            names,
-        },
-        LNode::Annotate {
-            input,
-            existence,
-            annotated,
-        } => LNode::Annotate {
-            input: Box::new(orient_joins(*input, ctx, model, report)?),
-            existence,
-            annotated,
-        },
-        leaf @ LNode::Leaf { .. } => leaf,
-    })
+    }
+    for input in p.inputs_mut() {
+        split(input, ctx, report)?;
+    }
+    if let Plan::Pass { steps, .. } = &*p {
+        if p.fused(&|name| analyze::relation_arity(ctx, name)) {
+            report.fused_nodes += 1;
+            report.fused_steps += steps.len() as u32;
+        }
+    }
+    Some(())
+}
+
+/// True when every column index a pass's steps (and its projection)
+/// reference is inside the input arity.
+fn in_bounds(steps: &[FusedOp], project: Option<&(Vec<usize>, Vec<String>)>, arity: usize) -> bool {
+    steps.iter().all(|op| op.cols().iter().all(|&c| c < arity))
+        && project.is_none_or(|(cols, _)| cols.iter().all(|&c| c < arity))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::Operand;
+    use iflex_alog::CmpOp;
+    use iflex_ctable::Value;
+
+    fn cmp(l: usize, r: usize) -> FusedOp {
+        FusedOp::Compare {
+            left: Operand::Col(l),
+            op: CmpOp::Eq,
+            right: Operand::Col(r),
+            offset: 0.0,
+        }
+    }
+
+    #[test]
+    fn bounds_check_accepts_resolved_indices() {
+        let ops = vec![
+            cmp(0, 2),
+            FusedOp::VarUnify { col_a: 1, col_b: 2 },
+            FusedOp::FilterProc {
+                name: "p".into(),
+                cols: vec![0, 1, 2],
+            },
+        ];
+        let project = (vec![2, 0], vec!["a".into(), "b".into()]);
+        assert!(in_bounds(&ops, Some(&project), 3));
+        // Constants reference no column and never fail the check.
+        let const_only = vec![FusedOp::Compare {
+            left: Operand::Const(Value::Num(1.0)),
+            op: CmpOp::Lt,
+            right: Operand::Const(Value::Num(2.0)),
+            offset: 0.0,
+        }];
+        assert!(in_bounds(&const_only, None, 0));
+    }
+
+    #[test]
+    fn bounds_check_rejects_out_of_range() {
+        assert!(!in_bounds(&[cmp(0, 3)], None, 3));
+        assert!(!in_bounds(&[FusedOp::VarUnify { col_a: 5, col_b: 0 }], None, 2));
+        let project = (vec![4], vec!["x".into()]);
+        assert!(!in_bounds(&[], Some(&project), 3));
+    }
 }

@@ -26,10 +26,10 @@ pub struct CompiledConstraint {
     pub arg: FeatureArg,
 }
 
-/// One selection step: what a [`Plan::Select`] node applies on its own and
-/// a [`Plan::Fused`] pass applies in sequence, per tuple, without
-/// materializing intermediate tables. Column indices refer to the node's
-/// input schema (selections never change the schema).
+/// One selection step of a [`Plan::Pass`]: a pass applies its steps in
+/// sequence, per tuple, without materializing intermediate tables.
+/// Column indices refer to the pass's input schema (selections never
+/// change the schema).
 #[derive(Debug, Clone)]
 pub enum FusedOp {
     /// Domain-constraint selection σ_{f(a)=v} on `col`, re-checking all
@@ -92,6 +92,23 @@ impl FusedOp {
         }
     }
 
+    /// The left input's column and the right input's (rebased) column
+    /// when this step is the interpreter's token-prefilter similarity
+    /// join over a cross join whose left input has `la` columns: a
+    /// `similar`/`approxMatch` filter with one column on each side, left
+    /// side first.
+    pub fn similar_cols(&self, la: usize) -> Option<(usize, usize)> {
+        match self {
+            FusedOp::FilterProc { name, cols } if name == "similar" || name == "approxMatch" => {
+                match cols.as_slice() {
+                    [a, b] if *a < la && *b >= la => Some((*a, *b - la)),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+
     /// Short σ-style rendering for EXPLAIN output.
     pub fn render(&self) -> String {
         match self {
@@ -136,14 +153,6 @@ pub enum Plan {
         /// Column holding the source spans.
         in_col: usize,
     },
-    /// One selection step over the child's tuples (σ, constraint,
-    /// unification, or filter — see [`FusedOp`]).
-    Select {
-        /// Child plan.
-        input: Box<Plan>,
-        /// The selection applied per tuple.
-        step: FusedOp,
-    },
     /// Generating p-predicate: appends `out_arity` columns.
     GenerateProc {
         /// Child plan.
@@ -162,15 +171,6 @@ pub enum Plan {
         /// Right input plan.
         right: Box<Plan>,
     },
-    /// Projection onto the given columns, renaming to `names`.
-    Project {
-        /// Child plan.
-        input: Box<Plan>,
-        /// Argument / projected columns.
-        cols: Vec<usize>,
-        /// Output column names.
-        names: Vec<String>,
-    },
     /// The ψ annotation operator (§4.3); column indices are post-project.
     Annotate {
         /// Child plan.
@@ -180,20 +180,21 @@ pub enum Plan {
         /// Attribute-annotated column indices.
         annotated: Vec<usize>,
     },
-    /// A fused batch pass (DESIGN.md §11): a run of adjacent selections —
-    /// optionally capped by a projection — executed as **one** pass over
-    /// the input's tuples, with no intermediate table per operator. Only
-    /// ever produced by the `lplan` optimizer; the compiler emits one
-    /// [`Plan::Select`] per step.
+    /// One pass over the input's tuples (DESIGN.md §11): selection steps
+    /// applied in order, then an optional projection, with no
+    /// intermediate table per step. The compiler emits one pass per step
+    /// and one for the head projection; the optimizer merges chains of
+    /// passes and rewrites them in place.
     ///
     /// When `input` is a [`Plan::CrossJoin`], the pass streams over the
     /// cross product directly instead of materializing it.
-    Fused {
+    Pass {
         /// Child plan.
         input: Box<Plan>,
         /// Selection steps, in application order.
-        ops: Vec<FusedOp>,
-        /// Trailing projection folded into the same pass, if any.
+        steps: Vec<FusedOp>,
+        /// Trailing projection onto the given columns, renamed to the
+        /// given names.
         project: Option<(Vec<usize>, Vec<String>)>,
         /// For a cross-join input: iterate the *right* side as the sharded
         /// outer loop (cardinality orientation). Output order and column
@@ -204,14 +205,109 @@ pub enum Plan {
 }
 
 impl Plan {
-    /// Pretty, indented operator-tree rendering (for EXPLAIN-style output).
-    pub fn explain(&self) -> String {
+    /// A pass over `input` with the default (left-outer) orientation.
+    pub fn pass(
+        input: Plan,
+        steps: Vec<FusedOp>,
+        project: Option<(Vec<usize>, Vec<String>)>,
+    ) -> Plan {
+        Plan::Pass {
+            input: Box::new(input),
+            steps,
+            project,
+            outer_right: false,
+        }
+    }
+
+    /// Moves the node out, leaving an empty scan behind (for rewrites
+    /// that rebuild a node around its own old contents).
+    pub fn take(&mut self) -> Plan {
+        std::mem::replace(self, Plan::ScanExt { name: String::new() })
+    }
+
+    /// The node's direct inputs: none for a scan, both sides of a join,
+    /// the one input of everything else.
+    pub fn inputs(&self) -> impl Iterator<Item = &Plan> {
+        let (a, b) = match self {
+            Plan::ScanExt { .. } | Plan::ScanRel { .. } => (None, None),
+            Plan::CrossJoin { left, right } => (Some(&**left), Some(&**right)),
+            Plan::FromExtract { input, .. }
+            | Plan::GenerateProc { input, .. }
+            | Plan::Annotate { input, .. }
+            | Plan::Pass { input, .. } => (Some(&**input), None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// [`Plan::inputs`], mutably — what the optimizer's passes recurse
+    /// through to rewrite a plan in place.
+    pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        let (a, b) = match self {
+            Plan::ScanExt { .. } | Plan::ScanRel { .. } => (None, None),
+            Plan::CrossJoin { left, right } => (Some(&mut **left), Some(&mut **right)),
+            Plan::FromExtract { input, .. }
+            | Plan::GenerateProc { input, .. }
+            | Plan::Annotate { input, .. }
+            | Plan::Pass { input, .. } => (Some(&mut **input), None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// Column count of the node's output, given each scanned relation's
+    /// (`None` when `rel` does not know one).
+    pub fn arity(&self, rel: &dyn Fn(&str) -> Option<usize>) -> Option<usize> {
+        Some(match self {
+            Plan::ScanExt { name } | Plan::ScanRel { name } => rel(name)?,
+            Plan::FromExtract { input, .. } => input.arity(rel)? + 1,
+            Plan::GenerateProc {
+                input, out_arity, ..
+            } => input.arity(rel)? + out_arity,
+            Plan::CrossJoin { left, right } => left.arity(rel)? + right.arity(rel)?,
+            Plan::Pass {
+                project: Some((cols, _)),
+                ..
+            } => cols.len(),
+            Plan::Pass { input, .. } | Plan::Annotate { input, .. } => input.arity(rel)?,
+        })
+    }
+
+    /// Whether this node is a *fused* pass (DESIGN.md §11) — what the
+    /// `engine.opt.fused_*` counters count, the operator span is named
+    /// after and EXPLAIN heads `Fused[…]`: a pass that does two or more
+    /// things (steps plus projection), or at least one while streaming
+    /// the pairs of a cross join. The token-prefilter similarity join —
+    /// one straddling `similar` step alone over a cross join — does not
+    /// stream pairs. `rel` gives scanned relations' arities.
+    pub fn fused(&self, rel: &dyn Fn(&str) -> Option<usize>) -> bool {
+        let Plan::Pass {
+            input,
+            steps,
+            project,
+            ..
+        } = self
+        else {
+            return false;
+        };
+        let weight = steps.len() + usize::from(project.is_some());
+        match &**input {
+            _ if weight >= 2 => true,
+            Plan::CrossJoin { left, .. } if weight == 1 => steps
+                .first()
+                .zip(left.arity(rel))
+                .is_none_or(|(step, la)| step.similar_cols(la).is_none()),
+            _ => false,
+        }
+    }
+
+    /// Pretty, indented operator-tree rendering (for EXPLAIN-style
+    /// output); `rel` gives scanned relations' arities.
+    pub fn explain(&self, rel: &dyn Fn(&str) -> Option<usize>) -> String {
         let mut s = String::new();
-        self.explain_into(&mut s, 0);
+        self.explain_into(&mut s, 0, rel);
         s
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize) {
+    fn explain_into(&self, out: &mut String, depth: usize, rel: &dyn Fn(&str) -> Option<usize>) {
         use std::fmt::Write as _;
         let pad = "  ".repeat(depth);
         match self {
@@ -221,58 +317,54 @@ impl Plan {
             Plan::ScanRel { name } => {
                 let _ = writeln!(out, "{pad}ScanRel({name})");
             }
-            Plan::FromExtract { input, in_col } => {
+            Plan::FromExtract { in_col, .. } => {
                 let _ = writeln!(out, "{pad}FromExtract(col {in_col})");
-                input.explain_into(out, depth + 1);
-            }
-            Plan::Select { input, step } => {
-                let _ = writeln!(out, "{pad}{}", step.render());
-                input.explain_into(out, depth + 1);
             }
             Plan::GenerateProc {
-                input,
                 name,
                 in_cols,
                 out_arity,
+                ..
             } => {
                 let _ = writeln!(out, "{pad}Generate[{name}{in_cols:?} +{out_arity}]");
-                input.explain_into(out, depth + 1);
             }
-            Plan::CrossJoin { left, right } => {
+            Plan::CrossJoin { .. } => {
                 let _ = writeln!(out, "{pad}CrossJoin");
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            Plan::Project { input, cols, names } => {
-                let _ = writeln!(out, "{pad}π[{cols:?} as {names:?}]");
-                input.explain_into(out, depth + 1);
             }
             Plan::Annotate {
-                input,
                 existence,
                 annotated,
+                ..
             } => {
                 let _ = writeln!(out, "{pad}ψ[existence={existence}, attrs={annotated:?}]");
-                input.explain_into(out, depth + 1);
             }
-            Plan::Fused {
-                input,
-                ops,
+            Plan::Pass {
+                steps,
                 project,
                 outer_right,
+                ..
             } => {
-                let mode = if *outer_right { ", outer=right" } else { "" };
-                let _ = writeln!(out, "{pad}Fused[{} steps{mode}]", ops.len());
+                // A fused pass heads its lines; an unfused one is a single
+                // step or projection and prints as that operator.
+                let pad = if self.fused(rel) {
+                    let mode = if *outer_right { ", outer=right" } else { "" };
+                    let _ = writeln!(out, "{pad}Fused[{} steps{mode}]", steps.len());
+                    format!("{pad}  ")
+                } else {
+                    pad
+                };
                 if let Some((cols, names)) = project {
-                    let _ = writeln!(out, "{pad}  π[{cols:?} as {names:?}]");
+                    let _ = writeln!(out, "{pad}π[{cols:?} as {names:?}]");
                 }
                 // Steps print outermost-last like standalone operators
                 // would: the last-applied step first.
-                for op in ops.iter().rev() {
-                    let _ = writeln!(out, "{pad}  {}", op.render());
+                for step in steps.iter().rev() {
+                    let _ = writeln!(out, "{pad}{}", step.render());
                 }
-                input.explain_into(out, depth + 1);
             }
+        }
+        for input in self.inputs() {
+            input.explain_into(out, depth + 1, rel);
         }
     }
 }
@@ -417,13 +509,9 @@ struct Branch {
 }
 
 impl Branch {
-    /// Caps the branch's plan with one selection step.
+    /// Caps the branch's plan with a one-step pass.
     fn select(&mut self, step: FusedOp) {
-        let input = std::mem::replace(&mut self.plan, Plan::ScanExt { name: String::new() });
-        self.plan = Plan::Select {
-            input: Box::new(input),
-            step,
-        };
+        self.plan = Plan::pass(self.plan.take(), vec![step], None);
     }
 
     fn unify_dup(&mut self, var: &str, new_col: usize) {
@@ -455,13 +543,11 @@ fn merge(a: Branch, b: Branch) -> Branch {
         let bcol = col + shift;
         match bound.get(&var) {
             Some(&acol) => {
-                plan = Plan::Select {
-                    input: Box::new(plan),
-                    step: FusedOp::VarUnify {
-                        col_a: acol,
-                        col_b: bcol,
-                    },
+                let step = FusedOp::VarUnify {
+                    col_a: acol,
+                    col_b: bcol,
                 };
+                plan = Plan::pass(plan, vec![step], None);
             }
             None => {
                 bound.insert(var, bcol);
@@ -562,11 +648,7 @@ pub fn compile_rule(rule: &Rule, env: &CompileEnv<'_>) -> Result<Plan, PlanError
         proj_cols.push(col);
         names.push(a.var.clone());
     }
-    let projected = Plan::Project {
-        input: Box::new(branch.plan),
-        cols: proj_cols,
-        names,
-    };
+    let projected = Plan::pass(branch.plan, Vec::new(), Some((proj_cols, names)));
 
     // ψ for the rule's annotations.
     let annotated: Vec<usize> = rule
@@ -613,9 +695,8 @@ fn apply_atom(
             };
             let b = &mut branches[bi];
             let in_col = b.bound[in_var];
-            let input = std::mem::replace(&mut b.plan, Plan::ScanExt { name: String::new() });
             b.plan = Plan::FromExtract {
-                input: Box::new(input),
+                input: Box::new(b.plan.take()),
                 in_col,
             };
             let new_col = b.ncols;
@@ -729,10 +810,8 @@ fn apply_atom(
                     })?;
                     let b = &mut branches[bi];
                     let in_cols: Vec<usize> = in_vars.iter().map(|v| b.bound[*v]).collect();
-                    let input =
-                        std::mem::replace(&mut b.plan, Plan::ScanExt { name: String::new() });
                     b.plan = Plan::GenerateProc {
-                        input: Box::new(input),
+                        input: Box::new(b.plan.take()),
                         name: name.clone(),
                         in_cols,
                         out_arity,
@@ -875,6 +954,11 @@ mod tests {
         compile_rule(&parse_rule(src).unwrap(), &env).unwrap()
     }
 
+    fn explain(plan: &Plan) -> String {
+        let (ext, _, _) = env_maps();
+        plan.explain(&|name| ext.get(name).copied())
+    }
+
     #[test]
     fn per_side_work_stays_below_the_join() {
         // Both sides extract before the cross join: the CrossJoin node must
@@ -883,7 +967,7 @@ mod tests {
             "q(a, b) :- pagesA(x), from(#x, a), numeric(a) = yes, \
              pagesB(y), from(#y, b), numeric(b) = yes, similar(#a, #b).",
         );
-        let explained = plan.explain();
+        let explained = explain(&plan);
         let join_pos = explained.find("CrossJoin").unwrap();
         let from_positions: Vec<usize> = explained
             .match_indices("FromExtract")
@@ -901,7 +985,7 @@ mod tests {
     #[test]
     fn shared_var_across_branches_unifies_at_merge() {
         let plan = compile("q(x) :- pagesA(x), pagesB(x).");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         assert!(explained.contains("col 0 == col 1"), "{explained}");
     }
 
@@ -921,19 +1005,19 @@ mod tests {
             procedures: &procs,
         };
         let plan = compile_rule(&parse_rule("q(x) :- r(x, x).").unwrap(), &env).unwrap();
-        assert!(plan.explain().contains("=="));
+        assert!(explain(&plan).contains("=="));
     }
 
     #[test]
     fn constants_become_selections() {
         let plan = compile("q(x) :- pagesA(x), x = 5.");
-        assert!(plan.explain().contains("Const(Num(5.0))"));
+        assert!(explain(&plan).contains("Const(Num(5.0))"));
     }
 
     #[test]
     fn generator_waits_for_inputs() {
         let plan = compile("q(x, o) :- gen(#x, o), pagesA(x).");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         assert!(explained.contains("Generate[gen"));
     }
 
@@ -953,7 +1037,7 @@ mod tests {
     #[test]
     fn annotations_cap_the_plan() {
         let plan = compile("q(x, <a>)? :- pagesA(x), from(#x, a).");
-        let explained = plan.explain();
+        let explained = explain(&plan);
         assert!(explained.starts_with("ψ[existence=true, attrs=[1]]"));
     }
 

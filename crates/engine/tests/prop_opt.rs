@@ -1,5 +1,5 @@
-//! Property tests of the logical-plan optimizer (DESIGN.md §11): for any
-//! program shape, thread count, and fault arm, the optimized execution
+//! Property tests of the logical-plan optimizer (DESIGN.md §11): for each
+//! program shape below, thread count, and fault arm, the optimized execution
 //! must produce a result **byte-identical** to the unoptimized one —
 //! same table rendering, same degradation records. The optimizer is a
 //! pure performance lever; `Limits::use_optimizer` is an ablation knob
@@ -82,9 +82,10 @@ fn build_engine(n: usize, threads: usize, use_optimizer: bool) -> Engine {
 /// Program shapes covering the optimizer's passes: a constraint chain
 /// that fuses (and reorders once stats warm up), a skewed cross join
 /// that flips orientation, a join with a single-side post-join selection
-/// that pushes down, a generator, and an annotated head.
+/// that pushes down, a generator, an annotated head, and a similarity
+/// join.
 fn program(kind: u8) -> Program {
-    let src = match kind % 5 {
+    let src = match kind % 6 {
         0 => {
             // fusion: constraint + comparison chain over an extraction
             "q(x, v) :- pages(x), e(#x, v), v > 20.\n\
@@ -104,10 +105,16 @@ fn program(kind: u8) -> Program {
             "q(x, a, b) :- pages(x), r2(a, b), x < a, numeric(b) = yes."
         }
         3 => "q(v) :- pages(x), gen(#x, v).",
-        _ => {
+        4 => {
             // annotated head over a fused chain (ψ after Fused)
             "q(x, <v>) :- pages(x), e(#x, v).\n\
              e(#x, v) :- from(#x, v), numeric(v) = yes."
+        }
+        _ => {
+            // similarity join: the straddling `similar` is the first step
+            // over the cross join in both modes, so both take the
+            // token-prefilter join (and its JOIN_TUPLE site)
+            "q(a, b) :- pages(x), from(#x, a), big(y), from(#y, b), similar(#a, #b)."
         }
     };
     parse_program(src).unwrap()
@@ -150,7 +157,7 @@ proptest! {
     #[test]
     fn optimizer_ablation_is_byte_identical(
         n in 3usize..20,
-        kind in 0u8..5,
+        kind in 0u8..6,
     ) {
         for threads in [1usize, 4] {
             let off = observe(n, threads, kind, false, None);
@@ -165,7 +172,7 @@ proptest! {
     #[test]
     fn faults_degrade_identically_with_optimizer_on_or_off(
         n in 3usize..20,
-        kind in 0u8..5,
+        kind in 0u8..6,
         site_idx in 0usize..5,
         panic_not_budget in any::<bool>(),
     ) {
@@ -184,7 +191,7 @@ proptest! {
     #[test]
     fn warm_optimized_caches_preserve_results(
         n in 3usize..16,
-        kind in 0u8..5,
+        kind in 0u8..6,
     ) {
         let prog = program(kind);
         let mut eng = build_engine(n, 4, true);

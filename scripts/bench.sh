@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
 # Benchmark driver: regenerates the parallel-execution report committed
 # as BENCH_parallel.json, the incremental-iteration report committed as
-# BENCH_incremental.json, the logical-plan-optimizer report (written
-# under target/, not committed), and the live-telemetry overhead report
+# BENCH_incremental.json, and the live-telemetry overhead report
 # committed as BENCH_telemetry.json, plus the Table 1 inventory as a
 # sanity anchor.
 # Run from the repository root:
 #   scripts/bench.sh [parallel-report-path] [incremental-report-path] \
-#                    [plan-report-path] [telemetry-report-path]
+#                    [telemetry-report-path]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REPORT="${1:-BENCH_parallel.json}"
 INCR_REPORT="${2:-BENCH_incremental.json}"
-PLAN_REPORT="${3:-target/BENCH_plan.json}"
-TEL_REPORT="${4:-BENCH_telemetry.json}"
+TEL_REPORT="${3:-BENCH_telemetry.json}"
 
 echo "== build (release) =="
 cargo build --release -p iflex-bench
@@ -35,15 +33,6 @@ echo "== exp_scaling --incremental-report =="
 # asserts identical results and reports the session wall-clock speedup.
 ./target/release/exp_scaling --incremental-report "$INCR_REPORT"
 
-echo "== exp_scaling --plan-report =="
-# The DESIGN.md §11 optimizer ablation: serial vs optimized over
-# T1/T5/T8/Panel at corpus scale 1 and 10, single-threaded with
-# sampling and the incremental cache off. The binary asserts both
-# configurations produce identical results. The
-# scale-10 sweep is long; pass extra scales via the binary directly
-# (e.g. `exp_scaling --plan-report out.json --scale 1`) for quick runs.
-./target/release/exp_scaling --plan-report "$PLAN_REPORT"
-
 echo "== exp_scaling --telemetry-report =="
 # DESIGN.md §12: full-scale T1/T5 sessions with live telemetry off vs
 # on, best-of-3 per arm. The binary asserts identical results and that
@@ -58,4 +47,4 @@ echo "== trace overhead smoke =="
 env -u IFLEX_TRACE ./target/release/exp_scaling --smoke target/BENCH_parallel_smoke.json
 ./target/release/exp_trace --smoke target/BENCH_trace_smoke.jsonl
 
-echo "bench OK ($REPORT, $INCR_REPORT, $PLAN_REPORT, $TEL_REPORT)"
+echo "bench OK ($REPORT, $INCR_REPORT, $TEL_REPORT)"

@@ -34,13 +34,6 @@ echo "== parallel speedup smoke =="
 # notice (the identity sweep still runs at a tiny scale).
 ./target/release/exp_scaling --parallel-report target/BENCH_parallel_speedup_smoke.json --smoke
 
-echo "== plan-optimizer smoke =="
-# One tiny workload run serial and optimized; asserts inside the binary
-# check that the optimized configuration produces results identical to
-# the unoptimized one (the DESIGN.md §11 ablation
-# gate; the byte-level version lives in the prop_opt property suite).
-./target/release/exp_scaling --plan-report target/BENCH_plan_smoke.json --smoke
-
 echo "== incremental smoke =="
 # One tiny session pair (incremental on vs off); asserts inside the
 # binary check the result tables and recall are identical, so the cache

@@ -186,6 +186,31 @@ fn explain_matches_runtime_behaviour() {
     assert!(filter_at < join_at);
 }
 
+/// The README's "Explaining a plan" sample, program and output, verbatim:
+/// the optimizer's choices (fusion, step order, the estimate) and the
+/// rendering may not drift from what the documentation shows.
+#[test]
+fn readme_explain_sample_is_verbatim() {
+    let readme = include_str!("../../README.md");
+    let section = &readme[readme.find("## Explaining a plan").expect("README section")..];
+    let between = |open: &str, close: &str| -> &str {
+        let start = section.find(open).expect("opening marker") + open.len();
+        let len = section[start..].find(close).expect("closing marker");
+        &section[start..start + len]
+    };
+    let program = between("cat > prog.alog <<'EOF'\n", "EOF\n");
+    let expected = between("```\n-- ", "```\n");
+    let mut store = DocumentStore::new();
+    let pages = [
+        store.add_markup("<b>Cozy house</b> price 251000, 3 beds"),
+        store.add_markup("<b>Big house</b> price 619000, 5 beds"),
+    ];
+    let mut engine = iflex::engine::Engine::new(std::sync::Arc::new(store));
+    engine.add_doc_table("housePages", &pages);
+    let text = engine.explain(&parse_program(program).unwrap()).unwrap();
+    assert_eq!(text, format!("-- {expected}"));
+}
+
 #[test]
 fn multiple_rules_same_head_union() {
     // a predicate defined by two rules is the union of both results

@@ -333,12 +333,25 @@ fn iteration_records_cover_the_whole_session() {
 /// iterations, questions, refinement, convergence, final full run) must
 /// be **observationally identical** with `Limits::use_optimizer` on or
 /// off — same final table bytes, same [`iflex::StopReason`], same
-/// iteration and question counts. Plan rewriting is invisible to the
-/// whole interactive loop, not just to single executions.
+/// iteration and question counts — on the tiny corpus, for selection
+/// tasks under Sequential and the three join tasks under Simulation.
+///
+/// This is not a law at every scale: T9 under Simulation diverges from
+/// corpus scale 0.1 up (same final table, more questions with the
+/// optimizer off), because reordering `np < bp` ahead of
+/// `similar(...)` moves the similarity test off the token-prefilter join
+/// and the two paths approximate `similar` differently (ROADMAP item 3).
 #[test]
 fn session_stop_reason_and_table_survive_optimizer_ablation() {
     let c = corpus();
-    for id in [TaskId::T1, TaskId::T5] {
+    let cases: [(TaskId, fn() -> Box<dyn Strategy>); 5] = [
+        (TaskId::T1, || Box::new(Sequential)),
+        (TaskId::T5, || Box::new(Sequential)),
+        (TaskId::T3, || Box::new(Simulation::default())),
+        (TaskId::T6, || Box::new(Simulation::default())),
+        (TaskId::T9, || Box::new(Simulation::default())),
+    ];
+    for (id, strategy) in cases {
         let run = |use_optimizer: bool| {
             let task = c.task(id, Some(20));
             let mut engine = task.engine(&c);
@@ -349,7 +362,7 @@ fn session_stop_reason_and_table_survive_optimizer_ablation() {
             let mut session = iflex::Session::new(
                 engine,
                 task.program.clone(),
-                Box::new(Sequential),
+                strategy(),
                 Box::new(SimulatedDeveloper::new(task.oracle.clone())),
             );
             if task.needs_type_cleanup {
