@@ -44,12 +44,11 @@ use std::sync::Arc;
 pub struct Limits {
     /// Max values enumerated from one cell for comparisons/filters.
     pub enum_cap: u64,
-    /// Max value combinations per tuple for p-function evaluation.
+    /// Max value combinations per tuple for p-function evaluation. A
+    /// generator enumerates only its input cells, so this is its one bound.
     pub combo_cap: u64,
     /// Budget for a-table conversion in the exact ψ path.
     pub atable_budget: usize,
-    /// Max tuples when fully expanding expansion cells (generators).
-    pub expand_limit: usize,
     /// Max compact tuples any single operator may materialize; exceeding
     /// it raises [`EngineError::TooLarge`] (an unrefined join over the
     /// full input can otherwise explode).
@@ -107,7 +106,6 @@ impl Default for Limits {
             enum_cap: 4096,
             combo_cap: 65_536,
             atable_budget: 500_000,
-            expand_limit: 65_536,
             max_result_tuples: 2_000_000,
             cmp_enum_cap: 64,
             threads: default_threads(),
@@ -1537,72 +1535,101 @@ impl Engine {
                     crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
                         let store: &DocumentStore = &ec.store;
                         let mut out = Vec::new();
+                        // Enumeration slots (the column each reads) and the
+                        // slot each argument takes, rebuilt per row.
+                        let mut slot_col: Vec<usize> = Vec::new();
+                        let mut arg_slot: Vec<usize> = Vec::new();
                         for tup in &t.tuples()[range] {
                             if let Some(f) = ec.fault.hit(fault::site::GENERATOR) {
                                 return Err(injected(f));
                             }
-                            let flats = tup
-                                .expand_fully(store, ec.limits.expand_limit)
-                                .ok_or_else(|| {
-                                    EngineError::TooLarge(format!("expansion in generator {name}"))
-                                })?;
-                            for flat in flats {
-                                // Possible input combinations over the input columns.
-                                let sets: Vec<Vec<Value>> = in_cols
-                                    .iter()
-                                    .map(|&c| flat.cells[c].value_set(store).into_iter().collect())
-                                    .collect();
-                                let total: u64 = sets
-                                    .iter()
-                                    .fold(1u64, |acc, s| acc.saturating_mul(s.len() as u64));
-                                if total > ec.limits.combo_cap {
-                                    return Err(EngineError::TooLarge(format!(
-                                        "input enumeration in generator {name}"
-                                    )));
-                                }
-                                if total == 0 {
-                                    continue;
-                                }
-                                let uncertain_input = total > 1;
-                                let mut idx = vec![0usize; sets.len()];
-                                loop {
-                                    ec.clock.tick().map_err(EngineError::from)?;
-                                    let args: Vec<Value> = idx
-                                        .iter()
-                                        .zip(&sets)
-                                        .map(|(&i, s)| s[i].clone())
-                                        .collect();
-                                    for row in f(store, &args) {
-                                        if row.len() != out_arity {
-                                            return Err(EngineError::BadProcedure(format!(
-                                                "{name}: returned arity {} != {out_arity}",
-                                                row.len()
-                                            )));
-                                        }
-                                        let mut cells = flat.cells.clone();
-                                        cells.extend(row.into_iter().map(Cell::exact));
-                                        out.push(CompactTuple {
-                                            cells,
-                                            maybe: flat.maybe || uncertain_input,
-                                        });
+                            // An empty expansion cell stands for no row (§3).
+                            if tup.cells.iter().any(|c| c.is_expand() && c.is_empty()) {
+                                continue;
+                            }
+                            // Only the input cells are enumerated; every other
+                            // cell, expansion cells included, passes through.
+                            // Choosing a value of an expansion cell picks one
+                            // of the rows it stands for, so arguments naming
+                            // the same expansion column share one slot; each
+                            // argument over a plain cell is its own slot.
+                            slot_col.clear();
+                            arg_slot.clear();
+                            for &c in &in_cols {
+                                let shared = tup.cells[c]
+                                    .is_expand()
+                                    .then(|| slot_col.iter().position(|&x| x == c))
+                                    .flatten();
+                                arg_slot.push(shared.unwrap_or_else(|| {
+                                    slot_col.push(c);
+                                    slot_col.len() - 1
+                                }));
+                            }
+                            let sets: Vec<Vec<Value>> = slot_col
+                                .iter()
+                                .map(|&c| tup.cells[c].value_set(store).into_iter().collect())
+                                .collect();
+                            // Two bounds, both `combo_cap`: the values of the
+                            // expansion inputs (one row each), and the plain
+                            // inputs' combinations per such row.
+                            let (mut rows, mut combos) = (1u64, 1u64);
+                            for (&c, s) in slot_col.iter().zip(&sets) {
+                                let n = if tup.cells[c].is_expand() {
+                                    &mut rows
+                                } else {
+                                    &mut combos
+                                };
+                                *n = n.saturating_mul(s.len() as u64);
+                            }
+                            if rows > ec.limits.combo_cap || combos > ec.limits.combo_cap {
+                                return Err(EngineError::TooLarge(format!(
+                                    "input enumeration in generator {name}"
+                                )));
+                            }
+                            if rows == 0 || combos == 0 {
+                                continue;
+                            }
+                            // An expanded row is as certain as the compact
+                            // one; a choice among a plain cell's values is not.
+                            let maybe = tup.maybe || combos > 1;
+                            let mut idx = vec![0usize; sets.len()];
+                            loop {
+                                ec.clock.tick().map_err(EngineError::from)?;
+                                let args: Vec<Value> =
+                                    arg_slot.iter().map(|&j| sets[j][idx[j]].clone()).collect();
+                                for row in f(store, &args) {
+                                    if row.len() != out_arity {
+                                        return Err(EngineError::BadProcedure(format!(
+                                            "{name}: returned arity {} != {out_arity}",
+                                            row.len()
+                                        )));
                                     }
-                                    // odometer
-                                    let mut k = sets.len();
-                                    let mut done = sets.is_empty();
-                                    while k > 0 {
-                                        k -= 1;
-                                        idx[k] += 1;
-                                        if idx[k] < sets[k].len() {
-                                            break;
-                                        }
-                                        idx[k] = 0;
-                                        if k == 0 {
-                                            done = true;
+                                    let mut cells = Vec::with_capacity(tup.arity() + out_arity);
+                                    cells.extend_from_slice(&tup.cells);
+                                    for (j, &c) in slot_col.iter().enumerate() {
+                                        if cells[c].is_expand() {
+                                            cells[c] = Cell::exact(sets[j][idx[j]].clone());
                                         }
                                     }
-                                    if done {
+                                    cells.extend(row.into_iter().map(Cell::exact));
+                                    out.push(CompactTuple { cells, maybe });
+                                }
+                                // odometer
+                                let mut k = sets.len();
+                                let mut done = sets.is_empty();
+                                while k > 0 {
+                                    k -= 1;
+                                    idx[k] += 1;
+                                    if idx[k] < sets[k].len() {
                                         break;
                                     }
+                                    idx[k] = 0;
+                                    if k == 0 {
+                                        done = true;
+                                    }
+                                }
+                                if done {
+                                    break;
                                 }
                             }
                         }
@@ -2537,6 +2564,197 @@ mod tests {
             .flat_map(|t| t.cells[1].values(store).map(|v| v.as_text(store).to_string()))
             .collect();
         assert!(ws.contains("20") && ws.contains("40"), "{ws:?}");
+    }
+
+    fn nums(vals: &[u32]) -> Vec<Assignment> {
+        vals.iter()
+            .map(|&n| Assignment::Exact(Value::Num(n as f64)))
+            .collect()
+    }
+
+    /// Runs generator `name` over table `t` (registered as `r`) on its
+    /// input columns `in_cols`.
+    fn run_generator(
+        eng: &mut Engine,
+        t: CompactTable,
+        name: &str,
+        in_cols: Vec<usize>,
+    ) -> Result<Arc<CompactTable>, EngineError> {
+        eng.add_table("r", t);
+        let plan = Plan::GenerateProc {
+            input: Box::new(Plan::ScanExt { name: "r".into() }),
+            name: name.into(),
+            in_cols,
+            out_arity: 1,
+        };
+        eng.eval_plan(&plan, &BTreeMap::new(), None, SpanId::NONE)
+    }
+
+    /// Every flat possible tuple of `t` with the maybe flag of its row, as a
+    /// sorted multiset.
+    fn flat_rows(t: &[CompactTuple], store: &DocumentStore) -> Vec<(Vec<Value>, bool)> {
+        let mut out: Vec<(Vec<Value>, bool)> = t
+            .iter()
+            .flat_map(|tup| {
+                let rows = tup.possible_tuples(store, 1 << 20).unwrap();
+                rows.into_iter().map(move |r| (r, tup.maybe))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn generator_output_matches_full_expansion_reference() {
+        // The reference is the full-expansion semantics: flatten every
+        // expansion cell, call the procedure once per combination of the
+        // flat row's input values, mark maybe when there is more than one.
+        let rows = vec![
+            // expansion input beside an expansion cell in another column
+            CompactTuple::new(vec![
+                Cell::expansion(nums(&[1, 2, 3])),
+                Cell::expansion(nums(&[10, 20])),
+                Cell::exact(Value::Num(7.0)),
+            ]),
+            // multi-valued plain input cell
+            CompactTuple::new(vec![
+                Cell::of(nums(&[4, 5])),
+                Cell::exact(Value::Num(30.0)),
+                Cell::exact(Value::Num(8.0)),
+            ]),
+            // maybe row over an expansion input and a plain two-valued cell
+            CompactTuple::maybe(vec![
+                Cell::expansion(nums(&[6, 2])),
+                Cell::of(nums(&[40, 50])),
+                Cell::exact(Value::Num(9.0)),
+            ]),
+            // empty expansion cell in another column: stands for no row
+            CompactTuple::new(vec![
+                Cell::exact(Value::Num(1.0)),
+                Cell::expansion(Vec::new()),
+                Cell::exact(Value::Num(1.0)),
+            ]),
+        ];
+        let mut table = CompactTable::new(vec!["x".into(), "y".into(), "z".into()]);
+        for r in &rows {
+            table.push(r.clone());
+        }
+        // Joins its arguments; returns nothing when the first is 2.
+        let gen = |args: &[Value]| -> Vec<Vec<Value>> {
+            if args[0] == Value::Num(2.0) {
+                return Vec::new();
+            }
+            let text: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            vec![vec![Value::Str(text.join("+"))]]
+        };
+        let store = Arc::new(DocumentStore::new());
+        for in_cols in [vec![0], vec![0, 0], vec![0, 2], vec![2, 0, 1]] {
+            let mut eng = Engine::new(Arc::clone(&store));
+            eng.procs_mut()
+                .register_generator("g", 1, move |_, args| gen(args));
+            let out = run_generator(&mut eng, table.clone(), "g", in_cols.clone()).unwrap();
+            let mut reference = Vec::new();
+            for r in &rows {
+                for flat in r.expand_fully(&store, 1 << 20).unwrap() {
+                    let sets: Vec<Vec<Value>> = in_cols
+                        .iter()
+                        .map(|&c| flat.cells[c].value_set(&store).into_iter().collect())
+                        .collect();
+                    let total: usize = sets.iter().map(Vec::len).product();
+                    let mut idx = vec![0usize; sets.len()];
+                    for _ in 0..total {
+                        let args: Vec<Value> =
+                            idx.iter().zip(&sets).map(|(&i, s)| s[i].clone()).collect();
+                        for row in gen(&args) {
+                            let mut cells = flat.cells.clone();
+                            cells.extend(row.into_iter().map(Cell::exact));
+                            reference.push(CompactTuple {
+                                cells,
+                                maybe: flat.maybe || total > 1,
+                            });
+                        }
+                        for k in (0..idx.len()).rev() {
+                            idx[k] += 1;
+                            if idx[k] < sets[k].len() {
+                                break;
+                            }
+                            idx[k] = 0;
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                flat_rows(out.tuples(), &store),
+                flat_rows(&reference, &store),
+                "in_cols {in_cols:?}"
+            );
+            // Unread expansion cells stay compact.
+            if !in_cols.contains(&1) {
+                assert!(out.len() < reference.len(), "in_cols {in_cols:?}");
+                assert!(out.tuples().iter().any(|t| t.cells[1].is_expand()));
+            }
+        }
+    }
+
+    #[test]
+    fn generator_is_called_once_per_input_value() {
+        // x has 3 values, y (unread) 2: the procedure sees each x once;
+        // flattening y as well would call it 3 × 2 times.
+        let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut eng = Engine::new(Arc::new(DocumentStore::new()));
+        let counter = Arc::clone(&calls);
+        eng.procs_mut()
+            .register_generator("count", 1, move |_, args| {
+                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                vec![vec![args[0].clone()]]
+            });
+        let mut t = CompactTable::new(vec!["x".into(), "y".into()]);
+        t.push(CompactTuple::new(vec![
+            Cell::expansion(nums(&[1, 2, 3])),
+            Cell::expansion(nums(&[10, 20])),
+        ]));
+        t.push(CompactTuple::new(vec![
+            Cell::of(nums(&[4, 5])),
+            Cell::expansion(nums(&[30, 40, 50])),
+        ]));
+        let out = run_generator(&mut eng, t, "count", vec![0]).unwrap();
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3 + 2);
+        assert_eq!(out.len(), 5);
+        assert_eq!(out.expanded_len(eng.store()), 3 * 2 + 2 * 3);
+    }
+
+    #[test]
+    fn generator_bounds_inputs_not_unread_cells() {
+        let mut eng = Engine::new(Arc::new(DocumentStore::new()));
+        eng.procs_mut()
+            .register_generator("none", 1, |_, _| Vec::new());
+        eng.procs_mut()
+            .register_generator("echo", 1, |_, args| vec![vec![args[0].clone()]]);
+        let wide: Vec<u32> = (0..70_000).collect();
+        assert!(70_000 > eng.limits.combo_cap);
+        // An unread expansion cell wider than combo_cap passes through.
+        let mut t = CompactTable::new(vec!["x".into(), "y".into()]);
+        t.push(CompactTuple::new(vec![
+            Cell::exact(Value::Num(1.0)),
+            Cell::expansion(nums(&wide)),
+        ]));
+        let out = run_generator(&mut eng, t.clone(), "echo", vec![0]).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out.expanded_len(eng.store()), 70_000);
+        // Reading it exceeds the bound.
+        let err = run_generator(&mut eng, t, "echo", vec![1]).unwrap_err();
+        assert!(matches!(err, EngineError::TooLarge(_)), "{err:?}");
+        // The expansion input and the plain inputs are bounded apart:
+        // 300 rows of 300 plain combinations each run.
+        let three_hundred: Vec<u32> = (0..300).collect();
+        let mut t = CompactTable::new(vec!["x".into(), "z".into()]);
+        t.push(CompactTuple::new(vec![
+            Cell::expansion(nums(&three_hundred)),
+            Cell::of(nums(&three_hundred)),
+        ]));
+        assert!(run_generator(&mut eng, t, "none", vec![0, 1])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -75,6 +75,51 @@ fn definition2_worlds(r: &Relation) -> BTreeSet<Relation> {
     out
 }
 
+/// Brute force: the true relation of the Chair-shaped program
+/// `q(x, v, w, t) :- pages(x), e(#x, v), b(#x, w), twice(#v, t).`
+/// `e(#x, v) :- from(#x, v), numeric(v) = yes.`
+/// `b(#x, w) :- from(#x, w), bold-font(w) = yes.`
+/// where the generator `twice` returns `2v` for `v > T` and nothing else.
+fn true_generated_relation(
+    store: &DocumentStore,
+    reg: &FeatureRegistry,
+    docs: &[iflex_text::DocId],
+    threshold: f64,
+) -> Relation {
+    let mut out = Relation::new();
+    let numeric = reg.get("numeric").unwrap();
+    let bold = reg.get("bold-font").unwrap();
+    for &d in docs {
+        let doc = store.doc(d);
+        let full = doc.full_span();
+        let spans: Vec<Span> = doc
+            .tokens()
+            .subspans(0, doc.len())
+            .map(|(s, e)| Span::new(d, s, e))
+            .collect();
+        for &v in &spans {
+            if !numeric.verify(store, v, &FeatureArg::yes()).unwrap() {
+                continue;
+            }
+            let n = iflex_text::parse_number(store.span_text(&v)).unwrap();
+            if n <= threshold {
+                continue;
+            }
+            for &w in &spans {
+                if bold.verify(store, w, &FeatureArg::yes()).unwrap() {
+                    out.insert(vec![
+                        Value::Span(full),
+                        Value::Span(v),
+                        Value::Span(w),
+                        Value::Num(2.0 * n),
+                    ]);
+                }
+            }
+        }
+    }
+    out
+}
+
 fn build_docs(specs: &[(Vec<u8>, usize)]) -> (Arc<DocumentStore>, Vec<iflex_text::DocId>) {
     let mut store = DocumentStore::new();
     let mut ids = Vec::new();
@@ -168,5 +213,49 @@ proptest! {
                 engine_worlds.len()
             );
         }
+    }
+
+    /// A generator over one extracted column beside a second extracted
+    /// column (the Chair task's shape): the tuple universe contains the
+    /// truth and the certain tuples lie inside it, serial and threaded.
+    #[test]
+    fn generator_beside_an_unread_column_brackets_the_truth(
+        specs in proptest::collection::vec(
+            (proptest::collection::vec(0u8..40, 1..5), 0usize..4),
+            1..4,
+        ),
+        threshold in 0u32..60,
+    ) {
+        let (store, ids) = build_docs(&specs);
+        let prog = parse_program(
+            "q(x, v, w, t) :- pages(x), e(#x, v), b(#x, w), twice(#v, t).\n\
+             e(#x, v) :- from(#x, v), numeric(v) = yes.\n\
+             b(#x, w) :- from(#x, w), bold-font(w) = yes.",
+        )
+        .unwrap();
+        let mut results = Vec::new();
+        for threads in [1, 4] {
+            let mut eng = Engine::new(Arc::clone(&store));
+            eng.limits.threads = threads;
+            eng.add_doc_table("pages", &ids);
+            let t = threshold as f64;
+            eng.procs_mut().register_generator("twice", 1, move |st, args| {
+                match args[0].as_num(st) {
+                    Some(n) if n > t => vec![vec![Value::Num(2.0 * n)]],
+                    _ => Vec::new(),
+                }
+            });
+            let result = eng.run(&prog).unwrap();
+            let truth = true_generated_relation(eng.store(), eng.features(), &ids, t);
+            let universe = worlds::tuple_universe(&result, eng.store(), 1_000_000).unwrap();
+            for row in &truth {
+                prop_assert!(universe.contains(row), "true tuple {row:?} lost");
+            }
+            for row in result.certain_tuples(eng.store(), 1_000_000) {
+                prop_assert!(truth.contains(&row), "wrong certain tuple {row:?}");
+            }
+            results.push(result);
+        }
+        prop_assert_eq!(&results[0], &results[1]);
     }
 }

@@ -32,8 +32,8 @@ impl Feature for Capitalized {
     ) -> Result<bool, FeatureError> {
         let doc = store.doc(span.doc);
         let toks = doc.token_slice(&span);
-        let words: Vec<&Token> = toks.iter().filter(|t| t.kind == TokenKind::Word).collect();
-        let all_cap = !words.is_empty() && words.iter().all(|t| is_cap_word(doc.text(), t));
+        let mut words = toks.iter().filter(|t| t.kind == TokenKind::Word).peekable();
+        let all_cap = words.peek().is_some() && words.all(|t| is_cap_word(doc.text(), t));
         Ok(match expect_tri(self.name(), arg)? {
             FeatureValue::Yes | FeatureValue::DistinctYes => all_cap,
             FeatureValue::No | FeatureValue::DistinctNo => !all_cap,
@@ -114,7 +114,7 @@ impl Feature for PersonName {
         let doc = store.doc(span.doc);
         match expect_tri(self.name(), arg)? {
             FeatureValue::Yes | FeatureValue::DistinctYes => {
-                let toks: Vec<Token> = doc.token_slice(&span).to_vec();
+                let toks = doc.token_slice(&span);
                 let mut out = Vec::new();
                 let mut i = 0;
                 while i < toks.len() {
@@ -214,7 +214,7 @@ impl Feature for LengthBound {
             });
         }
         // max-length: maximal token windows of byte length <= n.
-        let toks: Vec<Token> = doc.token_slice(&span).to_vec();
+        let toks = doc.token_slice(&span);
         let mut out: Vec<Assignment> = Vec::new();
         let mut j = 0usize;
         let mut last_j: Option<usize> = None;
@@ -336,11 +336,9 @@ impl Feature for PatternEdge {
             } else {
                 // match must end on a token boundary; candidates extend back
                 // to start of line
-                let ends_on_boundary = toks
-                    .tokens()
-                    .iter()
-                    .any(|t| t.end == abs_end);
-                if !ends_on_boundary {
+                let ts = toks.tokens();
+                let at = ts.partition_point(|t| t.end < abs_end);
+                if ts.get(at).map(|t| t.end) != Some(abs_end) {
                     continue;
                 }
                 let (ls, _) = super::shape::line_bounds_of(text, abs_start as usize);

@@ -3,16 +3,39 @@
 
 use crate::compile::{Inst, Program};
 
+/// The VM's thread lists, kept across the start positions of one search.
+#[derive(Default)]
+struct Scratch {
+    clist: Vec<usize>,
+    nlist: Vec<usize>,
+    on_clist: Vec<bool>,
+    on_nlist: Vec<bool>,
+}
+
 /// Executes `prog` against `text[start..]`, requiring the match to begin
 /// exactly at byte offset `start`. Returns the end byte offset of the match
 /// chosen by greedy thread priority.
 pub fn match_at(prog: &Program, text: &str, start: usize) -> Option<usize> {
+    match_at_in(prog, text, start, &mut Scratch::default())
+}
+
+/// [`match_at`] over caller-owned thread lists.
+fn match_at_in(prog: &Program, text: &str, start: usize, scratch: &mut Scratch) -> Option<usize> {
     debug_assert!(text.is_char_boundary(start));
     let insts = &prog.insts;
-    let mut clist: Vec<usize> = Vec::with_capacity(insts.len());
-    let mut nlist: Vec<usize> = Vec::with_capacity(insts.len());
-    let mut on_clist = vec![false; insts.len()];
-    let mut on_nlist = vec![false; insts.len()];
+    let Scratch {
+        clist,
+        nlist,
+        on_clist,
+        on_nlist,
+    } = scratch;
+    clist.clear();
+    clist.reserve(insts.len());
+    nlist.reserve(insts.len());
+    on_clist.clear();
+    on_clist.resize(insts.len(), false);
+    on_nlist.clear();
+    on_nlist.resize(insts.len(), false);
     let mut best: Option<usize> = None;
 
     // addthread follows epsilon transitions in priority order.
@@ -63,8 +86,8 @@ pub fn match_at(prog: &Program, text: &str, start: usize) -> Option<usize> {
     let at_input_start = start == 0;
     add(
         insts,
-        &mut clist,
-        &mut on_clist,
+        clist,
+        on_clist,
         0,
         at_input_start,
         tail.is_empty(),
@@ -81,13 +104,13 @@ pub fn match_at(prog: &Program, text: &str, start: usize) -> Option<usize> {
         let next_is_end = chars.peek().is_none();
         nlist.clear();
         on_nlist.iter_mut().for_each(|b| *b = false);
-        for &pc in &clist {
+        for &pc in clist.iter() {
             if let Inst::Class(ref cls) = insts[pc] {
                 if cls.matches(c) {
                     add(
                         insts,
-                        &mut nlist,
-                        &mut on_nlist,
+                        nlist,
+                        on_nlist,
                         pc + 1,
                         false,
                         next_is_end,
@@ -97,17 +120,18 @@ pub fn match_at(prog: &Program, text: &str, start: usize) -> Option<usize> {
                 }
             }
         }
-        std::mem::swap(&mut clist, &mut nlist);
-        std::mem::swap(&mut on_clist, &mut on_nlist);
+        std::mem::swap(clist, nlist);
+        std::mem::swap(on_clist, on_nlist);
     }
     best
 }
 
 /// Finds the leftmost match starting at or after `from`; returns byte range.
 pub fn find_from(prog: &Program, text: &str, from: usize) -> Option<(usize, usize)> {
+    let mut scratch = Scratch::default();
     let mut start = from;
     loop {
-        if let Some(end) = match_at(prog, text, start) {
+        if let Some(end) = match_at_in(prog, text, start, &mut scratch) {
             return Some((start, end));
         }
         if prog.anchored_start && start > 0 {
