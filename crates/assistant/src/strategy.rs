@@ -203,10 +203,9 @@ impl Strategy for Simulation {
         }
 
         // Phase B: flatten every (candidate, answer) refinement into one
-        // job list and execute it — on snapshot engines across worker
-        // threads when the engine's thread budget allows, serially on the
-        // live engine otherwise. Results come back in job order either
-        // way, so the fold below is oblivious to how the jobs ran.
+        // job list and execute it on snapshot engines, one per worker
+        // thread the engine's budget allows. Results come back in job
+        // order, so the fold below is oblivious to how the jobs ran.
         let mut jobs: Vec<Program> = Vec::new();
         let mut ranges: Vec<(usize, usize, usize)> = Vec::new(); // (ordered idx, start, len)
         for (i, space) in &cands {
@@ -311,10 +310,11 @@ fn interleave_by_attr(by_attr: Vec<Question>) -> Vec<Question> {
 ///
 /// Probes ride the engine's incremental cache (DESIGN.md §9): the refined
 /// candidate program shares every rule fingerprint with the base program
-/// except the one refined rule and its dependency cone, so a probe
-/// re-evaluates only that **overlay** — upstream results are served from
-/// the cache the base iteration populated, shrinking Simulation-strategy
-/// cost from O(candidates × program) toward O(candidates × cone). With
+/// except the one refined rule, so its keys differ only on that rule and
+/// everything downstream of it. A probe re-evaluates only that
+/// **overlay** — upstream results are served from the cache the base
+/// iteration populated, shrinking Simulation-strategy cost from
+/// O(candidates × program) toward O(candidates × overlay). With
 /// `Limits::use_incremental` off (ablation) every probe re-runs the whole
 /// program.
 fn simulate_probe(
@@ -349,31 +349,25 @@ fn simulate_probe(
 
 /// Runs every simulation job, returning results in job order.
 ///
-/// With a thread budget above one, jobs are split into contiguous chunks
-/// and each chunk runs on its own [`Engine::snapshot`] — sharing the
-/// document store, fault plan, and feature statistics with the live
-/// engine, and starting from a **copy of the live incremental cache** (so every probe
-/// reuses the base program's upstream rule results and overlays only its
-/// probed cone). Snapshot engines run their probes serially
+/// Jobs are split into one contiguous chunk per thread, and each chunk
+/// runs on its own [`Engine::snapshot`] — sharing the document store,
+/// fault plan, and feature statistics with the live engine, and starting
+/// from a **copy of the live incremental cache** (so every probe reuses
+/// the base program's upstream rule results and overlays only its probed
+/// rule). Probes never run on the live engine, so one thread and many
+/// run the same algorithm. Snapshot engines run their probes serially
 /// (`threads = 1`) so simulation-level fan-out does not multiply with
 /// operator-level fan-out. Warm cache entries flow back via
-/// [`Engine::absorb_cache`] in chunk order. Because each job is an
-/// independent, deterministic engine run and results are folded in job
-/// order, the parallel path returns exactly what the serial path would.
+/// [`Engine::absorb_cache`] in chunk order. Each job is an independent,
+/// deterministic engine run and results are folded in job order, so the
+/// thread count never changes what this returns.
 fn simulate_jobs(
     engine: &mut Engine,
     jobs: &[Program],
     sample: Sample,
     current_size: usize,
 ) -> Vec<(usize, usize)> {
-    let threads = engine.limits.threads.max(1);
-    if threads <= 1 || jobs.len() < 2 {
-        return jobs
-            .iter()
-            .map(|p| simulate_probe(engine, p, sample, current_size))
-            .collect();
-    }
-    let chunk = jobs.len().div_ceil(threads);
+    let chunk = jobs.len().div_ceil(engine.limits.threads.max(1)).max(1);
     let snapshots: Vec<Engine> = jobs
         .chunks(chunk)
         .map(|_| {

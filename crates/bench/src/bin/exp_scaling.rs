@@ -306,122 +306,6 @@ fn parallel_report(path: &str, smoke: bool) {
     println!("wrote {path}");
 }
 
-/// One workload of the incremental ablation: the same session with the
-/// DESIGN.md §9 incremental engine off (full re-execution every run) and
-/// on, asserting identical results.
-struct IncrRow {
-    task: String,
-    scale: f64,
-    full_secs: f64,
-    incremental_secs: f64,
-    /// Incremental-cache hits/misses of the final full run (per-run
-    /// counters; the session's iteration runs reset them).
-    incr_hits: usize,
-    incr_misses: usize,
-    incr_invalidations: usize,
-}
-
-fn render_incr_json(rows: &[IncrRow]) -> String {
-    let mut out = String::from("{\n");
-    out += &format!(
-        "  \"host_parallelism\": {},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    );
-    out += "  \"strategy\": \"Simulation\",\n";
-    out += "  \"workloads\": [\n";
-    for (i, r) in rows.iter().enumerate() {
-        out += "    {\n";
-        out += &format!("      \"task\": \"{}\",\n", r.task);
-        out += &format!("      \"scale\": {},\n", r.scale);
-        out += &format!("      \"full_reexec_secs\": {:.4},\n", r.full_secs);
-        out += &format!("      \"incremental_secs\": {:.4},\n", r.incremental_secs);
-        out += &format!(
-            "      \"speedup\": {:.2},\n",
-            r.full_secs / r.incremental_secs.max(1e-9)
-        );
-        out += &format!("      \"final_run_incr_hits\": {},\n", r.incr_hits);
-        out += &format!("      \"final_run_incr_misses\": {},\n", r.incr_misses);
-        out += &format!(
-            "      \"final_run_incr_invalidations\": {}\n",
-            r.incr_invalidations
-        );
-        out += if i + 1 == rows.len() { "    }\n" } else { "    },\n" };
-    }
-    out += "  ]\n}\n";
-    out
-}
-
-/// The incremental-ablation sweep (`--incremental-report`): multi-iteration
-/// sessions with the Simulation strategy, `use_incremental` off vs on,
-/// single-threaded so the comparison isolates re-execution cost. The
-/// binary asserts both configurations converge to the identical result.
-fn incremental_report(path: &str, smoke: bool) {
-    let workloads: Vec<Workload> = if smoke {
-        vec![Workload {
-            id: TaskId::T1,
-            scale: 0.1,
-        }]
-    } else {
-        vec![
-            Workload {
-                id: TaskId::T1,
-                scale: 1.0,
-            },
-            Workload {
-                id: TaskId::T5,
-                scale: 1.0,
-            },
-        ]
-    };
-    let mut rows = Vec::new();
-    for w in &workloads {
-        let corpus = Corpus::build(CorpusConfig::scaled(w.scale));
-        let full = ExecConfig {
-            threads: Some(1),
-            use_incremental: false,
-            use_sampling: false,
-            ..ExecConfig::default()
-        };
-        let incremental = ExecConfig {
-            threads: Some(1),
-            use_sampling: false,
-            ..ExecConfig::default()
-        };
-        let (full_secs, f) = timed(&corpus, w.id, full);
-        let (incremental_secs, i) = timed(&corpus, w.id, incremental);
-        assert_eq!(
-            i.quality.result_tuples, f.quality.result_tuples,
-            "{:?} scale {}: incremental execution changed the result",
-            w.id, w.scale
-        );
-        assert!((i.quality.recall - f.quality.recall).abs() < 1e-12);
-        let st = &i.outcome.final_stats;
-        rows.push(IncrRow {
-            task: format!("{:?}", w.id),
-            scale: w.scale,
-            full_secs,
-            incremental_secs,
-            incr_hits: st.incr_hits,
-            incr_misses: st.incr_misses,
-            incr_invalidations: st.incr_invalidations,
-        });
-    }
-    for r in &rows {
-        println!(
-            "{:>6} @{}: full re-exec {:.2}s  incremental {:.2}s  ({:.2}x)  final-run hits/misses {}/{}",
-            r.task,
-            r.scale,
-            r.full_secs,
-            r.incremental_secs,
-            r.full_secs / r.incremental_secs.max(1e-9),
-            r.incr_hits,
-            r.incr_misses,
-        );
-    }
-    std::fs::write(path, render_incr_json(&rows)).expect("write report");
-    println!("wrote {path}");
-}
-
 /// One workload of the telemetry-overhead comparison: the identical
 /// session with live telemetry off and on.
 struct TelRow {
@@ -520,7 +404,6 @@ fn telemetry_report(path: &str, smoke: bool) {
     let on = ExecConfig {
         threads: Some(1),
         telemetry: true,
-        ..ExecConfig::default()
     };
     let mut rows = Vec::new();
     for w in &workloads {
@@ -605,20 +488,6 @@ fn main() {
             args.get(1).map(|s| s.as_str()).unwrap_or("BENCH_parallel_smoke.json"),
             true,
         ),
-        Some("--incremental-report") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let default = if smoke {
-                "BENCH_incremental_smoke.json"
-            } else {
-                "BENCH_incremental.json"
-            };
-            let path = args[1..]
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .map(|s| s.as_str())
-                .unwrap_or(default);
-            incremental_report(path, smoke);
-        }
         Some("--telemetry-report") => {
             let smoke = args.iter().any(|a| a == "--smoke");
             let default = if smoke {

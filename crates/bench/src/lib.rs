@@ -66,41 +66,21 @@ pub struct RunResult {
     pub quality: Quality,
     /// Wall-clock seconds of [`Session::run`] alone — iterations,
     /// simulation probes, and the final full execution, excluding engine
-    /// construction and quality scoring (the quantity the incremental
-    /// report compares across configurations).
+    /// construction and quality scoring (the quantity the parallel and
+    /// telemetry reports compare across configurations).
     pub session_secs: f64,
 }
 
 /// Engine configuration for one benchmark session (the parallel-execution
 /// comparison axes).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ExecConfig {
     /// Worker threads (`None` = the engine default).
     pub threads: Option<usize>,
-    /// Whether the incremental re-execution engine (DESIGN.md §9) serves
-    /// unchanged rule results across iterations and simulation probes;
-    /// `false` re-executes the whole program on every run.
-    pub use_incremental: bool,
-    /// Whether iterations run over a sampled subset (§5.2). The
-    /// incremental report disables this so iterations and simulation
-    /// probes run at full scale — the regime where redundant
-    /// re-execution, not subset approximation, is the cost being measured.
-    pub use_sampling: bool,
     /// Whether live telemetry (the engine's per-run window/sketch series
     /// and flight recorder) records during the session — the axis
     /// `exp_scaling --telemetry-report` measures the overhead of.
     pub telemetry: bool,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            threads: None,
-            use_incremental: true,
-            use_sampling: true,
-            telemetry: false,
-        }
-    }
 }
 
 /// Runs a full iFlex session (§5): subset iterations with the given
@@ -120,7 +100,6 @@ pub fn run_session_configured(
     exec: ExecConfig,
 ) -> RunResult {
     let mut engine = task.engine(corpus);
-    engine.limits.use_incremental = exec.use_incremental;
     if exec.telemetry {
         engine.live = iflex_engine::obs::LiveSet::enabled();
         engine.flight = iflex_engine::obs::FlightRecorder::new(0);
@@ -132,7 +111,6 @@ pub fn run_session_configured(
         Box::new(SimulatedDeveloper::new(task.oracle.clone())),
     );
     session.config.threads = exec.threads;
-    session.config.use_sampling = exec.use_sampling;
     if task.needs_type_cleanup {
         session
             .clock

@@ -10,7 +10,7 @@ use iflex::{norm_text, OracleSpec, Truth};
 use iflex_ctable::Value;
 use iflex::engine::similarity::norm_tokens;
 use iflex_features::{FeatureArg, FeatureValue};
-use iflex_text::DocId;
+use iflex_text::{tokenize, DocId, TokenKind};
 
 /// Task identifiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -197,6 +197,29 @@ fn text(s: &str) -> FeatureArg {
     FeatureArg::Text(s.to_string())
 }
 
+/// Adds `capitalized(attr) = yes` when it holds on every one of `titles`
+/// — the titles behind the task's ground-truth tuples — by the
+/// `capitalized` feature's own rule: every word token starts uppercase.
+/// A developer who has seen "Crimson River of Dawn" does not claim it.
+fn capitalized_if<'a>(
+    oracle: OracleSpec,
+    attr: &str,
+    mut titles: impl Iterator<Item = &'a str>,
+) -> OracleSpec {
+    let capitalized = |title: &str| {
+        let mut words = tokenize(title)
+            .into_iter()
+            .filter(|t| t.kind == TokenKind::Word)
+            .peekable();
+        words.peek().is_some() && words.all(|t| title[t.range()].starts_with(char::is_uppercase))
+    };
+    if titles.all(capitalized) {
+        oracle.knows(attr, "capitalized", tri(FeatureValue::Yes))
+    } else {
+        oracle
+    }
+}
+
 /// Adds truthful "style absent" answers for an attribute: the developer
 /// can always answer appearance questions after visual inspection (§5.1.1).
 fn deny_styles(mut oracle: OracleSpec, attr: &str, except: &[&str]) -> OracleSpec {
@@ -281,17 +304,22 @@ impl Corpus {
         .expect("T2 program");
         let oracle = OracleSpec::new()
             .knows("extractEbert.title", "followed-by", text("released"))
-            .knows("extractEbert.title", "capitalized", tri(FeatureValue::Yes))
             .knows("extractEbert.year", "underlined", tri(FeatureValue::DistinctYes))
             .knows("extractEbert.year", "preceded-by", text("released"))
             .knows("extractEbert.year", "max-value", FeatureArg::Num(2010.0))
             .knows("extractEbert.year", "min-value", FeatureArg::Num(1900.0));
         let oracle = deny_styles(oracle, "extractEbert.year", &["numeric", "underlined"]);
-        let truth = recs
-            .iter()
-            .filter(|(_, r)| (1950..1970).contains(&r.year))
-            .map(|(_, r)| vec![norm_text(&r.title)])
-            .collect();
+        let truth_recs = || {
+            recs.iter()
+                .map(|(_, r)| r)
+                .filter(|r| (1950..1970).contains(&r.year))
+        };
+        let oracle = capitalized_if(
+            oracle,
+            "extractEbert.title",
+            truth_recs().map(|r| r.title.as_str()),
+        );
+        let truth = truth_recs().map(|r| vec![norm_text(&r.title)]).collect();
         Task {
             id: TaskId::T2,
             program,
@@ -322,30 +350,35 @@ impl Corpus {
         let oracle = OracleSpec::new()
             .knows("extractIMDBt.t", "bold-font", tri(FeatureValue::DistinctYes))
             .knows("extractIMDBt.t", "followed-by", text("("))
-            .knows("extractIMDBt.t", "capitalized", tri(FeatureValue::Yes))
             .knows("extractEbertT.t", "italic-font", tri(FeatureValue::DistinctYes))
             .knows("extractEbertT.t", "followed-by", text("released"))
             .knows("extractPrasT.t", "bold-font", tri(FeatureValue::DistinctYes))
-            .knows("extractPrasT.t", "followed-by", text("genre"))
-            .knows("extractPrasT.t", "capitalized", tri(FeatureValue::Yes));
+            .knows("extractPrasT.t", "followed-by", text("genre"));
         // truth: one row per (imdb, ebert, prasanna) triple whose titles
         // approximately match (the result is a bag of join triples)
         let i_tokens = token_sets(&imdb, |r| r.title.as_str());
         let e_tokens = token_sets(&ebert, |r| r.title.as_str());
         let p_tokens = token_sets(&pras, |r| r.title.as_str());
         let mut truth: Truth = Vec::new();
+        // The IMDB and Prasanna titles behind truth triples, for the
+        // oracle's `capitalized` facts.
+        let (mut i_titles, mut p_titles) = (Vec::new(), Vec::new());
         for ((_, r1), t1) in imdb.iter().zip(&i_tokens) {
             for t2 in &e_tokens {
                 if !sets_match(t1, t2) {
                     continue;
                 }
-                for t3 in &p_tokens {
+                for ((_, r3), t3) in pras.iter().zip(&p_tokens) {
                     if sets_match(t2, t3) {
                         truth.push(vec![norm_text(&r1.title)]);
+                        i_titles.push(r1.title.as_str());
+                        p_titles.push(r3.title.as_str());
                     }
                 }
             }
         }
+        let oracle = capitalized_if(oracle, "extractIMDBt.t", i_titles.into_iter());
+        let oracle = capitalized_if(oracle, "extractPrasT.t", p_titles.into_iter());
         Task {
             id: TaskId::T3,
             program,
@@ -705,6 +738,7 @@ impl Corpus {
 mod tests {
     use super::*;
     use crate::CorpusConfig;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn every_task_has_nonempty_truth_at_tiny_scale() {
@@ -761,6 +795,101 @@ mod tests {
                 f.verify(&c.store, span, &expect).unwrap(),
                 "{feature} should hold on the true votes span"
             );
+        }
+    }
+
+    /// Checks a claimed `capitalized(attr) = yes` with the feature's own
+    /// `Verify` on each title's span in its record document.
+    fn assert_capitalized_holds(
+        c: &Corpus,
+        task: &Task,
+        attr: &str,
+        titles: &[(DocId, &str)],
+    ) {
+        if task.oracle.lookup(attr, "capitalized").is_none() {
+            return;
+        }
+        assert!(!titles.is_empty(), "{:?}: no truth titles", task.id);
+        let engine = task.engine(c);
+        let f = engine.features().get("capitalized").unwrap();
+        for &(doc, title) in titles {
+            let at = c.store.doc(doc).text().find(title).unwrap() as u32;
+            let span = iflex_text::Span::new(doc, at, at + title.len() as u32);
+            let yes = FeatureArg::Tri(FeatureValue::Yes);
+            assert!(
+                f.verify(&c.store, span, &yes).unwrap(),
+                "{:?}: the oracle claims {attr} capitalized, but not on {title:?}",
+                task.id
+            );
+        }
+    }
+
+    #[test]
+    fn capitalized_facts_hold_on_every_truth_title() {
+        // T2 and T3 at scale 10 reach the "{adj} {noun} of {noun2}" titles.
+        let ten = CorpusConfig::scaled(10.0);
+        let c = Corpus::build(CorpusConfig {
+            n_imdb: ten.n_imdb,
+            n_ebert: ten.n_ebert,
+            n_prasanna: ten.n_prasanna,
+            ..CorpusConfig::tiny()
+        });
+        let m = &c.movies;
+        let title_of: BTreeMap<DocId, &str> = m
+            .imdb
+            .iter()
+            .map(|(d, r)| (*d, r.title.as_str()))
+            .chain(m.ebert.iter().map(|(d, r)| (*d, r.title.as_str())))
+            .chain(m.prasanna.iter().map(|(d, r)| (*d, r.title.as_str())))
+            .collect();
+        // The (document, title) records of one of a task's tables.
+        let recs = |task: &Task, table: &str| -> Vec<(DocId, &str)> {
+            let (_, ids) = task.tables.iter().find(|(t, _)| t == table).unwrap();
+            ids.iter().map(|id| (*id, title_of[id])).collect()
+        };
+
+        let t2 = c.task(TaskId::T2, Some(500));
+        let year_of: BTreeMap<DocId, u32> = m.ebert.iter().map(|(d, r)| (*d, r.year)).collect();
+        let in_years: Vec<(DocId, &str)> = recs(&t2, "ebert")
+            .into_iter()
+            .filter(|(d, _)| (1950..1970).contains(&year_of[d]))
+            .collect();
+        assert_capitalized_holds(&c, &t2, "extractEbert.title", &in_years);
+
+        // T3's truth triples chain IMDB ~ Ebert ~ Prasanna: an IMDB or
+        // Prasanna title is behind one when it matches an Ebert title
+        // that matches on both sides.
+        let t3 = c.task(TaskId::T3, Some(500));
+        let (i, e, p) = (recs(&t3, "imdb"), recs(&t3, "ebert"), recs(&t3, "prasanna"));
+        let i_tok = token_sets(&i, |t| t);
+        let p_tok = token_sets(&p, |t| t);
+        let joins =
+            |a: &BTreeSet<String>, bs: &[BTreeSet<String>]| bs.iter().any(|b| sets_match(a, b));
+        let e_mid: Vec<BTreeSet<String>> = token_sets(&e, |t| t)
+            .into_iter()
+            .filter(|e| joins(e, &i_tok) && joins(e, &p_tok))
+            .collect();
+        for (attr, recs, toks) in [
+            ("extractIMDBt.t", &i, &i_tok),
+            ("extractPrasT.t", &p, &p_tok),
+        ] {
+            let behind: Vec<(DocId, &str)> = recs
+                .iter()
+                .zip(toks)
+                .filter(|(_, t)| joins(t, &e_mid))
+                .map(|(r, _)| *r)
+                .collect();
+            assert_capitalized_holds(&c, &t3, attr, &behind);
+        }
+    }
+
+    #[test]
+    fn benchmark_scale_t3_keeps_its_capitalized_facts() {
+        // At scale 1 every truth title is capitalized, so the facts stay.
+        let c = Corpus::build(CorpusConfig::default());
+        let t3 = c.task(TaskId::T3, None);
+        for attr in ["extractIMDBt.t", "extractPrasT.t"] {
+            assert!(t3.oracle.lookup(attr, "capitalized").is_some(), "{attr}");
         }
     }
 

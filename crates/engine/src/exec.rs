@@ -80,7 +80,7 @@ pub struct Limits {
     /// rules, version relations, and serve unchanged rule results from the
     /// incremental cache (`incr.rs`) across iterations and simulation probes.
     /// Disabling it (ablation knob) re-executes every rule on every run —
-    /// no lookups, no inserts, no cone invalidation.
+    /// no lookups, no inserts.
     pub use_incremental: bool,
     /// Programmatic switch for the structured trace journal: sessions
     /// enable the engine's [`Tracer`] when this is set *or* the
@@ -267,7 +267,9 @@ pub struct ExecStats {
     /// Incremental-cache misses this run (rules that fell through to
     /// evaluation while the incremental engine was on).
     pub incr_misses: usize,
-    /// Entries evicted by dependency-cone invalidation at run start.
+    /// Incremental-cache entries the byte budget evicted since the
+    /// previous run ended: this run's inserts plus any snapshot caches
+    /// absorbed in between.
     pub incr_invalidations: usize,
 }
 
@@ -593,15 +595,17 @@ impl EngineCore {
     /// computed the same pure results), and the whole call is refused —
     /// returning `false` — when the fork has diverged from the core
     /// (registry mutations bump the epoch), so a session that redefined
-    /// procedures or features can never pollute its siblings.
+    /// procedures or features can never pollute its siblings. The core's
+    /// cache is bounded by the same byte budget as an engine's.
     pub fn publish(&self, engine: &Engine) -> bool {
         if engine.epoch != self.epoch {
             return false;
         }
-        self.incr
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .absorb(engine.incr.clone());
+        let mut core = self.incr.lock().unwrap_or_else(|p| p.into_inner());
+        core.absorb(engine.incr.clone());
+        // The core has no registry: drop its eviction count so forks do
+        // not report it as their own.
+        core.take_evicted();
         true
     }
 
@@ -632,8 +636,7 @@ pub struct Engine {
     ext: BTreeMap<String, Arc<CompactTable>>,
     /// The incremental re-execution cache (§5.2 reuse, generalized in
     /// DESIGN.md §9): per-rule results keyed by `(relation, sample,
-    /// fingerprint, input versions)`, with dependency-cone invalidation
-    /// at run start.
+    /// fingerprint, input versions)`, bounded by a byte-budget LRU.
     incr: crate::incr::IncrCache,
     epoch: u64,
     /// The limits.
@@ -1013,6 +1016,9 @@ impl Engine {
         let result = self.run_body(prog, sample, run_span);
         // Join (and drop) the pool on every exit path.
         self.pool = None;
+        self.counters
+            .incr_invalidations
+            .add(self.incr.take_evicted() as u64);
 
         let c = &self.counters;
         self.stats.rules_evaluated = c.rules_evaluated.get() as usize;
@@ -1079,9 +1085,7 @@ impl Engine {
         // Incremental pre-pass (DESIGN.md §9): fingerprint every rule —
         // once per run; `rule_fps` keeps them in rule order for the rule
         // loop — and record which intensional relations each relation
-        // reads, then let the cache diff the fingerprints against the
-        // previous run and evict entries stranded in the changed
-        // dependency cone.
+        // reads. Both feed the relation versions the cache keys carry.
         let mut fps: BTreeMap<String, Vec<u64>> = BTreeMap::new();
         let mut rule_fps: Vec<Vec<u64>> = Vec::with_capacity(order.len());
         let mut deps: BTreeMap<String, std::collections::BTreeSet<String>> = BTreeMap::new();
@@ -1107,10 +1111,6 @@ impl Engine {
                 })
                 .collect();
             deps.insert(name.clone(), reads);
-        }
-        if use_incr {
-            let evicted = self.incr.begin_run(&fps, &deps);
-            self.counters.incr_invalidations.add(evicted as u64);
         }
 
         let mut computed: BTreeMap<String, Arc<CompactTable>> = BTreeMap::new();

@@ -1,9 +1,9 @@
 //! Incremental re-execution cache: per-rule result reuse with
-//! **dependency-cone invalidation** (DESIGN.md §9).
+//! **key-driven misses** and a **byte-budget LRU** (DESIGN.md §9).
 //!
 //! The §5.2 reuse optimization re-executes only "the parts of the plan
-//! that may possibly have changed" between iterations. This module makes
-//! that precise and bounded:
+//! that may possibly have changed" between iterations. The keys alone
+//! make that precise:
 //!
 //! * every compiled rule gets a **fingerprint**
 //!   ([`crate::plan::rule_fingerprint`]) hashing the rendered rule — which,
@@ -13,26 +13,23 @@
 //!   fingerprints and the versions of the relations those rules read;
 //! * each rule's output [`CompactTable`] is cached under
 //!   `(relation, sample, fingerprint, input versions)`, so a refinement
-//!   misses exactly on the refined rule and its downstream **dependency
-//!   cone** while every upstream entry keeps hitting;
-//! * [`IncrCache::begin_run`] diffs the incoming fingerprints against the
-//!   previous run's and **evicts** entries stranded in the changed cone —
-//!   the memory-reclamation half of cone invalidation the old string-keyed
-//!   cache never did (it leaked one entry per refinement per iteration).
+//!   misses exactly on the refined rule and everything downstream of it
+//!   (their keys changed) while every upstream entry keeps hitting.
 //!
-//! Eviction is deliberately lazy: simulation probes interleave refined
-//! candidate programs with the base program on the *same* cache (the
-//! serial probe path runs on the live engine, the parallel path folds
-//! snapshot caches back in). Evicting a stale-looking entry immediately
-//! would thrash the base program's entries once per probe, so cone
-//! entries get a grace of [`IncrCache::keep_gens`] runs before they are
-//! reclaimed, and a capacity bound evicts least-recently-used entries
-//! beyond [`IncrCache::max_entries`].
+//! Nothing is invalidated: an entry whose key the current program no
+//! longer produces simply stops being used. Memory is reclaimed by one
+//! rule — each entry records its estimated heap bytes and the tick of its
+//! last use, and [`IncrCache::insert`] / [`IncrCache::absorb`] evict
+//! least-recently-used entries until the total is within [`BUDGET`]. The
+//! cache's contents depend only on which keys were used, in which order,
+//! never on which program ran last, so simulation probes (run on engine
+//! snapshots and folded back with [`IncrCache::absorb`]) cannot churn the
+//! base program's entries.
 //!
 //! Correctness note: a degraded rule's widened stand-in is **never**
 //! inserted here (the next run must retry the rule exactly), and entries
 //! are pure functions of their key — absorbing a snapshot's entries via
-//! first-writer-wins cannot change results.
+//! first-writer-wins, or evicting any entry, cannot change results.
 //!
 //! Fingerprint-stability rule (DESIGN.md §11): fingerprints hash the
 //! **pre-optimization** unfolded rule — the logical-plan optimizer runs
@@ -46,13 +43,21 @@
 //! may have been produced by optimized runs, which muddies ablation
 //! timing.
 
-use iflex_ctable::CompactTable;
-use std::collections::{BTreeMap, BTreeSet};
+use iflex_ctable::{Assignment, Cell, CompactTable, CompactTuple};
+use std::collections::{btree_map, BTreeMap};
+use std::mem::size_of;
 use std::sync::Arc;
 
+/// The cache's byte budget: 64 MiB, about 3.5× the largest cache the
+/// benchmark workloads build (≈ 18.5 MB on `iterate-join`).
+#[cfg(not(test))]
+const BUDGET: usize = 64 << 20;
+/// A small budget, so unit tests can exercise eviction.
+#[cfg(test)]
+const BUDGET: usize = 4096;
+
 /// Cache key: relation name, sample key, rule fingerprint, input-version
-/// hash. The relation name is first so one relation's entries are a
-/// contiguous range — cone eviction walks only the affected relations.
+/// hash.
 type Key = (String, String, u64, u64);
 
 #[derive(Debug, Clone)]
@@ -61,53 +66,38 @@ struct Entry {
     /// Extraction volume the rule's evaluation reported; re-reported on
     /// hits so convergence monitoring sees identical signals.
     volume: usize,
-    /// Generation of the last hit (or the insert), for grace/LRU eviction.
-    used_gen: u64,
+    /// Estimated heap bytes of `table`, fixed at insert.
+    bytes: usize,
+    /// Tick of the last hit (or the insert), for LRU eviction.
+    used: u64,
+}
+
+/// Estimated heap bytes of a cached table: its tuples, their cells and
+/// the cells' assignments.
+fn table_bytes(t: &CompactTable) -> usize {
+    t.len() * size_of::<CompactTuple>()
+        + t.len() * t.arity() * size_of::<Cell>()
+        + t.stats().assignments * size_of::<Assignment>()
 }
 
 /// The incremental re-execution cache. One per [`crate::Engine`];
 /// snapshots clone it and fold results back with
 /// [`crate::Engine::absorb_cache`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IncrCache {
     entries: BTreeMap<Key, Entry>,
-    /// Per-relation sorted rule fingerprints seen by the previous
-    /// [`IncrCache::begin_run`]; the diff against the current run's
-    /// fingerprints is the set of *changed* relations.
-    last_fps: BTreeMap<String, Vec<u64>>,
-    /// Run counter; bumped by every [`IncrCache::begin_run`].
-    gen: u64,
-    /// How many runs a cone-stranded entry survives before eviction.
-    keep_gens: u64,
-    /// Hard cap on cached entries; beyond it, least-recently-used entries
-    /// are evicted regardless of cone membership.
-    max_entries: usize,
-}
-
-impl Default for IncrCache {
-    fn default() -> Self {
-        Self::with_limits(64, 4096)
-    }
+    /// Sum of the entries' `bytes`; at most [`BUDGET`] between calls.
+    bytes: usize,
+    /// Use counter, bumped by every hit and insert.
+    tick: u64,
+    /// Entries the budget evicted since the last [`IncrCache::take_evicted`].
+    evicted: usize,
 }
 
 impl IncrCache {
-    /// An empty cache with the default grace (64 runs — comfortably more
-    /// than one simulation phase's probe count) and capacity (4096
-    /// entries).
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache with explicit eviction limits (tests use
-    /// `keep_gens = 0` to force immediate cone eviction).
-    pub fn with_limits(keep_gens: u64, max_entries: usize) -> Self {
-        IncrCache {
-            entries: BTreeMap::new(),
-            last_fps: BTreeMap::new(),
-            gen: 0,
-            keep_gens,
-            max_entries: max_entries.max(1),
-        }
     }
 
     /// Number of cached rule results.
@@ -119,58 +109,13 @@ impl IncrCache {
     /// call this through [`crate::Engine::clear_cache`]).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.last_fps.clear();
+        self.bytes = 0;
     }
 
-    /// Starts a run: diffs `fps` (per-relation sorted rule fingerprints)
-    /// against the previous run's, closes the changed set downstream over
-    /// `deps` (relation → intensional relations its rules read) into the
-    /// **dependency cone**, and evicts entries stranded in that cone —
-    /// entries whose fingerprint no longer belongs to the current program
-    /// and whose last hit is older than the grace window. Also enforces
-    /// the capacity bound. Returns how many entries were evicted (the
-    /// `engine.incr.invalidations` signal).
-    pub fn begin_run(
-        &mut self,
-        fps: &BTreeMap<String, Vec<u64>>,
-        deps: &BTreeMap<String, BTreeSet<String>>,
-    ) -> usize {
-        self.gen += 1;
-        let mut changed: BTreeSet<&str> = fps
-            .iter()
-            .filter(|(rel, cur)| self.last_fps.get(*rel) != Some(cur))
-            .map(|(rel, _)| rel.as_str())
-            .collect();
-        // Relations that vanished from the program changed too.
-        changed.extend(
-            self.last_fps
-                .keys()
-                .filter(|r| !fps.contains_key(*r))
-                .map(String::as_str),
-        );
-        let cone = downstream_cone(&changed, deps);
-        let gen = self.gen;
-        let keep = self.keep_gens;
-        let before = self.entries.len();
-        // Sweep. An entry is *untouched* by this change when its relation
-        // is outside the cone and its fingerprint is still part of the
-        // current program — such entries are kept unconditionally (their
-        // keys can still hit). Everything else — the changed relation's
-        // own stranded fingerprints, downstream cone entries whose input
-        // versions just went stale, fingerprints stranded by an earlier
-        // alternation, vanished relations — is logically invalidated and
-        // reclaimed once unused past the grace window.
-        self.entries.retain(|(rel, _, fp, _), e| {
-            let current = fps.get(rel).is_some_and(|v| v.binary_search(fp).is_ok());
-            if current && !cone.contains(rel.as_str()) {
-                return true;
-            }
-            gen.saturating_sub(e.used_gen) <= keep
-        });
-        let mut evicted = before - self.entries.len();
-        evicted += self.enforce_capacity();
-        self.last_fps = fps.clone();
-        evicted
+    /// Returns and resets how many entries the byte budget evicted since
+    /// the last call (the `engine.incr.invalidations` signal).
+    pub fn take_evicted(&mut self) -> usize {
+        std::mem::take(&mut self.evicted)
     }
 
     /// Looks up a rule result, refreshing its recency on a hit.
@@ -182,15 +127,17 @@ impl IncrCache {
         inputs: u64,
     ) -> Option<(Arc<CompactTable>, usize)> {
         let key = (rel.to_string(), sample.to_string(), fp, inputs);
-        let gen = self.gen;
+        self.tick += 1;
+        let tick = self.tick;
         self.entries.get_mut(&key).map(|e| {
-            e.used_gen = gen;
+            e.used = tick;
             (Arc::clone(&e.table), e.volume)
         })
     }
 
-    /// Caches a rule result. Callers must never insert degraded
-    /// (widened) results — see the module docs.
+    /// Caches a rule result, then evicts least-recently-used entries
+    /// until the cache is within budget. Callers must never insert
+    /// degraded (widened) results — see the module docs.
     pub fn insert(
         &mut self,
         rel: &str,
@@ -200,64 +147,59 @@ impl IncrCache {
         table: Arc<CompactTable>,
         volume: usize,
     ) {
-        self.entries.insert(
-            (rel.to_string(), sample.to_string(), fp, inputs),
-            Entry {
-                table,
-                volume,
-                used_gen: self.gen,
-            },
-        );
-        self.enforce_capacity();
+        self.tick += 1;
+        let bytes = table_bytes(&table);
+        let entry = Entry {
+            table,
+            volume,
+            bytes,
+            used: self.tick,
+        };
+        self.bytes += bytes;
+        let key = (rel.to_string(), sample.to_string(), fp, inputs);
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.bytes -= old.bytes;
+        }
+        self.evict_to_budget();
     }
 
     /// Folds another cache's entries into this one; existing entries win
-    /// (both caches computed the same pure results). The engine gates
-    /// this on epoch equality.
+    /// (both caches computed the same pure results) but take the later of
+    /// the two last uses, so entries a snapshot hit stay recent. The
+    /// engine gates this on epoch equality.
     pub fn absorb(&mut self, other: IncrCache) {
         for (k, v) in other.entries {
-            self.entries.entry(k).or_insert(v);
+            match self.entries.entry(k) {
+                btree_map::Entry::Occupied(mut slot) => {
+                    let e = slot.get_mut();
+                    e.used = e.used.max(v.used);
+                }
+                btree_map::Entry::Vacant(slot) => {
+                    self.bytes += v.bytes;
+                    slot.insert(v);
+                }
+            }
         }
-        self.enforce_capacity();
+        self.tick = self.tick.max(other.tick);
+        self.evict_to_budget();
     }
 
-    /// Evicts least-recently-used entries beyond the capacity bound;
-    /// returns how many were dropped.
-    fn enforce_capacity(&mut self) -> usize {
-        let mut evicted = 0;
-        while self.entries.len() > self.max_entries {
+    /// Evicts least-recently-used entries until the total is within
+    /// [`BUDGET`].
+    fn evict_to_budget(&mut self) {
+        while self.bytes > BUDGET {
             let Some(oldest) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.used_gen)
+                .min_by_key(|(_, e)| e.used)
                 .map(|(k, _)| k.clone())
             else {
                 break;
             };
-            self.entries.remove(&oldest);
-            evicted += 1;
-        }
-        evicted
-    }
-}
-
-/// The downstream dependency cone: `changed` plus every relation that
-/// (transitively) reads a changed relation.
-fn downstream_cone<'a>(
-    changed: &BTreeSet<&'a str>,
-    deps: &'a BTreeMap<String, BTreeSet<String>>,
-) -> BTreeSet<&'a str> {
-    let mut cone: BTreeSet<&str> = changed.clone();
-    loop {
-        let mut grew = false;
-        for (rel, reads) in deps {
-            if !cone.contains(rel.as_str()) && reads.iter().any(|d| cone.contains(d.as_str())) {
-                cone.insert(rel.as_str());
-                grew = true;
+            if let Some(e) = self.entries.remove(&oldest) {
+                self.bytes -= e.bytes;
+                self.evicted += 1;
             }
-        }
-        if !grew {
-            return cone;
         }
     }
 }
@@ -265,28 +207,25 @@ fn downstream_cone<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iflex_ctable::Value;
 
     fn table() -> Arc<CompactTable> {
         Arc::new(CompactTable::new(vec!["x".to_string()]))
     }
 
-    fn fps(pairs: &[(&str, &[u64])]) -> BTreeMap<String, Vec<u64>> {
-        pairs
-            .iter()
-            .map(|(rel, v)| (rel.to_string(), v.to_vec()))
-            .collect()
+    /// A one-column table of `rows` exact numbers.
+    fn rows(rows: usize) -> Arc<CompactTable> {
+        Arc::new(CompactTable::from_exact_rows(
+            vec!["x".to_string()],
+            (0..rows).map(|i| vec![Value::Num(i as f64)]).collect(),
+        ))
     }
 
-    fn deps(pairs: &[(&str, &[&str])]) -> BTreeMap<String, BTreeSet<String>> {
-        pairs
-            .iter()
-            .map(|(rel, ds)| {
-                (
-                    rel.to_string(),
-                    ds.iter().map(|d| d.to_string()).collect(),
-                )
-            })
-            .collect()
+    /// Rows per table such that three tables fit the test budget and a
+    /// fourth does not.
+    fn quarter_budget_rows() -> usize {
+        let per_row = table_bytes(&rows(1));
+        BUDGET / 4 / per_row + 1
     }
 
     #[test]
@@ -302,56 +241,45 @@ mod tests {
     }
 
     #[test]
-    fn cone_eviction_spares_upstream() {
-        // p <- (ext), q reads p, r reads q, s independent.
-        let d = deps(&[("p", &[]), ("q", &["p"]), ("r", &["q"]), ("s", &[])]);
-        let mut c = IncrCache::with_limits(0, 64);
-        c.begin_run(&fps(&[("p", &[1]), ("q", &[2]), ("r", &[3]), ("s", &[4])]), &d);
-        c.insert("p", "full", 1, 0, table(), 0);
-        c.insert("q", "full", 2, 10, table(), 0);
-        c.insert("r", "full", 3, 20, table(), 0);
-        c.insert("s", "full", 4, 0, table(), 0);
-        // q's rule changes: q and r are the cone; p and s survive.
-        let evicted =
-            c.begin_run(&fps(&[("p", &[1]), ("q", &[22]), ("r", &[3]), ("s", &[4])]), &d);
-        assert_eq!(evicted, 2, "q's stranded entry and r's input-stale entry go");
-        assert!(c.get("p", "full", 1, 0).is_some());
-        assert!(c.get("s", "full", 4, 0).is_some());
-        assert!(c.get("q", "full", 2, 10).is_none());
-        assert!(c.get("r", "full", 3, 20).is_none());
-    }
-
-    #[test]
-    fn grace_window_defers_eviction() {
-        let d = deps(&[("q", &[])]);
-        let mut c = IncrCache::with_limits(2, 64);
-        c.begin_run(&fps(&[("q", &[1])]), &d);
-        c.insert("q", "full", 1, 0, table(), 0);
-        // Probe-style alternation: the refined program strands the base
-        // entry, but it survives the grace window...
-        assert_eq!(c.begin_run(&fps(&[("q", &[9])]), &d), 0);
-        assert_eq!(c.begin_run(&fps(&[("q", &[1])]), &d), 0);
-        assert!(c.get("q", "full", 1, 0).is_some(), "base entry still live");
-        // ...until it goes unused past the grace (keep_gens = 2 runs).
-        assert_eq!(c.begin_run(&fps(&[("q", &[9])]), &d), 0);
-        assert_eq!(c.begin_run(&fps(&[("q", &[9])]), &d), 0);
-        assert_eq!(c.begin_run(&fps(&[("q", &[9])]), &d), 1);
-        assert!(c.get("q", "full", 1, 0).is_none());
-    }
-
-    #[test]
     fn capacity_evicts_least_recently_used() {
-        let mut c = IncrCache::with_limits(32, 2);
-        c.insert("a", "full", 1, 0, table(), 0);
-        c.insert("b", "full", 2, 0, table(), 0);
-        let d = deps(&[]);
-        c.begin_run(&fps(&[]), &d); // gen 1
-        assert!(c.get("b", "full", 2, 0).is_some()); // refresh b
-        c.insert("c", "full", 3, 0, table(), 0);
-        assert_eq!(c.len(), 2);
-        assert!(c.get("a", "full", 1, 0).is_none(), "oldest entry evicted");
-        assert!(c.get("b", "full", 2, 0).is_some());
-        assert!(c.get("c", "full", 3, 0).is_some());
+        let n = quarter_budget_rows();
+        let mut c = IncrCache::new();
+        c.insert("a", "full", 1, 0, rows(n), 0);
+        c.insert("b", "full", 2, 0, rows(n), 0);
+        c.insert("c", "full", 3, 0, rows(n), 0);
+        assert_eq!((c.len(), c.take_evicted()), (3, 0), "three tables fit");
+        assert!(c.get("a", "full", 1, 0).is_some()); // refresh a: b is now oldest
+        c.insert("d", "full", 4, 0, rows(n), 0);
+        assert_eq!(c.take_evicted(), 1);
+        assert!(c.get("b", "full", 2, 0).is_none(), "least recently used goes");
+        for (rel, fp) in [("a", 1), ("c", 3), ("d", 4)] {
+            assert!(c.get(rel, "full", fp, 0).is_some(), "{rel} survives");
+        }
+    }
+
+    #[test]
+    fn bytes_stay_within_budget() {
+        let n = quarter_budget_rows();
+        let mut c = IncrCache::new();
+        for i in 0..50u64 {
+            c.insert("q", "full", i, 0, rows(n + i as usize % 3), 0);
+            assert!(c.bytes <= BUDGET, "after insert {i}: {} bytes", c.bytes);
+        }
+        assert_eq!(c.take_evicted(), 50 - c.len());
+        // An absorb past the budget evicts too, and the total stays
+        // consistent with the entries that remain.
+        let mut other = IncrCache::new();
+        for i in 100..103u64 {
+            other.insert("r", "full", i, 0, rows(n), 0);
+        }
+        c.absorb(other);
+        assert!(c.bytes <= BUDGET, "after absorb: {} bytes", c.bytes);
+        assert_eq!(c.bytes, c.entries.values().map(|e| e.bytes).sum::<usize>());
+        assert!(c.take_evicted() > 0);
+        // A table larger than the whole budget is not kept.
+        c.insert("huge", "full", 0, 0, rows(4 * n), 0);
+        assert!(c.get("huge", "full", 0, 0).is_none());
+        assert!(c.bytes <= BUDGET);
     }
 
     #[test]
@@ -368,14 +296,11 @@ mod tests {
 
     #[test]
     fn clear_forgets_history() {
-        let d = deps(&[("q", &[])]);
-        let mut c = IncrCache::with_limits(0, 64);
-        c.begin_run(&fps(&[("q", &[1])]), &d);
-        c.insert("q", "full", 1, 0, table(), 0);
+        let mut c = IncrCache::new();
+        c.insert("q", "full", 1, 0, rows(3), 0);
         c.clear();
         assert_eq!(c.len(), 0);
-        // After clear, the next begin_run sees a fresh history: nothing
-        // to evict even though the fingerprints "changed".
-        assert_eq!(c.begin_run(&fps(&[("q", &[2])]), &d), 0);
+        assert_eq!(c.bytes, 0);
+        assert!(c.get("q", "full", 1, 0).is_none());
     }
 }

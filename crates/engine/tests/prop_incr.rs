@@ -2,9 +2,10 @@
 //! random developer-answer sequences over full sessions, turning
 //! `use_incremental` on must be observationally invisible — byte-identical
 //! final tables, the same [`StopReason`], the same question count, and the
-//! same degradations — across thread counts and under injected faults at
-//! every named site. The cache is a pure performance lever; serving a rule
-//! from it may never change what a session computes.
+//! same degradations — under injected faults at every named site, and
+//! identically at 1 and 4 threads. The cache is a pure performance lever;
+//! serving a rule from it (or evicting one) may never change what a
+//! session computes.
 
 use iflex::{Developer, OracleSpec, Session};
 use iflex_assistant::{Answer, Question, Simulation, Strategy};
@@ -139,8 +140,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Exact runs: for any seeded answer sequence and either task, the
-    /// incremental engine returns byte-identical results at 1 and 4
-    /// threads.
+    /// incremental engine returns byte-identical results, and the session
+    /// observes the same thing at 1 and 4 threads (the cache's contents
+    /// never depend on the probe schedule).
     #[test]
     fn incremental_is_invisible(
         task_idx in 0usize..2,
@@ -149,16 +151,20 @@ proptest! {
         withhold in 0u64..400,
     ) {
         let id = TASKS[task_idx];
+        let mut seen = Vec::new();
         for threads in [1usize, 4] {
             let off = observe(id, n, threads, None, seed, withhold, false);
             let on = observe(id, n, threads, None, seed, withhold, true);
             prop_assert_eq!(&on, &off, "task={:?} threads={}", id, threads);
+            seen.push(on);
         }
+        prop_assert_eq!(&seen[0], &seen[1], "task={:?}: 1 vs 4 threads", id);
     }
 
     /// Faulted runs: an always-firing fault at any named site degrades the
     /// same rules and leaves the same widened table whether or not the
-    /// cache is on — and degraded results are never served from it.
+    /// cache is on and at 1 or 4 threads — and degraded results are never
+    /// served from it.
     #[test]
     fn incremental_is_invisible_under_faults(
         task_idx in 0usize..2,
@@ -168,6 +174,7 @@ proptest! {
         withhold in 0u64..400,
     ) {
         let id = TASKS[task_idx];
+        let mut seen = Vec::new();
         for threads in [1usize, 4] {
             let off = observe(id, n, threads, Some(site_idx), seed, withhold, false);
             let on = observe(id, n, threads, Some(site_idx), seed, withhold, true);
@@ -175,7 +182,12 @@ proptest! {
                 &on, &off,
                 "task={:?} threads={} site={}", id, threads, SITES[site_idx]
             );
+            seen.push(on);
         }
+        prop_assert_eq!(
+            &seen[0], &seen[1],
+            "task={:?} site={}: 1 vs 4 threads", id, SITES[site_idx]
+        );
     }
 }
 

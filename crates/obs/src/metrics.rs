@@ -41,7 +41,7 @@ pub mod names {
     pub const INCR_HITS: &str = "engine.incr.hits";
     /// Incremental-cache lookups that fell through to evaluation.
     pub const INCR_MISSES: &str = "engine.incr.misses";
-    /// Entries evicted by dependency-cone invalidation at run start.
+    /// Incremental-cache entries evicted by its byte budget (DESIGN.md §9).
     pub const INCR_INVALIDATIONS: &str = "engine.incr.invalidations";
     /// Per-shard busy µs counters are `engine.shard_busy_us.<index>`.
     pub const SHARD_BUSY_PREFIX: &str = "engine.shard_busy_us.";

@@ -1,18 +1,15 @@
 #!/usr/bin/env bash
 # Benchmark driver: regenerates the parallel-execution report committed
-# as BENCH_parallel.json, the incremental-iteration report committed as
-# BENCH_incremental.json, and the live-telemetry overhead report
+# as BENCH_parallel.json and the live-telemetry overhead report
 # committed as BENCH_telemetry.json, plus the Table 1 inventory as a
 # sanity anchor.
 # Run from the repository root:
-#   scripts/bench.sh [parallel-report-path] [incremental-report-path] \
-#                    [telemetry-report-path]
+#   scripts/bench.sh [parallel-report-path] [telemetry-report-path]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 REPORT="${1:-BENCH_parallel.json}"
-INCR_REPORT="${2:-BENCH_incremental.json}"
-TEL_REPORT="${3:-BENCH_telemetry.json}"
+TEL_REPORT="${2:-BENCH_telemetry.json}"
 
 echo "== build (release) =="
 cargo build --release -p iflex-bench
@@ -28,11 +25,6 @@ echo "== exp_scaling --parallel-report =="
 # hosts print a skip notice.
 ./target/release/exp_scaling --parallel-report "$REPORT"
 
-echo "== exp_scaling --incremental-report =="
-# Full-scale T1/T5 sessions with the rule cache on vs off; the binary
-# asserts identical results and reports the session wall-clock speedup.
-./target/release/exp_scaling --incremental-report "$INCR_REPORT"
-
 echo "== exp_scaling --telemetry-report =="
 # DESIGN.md §12: full-scale T1/T5 sessions with live telemetry off vs
 # on, best-of-3 per arm. The binary asserts identical results and that
@@ -47,4 +39,4 @@ echo "== trace overhead smoke =="
 env -u IFLEX_TRACE ./target/release/exp_scaling --smoke target/BENCH_parallel_smoke.json
 ./target/release/exp_trace --smoke target/BENCH_trace_smoke.jsonl
 
-echo "bench OK ($REPORT, $INCR_REPORT, $TEL_REPORT)"
+echo "bench OK ($REPORT, $TEL_REPORT)"

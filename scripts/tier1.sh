@@ -34,12 +34,6 @@ echo "== parallel speedup smoke =="
 # notice (the identity sweep still runs at a tiny scale).
 ./target/release/exp_scaling --parallel-report target/BENCH_parallel_speedup_smoke.json --smoke
 
-echo "== incremental smoke =="
-# One tiny session pair (incremental on vs off); asserts inside the
-# binary check the result tables and recall are identical, so the cache
-# is exercised as a correctness gate, not just a speed lever.
-./target/release/exp_scaling --incremental-report --smoke target/BENCH_incremental_smoke.json
-
 echo "== service smoke =="
 # A scripted client transcript through the multi-session server:
 # create / ask / answer / get-results, an admission-cap rejection, and
