@@ -14,7 +14,7 @@ use iflex_bench::trace_report::{
     iteration_timeline, latency_quantiles, optimizer_notes, render_report, rule_self_time,
     run_rates, truncation,
 };
-use iflex_bench::{run_session_configured, ExecConfig, Strat};
+use iflex_bench::{run_session, Strat};
 use iflex_corpus::{Corpus, CorpusConfig, TaskId};
 use iflex_engine::obs::{parse_jsonl, validate_nesting};
 
@@ -33,7 +33,7 @@ fn smoke(path: &str) -> Result<(), String> {
     std::env::set_var("IFLEX_TRACE", path);
     let corpus = Corpus::build(CorpusConfig::scaled(0.1));
     let task = corpus.task(TaskId::T1, None);
-    let run = run_session_configured(&corpus, &task, Strat::Sim, ExecConfig::default());
+    let run = run_session(&corpus, &task, Strat::Sim);
     std::env::remove_var("IFLEX_TRACE");
     if run.quality.recall <= 0.0 {
         return Err("smoke session produced no recall".into());

@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one binary per table of the paper's evaluation
 //! (§6), each regenerating the corresponding rows over the synthetic
-//! corpora, plus Criterion micro-benchmarks of the design choices
-//! DESIGN.md calls out.
+//! corpora, plus the ablation, scaling and trace reports over the
+//! design choices DESIGN.md calls out.
 //!
 //! Binaries (run with `cargo run --release -p iflex-bench --bin <name>`):
 //! * `exp_table1` — domain/table inventory
@@ -12,7 +12,10 @@
 //! * `exp_table4` — per-iteration refinement effects (9 scenarios)
 //! * `exp_table5` — sequential vs simulation question selection
 //! * `exp_table6` — the DBLife tasks
+//! * `exp_ablation` — each design choice timed with and without it
+//! * `exp_scaling` — session wall clock vs corpus scale (§6.3)
 //! * `exp_all` — everything above, in order
+//! * `exp_trace` — the run report of a JSONL trace dump
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,23 +67,6 @@ pub struct RunResult {
     pub outcome: SessionOutcome,
     /// The quality.
     pub quality: Quality,
-    /// Wall-clock seconds of [`Session::run`] alone — iterations,
-    /// simulation probes, and the final full execution, excluding engine
-    /// construction and quality scoring (the quantity the parallel and
-    /// telemetry reports compare across configurations).
-    pub session_secs: f64,
-}
-
-/// Engine configuration for one benchmark session (the parallel-execution
-/// comparison axes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecConfig {
-    /// Worker threads (`None` = the engine default).
-    pub threads: Option<usize>,
-    /// Whether live telemetry (the engine's per-run window/sketch series
-    /// and flight recorder) records during the session — the axis
-    /// `exp_scaling --telemetry-report` measures the overhead of.
-    pub telemetry: bool,
 }
 
 /// Runs a full iFlex session (§5): subset iterations with the given
@@ -88,37 +74,18 @@ pub struct ExecConfig {
 /// execution. Cleanup procedures are registered (and charged) when the
 /// task needs them.
 pub fn run_session(corpus: &Corpus, task: &Task, strat: Strat) -> RunResult {
-    run_session_configured(corpus, task, strat, ExecConfig::default())
-}
-
-/// [`run_session`] with an explicit engine configuration — the knobs
-/// `exp_scaling --parallel-report` sweeps.
-pub fn run_session_configured(
-    corpus: &Corpus,
-    task: &Task,
-    strat: Strat,
-    exec: ExecConfig,
-) -> RunResult {
-    let mut engine = task.engine(corpus);
-    if exec.telemetry {
-        engine.live = iflex_engine::obs::LiveSet::enabled();
-        engine.flight = iflex_engine::obs::FlightRecorder::new(0);
-    }
     let mut session = iflex::Session::new(
-        engine,
+        task.engine(corpus),
         task.program.clone(),
         strat.boxed(),
         Box::new(SimulatedDeveloper::new(task.oracle.clone())),
     );
-    session.config.threads = exec.threads;
     if task.needs_type_cleanup {
         session
             .clock
             .charge_cleanup(session.cost.write_cleanup_secs);
     }
-    let t0 = std::time::Instant::now();
     let outcome = session.run().expect("session runs");
-    let session_secs = t0.elapsed().as_secs_f64();
     let quality = score(
         &outcome.table,
         &task.truth_cols,
@@ -128,11 +95,7 @@ pub fn run_session_configured(
     // Quality lands in the engine registry so in-process consumers (and
     // a later snapshot render) see it next to the execution counters.
     quality.export(&session.engine.metrics);
-    RunResult {
-        outcome,
-        quality,
-        session_secs,
-    }
+    RunResult { outcome, quality }
 }
 
 /// Formats minutes the way Table 3 does: rounded, with the cleanup

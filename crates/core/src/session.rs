@@ -142,9 +142,9 @@ pub struct SessionOutcome {
     /// Engine statistics of the run that produced [`Self::table`] — the
     /// chosen final attempt, not necessarily the last one executed. The
     /// engine resets its metrics registry at the start of every run, so
-    /// these counters (including `incr_hits`, `par_sections`, and
-    /// `shard_busy_us`) describe exactly one execution; nothing leaks
-    /// across [`ExecMode::Fallback`] retries.
+    /// these counters (including `incr_hits` and `degradations`) describe
+    /// exactly one execution; nothing leaks across [`ExecMode::Fallback`]
+    /// retries.
     pub final_stats: ExecStats,
 }
 

@@ -13,87 +13,31 @@ use iflex_ctable::{ATable, ATuple, Cell, CompactTable, CompactTuple, Value};
 use iflex_text::DocumentStore;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Which ψ implementation ran (exposed for the ablation bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnnotatePath {
-    /// The paper's exact BAnnotate via a-table conversion.
-    Exact,
-    /// The compact-direct variant (superset-preserving, no conversion).
-    CompactDirect,
-}
-
-/// Which ψ implementation the engine should use (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnnotatePolicy {
-    /// Exact when the a-table fits the budget, compact-direct otherwise.
-    #[default]
-    Auto,
-    /// Always the exact path (budget overflows degrade to compact-direct).
-    ForceExact,
-    /// Always the compact-direct path.
-    ForceCompact,
-}
-
 /// Applies annotations `(existence, annotated_cols)` to `table`.
 ///
-/// `budget` bounds the a-table conversion of the exact path; when it does
-/// not fit, the compact-direct path is used instead.
+/// `budget` bounds the a-table conversion of the exact path; when it is
+/// `None` or the conversion does not fit, the compact-direct path runs
+/// instead.
 pub fn apply_annotations(
     table: CompactTable,
     existence: bool,
     annotated: &[usize],
     store: &DocumentStore,
-    budget: usize,
-) -> (CompactTable, AnnotatePath) {
-    apply_annotations_with(table, existence, annotated, store, budget, AnnotatePolicy::Auto)
-}
-
-/// The ψ policy to use given the run clock's state: once the deadline has
-/// expired the operator is forced onto the compact-direct path, which
-/// needs no a-table conversion and stays superset-preserving — the exact
-/// path could burn the remaining wall clock on a conversion that will be
-/// discarded anyway.
-pub fn degraded_policy(policy: AnnotatePolicy, expired: bool) -> AnnotatePolicy {
-    if expired {
-        AnnotatePolicy::ForceCompact
+    budget: Option<usize>,
+) -> CompactTable {
+    let mut out = if annotated.is_empty() {
+        table
     } else {
-        policy
-    }
-}
-
-/// [`apply_annotations`] with an explicit path policy (ablations).
-pub fn apply_annotations_with(
-    table: CompactTable,
-    existence: bool,
-    annotated: &[usize],
-    store: &DocumentStore,
-    budget: usize,
-    policy: AnnotatePolicy,
-) -> (CompactTable, AnnotatePath) {
-    let (mut out, path) = if annotated.is_empty() {
-        (table, AnnotatePath::CompactDirect)
-    } else {
-        let exact = |t: &CompactTable| bannotate_exact(t, annotated, store, budget);
-        match policy {
-            AnnotatePolicy::ForceCompact => (
-                bannotate_compact(&table, annotated, store),
-                AnnotatePath::CompactDirect,
-            ),
-            AnnotatePolicy::Auto | AnnotatePolicy::ForceExact => match exact(&table) {
-                Some(t) => (t, AnnotatePath::Exact),
-                None => (
-                    bannotate_compact(&table, annotated, store),
-                    AnnotatePath::CompactDirect,
-                ),
-            },
-        }
+        budget
+            .and_then(|b| bannotate_exact(&table, annotated, store, b))
+            .unwrap_or_else(|| bannotate_compact(&table, annotated, store))
     };
     if existence {
         for t in out.tuples_mut() {
             t.maybe = true;
         }
     }
-    (out, path)
+    out
 }
 
 /// The paper's BAnnotate over a-tables. Returns `None` when the value
@@ -361,7 +305,7 @@ mod tests {
                 Assignment::exact_span(Span::new(d, 12, 16)),
             ]),
         ]));
-        let (out, _) = apply_annotations(t, false, &[1], &st, 10_000);
+        let out = apply_annotations(t, false, &[1], &st, Some(10_000));
         assert_eq!(out.len(), 1);
         let tup = &out.tuples()[0];
         // (the a-table path rebuilds cells, so the expand flag may be gone;
@@ -375,7 +319,7 @@ mod tests {
         let (st, _) = store_with("x");
         let mut t = CompactTable::new(vec!["s".into()]);
         t.push(CompactTuple::new(vec![Cell::exact(nv(1.0))]));
-        let (out, _) = apply_annotations(t, true, &[], &st, 100);
+        let out = apply_annotations(t, true, &[], &st, Some(100));
         assert!(out.tuples().iter().all(|u| u.maybe));
     }
 

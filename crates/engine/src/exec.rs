@@ -16,7 +16,7 @@
 //! `run → rule → operator → shard` into the shared trace journal. A
 //! disabled tracer costs one relaxed atomic load per probe.
 
-use crate::annotate::{apply_annotations_with, degraded_policy, AnnotatePolicy};
+use crate::annotate::apply_annotations;
 use crate::budget::{DegradeCause, RunBudget, RunClock};
 use crate::eval::{candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands};
 use crate::fault::{self, Fault, FaultPlan};
@@ -62,8 +62,6 @@ pub struct Limits {
     /// serial threshold: inputs of at most `2 * min` tuples never engage
     /// the pool.
     pub morsel_tuples: (usize, usize),
-    /// Which ψ implementation to use (ablation knob).
-    pub annotate_policy: AnnotatePolicy,
     /// Max values enumerated per cell for *comparison* operands. Smaller
     /// than `enum_cap`: beyond it the numeric-token fallback kicks in,
     /// which is exact for ordering comparisons and conservative for
@@ -110,7 +108,6 @@ impl Default for Limits {
             cmp_enum_cap: 64,
             threads: default_threads(),
             morsel_tuples: (16, 65_536),
-            annotate_policy: AnnotatePolicy::default(),
             degrade: true,
             use_incremental: true,
             trace: false,
@@ -243,24 +240,6 @@ pub struct ExecStats {
     pub assignments_produced: usize,
     /// Rules degraded this run (empty for an exact run).
     pub degradations: Vec<Degradation>,
-    /// Parallel operator sections that actually fanned out to worker
-    /// threads this run (small inputs fall back to in-thread shards and
-    /// are not counted).
-    pub par_sections: usize,
-    /// Accumulated per-participant busy wall-clock (µs), indexed by
-    /// participant position (0 = the calling thread). Participant `i`
-    /// aggregates its busy time across every parallel section, so a
-    /// skewed distribution shows up as a lopsided vector. Panicked
-    /// participants still report the time burned up to the panic.
-    pub shard_busy_us: Vec<u64>,
-    /// Morsels (index ranges) dispensed by the work-stealing executor
-    /// this run, including each section's calibration morsel.
-    pub par_morsels: u64,
-    /// Morsels a participant stole from another participant's segment
-    /// this run.
-    pub par_steals: u64,
-    /// Wall-clock spent claiming/stealing morsel ranges this run, in µs.
-    pub par_dispense_us: u64,
     /// Incremental-cache hits this run (equals `cache_hits` while the
     /// incremental engine is on; zero when `use_incremental` is off).
     pub incr_hits: usize,
@@ -1025,14 +1004,9 @@ impl Engine {
         self.stats.cache_hits = c.cache_hits.get() as usize;
         self.stats.tuples_scanned = c.tuples_scanned.get() as usize;
         self.stats.assignments_produced = c.assignments_produced.get() as usize;
-        self.stats.par_sections = c.par_sections.get() as usize;
-        self.stats.par_morsels = c.par_morsels.get();
-        self.stats.par_steals = c.par_steals.get();
-        self.stats.par_dispense_us = c.par_dispense_us.get();
         self.stats.incr_hits = c.incr_hits.get() as usize;
         self.stats.incr_misses = c.incr_misses.get() as usize;
         self.stats.incr_invalidations = c.incr_invalidations.get() as usize;
-        self.stats.shard_busy_us = self.metrics.indexed_counters(names::SHARD_BUSY_PREFIX);
 
         self.tracer.end_with(
             run_span,
@@ -1660,19 +1634,17 @@ impl Engine {
                 // ψ consumes its input; unshare only when another owner
                 // (ext table / reuse cache) still references it.
                 let t = Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone());
-                // Past the deadline the ψ operator is forced onto the cheap
-                // compact-direct path (still superset-preserving).
-                let policy =
-                    degraded_policy(self.limits.annotate_policy, self.clock.tripped());
-                let (out, _path) = apply_annotations_with(
+                // Past the deadline the ψ operator skips the a-table
+                // conversion for the cheap compact-direct path (still
+                // superset-preserving).
+                let budget = (!self.clock.tripped()).then_some(self.limits.atable_budget);
+                Ok(Arc::new(apply_annotations(
                     t,
                     *existence,
                     annotated,
                     &self.store,
-                    self.limits.atable_budget,
-                    policy,
-                );
-                Ok(Arc::new(out))
+                    budget,
+                )))
             }
             Plan::Pass {
                 input,
@@ -1695,8 +1667,8 @@ impl Engine {
     /// `engine.par_sections` when the section actually fanned out, adds
     /// the morsel / steal / dispense totals, and accumulates
     /// per-participant busy time into the indexed
-    /// `engine.shard_busy_us.<i>` counters. `ExecStats` reads these back
-    /// at the end of the run.
+    /// `engine.shard_busy_us.<i>` counters. The registry resets at the
+    /// start of every run, so these describe one run.
     fn note_section(&self, stats: &crate::par::SectionStats) {
         if stats.went_parallel {
             self.counters.par_sections.inc();
@@ -3016,7 +2988,8 @@ mod tests {
             eng.limits.threads = threads;
             eng.limits.morsel_tuples = (1, 2);
             let out = eng.run(&prog).unwrap();
-            (format!("{out:?}"), eng.stats.par_morsels, eng.feat_stats.snapshot())
+            let morsels = eng.metrics.counter_value(names::PAR_MORSELS).unwrap_or(0);
+            (format!("{out:?}"), morsels, eng.feat_stats.snapshot())
         };
         let (serial, _, serial_stats) = measured(1);
         let (threaded, morsels, threaded_stats) = measured(4);

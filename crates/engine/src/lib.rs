@@ -29,7 +29,7 @@ mod plan;
 pub mod sample;
 pub mod similarity;
 
-pub use annotate::{apply_annotations, apply_annotations_with, AnnotatePath, AnnotatePolicy};
+pub use annotate::apply_annotations;
 pub use budget::{CancelToken, DegradeCause, RunBudget, RunClock};
 pub use exec::{
     default_threads, degrade_cause, render_universe, Degradation, Engine, EngineCore, EngineError,

@@ -208,12 +208,13 @@ proptest! {
     }
 }
 
-/// Acceptance gate: tracing is a pure observer. Enabling it changes no
-/// result at any thread count, and the journal — including the shard
+/// Acceptance gate: tracing and live telemetry (windows, quantile
+/// sketches, flight recorder) are pure observers. Enabling either changes
+/// no result at any thread count, and the journal — including the shard
 /// spans emitted inside scatter workers — is well-nested.
 #[test]
 fn traced_runs_match_untraced_at_every_thread_count() {
-    use iflex_engine::obs::{validate_nesting, SpanKind};
+    use iflex_engine::obs::{validate_nesting, FlightRecorder, LiveSet, SpanKind};
     for kind in 0..4u8 {
         let baseline = observe(16, 1, kind, None);
         for threads in [1usize, 2, 4, 8] {
@@ -229,6 +230,20 @@ fn traced_runs_match_untraced_at_every_thread_count() {
             assert!(spans.iter().any(|s| s.kind == SpanKind::Run));
             assert!(spans.iter().any(|s| s.kind == SpanKind::Rule));
             assert!(spans.iter().any(|s| s.kind == SpanKind::Operator));
+
+            let mut eng = build_engine(16, threads);
+            eng.live = LiveSet::enabled();
+            eng.flight = FlightRecorder::new(0);
+            let table = eng.run(&program(kind)).unwrap();
+            assert_eq!(
+                format!("{table:?}"),
+                baseline.0,
+                "live telemetry, threads={threads} kind={kind}"
+            );
+            assert!(
+                !eng.live.sketches().is_empty(),
+                "the run fed the live sketches"
+            );
         }
     }
 }

@@ -297,17 +297,6 @@ impl Registry {
         }
     }
 
-    /// Counter values for `prefix + 0`, `prefix + 1`, … until the first
-    /// missing index — the per-shard busy vector convention.
-    pub fn indexed_counters(&self, prefix: &str) -> Vec<u64> {
-        let map = self.inner.counters.read().expect("metrics lock");
-        let mut out = Vec::new();
-        while let Some(c) = map.get(&format!("{prefix}{}", out.len())) {
-            out.push(c.get());
-        }
-        out
-    }
-
     /// Renders the full registry as a `BENCH_*`-style JSON object.
     pub fn render_json(&self) -> String {
         let snap = self.snapshot();
@@ -377,15 +366,6 @@ mod tests {
         // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 1000 → bucket 10
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (2, 2), (10, 1)]);
         assert!((s.mean() - 201.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn indexed_counters_stop_at_gap() {
-        let r = Registry::new();
-        r.counter("engine.shard_busy_us.0").add(10);
-        r.counter("engine.shard_busy_us.1").add(20);
-        r.counter("engine.shard_busy_us.3").add(99); // gap at 2
-        assert_eq!(r.indexed_counters(names::SHARD_BUSY_PREFIX), vec![10, 20]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ cargo test -q
 
 echo "== clippy (workspace, vendored stand-ins excluded) =="
 cargo clippy --workspace \
-  --exclude criterion --exclude proptest --exclude rand --exclude serde \
+  --exclude proptest --exclude rand --exclude serde \
   -- -D warnings
 
 echo "== rustdoc (engine, private items included) =="
@@ -20,19 +20,6 @@ echo "== rustdoc (engine, private items included) =="
 # comment naming a deleted item fails here. --document-private-items
 # extends the check to the crate-private modules (plan, lplan, incr, ...).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p iflex-engine --document-private-items
-
-echo "== parallel smoke =="
-# One tiny workload run serial and threaded; asserts inside the binary
-# check that both yield the same table.
-./target/release/exp_scaling --smoke target/BENCH_parallel_smoke.json
-
-echo "== parallel speedup smoke =="
-# The morsel-executor gate (DESIGN.md §13): one T1 workload at the gate
-# scale; asserts inside the binary check that threads=4 is not slower
-# than serial, plus the usual byte-identity check. On hosts
-# with fewer than 4 cores the speedup assertion is skipped with a
-# notice (the identity sweep still runs at a tiny scale).
-./target/release/exp_scaling --parallel-report target/BENCH_parallel_speedup_smoke.json --smoke
 
 echo "== service smoke =="
 # A scripted client transcript through the multi-session server:
@@ -48,13 +35,5 @@ echo "== trace smoke =="
 # One tiny traced session end to end: dump the journal as JSONL, replay
 # it, validate span nesting, and render the run report.
 ./target/release/exp_trace --smoke target/BENCH_trace_smoke.jsonl
-
-echo "== telemetry smoke =="
-# The same tiny session with live telemetry (windows, quantile sketches,
-# flight recorder) off vs on; asserts inside the binary check both arms
-# produce identical results. The service smoke above already scraped the
-# exposition endpoint and asserted the per-session p99 and window series
-# parse; the <5% overhead bound is asserted by the full bench.sh run.
-./target/release/exp_scaling --telemetry-report target/BENCH_telemetry_smoke.json --smoke
 
 echo "tier-1 OK"

@@ -237,25 +237,33 @@ fn multiple_rules_same_head_union() {
 fn annotate_paths_agree_on_singleton_keys() {
     // the exact BAnnotate and the compact-direct ψ produce the same value
     // sets when grouping keys are exact (the common case)
-    use iflex::engine::AnnotatePolicy;
+    use iflex::engine::annotate::{bannotate_compact, bannotate_exact};
     let c = Corpus::build(CorpusConfig::tiny());
     let imdb: Vec<_> = c.movies.imdb.iter().take(8).map(|(d, _)| *d).collect();
-    let prog = parse_program(
+    let mut engine = iflex::engine::Engine::new(c.store.clone());
+    engine.add_doc_table("imdb", &imdb);
+    // the rule body alone yields the table ψ groups
+    let body = parse_program(
+        r#"
+        q(x, v) :- imdb(x), e(#x, v).
+        e(#x, v) :- from(#x, v), numeric(v) = yes.
+    "#,
+    )
+    .unwrap();
+    let input = engine.run(&body).unwrap();
+    let budget = engine.limits.atable_budget;
+    let exact = bannotate_exact(&input, &[1], &c.store, budget).expect("fits the budget");
+    let compact = bannotate_compact(&input, &[1], &c.store);
+    assert_eq!(exact.len(), compact.len());
+    // the engine's ψ takes the exact path when the a-table fits
+    let annotated = parse_program(
         r#"
         q(x, <v>) :- imdb(x), e(#x, v).
         e(#x, v) :- from(#x, v), numeric(v) = yes.
     "#,
     )
     .unwrap();
-    let run_with = |policy: AnnotatePolicy| {
-        let mut engine = iflex::engine::Engine::new(c.store.clone());
-        engine.add_doc_table("imdb", &imdb);
-        engine.limits.annotate_policy = policy;
-        engine.run(&prog).unwrap()
-    };
-    let exact = run_with(AnnotatePolicy::ForceExact);
-    let compact = run_with(AnnotatePolicy::ForceCompact);
-    assert_eq!(exact.len(), compact.len());
+    assert_eq!(*engine.run(&annotated).unwrap(), exact);
     let store = &c.store;
     let canon = |t: &iflex::ctable::CompactTable| -> Vec<(String, std::collections::BTreeSet<String>)> {
         let mut rows: Vec<_> = t
@@ -371,33 +379,19 @@ fn selective_step_over_a_cross_join_streams_under_the_cap() {
 
 #[test]
 fn parallel_and_sequential_joins_agree() {
-    // Limits::threads only changes wall clock, never results.
+    // Limits::threads only changes wall clock, never results: the threaded
+    // arm splits every section into morsels of one or two tuples and must
+    // still fold to the serial table byte for byte.
     let c = Corpus::build(CorpusConfig::tiny());
-    for id in [TaskId::T6, TaskId::T9] {
+    for id in [TaskId::T1, TaskId::T5, TaskId::T6, TaskId::T8, TaskId::T9, TaskId::Panel] {
         let task = c.task(id, Some(30));
         let run_with = |threads: usize| {
             let mut engine = task.engine(&c);
             engine.limits.threads = threads;
-            let t = engine.run(&task.program).unwrap();
-            let store = engine.store();
-            let mut rows: Vec<String> = t
-                .tuples()
-                .iter()
-                .map(|tup| {
-                    tup.cells
-                        .iter()
-                        .map(|c| {
-                            let mut vs: Vec<String> =
-                                c.values(store).map(|v| v.as_text(store).to_string()).collect();
-                            vs.sort();
-                            vs.join("|")
-                        })
-                        .collect::<Vec<_>>()
-                        .join(";")
-                })
-                .collect();
-            rows.sort();
-            rows
+            if threads > 1 {
+                engine.limits.morsel_tuples = (1, 2);
+            }
+            format!("{:?}", engine.run(&task.program).unwrap())
         };
         assert_eq!(run_with(1), run_with(4), "{id:?}");
     }
