@@ -148,13 +148,14 @@ pub fn register_type_cleanup(engine: &mut Engine) {
                 return vec![];
             };
             let text = store.doc(s.doc).text();
-            let before = text[..s.start as usize].trim_end();
-            for ty in ["PC", "General", "Program", "Demo"] {
-                if before.ends_with(&format!("{ty} Chair:")) {
-                    return vec![vec![Value::Str(ty.to_string())]];
-                }
-            }
-            vec![]
+            let Some(label) = text[..s.start as usize].trim_end().strip_suffix(" Chair:") else {
+                return vec![];
+            };
+            ["PC", "General", "Program", "Demo"]
+                .into_iter()
+                .find(|ty| label.ends_with(ty))
+                .map(|ty| vec![vec![Value::Str(ty.to_string())]])
+                .unwrap_or_default()
         });
 }
 

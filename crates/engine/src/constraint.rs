@@ -3,13 +3,20 @@
 //! re-checks every *prior* constraint on freshly created sub-spans.
 
 use crate::plan::CompiledConstraint;
-use iflex_ctable::{Assignment, Cell, Value};
+use iflex_ctable::{Assignment, Cell};
 use iflex_features::{FeatureError, FeatureRegistry};
 use iflex_text::DocumentStore;
 
 /// Applies `new` (and re-checks `priors`) to one cell, returning the
 /// transformed cell. Expansion flags are preserved (§4.2: "if c is an
 /// expansion cell we set c' to be an expansion cell").
+///
+/// `priors` are the earlier constraints on the same variable, so the
+/// step that applied the last of them verified every `exact` it passed
+/// against all of them: an input `exact` owes `new` only. Two corners
+/// stay as wide as they arrive, a superset: what that step's round cap
+/// left unrefined, and a variable bound on both sides of a join, whose
+/// priors include the other side's chain.
 pub fn apply_constraint(
     cell: &Cell,
     new: &CompiledConstraint,
@@ -23,20 +30,26 @@ pub fn apply_constraint(
     all.push(new);
     all.extend(priors.iter());
 
-    // Worklist of (assignment, index of next constraint to establish).
-    // Exact assignments are verified against every constraint at once;
-    // contain assignments are refined constraint by constraint. Whenever a
-    // refine changes the region, all constraints must be re-established
-    // for the new regions — spans only shrink, so this terminates; a round
-    // cap keeps pathological cases bounded (left-over items are kept
-    // as-is, which is superset-safe).
+    // Worklist of (assignment, constraints it still owes). Exact
+    // assignments are verified against all they owe at once; contain
+    // assignments are refined constraint by constraint. Whenever a
+    // refine changes the region, the new assignments owe constraints
+    // again — spans only shrink, so this terminates; a round cap keeps
+    // pathological cases bounded (left-over items are kept as-is, which
+    // is superset-safe).
     let mut out: Vec<Assignment> = Vec::new();
-    let mut work: Vec<(Assignment, usize)> =
-        cell.assignments().iter().map(|a| (a.clone(), 0)).collect();
+    let mut work: Vec<(Assignment, &[&CompiledConstraint])> = cell
+        .assignments()
+        .iter()
+        .map(|a| match a {
+            Assignment::Exact(_) => (a.clone(), &all[..1]),
+            Assignment::Contain(_) => (a.clone(), &all[..]),
+        })
+        .collect();
     let max_rounds = (all.len() + 1) * 16;
     let mut rounds = 0usize;
 
-    'work: while let Some((assign, next)) = work.pop() {
+    'work: while let Some((assign, owed)) = work.pop() {
         rounds += 1;
         if rounds > max_rounds.max(work.len() * 4 + 64) {
             // Budget blown: keep the remaining assignments unrefined.
@@ -48,8 +61,8 @@ pub fn apply_constraint(
         }
         match &assign {
             Assignment::Exact(v) => {
-                // One shot: verify all constraints.
-                for k in &all {
+                // One shot: verify every owed constraint.
+                for k in owed {
                     if !features.get(&k.feature)?.verify_value(store, v, &k.arg)? {
                         continue 'work; // dropped
                     }
@@ -57,24 +70,23 @@ pub fn apply_constraint(
                 out.push(assign);
             }
             Assignment::Contain(s) => {
-                if next >= all.len() {
+                let Some((k, rest)) = owed.split_first() else {
                     out.push(assign);
                     continue;
-                }
-                let k = all[next];
+                };
                 let refined = features.get(&k.feature)?.refine(store, *s, &k.arg)?;
                 if refined.len() == 1 && refined[0] == assign {
                     // Region stable under this constraint; move on.
-                    work.push((assign, next + 1));
+                    work.push((assign, rest));
                 } else {
                     for r in refined {
                         match r {
                             // New exact values still need all other checks.
-                            Assignment::Exact(_) => work.push((r, 0)),
+                            Assignment::Exact(_) => work.push((r, &all[..])),
                             // New regions: restart from the next constraint
                             // (the producing constraint holds for them by
                             // construction of Refine's maximal regions).
-                            Assignment::Contain(_) => work.push((r, next + 1)),
+                            Assignment::Contain(_) => work.push((r, rest)),
                         }
                     }
                 }
@@ -87,25 +99,10 @@ pub fn apply_constraint(
     Ok(result)
 }
 
-/// Verifies that a concrete value satisfies a whole constraint chain.
-pub fn value_satisfies(
-    v: &Value,
-    constraints: &[CompiledConstraint],
-    store: &DocumentStore,
-    features: &FeatureRegistry,
-) -> Result<bool, FeatureError> {
-    for k in constraints {
-        let f = features.get(&k.feature)?;
-        if !f.verify_value(store, v, &k.arg)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iflex_ctable::Value;
     use iflex_features::FeatureArg;
     use iflex_text::Span;
 
@@ -226,17 +223,5 @@ mod tests {
         let (st, reg, full) = setup("x");
         let cell = Cell::contain(full);
         assert!(apply_constraint(&cell, &cc("nope", FeatureArg::yes()), &[], &st, &reg).is_err());
-    }
-
-    #[test]
-    fn value_satisfies_chain() {
-        let (st, reg, _) = setup("x");
-        let chain = vec![
-            cc("numeric", FeatureArg::yes()),
-            cc("min-value", FeatureArg::Num(5.0)),
-        ];
-        assert!(value_satisfies(&Value::Num(9.0), &chain, &st, &reg).unwrap());
-        assert!(!value_satisfies(&Value::Num(1.0), &chain, &st, &reg).unwrap());
-        assert!(!value_satisfies(&Value::Str("abc".into()), &chain, &st, &reg).unwrap());
     }
 }

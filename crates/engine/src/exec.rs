@@ -22,7 +22,7 @@ use crate::eval::{candidates_budgeted, cells_may_equal, compare_cands, filter_ca
 use crate::fault::{self, Fault, FaultPlan};
 use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
-use crate::plan::{compile_rule, CompileEnv, FusedOp, Operand, Plan, PlanError};
+use crate::plan::{compile_rule, extracts, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
 use iflex_alog::{
     evaluation_order, unfold, validate, Program, Rule, ValidateEnv, ValidateError,
@@ -388,10 +388,9 @@ impl From<FeatureError> for EngineError {
 /// Stable operator names for spans and per-operator metrics
 /// (`engine.op.<name>.us` / `engine.op.<name>.tuples_out`), indexed by
 /// [`op_idx`]. Static so the hot path never formats a name.
-const OP_NAMES: [&str; 12] = [
+const OP_NAMES: [&str; 11] = [
     "scan_ext",
     "scan_rel",
-    "from_extract",
     "constraint",
     "compare",
     "var_unify",
@@ -404,24 +403,24 @@ const OP_NAMES: [&str; 12] = [
 ];
 
 /// The [`OP_NAMES`] index of a plan node. A pass is named from its
-/// shape: `fused` when it is one ([`Plan::fused`]), else after its one
-/// step, else `project`.
+/// shape: `fused` when it is one ([`Plan::fused`] — always, when it
+/// extracts), else after its one step, else `project`.
 fn op_idx(plan: &Plan, fused: bool) -> usize {
     match plan {
         Plan::ScanExt { .. } => 0,
         Plan::ScanRel { .. } => 1,
-        Plan::FromExtract { .. } => 2,
-        Plan::Pass { .. } if fused => 11,
+        Plan::Pass { .. } if fused => 10,
         Plan::Pass { steps, .. } => match steps.first() {
-            Some(FusedOp::Constraint { .. }) => 3,
-            Some(FusedOp::Compare { .. }) => 4,
-            Some(FusedOp::VarUnify { .. }) => 5,
-            Some(FusedOp::FilterProc { .. }) => 6,
-            None => 9,
+            Some(FusedOp::Constraint { .. }) => 2,
+            Some(FusedOp::Compare { .. }) => 3,
+            Some(FusedOp::VarUnify { .. }) => 4,
+            Some(FusedOp::FilterProc { .. }) => 5,
+            Some(FusedOp::Extract { .. }) => 10,
+            None => 8,
         },
-        Plan::GenerateProc { .. } => 7,
-        Plan::CrossJoin { .. } => 8,
-        Plan::Annotate { .. } => 10,
+        Plan::GenerateProc { .. } => 6,
+        Plan::CrossJoin { .. } => 7,
+        Plan::Annotate { .. } => 9,
     }
 }
 
@@ -1462,30 +1461,6 @@ impl Engine {
                 .get(name)
                 .cloned()
                 .ok_or_else(|| EngineError::MissingTable(name.clone())),
-            Plan::FromExtract { input, in_col } => {
-                let t = self.eval_plan(input, computed, sample, span)?;
-                let mut cols = t.columns().to_vec();
-                cols.push(format!("_f{}", cols.len()));
-                let mut out = CompactTable::new(cols);
-                for tup in t.tuples() {
-                    let mut assigns = Vec::new();
-                    for a in tup.cells[*in_col].assignments() {
-                        if let Some(s) = a.span() {
-                            assigns.push(Assignment::Contain(s));
-                        }
-                    }
-                    if assigns.is_empty() {
-                        continue; // nothing to extract from
-                    }
-                    let mut cells = tup.cells.clone();
-                    cells.push(Cell::expansion(assigns));
-                    out.push(CompactTuple {
-                        cells,
-                        maybe: tup.maybe,
-                    });
-                }
-                Ok(Arc::new(out))
-            }
             Plan::GenerateProc {
                 input,
                 name,
@@ -1839,6 +1814,7 @@ impl Engine {
             .collect::<Result<Vec<_>, EngineError>>()?;
         Ok(Pass {
             steps,
+            extracts: extracts(ops),
             proj: project.map(|(cols, _)| cols.to_vec()),
         })
     }
@@ -1881,15 +1857,12 @@ impl Engine {
         }
 
         let t = self.eval_plan(input, computed, sample, span)?;
-        let out_cols: Vec<String> = match project {
-            Some((_, names)) => names.to_vec(),
-            None => t.columns().to_vec(),
-        };
+        let out_cols = pass.columns(t.columns().to_vec(), project);
         let mr = {
             let ec = self.eval_ctx();
             let t = Arc::clone(&t);
             crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
-                let mut overlay = vec![None; t.arity()];
+                let mut overlay = vec![None; t.arity() + pass.extracts];
                 let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for tup in &t.tuples()[range] {
@@ -1955,17 +1928,15 @@ impl Engine {
         outer_right: bool,
         span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let out_cols: Vec<String> = match project {
-            Some((_, names)) => names.to_vec(),
-            None => l.columns().iter().chain(r.columns()).cloned().collect(),
-        };
+        let in_cols = l.columns().iter().chain(r.columns()).cloned().collect();
+        let out_cols = pass.columns(in_cols, project);
         let cap = self.limits.max_result_tuples;
         let mr = {
             let ec = self.eval_ctx();
             let outer_len = if outer_right { r.len() } else { l.len() };
             crate::par::scatter(&self.section_ctx(span), outer_len, move |range| {
                 let (outer, inner) = if outer_right { (&r, &l) } else { (&l, &r) };
-                let mut overlay = vec![None; l.arity() + r.arity()];
+                let mut overlay = vec![None; l.arity() + r.arity() + pass.extracts];
                 let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(usize, CompactTuple, u64)> = Vec::new();
                 for oi in range {
@@ -2025,11 +1996,25 @@ impl Prologue {
 }
 
 /// One pass as [`Engine::resolve_pass`] prepares it for the morsel
-/// closures: selection steps in application order and the trailing
-/// projection's columns.
+/// closures: steps in application order, how many columns they define,
+/// and the trailing projection's columns.
 struct Pass {
     steps: Vec<Step>,
+    extracts: usize,
     proj: Option<Vec<usize>>,
+}
+
+impl Pass {
+    /// The output's column names: the projection's, else the input's
+    /// followed by `_f<i>` for each column the pass defines.
+    fn columns(&self, mut cols: Vec<String>, proj: Option<(&[usize], &[String])>) -> Vec<String> {
+        if let Some((_, names)) = proj {
+            return names.to_vec();
+        }
+        let n = cols.len();
+        cols.extend((n..n + self.extracts).map(|c| format!("_f{c}")));
+        cols
+    }
 }
 
 /// One selection step with what evaluating it per row needs.
@@ -2072,12 +2057,13 @@ impl EvalCtx {
         }
     }
 
-    /// One row through one pass — the only place a selection step is
-    /// evaluated. The input cells are read where they are (`left` then
-    /// `right`: a table row and nothing, or the two halves of a join
-    /// pair); a cell a constraint refines goes to `overlay` (the caller's
-    /// per-morsel scratch, one slot per column), and output cells are
-    /// built only for a row that survives every step. Each constraint
+    /// One row through one pass — the only place a step is evaluated.
+    /// The input cells are read where they are (`left` then `right`: a
+    /// table row and nothing, or the two halves of a join pair); a cell a
+    /// constraint refines or a `from` step defines goes to `overlay` (the
+    /// caller's per-morsel scratch, one slot per column of the pass's
+    /// schema), and output cells are built only for a row that survives
+    /// every step. Each constraint
     /// application is counted in `tally` (the caller's per-morsel
     /// scratch, one slot per step). Returns the output cells, whether a
     /// may-but-not-must step widened the row (`maybe |=` at emission —
@@ -2103,6 +2089,17 @@ impl EvalCtx {
         let mut extra = false;
         for (step, tally) in pass.steps.iter().zip(tally.iter_mut()) {
             let mm = match &step.op {
+                FusedOp::Extract { src, col } => {
+                    let spans = cell(overlay, left, right, *src).assignments().iter();
+                    let assigns: Vec<Assignment> = spans
+                        .filter_map(|a| a.span().map(Assignment::Contain))
+                        .collect();
+                    if assigns.is_empty() {
+                        return Ok(None); // nothing to extract from
+                    }
+                    overlay[*col] = Some(Cell::expansion(assigns));
+                    continue;
+                }
                 FusedOp::Constraint {
                     col,
                     constraint,
@@ -2171,14 +2168,13 @@ impl EvalCtx {
             }
             extra |= !mm.must;
         }
-        let arity = left.len() + right.len();
         Ok(Some(match &pass.proj {
             Some(cols) => {
                 // The convergence monitor watches assignments "produced by
                 // the extraction process" (§5.1) — measure extraction
                 // volume before projection hides refined-but-unprojected
                 // attributes.
-                let volume = (0..arity).fold(0u64, |acc, c| {
+                let volume = (0..overlay.len()).fold(0u64, |acc, c| {
                     let count = cell(overlay, left, right, c).value_count(&self.store);
                     acc.saturating_add(count.min(1 << 20))
                 });
@@ -2186,8 +2182,11 @@ impl EvalCtx {
                 (cells.collect(), extra, volume)
             }
             None => {
-                let cells = left.iter().chain(right).zip(overlay.iter_mut());
-                let cells = cells.map(|(c, o)| o.take().unwrap_or_else(|| c.clone()));
+                let n = left.len();
+                let cells = overlay.iter_mut().enumerate().map(|(c, o)| {
+                    o.take()
+                        .unwrap_or_else(|| if c < n { &left[c] } else { &right[c - n] }.clone())
+                });
                 (cells.collect(), extra, 0)
             }
         }))
@@ -2446,7 +2445,7 @@ mod tests {
         let q_at = text.find("-- q(").unwrap();
         assert!(houses_at < q_at, "dependencies explained first:
 {text}");
-        assert!(text.contains("FromExtract"));
+        assert!(text.contains("from(#0)→1"), "{text}");
         assert!(text.contains("σ[numeric"));
         assert!(text.contains("ScanRel(houses)"));
     }
@@ -2783,6 +2782,48 @@ mod tests {
     }
 
     #[test]
+    fn from_over_a_joined_column_streams_the_pairs() {
+        // `from(#m, a)` after the comparison that joins its branch runs
+        // inside the pass over the join's pairs, and drops the pairs whose
+        // `m` holds no span: the same bytes as extracting below the join.
+        let (mut eng, houses, schools) = example_engine();
+        let spans = schools
+            .iter()
+            .map(|&d| vec![Value::Span(eng.store().doc(d).full_span())]);
+        let rows = spans.chain([vec![Value::Num(5.0)]]).collect();
+        eng.add_table(
+            "mixed",
+            CompactTable::from_exact_rows(vec!["m".into()], rows),
+        );
+        let joined = parse_program(
+            "q(x, m, a) :- housePages(x), mixed(m), x != m, from(#m, a), bold-font(a) = yes.",
+        )
+        .unwrap();
+        let below = parse_program(
+            "q(x, m, a) :- housePages(x), mixed(m), from(#m, a), bold-font(a) = yes, x != m.",
+        )
+        .unwrap();
+        let plan = eng.explain(&joined).unwrap();
+        let (from_at, join_at) = (
+            plan.find("from(#1)→2").unwrap(),
+            plan.find("CrossJoin").unwrap(),
+        );
+        assert!(
+            from_at < join_at,
+            "the extract streams over the pairs:\n{plan}"
+        );
+        for threads in [1, 4] {
+            eng.limits.threads = threads;
+            eng.limits.morsel_tuples = (1, 2);
+            eng.clear_cache();
+            let streamed = eng.run(&joined).unwrap();
+            let extracted_first = eng.run(&below).unwrap();
+            assert_eq!(streamed.len(), houses.len() * schools.len());
+            assert_eq!(format!("{streamed:?}"), format!("{extracted_first:?}"));
+        }
+    }
+
+    #[test]
     fn constant_in_predicate_selects() {
         let store = Arc::new(DocumentStore::new());
         let mut eng = Engine::new(store);
@@ -2946,6 +2987,73 @@ mod tests {
             _: &iflex_features::FeatureArg,
         ) -> Result<Vec<Assignment>, FeatureError> {
             Ok(Vec::new())
+        }
+    }
+
+    /// A feature that holds everywhere and counts its `Verify` calls.
+    struct CountVerify(&'static str, Arc<std::sync::atomic::AtomicUsize>);
+
+    impl iflex_features::Feature for CountVerify {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+
+        fn verify(
+            &self,
+            _: &DocumentStore,
+            _: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<bool, FeatureError> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(true)
+        }
+
+        fn refine(
+            &self,
+            _: &DocumentStore,
+            s: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<Vec<Assignment>, FeatureError> {
+            Ok(vec![Assignment::Contain(s)])
+        }
+
+        fn verify_value(
+            &self,
+            _: &DocumentStore,
+            _: &Value,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<bool, FeatureError> {
+            self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(true)
+        }
+    }
+
+    #[test]
+    fn a_pass_through_exact_is_verified_once_per_step() {
+        // Each constraint step on `v` verifies the exact values reaching
+        // it against its own constraint: the step before it already
+        // verified them against the priors.
+        let mut eng = Engine::new(Arc::new(DocumentStore::new()));
+        let rows = (1..=3).map(|n| vec![Value::Num(f64::from(n))]).collect();
+        eng.add_table(
+            "vals",
+            CompactTable::from_exact_rows(vec!["v".into()], rows),
+        );
+        let calls: Vec<_> = ["count-a", "count-b", "count-c"]
+            .into_iter()
+            .map(|name| {
+                let calls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+                eng.features_mut()
+                    .register(Arc::new(CountVerify(name, Arc::clone(&calls))));
+                calls
+            })
+            .collect();
+        let prog =
+            parse_program("q(v) :- vals(v), count-a(v) = yes, count-b(v) = yes, count-c(v) = yes.")
+                .unwrap();
+        assert_eq!(eng.run(&prog).unwrap().len(), 3);
+        for calls in &calls {
+            assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
         }
     }
 

@@ -183,6 +183,8 @@ impl<'a> SelModel<'a> {
             }
             FusedOp::VarUnify { .. } => 0.25,
             FusedOp::FilterProc { .. } => 0.5,
+            // Only rows whose source holds no span drop.
+            FusedOp::Extract { .. } => 1.0,
         }
     }
 
@@ -192,7 +194,7 @@ impl<'a> SelModel<'a> {
             // Refinement worklists re-check the whole prior chain.
             FusedOp::Constraint { priors, .. } => 8.0 + 2.0 * priors.len() as f64,
             FusedOp::FilterProc { .. } => 4.0,
-            FusedOp::Compare { .. } | FusedOp::VarUnify { .. } => 1.0,
+            FusedOp::Compare { .. } | FusedOp::VarUnify { .. } | FusedOp::Extract { .. } => 1.0,
         }
     }
 

@@ -222,7 +222,8 @@ mod tests {
         // T9's top rule: the cheap comparison is scheduled ahead of the
         // similarity filter, so `similar` is no longer the first step over
         // the join — it runs inside the fused pairwise pass, and the join
-        // is free to put the larger side outermost.
+        // is free to put the larger side outermost. Each side extracts
+        // and constrains in one pass of its own below the join.
         let (plan, report) = optimize_src(
             "q(a) :- small(x), from(#x, a), from(#x, p), numeric(p) = yes, \
              big(y), from(#y, b), from(#y, c), numeric(c) = yes, \
@@ -233,7 +234,11 @@ mod tests {
             (0, 2, 1),
             "{report:?}"
         );
-        assert_eq!((report.fused_nodes, report.fused_steps), (1, 2), "{report:?}");
+        assert_eq!(
+            (report.fused_nodes, report.fused_steps),
+            (3, 8),
+            "{report:?}"
+        );
         assert_eq!(
             explain(&plan),
             "Fused[2 steps, outer=right]\n\
@@ -241,14 +246,16 @@ mod tests {
              \x20 Filter[similar[1, 4]]\n\
              \x20 σ[Col(2) < Col(5) + 0]\n\
              \x20 CrossJoin\n\
-             \x20   σ[numeric(col 2) = yes]\n\
-             \x20     FromExtract(col 0)\n\
-             \x20       FromExtract(col 0)\n\
-             \x20         ScanExt(small)\n\
-             \x20   σ[numeric(col 2) = yes]\n\
-             \x20     FromExtract(col 0)\n\
-             \x20       FromExtract(col 0)\n\
-             \x20         ScanExt(big)\n"
+             \x20   Fused[3 steps]\n\
+             \x20     σ[numeric(col 2) = yes]\n\
+             \x20     from(#0)→2\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(small)\n\
+             \x20   Fused[3 steps]\n\
+             \x20     σ[numeric(col 2) = yes]\n\
+             \x20     from(#0)→2\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(big)\n"
         );
     }
 
@@ -274,8 +281,7 @@ mod tests {
 
     #[test]
     fn single_selection_stays_standalone() {
-        // One σ, no trailing π on the branch below FromExtract: nothing
-        // worth fusing there.
+        // A scan and its projection alone: nothing worth fusing.
         let (plan, _) = optimize_src("q(x) :- small(x).");
         assert!(!explain(&plan).contains("Fused["), "{}", explain(&plan));
     }

@@ -8,7 +8,7 @@
 
 use super::analyze::{self, SelModel};
 use super::{OptCtx, OptReport};
-use crate::plan::{FusedOp, Plan};
+use crate::plan::{extracts, FusedOp, Plan};
 
 /// Pass 0: merge each chain of passes into one — a pass whose input is a
 /// pass without a projection takes over that pass's steps (they apply
@@ -38,8 +38,9 @@ pub fn merge(p: &mut Plan) {
 
 /// Pass 1: sink single-side steps below cross joins (recursively, so a
 /// step can cross several nested joins). Steps whose columns span both
-/// sides — or that read no columns at all — stay put; a pass left with
-/// nothing to do disappears.
+/// sides, that read no columns at all, or that define a column (whose
+/// index is this pass's) stay put; a pass left with nothing to do
+/// disappears.
 pub fn pushdown(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<()> {
     for input in p.inputs_mut() {
         pushdown(input, ctx, report)?;
@@ -74,7 +75,7 @@ pub fn pushdown(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Optio
 /// the step stays put and the selectivity reorderer decides the pass's
 /// final order (with attribution under the right counter).
 fn sink(
-    step: FusedOp,
+    mut step: FusedOp,
     kept: &[FusedOp],
     base: &mut Plan,
     ctx: &OptCtx<'_>,
@@ -84,14 +85,21 @@ fn sink(
     let Plan::CrossJoin { left, right } = base else {
         return Some(Some(step));
     };
-    if cols.is_empty() || kept.iter().any(|k| k.cols().iter().any(|c| cols.contains(c))) {
+    if cols.is_empty()
+        || matches!(step, FusedOp::Extract { .. })
+        || kept
+            .iter()
+            .any(|k| k.cols().iter().any(|c| cols.contains(c)))
+    {
         return Some(Some(step));
     }
     let la = analyze::arity(left, ctx)?;
-    let (side, step) = if cols.iter().all(|&c| c < la) {
-        (left, step)
+    let side = if cols.iter().all(|&c| c < la) {
+        left
     } else if cols.iter().all(|&c| c >= la) {
-        (right, shift_down(step, la))
+        // Rebased onto the right input's schema.
+        step.cols_mut().into_iter().for_each(|c| *c -= la);
+        right
     } else {
         return Some(Some(step));
     };
@@ -111,47 +119,6 @@ fn sink(
         **side = Plan::pass(input, vec![step], None);
     }
     Some(None)
-}
-
-/// Rebases a right-side step's columns onto the right input's schema.
-fn shift_down(op: FusedOp, la: usize) -> FusedOp {
-    use crate::plan::Operand;
-    match op {
-        FusedOp::Constraint {
-            col,
-            constraint,
-            priors,
-        } => FusedOp::Constraint {
-            col: col - la,
-            constraint,
-            priors,
-        },
-        FusedOp::Compare {
-            left,
-            op,
-            right,
-            offset,
-        } => {
-            let shift = |o: Operand| match o {
-                Operand::Col(c) => Operand::Col(c - la),
-                c => c,
-            };
-            FusedOp::Compare {
-                left: shift(left),
-                op,
-                right: shift(right),
-                offset,
-            }
-        }
-        FusedOp::VarUnify { col_a, col_b } => FusedOp::VarUnify {
-            col_a: col_a - la,
-            col_b: col_b - la,
-        },
-        FusedOp::FilterProc { name, cols } => FusedOp::FilterProc {
-            name,
-            cols: cols.into_iter().map(|c| c - la).collect(),
-        },
-    }
 }
 
 /// Pass 2: reschedule each pass's steps cheapest-and-most-selective
@@ -181,13 +148,23 @@ pub fn reorder(p: &mut Plan, model: &SelModel<'_>, report: &mut OptReport) {
 /// Greedy list scheduling over the steps' dependency partial order:
 /// repeatedly emit the ready step with the best (lowest) rank; ties keep
 /// the earliest source position, so equal-rank passes are untouched and
-/// the result is deterministic.
+/// the result is deterministic. A `from` step has selectivity 1, so by
+/// its own rank it would wait behind every selective step and hold its
+/// consumers back: it ranks by its most urgent consumer instead, running
+/// just before that step and never ahead of a more selective one.
 fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     let n = ops.len();
     let conflicts = |a: &FusedOp, b: &FusedOp| -> bool {
         let ca = a.cols();
         b.cols().iter().any(|c| ca.contains(c))
     };
+    let mut rank: Vec<f64> = ops.iter().map(|op| model.rank(op)).collect();
+    for i in (0..n).rev() {
+        if let FusedOp::Extract { col, .. } = ops[i] {
+            let consumers = (i + 1..n).filter(|&j| ops[j].cols().contains(&col));
+            rank[i] = consumers.fold(rank[i], |r, j| r.min(rank[j]));
+        }
+    }
     let mut emitted = vec![false; n];
     let mut order = Vec::with_capacity(n);
     for _ in 0..n {
@@ -200,7 +177,7 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
             if !ready {
                 continue;
             }
-            let r = model.rank(&ops[i]);
+            let r = rank[i];
             if best.is_none_or(|(br, _)| r < br - 1e-12) {
                 best = Some((r, i));
             }
@@ -281,9 +258,10 @@ pub fn split(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<(
     {
         // Column references are resolved to `usize` indices at compile
         // time and carried through rewriting untouched; re-check them
-        // against the input arity here, once, so the interpreter's
+        // against the pass's schema here, once, so the interpreter's
         // per-tuple bodies index cells without a per-access name lookup.
         if let Some(arity) = analyze::arity(input, ctx) {
+            let arity = arity + extracts(steps);
             debug_assert!(
                 in_bounds(steps, project.as_ref(), arity),
                 "rewriting produced an out-of-bounds column index (arity {arity})"
@@ -311,7 +289,7 @@ pub fn split(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<(
 }
 
 /// True when every column index a pass's steps (and its projection)
-/// reference is inside the input arity.
+/// reference is inside the pass's schema of `arity` columns.
 fn in_bounds(steps: &[FusedOp], project: Option<&(Vec<usize>, Vec<String>)>, arity: usize) -> bool {
     steps.iter().all(|op| op.cols().iter().all(|&c| c < arity))
         && project.is_none_or(|(cols, _)| cols.iter().all(|&c| c < arity))

@@ -26,12 +26,21 @@ pub struct CompiledConstraint {
     pub arg: FeatureArg,
 }
 
-/// One selection step of a [`Plan::Pass`]: a pass applies its steps in
-/// sequence, per tuple, without materializing intermediate tables.
-/// Column indices refer to the pass's input schema (selections never
-/// change the schema).
+/// One step of a [`Plan::Pass`]: a pass applies its steps in sequence,
+/// per tuple, without materializing intermediate tables. Column indices
+/// refer to the pass's schema: the input's columns, then one column per
+/// [`FusedOp::Extract`] step, numbered from the input arity on.
 #[derive(Debug, Clone)]
 pub enum FusedOp {
+    /// The built-in `from(#x, y)`: writes the expansion cell
+    /// `expand({contain(s) | s a span of cell src})` into the new column
+    /// `col` (§4.2), and drops the row when `src` holds no span.
+    Extract {
+        /// Column holding the source spans.
+        src: usize,
+        /// The column this step defines.
+        col: usize,
+    },
     /// Domain-constraint selection σ_{f(a)=v} on `col`, re-checking all
     /// `priors` on refined sub-spans (§4.2).
     Constraint {
@@ -71,11 +80,12 @@ pub enum FusedOp {
 }
 
 impl FusedOp {
-    /// The input columns this step reads (used by the optimizer's
+    /// The columns this step reads or defines (used by the optimizer's
     /// dependency analysis; steps touching disjoint column sets commute
     /// byte-exactly).
     pub fn cols(&self) -> Vec<usize> {
         match self {
+            FusedOp::Extract { src, col } => vec![*src, *col],
             FusedOp::Constraint { col, .. } => vec![*col],
             FusedOp::Compare { left, right, .. } => {
                 let mut v = Vec::new();
@@ -109,9 +119,28 @@ impl FusedOp {
         }
     }
 
+    /// [`FusedOp::cols`], mutably — what rebasing a step onto another
+    /// schema rewrites.
+    pub fn cols_mut(&mut self) -> Vec<&mut usize> {
+        match self {
+            FusedOp::Extract { src, col } => vec![src, col],
+            FusedOp::Constraint { col, .. } => vec![col],
+            FusedOp::Compare { left, right, .. } => [left, right]
+                .into_iter()
+                .filter_map(|o| match o {
+                    Operand::Col(c) => Some(c),
+                    Operand::Const(_) => None,
+                })
+                .collect(),
+            FusedOp::VarUnify { col_a, col_b } => vec![col_a, col_b],
+            FusedOp::FilterProc { cols, .. } => cols.iter_mut().collect(),
+        }
+    }
+
     /// Short σ-style rendering for EXPLAIN output.
     pub fn render(&self) -> String {
         match self {
+            FusedOp::Extract { src, col } => format!("from(#{src})→{col}"),
             FusedOp::Constraint { col, constraint, priors } => format!(
                 "σ[{}(col {col}) = {}]{}",
                 constraint.feature,
@@ -145,14 +174,6 @@ pub enum Plan {
         /// The predicate / relation name.
         name: String,
     },
-    /// The built-in `from(#x, y)`: appends an expansion cell
-    /// `expand({contain(s) for s in cell})` (§4.2).
-    FromExtract {
-        /// Child plan.
-        input: Box<Plan>,
-        /// Column holding the source spans.
-        in_col: usize,
-    },
     /// Generating p-predicate: appends `out_arity` columns.
     GenerateProc {
         /// Child plan.
@@ -180,11 +201,12 @@ pub enum Plan {
         /// Attribute-annotated column indices.
         annotated: Vec<usize>,
     },
-    /// One pass over the input's tuples (DESIGN.md §11): selection steps
-    /// applied in order, then an optional projection, with no
-    /// intermediate table per step. The compiler emits one pass per step
-    /// and one for the head projection; the optimizer merges chains of
-    /// passes and rewrites them in place.
+    /// One pass over the input's tuples (DESIGN.md §11): steps applied in
+    /// order, then an optional projection, with no intermediate table per
+    /// step. Without a projection the output is the pass's schema: the
+    /// input's columns, then the columns its `from` steps define. The
+    /// compiler emits one pass per step and one for the head projection;
+    /// the optimizer merges chains of passes and rewrites them in place.
     ///
     /// When `input` is a [`Plan::CrossJoin`], the pass streams over the
     /// cross product directly instead of materializing it.
@@ -231,8 +253,7 @@ impl Plan {
         let (a, b) = match self {
             Plan::ScanExt { .. } | Plan::ScanRel { .. } => (None, None),
             Plan::CrossJoin { left, right } => (Some(&**left), Some(&**right)),
-            Plan::FromExtract { input, .. }
-            | Plan::GenerateProc { input, .. }
+            Plan::GenerateProc { input, .. }
             | Plan::Annotate { input, .. }
             | Plan::Pass { input, .. } => (Some(&**input), None),
         };
@@ -245,8 +266,7 @@ impl Plan {
         let (a, b) = match self {
             Plan::ScanExt { .. } | Plan::ScanRel { .. } => (None, None),
             Plan::CrossJoin { left, right } => (Some(&mut **left), Some(&mut **right)),
-            Plan::FromExtract { input, .. }
-            | Plan::GenerateProc { input, .. }
+            Plan::GenerateProc { input, .. }
             | Plan::Annotate { input, .. }
             | Plan::Pass { input, .. } => (Some(&mut **input), None),
         };
@@ -258,7 +278,6 @@ impl Plan {
     pub fn arity(&self, rel: &dyn Fn(&str) -> Option<usize>) -> Option<usize> {
         Some(match self {
             Plan::ScanExt { name } | Plan::ScanRel { name } => rel(name)?,
-            Plan::FromExtract { input, .. } => input.arity(rel)? + 1,
             Plan::GenerateProc {
                 input, out_arity, ..
             } => input.arity(rel)? + out_arity,
@@ -267,17 +286,20 @@ impl Plan {
                 project: Some((cols, _)),
                 ..
             } => cols.len(),
-            Plan::Pass { input, .. } | Plan::Annotate { input, .. } => input.arity(rel)?,
+            Plan::Pass { input, steps, .. } => input.arity(rel)? + extracts(steps),
+            Plan::Annotate { input, .. } => input.arity(rel)?,
         })
     }
 
     /// Whether this node is a *fused* pass (DESIGN.md §11) — what the
     /// `engine.opt.fused_*` counters count, the operator span is named
     /// after and EXPLAIN heads `Fused[…]`: a pass that does two or more
-    /// things (steps plus projection), or at least one while streaming
-    /// the pairs of a cross join. The token-prefilter similarity join —
-    /// one straddling `similar` step alone over a cross join — does not
-    /// stream pairs. `rel` gives scanned relations' arities.
+    /// things (steps plus projection), that defines a column (a `from`
+    /// step has no operator of its own), or that does at least one thing
+    /// while streaming the pairs of a cross join. The token-prefilter
+    /// similarity join — one straddling `similar` step alone over a cross
+    /// join — does not stream pairs. `rel` gives scanned relations'
+    /// arities.
     pub fn fused(&self, rel: &dyn Fn(&str) -> Option<usize>) -> bool {
         let Plan::Pass {
             input,
@@ -290,7 +312,7 @@ impl Plan {
         };
         let weight = steps.len() + usize::from(project.is_some());
         match &**input {
-            _ if weight >= 2 => true,
+            _ if weight >= 2 || extracts(steps) > 0 => true,
             Plan::CrossJoin { left, .. } if weight == 1 => steps
                 .first()
                 .zip(left.arity(rel))
@@ -316,9 +338,6 @@ impl Plan {
             }
             Plan::ScanRel { name } => {
                 let _ = writeln!(out, "{pad}ScanRel({name})");
-            }
-            Plan::FromExtract { in_col, .. } => {
-                let _ = writeln!(out, "{pad}FromExtract(col {in_col})");
             }
             Plan::GenerateProc {
                 name,
@@ -367,6 +386,14 @@ impl Plan {
             input.explain_into(out, depth + 1, rel);
         }
     }
+}
+
+/// How many columns the `steps` of one pass define.
+pub fn extracts(steps: &[FusedOp]) -> usize {
+    steps
+        .iter()
+        .filter(|s| matches!(s, FusedOp::Extract { .. }))
+        .count()
 }
 
 /// Error raised during plan compilation.
@@ -680,12 +707,10 @@ fn apply_atom(
 ) -> Result<bool, PlanError> {
     match atom {
         BodyAtom::Pred { name, args } if name == "from" => {
-            let [inp, out] = args.as_slice() else {
-                return Err(PlanError::BadFrom {
-                    rule: rule_str.to_string(),
-                });
-            };
-            let (Some(in_var), Some(out_var)) = (inp.term.var(), out.term.var()) else {
+            let (Some(in_var), Some(out_var)) = (match args.as_slice() {
+                [inp, out] => (inp.term.var(), out.term.var()),
+                _ => (None, None),
+            }) else {
                 return Err(PlanError::BadFrom {
                     rule: rule_str.to_string(),
                 });
@@ -694,12 +719,11 @@ fn apply_atom(
                 return Ok(false);
             };
             let b = &mut branches[bi];
-            let in_col = b.bound[in_var];
-            b.plan = Plan::FromExtract {
-                input: Box::new(b.plan.take()),
-                in_col,
-            };
             let new_col = b.ncols;
+            b.select(FusedOp::Extract {
+                src: b.bound[in_var],
+                col: new_col,
+            });
             b.ncols += 1;
             // Out var duplicated in the same branch → unify; in another
             // branch → unified at merge time.
@@ -962,7 +986,7 @@ mod tests {
     #[test]
     fn per_side_work_stays_below_the_join() {
         // Both sides extract before the cross join: the CrossJoin node must
-        // sit *above* the FromExtract/Constraint nodes of both branches.
+        // sit *above* the extract/constraint steps of both branches.
         let plan = compile(
             "q(a, b) :- pagesA(x), from(#x, a), numeric(a) = yes, \
              pagesB(y), from(#y, b), numeric(b) = yes, similar(#a, #b).",
@@ -970,13 +994,13 @@ mod tests {
         let explained = explain(&plan);
         let join_pos = explained.find("CrossJoin").unwrap();
         let from_positions: Vec<usize> = explained
-            .match_indices("FromExtract")
+            .match_indices("from(#0)→1")
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(from_positions.len(), 2);
+        assert_eq!(from_positions.len(), 2, "{explained}");
         // In the indented tree, children print after parents; both
-        // FromExtracts must be below (after) the join line, and the filter
-        // above it.
+        // extract steps must be below (after) the join line, and the
+        // filter above it.
         assert!(from_positions.iter().all(|&p| p > join_pos));
         let filter_pos = explained.find("Filter[similar").unwrap();
         assert!(filter_pos < join_pos);

@@ -75,12 +75,13 @@ fn definition2_worlds(r: &Relation) -> BTreeSet<Relation> {
     out
 }
 
-/// Brute force: the true relation of the Chair-shaped program
-/// `q(x, v, w, t) :- pages(x), e(#x, v), b(#x, w), twice(#v, t).`
+/// Brute force: the true relation of the Panel-shaped program, two
+/// extractions from one document with a constraint on each and a
+/// comparison between them:
+/// `q(x, v, w) :- pages(x), e(#x, v), v > T, b(#x, w).`
 /// `e(#x, v) :- from(#x, v), numeric(v) = yes.`
 /// `b(#x, w) :- from(#x, w), bold-font(w) = yes.`
-/// where the generator `twice` returns `2v` for `v > T` and nothing else.
-fn true_generated_relation(
+fn true_pair_relation(
     store: &DocumentStore,
     reg: &FeatureRegistry,
     docs: &[iflex_text::DocId],
@@ -107,17 +108,35 @@ fn true_generated_relation(
             }
             for &w in &spans {
                 if bold.verify(store, w, &FeatureArg::yes()).unwrap() {
-                    out.insert(vec![
-                        Value::Span(full),
-                        Value::Span(v),
-                        Value::Span(w),
-                        Value::Num(2.0 * n),
-                    ]);
+                    out.insert(vec![Value::Span(full), Value::Span(v), Value::Span(w)]);
                 }
             }
         }
     }
     out
+}
+
+/// Brute force: the true relation of the Chair-shaped program
+/// `q(x, v, w, t) :- pages(x), e(#x, v), b(#x, w), twice(#v, t).`
+/// with `e` and `b` as in [`true_pair_relation`], where the generator
+/// `twice` returns `2v` for `v > T` and nothing else.
+fn true_generated_relation(
+    store: &DocumentStore,
+    reg: &FeatureRegistry,
+    docs: &[iflex_text::DocId],
+    threshold: f64,
+) -> Relation {
+    true_pair_relation(store, reg, docs, threshold)
+        .into_iter()
+        .map(|mut row| {
+            let Value::Span(v) = row[1] else {
+                unreachable!("v is a span")
+            };
+            let n = iflex_text::parse_number(store.span_text(&v)).unwrap();
+            row.push(Value::Num(2.0 * n));
+            row
+        })
+        .collect()
 }
 
 fn build_docs(specs: &[(Vec<u8>, usize)]) -> (Arc<DocumentStore>, Vec<iflex_text::DocId>) {
@@ -213,6 +232,47 @@ proptest! {
                 engine_worlds.len()
             );
         }
+    }
+
+    /// Two extractions from one document, interleaved with a constraint
+    /// each and a comparison (the Panel task's shape, one fused pass):
+    /// the tuple universe contains the truth and the certain tuples lie
+    /// inside it, serial and threaded.
+    #[test]
+    fn two_extractions_in_one_pass_bracket_the_truth(
+        specs in proptest::collection::vec(
+            (proptest::collection::vec(0u8..40, 1..5), 0usize..4),
+            1..4,
+        ),
+        threshold in 0u32..60,
+    ) {
+        let (store, ids) = build_docs(&specs);
+        let prog = parse_program(&format!(
+            "q(x, v, w) :- pages(x), e(#x, v), v > {threshold}, b(#x, w).\n\
+             e(#x, v) :- from(#x, v), numeric(v) = yes.\n\
+             b(#x, w) :- from(#x, w), bold-font(w) = yes."
+        ))
+        .unwrap();
+        let mut results = Vec::new();
+        for threads in [1, 4] {
+            let mut eng = Engine::new(Arc::clone(&store));
+            eng.limits.threads = threads;
+            eng.add_doc_table("pages", &ids);
+            let plan = eng.explain(&prog).unwrap();
+            prop_assert_eq!(plan.matches("Fused[").count(), 1, "{}", plan);
+            prop_assert_eq!(plan.matches("from(#0)").count(), 2, "{}", plan);
+            let result = eng.run(&prog).unwrap();
+            let truth = true_pair_relation(eng.store(), eng.features(), &ids, threshold as f64);
+            let universe = worlds::tuple_universe(&result, eng.store(), 1_000_000).unwrap();
+            for row in &truth {
+                prop_assert!(universe.contains(row), "true tuple {row:?} lost");
+            }
+            for row in result.certain_tuples(eng.store(), 1_000_000) {
+                prop_assert!(truth.contains(&row), "wrong certain tuple {row:?}");
+            }
+            results.push(result);
+        }
+        prop_assert_eq!(&results[0], &results[1]);
     }
 
     /// A generator over one extracted column beside a second extracted

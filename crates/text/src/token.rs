@@ -236,31 +236,37 @@ impl Iterator for SubspanIter<'_> {
 
 /// Parses the numeric value of a token or span text, accepting `,` group
 /// separators and an optional leading `$`. Returns `None` for anything that
-/// is not a single number.
+/// is not a single number. The digits are cleaned into a stack buffer, so
+/// no call on a text of up to 64 bytes allocates.
 pub fn parse_number(text: &str) -> Option<f64> {
     let t = text.trim();
-    let t = t.strip_prefix('$').unwrap_or(t);
-    if t.is_empty() {
-        return None;
-    }
-    let mut cleaned = String::with_capacity(t.len());
+    let t = t.strip_prefix('$').unwrap_or(t).as_bytes();
+    let mut stack = [0u8; 64];
+    let mut heap = Vec::new();
+    let cleaned: &mut [u8] = if t.len() <= stack.len() {
+        &mut stack
+    } else {
+        heap.resize(t.len(), 0);
+        &mut heap
+    };
+    let mut n = 0;
     let mut seen_dot = false;
-    for (i, c) in t.chars().enumerate() {
-        match c {
-            '0'..='9' => cleaned.push(c),
-            ',' if i > 0 && i + 1 < t.len() => {} // group separator
-            '.' if !seen_dot => {
-                seen_dot = true;
-                cleaned.push('.');
-            }
-            '-' if i == 0 => cleaned.push('-'),
+    // Any non-ASCII byte is rejected, so byte positions are char positions.
+    for (i, &b) in t.iter().enumerate() {
+        match b {
+            b'0'..=b'9' => {}
+            b',' if i > 0 && i + 1 < t.len() => continue, // group separator
+            b'.' if !seen_dot => seen_dot = true,
+            b'-' if i == 0 => {}
             _ => return None,
         }
+        cleaned[n] = b;
+        n += 1;
     }
-    if cleaned.is_empty() || cleaned == "-" || cleaned == "." {
-        return None;
+    match std::str::from_utf8(&cleaned[..n]).ok()? {
+        "" | "-" | "." => None,
+        cleaned => cleaned.parse().ok(),
     }
-    cleaned.parse().ok()
 }
 
 #[cfg(test)]
@@ -345,6 +351,57 @@ mod tests {
         assert_eq!(parse_number("12a"), None);
         assert_eq!(parse_number(""), None);
         assert_eq!(parse_number("1.2.3"), None);
+    }
+
+    /// The allocating implementation the stack-buffer one replaced.
+    fn parse_number_via_string(text: &str) -> Option<f64> {
+        let t = text.trim();
+        let t = t.strip_prefix('$').unwrap_or(t);
+        let mut cleaned = String::with_capacity(t.len());
+        let mut seen_dot = false;
+        for (i, c) in t.chars().enumerate() {
+            match c {
+                '0'..='9' => cleaned.push(c),
+                ',' if i > 0 && i + 1 < t.len() => {}
+                '.' if !seen_dot => {
+                    seen_dot = true;
+                    cleaned.push('.');
+                }
+                '-' if i == 0 => cleaned.push('-'),
+                _ => return None,
+            }
+        }
+        if cleaned.is_empty() || cleaned == "-" || cleaned == "." {
+            return None;
+        }
+        cleaned.parse().ok()
+    }
+
+    #[test]
+    fn parse_number_matches_the_allocating_version() {
+        let long = "7".repeat(100);
+        let table: [(&str, Option<f64>); 14] = [
+            ("1,234.50", Some(1234.5)),
+            ("$35.99", Some(35.99)),
+            ("-", None),
+            (".", None),
+            ("1.2.3", None),
+            ("-5", Some(-5.0)),
+            (",5", None),
+            (&long, long.parse().ok()),
+            (" $1,000 ", Some(1000.0)),
+            ("5,", None),
+            ("5-", None),
+            ("1,5é", None),
+            ("é", None),
+            ("", None),
+        ];
+        for (text, want) in table {
+            let got = parse_number(text);
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{text:?}");
+            let old = parse_number_via_string(text);
+            assert_eq!(got.map(f64::to_bits), old.map(f64::to_bits), "{text:?}");
+        }
     }
 
     #[test]

@@ -381,3 +381,40 @@ fn session_stop_reason_and_table_survive_optimizer_ablation() {
         assert_eq!(on, off, "session ablation diverged for {id:?}");
     }
 }
+
+#[test]
+fn extract_cold_programs_keep_their_result_sizes() {
+    // The six programs the benchmark's `extract-cold` workload runs: each
+    // task's Sequential session converges at corpus scale 1, and its
+    // program then runs once on a fresh engine. Their (tuples, expanded
+    // tuples) are pinned, so a change to how rule bodies are evaluated
+    // cannot change what these programs return unnoticed.
+    let c = Corpus::build(CorpusConfig::scaled(1.0));
+    let expected = [
+        (TaskId::T5, 2136, 2136),
+        (TaskId::T7, 1504, 1504),
+        (TaskId::T8, 2490, 2490),
+        (TaskId::Panel, 6738, 140_928),
+        (TaskId::Project, 6738, 140_928),
+        (TaskId::Chair, 240, 1440),
+    ];
+    for (id, len, expanded) in expected {
+        let task = c.task(id, None);
+        let mut session = iflex::Session::new(
+            task.engine(&c),
+            task.program.clone(),
+            Box::new(Sequential),
+            Box::new(SimulatedDeveloper::new(task.oracle.clone())),
+        );
+        session.run().expect("session runs");
+        let mut engine = task.engine(&c);
+        let out = engine
+            .run(session.program())
+            .expect("converged program runs");
+        assert_eq!(
+            (out.len(), out.expanded_len(engine.store())),
+            (len, expanded),
+            "{id:?}"
+        );
+    }
+}
