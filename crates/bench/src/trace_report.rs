@@ -328,7 +328,8 @@ pub fn render_run_rates(r: &RunRates) -> String {
 }
 
 /// The `dropped` count from the journal's truncation marker, when the
-/// tracer hit its event cap while recording ([`Tracer::to_jsonl`]
+/// tracer hit its event cap while recording
+/// ([`Tracer::to_jsonl`](iflex_engine::obs::trace::Tracer::to_jsonl)
 /// appends the marker); `None` for a complete journal.
 pub fn truncation(events: &[iflex_engine::obs::trace::TraceEvent]) -> Option<u64> {
     events.iter().find(|e| e.name == "journal_truncated").map(|e| {

@@ -24,6 +24,7 @@ use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, extracts, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
+use crate::similarity::SimProfile;
 use iflex_alog::{
     evaluation_order, unfold, validate, Program, Rule, ValidateEnv, ValidateError,
 };
@@ -88,11 +89,11 @@ pub struct Limits {
     /// without touching the environment.
     pub trace: bool,
     /// Run each compiled rule plan through the logical-plan optimizer
-    /// (DESIGN.md §11): σ pushdown below joins, selectivity-driven
-    /// reordering, join orientation, and fusion of adjacent selection /
-    /// projection operators into single batch passes. Rewrites preserve
-    /// results byte-for-byte except where reordering moves a `similar`
-    /// filter off the similarity join (DESIGN.md §11), so this is an
+    /// (DESIGN.md §11): chains of selection / projection passes merged
+    /// into single passes, σ pushdown below joins, and selectivity-driven
+    /// reordering. Rewrites preserve results byte-for-byte except where
+    /// reordering moves a `similar` filter off a pass's token prefilter
+    /// (DESIGN.md §11), so this is an
     /// ablation knob; incremental-cache fingerprints hash the
     /// *pre-optimization* rule and stay valid either way.
     pub use_optimizer: bool,
@@ -227,8 +228,6 @@ impl fmt::Display for Degradation {
 pub struct ExecStats {
     /// Rules actually (re)computed this run.
     pub rules_evaluated: usize,
-    /// Rules served from the reuse cache this run.
-    pub cache_hits: usize,
     /// Extensional tuples scanned this run.
     pub tuples_scanned: usize,
     /// Possible-value volume across *all* pre-projection extraction
@@ -240,8 +239,8 @@ pub struct ExecStats {
     pub assignments_produced: usize,
     /// Rules degraded this run (empty for an exact run).
     pub degradations: Vec<Degradation>,
-    /// Incremental-cache hits this run (equals `cache_hits` while the
-    /// incremental engine is on; zero when `use_incremental` is off).
+    /// Rules served from the incremental rule cache this run (zero when
+    /// `use_incremental` is off).
     pub incr_hits: usize,
     /// Incremental-cache misses this run (rules that fell through to
     /// evaluation while the incremental engine was on).
@@ -405,11 +404,11 @@ const OP_NAMES: [&str; 11] = [
 /// The [`OP_NAMES`] index of a plan node. A pass is named from its
 /// shape: `fused` when it is one ([`Plan::fused`] — always, when it
 /// extracts), else after its one step, else `project`.
-fn op_idx(plan: &Plan, fused: bool) -> usize {
+fn op_idx(plan: &Plan) -> usize {
     match plan {
         Plan::ScanExt { .. } => 0,
         Plan::ScanRel { .. } => 1,
-        Plan::Pass { .. } if fused => 10,
+        Plan::Pass { .. } if plan.fused() => 10,
         Plan::Pass { steps, .. } => match steps.first() {
             Some(FusedOp::Constraint { .. }) => 2,
             Some(FusedOp::Compare { .. }) => 3,
@@ -429,7 +428,6 @@ fn op_idx(plan: &Plan, fused: bool) -> usize {
 /// happens during a run. Handles stay valid across [`Registry::reset`].
 struct EngineCounters {
     rules_evaluated: Counter,
-    cache_hits: Counter,
     tuples_scanned: Counter,
     assignments_produced: Counter,
     degradations: Counter,
@@ -450,7 +448,6 @@ struct EngineCounters {
     opt_plans: Counter,
     opt_pushdowns: Counter,
     opt_reorders: Counter,
-    opt_join_flips: Counter,
     opt_fused_nodes: Counter,
     opt_fused_steps: Counter,
     /// Estimated vs. actual per-rule selectivity, in basis points.
@@ -462,7 +459,6 @@ impl EngineCounters {
     fn new(reg: &Registry) -> Self {
         EngineCounters {
             rules_evaluated: reg.counter(names::RULES_EVALUATED),
-            cache_hits: reg.counter(names::CACHE_HITS),
             tuples_scanned: reg.counter(names::TUPLES_SCANNED),
             assignments_produced: reg.counter(names::ASSIGNMENTS_PRODUCED),
             degradations: reg.counter(names::DEGRADATIONS),
@@ -490,7 +486,6 @@ impl EngineCounters {
             opt_plans: reg.counter(names::OPT_PLANS),
             opt_pushdowns: reg.counter(names::OPT_PUSHDOWNS),
             opt_reorders: reg.counter(names::OPT_REORDERS),
-            opt_join_flips: reg.counter(names::OPT_JOIN_FLIPS),
             opt_fused_nodes: reg.counter(names::OPT_FUSED_NODES),
             opt_fused_steps: reg.counter(names::OPT_FUSED_STEPS),
             opt_est_sel_bp: reg.histogram(names::OPT_EST_SEL_BP),
@@ -922,7 +917,6 @@ impl Engine {
             relations: &rels,
             stats: &stats,
         };
-        let arity = |name: &str| Some(rels.get(name)?.0);
         let mut out = String::new();
         use std::fmt::Write as _;
         for name in &pro.order {
@@ -934,7 +928,7 @@ impl Engine {
                 } else {
                     None
                 };
-                out.push_str(&plan.explain(&arity));
+                out.push_str(&plan.explain());
                 if let Some(report) = report {
                     let _ = writeln!(out, "-- opt: {}", report.summary());
                 }
@@ -1000,7 +994,6 @@ impl Engine {
 
         let c = &self.counters;
         self.stats.rules_evaluated = c.rules_evaluated.get() as usize;
-        self.stats.cache_hits = c.cache_hits.get() as usize;
         self.stats.tuples_scanned = c.tuples_scanned.get() as usize;
         self.stats.assignments_produced = c.assignments_produced.get() as usize;
         self.stats.incr_hits = c.incr_hits.get() as usize;
@@ -1151,7 +1144,6 @@ impl Engine {
                 if use_incr {
                     match self.rule_cache_lookup_guarded(name, &sample_key, fp, inputs) {
                         Ok(Some((hit, volume))) => {
-                            self.counters.cache_hits.inc();
                             self.counters.incr_hits.inc();
                             self.counters.assignments_produced.add(volume as u64);
                             if let Some((t, parent)) = self.tracer.ctx(run_span) {
@@ -1324,7 +1316,6 @@ impl Engine {
         c.opt_plans.inc();
         c.opt_pushdowns.add(u64::from(report.pushdowns));
         c.opt_reorders.add(u64::from(report.reorders));
-        c.opt_join_flips.add(u64::from(report.join_flips));
         c.opt_fused_nodes.add(u64::from(report.fused_nodes));
         c.opt_fused_steps.add(u64::from(report.fused_steps));
         c.opt_est_sel_bp
@@ -1417,11 +1408,7 @@ impl Engine {
         parent: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
         self.clock.tick().map_err(EngineError::from)?;
-        let arity = |name: &str| {
-            let table = self.ext.get(name).or_else(|| computed.get(name))?;
-            Some(table.arity())
-        };
-        let op = op_idx(plan, plan.fused(&arity));
+        let op = op_idx(plan);
         let t0 = std::time::Instant::now();
         let span = self
             .tracer
@@ -1595,7 +1582,7 @@ impl Engine {
             // A cross join is a pass with no steps over itself: every
             // pair survives.
             Plan::CrossJoin { .. } => {
-                self.eval_pass(plan, &[], None, false, computed, sample, span)
+                self.eval_pass(plan, &[], None, computed, sample, span)
             }
             Plan::Annotate {
                 input,
@@ -1625,12 +1612,10 @@ impl Engine {
                 input,
                 steps,
                 project,
-                outer_right,
             } => self.eval_pass(
                 input,
                 steps,
                 project.as_ref().map(|(cols, names)| (cols.as_slice(), names.as_slice())),
-                *outer_right,
                 computed,
                 sample,
                 span,
@@ -1670,93 +1655,6 @@ impl Engine {
         }
     }
 
-    /// Token-prefilter similarity join: precomputes a
-    /// [`SimProfile`](crate::similarity::SimProfile) per side and keeps
-    /// only pairs that may match. Exact (non-maybe) when both cells are
-    /// singletons.
-    fn similar_join(
-        &mut self,
-        l: Arc<CompactTable>,
-        r: Arc<CompactTable>,
-        lcol: usize,
-        rcol: usize,
-        span: SpanId,
-    ) -> Result<Arc<CompactTable>, EngineError> {
-        let profile = |cell: &Cell| -> crate::similarity::SimProfile {
-            let mut tokens = std::collections::BTreeSet::new();
-            for a in cell.assignments() {
-                match a {
-                    iflex_ctable::Assignment::Exact(v) => {
-                        tokens.extend(crate::similarity::norm_tokens(&v.as_text(&self.store)));
-                    }
-                    iflex_ctable::Assignment::Contain(s) => {
-                        tokens.extend(crate::similarity::norm_tokens(
-                            self.store.span_text(s),
-                        ));
-                    }
-                }
-            }
-            let singleton = cell
-                .singleton(&self.store)
-                .map(|v| v.as_text(&self.store).to_string());
-            crate::similarity::SimProfile { tokens, singleton }
-        };
-        let lprof: Arc<Vec<_>> =
-            Arc::new(l.tuples().iter().map(|t| profile(&t.cells[lcol])).collect());
-        let rprof: Arc<Vec<_>> =
-            Arc::new(r.tuples().iter().map(|t| profile(&t.cells[rcol])).collect());
-        let mut cols = l.columns().to_vec();
-        cols.extend(r.columns().iter().cloned());
-        let cap = self.limits.max_result_tuples;
-
-        // Morsel-scatter the outer side; profiles are index-aligned with
-        // their tuples, so a morsel is a contiguous index range into both.
-        let mr = {
-            let ec = self.eval_ctx();
-            let l = Arc::clone(&l);
-            let r = Arc::clone(&r);
-            let (lprof, rprof) = (Arc::clone(&lprof), Arc::clone(&rprof));
-            crate::par::scatter(&self.section_ctx(span), l.len(), move |range| {
-                let mut out = Vec::new();
-                for i in range {
-                    let lt = &l.tuples()[i];
-                    let lp = &lprof[i];
-                    for (rt, rp) in r.tuples().iter().zip(rprof.iter()) {
-                        ec.clock.tick().map_err(EngineError::from)?;
-                        if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
-                            return Err(injected(f));
-                        }
-                        if !lp.may_match(rp) {
-                            continue;
-                        }
-                        // Per-morsel heuristic; re-checked at merge time.
-                        if out.len() >= cap {
-                            return Err(EngineError::TooLarge("similarity join result".into()));
-                        }
-                        let mut cells = Vec::with_capacity(lt.cells.len() + rt.cells.len());
-                        cells.extend(lt.cells.iter().cloned());
-                        cells.extend(rt.cells.iter().cloned());
-                        let must = lp.exact_pair(rp);
-                        out.push(CompactTuple {
-                            cells,
-                            maybe: lt.maybe || rt.maybe || !must,
-                        });
-                    }
-                }
-                Ok(out)
-            })
-        };
-        self.note_section(&mr.stats);
-        let mut out = CompactTable::new(cols);
-        for t in mr.merge()? {
-            if out.len() >= cap {
-                return Err(EngineError::TooLarge("similarity join result".into()));
-            }
-            out.push(t);
-        }
-        Ok(Arc::new(out))
-    }
-
     /// Snapshots the engine's shared read-only handles for use inside a
     /// `'static` morsel closure. Pool workers outlive any one operator's
     /// stack frame, so per-tuple bodies cannot borrow `&Engine` — they
@@ -1790,13 +1688,20 @@ impl Engine {
         }
     }
 
-    /// Resolves a pass once per operator: each filter step's procedure.
+    /// Resolves a pass once per operator: each filter step's procedure,
+    /// and — for a pass over the pairs of a join's two tables — a first
+    /// step that is a straddling `similar` ([`FusedOp::similar_cols`])
+    /// becomes the pass's token prefilter, with one [`SimProfile`] per
+    /// row of each side. This position test is where the two approximations of
+    /// `similar` meet (DESIGN.md §11): anywhere else the step enumerates
+    /// candidate values.
     fn resolve_pass(
         &self,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
+        join: Option<(&CompactTable, &CompactTable)>,
     ) -> Result<Pass, EngineError> {
-        let steps = ops
+        let mut steps = ops
             .iter()
             .map(|op| {
                 let filter = match op {
@@ -1812,7 +1717,17 @@ impl Engine {
                 })
             })
             .collect::<Result<Vec<_>, EngineError>>()?;
+        let similar = join.and_then(|(l, r)| Some((l, r, ops.first()?.similar_cols(l.arity())?)));
+        let prefilter = similar.map(|(l, r, (lcol, rcol))| {
+            steps.remove(0);
+            let profiles = |t: &CompactTable, col: usize| -> Vec<SimProfile> {
+                let cells = t.tuples().iter().map(|tup| &tup.cells[col]);
+                cells.map(|c| SimProfile::of(c, &self.store)).collect()
+            };
+            (profiles(l, lcol), profiles(r, rcol))
+        });
         Ok(Pass {
+            prefilter,
             steps,
             extracts: extracts(ops),
             proj: project.map(|(cols, _)| cols.to_vec()),
@@ -1827,35 +1742,23 @@ impl Engine {
     /// Each morsel tallies its constraint steps' [`FeatStats`] locally
     /// and folds them into the engine's shared statistics once, when it
     /// finishes.
-    #[allow(clippy::too_many_arguments)]
     fn eval_pass(
         &mut self,
         input: &Plan,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
-        outer_right: bool,
         computed: &BTreeMap<String, Arc<CompactTable>>,
         sample: Option<Sample>,
         span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let pass = self.resolve_pass(ops, project)?;
         if let Plan::CrossJoin { left, right } = input {
             let l = self.eval_plan(left, computed, sample, span)?;
             let r = self.eval_plan(right, computed, sample, span)?;
-            // Approximate string join: similar(a, b) with one column per
-            // side, left side first, runs through a token prefilter with
-            // per-side precomputed profiles (§4.1's "significantly more
-            // involved" join; see DESIGN.md). Any other step over a cross
-            // join — `similar(b, a)` included — is a pass over the pairs
-            // of the same two tables.
-            if let ([step], None) = (ops, project) {
-                if let Some((lcol, rcol)) = step.similar_cols(l.arity()) {
-                    return self.similar_join(l, r, lcol, rcol, span);
-                }
-            }
-            return self.pass_over_pairs(l, r, pass, project, outer_right, span);
+            let pass = self.resolve_pass(ops, project, Some((&l, &r)))?;
+            return self.pass_over_pairs(l, r, pass, project, span);
         }
 
+        let pass = self.resolve_pass(ops, project, None)?;
         let t = self.eval_plan(input, computed, sample, span)?;
         let out_cols = pass.columns(t.columns().to_vec(), project);
         let mr = {
@@ -1914,64 +1817,66 @@ impl Engine {
 
     /// The pairwise mode of [`Engine::eval_pass`] over two already
     /// evaluated join inputs: pairs are sent through the pass as they are
-    /// generated, and only survivors are built. With `outer_right` the
-    /// (larger) right side is the sharded outer loop; tagging every
-    /// emitted pair with its left index and stable-sorting afterwards
-    /// restores left-major output order exactly, so a flipped join is
-    /// byte-identical to an unflipped one.
+    /// generated, left-major, and only survivors are built. The morsels
+    /// shard the pair index rather than a side, so output needs no
+    /// reordering and a join with one row on a side still spreads over
+    /// the pool. A pair the pass's prefilter rules out skips its steps; a
+    /// pair it cannot decide exactly is marked `maybe`.
     fn pass_over_pairs(
         &mut self,
         l: Arc<CompactTable>,
         r: Arc<CompactTable>,
         pass: Pass,
         project: Option<(&[usize], &[String])>,
-        outer_right: bool,
         span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
         let in_cols = l.columns().iter().chain(r.columns()).cloned().collect();
         let out_cols = pass.columns(in_cols, project);
         let cap = self.limits.max_result_tuples;
+        let pairs = l.len() * r.len();
+        // The dispenser packs index ranges into u32: past that many pairs,
+        // one index stands for a block of consecutive pairs.
+        let block = pairs.div_ceil(u32::MAX as usize - 1).max(1);
+        let indices = pairs.div_ceil(block);
         let mr = {
             let ec = self.eval_ctx();
-            let outer_len = if outer_right { r.len() } else { l.len() };
-            crate::par::scatter(&self.section_ctx(span), outer_len, move |range| {
-                let (outer, inner) = if outer_right { (&r, &l) } else { (&l, &r) };
+            crate::par::scatter(&self.section_ctx(span), indices, move |range| {
                 let mut overlay = vec![None; l.arity() + r.arity() + pass.extracts];
                 let mut tally = vec![FeatStats::default(); pass.steps.len()];
-                let mut out: Vec<(usize, CompactTuple, u64)> = Vec::new();
-                for oi in range {
-                    let ot = &outer.tuples()[oi];
-                    for (ii, it) in inner.tuples().iter().enumerate() {
-                        let (li, lt, rt) = if outer_right { (ii, it, ot) } else { (oi, ot, it) };
-                        ec.clock.tick().map_err(EngineError::from)?;
-                        if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
-                            return Err(injected(f));
-                        }
-                        let Some((cells, extra, volume)) =
-                            ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay, &mut tally)?
-                        else {
-                            continue;
-                        };
-                        // Per-morsel heuristic; the authoritative cap check
-                        // is `pass_table`'s, over the merged rows.
-                        if out.len() >= cap {
-                            return Err(EngineError::TooLarge("join result".into()));
-                        }
-                        let maybe = lt.maybe || rt.maybe || extra;
-                        out.push((li, CompactTuple { cells, maybe }, volume));
+                let mut out: Vec<(CompactTuple, u64)> = Vec::new();
+                for p in range.start * block..pairs.min(range.end * block) {
+                    let (li, ri) = (p / r.len(), p % r.len());
+                    let (lt, rt) = (&l.tuples()[li], &r.tuples()[ri]);
+                    ec.clock.tick().map_err(EngineError::from)?;
+                    if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
+                        return Err(injected(f));
                     }
+                    let mut maybe = lt.maybe || rt.maybe;
+                    if let Some((lprof, rprof)) = &pass.prefilter {
+                        if !lprof[li].may_match(&rprof[ri]) {
+                            continue;
+                        }
+                        maybe |= !lprof[li].exact_pair(&rprof[ri]);
+                    }
+                    let Some((cells, extra, volume)) =
+                        ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay, &mut tally)?
+                    else {
+                        continue;
+                    };
+                    // Per-morsel heuristic; the authoritative cap check
+                    // is `pass_table`'s, over the merged rows.
+                    if out.len() >= cap {
+                        return Err(EngineError::TooLarge("join result".into()));
+                    }
+                    let maybe = maybe || extra;
+                    out.push((CompactTuple { cells, maybe }, volume));
                 }
                 ec.fold_tally(&pass, &tally);
                 Ok(out)
             })
         };
         self.note_section(&mr.stats);
-        let mut rows = mr.merge()?;
-        if outer_right {
-            rows.sort_by_key(|(li, ..)| *li);
-        }
-        let rows = rows.into_iter().map(|(_, tup, v)| (tup, v));
-        self.pass_table(out_cols, rows, cap, project.is_some())
+        self.pass_table(out_cols, mr.merge()?, cap, project.is_some())
     }
 }
 
@@ -1996,9 +1901,14 @@ impl Prologue {
 }
 
 /// One pass as [`Engine::resolve_pass`] prepares it for the morsel
-/// closures: steps in application order, how many columns they define,
-/// and the trailing projection's columns.
+/// closures: a pairwise pass's similarity prefilter, steps in
+/// application order, how many columns they define, and the trailing
+/// projection's columns.
 struct Pass {
+    /// The left and right sides' token profiles, index-aligned with the
+    /// join's tuples, when the pass's first step was a straddling
+    /// `similar`.
+    prefilter: Option<(Vec<SimProfile>, Vec<SimProfile>)>,
     steps: Vec<Step>,
     extracts: usize,
     proj: Option<Vec<usize>>,
@@ -2366,9 +2276,9 @@ mod tests {
         )
         .unwrap();
         eng.run(&prog).unwrap();
-        assert_eq!(eng.stats.cache_hits, 0);
+        assert_eq!(eng.stats.incr_hits, 0);
         eng.run(&prog).unwrap();
-        assert!(eng.stats.cache_hits >= 1);
+        assert!(eng.stats.incr_hits >= 1);
         assert_eq!(eng.stats.rules_evaluated, 0);
     }
 
@@ -2394,7 +2304,7 @@ mod tests {
         .unwrap();
         eng.run(&p2).unwrap();
         // `other` is unchanged → cache hit; `houses` changed → recomputed.
-        assert_eq!(eng.stats.cache_hits, 1);
+        assert_eq!(eng.stats.incr_hits, 1);
         assert_eq!(eng.stats.rules_evaluated, 1);
     }
 

@@ -141,8 +141,8 @@ pub fn est_rows(p: &Plan, ctx: &OptCtx<'_>, model: &SelModel<'_>) -> Option<f64>
     })
 }
 
-/// The selectivity / cost model behind the reordering and orientation
-/// passes.
+/// The selectivity / cost model behind the reordering pass and the
+/// rule's estimated output rows.
 pub struct SelModel<'a> {
     stats: &'a HashMap<String, FeatStats>,
 }

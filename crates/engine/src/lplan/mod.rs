@@ -18,26 +18,23 @@
 //!    order, which the §4.2 prior-recheck worklist depends on).
 //!    Constraint selectivities are seeded from the per-feature
 //!    [`FeatStats`] the pass evaluator tallies.
-//! 3. **join orientation** — the larger input becomes the sharded outer
-//!    loop of the pass streaming over a join; output order is restored
-//!    by index-sorting, so results are unchanged.
-//! 4. **split** — a straddling `similar` step left first over a join
-//!    becomes its own one-step pass, the interpreter's token-prefilter
-//!    similarity join; every pass then run fused ([`Plan::fused`]) is
-//!    counted. A pass over a cross join streams the product pairwise
-//!    instead of materializing it.
+//! 3. **bounds check and fused count** — every pass's column indices
+//!    are checked against its schema, and every pass the interpreter
+//!    runs fused ([`Plan::fused`]) is counted. A pass over a cross join
+//!    streams the product's pairs instead of materializing it.
 //!
 //! Every pass preserves results **byte-for-byte**, not just up to
 //! worlds-equivalence: moves are restricted to transformations that
 //! provably commute at the tuple/cell level (disjoint columns, whole
-//! same-side steps, order-compensated join flips) — with one exception:
-//! scheduling a step ahead of a straddling `similar` filter moves the
-//! filter off the token-prefilter join onto candidate enumeration, a
-//! different approximation of the same predicate (DESIGN.md §11). This
-//! is what makes `Limits::use_optimizer` an ablation knob, and why
-//! incremental cache fingerprints — which hash the *pre-optimization*
-//! unfolded rule (see [`crate::plan::rule_fingerprint`]) — remain valid
-//! for optimized and unoptimized executions alike.
+//! same-side steps) — with one exception: scheduling a step ahead of a
+//! straddling `similar` filter that was first over a cross join moves
+//! it off that pass's token prefilter onto candidate enumeration, a
+//! different approximation of the same predicate (DESIGN.md §11). The
+//! byte-exactness is what makes `Limits::use_optimizer` an ablation
+//! knob, and why incremental cache fingerprints — which hash the
+//! *pre-optimization* unfolded rule (see
+//! [`crate::plan::rule_fingerprint`]) — remain valid for optimized and
+//! unoptimized executions alike.
 
 mod analyze;
 mod rewrite;
@@ -67,8 +64,6 @@ pub struct OptReport {
     pub pushdowns: u32,
     /// Selection steps moved by the selectivity reordering pass.
     pub reorders: u32,
-    /// Joins whose outer loop was flipped to the larger input.
-    pub join_flips: u32,
     /// Fused passes in the optimized plan ([`Plan::fused`]).
     pub fused_nodes: u32,
     /// Selection steps in those passes.
@@ -92,10 +87,9 @@ impl OptReport {
     /// One-line summary for EXPLAIN output.
     pub fn summary(&self) -> String {
         format!(
-            "pushdowns={} reorders={} join_flips={} fused={}({} steps) est_sel={:.4}",
+            "pushdowns={} reorders={} fused={}({} steps) est_sel={:.4}",
             self.pushdowns,
             self.reorders,
-            self.join_flips,
             self.fused_nodes,
             self.fused_steps,
             self.est_selectivity()
@@ -117,9 +111,8 @@ pub fn optimize(plan: &mut Plan, ctx: &OptCtx<'_>) -> Option<OptReport> {
     rewrite::merge(plan);
     rewrite::pushdown(plan, ctx, &mut report)?;
     rewrite::reorder(plan, &model, &mut report);
-    rewrite::orient_joins(plan, ctx, &model, &mut report)?;
     report.est_out_rows = analyze::est_rows(plan, ctx, &model)?;
-    rewrite::split(plan, ctx, &mut report)?;
+    rewrite::count_fused(plan, ctx, &mut report);
     Some(report)
 }
 
@@ -164,12 +157,6 @@ mod tests {
         (plan, report)
     }
 
-    /// EXPLAIN over the test relations.
-    fn explain(plan: &Plan) -> String {
-        let (rel, _) = ctx_maps();
-        plan.explain(&|name| Some(rel.get(name)?.0))
-    }
-
     #[test]
     fn pushdown_sinks_post_join_selection() {
         // numeric(b) appears after `x < a` merges the branches, so the
@@ -179,7 +166,7 @@ mod tests {
         let (plan, report) =
             optimize_src("q(x, a, b) :- small(x), r2(a, b), x < a, numeric(b) = yes.");
         assert!(report.pushdowns >= 1, "report: {report:?}");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         let join = explained.find("CrossJoin").unwrap();
         let numeric = explained.find("numeric").unwrap();
         assert!(numeric > join, "σ must print below the join:\n{explained}");
@@ -196,7 +183,7 @@ mod tests {
              similar(#a, #b), numeric(a) = yes.",
         );
         assert_eq!(report.pushdowns, 0, "report: {report:?}");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         let sim = explained.find("similar").unwrap();
         let numeric = explained.find("numeric").unwrap();
         assert!(numeric < sim, "σ must stay above the filter:\n{explained}");
@@ -207,13 +194,21 @@ mod tests {
         let (plan, _) = optimize_src(
             "q(a, b) :- small(x), from(#x, a), big(y), from(#y, b), similar(#a, #b).",
         );
-        let explained = explain(&plan);
-        // The straddling similar filter must stay a one-step pass
-        // directly above the CrossJoin so exec's token-prefilter join
-        // specialization still applies.
-        assert!(
-            explained.contains("Filter[similar"),
-            "similar specialization lost:\n{explained}"
+        // The straddling similar filter must stay the first step of the
+        // pass directly over the CrossJoin, where the interpreter runs it
+        // as the pass's token prefilter.
+        assert_eq!(
+            plan.explain(),
+            "Fused[1 steps]\n\
+             \x20 π[[1, 3] as [\"a\", \"b\"]]\n\
+             \x20 Filter[similar[1, 3]]\n\
+             \x20 CrossJoin\n\
+             \x20   Fused[1 steps]\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(small)\n\
+             \x20   Fused[1 steps]\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(big)\n"
         );
     }
 
@@ -221,27 +216,23 @@ mod tests {
     fn similar_then_comparison_over_a_join_keeps_its_plan() {
         // T9's top rule: the cheap comparison is scheduled ahead of the
         // similarity filter, so `similar` is no longer the first step over
-        // the join — it runs inside the fused pairwise pass, and the join
-        // is free to put the larger side outermost. Each side extracts
-        // and constrains in one pass of its own below the join.
+        // the join — it runs inside the fused pairwise pass by candidate
+        // enumeration, not as the pass's prefilter. Each side extracts and
+        // constrains in one pass of its own below the join.
         let (plan, report) = optimize_src(
             "q(a) :- small(x), from(#x, a), from(#x, p), numeric(p) = yes, \
              big(y), from(#y, b), from(#y, c), numeric(c) = yes, \
              similar(#a, #b), p < c.",
         );
-        assert_eq!(
-            (report.pushdowns, report.reorders, report.join_flips),
-            (0, 2, 1),
-            "{report:?}"
-        );
+        assert_eq!((report.pushdowns, report.reorders), (0, 2), "{report:?}");
         assert_eq!(
             (report.fused_nodes, report.fused_steps),
             (3, 8),
             "{report:?}"
         );
         assert_eq!(
-            explain(&plan),
-            "Fused[2 steps, outer=right]\n\
+            plan.explain(),
+            "Fused[2 steps]\n\
              \x20 π[[1] as [\"a\"]]\n\
              \x20 Filter[similar[1, 4]]\n\
              \x20 σ[Col(2) < Col(5) + 0]\n\
@@ -260,21 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn join_flips_to_larger_outer() {
-        let (plan, report) = optimize_src("q(x, y) :- small(x), big(y), x = \"a\".");
-        // left branch small(10) + σ, right big(1000): outer should flip.
-        assert!(report.join_flips >= 1, "report: {report:?}");
-        assert!(explain(&plan).contains("outer=right"), "{}", explain(&plan));
-    }
-
-    #[test]
     fn adjacent_selections_fuse_with_projection() {
         let (plan, report) = optimize_src(
             "q(a) :- small(x), from(#x, a), numeric(a) = yes, min-value(a) = 10.",
         );
         assert!(report.fused_nodes >= 1, "report: {report:?}");
         assert!(report.fused_steps >= 2, "report: {report:?}");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         assert!(explained.contains("Fused["), "{explained}");
         assert!(explained.contains("π["), "{explained}");
     }
@@ -283,7 +266,7 @@ mod tests {
     fn single_selection_stays_standalone() {
         // A scan and its projection alone: nothing worth fusing.
         let (plan, _) = optimize_src("q(x) :- small(x).");
-        assert!(!explain(&plan).contains("Fused["), "{}", explain(&plan));
+        assert!(!plan.explain().contains("Fused["), "{}", plan.explain());
     }
 
     #[test]
@@ -376,8 +359,7 @@ mod tests {
     }
 
     fn find_fused(p: &Plan) -> Option<&Plan> {
-        let (rel, _) = ctx_maps();
-        if p.fused(&|name| Some(rel.get(name)?.0)) {
+        if p.fused() {
             return Some(p);
         }
         p.inputs().find_map(find_fused)

@@ -1,10 +1,8 @@
 //! The rewrite passes, each editing a [`Plan`] in place. The rewrites
 //! are byte-exact by construction, with the one `similar` exception
-//! the module docs in [`super`] name: merging and splitting only
-//! regroup the same steps into passes, pushdown moves whole same-side
-//! steps across a join, reordering only permutes steps with disjoint
-//! column sets, and join flips are compensated at execution time by
-//! order-restoring index sorts.
+//! the module docs in [`super`] name: merging only regroups the same
+//! steps into passes, pushdown moves whole same-side steps across a
+//! join, and reordering only permutes steps with disjoint column sets.
 
 use super::analyze::{self, SelModel};
 use super::{OptCtx, OptReport};
@@ -16,12 +14,7 @@ use crate::plan::{extracts, FusedOp, Plan};
 pub fn merge(p: &mut Plan) {
     p.inputs_mut().for_each(merge);
     if let Plan::Pass { input, steps, .. } = p {
-        if let Plan::Pass {
-            project: None,
-            outer_right: false,
-            ..
-        } = **input
-        {
+        if let Plan::Pass { project: None, .. } = **input {
             if let Plan::Pass {
                 input: inner,
                 steps: mut first,
@@ -189,103 +182,35 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     order
 }
 
-/// Pass 3: orient each cross join so its larger input becomes the outer
-/// (sharded) loop of the pass streaming over it — better parallel
-/// granularity and a cache-resident inner side. A join under the
-/// specialized similarity filter keeps the compiler's orientation (that
-/// path shards the left side by design). A join no pass streams over
-/// materializes its product left-major: its flip is counted but has
-/// nowhere to go.
-pub fn orient_joins(
-    p: &mut Plan,
-    ctx: &OptCtx<'_>,
-    model: &SelModel<'_>,
-    report: &mut OptReport,
-) -> Option<()> {
-    let mut unused = false;
-    let (left, right, outer_right) = match p {
-        Plan::Pass {
-            input,
-            steps,
-            outer_right,
-            ..
-        } => match &mut **input {
-            Plan::CrossJoin { left, right } => {
-                let la = analyze::arity(left, ctx)?;
-                if steps.first().is_some_and(|s| s.similar_cols(la).is_some()) {
-                    orient_joins(left, ctx, model, report)?;
-                    return orient_joins(right, ctx, model, report);
-                }
-                (left, right, outer_right)
-            }
-            other => return orient_joins(other, ctx, model, report),
-        },
-        Plan::CrossJoin { left, right } => (left, right, &mut unused),
-        other => {
-            for input in other.inputs_mut() {
-                orient_joins(input, ctx, model, report)?;
-            }
-            return Some(());
-        }
-    };
-    let lrows = analyze::est_rows(left, ctx, model)?;
-    let rrows = analyze::est_rows(right, ctx, model)?;
-    orient_joins(left, ctx, model, report)?;
-    orient_joins(right, ctx, model, report)?;
-    // Hysteresis: only flip on a clear margin, so estimate noise near
-    // parity doesn't churn plans between runs.
-    let flip = rrows > lrows * 2.0;
-    if flip && !*outer_right {
-        report.join_flips += 1;
+/// Pass 3: check every pass's column indices against its schema, then
+/// count the passes the interpreter runs fused (see [`Plan::fused`]).
+pub fn count_fused(p: &Plan, ctx: &OptCtx<'_>, report: &mut OptReport) {
+    for input in p.inputs() {
+        count_fused(input, ctx, report);
     }
-    *outer_right |= flip;
-    Some(())
-}
-
-/// Pass 4: split, then count what runs fused. A straddling similarity
-/// filter scheduled first over a join leaves its pass for a one-step
-/// pass of its own directly above the join — the interpreter's
-/// token-prefilter similarity join — and the rest of the pass runs above
-/// that. Every pass the interpreter then runs fused (see
-/// [`Plan::fused`]) is counted in `report`.
-pub fn split(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<()> {
-    if let Plan::Pass {
+    let Plan::Pass {
         input,
         steps,
         project,
-        ..
     } = p
-    {
-        // Column references are resolved to `usize` indices at compile
-        // time and carried through rewriting untouched; re-check them
-        // against the pass's schema here, once, so the interpreter's
-        // per-tuple bodies index cells without a per-access name lookup.
-        if let Some(arity) = analyze::arity(input, ctx) {
-            let arity = arity + extracts(steps);
-            debug_assert!(
-                in_bounds(steps, project.as_ref(), arity),
-                "rewriting produced an out-of-bounds column index (arity {arity})"
-            );
-        }
-        if let Plan::CrossJoin { left, .. } = &**input {
-            let la = analyze::arity(left, ctx)?;
-            let alone = steps.len() == 1 && project.is_none();
-            if !alone && steps.first().is_some_and(|s| s.similar_cols(la).is_some()) {
-                let similar = steps.remove(0);
-                **input = Plan::pass(input.take(), vec![similar], None);
-            }
-        }
+    else {
+        return;
+    };
+    // Column references are resolved to `usize` indices at compile time
+    // and carried through rewriting untouched; re-check them against the
+    // pass's schema here, once, so the interpreter's per-tuple bodies
+    // index cells without a per-access name lookup.
+    if let Some(arity) = analyze::arity(input, ctx) {
+        let arity = arity + extracts(steps);
+        debug_assert!(
+            in_bounds(steps, project.as_ref(), arity),
+            "rewriting produced an out-of-bounds column index (arity {arity})"
+        );
     }
-    for input in p.inputs_mut() {
-        split(input, ctx, report)?;
+    if p.fused() {
+        report.fused_nodes += 1;
+        report.fused_steps += steps.len() as u32;
     }
-    if let Plan::Pass { steps, .. } = &*p {
-        if p.fused(&|name| analyze::relation_arity(ctx, name)) {
-            report.fused_nodes += 1;
-            report.fused_steps += steps.len() as u32;
-        }
-    }
-    Some(())
 }
 
 /// True when every column index a pass's steps (and its projection)

@@ -103,8 +103,8 @@ impl FusedOp {
     }
 
     /// The left input's column and the right input's (rebased) column
-    /// when this step is the interpreter's token-prefilter similarity
-    /// join over a cross join whose left input has `la` columns: a
+    /// when this step, first in a pass over a cross join whose left input
+    /// has `la` columns, is that pass's token prefilter: a
     /// `similar`/`approxMatch` filter with one column on each side, left
     /// side first.
     pub fn similar_cols(&self, la: usize) -> Option<(usize, usize)> {
@@ -209,7 +209,7 @@ pub enum Plan {
     /// the optimizer merges chains of passes and rewrites them in place.
     ///
     /// When `input` is a [`Plan::CrossJoin`], the pass streams over the
-    /// cross product directly instead of materializing it.
+    /// cross product's pairs, left-major, instead of materializing it.
     Pass {
         /// Child plan.
         input: Box<Plan>,
@@ -218,16 +218,11 @@ pub enum Plan {
         /// Trailing projection onto the given columns, renamed to the
         /// given names.
         project: Option<(Vec<usize>, Vec<String>)>,
-        /// For a cross-join input: iterate the *right* side as the sharded
-        /// outer loop (cardinality orientation). Output order and column
-        /// layout remain left-major / left++right — the interpreter
-        /// compensates by index-sorting, so results stay byte-identical.
-        outer_right: bool,
     },
 }
 
 impl Plan {
-    /// A pass over `input` with the default (left-outer) orientation.
+    /// A pass over `input`.
     pub fn pass(
         input: Plan,
         steps: Vec<FusedOp>,
@@ -237,7 +232,6 @@ impl Plan {
             input: Box::new(input),
             steps,
             project,
-            outer_right: false,
         }
     }
 
@@ -296,40 +290,31 @@ impl Plan {
     /// after and EXPLAIN heads `Fused[…]`: a pass that does two or more
     /// things (steps plus projection), that defines a column (a `from`
     /// step has no operator of its own), or that does at least one thing
-    /// while streaming the pairs of a cross join. The token-prefilter
-    /// similarity join — one straddling `similar` step alone over a cross
-    /// join — does not stream pairs. `rel` gives scanned relations'
-    /// arities.
-    pub fn fused(&self, rel: &dyn Fn(&str) -> Option<usize>) -> bool {
+    /// while streaming the pairs of a cross join.
+    pub fn fused(&self) -> bool {
         let Plan::Pass {
             input,
             steps,
             project,
-            ..
         } = self
         else {
             return false;
         };
         let weight = steps.len() + usize::from(project.is_some());
-        match &**input {
-            _ if weight >= 2 || extracts(steps) > 0 => true,
-            Plan::CrossJoin { left, .. } if weight == 1 => steps
-                .first()
-                .zip(left.arity(rel))
-                .is_none_or(|(step, la)| step.similar_cols(la).is_none()),
-            _ => false,
-        }
+        weight >= 2
+            || extracts(steps) > 0
+            || (weight == 1 && matches!(**input, Plan::CrossJoin { .. }))
     }
 
     /// Pretty, indented operator-tree rendering (for EXPLAIN-style
-    /// output); `rel` gives scanned relations' arities.
-    pub fn explain(&self, rel: &dyn Fn(&str) -> Option<usize>) -> String {
+    /// output).
+    pub fn explain(&self) -> String {
         let mut s = String::new();
-        self.explain_into(&mut s, 0, rel);
+        self.explain_into(&mut s, 0);
         s
     }
 
-    fn explain_into(&self, out: &mut String, depth: usize, rel: &dyn Fn(&str) -> Option<usize>) {
+    fn explain_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write as _;
         let pad = "  ".repeat(depth);
         match self {
@@ -357,17 +342,11 @@ impl Plan {
             } => {
                 let _ = writeln!(out, "{pad}ψ[existence={existence}, attrs={annotated:?}]");
             }
-            Plan::Pass {
-                steps,
-                project,
-                outer_right,
-                ..
-            } => {
+            Plan::Pass { steps, project, .. } => {
                 // A fused pass heads its lines; an unfused one is a single
                 // step or projection and prints as that operator.
-                let pad = if self.fused(rel) {
-                    let mode = if *outer_right { ", outer=right" } else { "" };
-                    let _ = writeln!(out, "{pad}Fused[{} steps{mode}]", steps.len());
+                let pad = if self.fused() {
+                    let _ = writeln!(out, "{pad}Fused[{} steps]", steps.len());
                     format!("{pad}  ")
                 } else {
                     pad
@@ -383,7 +362,7 @@ impl Plan {
             }
         }
         for input in self.inputs() {
-            input.explain_into(out, depth + 1, rel);
+            input.explain_into(out, depth + 1);
         }
     }
 }
@@ -978,11 +957,6 @@ mod tests {
         compile_rule(&parse_rule(src).unwrap(), &env).unwrap()
     }
 
-    fn explain(plan: &Plan) -> String {
-        let (ext, _, _) = env_maps();
-        plan.explain(&|name| ext.get(name).copied())
-    }
-
     #[test]
     fn per_side_work_stays_below_the_join() {
         // Both sides extract before the cross join: the CrossJoin node must
@@ -991,7 +965,7 @@ mod tests {
             "q(a, b) :- pagesA(x), from(#x, a), numeric(a) = yes, \
              pagesB(y), from(#y, b), numeric(b) = yes, similar(#a, #b).",
         );
-        let explained = explain(&plan);
+        let explained = plan.explain();
         let join_pos = explained.find("CrossJoin").unwrap();
         let from_positions: Vec<usize> = explained
             .match_indices("from(#0)→1")
@@ -1009,7 +983,7 @@ mod tests {
     #[test]
     fn shared_var_across_branches_unifies_at_merge() {
         let plan = compile("q(x) :- pagesA(x), pagesB(x).");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         assert!(explained.contains("col 0 == col 1"), "{explained}");
     }
 
@@ -1029,19 +1003,19 @@ mod tests {
             procedures: &procs,
         };
         let plan = compile_rule(&parse_rule("q(x) :- r(x, x).").unwrap(), &env).unwrap();
-        assert!(explain(&plan).contains("=="));
+        assert!(plan.explain().contains("=="));
     }
 
     #[test]
     fn constants_become_selections() {
         let plan = compile("q(x) :- pagesA(x), x = 5.");
-        assert!(explain(&plan).contains("Const(Num(5.0))"));
+        assert!(plan.explain().contains("Const(Num(5.0))"));
     }
 
     #[test]
     fn generator_waits_for_inputs() {
         let plan = compile("q(x, o) :- gen(#x, o), pagesA(x).");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         assert!(explained.contains("Generate[gen"));
     }
 
@@ -1061,7 +1035,7 @@ mod tests {
     #[test]
     fn annotations_cap_the_plan() {
         let plan = compile("q(x, <a>)? :- pagesA(x), from(#x, a).");
-        let explained = explain(&plan);
+        let explained = plan.explain();
         assert!(explained.starts_with("ψ[existence=true, attrs=[1]]"));
     }
 

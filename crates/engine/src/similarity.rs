@@ -2,6 +2,8 @@
 //! TF/IDF `approxMatch` (§2.1: "'similar' according to some similarity
 //! function (e.g., TF/IDF)").
 
+use iflex_ctable::{Assignment, Cell};
+use iflex_text::DocumentStore;
 use std::collections::BTreeSet;
 
 /// Lower-cases and splits into word/number tokens, dropping punctuation.
@@ -68,6 +70,20 @@ pub struct SimProfile {
 }
 
 impl SimProfile {
+    /// The profile of one cell: the tokens of every value it may encode
+    /// (an `exact` value's text, a `contain` span's whole text).
+    pub fn of(cell: &Cell, store: &DocumentStore) -> SimProfile {
+        let mut tokens = BTreeSet::new();
+        for a in cell.assignments() {
+            match a {
+                Assignment::Exact(v) => tokens.extend(norm_tokens(&v.as_text(store))),
+                Assignment::Contain(s) => tokens.extend(norm_tokens(store.span_text(s))),
+            }
+        }
+        let singleton = cell.singleton(store).map(|v| v.as_text(store).to_string());
+        SimProfile { tokens, singleton }
+    }
+
     /// May any value of `self` approximately match any value of `other`?
     /// Sound prefilter: a match needs ≥ 0.8 containment, hence at least
     /// one shared token. For singleton cells the precomputed token sets

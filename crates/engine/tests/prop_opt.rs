@@ -30,8 +30,8 @@ const SITES: &[&str] = &[
 ];
 
 /// An engine over `n` markup documents plus a 3×-larger second corpus
-/// (`big`) so join-orientation flips actually trigger, and a
-/// pass-through generator for generator shapes.
+/// (`big`) for skewed joins, and a pass-through generator for generator
+/// shapes.
 fn build_engine(n: usize, threads: usize, use_optimizer: bool) -> Engine {
     let mut store = DocumentStore::new();
     let mut pages = Vec::new();
@@ -80,20 +80,19 @@ fn build_engine(n: usize, threads: usize, use_optimizer: bool) -> Engine {
 }
 
 /// Program shapes covering the optimizer's passes: a constraint chain
-/// that fuses (and reorders once stats warm up), a skewed cross join
-/// that flips orientation, a join with a single-side post-join selection
-/// that pushes down, a generator, an annotated head, and a similarity
-/// join.
+/// that fuses (and reorders once stats warm up), a skewed cross join, a
+/// join with a single-side post-join selection that pushes down, a
+/// generator, an annotated head, a similarity join, and a similarity
+/// prefilter with a trailing step and a projection in one pass.
 fn program(kind: u8) -> Program {
-    let src = match kind % 6 {
+    let src = match kind % 7 {
         0 => {
             // fusion: constraint + comparison chain over an extraction
             "q(x, v) :- pages(x), e(#x, v), v > 20.\n\
              e(#x, v) :- from(#x, v), numeric(v) = yes."
         }
         1 => {
-            // orientation: pages × big is 1:3 — flips to outer=right,
-            // exercising the order-restoring index sort
+            // a skewed join: pages × big is 1:3, streamed pair by pair
             "q(x, y) :- pages(x), big(y)."
         }
         2 => {
@@ -110,11 +109,20 @@ fn program(kind: u8) -> Program {
             "q(x, <v>) :- pages(x), e(#x, v).\n\
              e(#x, v) :- from(#x, v), numeric(v) = yes."
         }
-        _ => {
+        5 => {
             // similarity join: the straddling `similar` is the first step
-            // over the cross join in both modes, so both take the
-            // token-prefilter join (and its JOIN_TUPLE site)
+            // over the cross join in both modes, so both run it as the
+            // pass's token prefilter (and visit JOIN_TUPLE)
             "q(a, b) :- pages(x), from(#x, a), big(y), from(#y, b), similar(#a, #b)."
+        }
+        _ => {
+            // a similarity-first pass with a π, as T3's outer rule, plus
+            // a trailing step: `numeric(a)` shares `a` with the straddling
+            // `similar`, so the optimizer keeps `similar` first and runs
+            // prefilter, constraint and π in one pass over the pairs; off,
+            // each is a pass of its own
+            "q(a) :- pages(x), from(#x, a), big(y), from(#y, b), \
+             similar(#a, #b), numeric(a) = yes."
         }
     };
     parse_program(src).unwrap()
@@ -157,7 +165,7 @@ proptest! {
     #[test]
     fn optimizer_ablation_is_byte_identical(
         n in 3usize..20,
-        kind in 0u8..6,
+        kind in 0u8..7,
     ) {
         for threads in [1usize, 4] {
             let off = observe(n, threads, kind, false, None);
@@ -172,7 +180,7 @@ proptest! {
     #[test]
     fn faults_degrade_identically_with_optimizer_on_or_off(
         n in 3usize..20,
-        kind in 0u8..6,
+        kind in 0u8..7,
         site_idx in 0usize..5,
         panic_not_budget in any::<bool>(),
     ) {
@@ -191,7 +199,7 @@ proptest! {
     #[test]
     fn warm_optimized_caches_preserve_results(
         n in 3usize..16,
-        kind in 0u8..6,
+        kind in 0u8..7,
     ) {
         let prog = program(kind);
         let mut eng = build_engine(n, 4, true);
@@ -227,11 +235,7 @@ fn incremental_cache_entries_are_shared_across_optimizer_settings() {
 #[test]
 fn shapes_actually_exercise_the_passes() {
     use iflex_engine::obs::metrics::names;
-    let checks: [(u8, &str); 3] = [
-        (0, names::OPT_FUSED_NODES),
-        (1, names::OPT_JOIN_FLIPS),
-        (2, names::OPT_PUSHDOWNS),
-    ];
+    let checks: [(u8, &str); 2] = [(0, names::OPT_FUSED_NODES), (2, names::OPT_PUSHDOWNS)];
     for (kind, counter) in checks {
         let mut eng = build_engine(8, 1, true);
         eng.run(&program(kind)).unwrap();

@@ -18,8 +18,6 @@ use std::sync::{Arc, RwLock};
 pub mod names {
     /// Rules actually (re)computed this run.
     pub const RULES_EVALUATED: &str = "engine.rules_evaluated";
-    /// Rules served from the reuse cache this run.
-    pub const CACHE_HITS: &str = "engine.cache_hits";
     /// Extensional tuples scanned this run.
     pub const TUPLES_SCANNED: &str = "engine.tuples_scanned";
     /// Possible-value volume across pre-projection extraction results.
@@ -61,8 +59,6 @@ pub mod names {
     pub const OPT_PUSHDOWNS: &str = "engine.opt.pushdowns";
     /// Selection steps moved by the selectivity-reordering pass.
     pub const OPT_REORDERS: &str = "engine.opt.reorders";
-    /// Cross joins whose outer loop was flipped to the larger input.
-    pub const OPT_JOIN_FLIPS: &str = "engine.opt.join_flips";
     /// `Fused` batch nodes emitted by the fusion pass.
     pub const OPT_FUSED_NODES: &str = "engine.opt.fused_nodes";
     /// Selection steps folded into `Fused` nodes.

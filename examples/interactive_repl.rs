@@ -7,15 +7,18 @@
 //! Run with: `cargo run --release -p iflex-examples --bin interactive_repl`
 //!
 //! Commands:
-//!   .help                 show help
-//!   .ask [n]              ask the assistant for the next n questions
-//!   .answer <attr> <feature> <value>   fold an answer in (e.g.
-//!                         `.answer extractTitle.t bold-font yes`)
-//!   .run [limit]          execute the program, show the result table
-//!   .cancel               cancel the in-flight run
-//!   .stats                service counters
-//!   .raw <json>           send a raw protocol line
-//!   .quit                 exit (drains the session gracefully)
+//!
+//! ```text
+//! .help                 show help
+//! .ask [n]              ask the assistant for the next n questions
+//! .answer <attr> <feature> <value>   fold an answer in (e.g.
+//!                       .answer extractTitle.t bold-font yes)
+//! .run [limit]          execute the program, show the result table
+//! .cancel               cancel the in-flight run
+//! .stats                service counters
+//! .raw <json>           send a raw protocol line
+//! .quit                 exit (drains the session gracefully)
+//! ```
 
 use iflex::prelude::*;
 use iflex_corpus::{Corpus, CorpusConfig};

@@ -15,11 +15,13 @@ cargo clippy --workspace \
   --exclude proptest --exclude rand --exclude serde \
   -- -D warnings
 
-echo "== rustdoc (engine, private items included) =="
+echo "== rustdoc (workspace, private items included) =="
 # Broken and public-to-private intra-doc links are errors, so a doc
-# comment naming a deleted item fails here. --document-private-items
-# extends the check to the crate-private modules (plan, lplan, incr, ...).
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p iflex-engine --document-private-items
+# comment naming a deleted item fails here, in every crate.
+# --document-private-items extends the check to crate-private modules
+# (the engine's plan, lplan, incr, ...).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+  --exclude proptest --exclude rand --exclude serde --document-private-items
 
 echo "== service smoke =="
 # A scripted client transcript through the multi-session server:

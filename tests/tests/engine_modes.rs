@@ -304,9 +304,9 @@ fn reuse_off_gives_identical_results() {
 
 #[test]
 fn similarity_join_argument_order_changes_neither_table_nor_scans() {
-    // `similar(y, x)` misses the token-prefilter join (which wants the
-    // left side's column first) and streams the pairs instead — over the
-    // two inputs it already evaluated, not over a second evaluation.
+    // `similar(y, x)` misses the token prefilter (which wants the left
+    // side's column first) and enumerates each pair's candidates instead
+    // — in the same pass over the two inputs, each evaluated once.
     let run = |filter: &str| {
         let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
         engine.limits.use_optimizer = false;
@@ -334,7 +334,7 @@ fn selective_step_over_a_cross_join_streams_under_the_cap() {
     // The pass filters the 40 × 40 pairs as it generates them, so a cap
     // of 100 tuples is never reached by the 5 that survive — for a
     // comparison, a shared-variable unification, and a filter that is not
-    // the `similar(x, y)` prefilter join alike.
+    // the `similar(x, y)` prefilter alike.
     let engine_with = |optimizer: bool| {
         let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
         engine.limits.use_optimizer = optimizer;
@@ -378,6 +378,45 @@ fn selective_step_over_a_cross_join_streams_under_the_cap() {
 }
 
 #[test]
+fn similarity_prefilter_is_capped_by_its_survivors() {
+    // `numeric(a)` shares `a` with the straddling `similar`, so the
+    // optimizer keeps `similar` first over the join, where it is the
+    // pass's token prefilter. All 8 × 8 pairs share the token "lot" and
+    // pass the prefilter, more than the cap of 20; `numeric(a)` then
+    // keeps only the pairs of the one left row with a number. Only those
+    // 8 are built, so the rule stays under the cap.
+    let words = [
+        "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+    ];
+    let mut store = DocumentStore::new();
+    let left: Vec<_> = (0..8)
+        .map(|i| match i {
+            0 => store.add_plain("lot 42".to_string()),
+            _ => store.add_plain(format!("lot {}", words[i])),
+        })
+        .collect();
+    let right: Vec<_> = words
+        .iter()
+        .map(|w| store.add_plain(format!("{w} lot")))
+        .collect();
+    let mut engine = Engine::new(std::sync::Arc::new(store));
+    engine.add_doc_table("l", &left);
+    engine.add_doc_table("r", &right);
+    engine.limits.max_result_tuples = 20;
+    let prog = parse_program(
+        "q(a, b) :- l(x), from(#x, a), r(y), from(#y, b), similar(#a, #b), numeric(a) = yes.",
+    )
+    .unwrap();
+    let table = engine.run(&prog).unwrap();
+    assert!(!engine.stats.degraded(), "{:?}", engine.stats.degradations);
+    assert_eq!(table.len(), 8);
+    assert!(
+        table.tuples().iter().all(|t| t.maybe),
+        "prefiltered pairs are maybe"
+    );
+}
+
+#[test]
 fn parallel_and_sequential_joins_agree() {
     // Limits::threads only changes wall clock, never results: the threaded
     // arm splits every section into morsels of one or two tuples and must
@@ -395,4 +434,43 @@ fn parallel_and_sequential_joins_agree() {
         };
         assert_eq!(run_with(1), run_with(4), "{id:?}");
     }
+
+    // A 1 × 64 join under one step that keeps every pair, compiled as
+    // written (optimizer off): its pass shards the 64 pairs, not the one
+    // left row, so the threaded arm splits it into several morsels.
+    use iflex::engine::obs::{validate_nesting, SpanKind};
+    let single_left_row = |threads: usize| {
+        let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
+        engine.limits.use_optimizer = false;
+        engine.limits.threads = threads;
+        engine.limits.morsel_tuples = (1, 2);
+        let column = |vals: std::ops::Range<u32>| {
+            CompactTable::from_exact_rows(
+                vec!["v".into()],
+                vals.map(|i| vec![Value::Num(i.into())]).collect(),
+            )
+        };
+        engine.add_table("r", column(0..1));
+        engine.add_table("s", column(1..65));
+        engine.tracer.enable();
+        let prog = parse_program("q(x, y) :- r(x), s(y), x < y.").unwrap();
+        let table = engine.run(&prog).unwrap();
+        assert_eq!(table.len(), 64);
+        // Count the morsels of the join pass alone: the head's π pass
+        // over the 64 joined rows is a section of its own.
+        let spans = validate_nesting(&engine.tracer.events()).unwrap();
+        let join = spans
+            .iter()
+            .find(|s| s.kind == SpanKind::Operator && s.name == "fused")
+            .expect("the pass over the join");
+        let morsels = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Morsel && s.parent == join.id)
+            .count();
+        (format!("{table:?}"), morsels)
+    };
+    let (serial, _) = single_left_row(1);
+    let (threaded, morsels) = single_left_row(4);
+    assert_eq!(threaded, serial);
+    assert!(morsels > 1, "the 1 × 64 join ran as {morsels} morsel(s)");
 }

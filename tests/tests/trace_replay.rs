@@ -123,5 +123,5 @@ fn final_stats_travel_with_the_chosen_attempt() {
         out.final_stats.assignments_produced,
         out.records.last().unwrap().assignments
     );
-    assert!(out.final_stats.rules_evaluated + out.final_stats.cache_hits > 0);
+    assert!(out.final_stats.rules_evaluated + out.final_stats.incr_hits > 0);
 }
