@@ -24,7 +24,7 @@ use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, extracts, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
-use crate::similarity::SimProfile;
+use crate::similarity::SimStep;
 use iflex_alog::{
     evaluation_order, unfold, validate, Program, Rule, ValidateEnv, ValidateError,
 };
@@ -1689,45 +1689,51 @@ impl Engine {
     }
 
     /// Resolves a pass once per operator: each filter step's procedure,
-    /// and — for a pass over the pairs of a join's two tables — a first
-    /// step that is a straddling `similar` ([`FusedOp::similar_cols`])
-    /// becomes the pass's token prefilter, with one [`SimProfile`] per
-    /// row of each side. This position test is where the two approximations of
-    /// `similar` meet (DESIGN.md §11): anywhere else the step enumerates
-    /// candidate values.
+    /// and — for a pass over the pairs of a join's two tables — each
+    /// built-in straddling `similar` ([`FusedOp::similar_cols`]) whose
+    /// columns no earlier step defines or refines gets a [`SimStep`]:
+    /// both sides' columns profiled once per distinct cell. The step's
+    /// position picks the approximation, and this test is where the two
+    /// meet (DESIGN.md §11): first in the pass it is the token prefilter,
+    /// anywhere else the candidate-value enumeration.
     fn resolve_pass(
         &self,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
         join: Option<(&CompactTable, &CompactTable)>,
     ) -> Result<Pass, EngineError> {
-        let mut steps = ops
-            .iter()
-            .map(|op| {
-                let filter = match op {
-                    FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
-                        Some(Procedure::Filter(f)) => Some(f.clone()),
-                        _ => return Err(EngineError::BadProcedure(name.clone())),
-                    },
-                    _ => None,
-                };
-                Ok(Step {
-                    op: op.clone(),
-                    filter,
-                })
-            })
-            .collect::<Result<Vec<_>, EngineError>>()?;
-        let similar = join.and_then(|(l, r)| Some((l, r, ops.first()?.similar_cols(l.arity())?)));
-        let prefilter = similar.map(|(l, r, (lcol, rcol))| {
-            steps.remove(0);
-            let profiles = |t: &CompactTable, col: usize| -> Vec<SimProfile> {
-                let cells = t.tuples().iter().map(|tup| &tup.cells[col]);
-                cells.map(|c| SimProfile::of(c, &self.store)).collect()
+        let mut written = Vec::new();
+        let mut steps = Vec::with_capacity(ops.len());
+        for (i, op) in ops.iter().enumerate() {
+            let filter = match op {
+                FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
+                    Some(Procedure::Filter(f)) => Some(f.clone()),
+                    _ => return Err(EngineError::BadProcedure(name.clone())),
+                },
+                _ => None,
             };
-            (profiles(l, lcol), profiles(r, rcol))
-        });
+            let sim = match (join, &filter) {
+                (Some((l, r)), Some(f)) if crate::pfunc::is_builtin_similar(f) => {
+                    let la = l.arity();
+                    op.similar_cols(la)
+                        .filter(|&(lc, rc)| !written.contains(&lc) && !written.contains(&(la + rc)))
+                        .map(|(lc, rc)| {
+                            let cap = self.limits.enum_cap;
+                            SimStep::new(i == 0, (l, lc), (r, rc), &self.store, cap)
+                        })
+                }
+                _ => None,
+            };
+            if let FusedOp::Extract { col, .. } | FusedOp::Constraint { col, .. } = op {
+                written.push(*col);
+            }
+            steps.push(Step {
+                op: op.clone(),
+                filter,
+                sim,
+            });
+        }
         Ok(Pass {
-            prefilter,
             steps,
             extracts: extracts(ops),
             proj: project.map(|(cols, _)| cols.to_vec()),
@@ -1770,7 +1776,7 @@ impl Engine {
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for tup in &t.tuples()[range] {
                     ec.clock.tick().map_err(EngineError::from)?;
-                    let row = ec.pass_row(&pass, &tup.cells, &[], &mut overlay, &mut tally)?;
+                    let row = ec.pass_row(&pass, &tup.cells, &[], None, &mut overlay, &mut tally)?;
                     if let Some((cells, extra, volume)) = row {
                         out.push((
                             CompactTuple {
@@ -1820,8 +1826,7 @@ impl Engine {
     /// generated, left-major, and only survivors are built. The morsels
     /// shard the pair index rather than a side, so output needs no
     /// reordering and a join with one row on a side still spreads over
-    /// the pool. A pair the pass's prefilter rules out skips its steps; a
-    /// pair it cannot decide exactly is marked `maybe`.
+    /// the pool.
     fn pass_over_pairs(
         &mut self,
         l: Arc<CompactTable>,
@@ -1851,15 +1856,9 @@ impl Engine {
                     if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
                         return Err(injected(f));
                     }
-                    let mut maybe = lt.maybe || rt.maybe;
-                    if let Some((lprof, rprof)) = &pass.prefilter {
-                        if !lprof[li].may_match(&rprof[ri]) {
-                            continue;
-                        }
-                        maybe |= !lprof[li].exact_pair(&rprof[ri]);
-                    }
+                    let pair = Some((li, ri));
                     let Some((cells, extra, volume)) =
-                        ec.pass_row(&pass, &lt.cells, &rt.cells, &mut overlay, &mut tally)?
+                        ec.pass_row(&pass, &lt.cells, &rt.cells, pair, &mut overlay, &mut tally)?
                     else {
                         continue;
                     };
@@ -1868,7 +1867,7 @@ impl Engine {
                     if out.len() >= cap {
                         return Err(EngineError::TooLarge("join result".into()));
                     }
-                    let maybe = maybe || extra;
+                    let maybe = lt.maybe || rt.maybe || extra;
                     out.push((CompactTuple { cells, maybe }, volume));
                 }
                 ec.fold_tally(&pass, &tally);
@@ -1901,14 +1900,9 @@ impl Prologue {
 }
 
 /// One pass as [`Engine::resolve_pass`] prepares it for the morsel
-/// closures: a pairwise pass's similarity prefilter, steps in
-/// application order, how many columns they define, and the trailing
-/// projection's columns.
+/// closures: steps in application order, how many columns they define,
+/// and the trailing projection's columns.
 struct Pass {
-    /// The left and right sides' token profiles, index-aligned with the
-    /// join's tuples, when the pass's first step was a straddling
-    /// `similar`.
-    prefilter: Option<(Vec<SimProfile>, Vec<SimProfile>)>,
     steps: Vec<Step>,
     extracts: usize,
     proj: Option<Vec<usize>>,
@@ -1932,6 +1926,9 @@ struct Step {
     op: FusedOp,
     /// A filter step's procedure.
     filter: Option<crate::pfunc::FilterFn>,
+    /// A built-in `similar` step's per-row profiles of a join's two
+    /// sides, which it reads instead of calling `filter`.
+    sim: Option<SimStep>,
 }
 
 /// Everything an operator's per-tuple body needs from the engine, as
@@ -1969,7 +1966,8 @@ impl EvalCtx {
 
     /// One row through one pass — the only place a step is evaluated.
     /// The input cells are read where they are (`left` then `right`: a
-    /// table row and nothing, or the two halves of a join pair); a cell a
+    /// table row and nothing, or the two halves of a join pair, whose row
+    /// indices `pair` locates a [`SimStep`]'s profiles by); a cell a
     /// constraint refines or a `from` step defines goes to `overlay` (the
     /// caller's per-morsel scratch, one slot per column of the pass's
     /// schema), and output cells are built only for a row that survives
@@ -1985,6 +1983,7 @@ impl EvalCtx {
         pass: &Pass,
         left: &[Cell],
         right: &[Cell],
+        pair: Option<(usize, usize)>,
         overlay: &mut [Option<Cell>],
         tally: &mut [FeatStats],
     ) -> Result<Option<(Vec<Cell>, bool, u64)>, EngineError> {
@@ -2050,28 +2049,33 @@ impl EvalCtx {
                     &self.store,
                     self.limits.cmp_enum_cap,
                 ),
-                FusedOp::FilterProc { name, cols } => {
-                    let f = step
-                        .filter
-                        .as_ref()
-                        .ok_or_else(|| EngineError::BadProcedure(name.clone()))?;
-                    let cands: Vec<Cands> = cols
-                        .iter()
-                        .map(|&c| {
-                            candidates_budgeted(
-                                cell(overlay, left, right, c),
-                                &self.store,
-                                self.limits.enum_cap,
-                                self.clock.tripped(),
-                            )
-                        })
-                        .collect();
-                    filter_cands(
-                        &cands,
-                        &|args: &[Value]| f(&self.store, args),
-                        self.limits.combo_cap,
-                    )
-                }
+                FusedOp::FilterProc { name, cols } => match (&step.sim, pair) {
+                    (Some(sim), Some((li, ri))) => {
+                        sim.eval(li, ri, self.clock.tripped(), self.limits.combo_cap)
+                    }
+                    _ => {
+                        let f = step
+                            .filter
+                            .as_ref()
+                            .ok_or_else(|| EngineError::BadProcedure(name.clone()))?;
+                        let cands: Vec<Cands> = cols
+                            .iter()
+                            .map(|&c| {
+                                candidates_budgeted(
+                                    cell(overlay, left, right, c),
+                                    &self.store,
+                                    self.limits.enum_cap,
+                                    self.clock.tripped(),
+                                )
+                            })
+                            .collect();
+                        filter_cands(
+                            &cands,
+                            &|args: &[Value]| f(&self.store, args),
+                            self.limits.combo_cap,
+                        )
+                    }
+                },
             };
             if !mm.may {
                 return Ok(None);
@@ -3038,5 +3042,36 @@ mod tests {
         let prog = parse_program("q(x) :- r1(x), r2(x).").unwrap();
         let out = eng.run(&prog).unwrap();
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn only_a_builtin_similar_over_unwritten_join_columns_reads_profiles() {
+        let mut store = DocumentStore::new();
+        let d = store.add_plain("Big Sleep");
+        let eng = Engine::new(Arc::new(store));
+        let side = CompactTable::from_exact_rows(
+            vec!["v".into()],
+            vec![vec![Value::Span(eng.store.doc(d).full_span())]],
+        );
+        let similar = |cols: Vec<usize>| FusedOp::FilterProc {
+            name: "similar".into(),
+            cols,
+        };
+        let profiled = |eng: &Engine, ops: &[FusedOp]| -> Vec<bool> {
+            let pass = eng.resolve_pass(ops, None, Some((&side, &side))).unwrap();
+            pass.steps.iter().map(|s| s.sim.is_some()).collect()
+        };
+        let unify = FusedOp::VarUnify { col_a: 0, col_b: 1 };
+        assert_eq!(profiled(&eng, &[similar(vec![0, 1])]), [true]);
+        assert_eq!(profiled(&eng, &[unify.clone(), similar(vec![0, 1])]), [false, true]);
+        // Both arguments on one side, or right before left: enumerated.
+        assert_eq!(profiled(&eng, &[similar(vec![0, 0]), similar(vec![1, 0])]), [false, false]);
+        // Column 2 is defined by the pass itself, so its cells are not
+        // the right input's.
+        let extract = FusedOp::Extract { src: 1, col: 2 };
+        assert_eq!(profiled(&eng, &[extract, similar(vec![0, 2])]), [false, false]);
+        let mut eng = eng;
+        eng.procs_mut().register_filter("similar", |_, _| true);
+        assert_eq!(profiled(&eng, &[similar(vec![0, 1])]), [false]);
     }
 }

@@ -6,7 +6,7 @@ use crate::similarity::approx_match;
 use iflex_ctable::Value;
 use iflex_text::DocumentStore;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Boolean p-function: all arguments are inputs, result is a filter.
 pub type FilterFn = Arc<dyn Fn(&DocumentStore, &[Value]) -> bool + Send + Sync>;
@@ -96,15 +96,32 @@ impl std::fmt::Debug for ProcRegistry {
 /// `similar` (token-containment similarity on the values' text).
 pub fn builtin_procs() -> ProcRegistry {
     let mut r = ProcRegistry::empty();
-    let sim = |store: &DocumentStore, args: &[Value]| -> bool {
-        match args {
+    for name in ["approxMatch", "similar"] {
+        r.procs.insert(
+            name.to_string(),
+            Procedure::Filter(builtin_similar().clone()),
+        );
+    }
+    r
+}
+
+/// The one instance of the built-in similarity filter, so the engine can
+/// tell it from a filter registered later under the same name.
+fn builtin_similar() -> &'static FilterFn {
+    static SIM: OnceLock<FilterFn> = OnceLock::new();
+    SIM.get_or_init(|| {
+        Arc::new(|store: &DocumentStore, args: &[Value]| match args {
             [a, b] => approx_match(&a.as_text(store), &b.as_text(store)),
             _ => false,
-        }
-    };
-    r.register_filter("approxMatch", sim);
-    r.register_filter("similar", sim);
-    r
+        })
+    })
+}
+
+/// True when `f` is the built-in similarity filter, whose semantics the
+/// pass over a join's pairs computes from token profiles instead of
+/// calling it.
+pub(crate) fn is_builtin_similar(f: &FilterFn) -> bool {
+    Arc::ptr_eq(f, builtin_similar())
 }
 
 #[cfg(test)]

@@ -103,10 +103,11 @@ impl FusedOp {
     }
 
     /// The left input's column and the right input's (rebased) column
-    /// when this step, first in a pass over a cross join whose left input
-    /// has `la` columns, is that pass's token prefilter: a
-    /// `similar`/`approxMatch` filter with one column on each side, left
-    /// side first.
+    /// when this step, in a pass over a cross join whose left input has
+    /// `la` columns, is a `similar`/`approxMatch` filter with one column
+    /// on each side, left side first — a step that can read per-row
+    /// profiles of the two sides (the pass's token prefilter when it is
+    /// the first step).
     pub fn similar_cols(&self, la: usize) -> Option<(usize, usize)> {
         match self {
             FusedOp::FilterProc { name, cols } if name == "similar" || name == "approxMatch" => {

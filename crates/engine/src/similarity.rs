@@ -1,25 +1,47 @@
 //! Token-based string similarity, the engine's stand-in for the paper's
 //! TF/IDF `approxMatch` (§2.1: "'similar' according to some similarity
 //! function (e.g., TF/IDF)").
+//!
+//! Over a join's pairs the built-in `similar` never tokenizes inside the
+//! pair loop. Each such step interns its tokens to `u32` ids
+//! (`Interner`), and each side of the join profiles the step's column
+//! once per distinct cell (`RowProfiles`) before the pass starts; a pair
+//! then costs sorted merges of id lists. The
+//! step's position in the pass picks one of two approximations
+//! (`SimStep`, DESIGN.md §11), each computed exactly as the string
+//! version it replaces:
+//! - first step: the token prefilter (`SimProfile::may_match`);
+//! - any later step: `filter_cands` ∘ [`approx_match`] over the cells'
+//!   enumerated values (`decide`).
 
-use iflex_ctable::{Assignment, Cell};
+use crate::eval::MayMust;
+use iflex_ctable::{Assignment, Cell, CompactTable};
 use iflex_text::DocumentStore;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+
+/// Calls `f` on each lower-cased word/number token of `text`, in order
+/// and with repeats, using `buf` as scratch.
+fn each_token(text: &str, buf: &mut String, mut f: impl FnMut(&str)) {
+    buf.clear();
+    for c in text.chars() {
+        if c.is_ascii_alphanumeric() {
+            buf.push(c.to_ascii_lowercase());
+        } else if !buf.is_empty() {
+            f(buf);
+            buf.clear();
+        }
+    }
+    if !buf.is_empty() {
+        f(buf);
+    }
+}
 
 /// Lower-cases and splits into word/number tokens, dropping punctuation.
 pub fn norm_tokens(text: &str) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    let mut cur = String::new();
-    for c in text.chars() {
-        if c.is_ascii_alphanumeric() {
-            cur.push(c.to_ascii_lowercase());
-        } else if !cur.is_empty() {
-            out.insert(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.insert(cur);
-    }
+    each_token(text, &mut String::new(), |t| {
+        out.insert(t.to_string());
+    });
     out
 }
 
@@ -57,63 +79,275 @@ pub fn approx_match(a: &str, b: &str) -> bool {
     containment(a, b) >= 0.8
 }
 
-/// A precomputed profile of one cell's text for the approximate string
-/// join (the paper defers its full treatment to the tech report; we use a
-/// token prefilter): the union of tokens the cell's values can draw from,
-/// plus the exact text when the cell is a singleton.
-#[derive(Debug, Clone)]
-pub struct SimProfile {
-    /// The tokens.
-    pub tokens: BTreeSet<String>,
-    /// The value's text when the cell encodes exactly one value.
-    pub singleton: Option<String>,
+/// One pass's token dictionary: each distinct token gets the next `u32`.
+#[derive(Default)]
+pub(crate) struct Interner {
+    ids: HashMap<String, u32>,
+    buf: String,
+}
+
+impl Interner {
+    /// Appends the ids of `text`'s tokens to `out`, unsorted and with
+    /// repeats.
+    fn push_ids(&mut self, text: &str, out: &mut Vec<u32>) {
+        let Interner { ids, buf } = self;
+        each_token(text, buf, |t| {
+            let id = match ids.get(t) {
+                Some(&id) => id,
+                None => {
+                    let id = ids.len() as u32;
+                    ids.insert(t.to_string(), id);
+                    id
+                }
+            };
+            out.push(id);
+        });
+    }
+
+    /// The ids of `text`'s token set, sorted: [`norm_tokens`] interned.
+    fn ids(&mut self, text: &str) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.push_ids(text, &mut out);
+        sorted(out)
+    }
+}
+
+fn sorted(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// |a ∩ b| of two sorted, deduplicated id lists.
+fn shared(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+/// [`containment`] ≥ 0.8 over two interned token sets. This is all of
+/// [`approx_match`]: blank text has no tokens, so it fails here too.
+fn contained(a: &[u32], b: &[u32]) -> bool {
+    let smaller = a.len().min(b.len());
+    smaller != 0 && shared(a, b) as f64 / smaller as f64 >= 0.8
+}
+
+/// The token prefilter's profile of one cell: the sorted ids of every
+/// token the cell's values draw from (an `exact` value's text, a
+/// `contain` span's whole text), and whether the cell encodes exactly one
+/// value.
+#[derive(Debug)]
+pub(crate) struct SimProfile {
+    tokens: Vec<u32>,
+    singleton: bool,
 }
 
 impl SimProfile {
-    /// The profile of one cell: the tokens of every value it may encode
-    /// (an `exact` value's text, a `contain` span's whole text).
-    pub fn of(cell: &Cell, store: &DocumentStore) -> SimProfile {
-        let mut tokens = BTreeSet::new();
+    /// The profile of `cell`, its tokens interned in `ids`.
+    pub(crate) fn of(cell: &Cell, store: &DocumentStore, ids: &mut Interner) -> SimProfile {
+        let mut tokens = Vec::new();
         for a in cell.assignments() {
             match a {
-                Assignment::Exact(v) => tokens.extend(norm_tokens(&v.as_text(store))),
-                Assignment::Contain(s) => tokens.extend(norm_tokens(store.span_text(s))),
+                Assignment::Exact(v) => ids.push_ids(&v.as_text(store), &mut tokens),
+                Assignment::Contain(s) => ids.push_ids(store.span_text(s), &mut tokens),
             }
         }
-        let singleton = cell.singleton(store).map(|v| v.as_text(store).to_string());
-        SimProfile { tokens, singleton }
+        SimProfile {
+            tokens: sorted(tokens),
+            singleton: cell.singleton(store).is_some(),
+        }
     }
 
     /// May any value of `self` approximately match any value of `other`?
     /// Sound prefilter: a match needs ≥ 0.8 containment, hence at least
-    /// one shared token. For singleton cells the precomputed token sets
-    /// give the exact containment decision without re-tokenizing.
-    pub fn may_match(&self, other: &SimProfile) -> bool {
-        if self.singleton.is_some() && other.singleton.is_some() {
-            let smaller = self.tokens.len().min(other.tokens.len());
-            if smaller == 0 {
-                return false;
-            }
-            let inter = self.tokens.intersection(&other.tokens).count();
-            return inter as f64 / smaller as f64 >= 0.8;
+    /// one shared token. For two singleton cells the token sets give the
+    /// exact containment decision.
+    pub(crate) fn may_match(&self, other: &SimProfile) -> bool {
+        if self.exact_pair(other) {
+            return contained(&self.tokens, &other.tokens);
         }
-        let (small, big) = if self.tokens.len() <= other.tokens.len() {
-            (&self.tokens, &other.tokens)
-        } else {
-            (&other.tokens, &self.tokens)
-        };
-        small.iter().any(|t| big.contains(t))
+        shared_any(&self.tokens, &other.tokens)
     }
 
     /// True when both sides are singletons (prefilter answer is exact).
-    pub fn exact_pair(&self, other: &SimProfile) -> bool {
-        self.singleton.is_some() && other.singleton.is_some()
+    pub(crate) fn exact_pair(&self, other: &SimProfile) -> bool {
+        self.singleton && other.singleton
+    }
+}
+
+/// True when two sorted id lists share an id.
+fn shared_any(a: &[u32], b: &[u32]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// The filter position's profile of one cell: the token set of each
+/// value `candidates(cell, enum_cap)` enumerates, in order and with
+/// repeats, or `None` when the cell holds more than `enum_cap` values.
+#[derive(Debug)]
+pub(crate) struct ValueProfile(Option<Vec<Vec<u32>>>);
+
+impl ValueProfile {
+    /// The profile of `cell`, its tokens interned in `ids`.
+    pub(crate) fn of(
+        cell: &Cell,
+        store: &DocumentStore,
+        enum_cap: u64,
+        ids: &mut Interner,
+    ) -> ValueProfile {
+        if cell.value_count(store) > enum_cap {
+            return ValueProfile(None);
+        }
+        ValueProfile(Some(
+            cell.values(store)
+                .map(|v| ids.ids(&v.as_text(store)))
+                .collect(),
+        ))
+    }
+}
+
+/// `filter_cands(&[candidates(l), candidates(r)], approx_match, combo_cap)`
+/// over two profiles: `SOME` when a side cannot be enumerated, `NONE`
+/// when a side is empty, `SOME` when the value pairs outnumber
+/// `combo_cap`, else may/must over the pairs.
+pub(crate) fn decide(l: &ValueProfile, r: &ValueProfile, combo_cap: u64) -> MayMust {
+    let (Some(a), Some(b)) = (&l.0, &r.0) else {
+        return MayMust::SOME;
+    };
+    if a.is_empty() || b.is_empty() {
+        return MayMust::NONE;
+    }
+    if (a.len() as u64).saturating_mul(b.len() as u64) > combo_cap {
+        return MayMust::SOME;
+    }
+    let (mut may, mut must) = (false, true);
+    for x in a {
+        for y in b {
+            if contained(x, y) {
+                may = true;
+            } else {
+                must = false;
+            }
+            if may && !must {
+                return MayMust::SOME;
+            }
+        }
+    }
+    MayMust { may, must }
+}
+
+/// One side's profiles of one column: one per distinct cell, keyed by
+/// the cell's assignments, and each row's index into them.
+pub(crate) struct RowProfiles<P> {
+    distinct: Vec<P>,
+    rows: Vec<u32>,
+}
+
+impl<P> RowProfiles<P> {
+    /// Profiles column `col` of `t`, calling `profile` once per distinct
+    /// cell.
+    fn build(t: &CompactTable, col: usize, mut profile: impl FnMut(&Cell) -> P) -> Self {
+        let mut index: HashMap<&[Assignment], u32> = HashMap::new();
+        let mut distinct = Vec::new();
+        let rows = t
+            .tuples()
+            .iter()
+            .map(|tup| {
+                let cell = &tup.cells[col];
+                *index.entry(cell.assignments()).or_insert_with(|| {
+                    distinct.push(profile(cell));
+                    (distinct.len() - 1) as u32
+                })
+            })
+            .collect();
+        RowProfiles { distinct, rows }
+    }
+
+    /// Row `i`'s profile.
+    fn row(&self, i: usize) -> &P {
+        &self.distinct[self.rows[i] as usize]
+    }
+}
+
+/// A built-in `similar` step over the two sides of a join, with each
+/// side's column profiled per row; which approximation it computes is
+/// fixed by the step's position in the pass (DESIGN.md §11).
+pub(crate) enum SimStep {
+    /// The pass's first step: the token prefilter. A pair survives when
+    /// its cells share a token, and is decided exactly (not `maybe`) when
+    /// both cells are singletons.
+    Prefilter(RowProfiles<SimProfile>, RowProfiles<SimProfile>),
+    /// Any later step: [`decide`] over the cells' enumerated values.
+    Values(RowProfiles<ValueProfile>, RowProfiles<ValueProfile>),
+}
+
+impl SimStep {
+    /// Profiles column `lcol` of `l` and column `rcol` of `r` for the
+    /// prefilter (`first`) or for [`decide`], whose cells enumerate at
+    /// most `enum_cap` values.
+    pub(crate) fn new(
+        first: bool,
+        (l, lcol): (&CompactTable, usize),
+        (r, rcol): (&CompactTable, usize),
+        store: &DocumentStore,
+        enum_cap: u64,
+    ) -> SimStep {
+        let mut ids = Interner::default();
+        if first {
+            let mut side =
+                |t, col| RowProfiles::build(t, col, |c| SimProfile::of(c, store, &mut ids));
+            SimStep::Prefilter(side(l, lcol), side(r, rcol))
+        } else {
+            let mut side = |t, col| {
+                RowProfiles::build(t, col, |c| ValueProfile::of(c, store, enum_cap, &mut ids))
+            };
+            SimStep::Values(side(l, lcol), side(r, rcol))
+        }
+    }
+
+    /// The step's verdict on the pair of left row `li` and right row
+    /// `ri`. Once the run clock has `tripped`, a value step keeps every
+    /// pair as `maybe`, as enumeration under an expired clock does.
+    pub(crate) fn eval(&self, li: usize, ri: usize, tripped: bool, combo_cap: u64) -> MayMust {
+        match self {
+            SimStep::Prefilter(l, r) => {
+                let (a, b) = (l.row(li), r.row(ri));
+                let may = a.may_match(b);
+                MayMust {
+                    may,
+                    must: may && a.exact_pair(b),
+                }
+            }
+            SimStep::Values(..) if tripped => MayMust::SOME,
+            SimStep::Values(l, r) => decide(l.row(li), r.row(ri), combo_cap),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{candidates, filter_cands};
+    use iflex_ctable::Value;
+    use iflex_text::{DocId, Span};
+    use proptest::prelude::*;
 
     #[test]
     fn tokens_normalize_case_and_punct() {
@@ -142,5 +376,149 @@ mod tests {
         assert!(approx_match("Basktall HS", "Basktall"));
         assert!(!approx_match("Vanhise High", "Basktall"));
         assert!(!approx_match("", "x"));
+    }
+
+    #[test]
+    fn interned_ids_are_the_token_set() {
+        let mut ids = Interner::default();
+        let a = ids.ids("The Big Sleep, the big one");
+        let b = ids.ids("big THE");
+        assert_eq!(a.len(), norm_tokens("The Big Sleep, the big one").len());
+        assert_eq!(shared(&a, &b), 2);
+        assert!(contained(&a, &b) && !contained(&a, &ids.ids("--")));
+    }
+
+    #[test]
+    fn the_containment_threshold_is_inclusive() {
+        let mut ids = Interner::default();
+        let (a, b) = (ids.ids("a b c d e"), ids.ids("A b, c d x"));
+        assert!(approx_match("a b c d e", "A b, c d x"));
+        assert!(contained(&a, &b) && !contained(&a, &ids.ids("a b c x y")));
+    }
+
+    #[test]
+    fn one_profile_per_distinct_cell() {
+        let names = ["Big Sleep", "Basktall", "Big Sleep", "Big Sleep"];
+        let t = CompactTable::from_exact_rows(
+            vec!["n".into()],
+            names
+                .iter()
+                .map(|n| vec![Value::Str((*n).into())])
+                .collect(),
+        );
+        let mut calls = 0;
+        let p = RowProfiles::build(&t, 0, |_| {
+            calls += 1;
+            calls
+        });
+        assert_eq!(calls, 2);
+        let rows: Vec<_> = (0..names.len()).map(|i| *p.row(i)).collect();
+        assert_eq!(rows, vec![1, 2, 1, 1]);
+    }
+
+    /// Words, numbers, punctuation-only stretches and repeats, so spans
+    /// over it can be blank-free yet token-free.
+    const TEXT: &str = "The Big Sleep -- 42 , Basktall HS ; big sleep ! 3.5 !! the";
+
+    /// Exact strings drawn by the generator, blank and punctuation-only
+    /// ones included.
+    const STRS: &[&str] = &[
+        "",
+        "  ",
+        "--",
+        "Big Sleep",
+        "the big",
+        "Basktall",
+        "HS 42",
+        "3.5",
+        "big sleep the 42 hs",
+        "Big Sleep, the 42 x",
+    ];
+
+    /// One generated assignment: `(kind, a, b)`.
+    type Spec = (u8, usize, usize);
+
+    fn cell_of(specs: &[Spec], doc: DocId, store: &DocumentStore) -> Cell {
+        let toks = store
+            .doc(doc)
+            .token_slice(&store.doc(doc).full_span())
+            .to_vec();
+        let span = |a: usize, b: usize| {
+            let (i, j) = (a % toks.len(), b % toks.len());
+            let (i, j) = (i.min(j), i.max(j));
+            Span::new(doc, toks[i].start, toks[j].end)
+        };
+        let assigns = specs
+            .iter()
+            .map(|&(kind, a, b)| match kind % 5 {
+                0 => Assignment::Exact(Value::Str(STRS[a % STRS.len()].into())),
+                1 => Assignment::Exact(Value::Num(a as f64 / 2.0)),
+                2 => Assignment::exact_span(span(a, a)),
+                3 => Assignment::exact_span(span(a, b)),
+                _ => Assignment::Contain(span(a, b)),
+            })
+            .collect();
+        Cell::of(assigns)
+    }
+
+    /// The token prefilter as it was before interning: `BTreeSet<String>`
+    /// token sets. Returns `(may_match, exact_pair)`.
+    fn string_prefilter(l: &Cell, r: &Cell, store: &DocumentStore) -> (bool, bool) {
+        let tokens = |c: &Cell| -> BTreeSet<String> {
+            let mut out = BTreeSet::new();
+            for a in c.assignments() {
+                match a {
+                    Assignment::Exact(v) => out.extend(norm_tokens(&v.as_text(store))),
+                    Assignment::Contain(s) => out.extend(norm_tokens(store.span_text(s))),
+                }
+            }
+            out
+        };
+        let (ta, tb) = (tokens(l), tokens(r));
+        let exact = l.singleton(store).is_some() && r.singleton(store).is_some();
+        if exact {
+            let smaller = ta.len().min(tb.len());
+            let inter = ta.intersection(&tb).count();
+            return (smaller != 0 && inter as f64 / smaller as f64 >= 0.8, true);
+        }
+        (ta.iter().any(|t| tb.contains(t)), false)
+    }
+
+    fn specs() -> impl Strategy<Value = Vec<Spec>> {
+        proptest::collection::vec((0u8..5, 0usize..40, 0usize..40), 0..4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn profiles_decide_as_the_string_predicates(
+            l in specs(),
+            r in specs(),
+            enum_cap in 0u64..30,
+            combo_cap in 0u64..60,
+        ) {
+            let mut store = DocumentStore::new();
+            let doc = store.add_plain(TEXT);
+            let (lc, rc) = (cell_of(&l, doc, &store), cell_of(&r, doc, &store));
+            let mut ids = Interner::default();
+
+            let by_enumeration = filter_cands(
+                &[candidates(&lc, &store, enum_cap), candidates(&rc, &store, enum_cap)],
+                &|args: &[Value]| approx_match(&args[0].as_text(&store), &args[1].as_text(&store)),
+                combo_cap,
+            );
+            let lv = ValueProfile::of(&lc, &store, enum_cap, &mut ids);
+            let rv = ValueProfile::of(&rc, &store, enum_cap, &mut ids);
+            prop_assert_eq!(decide(&lv, &rv, combo_cap), by_enumeration, "{:?} / {:?}", lc, rc);
+
+            let lp = SimProfile::of(&lc, &store, &mut ids);
+            let rp = SimProfile::of(&rc, &store, &mut ids);
+            prop_assert_eq!(
+                (lp.may_match(&rp), lp.exact_pair(&rp)),
+                string_prefilter(&lc, &rc, &store),
+                "{:?} / {:?}", lc, rc
+            );
+        }
     }
 }

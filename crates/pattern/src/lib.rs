@@ -7,8 +7,11 @@
 //! literals, classes (`[a-z]`, `\d`, `\w`, `\s`), `.`, anchors, grouping,
 //! alternation, and `* + ? {m,n}` repetition.
 //!
-//! Matching is a Pike VM (Thompson NFA simulation): linear in
-//! `pattern × text`, no catastrophic backtracking, longest match reported.
+//! Matching is a Pike VM (Thompson NFA simulation): a search is one pass
+//! over the text whose threads carry their start offsets, so it is linear
+//! in `pattern × text` with no catastrophic backtracking, however many
+//! offsets it tries; the leftmost match is reported, longest from its
+//! start.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

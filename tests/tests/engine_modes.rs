@@ -474,3 +474,76 @@ fn parallel_and_sequential_joins_agree() {
     assert_eq!(threaded, serial);
     assert!(morsels > 1, "the 1 × 64 join ran as {morsels} morsel(s)");
 }
+
+/// Two one-column document tables of short titles: `t1` and `t2` share
+/// some titles outright, some as fragments, and some not at all.
+fn title_tables(store: &mut DocumentStore) -> (Vec<iflex::text::DocId>, Vec<iflex::text::DocId>) {
+    let left = ["The Big Sleep", "Basktall HS", "Vanhise High", "--", "Sleep 42"];
+    let right = ["Big Sleep", "Basktall", "Madison", "the big sleep 42", ", ;"];
+    let add = |st: &mut DocumentStore, titles: &[&str]| -> Vec<_> {
+        titles.iter().map(|t| st.add_plain((*t).to_string())).collect()
+    };
+    (add(store, &left), add(store, &right))
+}
+
+#[test]
+fn a_filter_position_similar_over_a_join_reads_profiles_as_it_enumerated() {
+    // The optimizer fuses `u != v` and the built-in `similar` into the
+    // join's pass with the comparison first, so `similar` decides each
+    // pair from the two sides' per-row value profiles. (Compiled as
+    // written, `similar` would be a pass of its own over the joined
+    // rows.) Registered under another name, the same predicate is a
+    // plain filter that enumerates each pair's values and calls
+    // `approx_match` per combination.
+    let run = |filter: &str, threads: usize| {
+        let mut store = DocumentStore::new();
+        let (left, right) = title_tables(&mut store);
+        let mut engine = Engine::new(std::sync::Arc::new(store));
+        engine.limits.threads = threads;
+        engine.limits.morsel_tuples = (1, 2);
+        engine.add_doc_table("t1", &left);
+        engine.add_doc_table("t2", &right);
+        engine.procs_mut().register_filter("enumerated", |store, args| match args {
+            [a, b] => iflex::engine::similarity::approx_match(&a.as_text(store), &b.as_text(store)),
+            _ => false,
+        });
+        let prog = parse_program(&format!(
+            "q(u, v) :- t1(x), from(#x, u), t2(y), from(#y, v), u != v, {filter}(#u, #v)."
+        ))
+        .unwrap();
+        let plan = engine.explain(&prog).unwrap();
+        let table = engine.run(&prog).unwrap();
+        assert!(!engine.stats.degraded(), "{:?}", engine.stats.degradations);
+        (format!("{table:?}"), table.len(), plan)
+    };
+    let (profiled, len, plan) = run("similar", 1);
+    assert!(
+        plan.contains("Fused[2 steps]\n  π[[1, 3] as [\"u\", \"v\"]]\n  Filter[similar[1, 3]]\n  σ["),
+        "{plan}"
+    );
+    assert!(0 < len && len < 25, "{len} of 25 pairs survive");
+    assert_eq!(run("similar", 4).0, profiled);
+    assert_eq!(run("enumerated", 1).0, profiled);
+    assert_eq!(run("enumerated", 4).0, profiled);
+}
+
+#[test]
+fn a_registered_similar_replaces_the_builtin_as_the_first_step_over_a_join() {
+    let run = |register: bool| {
+        let mut store = DocumentStore::new();
+        let (left, right) = title_tables(&mut store);
+        let mut engine = Engine::new(std::sync::Arc::new(store));
+        engine.add_doc_table("t1", &left[..1]);
+        engine.add_doc_table("t2", &right[..1]);
+        if register {
+            engine.procs_mut().register_filter("similar", |_, _| false);
+        }
+        let prog = parse_program(
+            "q(u, v) :- t1(x), from(#x, u), t2(y), from(#y, v), similar(#u, #v).",
+        )
+        .unwrap();
+        engine.run(&prog).unwrap().len()
+    };
+    assert_eq!(run(false), 1, "the built-in keeps the one pair");
+    assert_eq!(run(true), 0, "the registered filter rejects every pair");
+}
