@@ -7,6 +7,7 @@ use crate::probe::dynamic_answer_space;
 use crate::question::{answer_space, attributes, probe_program, question_space, Attribute, Question};
 use iflex_alog::{BodyAtom, Program, Term};
 use iflex_engine::{Engine, Sample};
+use iflex_features::FeatureRegistry;
 use std::collections::BTreeSet;
 
 /// Everything a strategy may look at when choosing the next question.
@@ -19,8 +20,6 @@ pub struct AssistContext<'a> {
     pub asked: &'a BTreeSet<(String, String)>,
     /// Sampling policy used for simulations.
     pub sample: Sample,
-    /// Probability the developer answers "I do not know" (§5.1).
-    pub alpha: f64,
     /// Result size (tuples) of the current program on the sample.
     pub current_size: usize,
     /// Marked-up example values (§5.1.1); prune contradicted answers.
@@ -113,12 +112,15 @@ pub fn attribute_importance(program: &Program, attr: &Attribute) -> u32 {
 
 /// Orders the whole question space the way the sequential strategy walks
 /// it: attributes by decreasing importance, features by the curated order.
-pub fn ordered_questions(ctx: &AssistContext<'_>) -> Vec<Question> {
-    let mut qs = question_space(ctx.program, ctx.engine.features(), ctx.asked);
-    let attrs = attributes(ctx.program);
-    let importance: std::collections::BTreeMap<String, u32> = attrs
+pub fn ordered_questions(
+    program: &Program,
+    features: &FeatureRegistry,
+    asked: &BTreeSet<(String, String)>,
+) -> Vec<Question> {
+    let mut qs = question_space(program, features, asked);
+    let importance: std::collections::BTreeMap<String, u32> = attributes(program)
         .iter()
-        .map(|a| (a.display(), attribute_importance(ctx.program, a)))
+        .map(|a| (a.display(), attribute_importance(program, a)))
         .collect();
     qs.sort_by_key(|q| {
         (
@@ -140,24 +142,20 @@ impl Strategy for Sequential {
     }
 
     fn next_question(&mut self, ctx: &mut AssistContext<'_>) -> Option<Question> {
-        ordered_questions(ctx).into_iter().next()
+        ordered_questions(ctx.program, ctx.engine.features(), ctx.asked).into_iter().next()
     }
 }
+
+/// The "I do not know" probability α the simulation strategy assumes (§5.1).
+const ALPHA: f64 = 0.1;
+
+/// Candidate questions simulated per choice, taken in interleaved order.
+const MAX_CANDIDATES: usize = 24;
 
 /// §5.1 "Simulation Strategy": selects the question minimizing the
 /// expected result size after the developer's answer.
-#[derive(Debug)]
-pub struct Simulation {
-    /// Cap on how many candidate questions are simulated per iteration
-    /// (the space can be large; candidates are taken in sequential order).
-    pub max_candidates: usize,
-}
-
-impl Default for Simulation {
-    fn default() -> Self {
-        Simulation { max_candidates: 24 }
-    }
-}
+#[derive(Debug, Default)]
+pub struct Simulation;
 
 impl Strategy for Simulation {
     fn name(&self) -> &'static str {
@@ -165,7 +163,7 @@ impl Strategy for Simulation {
     }
 
     fn next_question(&mut self, ctx: &mut AssistContext<'_>) -> Option<Question> {
-        let by_attr = ordered_questions(ctx);
+        let by_attr = ordered_questions(ctx.program, ctx.engine.features(), ctx.asked);
         if by_attr.is_empty() {
             return None;
         }
@@ -196,7 +194,7 @@ impl Strategy for Simulation {
             if space.is_empty() {
                 continue;
             }
-            if cands.len() == self.max_candidates {
+            if cands.len() == MAX_CANDIDATES {
                 break;
             }
             cands.push((i, space));
@@ -245,8 +243,8 @@ impl Strategy for Simulation {
             if feasible.is_empty() {
                 continue; // every answer contradicted: nothing to learn
             }
-            let per_answer = (1.0 - ctx.alpha) / feasible.len() as f64;
-            let mut expected = ctx.alpha * ctx.current_size as f64;
+            let per_answer = (1.0 - ALPHA) / feasible.len() as f64;
+            let mut expected = ALPHA * ctx.current_size as f64;
             let mut expected_assigns = 0.0;
             for (s, a) in &feasible {
                 expected += per_answer * *s as f64;
@@ -468,7 +466,6 @@ mod tests {
             engine: &mut eng,
             asked: &asked,
             sample: Sample::new(1.0, 0),
-            alpha: 0.1,
             current_size: 10,
             examples: Default::default(),
         };
@@ -488,7 +485,6 @@ mod tests {
             engine: &mut eng,
             asked: &asked,
             sample: Sample::new(1.0, 0),
-            alpha: 0.1,
             current_size: 10,
             examples: Default::default(),
         };
@@ -510,11 +506,10 @@ mod tests {
             engine: &mut eng,
             asked: &asked,
             sample: Sample::new(1.0, 0),
-            alpha: 0.1,
             current_size: current,
             examples: Default::default(),
         };
-        let q = Simulation::default().next_question(&mut ctx).unwrap();
+        let q = Simulation.next_question(&mut ctx).unwrap();
         // Simulation must pick *some* simulatable question; on this corpus
         // the bold-font answer collapses each page to one number, so an
         // appearance or value-bound feature is expected.
@@ -539,11 +534,10 @@ mod tests {
                 engine: &mut eng,
                 asked: &asked,
                 sample: Sample::new(1.0, 0),
-                alpha: 0.1,
-                current_size: current,
+                    current_size: current,
                 examples: Default::default(),
             };
-            let q = Simulation::default().next_question(&mut ctx).unwrap();
+            let q = Simulation.next_question(&mut ctx).unwrap();
             (q.attr.display(), q.feature)
         };
         let serial = pick(1);
@@ -566,11 +560,10 @@ mod tests {
             engine: &mut eng,
             asked: &asked,
             sample: Sample::new(1.0, 0),
-            alpha: 0.1,
             current_size: 1,
             examples: Default::default(),
         };
         assert!(Sequential.next_question(&mut ctx).is_none());
-        assert!(Simulation::default().next_question(&mut ctx).is_none());
+        assert!(Simulation.next_question(&mut ctx).is_none());
     }
 }

@@ -12,7 +12,7 @@
 //! Reported as wall-clock of a fixed work unit; lower is better.
 
 use iflex::ctable::ATable;
-use iflex::engine::annotate::{bannotate_compact, bannotate_exact};
+use iflex::engine::annotate::{bannotate_compact, bannotate_exact, ATABLE_BUDGET};
 use iflex::engine::constraint::apply_constraint;
 use iflex::engine::CompiledConstraint;
 use iflex::prelude::*;
@@ -107,8 +107,8 @@ fn main() {
     .unwrap();
     let mut eng = t1.engine(&corpus);
     let input = eng.run(&body).unwrap();
-    let (store, budget) = (eng.store(), eng.limits.atable_budget);
-    let exact = time(20, || bannotate_exact(&input, &[1], store, budget).unwrap());
+    let store = eng.store();
+    let exact = time(20, || bannotate_exact(&input, &[1], store, ATABLE_BUDGET).unwrap());
     row("psi/exact", exact);
     row(
         "psi/compact",

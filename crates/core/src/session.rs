@@ -61,14 +61,18 @@ pub enum StopReason {
     Degraded,
 }
 
-/// Session tuning knobs.
+/// Questions asked per iteration (the paper's volunteers answered
+/// roughly two per iteration — Table 4).
+const QUESTIONS_PER_ITERATION: usize = 2;
+
+/// Factor the sample fraction shrinks by between final-run retries.
+const RETRY_SHRINK: f64 = 0.5;
+
+/// Session tuning knobs. The engine's own settings — its run deadline
+/// (`engine.budget.deadline`) and worker threads (`engine.limits.threads`)
+/// — are set on [`Session::engine`] directly.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
-    /// Questions asked per iteration (the paper's volunteers answered
-    /// roughly two per iteration — Table 4).
-    pub questions_per_iteration: usize,
-    /// Probability of "I do not know" assumed by the simulation strategy.
-    pub alpha: f64,
     /// Hard iteration cap.
     pub max_iterations: usize,
     /// Seed for subset sampling.
@@ -77,32 +81,19 @@ pub struct SessionConfig {
     pub use_sampling: bool,
     /// Final-run retries on shrinking samples after a degraded full run.
     pub max_retries: usize,
-    /// Factor the sample fraction shrinks by between retries.
-    pub retry_shrink: f64,
-    /// Wall-clock deadline applied to every engine run in this session.
-    pub run_deadline: Option<std::time::Duration>,
     /// Consecutive degraded subset iterations tolerated before the loop
     /// stops with [`StopReason::Degraded`].
     pub max_degraded_iterations: usize,
-    /// Worker threads for the engine's sharded operators. `None` keeps
-    /// the engine's own default (`IFLEX_THREADS` or the machine's core
-    /// count, capped); `Some(1)` forces serial execution.
-    pub threads: Option<usize>,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            questions_per_iteration: 2,
-            alpha: 0.1,
             max_iterations: 30,
             sample_seed: 7,
             use_sampling: true,
             max_retries: 3,
-            retry_shrink: 0.5,
-            run_deadline: None,
             max_degraded_iterations: 2,
-            threads: None,
         }
     }
 }
@@ -110,13 +101,16 @@ impl Default for SessionConfig {
 /// The outcome of a full session run.
 #[derive(Debug)]
 pub struct SessionOutcome {
-    /// The final result over the full input (or the last subset result
-    /// scaled check `full_run_within_budget`). Shared, not cloned: the
-    /// engine's result tables travel by `Arc` through the retry ladder.
+    /// The final result: the full-input run's, or the least-degraded
+    /// fallback retry's when that run degraded (see
+    /// `full_run_within_budget`). Shared, not cloned: the engine's result
+    /// tables travel by `Arc` through the retry ladder.
     pub table: Arc<CompactTable>,
-    /// False when the final full execution exceeded the engine budget and
-    /// the subset result was returned instead (an unconverged program over
-    /// the full input can be enormous — the user would refine further).
+    /// False when the final full-input run degraded (a budget overflow,
+    /// deadline, cancellation, or contained panic) and the retry ladder
+    /// ran; `table` is then the least-degraded attempt (an unconverged
+    /// program over the full input can be enormous — the user would refine
+    /// further).
     pub full_run_within_budget: bool,
     /// The stop.
     pub stop: StopReason,
@@ -288,10 +282,8 @@ impl Session {
         out
     }
 
-    /// One attempt of the final phase. `Ok(Some((table, stats)))` on a
-    /// result (possibly degraded); `Ok(None)` when a strict-mode engine
-    /// surfaced a recoverable condition (budget, deadline, cancellation)
-    /// as a hard error, so a shrunken retry still makes sense.
+    /// One attempt of the final phase: its result (possibly degraded)
+    /// with the engine's stats for it.
     ///
     /// The stats snapshot is taken immediately after the run, while the
     /// engine's registry still describes this attempt: the engine resets
@@ -301,12 +293,9 @@ impl Session {
     fn final_attempt(
         &mut self,
         sample: Option<Sample>,
-    ) -> Result<Option<(Arc<CompactTable>, ExecStats)>, EngineError> {
-        match self.timed_run(sample) {
-            Ok(t) => Ok(Some((t, self.engine.stats.clone()))),
-            Err(e) if iflex_engine::degrade_cause(&e).is_some() => Ok(None),
-            Err(e) => Err(e),
-        }
+    ) -> Result<(Arc<CompactTable>, ExecStats), EngineError> {
+        let table = self.timed_run(sample)?;
+        Ok((table, self.engine.stats.clone()))
     }
 
     /// Runs the full loop: subset iterations with questions until the
@@ -322,12 +311,6 @@ impl Session {
     /// JSONL next to a `*.metrics.json` snapshot of the final run's
     /// metrics registry when the session completes.
     pub fn run(&mut self) -> Result<SessionOutcome, EngineError> {
-        if let Some(d) = self.config.run_deadline {
-            self.engine.budget.deadline = Some(d);
-        }
-        if let Some(n) = self.config.threads {
-            self.engine.limits.threads = n.max(1);
-        }
         let trace_path = trace_path_from_env();
         if self.engine.limits.trace || trace_path.is_some() {
             self.engine.tracer.enable();
@@ -401,7 +384,7 @@ impl Session {
             }
             // Ask questions and fold answers in.
             let mut asked_now = 0usize;
-            for qn in 0..self.config.questions_per_iteration {
+            for qn in 0..QUESTIONS_PER_ITERATION {
                 let q_span = match tracer.ctx(iter_span) {
                     Some((t, parent)) => {
                         t.begin(parent, SpanKind::Question, &format!("question{qn}"))
@@ -415,7 +398,6 @@ impl Session {
                         engine: &mut self.engine,
                         asked: &self.asked,
                         sample,
-                        alpha: self.config.alpha,
                         current_size: stats.tuples,
                         examples: self.examples.clone(),
                     };
@@ -472,7 +454,7 @@ impl Session {
         };
         self.engine.trace_parent = final_span;
         let mut retries = 0usize;
-        let mut chosen = match self.final_attempt(None) {
+        let (mut table, mut final_stats) = match self.final_attempt(None) {
             Ok(c) => c,
             Err(e) => {
                 tracer.end(final_span);
@@ -480,14 +462,11 @@ impl Session {
                 return Err(e);
             }
         };
-        let clean = |c: &Option<(Arc<CompactTable>, ExecStats)>| {
-            matches!(c, Some((_, st)) if st.degradations.is_empty())
-        };
-        let full_run_within_budget = clean(&chosen);
+        let full_run_within_budget = !final_stats.degraded();
         if !full_run_within_budget {
             let mut fraction = sample.fraction;
             for retry in 1..=self.config.max_retries {
-                fraction *= self.config.retry_shrink;
+                fraction *= RETRY_SHRINK;
                 let s = Sample::new(fraction, self.config.sample_seed.wrapping_add(retry as u64));
                 retries += 1;
                 // The incremental cache carries across iterations, but a
@@ -497,16 +476,13 @@ impl Session {
                 // the degradation (degraded results themselves are never
                 // cached, and each retry samples a fresh subset anyway).
                 self.engine.clear_cache();
-                let attempt = match self.final_attempt(Some(s)) {
+                let (t, st) = match self.final_attempt(Some(s)) {
                     Ok(a) => a,
                     Err(e) => {
                         tracer.end(final_span);
                         tracer.end(session_span);
                         return Err(e);
                     }
-                };
-                let Some((t, st)) = attempt else {
-                    continue;
                 };
                 let d = st.degradations.len();
                 let tuples =
@@ -519,25 +495,17 @@ impl Session {
                     questions_this_iter: 0,
                     degradations: d,
                 });
-                let better = match &chosen {
-                    Some((_, best)) => d < best.degradations.len(),
-                    None => true,
-                };
-                if better {
-                    chosen = Some((t, st));
+                // Strictly fewer degradations wins, so among equally
+                // degraded attempts the widest input — the full run — is kept.
+                if d < final_stats.degradations.len() {
+                    (table, final_stats) = (t, st);
                 }
-                if clean(&chosen) {
+                if !final_stats.degraded() {
                     break;
                 }
             }
         }
         tracer.end_with(final_span, &[("items", retries as u64)]);
-        let Some((table, final_stats)) = chosen else {
-            tracer.end(session_span);
-            return Err(EngineError::TooLarge(
-                "final run exceeded the budget after fallback retries".into(),
-            ));
-        };
         let final_run_secs = self.clock.machine_secs - machine_before_final;
         let mut stats = table.stats();
         stats.tuples = table.expanded_len(self.engine.store()).min(usize::MAX as u64) as usize;
@@ -741,13 +709,18 @@ mod tests {
     #[test]
     fn tight_budget_triggers_fallback_retries() {
         use iflex_engine::{fault, Fault, Trigger};
-        let eng = engine();
-        // every run overflows the budget, so the final phase must walk
-        // the whole retry ladder and keep the least-degraded result
-        eng.fault
-            .arm(fault::site::EVAL_RULE, Trigger::Always, Fault::TooLarge, 5);
+        // ψ overflows its budget on every run, so `q` degrades on every
+        // attempt, the final phase walks the whole retry ladder, and no
+        // retry is less degraded than the full-input run. `extractV` stays
+        // exact, so its assignments tell the attempts' inputs apart.
+        let armed = || {
+            let eng = engine();
+            eng.fault
+                .arm(fault::site::ANNOTATE, Trigger::Always, Fault::TooLarge, 5);
+            eng
+        };
         let mut session = Session::new(
-            eng,
+            armed(),
             program(),
             Box::new(Sequential),
             Box::new(SimulatedDeveloper::new(OracleSpec::new())),
@@ -756,13 +729,26 @@ mod tests {
         session.config.max_retries = 2;
         let out = session.run().unwrap();
         assert!(!out.full_run_within_budget);
-        assert!(out.retries >= 1 && out.retries <= 2);
-        assert!(out
+        assert_eq!(out.retries, session.config.max_retries);
+        let fallbacks: Vec<&IterationRecord> = out
             .records
             .iter()
-            .any(|r| r.mode == ExecMode::Fallback));
-        assert!(!out.table.is_empty(), "degraded final result is kept");
+            .filter(|r| r.mode == ExecMode::Fallback)
+            .collect();
+        assert_eq!(fallbacks.len(), 2);
         assert!(out.records.last().unwrap().mode == ExecMode::Reuse);
+        // Every attempt degraded equally, so the kept table is the
+        // full-input attempt's: its stats are a full run's, not a
+        // shrunken retry's.
+        let mut full = armed();
+        let full_table = full.run(session.program()).unwrap();
+        assert_eq!(out.table, full_table);
+        assert_eq!(out.final_stats.degradations.len(), 1);
+        assert_eq!(out.final_stats.assignments_produced, full.stats.assignments_produced);
+        for r in fallbacks {
+            assert_eq!(r.degradations, 1);
+            assert!(r.assignments < full.stats.assignments_produced, "{r:?}");
+        }
     }
 
     #[test]
@@ -774,13 +760,9 @@ mod tests {
             Box::new(SimulatedDeveloper::new(OracleSpec::new())),
         );
         session.config.use_sampling = false;
-        session.config.run_deadline = Some(std::time::Duration::ZERO);
+        session.engine.budget.deadline = Some(std::time::Duration::ZERO);
         session.config.max_retries = 1;
         let out = session.run().unwrap();
-        assert_eq!(
-            session.engine.budget.deadline,
-            Some(std::time::Duration::ZERO)
-        );
         assert!(out.degraded_iterations > 0);
         assert!(!out.table.is_empty());
     }

@@ -13,6 +13,10 @@ use iflex_ctable::{ATable, ATuple, Cell, CompactTable, CompactTuple, Value};
 use iflex_text::DocumentStore;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Budget for the a-table conversion of ψ's exact path: the engine passes
+/// it to [`apply_annotations`] until the run's deadline has expired.
+pub const ATABLE_BUDGET: usize = 500_000;
+
 /// Applies annotations `(existence, annotated_cols)` to `table`.
 ///
 /// `budget` bounds the a-table conversion of the exact path; when it is

@@ -6,6 +6,21 @@ use iflex_alog::CmpOp;
 use iflex_ctable::{Assignment, Cell, Value};
 use iflex_text::{DocumentStore, Span, TokenKind};
 
+/// Max values enumerated from one cell for a filter's arguments or a
+/// `similar` step's value profiles.
+pub(crate) const ENUM_CAP: u64 = 4096;
+
+/// Max value combinations per tuple for p-function evaluation. A
+/// generator enumerates only its input cells, so this is its one bound.
+pub(crate) const COMBO_CAP: u64 = 65_536;
+
+/// Max values enumerated per cell for *comparison* operands. Smaller
+/// than [`ENUM_CAP`]: beyond it the numeric-token fallback kicks in,
+/// which is exact for ordering comparisons and conservative for
+/// equality — crucial when comparing unrefined cells across a large
+/// join.
+pub(crate) const CMP_ENUM_CAP: u64 = 64;
+
 /// Candidate values of a cell for predicate evaluation.
 #[derive(Debug, Clone)]
 pub enum Cands {

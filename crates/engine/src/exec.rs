@@ -6,8 +6,8 @@
 //! boundary and under a [`RunClock`], and any budget overflow, deadline
 //! expiry, cancellation, or contained panic degrades just that rule — the
 //! run still returns `Ok` with a superset-safe widened result and a
-//! [`Degradation`] record in [`ExecStats`] (disable with
-//! [`Limits::degrade`] ` = false` to get the old hard errors back).
+//! [`Degradation`] record in [`ExecStats`]. Only semantic errors
+//! (validation, planning, unknown tables or procedures) fail a run.
 //!
 //! Execution is also **observable** (DESIGN.md §8): every run drives the
 //! engine's [`iflex_obs::Registry`] — [`ExecStats`] is a per-run *view*
@@ -16,9 +16,12 @@
 //! `run → rule → operator → shard` into the shared trace journal. A
 //! disabled tracer costs one relaxed atomic load per probe.
 
-use crate::annotate::apply_annotations;
+use crate::annotate::{apply_annotations, ATABLE_BUDGET};
 use crate::budget::{DegradeCause, RunBudget, RunClock};
-use crate::eval::{candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands};
+use crate::eval::{
+    candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands, CMP_ENUM_CAP,
+    COMBO_CAP, ENUM_CAP,
+};
 use crate::fault::{self, Fault, FaultPlan};
 use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
@@ -40,21 +43,16 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Enumeration / conversion budgets for superset-safe evaluation.
+/// Execution settings: the result-size bound, parallelism, and the two
+/// reuse/rewrite switches. The enumeration caps every run shares are
+/// constants next to their reader (`eval.rs`, [`crate::annotate`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Limits {
-    /// Max values enumerated from one cell for comparisons/filters.
-    pub enum_cap: u64,
-    /// Max value combinations per tuple for p-function evaluation. A
-    /// generator enumerates only its input cells, so this is its one bound.
-    pub combo_cap: u64,
-    /// Budget for a-table conversion in the exact ψ path.
-    pub atable_budget: usize,
     /// Max compact tuples any single operator may materialize; exceeding
-    /// it raises [`EngineError::TooLarge`] (an unrefined join over the
-    /// full input can otherwise explode).
+    /// it degrades the rule with [`DegradeCause::Budget`] (an unrefined
+    /// join over the full input can otherwise explode).
     pub max_result_tuples: usize,
-    /// Worker threads for the large join operators (1 = sequential).
+    /// Worker threads for every morsel section of a run (1 = sequential).
     pub threads: usize,
     /// `(min, max)` clamp, in tuples, for the auto-tuned morsel size of
     /// the work-stealing executor (`par.rs`). Each parallel
@@ -63,18 +61,6 @@ pub struct Limits {
     /// serial threshold: inputs of at most `2 * min` tuples never engage
     /// the pool.
     pub morsel_tuples: (usize, usize),
-    /// Max values enumerated per cell for *comparison* operands. Smaller
-    /// than `enum_cap`: beyond it the numeric-token fallback kicks in,
-    /// which is exact for ordering comparisons and conservative for
-    /// equality — crucial when comparing unrefined cells across a large
-    /// join.
-    pub cmp_enum_cap: u64,
-    /// Degrade gracefully (the default): a rule that overruns a budget,
-    /// hits the deadline, is cancelled, or panics is replaced by a
-    /// superset-safe widened result and recorded in
-    /// [`ExecStats::degradations`]. With `false` (strict mode) those
-    /// conditions surface as hard [`EngineError`]s as in earlier versions.
-    pub degrade: bool,
     /// Run the incremental re-execution engine (DESIGN.md §9): fingerprint
     /// rules, version relations, and serve unchanged rule results from the
     /// incremental cache (`incr.rs`) across iterations and simulation probes.
@@ -102,14 +88,9 @@ pub struct Limits {
 impl Default for Limits {
     fn default() -> Self {
         Limits {
-            enum_cap: 4096,
-            combo_cap: 65_536,
-            atable_budget: 500_000,
             max_result_tuples: 2_000_000,
-            cmp_enum_cap: 64,
             threads: default_threads(),
             morsel_tuples: (16, 65_536),
-            degrade: true,
             use_incremental: true,
             trace: false,
             use_optimizer: true,
@@ -272,20 +253,22 @@ pub enum EngineError {
     Plan(PlanError),
     /// A feature rejected its argument or is unknown.
     Feature(FeatureError),
-    /// An operator exceeded a materialization/enumeration budget.
+    /// An operator exceeded a materialization/enumeration budget. Never
+    /// returned by [`Engine::run`]: the rule degrades instead.
     TooLarge(String),
     /// An extensional or intensional relation was not found.
     MissingTable(String),
     /// A registered procedure was used incorrectly.
     BadProcedure(String),
-    /// The run's wall-clock deadline expired (strict mode only; with
-    /// [`Limits::degrade`] the engine degrades instead).
+    /// The run's wall-clock deadline expired. Never returned by
+    /// [`Engine::run`]: the rule degrades instead.
     Deadline,
-    /// The run was cancelled through its [`crate::CancelToken`] (strict
-    /// mode only).
+    /// The run was cancelled through its [`crate::CancelToken`]. Never
+    /// returned by [`Engine::run`]: the rule degrades instead.
     Cancelled,
     /// A rule's evaluation panicked; the panic was contained at the rule
-    /// boundary (strict mode only).
+    /// boundary. Never returned by [`Engine::run`]: the rule degrades
+    /// instead.
     RulePanic(String),
     /// An internal invariant failed (a bug surfaced as an error rather
     /// than a panic).
@@ -337,9 +320,8 @@ impl From<DegradeCause> for EngineError {
 }
 
 /// The degradation cause a recoverable error maps to; `None` for semantic
-/// errors (validation, planning, unknown tables) that degrade mode must
-/// still surface as hard errors.
-pub fn degrade_cause(e: &EngineError) -> Option<DegradeCause> {
+/// errors (validation, planning, unknown tables), which fail the run.
+pub(crate) fn degrade_cause(e: &EngineError) -> Option<DegradeCause> {
     match e {
         EngineError::TooLarge(_) => Some(DegradeCause::Budget),
         EngineError::Deadline => Some(DegradeCause::Deadline),
@@ -593,11 +575,6 @@ impl EngineCore {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .len()
-    }
-
-    /// The limits forks inherit.
-    pub fn limits(&self) -> Limits {
-        self.limits
     }
 }
 
@@ -956,10 +933,9 @@ impl Engine {
 
     /// Per-run setup and teardown around [`Engine::run_body`]: resets the
     /// metrics registry and stats, opens the `run` span, and — on **every**
-    /// exit path, including validation/compile errors and strict-mode
-    /// failures — fills [`Engine::stats`] from the registry and closes the
-    /// span, so observers never see one run's numbers under another run's
-    /// label.
+    /// exit path, including validation/compile errors — fills
+    /// [`Engine::stats`] from the registry and closes the span, so
+    /// observers never see one run's numbers under another run's label.
     fn run_inner(
         &mut self,
         prog: &Program,
@@ -1211,12 +1187,9 @@ impl Engine {
                         }
                     }
                     Err(e) => {
-                        let cause = match degrade_cause(&e) {
-                            Some(c) if self.limits.degrade => c,
-                            _ => {
-                                self.tracer.end(rule_span);
-                                return Err(e);
-                            }
+                        let Some(cause) = degrade_cause(&e) else {
+                            self.tracer.end(rule_span);
+                            return Err(e);
                         };
                         // Graceful degradation: substitute a widened,
                         // superset-safe stand-in for this rule's result and
@@ -1517,7 +1490,7 @@ impl Engine {
                                 };
                                 *n = n.saturating_mul(s.len() as u64);
                             }
-                            if rows > ec.limits.combo_cap || combos > ec.limits.combo_cap {
+                            if rows > COMBO_CAP || combos > COMBO_CAP {
                                 return Err(EngineError::TooLarge(format!(
                                     "input enumeration in generator {name}"
                                 )));
@@ -1599,7 +1572,7 @@ impl Engine {
                 // Past the deadline the ψ operator skips the a-table
                 // conversion for the cheap compact-direct path (still
                 // superset-preserving).
-                let budget = (!self.clock.tripped()).then_some(self.limits.atable_budget);
+                let budget = (!self.clock.tripped()).then_some(ATABLE_BUDGET);
                 Ok(Arc::new(apply_annotations(
                     t,
                     *existence,
@@ -1667,7 +1640,6 @@ impl Engine {
             feat_stats: Arc::clone(&self.feat_stats),
             clock: Arc::clone(&self.clock),
             fault: Arc::clone(&self.fault),
-            limits: self.limits,
         }
     }
 
@@ -1718,8 +1690,7 @@ impl Engine {
                     op.similar_cols(la)
                         .filter(|&(lc, rc)| !written.contains(&lc) && !written.contains(&(la + rc)))
                         .map(|(lc, rc)| {
-                            let cap = self.limits.enum_cap;
-                            SimStep::new(i == 0, (l, lc), (r, rc), &self.store, cap)
+                            SimStep::new(i == 0, (l, lc), (r, rc), &self.store, ENUM_CAP)
                         })
                 }
                 _ => None,
@@ -1945,7 +1916,6 @@ struct EvalCtx {
     feat_stats: Arc<crate::lplan::FeatureStats>,
     clock: Arc<RunClock>,
     fault: Arc<FaultPlan>,
-    limits: Limits,
 }
 
 impl EvalCtx {
@@ -1957,7 +1927,7 @@ impl EvalCtx {
             Operand::Col(c) => candidates_budgeted(
                 cell(*c),
                 &self.store,
-                self.limits.cmp_enum_cap,
+                CMP_ENUM_CAP,
                 self.clock.tripped(),
             ),
             Operand::Const(v) => Cands::Full(vec![v.clone()]),
@@ -2047,11 +2017,11 @@ impl EvalCtx {
                     cell(overlay, left, right, *col_a),
                     cell(overlay, left, right, *col_b),
                     &self.store,
-                    self.limits.cmp_enum_cap,
+                    CMP_ENUM_CAP,
                 ),
                 FusedOp::FilterProc { name, cols } => match (&step.sim, pair) {
                     (Some(sim), Some((li, ri))) => {
-                        sim.eval(li, ri, self.clock.tripped(), self.limits.combo_cap)
+                        sim.eval(li, ri, self.clock.tripped(), COMBO_CAP)
                     }
                     _ => {
                         let f = step
@@ -2064,7 +2034,7 @@ impl EvalCtx {
                                 candidates_budgeted(
                                     cell(overlay, left, right, c),
                                     &self.store,
-                                    self.limits.enum_cap,
+                                    ENUM_CAP,
                                     self.clock.tripped(),
                                 )
                             })
@@ -2072,7 +2042,7 @@ impl EvalCtx {
                         filter_cands(
                             &cands,
                             &|args: &[Value]| f(&self.store, args),
-                            self.limits.combo_cap,
+                            COMBO_CAP,
                         )
                     }
                 },
@@ -2616,7 +2586,7 @@ mod tests {
         eng.procs_mut()
             .register_generator("echo", 1, |_, args| vec![vec![args[0].clone()]]);
         let wide: Vec<u32> = (0..70_000).collect();
-        assert!(70_000 > eng.limits.combo_cap);
+        const { assert!(70_000 > COMBO_CAP) };
         // An unread expansion cell wider than combo_cap passes through.
         let mut t = CompactTable::new(vec!["x".into(), "y".into()]);
         t.push(CompactTuple::new(vec![

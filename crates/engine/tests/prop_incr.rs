@@ -97,6 +97,7 @@ fn observe(
     let task = c.task(id, Some(n));
     let mut engine = task.engine(c);
     engine.limits.use_incremental = use_incremental;
+    engine.limits.threads = threads;
     if let Some(i) = site {
         engine.fault.arm(
             SITES[i % SITES.len()],
@@ -105,7 +106,7 @@ fn observe(
             seed,
         );
     }
-    let strategy: Box<dyn Strategy> = Box::new(Simulation::default());
+    let strategy: Box<dyn Strategy> = Box::new(Simulation);
     let mut session = Session::new(
         engine,
         task.program.clone(),
@@ -116,7 +117,6 @@ fn observe(
             withhold_permille,
         )),
     );
-    session.config.threads = Some(threads);
     let outcome = session.run().expect("session runs");
     Observation {
         // Debug output is a faithful structural rendering; comparing it
@@ -205,13 +205,13 @@ fn incremental_run_actually_hits_the_cache() {
     let task = c.task(TaskId::T1, Some(12));
     let mut engine = task.engine(c);
     engine.limits.use_incremental = true;
+    engine.limits.threads = 1;
     let mut session = Session::new(
         engine,
         task.program.clone(),
-        Box::new(Simulation::default()) as Box<dyn Strategy>,
+        Box::new(Simulation) as Box<dyn Strategy>,
         Box::new(FlakyDeveloper::new(task.oracle.clone(), 7, 0)),
     );
-    session.config.threads = Some(1);
     session.run().expect("session runs");
     let hits = session
         .engine

@@ -35,12 +35,12 @@ use std::time::{Duration, Instant};
 use crate::json::Json;
 use crate::protocol::{decode, err_response, ok_response, DecodeError, Request};
 use iflex_alog::{parse_program, Program};
-use iflex_assistant::{add_constraint, attributes, ordered_questions, AssistContext};
+use iflex_assistant::{add_constraint, attributes, ordered_questions};
 use iflex_engine::obs::metrics::names;
 use iflex_engine::obs::{
     Counter, FlightRecorder, LiveSet, QuantileSketch, Registry, SpanId, SpanKind, Tracer, Window,
 };
-use iflex_engine::{fault, CancelToken, Engine, EngineCore, Fault, FaultPlan, Sample, Trigger};
+use iflex_engine::{fault, CancelToken, Engine, EngineCore, Fault, FaultPlan, Trigger};
 use iflex_features::{FeatureArg, FeatureValue};
 
 /// Bound on retained flight-recorder dumps (oldest evicted first).
@@ -1079,9 +1079,7 @@ fn worker_loop(
             // windows behind the scoped cache-hit ratio, and a flight
             // dump whenever the run degraded (the engine has already
             // recorded each degradation event into the shared recorder).
-            let ran_engine =
-                matches!(job.req, Request::AskQuestion { .. } | Request::GetResults { .. });
-            if ran_engine {
+            if matches!(job.req, Request::GetResults { .. }) {
                 let st = &state.engine.stats;
                 tel.cache_hits.add_count(st.incr_hits as u64);
                 tel.cache_misses.add_count(st.incr_misses as u64);
@@ -1118,31 +1116,18 @@ fn handle_job(state: &mut SessionState, cancel: &CancelToken, req: &Request) -> 
     cancel.reset();
     match req {
         Request::AskQuestion { count, .. } => {
-            let current = state
-                .engine
-                .run(&state.program)
-                .map(|t| t.expanded_len(state.engine.store()).min(usize::MAX as u64) as usize)
-                .unwrap_or(0);
-            let ctx = AssistContext {
-                program: &state.program,
-                engine: &mut state.engine,
-                asked: &state.asked,
-                sample: Sample::new(1.0, 7),
-                alpha: 0.1,
-                current_size: current,
-                examples: Default::default(),
-            };
-            let questions: Vec<Json> = ordered_questions(&ctx)
-                .into_iter()
-                .take(*count)
-                .map(|q| {
-                    Json::obj(vec![
-                        ("attr", Json::str(q.attr.display())),
-                        ("feature", Json::str(&q.feature)),
-                        ("text", Json::str(&q.text)),
-                    ])
-                })
-                .collect();
+            let questions: Vec<Json> =
+                ordered_questions(&state.program, state.engine.features(), &state.asked)
+                    .into_iter()
+                    .take(*count)
+                    .map(|q| {
+                        Json::obj(vec![
+                            ("attr", Json::str(q.attr.display())),
+                            ("feature", Json::str(&q.feature)),
+                            ("text", Json::str(&q.text)),
+                        ])
+                    })
+                    .collect();
             ok_response(id, vec![("questions", Json::Arr(questions))])
         }
         Request::Answer { attr, feature, value, .. } => {
@@ -1429,6 +1414,26 @@ mod tests {
         // Scoped stats for a missing session fail cleanly.
         let missing = host.handle(Request::Stats { id: None, session: Some(999) });
         assert_eq!(missing.get("ok"), Some(&Json::Bool(false)));
+    }
+
+    #[test]
+    fn ask_question_runs_no_program() {
+        let host = Host::new(tiny_core(), PROGRAM, fast_cfg());
+        let sid = create(&host);
+        for _ in 0..2 {
+            let q = host.handle(Request::AskQuestion { id: None, session: sid, count: 2 });
+            let Some(Json::Arr(qs)) = q.get("questions") else { panic!("questions: {q:?}") };
+            assert_eq!(qs.len(), 2);
+        }
+        // An ask that ran the program would have missed the cold rule
+        // cache, then hit the warm one; only a run feeds these windows.
+        let ratio = |host: &Host| {
+            let s = host.handle(Request::Stats { id: None, session: Some(sid) });
+            s.get("cache_hit_ratio_60s").and_then(Json::as_f64).unwrap()
+        };
+        assert_eq!(ratio(&host), 0.0);
+        host.handle(Request::GetResults { id: None, session: sid, limit: 1 });
+        assert_eq!(ratio(&host), 0.0, "the first get-results runs cold");
     }
 
     #[test]

@@ -33,6 +33,18 @@ echo "== service smoke =="
 # ~44 ms to the client's delayed ACK).
 ./target/release/service --smoke
 
+echo "== chaos matrices =="
+# Engine fault sites x {panic, too-large} x always-fire: one armed victim
+# and concurrent clean siblings per scenario; asserts the process
+# survives, siblings stay byte-identical to a solo baseline, and nothing
+# degraded crosses the shared caches. The full matrix widens to
+# deadline/io faults and nth/per-mille triggers, plus the service-site
+# scenarios (spawn, decode, write in memory and over TCP beside a
+# sibling connection, cache-share, admission storm). Deterministic per
+# seed; about a second together.
+./target/release/service --chaos --seed 7
+./target/release/service --chaos --seed 1729 --full
+
 echo "== trace smoke =="
 # One tiny traced session end to end: dump the journal as JSONL, replay
 # it, validate span nesting, and render the run report.

@@ -141,22 +141,6 @@ fn deadline_zero_run_completes_quickly_and_degrades() {
 }
 
 #[test]
-fn strict_mode_surfaces_hard_errors() {
-    let (mut eng, _) = engine_with_pages(3);
-    eng.limits.degrade = false;
-    eng.fault.arm(
-        fault::site::EVAL_RULE,
-        Trigger::Nth(0),
-        Fault::Panic("strict".into()),
-        7,
-    );
-    match eng.run(&extraction_program()) {
-        Err(EngineError::RulePanic(msg)) => assert!(msg.contains("strict")),
-        other => panic!("expected RulePanic, got {other:?}"),
-    }
-}
-
-#[test]
 fn engine_errors_chain_sources() {
     let planned = EngineError::Plan(PlanError::Internal {
         rule: "q(x) :- pages(x).".into(),
@@ -207,19 +191,19 @@ fn memo_lookup_site_fault_degrades_that_rule_only() {
 }
 
 #[test]
-fn memo_lookup_io_fault_in_strict_mode_is_a_hard_error() {
+fn memo_lookup_too_large_fault_degrades_as_budget() {
     let (mut eng, _) = engine_with_pages(3);
     let prog = extraction_program();
     eng.run(&prog).unwrap();
-    eng.limits.degrade = false;
     eng.fault.arm(
         fault::site::MEMO_LOOKUP,
         Trigger::Nth(0),
         Fault::TooLarge,
         7,
     );
-    match eng.run(&prog) {
-        Err(EngineError::TooLarge(_)) => {}
-        other => panic!("expected TooLarge from the lookup site, got {other:?}"),
-    }
+    let degraded = eng.run(&prog).expect("a lookup overflow degrades, never fails");
+    assert!(eng.stats.degraded_by(DegradeCause::Budget));
+    let d = &eng.stats.degradations[0];
+    assert_eq!(d.site.as_deref(), Some(fault::site::MEMO_LOOKUP), "{d}");
+    assert!(!degraded.is_empty(), "superset-safe stand-in survives");
 }
