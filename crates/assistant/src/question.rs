@@ -2,7 +2,7 @@
 //! the form "what is the value of feature f for attribute a?", and the
 //! program surgery that folds an answer back into a description rule.
 
-use iflex_alog::{BodyAtom, ConstraintArg, Program, Rule};
+use iflex_alog::{Arg, BodyAtom, ConstraintArg, Program, Rule, Term};
 use iflex_features::{FeatureArg, FeatureRegistry, FeatureValue};
 use std::collections::BTreeSet;
 
@@ -155,7 +155,9 @@ fn push_constraint(rule: &mut Rule, var: &str, feature: &str, value: &FeatureArg
 
 /// Builds the program a simulation probe executes for one candidate
 /// refinement (DESIGN.md §9). When the query is a single rule that calls
-/// the probed IE predicate directly, the query rule is split into a
+/// the probed IE predicate directly (as its only extraction call, or as one
+/// of several calls that all read the same input variable while no other
+/// atom mentions the probed variable), the query rule is split into a
 /// candidate-independent **base rule** that exposes every extraction
 /// attribute, plus a σ **overlay rule** carrying only the probed
 /// constraint:
@@ -174,9 +176,10 @@ fn push_constraint(rule: &mut Rule, var: &str, feature: &str, value: &FeatureArg
 /// description rule (no §4.2 prior re-checks), which under superset
 /// semantics yields an upper bound of the refined size — the quantity the
 /// simulation ranks candidates by. When the program shape does not admit
-/// the split (union query, or the IE predicate is not called from the
-/// query rule), the exact refined program from [`add_constraint`] is
-/// probed instead.
+/// the split (union query, the IE predicate is not called from the query
+/// rule, extraction calls over different inputs, or another atom reading
+/// the probed variable of a multi-call rule), the exact refined program
+/// from [`add_constraint`] is probed instead.
 pub fn probe_program(
     program: &Program,
     attr: &Attribute,
@@ -193,7 +196,7 @@ fn overlay_probe(
     feature: &str,
     value: &FeatureArg,
 ) -> Option<Program> {
-    use iflex_alog::{Arg, Head, HeadArg, Term};
+    use iflex_alog::{Head, HeadArg};
     let mut query_rules = program
         .rules
         .iter()
@@ -219,25 +222,40 @@ fn overlay_probe(
         }) => v.clone(),
         _ => return None,
     };
-    // The base head exposes the query head plus every extraction attribute
-    // bound in this rule, so one base result serves probes of any
-    // attribute.
     let description_preds: BTreeSet<&str> = program
         .description_rules()
         .map(|r| r.head.name.as_str())
         .collect();
-    // Splitting is only a faithful estimate for single-extraction queries:
-    // when the rule joins several IE predicates, a description-rule
-    // constraint prunes join partners *before* the join, which a post-join
-    // σ cannot imitate — those programs keep exact probes.
-    let ie_calls = rule
+    // The split is faithful when the unfolded rule is one pass with one row
+    // per input tuple and only the probed call site reads the probed
+    // variable: a σ over the pass then drops what the constraint would drop
+    // inside the description rule (less the prior re-checks noted on
+    // `probe_program`). Several extraction calls form one pass when they all
+    // read the same single input (Panel's `extractPanelists(#d, x),
+    // extractConference(#d, y)`). Another atom reading the probed variable,
+    // such as Chair's p-predicate `extractType(#x, z)`, consumes the
+    // unconstrained cell before the σ; calls over different inputs join
+    // their rows, and a pre-join constraint prunes partners a post-join σ
+    // cannot (T3, T6, T9). Those keep exact probes. With one call a compare
+    // on the probed variable (T1's `votes < 25000`) only loosens the upper
+    // bound, so the split stays.
+    let calls: Vec<&[Arg]> = rule
         .body
         .iter()
-        .filter(|a| matches!(a, BodyAtom::Pred { name, .. } if description_preds.contains(name.as_str())))
-        .count();
-    if ie_calls != 1 {
+        .filter_map(|a| match a {
+            BodyAtom::Pred { name, args } if description_preds.contains(name.as_str()) => {
+                Some(args.as_slice())
+            }
+            _ => None,
+        })
+        .collect();
+    let uses: usize = rule.body.iter().map(|a| mentions(a, &caller)).sum();
+    if calls.len() > 1 && !(shared_input(&calls) && uses == 1) {
         return None;
     }
+    // The base head exposes the query head plus every extraction attribute
+    // bound in this rule, so one base result serves probes of any
+    // attribute.
     let mut base_vars: Vec<String> = rule.head.args.iter().map(|h| h.var.clone()).collect();
     for atom in &rule.body {
         if let BodyAtom::Pred { name, args } = atom {
@@ -311,6 +329,32 @@ fn overlay_probe(
     out.rules.push(base_rule);
     out.rules.push(overlay);
     Some(out)
+}
+
+/// True when every call has exactly one input argument and all of them
+/// are the same variable.
+fn shared_input(calls: &[&[Arg]]) -> bool {
+    let mut inputs = calls.iter().map(|args| {
+        let mut ins = args.iter().filter(|a| a.input);
+        match (ins.next(), ins.next()) {
+            (Some(a), None) => a.term.var(),
+            _ => None,
+        }
+    });
+    let first = inputs.next().flatten();
+    first.is_some() && inputs.all(|v| v == first)
+}
+
+/// How many times `atom` mentions the variable `var`.
+fn mentions(atom: &BodyAtom, var: &str) -> usize {
+    let is_var = |t: &Term| t.var() == Some(var);
+    match atom {
+        BodyAtom::Pred { args, .. } => args.iter().filter(|a| is_var(&a.term)).count(),
+        BodyAtom::Compare { left, right, .. } => {
+            usize::from(is_var(left)) + usize::from(is_var(right))
+        }
+        BodyAtom::Constraint { var: v, .. } => usize::from(v == var),
+    }
 }
 
 /// The answer space the simulation strategy sums over for a feature.
@@ -405,6 +449,126 @@ mod tests {
             .unwrap()
             .to_string()
             .contains("bold-font"));
+    }
+
+    /// Whether the probe of `attr` (`pred.var`) in `src` is the split
+    /// overlay; otherwise it must be exactly the refined program.
+    fn overlaid(src: &str, attr: &str) -> bool {
+        let p = parse_program(src).unwrap();
+        let attr = attributes(&p)
+            .into_iter()
+            .find(|a| a.display() == attr)
+            .unwrap_or_else(|| panic!("no attribute {attr}"));
+        let v = FeatureArg::yes();
+        let probe = probe_program(&p, &attr, "bold-font", &v);
+        let split = probe.query == format!("{}__probe", p.query);
+        if !split {
+            assert_eq!(probe, add_constraint(&p, &attr, "bold-font", &v));
+        }
+        split
+    }
+
+    #[test]
+    fn calls_over_one_input_split_every_attribute() {
+        let panel = r#"
+            onPanel(x, y) :- docs(d), extractPanelists(#d, x), extractConference(#d, y).
+            extractPanelists(#d, x) :- from(#d, x), person-name(x) = yes.
+            extractConference(#d, y) :- from(#d, y), in-title(y) = yes.
+        "#;
+        assert!(overlaid(panel, "extractPanelists.x"));
+        assert!(overlaid(panel, "extractConference.y"));
+        let project = r#"
+            worksOn(x, y) :- docs(d), extractOwner(#d, x), extractProjects(#d, y).
+            extractOwner(#d, x) :- from(#d, x), person-name(x) = yes.
+            extractProjects(#d, y) :- from(#d, y), in-title(y) = yes.
+        "#;
+        assert!(overlaid(project, "extractOwner.x"));
+        assert!(overlaid(project, "extractProjects.y"));
+    }
+
+    #[test]
+    fn calls_over_different_inputs_probe_exactly() {
+        let t3 = r#"
+            t3(title1) :- imdb(x), extractIMDBt(#x, title1),
+                          ebert(y), extractEbertT(#y, title2),
+                          prasanna(z), extractPrasT(#z, title3),
+                          similar(#title1, #title2), similar(#title2, #title3).
+            extractIMDBt(#x, t) :- from(#x, t).
+            extractEbertT(#y, t) :- from(#y, t).
+            extractPrasT(#z, t) :- from(#z, t).
+        "#;
+        for attr in ["extractIMDBt.t", "extractEbertT.t", "extractPrasT.t"] {
+            assert!(!overlaid(t3, attr), "{attr}");
+        }
+        let t6 = r#"
+            t6(title1) :- sigmod(x), extractSIGMOD(#x, title1, authors1),
+                          icde(y), extractICDE(#y, title2, authors2),
+                          similar(#authors1, #authors2).
+            extractSIGMOD(#x, t, a) :- from(#x, t), from(#x, a), bold-font(t) = distinct-yes.
+            extractICDE(#y, t, a) :- from(#y, t), from(#y, a), bold-font(t) = distinct-yes.
+        "#;
+        for attr in [
+            "extractSIGMOD.t",
+            "extractSIGMOD.a",
+            "extractICDE.t",
+            "extractICDE.a",
+        ] {
+            assert!(!overlaid(t6, attr), "{attr}");
+        }
+        let t9 = r#"
+            t9(title1) :- amazon(x), extractAmazonT(#x, title1, np),
+                          barnes(y), extractBarnesT(#y, title2, bp),
+                          similar(#title1, #title2), np < bp.
+            extractAmazonT(#x, t, p) :- from(#x, t), from(#x, p), numeric(p) = yes.
+            extractBarnesT(#y, t, p) :- from(#y, t), from(#y, p), numeric(p) = yes.
+        "#;
+        for attr in [
+            "extractAmazonT.t",
+            "extractAmazonT.p",
+            "extractBarnesT.t",
+            "extractBarnesT.p",
+        ] {
+            assert!(!overlaid(t9, attr), "{attr}");
+        }
+    }
+
+    #[test]
+    fn p_predicate_reading_the_probed_variable_probes_exactly() {
+        let chair = r#"
+            chair(x, y, z) :- docs(d), extractChairs(#d, x), extractConference(#d, y),
+                              extractType(#x, z).
+            extractChairs(#d, x) :- from(#d, x), person-name(x) = yes.
+            extractConference(#d, y) :- from(#d, y), in-title(y) = yes.
+        "#;
+        assert!(!overlaid(chair, "extractChairs.x"));
+        assert!(overlaid(chair, "extractConference.y"));
+    }
+
+    #[test]
+    fn compare_on_the_probed_variable_probes_exactly_over_several_calls() {
+        let two_calls = r#"
+            q(x, y) :- docs(d), a(#d, x), b(#d, y), y > 3.
+            a(#d, x) :- from(#d, x).
+            b(#d, y) :- from(#d, y).
+        "#;
+        assert!(overlaid(two_calls, "a.x"));
+        assert!(!overlaid(two_calls, "b.y"));
+        // One call: the compare only loosens the overlay's upper bound.
+        let one_call = r#"
+            t1(title) :- imdb(x), extractIMDB(#x, title, votes), votes < 25000.
+            extractIMDB(#x, title, votes) :- from(#x, title), from(#x, votes).
+        "#;
+        assert!(overlaid(one_call, "extractIMDB.votes"));
+    }
+
+    #[test]
+    fn union_query_probes_exactly() {
+        let union = r#"
+            q(x) :- docs(d), a(#d, x).
+            q(x) :- pages(d), a(#d, x).
+            a(#d, x) :- from(#d, x).
+        "#;
+        assert!(!overlaid(union, "a.x"));
     }
 
     #[test]

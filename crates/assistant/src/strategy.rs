@@ -210,10 +210,13 @@ impl Strategy for Simulation {
             let q = &ordered[*i];
             let start = jobs.len();
             for v in space {
-                // Overlay probes (DESIGN.md §9): the candidate constraint
-                // is stacked over the unchanged base query relation, so
-                // the incremental cache serves the base result and each
-                // probe evaluates only its σ overlay.
+                // Overlay probes (DESIGN.md §9): where the query rule is
+                // one pass per input tuple (one extraction call, or calls
+                // sharing one input with the probed variable read nowhere
+                // else), the candidate constraint is stacked over the
+                // unchanged base query relation, so the incremental cache
+                // serves the base result and each probe evaluates only its
+                // σ overlay. Other shapes probe the refined program.
                 jobs.push(probe_program(ctx.program, &q.attr, &q.feature, v));
             }
             ranges.push((*i, start, space.len()));

@@ -366,7 +366,7 @@ mod tests {
             w.observe_at(now - i * 100_000, 10);
         }
         for i in 0..20 {
-            w.observe_at(now - 1 * S - i * 400_000, 20);
+            w.observe_at(now - S - i * 400_000, 20);
         }
         for i in 0..30 {
             w.observe_at(now - 10 * S - i * S, 30);
@@ -390,10 +390,10 @@ mod tests {
     #[test]
     fn ring_reclaims_stale_buckets() {
         let w = Window::new();
-        w.observe_at(1 * S, 7);
+        w.observe_at(S, 7);
         // Far future: the slice index wraps onto the same bucket position
         // at least once; stale data must not leak into the new horizon.
-        let later = 1 * S + (BUCKETS as u64) * BUCKET_MS * 1000;
+        let later = S + (BUCKETS as u64) * BUCKET_MS * 1000;
         w.observe_at(later, 3);
         let s = w.stats_at(later, 60);
         assert_eq!(s.count, 1);

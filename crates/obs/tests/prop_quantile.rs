@@ -90,7 +90,7 @@ proptest! {
     ) {
         let values: Vec<u64> = magnitudes
             .iter()
-            .flat_map(|&m| std::iter::repeat(1u64 << m).take(reps))
+            .flat_map(|&m| std::iter::repeat_n(1u64 << m, reps))
             .collect();
         assert_within_bound(&values);
     }

@@ -10,8 +10,8 @@ cargo build --release
 echo "== tests =="
 cargo test -q
 
-echo "== clippy (workspace, vendored stand-ins excluded) =="
-cargo clippy --workspace \
+echo "== clippy (workspace, every target, vendored stand-ins excluded) =="
+cargo clippy --workspace --all-targets \
   --exclude proptest --exclude rand --exclude serde \
   -- -D warnings
 

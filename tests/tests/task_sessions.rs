@@ -329,6 +329,9 @@ fn iteration_records_cover_the_whole_session() {
     assert_eq!(q_sum, out.questions_asked);
 }
 
+/// A task and the strategy its session runs with.
+type StrategyCase = (TaskId, fn() -> Box<dyn Strategy>);
+
 /// Optimizer ablation at session level: a full iFlex session (subset
 /// iterations, questions, refinement, convergence, final full run) must
 /// be **observationally identical** with `Limits::use_optimizer` on or
@@ -344,7 +347,7 @@ fn iteration_records_cover_the_whole_session() {
 #[test]
 fn session_stop_reason_and_table_survive_optimizer_ablation() {
     let c = corpus();
-    let cases: [(TaskId, fn() -> Box<dyn Strategy>); 5] = [
+    let cases: [StrategyCase; 5] = [
         (TaskId::T1, || Box::new(Sequential)),
         (TaskId::T5, || Box::new(Sequential)),
         (TaskId::T3, || Box::new(Simulation)),
