@@ -289,21 +289,6 @@ impl Rule {
     pub fn annotations(&self) -> (bool, Vec<&str>) {
         (self.head.existence, self.head.annotated_vars())
     }
-
-    /// Variables appearing in the body inside predicate atoms.
-    pub fn body_pred_vars(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        for atom in &self.body {
-            if let BodyAtom::Pred { args, .. } = atom {
-                for a in args {
-                    if let Term::Var(v) = &a.term {
-                        out.push(v.as_str());
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 impl fmt::Display for Rule {
@@ -338,15 +323,6 @@ impl Program {
     /// The description rules, keyed by the IE predicate they implement.
     pub fn description_rules(&self) -> impl Iterator<Item = &Rule> {
         self.rules.iter().filter(|r| r.is_description())
-    }
-
-    /// Head predicate names of non-description rules (intensional preds).
-    pub fn intensional_names(&self) -> Vec<&str> {
-        self.rules
-            .iter()
-            .filter(|r| !r.is_description())
-            .map(|r| r.head.name.as_str())
-            .collect()
     }
 }
 

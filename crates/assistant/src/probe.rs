@@ -8,8 +8,7 @@
 //! derives answer candidates:
 //! * `preceded-by` / `followed-by`: the most frequent tokens adjacent to
 //!   candidate values;
-//! * `min-value` / `max-value`: quantiles of the candidate numeric values;
-//! * `max-length`: quantiles of candidate span lengths.
+//! * `min-value` / `max-value`: quantiles of the candidate numeric values.
 
 use crate::question::Attribute;
 use iflex_alog::{Arg, BodyAtom, Head, HeadArg, Program, Rule, Term};
@@ -237,11 +236,6 @@ pub fn dynamic_answer_space(
                 .iter()
                 .filter_map(|s| iflex_text::parse_number(engine.store().span_text(s)))
                 .collect();
-            ladder(vals).into_iter().map(FeatureArg::Num).collect()
-        }
-        "max-length" => {
-            let spans = probe_spans(engine, program, attr, sample);
-            let vals: Vec<f64> = spans.iter().map(|s| s.len() as f64).collect();
             ladder(vals).into_iter().map(FeatureArg::Num).collect()
         }
         _ => Vec::new(),

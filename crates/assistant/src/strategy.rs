@@ -550,6 +550,36 @@ mod tests {
     }
 
     #[test]
+    fn probe_results_serve_a_repeated_probe() {
+        // A "don't know" answer leaves the program unchanged, so the next
+        // question re-probes the same refinements: the folded-back probe
+        // results must serve them without evaluating a rule.
+        let p = prog();
+        let mut eng = engine_with_pages();
+        let asked = BTreeSet::new();
+        let sample = Sample::new(1.0, 0);
+        let current = eng.run(&p).unwrap().len();
+        let mut ctx = AssistContext {
+            program: &p,
+            engine: &mut eng,
+            asked: &asked,
+            sample,
+            current_size: current,
+            examples: Default::default(),
+        };
+        let q = Simulation.next_question(&mut ctx).unwrap();
+        // The chosen question was simulated over this answer space.
+        let mut space = answer_space(&q.feature);
+        if space.is_empty() {
+            space = dynamic_answer_space(&mut eng, &p, &q.attr, &q.feature, sample);
+        }
+        let probe = probe_program(&p, &q.attr, &q.feature, &space[0]);
+        eng.run_sampled(&probe, sample).unwrap();
+        assert_eq!(eng.stats.incr_misses, 0, "{q:?}: a probe rule was evaluated again");
+        assert!(eng.stats.incr_hits > 0);
+    }
+
+    #[test]
     fn space_exhaustion_returns_none() {
         let p = prog();
         let mut eng = engine_with_pages();

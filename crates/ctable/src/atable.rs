@@ -28,13 +28,6 @@ impl ATuple {
             maybe: false,
         }
     }
-
-    /// Number of concrete tuples represented (product of cell sizes).
-    pub fn choice_count(&self) -> u64 {
-        self.cells
-            .iter()
-            .fold(1u64, |acc, c| acc.saturating_mul(c.len() as u64))
-    }
 }
 
 /// An a-table: columns plus a multiset of a-tuples.

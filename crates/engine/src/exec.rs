@@ -626,7 +626,7 @@ pub struct Engine {
     /// Cached metric handles (see [`EngineCounters`]).
     counters: EngineCounters,
     /// Live windowed/quantile telemetry that **survives the per-run
-    /// registry reset**: run latency (window + p50/p95/p99 sketch under
+    /// registry reset**: run latency (a p50/p95/p99 sketch under
     /// [`names::RUN_US`]), a degradation-rate window, and per-shard busy
     /// windows. Disabled by default — one relaxed atomic load per probe;
     /// the service wires a per-session set in so every engine run feeds
@@ -984,12 +984,11 @@ impl Engine {
             ],
         );
         // Live telemetry outlives the per-run registry reset above: run
-        // latency feeds both a sliding window and a quantile sketch, and
-        // degradations feed a rate window, all under the tenant this
-        // engine is scoped to. One relaxed load when disabled.
+        // latency feeds a quantile sketch and degradations feed a rate
+        // window, both under the tenant this engine is scoped to. One
+        // relaxed load when disabled.
         if self.live.is_enabled() {
             let run_us = live_t0.elapsed().as_micros() as u64;
-            self.live.window(names::RUN_US).observe(run_us);
             self.live.sketch(names::RUN_US).observe(run_us);
             self.live
                 .window(names::DEGRADATIONS)
@@ -1621,11 +1620,6 @@ impl Engine {
                 self.live.shard_busy(i).observe(*us);
             }
         }
-        if live {
-            // Windowed steal pressure: a scheduler watching the live set
-            // can spot skewed operators (many steals) as they happen.
-            self.live.window(names::PAR_STEALS).add_count(stats.steals);
-        }
     }
 
     /// Snapshots the engine's shared read-only handles for use inside a
@@ -2107,25 +2101,6 @@ fn shift_cands(c: Cands, offset: f64, store: &DocumentStore) -> Cands {
         Cands::NumericOnly(v) => Cands::NumericOnly(map(v)),
         Cands::Unknown => Cands::Unknown,
     }
-}
-
-/// Convenience: the union of all tuples across all worlds (what a user
-/// sifting through the result sees), as `(values..)` rows of rendered text.
-pub fn render_universe(
-    table: &CompactTable,
-    store: &DocumentStore,
-    budget: usize,
-) -> Result<Vec<Vec<String>>, EngineError> {
-    let rel = iflex_ctable::worlds::tuple_universe(table, store, budget)
-        .map_err(|e| EngineError::TooLarge(e.to_string()))?;
-    Ok(rel
-        .into_iter()
-        .map(|row| {
-            row.iter()
-                .map(|v| v.as_text(store).to_string())
-                .collect()
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -2728,22 +2703,6 @@ mod tests {
             out.tuples()[0].cells[0].exact_singleton(),
             Some(&Value::Num(20.0))
         );
-    }
-
-    #[test]
-    fn render_universe_resolves_text() {
-        let (mut eng, _, _) = example_engine();
-        let prog = parse_program(
-            r#"
-            q(p) :- housePages(x), e(#x, p), p > 500000.
-            e(#x, p) :- from(#x, p), numeric(p) = yes.
-        "#,
-        )
-        .unwrap();
-        let table = eng.run(&prog).unwrap();
-        let rows = render_universe(&table, eng.store(), 10_000).unwrap();
-        assert!(rows.iter().any(|r| r[0] == "619000"), "{rows:?}");
-        assert!(rows.iter().all(|r| r.len() == 1));
     }
 
     #[test]

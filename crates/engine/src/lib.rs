@@ -31,10 +31,7 @@ pub mod similarity;
 
 pub use annotate::apply_annotations;
 pub use budget::{CancelToken, DegradeCause, RunBudget, RunClock};
-pub use exec::{
-    default_threads, render_universe, Degradation, Engine, EngineCore, EngineError, ExecStats,
-    Limits,
-};
+pub use exec::{default_threads, Degradation, Engine, EngineCore, EngineError, ExecStats, Limits};
 pub use fault::{Fault, FaultPlan, Trigger};
 pub use pfunc::{builtin_procs, ProcRegistry, Procedure};
 pub use plan::{CompiledConstraint, PlanError};

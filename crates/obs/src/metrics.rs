@@ -43,7 +43,7 @@ pub mod names {
     pub const INCR_INVALIDATIONS: &str = "engine.incr.invalidations";
     /// Per-shard busy µs counters are `engine.shard_busy_us.<index>`.
     pub const SHARD_BUSY_PREFIX: &str = "engine.shard_busy_us.";
-    /// Live run-latency window/sketch name (µs per engine run) — unlike
+    /// Live run-latency sketch name (µs per engine run) — unlike
     /// the counters above this lives in a `LiveSet` and survives the
     /// per-run registry reset.
     pub const RUN_US: &str = "engine.run_us";

@@ -9,9 +9,9 @@
 //! buckets whose tag falls inside the requested horizon.
 //!
 //! Windows are grouped in a [`LiveSet`] — a named registry sharing one
-//! enabled flag, so an entire telemetry surface turns on or off together
-//! and the **disabled path is a single relaxed atomic load** per call
-//! (the same contract the trace journal makes).
+//! enabled flag, fixed at birth, so an entire telemetry surface records
+//! or not together and the **disabled path is a single relaxed atomic
+//! load** per call (the same contract the trace journal makes).
 //!
 //! The lazy-reset scheme trades a sliver of precision for lock freedom: a
 //! reader racing the first writer of a fresh slice can observe a bucket
@@ -242,8 +242,7 @@ struct LiveSetInner {
 /// enabled flag — the per-session (or per-host) live-telemetry surface.
 ///
 /// Handles returned by [`LiveSet::window`] / [`LiveSet::sketch`] stay
-/// valid forever and share the set's flag, so a consumer can cache them
-/// and still be turned off wholesale.
+/// valid forever and share the set's flag, so a consumer can cache them.
 #[derive(Debug, Clone)]
 pub struct LiveSet {
     inner: Arc<LiveSetInner>,
@@ -271,16 +270,6 @@ impl LiveSet {
                 shard_busy: Mutex::new(Vec::new()),
             }),
         }
-    }
-
-    /// Turns recording on.
-    pub fn enable(&self) {
-        self.inner.enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Turns recording off (handles stay valid; observations are dropped).
-    pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Relaxed);
     }
 
     /// Whether members are recording.
@@ -320,17 +309,6 @@ impl LiveSet {
             v.push(Window::with_flag(self.inner.enabled.clone(), self.inner.epoch));
         }
         v[i].clone()
-    }
-
-    /// Snapshot of every named window handle (for rendering).
-    pub fn windows(&self) -> Vec<(String, Window)> {
-        self.inner
-            .windows
-            .read()
-            .expect("live lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 
     /// Snapshot of every named sketch handle (for rendering).
@@ -420,11 +398,7 @@ mod tests {
         q.observe(5);
         assert_eq!(w.stats(60).count, 0);
         assert_eq!(q.count(), 0);
-        set.enable();
-        w.observe(5);
-        q.observe(5);
-        assert_eq!(w.stats(60).count, 1);
-        assert_eq!(q.count(), 1);
+        assert_eq!(set.shard_busy(0).stats(60).count, 0);
     }
 
     #[test]
@@ -434,7 +408,6 @@ mod tests {
         let b = set.window("w");
         a.observe(1);
         assert_eq!(b.stats(60).count, 1);
-        assert_eq!(set.windows().len(), 1);
         let s0 = set.shard_busy(2);
         s0.observe(9);
         assert_eq!(set.shard_busy_windows().len(), 3);

@@ -67,13 +67,9 @@ impl ChaosReport {
 fn chaos_cfg() -> ServiceConfig {
     ServiceConfig {
         max_sessions: 8,
-        // Short deadline + fast watchdog keep even DeadlineExpired /
-        // stuck scenarios snappy.
-        run_deadline: Some(Duration::from_secs(5)),
+        // A fast watchdog keeps the stuck scenarios snappy.
         watchdog_interval: Duration::from_millis(10),
         stuck_limit: Duration::from_millis(500),
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(8),
         ..ServiceConfig::default()
     }
 }

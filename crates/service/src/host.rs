@@ -6,7 +6,7 @@
 //! the measured feature statistics, and the warm incremental rule cache
 //! through the core (read-only, advisory, or pure), while everything
 //! isolation-relevant — fault
-//! plan, budget, cancel token, clock, metrics, tracer — is per fork.
+//! plan, budget, cancel token, clock, metrics — is per fork.
 //! A panicking, degrading, or budget-exhausted session is contained to
 //! its own worker; siblings keep producing byte-identical results.
 //!
@@ -14,7 +14,7 @@
 //! - **Admission control**: at most `max_sessions` live sessions; past
 //!   the cap `create-session` is rejected with `retry_after_ms`, never
 //!   queued.
-//! - **Backpressure**: each session's queue holds `queue_depth` jobs;
+//! - **Backpressure**: each session's queue holds `QUEUE_DEPTH` (4) jobs;
 //!   a full queue rejects with `retry_after_ms` instead of buffering
 //!   without bound.
 //! - **Watchdog**: a background thread cancels (via the session's
@@ -36,68 +36,61 @@ use crate::json::Json;
 use crate::protocol::{decode, err_response, ok_response, DecodeError, Request};
 use iflex_alog::{parse_program, Program};
 use iflex_assistant::{add_constraint, attributes, ordered_questions};
+use iflex_engine::obs::flight::DEFAULT_FLIGHT_CAP;
 use iflex_engine::obs::metrics::names;
-use iflex_engine::obs::{
-    Counter, FlightRecorder, LiveSet, QuantileSketch, Registry, SpanId, SpanKind, Tracer, Window,
-};
+use iflex_engine::obs::{Counter, FlightRecorder, LiveSet, QuantileSketch, Registry, Window};
 use iflex_engine::{fault, CancelToken, Engine, EngineCore, Fault, FaultPlan, Trigger};
 use iflex_features::{FeatureArg, FeatureValue};
 
 /// Bound on retained flight-recorder dumps (oldest evicted first).
 const MAX_FLIGHT_DUMPS: usize = 32;
 
-/// Host tuning knobs.
+/// Bound of each session's job queue; a full queue rejects (backpressure).
+const QUEUE_DEPTH: usize = 4;
+
+/// Backoff hint attached to every retryable rejection (admission cap,
+/// full queue, failed spawn, connection cap).
+pub(crate) const RETRY_AFTER_MS: u64 = 25;
+
+/// Wall-clock deadline applied to every engine run.
+const RUN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Transient session-spawn failures retried before giving up; the
+/// backoff starts at [`BACKOFF_BASE`] and doubles (5, 10, 20 ms).
+const SPAWN_RETRIES: u32 = 3;
+
+/// First spawn-retry backoff.
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+
+/// The `health` verdict's SLO: p99 ask-to-answer latency stays under
+/// this many milliseconds.
+const SLO_P99_MS: u64 = 1_000;
+
+/// The host's deployment settings: the admission cap, the watchdog's
+/// pace and patience, and where flight dumps go. Every other policy
+/// value (queue depth, retry hint, run deadline, spawn retries, SLO) is
+/// a constant of this module.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Admission cap: live sessions past this are rejected.
     pub max_sessions: usize,
-    /// Bound of each session's job queue (backpressure past it).
-    pub queue_depth: usize,
-    /// Backoff hint attached to admission/backpressure rejections.
-    pub retry_after_ms: u64,
-    /// Wall-clock deadline applied to every engine run.
-    pub run_deadline: Option<Duration>,
     /// How often the watchdog scans for stuck runs.
     pub watchdog_interval: Duration,
     /// A job older than this is cancelled by the watchdog.
     pub stuck_limit: Duration,
-    /// Transient session-spawn failures tolerated before giving up.
-    pub spawn_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_cap: Duration,
-    /// Whether live telemetry (sliding windows, quantile sketches, the
-    /// flight recorder) records. Off, every probe is one relaxed atomic
-    /// load.
-    pub telemetry: bool,
-    /// Per-session flight-recorder ring capacity (0 = library default).
-    pub flight_capacity: usize,
     /// When set, every flight dump is also written to this directory as
     /// `flight-<session>-<seq>-<reason>.jsonl`. Dumps are always kept
     /// in memory regardless (see [`Host::flight_dumps`]).
     pub flight_dir: Option<PathBuf>,
-    /// SLO threshold the `health` verdict holds the host to: p99
-    /// ask-to-answer latency must stay under this many milliseconds.
-    pub slo_p99_ms: u64,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             max_sessions: 8,
-            queue_depth: 4,
-            retry_after_ms: 25,
-            run_deadline: Some(Duration::from_secs(10)),
             watchdog_interval: Duration::from_millis(20),
             stuck_limit: Duration::from_secs(2),
-            spawn_retries: 3,
-            backoff_base: Duration::from_millis(5),
-            backoff_cap: Duration::from_millis(100),
-            telemetry: true,
-            flight_capacity: 0,
             flight_dir: None,
-            slo_p99_ms: 1_000,
         }
     }
 }
@@ -160,10 +153,10 @@ struct HostTelemetry {
 }
 
 impl HostTelemetry {
-    fn new(on: bool) -> HostTelemetry {
+    fn new() -> HostTelemetry {
         // The handles keep the set's shared enabled flag alive; the set
         // itself need not outlive construction.
-        let live = if on { LiveSet::enabled() } else { LiveSet::disabled() };
+        let live = LiveSet::enabled();
         HostTelemetry {
             requests: live.window("service.requests"),
             latency_us_win: live.window("service.ask_to_answer_us"),
@@ -192,10 +185,8 @@ pub(crate) struct SessionTelemetry {
 }
 
 impl SessionTelemetry {
-    fn new(on: bool, flight_cap: usize) -> SessionTelemetry {
-        let live = if on { LiveSet::enabled() } else { LiveSet::disabled() };
-        let flight =
-            if on { FlightRecorder::new(flight_cap) } else { FlightRecorder::disabled() };
+    fn new() -> SessionTelemetry {
+        let live = LiveSet::enabled();
         SessionTelemetry {
             requests: live.window("service.requests"),
             latency_us_win: live.window("service.ask_to_answer_us"),
@@ -204,7 +195,7 @@ impl SessionTelemetry {
             cache_misses: live.window("service.cache_misses"),
             degradations: live.window(names::DEGRADATIONS),
             queued: AtomicU64::new(0),
-            flight,
+            flight: FlightRecorder::new(DEFAULT_FLIGHT_CAP),
             live,
         }
     }
@@ -237,7 +228,6 @@ struct SessionHandle {
     engine_fault: Arc<FaultPlan>,
     running_since: Arc<Mutex<Option<Instant>>>,
     published: Arc<AtomicBool>,
-    span: SpanId,
     telemetry: Arc<SessionTelemetry>,
 }
 
@@ -260,7 +250,6 @@ struct Inner {
     /// [`MAX_FLIGHT_DUMPS`].
     dumps: Mutex<Vec<FlightDump>>,
     dump_seq: AtomicU64,
-    tracer: Tracer,
     default_program: String,
 }
 
@@ -284,7 +273,7 @@ impl Host {
     pub fn new(core: EngineCore, default_program: &str, cfg: ServiceConfig) -> Host {
         let metrics = Registry::new();
         let counters = ServiceCounters::new(&metrics);
-        let telemetry = HostTelemetry::new(cfg.telemetry);
+        let telemetry = HostTelemetry::new();
         let inner = Arc::new(Inner {
             core: Arc::new(core),
             cfg,
@@ -299,7 +288,6 @@ impl Host {
             telemetry,
             dumps: Mutex::new(Vec::new()),
             dump_seq: AtomicU64::new(0),
-            tracer: Tracer::disabled(),
             default_program: default_program.to_string(),
         });
         let watchdog = {
@@ -344,12 +332,6 @@ impl Host {
     /// panics, degraded runs), oldest first.
     pub fn flight_dumps(&self) -> Vec<FlightDump> {
         self.inner.dumps.lock().expect("dumps lock").clone()
-    }
-
-    /// Enables per-session tracing spans on the host tracer.
-    pub fn enable_tracing(&self) -> &Tracer {
-        self.inner.tracer.enable();
-        &self.inner.tracer
     }
 
     /// Live session count.
@@ -413,9 +395,7 @@ impl Host {
                     Some(h) => {
                         h.cancel.cancel();
                         self.inner.counters.cancels.inc();
-                        if h.telemetry.flight.is_enabled() {
-                            h.telemetry.flight.record("cancel", "client", "");
-                        }
+                        h.telemetry.flight.record("cancel", "client", "");
                         ok_response(id, vec![("cancelled", Json::Bool(true))])
                     }
                     None => err_response(id, &format!("no such session {session}"), None),
@@ -478,13 +458,11 @@ impl Host {
             Err(TrySendError::Full(_)) => {
                 tel.queued.fetch_sub(1, Ordering::Relaxed);
                 self.inner.counters.rejected_backpressure.inc();
-                if tel.flight.is_enabled() {
-                    tel.flight.record("reject", "backpressure", "queue full");
-                }
+                tel.flight.record("reject", "backpressure", "queue full");
                 Err(err_response(
                     id.as_deref(),
                     &format!("session {session} queue full"),
-                    Some(self.inner.cfg.retry_after_ms),
+                    Some(RETRY_AFTER_MS),
                 ))
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -513,7 +491,7 @@ impl Host {
                 return err_response(
                     id,
                     &format!("session table full ({} live)", sessions.len()),
-                    Some(inner.cfg.retry_after_ms),
+                    Some(RETRY_AFTER_MS),
                 );
             }
         }
@@ -526,25 +504,16 @@ impl Host {
                 Ok(s) => break Some(s),
                 Err(transient) => {
                     inner.counters.spawn_failures.inc();
-                    if !transient || attempt >= inner.cfg.spawn_retries {
+                    if !transient || attempt >= SPAWN_RETRIES {
                         break None;
                     }
-                    let backoff = inner
-                        .cfg
-                        .backoff_base
-                        .saturating_mul(1 << attempt.min(16))
-                        .min(inner.cfg.backoff_cap);
-                    std::thread::sleep(backoff);
+                    std::thread::sleep(BACKOFF_BASE * (1 << attempt));
                     attempt += 1;
                 }
             }
         };
         let Some((session_id, warm)) = spawned else {
-            return err_response(
-                id,
-                "session spawn failed after retries",
-                Some(inner.cfg.retry_after_ms),
-            );
+            return err_response(id, "session spawn failed after retries", Some(RETRY_AFTER_MS));
         };
         inner.counters.sessions_created.inc();
         ok_response(
@@ -573,29 +542,21 @@ impl Host {
             engine.clear_cache();
             warm = 0;
         }
-        engine.budget.deadline = inner.cfg.run_deadline;
+        engine.budget.deadline = Some(RUN_DEADLINE);
         let cancel = engine.budget.cancel_token();
         let engine_fault = Arc::clone(&engine.fault);
         let session_id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let span = inner.tracer.begin(SpanId::NONE, SpanKind::Session, &format!("tenant{session_id}"));
-        engine.tracer = inner.tracer.clone();
-        engine.trace_parent = span;
         // The session's telemetry surface shares its live set and flight
         // recorder with the engine: the engine's run-latency, degradation,
         // and shard-busy series land in the same per-tenant scope the
         // `stats {session}` view reads.
-        let telemetry = Arc::new(SessionTelemetry::new(
-            inner.cfg.telemetry,
-            inner.cfg.flight_capacity,
-        ));
+        let telemetry = Arc::new(SessionTelemetry::new());
         engine.live = telemetry.live.clone();
         engine.flight = telemetry.flight.clone();
-        if telemetry.flight.is_enabled() {
-            telemetry.flight.record("session", "create", format!("warm_entries={warm}"));
-        }
+        telemetry.flight.record("session", "create", format!("warm_entries={warm}"));
         let running_since = Arc::new(Mutex::new(None));
         let published = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::sync_channel::<Job>(inner.cfg.queue_depth);
+        let (tx, rx) = mpsc::sync_channel::<Job>(QUEUE_DEPTH);
         let state = SessionState { engine, program, asked: BTreeSet::new(), poisoned: false };
         let worker = {
             let inner = Arc::clone(inner);
@@ -614,7 +575,6 @@ impl Host {
                         &running_since,
                         &published,
                         &cancel,
-                        span,
                         &telemetry,
                     )
                 })
@@ -627,7 +587,6 @@ impl Host {
             engine_fault,
             running_since,
             published,
-            span,
             telemetry,
         };
         inner.sessions.lock().expect("sessions lock").insert(session_id, handle);
@@ -648,7 +607,6 @@ impl Host {
         if let Some(w) = handle.worker.take() {
             let _ = w.join();
         }
-        self.inner.tracer.end(handle.span);
         ok_response(
             id,
             vec![
@@ -741,7 +699,6 @@ impl Host {
                 ok_response(
                     id,
                     vec![
-                        ("telemetry", Json::Bool(self.inner.cfg.telemetry)),
                         ("counters", counters),
                         ("requests_1s", Json::Num(r1.rate())),
                         ("requests_10s", Json::Num(r10.rate())),
@@ -762,7 +719,7 @@ impl Host {
         let inner = &self.inner;
         let lat = inner.telemetry.latency_us.summary();
         let cancels_60s = inner.telemetry.watchdog_cancels.stats(60).count;
-        let slo_us = inner.cfg.slo_p99_ms.saturating_mul(1_000);
+        let slo_us = SLO_P99_MS * 1_000;
         let p99_within_slo = lat.p99 <= slo_us as f64;
         let accepting = self.is_accepting();
         let healthy = accepting && cancels_60s == 0 && p99_within_slo;
@@ -884,7 +841,6 @@ impl Host {
             if let Some(w) = h.worker.take() {
                 let _ = w.join();
             }
-            inner.tracer.end(h.span);
         }
         inner.stop.store(true, Ordering::Release);
         if let Some(w) = self.watchdog.lock().expect("watchdog lock").take() {
@@ -958,9 +914,6 @@ fn prom_name(name: &str) -> String {
 /// Captures `flight`'s current ring as a dump: kept in memory (bounded)
 /// and, when configured, written to `flight_dir` as one JSONL file.
 fn record_flight_dump(inner: &Inner, session: u64, reason: &str, flight: &FlightRecorder) {
-    if !flight.is_enabled() {
-        return;
-    }
     let jsonl = flight.dump_jsonl(session, reason);
     inner.counters.flight_dumps.inc();
     if let Some(dir) = &inner.cfg.flight_dir {
@@ -1006,13 +959,11 @@ fn watchdog_loop(inner: &Inner) {
             if stuck && !h.cancel.is_cancelled() {
                 inner.counters.watchdog_cancels.inc();
                 inner.telemetry.watchdog_cancels.add_count(1);
-                if h.telemetry.flight.is_enabled() {
-                    h.telemetry.flight.record(
-                        "cancel",
-                        "watchdog",
-                        format!("stuck beyond {:?}", inner.cfg.stuck_limit),
-                    );
-                }
+                h.telemetry.flight.record(
+                    "cancel",
+                    "watchdog",
+                    format!("stuck beyond {:?}", inner.cfg.stuck_limit),
+                );
                 record_flight_dump(inner, *sid, "watchdog_cancel", &h.telemetry.flight);
                 // Last: whoever sees the cancelled reply finds the counter
                 // moved and the dump already written.
@@ -1031,7 +982,6 @@ fn worker_loop(
     running_since: &Mutex<Option<Instant>>,
     published: &AtomicBool,
     cancel: &CancelToken,
-    span: SpanId,
     tel: &SessionTelemetry,
 ) {
     while let Ok(job) = rx.recv() {
@@ -1069,9 +1019,7 @@ fn worker_loop(
         tel.latency_us.observe(us);
         inner.telemetry.latency_us_win.observe(us);
         inner.telemetry.latency_us.observe(us);
-        if tel.flight.is_enabled() {
-            tel.flight.record("request", cmd_name(&job.req), format!("us={us}"));
-        }
+        tel.flight.record("request", cmd_name(&job.req), format!("us={us}"));
         if panicked {
             record_flight_dump(inner, session_id, "worker_panic", &tel.flight);
         } else if !state.poisoned {
@@ -1103,7 +1051,6 @@ fn worker_loop(
     } else {
         inner.counters.publish_skipped.inc();
     }
-    inner.tracer.end(span);
 }
 
 fn handle_job(state: &mut SessionState, cancel: &CancelToken, req: &Request) -> Json {
@@ -1199,8 +1146,6 @@ mod tests {
         ServiceConfig {
             watchdog_interval: Duration::from_millis(5),
             stuck_limit: Duration::from_millis(40),
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(4),
             ..ServiceConfig::default()
         }
     }
@@ -1264,28 +1209,32 @@ mod tests {
 
     #[test]
     fn queue_backpressure_rejects_instead_of_buffering() {
-        let cfg = ServiceConfig { queue_depth: 2, ..fast_cfg() };
+        // Stuck limit above the busy job, so the watchdog cannot free a
+        // slot while the queue fills.
+        let cfg = ServiceConfig { stuck_limit: Duration::from_secs(2), ..fast_cfg() };
         let host = Host::new(tiny_core(), PROGRAM, cfg);
         let sid = create(&host);
         // Hold the worker on a long sleep, then fill the queue.
         let busy = host
             .submit(sid, Request::Sleep { id: None, session: sid, ms: 400 })
             .expect("busy job accepted");
+        // The worker dequeues the busy job before it sleeps; wait until
+        // it has, so the queue holds only what is submitted below.
+        while host.inner.sessions.lock().unwrap()[&sid].telemetry.queued.load(Ordering::Relaxed) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut pending = Vec::new();
-        let mut rejected = None;
-        for _ in 0..3 {
+        let rejected = loop {
             match host.submit(sid, Request::Sleep { id: None, session: sid, ms: 1 }) {
                 Ok(rx) => pending.push(rx),
-                Err(resp) => {
-                    rejected = Some(resp);
-                    break;
-                }
+                Err(resp) => break resp,
             }
-        }
-        let rejected = rejected.expect("third enqueue must hit the bound");
+            assert!(pending.len() <= QUEUE_DEPTH, "the queue buffered past its bound");
+        };
+        assert_eq!(pending.len(), QUEUE_DEPTH, "every slot fills before a rejection");
         assert_eq!(rejected.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(rejected.get("retryable"), Some(&Json::Bool(true)));
-        assert!(rejected.get("retry_after_ms").and_then(Json::as_u64).is_some());
+        assert_eq!(rejected.get("retry_after_ms").and_then(Json::as_u64), Some(25));
         assert!(
             host.metrics().counter_value("service.rejected_backpressure").unwrap_or(0) >= 1
         );
@@ -1316,10 +1265,13 @@ mod tests {
     #[test]
     fn spawn_faults_are_retried_with_backoff() {
         let host = Host::new(tiny_core(), PROGRAM, fast_cfg());
-        // Two transient spawn failures, then success on the third try.
+        // Two transient spawn failures, then success on the third try,
+        // after backing off 5 then 10 ms.
         host.fault().arm(fault::site::SESSION_SPAWN, Trigger::Nth(0), Fault::Io("x".into()), 1);
         host.fault().arm(fault::site::SESSION_SPAWN, Trigger::Nth(1), Fault::Io("x".into()), 1);
+        let t0 = Instant::now();
         let resp = host.handle(Request::CreateSession { id: None, program: None });
+        assert!(t0.elapsed() >= Duration::from_millis(15), "backoff: {:?}", t0.elapsed());
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(host.metrics().counter_value("service.spawn_failures"), Some(2));
 
@@ -1495,23 +1447,6 @@ mod tests {
         assert_eq!(d.session, sid);
         // The victim's preceding healthy request is in the ring.
         assert!(d.jsonl.contains("\"name\":\"get-results\""), "dump: {}", d.jsonl);
-    }
-
-    #[test]
-    fn telemetry_off_records_nothing() {
-        let cfg = ServiceConfig { telemetry: false, ..fast_cfg() };
-        let host = Host::new(tiny_core(), PROGRAM, cfg);
-        let sid = create(&host);
-        host.handle(Request::GetResults { id: None, session: sid, limit: 4 });
-        // Force a watchdog cancel; with telemetry off there is no dump.
-        host.handle(Request::Sleep { id: None, session: sid, ms: 400 });
-        assert!(host.flight_dumps().is_empty());
-        let s = host.handle(Request::Stats { id: None, session: Some(sid) });
-        assert_eq!(s.get("requests_60s").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(s.get("latency_p99_us").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(s.get("flight_events").and_then(Json::as_u64), Some(0));
-        // Lifetime counters still work — only live series are gated.
-        assert!(host.metrics().counter_value("service.requests").unwrap_or(0) > 0);
     }
 
     #[test]

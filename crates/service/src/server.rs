@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::host::Host;
+use crate::host::{Host, RETRY_AFTER_MS};
 use crate::json::Json;
 use crate::protocol::{decode, err_response, DecodeError, Request};
 use iflex_engine::fault;
@@ -227,12 +227,9 @@ impl Drop for Slot<'_> {
 /// Turns a connection away with one retryable error line.
 fn reject(host: &Host, mut conn: TcpStream, live: u64) {
     host.counters().rejected_connections.inc();
-    let mut line = err_response(
-        None,
-        &format!("connection table full ({live} live)"),
-        Some(host.config().retry_after_ms),
-    )
-    .render();
+    let mut line =
+        err_response(None, &format!("connection table full ({live} live)"), Some(RETRY_AFTER_MS))
+            .render();
     line.push('\n');
     // The peer may already be gone; there is nobody else to tell.
     let _ = conn.write_all(line.as_bytes());

@@ -138,11 +138,6 @@ impl TokenIndex {
         }
     }
 
-    /// From tokens.
-    pub fn from_tokens(tokens: Vec<Token>) -> Self {
-        TokenIndex { tokens }
-    }
-
     #[inline]
     /// The token list.
     pub fn tokens(&self) -> &[Token] {
