@@ -10,9 +10,10 @@
 //! * [`Sequential`] — a predefined order: attributes by decreasing
 //!   importance, features by a curated appearance → location → semantics
 //!   order;
-//! * [`Simulation`] — executes each candidate refinement (over a sampled
-//!   subset, with reuse) and picks the question with the minimum expected
-//!   result size.
+//! * [`Simulation`] — sizes each candidate refinement over a sampled
+//!   subset (one count-only engine pass per choice, `Engine::probe_sizes`,
+//!   or the refined program where the rule's shape does not admit the
+//!   count) and picks the question with the minimum expected result size.
 //!
 //! [`ConvergenceMonitor`] implements the §5.1 convergence notification:
 //! stable result size and assignment count for k consecutive iterations.
@@ -22,13 +23,12 @@
 
 pub mod converge;
 pub mod feedback;
-pub mod probe;
+mod probe;
 pub mod question;
 pub mod strategy;
 
 pub use converge::ConvergenceMonitor;
 pub use feedback::{implied_answers, Examples};
-pub use probe::{dynamic_answer_space, probe_spans};
 pub use question::{
     add_constraint, answer_space, attributes, constrained_features, question_space, Answer,
     Attribute, Question,

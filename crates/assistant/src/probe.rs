@@ -24,7 +24,7 @@ const PROBE_CAP: usize = 400;
 /// Builds a probe program `__probe(v) :- table(x), pred(#x, ..., v, ...).`
 /// plus the description rules, for the attribute's IE predicate. Returns
 /// `None` when no caller rule binds the predicate to an extensional table.
-fn probe_program(program: &Program, attr: &Attribute) -> Option<Program> {
+pub(crate) fn probe_program(program: &Program, attr: &Attribute) -> Option<Program> {
     for rule in program.rules.iter().filter(|r| !r.is_description()) {
         for atom in &rule.body {
             let BodyAtom::Pred { name, args } = atom else {
@@ -84,12 +84,15 @@ fn probe_program(program: &Program, attr: &Attribute) -> Option<Program> {
     None
 }
 
-/// Collects candidate spans for the attribute's current extraction.
-pub fn probe_spans(engine: &mut Engine, program: &Program, attr: &Attribute, sample: Sample) -> Vec<Span> {
+/// Runs an answer-space probe program, returning the candidate spans of
+/// the attribute's current extraction and whether the run was clean (it
+/// succeeded and nothing degraded).
+pub(crate) fn probe_spans(
+    engine: &mut Engine,
+    probe: &Program,
+    sample: Sample,
+) -> (Vec<Span>, bool) {
     use iflex_engine::obs::{SpanId, SpanKind};
-    let Some(probe) = probe_program(program, attr) else {
-        return Vec::new();
-    };
     // Answer-space probes execute a synthetic program; trace them like
     // simulation probes so a dump attributes this engine time correctly.
     let probe_span = match engine.tracer.ctx(engine.trace_parent) {
@@ -98,11 +101,11 @@ pub fn probe_spans(engine: &mut Engine, program: &Program, attr: &Attribute, sam
     };
     let saved = engine.trace_parent;
     engine.trace_parent = probe_span;
-    let run = engine.run_sampled(&probe, sample);
+    let run = engine.run_sampled(probe, sample);
     engine.trace_parent = saved;
     engine.tracer.end(probe_span);
     let Ok(table) = run else {
-        return Vec::new();
+        return (Vec::new(), false);
     };
     let mut out = Vec::new();
     'outer: for t in table.tuples() {
@@ -123,7 +126,7 @@ pub fn probe_spans(engine: &mut Engine, program: &Program, attr: &Attribute, sam
             }
         }
     }
-    out
+    (out, !engine.stats.degraded())
 }
 
 /// The token (plus adjacent `:`/`$` punctuation) immediately before `s`.
@@ -205,20 +208,25 @@ fn ladder(mut vals: Vec<f64>) -> Vec<f64> {
     out
 }
 
-/// Data-driven answer candidates for (attribute, feature); empty when the
-/// feature has no derivable space.
-pub fn dynamic_answer_space(
-    engine: &mut Engine,
-    program: &Program,
-    attr: &Attribute,
+/// Whether `feature`'s answer space is derived from candidate spans.
+pub(crate) fn dynamic_feature(feature: &str) -> bool {
+    matches!(
+        feature,
+        "preceded-by" | "followed-by" | "min-value" | "max-value"
+    )
+}
+
+/// The answer candidates of `feature` derived from an attribute's
+/// candidate spans; empty when the feature has no derivable space.
+pub(crate) fn spans_answer_space(
+    engine: &Engine,
     feature: &str,
-    sample: Sample,
+    spans: &[Span],
 ) -> Vec<FeatureArg> {
     match feature {
         "preceded-by" | "followed-by" => {
-            let spans = probe_spans(engine, program, attr, sample);
             let mut counts: BTreeMap<String, usize> = BTreeMap::new();
-            for s in spans {
+            for &s in spans {
                 let label = if feature == "preceded-by" {
                     preceding_label(engine, s)
                 } else {
@@ -231,7 +239,6 @@ pub fn dynamic_answer_space(
             top_labels(counts, 4)
         }
         "min-value" | "max-value" => {
-            let spans = probe_spans(engine, program, attr, sample);
             let vals: Vec<f64> = spans
                 .iter()
                 .filter_map(|s| iflex_text::parse_number(engine.store().span_text(s)))
@@ -284,10 +291,17 @@ mod tests {
         assert!(probe.rules[0].to_string().contains("pages("));
     }
 
+    /// The data-driven answer space the Simulation strategy derives.
+    fn space(eng: &mut Engine, prog: &Program, feature: &str) -> Vec<FeatureArg> {
+        crate::Simulation::default().dynamic_space(eng, prog, &attr(), feature, Sample::new(1.0, 0))
+    }
+
     #[test]
     fn probe_collects_numeric_spans() {
         let (mut eng, prog) = setup();
-        let spans = probe_spans(&mut eng, &prog, &attr(), Sample::new(1.0, 0));
+        let probe = probe_program(&prog, &attr()).unwrap();
+        let (spans, clean) = probe_spans(&mut eng, &probe, Sample::new(1.0, 0));
+        assert!(clean);
         assert!(!spans.is_empty());
         // all collected spans parse as numbers (description constrains to numeric)
         assert!(spans
@@ -298,13 +312,7 @@ mod tests {
     #[test]
     fn preceded_by_labels_found() {
         let (mut eng, prog) = setup();
-        let args = dynamic_answer_space(
-            &mut eng,
-            &prog,
-            &attr(),
-            "preceded-by",
-            Sample::new(1.0, 0),
-        );
+        let args = space(&mut eng, &prog, "preceded-by");
         let labels: Vec<&str> = args.iter().filter_map(|a| a.as_text()).collect();
         assert!(labels.iter().any(|l| l.contains("price") || l.contains("votes") || l.contains("item")), "{labels:?}");
     }
@@ -312,8 +320,7 @@ mod tests {
     #[test]
     fn value_ladder_derived() {
         let (mut eng, prog) = setup();
-        let args =
-            dynamic_answer_space(&mut eng, &prog, &attr(), "max-value", Sample::new(1.0, 0));
+        let args = space(&mut eng, &prog, "max-value");
         assert!(!args.is_empty());
         assert!(args.iter().all(|a| a.as_num().is_some()));
     }
@@ -321,13 +328,6 @@ mod tests {
     #[test]
     fn unknown_feature_gives_empty_space() {
         let (mut eng, prog) = setup();
-        assert!(dynamic_answer_space(
-            &mut eng,
-            &prog,
-            &attr(),
-            "bold-font",
-            Sample::new(1.0, 0)
-        )
-        .is_empty());
+        assert!(space(&mut eng, &prog, "bold-font").is_empty());
     }
 }

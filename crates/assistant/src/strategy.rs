@@ -1,14 +1,20 @@
 //! Question-selection strategies (§5.1): **sequential** (predefined order
-//! over the question space) and **simulation** (execute each candidate
+//! over the question space) and **simulation** (size each candidate
 //! refinement and pick the question with the largest expected reduction).
+//! Simulation sizes a candidate with the engine's count-only probe
+//! ([`Engine::probe_sizes`]) where the query rule admits it, and runs the
+//! refined program otherwise (DESIGN.md §9).
 
 use crate::feedback::Examples;
-use crate::probe::dynamic_answer_space;
-use crate::question::{answer_space, attributes, probe_program, question_space, Attribute, Question};
+use crate::probe::{dynamic_feature, probe_program, probe_spans, spans_answer_space};
+use crate::question::{
+    add_constraint, answer_space, attributes, question_space, Attribute, Question,
+};
 use iflex_alog::{BodyAtom, Program, Term};
-use iflex_engine::{Engine, Sample};
-use iflex_features::FeatureRegistry;
-use std::collections::BTreeSet;
+use iflex_engine::{Engine, ProbeSizes, ProbeSpec, Sample};
+use iflex_features::{FeatureArg, FeatureRegistry};
+use iflex_text::Span;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Everything a strategy may look at when choosing the next question.
 pub struct AssistContext<'a> {
@@ -153,9 +159,48 @@ const ALPHA: f64 = 0.1;
 const MAX_CANDIDATES: usize = 24;
 
 /// §5.1 "Simulation Strategy": selects the question minimizing the
-/// expected result size after the developer's answer.
+/// expected result size after the developer's answer. One value serves
+/// one session: it keeps the candidate spans its data-driven answer
+/// spaces were derived from, so a question asked again after a "don't
+/// know" answer does not re-run their probe.
 #[derive(Debug, Default)]
-pub struct Simulation;
+pub struct Simulation {
+    /// Spans of each clean answer-space probe run, by the probe program's
+    /// rendering and the sample key.
+    spans: BTreeMap<(String, String), Vec<Span>>,
+}
+
+impl Simulation {
+    /// The data-driven answer space of (attribute, feature) (§5.1), from
+    /// the spans of the attribute's answer-space probe, which runs once
+    /// per program and sample. A failed or degraded run's spans still
+    /// serve this call but are not kept.
+    pub(crate) fn dynamic_space(
+        &mut self,
+        engine: &mut Engine,
+        program: &Program,
+        attr: &Attribute,
+        feature: &str,
+        sample: Sample,
+    ) -> Vec<FeatureArg> {
+        if !dynamic_feature(feature) {
+            return Vec::new();
+        }
+        let Some(probe) = probe_program(program, attr) else {
+            return Vec::new();
+        };
+        let key = (probe.to_string(), sample.key());
+        if let Some(spans) = self.spans.get(&key) {
+            return spans_answer_space(engine, feature, spans);
+        }
+        let (spans, clean) = probe_spans(engine, &probe, sample);
+        let space = spans_answer_space(engine, feature, &spans);
+        if clean {
+            self.spans.insert(key, spans);
+        }
+        space
+    }
+}
 
 impl Strategy for Simulation {
     fn name(&self) -> &'static str {
@@ -172,18 +217,13 @@ impl Strategy for Simulation {
         // Phase A (serial): derive and prune answer spaces, honoring the
         // candidate cap in interleaved order. Dynamic spaces probe the
         // live engine, so this phase stays on the session thread.
-        let mut cands: Vec<(usize, Vec<iflex_features::FeatureArg>)> = Vec::new();
+        let mut cands: Vec<(usize, Vec<FeatureArg>)> = Vec::new();
         for (i, q) in ordered.iter().enumerate() {
             let mut space = answer_space(&q.feature);
             if space.is_empty() {
                 // derive an answer space from the data being queried (§5.1)
-                space = dynamic_answer_space(
-                    ctx.engine,
-                    ctx.program,
-                    &q.attr,
-                    &q.feature,
-                    ctx.sample,
-                );
+                space =
+                    self.dynamic_space(ctx.engine, ctx.program, &q.attr, &q.feature, ctx.sample);
             }
             if space.is_empty() {
                 continue; // cannot simulate free-text answers
@@ -200,28 +240,39 @@ impl Strategy for Simulation {
             cands.push((i, space));
         }
 
-        // Phase B: flatten every (candidate, answer) refinement into one
-        // job list and execute it on snapshot engines, one per worker
-        // thread the engine's budget allows. Results come back in job
-        // order, so the fold below is oblivious to how the jobs ran.
+        // Phase B: size every (candidate, answer) refinement. Where the
+        // query rule admits the split (DESIGN.md §9), the engine counts
+        // every answer in one pass over the cached base relation; the
+        // other shapes run the refined program on snapshot engines. A
+        // failed count, like a failed run, reports the current size.
+        let specs: Vec<ProbeSpec<'_>> = cands
+            .iter()
+            .map(|(i, space)| ProbeSpec {
+                pred: &ordered[*i].attr.pred,
+                pos: ordered[*i].attr.pos,
+                feature: &ordered[*i].feature,
+                values: space,
+            })
+            .collect();
+        let counted = count_probes(ctx.engine, ctx.program, ctx.sample, &specs);
         let mut jobs: Vec<Program> = Vec::new();
-        let mut ranges: Vec<(usize, usize, usize)> = Vec::new(); // (ordered idx, start, len)
-        for (i, space) in &cands {
-            let q = &ordered[*i];
-            let start = jobs.len();
-            for v in space {
-                // Overlay probes (DESIGN.md §9): where the query rule is
-                // one pass per input tuple (one extraction call, or calls
-                // sharing one input with the probed variable read nowhere
-                // else), the candidate constraint is stacked over the
-                // unchanged base query relation, so the incremental cache
-                // serves the base result and each probe evaluates only its
-                // σ overlay. Other shapes probe the refined program.
-                jobs.push(probe_program(ctx.program, &q.attr, &q.feature, v));
+        for ((i, space), sizes) in cands.iter().zip(&counted) {
+            if sizes.is_none() {
+                let q = &ordered[*i];
+                let refine = |v| add_constraint(ctx.program, &q.attr, &q.feature, v);
+                jobs.extend(space.iter().map(refine));
             }
-            ranges.push((*i, start, space.len()));
         }
-        let results = simulate_jobs(ctx.engine, &jobs, ctx.sample, ctx.current_size);
+        let mut exact = simulate_jobs(ctx.engine, &jobs, ctx.sample, ctx.current_size).into_iter();
+        let results: Vec<Vec<(usize, usize)>> = cands
+            .iter()
+            .zip(counted)
+            .map(|((_, space), sizes)| match sizes {
+                Some(Ok(sizes)) => sizes,
+                Some(Err(_)) => vec![(ctx.current_size, usize::MAX); space.len()],
+                None => exact.by_ref().take(space.len()).collect(),
+            })
+            .collect();
 
         // Phase C (serial): fold expected sizes in candidate order — the
         // same arithmetic, in the same order, as the serial walk.
@@ -232,17 +283,14 @@ impl Strategy for Simulation {
         // exactifying one side of a conjunctive condition) still register
         // as progress.
         let mut best: Option<(f64, f64, usize)> = None;
-        for (i, start, len) in ranges {
+        for ((i, _), sizes) in cands.iter().zip(&results) {
             // expected = α·|current| + Σ_v (1-α)/|V| · |exec(g(P,(a,f,v)))|
             // Answers whose simulated result is empty are contradicted by
             // the data (superset semantics: the true result is contained
             // in every approximate result) — a truthful developer cannot
             // give them, so they are excluded and V renormalized.
-            let feasible: Vec<(usize, usize)> = results[start..start + len]
-                .iter()
-                .copied()
-                .filter(|&(s, _)| s > 0)
-                .collect();
+            let feasible: Vec<(usize, usize)> =
+                sizes.iter().copied().filter(|&(s, _)| s > 0).collect();
             if feasible.is_empty() {
                 continue; // every answer contradicted: nothing to learn
             }
@@ -261,7 +309,7 @@ impl Strategy for Simulation {
                 }
             };
             if better {
-                best = Some((expected, expected_assigns, i));
+                best = Some((expected, expected_assigns, *i));
             }
         }
         match best {
@@ -304,18 +352,43 @@ fn interleave_by_attr(by_attr: Vec<Question>) -> Vec<Question> {
     ordered
 }
 
+/// Counts the answers of `specs` with [`Engine::probe_sizes`] inside one
+/// `probe` span, which carries how many answers were counted and the
+/// smallest size among them.
+fn count_probes(
+    engine: &mut Engine,
+    program: &Program,
+    sample: Sample,
+    specs: &[ProbeSpec<'_>],
+) -> Vec<ProbeSizes> {
+    use iflex_engine::obs::{SpanId, SpanKind};
+    let probe_span = match engine.tracer.ctx(engine.trace_parent) {
+        Some((t, parent)) => t.begin(parent, SpanKind::Probe, "probe:count"),
+        None => SpanId::NONE,
+    };
+    let saved = engine.trace_parent;
+    engine.trace_parent = probe_span;
+    let out = engine.probe_sizes(program, sample, specs);
+    engine.trace_parent = saved;
+    let sizes = out.iter().flatten().flatten().flatten();
+    engine.tracer.end_with(
+        probe_span,
+        &[
+            ("answers", sizes.clone().count() as u64),
+            ("size", sizes.map(|&(s, _)| s as u64).min().unwrap_or(0)),
+        ],
+    );
+    out
+}
+
 /// Executes one simulated refinement, reporting the projected result size
 /// and assignment count. A failed probe run carries no information, so it
 /// reports the current size (and saturated assignments, so it never wins
 /// a tie-break).
 ///
-/// Probes ride the engine's incremental cache (DESIGN.md §9): the refined
-/// candidate program shares every rule fingerprint with the base program
-/// except the one refined rule, so its keys differ only on that rule and
-/// everything downstream of it. A probe re-evaluates only that
-/// **overlay** — upstream results are served from the cache the base
-/// iteration populated, shrinking Simulation-strategy cost from
-/// O(candidates × program) toward O(candidates × overlay). With
+/// The refined program shares every rule fingerprint with the current
+/// program except the refined rule and everything downstream of it, so
+/// upstream results are served from the rule cache (DESIGN.md §9). With
 /// `Limits::use_incremental` off (ablation) every probe re-runs the whole
 /// program.
 fn simulate_probe(
@@ -348,17 +421,16 @@ fn simulate_probe(
     out
 }
 
-/// Runs every simulation job, returning results in job order.
+/// Runs every exact probe job, returning results in job order.
 ///
 /// Jobs are split into one contiguous chunk per thread, and each chunk
 /// runs on its own [`Engine::snapshot`] — sharing the document store,
 /// fault plan, and feature statistics with the live engine, and starting
 /// from a **copy of the live incremental cache** (so every probe reuses
-/// the base program's upstream rule results and overlays only its probed
-/// rule). Probes never run on the live engine, so one thread and many
-/// run the same algorithm. Snapshot engines run their probes serially
-/// (`threads = 1`) so simulation-level fan-out does not multiply with
-/// operator-level fan-out. Warm cache entries flow back via
+/// the current program's upstream rule results). Probes never run on the
+/// live engine, so one thread and many run the same algorithm. Snapshot
+/// engines run their probes serially (`threads = 1`) so simulation-level
+/// fan-out does not multiply with operator-level fan-out. Warm cache entries flow back via
 /// [`Engine::absorb_cache`] in chunk order. Each job is an independent,
 /// deterministic engine run and results are folded in job order, so the
 /// thread count never changes what this returns.
@@ -512,7 +584,7 @@ mod tests {
             current_size: current,
             examples: Default::default(),
         };
-        let q = Simulation.next_question(&mut ctx).unwrap();
+        let q = Simulation::default().next_question(&mut ctx).unwrap();
         // Simulation must pick *some* simulatable question; on this corpus
         // the bold-font answer collapses each page to one number, so an
         // appearance or value-bound feature is expected.
@@ -540,7 +612,7 @@ mod tests {
                     current_size: current,
                 examples: Default::default(),
             };
-            let q = Simulation.next_question(&mut ctx).unwrap();
+            let q = Simulation::default().next_question(&mut ctx).unwrap();
             (q.attr.display(), q.feature)
         };
         let serial = pick(1);
@@ -552,8 +624,8 @@ mod tests {
     #[test]
     fn probe_results_serve_a_repeated_probe() {
         // A "don't know" answer leaves the program unchanged, so the next
-        // question re-probes the same refinements: the folded-back probe
-        // results must serve them without evaluating a rule.
+        // question sizes the same answers again: the memoized sizes must
+        // serve them without evaluating a rule or scanning a tuple.
         let p = prog();
         let mut eng = engine_with_pages();
         let asked = BTreeSet::new();
@@ -567,16 +639,65 @@ mod tests {
             current_size: current,
             examples: Default::default(),
         };
-        let q = Simulation.next_question(&mut ctx).unwrap();
+        let mut sim = Simulation::default();
+        let q = sim.next_question(&mut ctx).unwrap();
         // The chosen question was simulated over this answer space.
         let mut space = answer_space(&q.feature);
         if space.is_empty() {
-            space = dynamic_answer_space(&mut eng, &p, &q.attr, &q.feature, sample);
+            space = sim.dynamic_space(&mut eng, &p, &q.attr, &q.feature, sample);
         }
-        let probe = probe_program(&p, &q.attr, &q.feature, &space[0]);
-        eng.run_sampled(&probe, sample).unwrap();
-        assert_eq!(eng.stats.incr_misses, 0, "{q:?}: a probe rule was evaluated again");
-        assert!(eng.stats.incr_hits > 0);
+        let spec = ProbeSpec {
+            pred: &q.attr.pred,
+            pos: q.attr.pos,
+            feature: &q.feature,
+            values: &space,
+        };
+        let sizes = eng.probe_sizes(&p, sample, &[spec]);
+        assert!(
+            matches!(&sizes[0], Some(Ok(s)) if s.len() == space.len()),
+            "{q:?}"
+        );
+        assert_eq!(
+            (eng.stats.rules_evaluated, eng.stats.tuples_scanned),
+            (0, 0),
+            "{q:?}: a repeated probe evaluated a rule"
+        );
+    }
+
+    #[test]
+    fn answer_space_spans_are_kept_for_the_session() {
+        // The answer-space probe's spans serve every dynamic feature of the
+        // attribute, and a later call with the same program and sample.
+        let p = prog();
+        let mut eng = engine_with_pages();
+        let sample = Sample::new(1.0, 0);
+        let attr = attributes(&p).remove(0);
+        let mut sim = Simulation::default();
+        for feature in ["preceded-by", "followed-by", "min-value", "max-value"] {
+            let kept = sim.dynamic_space(&mut eng, &p, &attr, feature, sample);
+            let fresh = Simulation::default().dynamic_space(&mut eng, &p, &attr, feature, sample);
+            assert_eq!(kept, fresh, "{feature}");
+        }
+        assert_eq!(sim.spans.len(), 1);
+        sim.dynamic_space(&mut eng, &p, &attr, "max-value", Sample::new(0.5, 1));
+        assert_eq!(sim.spans.len(), 2, "another sample is another probe");
+    }
+
+    #[test]
+    fn degraded_answer_space_spans_are_not_kept() {
+        let p = prog();
+        let mut eng = engine_with_pages();
+        eng.fault.arm(
+            iflex_engine::fault::site::EVAL_RULE,
+            iflex_engine::Trigger::Always,
+            iflex_engine::Fault::TooLarge,
+            7,
+        );
+        let attr = attributes(&p).remove(0);
+        let mut sim = Simulation::default();
+        sim.dynamic_space(&mut eng, &p, &attr, "max-value", Sample::new(1.0, 0));
+        assert!(eng.stats.degraded());
+        assert!(sim.spans.is_empty());
     }
 
     #[test]
@@ -597,6 +718,6 @@ mod tests {
             examples: Default::default(),
         };
         assert!(Sequential.next_question(&mut ctx).is_none());
-        assert!(Simulation.next_question(&mut ctx).is_none());
+        assert!(Simulation::default().next_question(&mut ctx).is_none());
     }
 }

@@ -56,7 +56,7 @@ impl Strat {
     fn boxed(self) -> Box<dyn Strategy> {
         match self {
             Strat::Seq => Box::new(Sequential),
-            Strat::Sim => Box::new(Simulation),
+            Strat::Sim => Box::new(Simulation::default()),
         }
     }
 }

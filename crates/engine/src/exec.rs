@@ -245,7 +245,7 @@ impl ExecStats {
 }
 
 /// Engine errors.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EngineError {
     /// The program failed static validation.
     Validation(Vec<ValidateError>),
@@ -527,6 +527,7 @@ impl EngineCore {
             procs: self.procs.clone(),
             ext: self.ext.clone(),
             incr,
+            query_key: None,
             epoch: self.epoch,
             limits: self.limits,
             stats: ExecStats::default(),
@@ -582,12 +583,15 @@ impl EngineCore {
 pub struct Engine {
     store: Arc<DocumentStore>,
     features: FeatureRegistry,
-    procs: ProcRegistry,
+    pub(crate) procs: ProcRegistry,
     ext: BTreeMap<String, Arc<CompactTable>>,
     /// The incremental re-execution cache (§5.2 reuse, generalized in
     /// DESIGN.md §9): per-rule results keyed by `(relation, sample,
     /// fingerprint, input versions)`, bounded by a byte-budget LRU.
-    incr: crate::incr::IncrCache,
+    pub(crate) incr: crate::incr::IncrCache,
+    /// The cache key of the last run's query relation when one rule
+    /// computes it (the entry [`Engine::probe_sizes`] memoizes on).
+    pub(crate) query_key: Option<crate::incr::Key>,
     epoch: u64,
     /// The limits.
     pub limits: Limits,
@@ -642,7 +646,7 @@ pub struct Engine {
     /// parallel-worthy section, reused by every later section of the run,
     /// and joined at run end. `None` between runs; snapshots and forks
     /// build their own.
-    pool: Option<crate::par::RunPool>,
+    pub(crate) pool: Option<crate::par::RunPool>,
 }
 
 impl Engine {
@@ -657,6 +661,7 @@ impl Engine {
             procs: builtin_procs(),
             ext: BTreeMap::new(),
             incr: crate::incr::IncrCache::new(),
+            query_key: None,
             epoch: 0,
             limits: Limits::default(),
             stats: ExecStats::default(),
@@ -693,6 +698,7 @@ impl Engine {
             procs: self.procs.clone(),
             ext: self.ext.clone(),
             incr: self.incr.clone(),
+            query_key: None,
             epoch: self.epoch,
             limits: self.limits,
             stats: ExecStats::default(),
@@ -1021,6 +1027,7 @@ impl Engine {
         let (unfolded, order, cenv) = (&pro.unfolded, &pro.order, pro.env());
         let sample_key = sample.map(|s| s.key()).unwrap_or_else(|| "full".into());
         let use_incr = self.limits.use_incremental;
+        self.query_key = None;
         use std::hash::{Hash, Hasher};
 
         // Incremental pre-pass (DESIGN.md §9): fingerprint every rule —
@@ -1111,6 +1118,9 @@ impl Engine {
                     }
                 }
                 let inputs = input_hasher.finish();
+                if use_incr && name == &prog.query && rule_fps.len() == 1 {
+                    self.query_key = Some((name.clone(), sample_key.clone(), fp, inputs));
+                }
                 // The cache lookup runs behind the same containment
                 // boundary as evaluation: a fault at `engine.memo_lookup`
                 // (or a panic during the lookup itself) degrades just this
@@ -1601,7 +1611,7 @@ impl Engine {
     /// per-participant busy time into the indexed
     /// `engine.shard_busy_us.<i>` counters. The registry resets at the
     /// start of every run, so these describe one run.
-    fn note_section(&self, stats: &crate::par::SectionStats) {
+    pub(crate) fn note_section(&self, stats: &crate::par::SectionStats) {
         if stats.went_parallel {
             self.counters.par_sections.inc();
         }
@@ -1627,7 +1637,7 @@ impl Engine {
     /// stack frame, so per-tuple bodies cannot borrow `&Engine` — they
     /// capture an [`EvalCtx`] by value instead (all handles are `Arc`s or
     /// `Copy`, so a snapshot is a few refcount bumps).
-    fn eval_ctx(&self) -> EvalCtx {
+    pub(crate) fn eval_ctx(&self) -> EvalCtx {
         EvalCtx {
             store: Arc::clone(&self.store),
             features: self.features.clone(),
@@ -1641,7 +1651,7 @@ impl Engine {
     /// the run's pool, the configured morsel bounds, and the handles the
     /// dispenser itself needs (cooperative clock, steal-site fault probe,
     /// per-morsel tracing).
-    fn section_ctx(&self, span: SpanId) -> crate::par::SectionCtx<'_> {
+    pub(crate) fn section_ctx(&self, span: SpanId) -> crate::par::SectionCtx<'_> {
         crate::par::SectionCtx {
             pool: self.pool.as_ref(),
             cfg: crate::par::MorselCfg {
@@ -1662,7 +1672,7 @@ impl Engine {
     /// position picks the approximation, and this test is where the two
     /// meet (DESIGN.md §11): first in the pass it is the token prefilter,
     /// anywhere else the candidate-value enumeration.
-    fn resolve_pass(
+    pub(crate) fn resolve_pass(
         &self,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
@@ -1867,7 +1877,7 @@ impl Prologue {
 /// One pass as [`Engine::resolve_pass`] prepares it for the morsel
 /// closures: steps in application order, how many columns they define,
 /// and the trailing projection's columns.
-struct Pass {
+pub(crate) struct Pass {
     steps: Vec<Step>,
     extracts: usize,
     proj: Option<Vec<usize>>,
@@ -1904,11 +1914,11 @@ struct Step {
 /// statistics, clock, and fault plan share state with the engine that
 /// built the snapshot).
 #[derive(Clone)]
-struct EvalCtx {
-    store: Arc<DocumentStore>,
+pub(crate) struct EvalCtx {
+    pub(crate) store: Arc<DocumentStore>,
     features: FeatureRegistry,
     feat_stats: Arc<crate::lplan::FeatureStats>,
-    clock: Arc<RunClock>,
+    pub(crate) clock: Arc<RunClock>,
     fault: Arc<FaultPlan>,
 }
 
@@ -1942,7 +1952,7 @@ impl EvalCtx {
     /// never the input row's own flag, which the caller ORs in), and the
     /// row's pre-projection convergence volume; `None` when a step drops
     /// it.
-    fn pass_row(
+    pub(crate) fn pass_row(
         &self,
         pass: &Pass,
         left: &[Cell],
@@ -2072,7 +2082,7 @@ impl EvalCtx {
 
     /// Folds one morsel's per-step tallies into the shared statistics,
     /// under each constraint step's feature name.
-    fn fold_tally(&self, pass: &Pass, tally: &[FeatStats]) {
+    pub(crate) fn fold_tally(&self, pass: &Pass, tally: &[FeatStats]) {
         self.feat_stats
             .fold(pass.steps.iter().zip(tally).filter_map(|(step, t)| match &step.op {
                 FusedOp::Constraint { constraint, .. } => Some((constraint.feature.as_str(), t)),

@@ -58,7 +58,7 @@ const BUDGET: usize = 4096;
 
 /// Cache key: relation name, sample key, rule fingerprint, input-version
 /// hash.
-type Key = (String, String, u64, u64);
+pub(crate) type Key = (String, String, u64, u64);
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -70,6 +70,9 @@ struct Entry {
     bytes: usize,
     /// Tick of the last hit (or the insert), for LRU eviction.
     used: u64,
+    /// Count-only probe sizes over `table` ([`crate::Engine::probe_sizes`]),
+    /// by probe; they go when the entry goes.
+    probes: BTreeMap<String, (usize, u64)>,
 }
 
 /// Estimated heap bytes of a cached table: its tuples, their cells and
@@ -154,6 +157,7 @@ impl IncrCache {
             volume,
             bytes,
             used: self.tick,
+            probes: BTreeMap::new(),
         };
         self.bytes += bytes;
         let key = (rel.to_string(), sample.to_string(), fp, inputs);
@@ -161,6 +165,25 @@ impl IncrCache {
             self.bytes -= old.bytes;
         }
         self.evict_to_budget();
+    }
+
+    /// A probe size memoized on the entry under `key`.
+    pub fn probe_size(&self, key: &Key, probe: &str) -> Option<(usize, u64)> {
+        self.entries.get(key)?.probes.get(probe).copied()
+    }
+
+    /// Memoizes a probe size on the entry under `key` — a no-op once the
+    /// entry is gone — counting its bytes against the same budget.
+    pub fn memo_probe(&mut self, key: &Key, probe: String, size: (usize, u64)) {
+        let Some(e) = self.entries.get_mut(key) else {
+            return;
+        };
+        let bytes = probe.len() + size_of::<(String, (usize, u64))>();
+        if e.probes.insert(probe, size).is_none() {
+            e.bytes += bytes;
+            self.bytes += bytes;
+            self.evict_to_budget();
+        }
     }
 
     /// Folds another cache's entries into this one; existing entries win
@@ -292,6 +315,32 @@ mod tests {
         base.absorb(snap);
         assert_eq!(base.get("q", "full", 1, 0).expect("q").1, 5, "existing wins");
         assert_eq!(base.get("r", "full", 2, 0).expect("r").1, 1, "new folds in");
+    }
+
+    #[test]
+    fn probe_sizes_go_with_their_entry() {
+        let n = quarter_budget_rows();
+        let mut c = IncrCache::new();
+        c.insert("a", "full", 1, 0, rows(n), 0);
+        let key: Key = ("a".into(), "full".into(), 1, 0);
+        let before = c.bytes;
+        c.memo_probe(&key, "0/1 bold-font=yes".into(), (7, 3));
+        assert_eq!(c.probe_size(&key, "0/1 bold-font=yes"), Some((7, 3)));
+        assert!(c.bytes > before, "the memo counts against the budget");
+        let gone: Key = ("b".into(), "full".into(), 2, 0);
+        c.memo_probe(&gone, "0/1 bold-font=yes".into(), (1, 1));
+        assert_eq!(
+            c.probe_size(&gone, "0/1 bold-font=yes"),
+            None,
+            "no entry, no memo"
+        );
+        // Three newer tables push the entry, and its memo, out.
+        for fp in 2..5 {
+            c.insert("b", "full", fp, 0, rows(n), 0);
+        }
+        assert!(c.get("a", "full", 1, 0).is_none());
+        assert_eq!(c.probe_size(&key, "0/1 bold-font=yes"), None);
+        assert_eq!(c.bytes, c.entries.values().map(|e| e.bytes).sum::<usize>());
     }
 
     #[test]

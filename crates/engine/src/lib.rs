@@ -26,6 +26,7 @@ mod lplan;
 mod par;
 pub mod pfunc;
 mod plan;
+mod probe;
 pub mod sample;
 pub mod similarity;
 
@@ -35,6 +36,7 @@ pub use exec::{default_threads, Degradation, Engine, EngineCore, EngineError, Ex
 pub use fault::{Fault, FaultPlan, Trigger};
 pub use pfunc::{builtin_procs, ProcRegistry, Procedure};
 pub use plan::{CompiledConstraint, PlanError};
+pub use probe::{ProbeSizes, ProbeSpec};
 pub use sample::Sample;
 
 // The observability crate travels with the engine: downstream crates take

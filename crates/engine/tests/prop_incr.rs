@@ -106,7 +106,7 @@ fn observe(
             seed,
         );
     }
-    let strategy: Box<dyn Strategy> = Box::new(Simulation);
+    let strategy: Box<dyn Strategy> = Box::new(Simulation::default());
     let mut session = Session::new(
         engine,
         task.program.clone(),
@@ -209,7 +209,7 @@ fn incremental_run_actually_hits_the_cache() {
     let mut session = Session::new(
         engine,
         task.program.clone(),
-        Box::new(Simulation) as Box<dyn Strategy>,
+        Box::new(Simulation::default()) as Box<dyn Strategy>,
         Box::new(FlakyDeveloper::new(task.oracle.clone(), 7, 0)),
     );
     session.run().expect("session runs");

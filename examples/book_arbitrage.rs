@@ -19,7 +19,7 @@ fn main() {
     let mut session = iflex::Session::new(
         engine,
         task.program.clone(),
-        Box::new(Simulation),
+        Box::new(Simulation::default()),
         Box::new(SimulatedDeveloper::new(task.oracle.clone())),
     );
 

@@ -74,7 +74,7 @@ fn t5_short_papers_sim_exact_seq_superset() {
     let (q_seq, _) = run_task(&c, TaskId::T5, Some(40), Box::new(Sequential));
     assert!((q_seq.recall - 1.0).abs() < 1e-9);
     assert!(q_seq.superset_pct >= 100.0);
-    let (q_sim, _) = run_task(&c, TaskId::T5, Some(40), Box::new(Simulation));
+    let (q_sim, _) = run_task(&c, TaskId::T5, Some(40), Box::new(Simulation::default()));
     assert_eq!(q_sim.result_tuples, q_sim.correct_tuples, "{q_sim:?}");
     assert!((q_sim.recall - 1.0).abs() < 1e-9);
     assert!(q_sim.superset_pct <= q_seq.superset_pct);
@@ -87,7 +87,7 @@ fn t7_expensive_books_exact_under_both_strategies() {
         let s: Box<dyn Strategy> = if strat == 0 {
             Box::new(Sequential)
         } else {
-            Box::new(Simulation)
+            Box::new(Simulation::default())
         };
         let (q, _) = run_task(&c, TaskId::T7, Some(40), s);
         assert_eq!(q.result_tuples, q.correct_tuples, "{q:?}");
@@ -101,7 +101,7 @@ fn t8_price_relations_sim_exact_seq_superset() {
     let (q_seq, _) = run_task(&c, TaskId::T8, Some(40), Box::new(Sequential));
     assert!((q_seq.recall - 1.0).abs() < 1e-9);
     assert!(q_seq.superset_pct > 100.0, "{q_seq:?}");
-    let (q_sim, _) = run_task(&c, TaskId::T8, Some(40), Box::new(Simulation));
+    let (q_sim, _) = run_task(&c, TaskId::T8, Some(40), Box::new(Simulation::default()));
     assert_eq!(q_sim.result_tuples, q_sim.correct_tuples, "{q_sim:?}");
     assert!((q_sim.recall - 1.0).abs() < 1e-9);
 }
@@ -109,7 +109,7 @@ fn t8_price_relations_sim_exact_seq_superset() {
 #[test]
 fn t3_triple_join_sim_exact() {
     let c = corpus();
-    let (q, _) = run_task(&c, TaskId::T3, Some(30), Box::new(Simulation));
+    let (q, _) = run_task(&c, TaskId::T3, Some(30), Box::new(Simulation::default()));
     assert!((q.recall - 1.0).abs() < 1e-9, "{q:?}");
     assert_eq!(q.result_tuples, q.correct_tuples, "{q:?}");
     assert!(q.correct_tuples > 0);
@@ -120,7 +120,7 @@ fn t6_shared_authors_sim_exact_seq_superset() {
     let c = corpus();
     let (q_seq, _) = run_task(&c, TaskId::T6, Some(40), Box::new(Sequential));
     assert!((q_seq.recall - 1.0).abs() < 1e-9, "{q_seq:?}");
-    let (q_sim, _) = run_task(&c, TaskId::T6, Some(40), Box::new(Simulation));
+    let (q_sim, _) = run_task(&c, TaskId::T6, Some(40), Box::new(Simulation::default()));
     assert_eq!(q_sim.result_tuples, q_sim.correct_tuples, "{q_sim:?}");
     assert!(q_sim.superset_pct <= q_seq.superset_pct);
     assert!(q_sim.correct_tuples > 0);
@@ -129,7 +129,7 @@ fn t6_shared_authors_sim_exact_seq_superset() {
 #[test]
 fn t9_price_comparison_sim_exact() {
     let c = corpus();
-    let (q, _) = run_task(&c, TaskId::T9, Some(40), Box::new(Simulation));
+    let (q, _) = run_task(&c, TaskId::T9, Some(40), Box::new(Simulation::default()));
     assert!((q.recall - 1.0).abs() < 1e-9, "{q:?}");
     assert_eq!(q.result_tuples, q.correct_tuples, "{q:?}");
     assert!(q.correct_tuples > 0);
@@ -155,7 +155,7 @@ fn initial_programs_overextract_then_shrink() {
 #[test]
 fn simulation_strategy_also_converges_t1() {
     let c = corpus();
-    let (q, _) = run_task(&c, TaskId::T1, Some(20), Box::new(Simulation));
+    let (q, _) = run_task(&c, TaskId::T1, Some(20), Box::new(Simulation::default()));
     assert!((q.recall - 1.0).abs() < 1e-9, "{q:?}");
     assert!(q.superset_pct <= 200.0, "{q:?}");
 }
@@ -182,7 +182,7 @@ fn converged_results_are_certain_and_precise() {
     // collapses: certain == superset == truth (certain precision 1.0).
     let c = corpus();
     for (id, n) in [(TaskId::T1, Some(30)), (TaskId::T7, Some(40))] {
-        let (q, _) = run_task(&c, id, n, Box::new(Simulation));
+        let (q, _) = run_task(&c, id, n, Box::new(Simulation::default()));
         assert!((q.certain_precision - 1.0).abs() < 1e-9, "{id:?} {q:?}");
         assert_eq!(q.certain_tuples, q.correct_tuples, "{id:?} {q:?}");
     }
@@ -210,7 +210,7 @@ fn example_markup_feedback_accelerates_convergence() {
     let mut session = iflex::Session::new(
         engine,
         task.program.clone(),
-        Box::new(Simulation),
+        Box::new(Simulation::default()),
         Box::new(SimulatedDeveloper::new(task.oracle.clone())),
     );
     // highlight the true votes span of the first record
@@ -292,7 +292,7 @@ fn cleanup_last_author_scenario_end_to_end() {
 #[test]
 fn dblife_project_task_recall() {
     let c = corpus();
-    let (q, _) = run_task(&c, TaskId::Project, None, Box::new(Simulation));
+    let (q, _) = run_task(&c, TaskId::Project, None, Box::new(Simulation::default()));
     assert!(q.recall >= 0.99, "{q:?}");
 }
 
@@ -301,7 +301,7 @@ fn simulated_minutes_track_questions() {
     // more questions ⇒ more simulated developer time (cost model sanity)
     let c = corpus();
     let (_, fast) = run_task(&c, TaskId::T2, Some(30), Box::new(Sequential));
-    let (_, slow) = run_task(&c, TaskId::T8, Some(40), Box::new(Simulation));
+    let (_, slow) = run_task(&c, TaskId::T8, Some(40), Box::new(Simulation::default()));
     if slow.questions_asked > fast.questions_asked {
         assert!(slow.minutes >= fast.minutes, "{} vs {}", slow.minutes, fast.minutes);
     }
@@ -350,9 +350,9 @@ fn session_stop_reason_and_table_survive_optimizer_ablation() {
     let cases: [StrategyCase; 5] = [
         (TaskId::T1, || Box::new(Sequential)),
         (TaskId::T5, || Box::new(Sequential)),
-        (TaskId::T3, || Box::new(Simulation)),
-        (TaskId::T6, || Box::new(Simulation)),
-        (TaskId::T9, || Box::new(Simulation)),
+        (TaskId::T3, || Box::new(Simulation::default())),
+        (TaskId::T6, || Box::new(Simulation::default())),
+        (TaskId::T9, || Box::new(Simulation::default())),
     ];
     for (id, strategy) in cases {
         let run = |use_optimizer: bool| {
@@ -419,5 +419,93 @@ fn extract_cold_programs_keep_their_result_sizes() {
             (len, expanded),
             "{id:?}"
         );
+    }
+}
+
+/// A developer that answers like the simulated one and records each
+/// (attribute, feature, answer) it was asked.
+struct Recording {
+    inner: SimulatedDeveloper,
+    asked: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+}
+
+impl Developer for Recording {
+    fn answer(&mut self, q: &Question) -> Answer {
+        let a = self.inner.answer(q);
+        let line = format!("({}, {}, {a:?})", q.attr.display(), q.feature);
+        self.asked.borrow_mut().push(line);
+        a
+    }
+}
+
+/// The Simulation strategy's question sequences on four single-table
+/// tasks at corpus scale 1, sample seed 7, as they were when every probe
+/// ran a program of its own. How a candidate answer is sized must not
+/// change which question is asked.
+#[test]
+fn simulation_question_sequences_are_pinned() {
+    let c = Corpus::build(CorpusConfig::scaled(1.0));
+    let cases = [
+        (
+            TaskId::T1,
+            "(extractIMDB.title, preceded-by, DontKnow) \
+             (extractIMDB.votes, followed-by, DontKnow) \
+             (extractIMDB.title, max-length, DontKnow) \
+             (extractIMDB.votes, max-value, Value(Num(500000.0)))",
+        ),
+        (
+            TaskId::T5,
+            "(extractVLDB.fp, underlined, Value(Tri(DistinctYes))) \
+             (extractVLDB.lp, underlined, Value(Tri(No))) \
+             (extractVLDB.lp, preceded-by, Value(Text(\"-\"))) \
+             (extractVLDB.fp, bold-font, Value(Tri(No))) \
+             (extractVLDB.fp, italic-font, Value(Tri(No))) \
+             (extractVLDB.fp, max-value, Value(Num(450.0))) \
+             (extractVLDB.fp, min-value, DontKnow) \
+             (extractVLDB.fp, hyperlinked, Value(Tri(No)))",
+        ),
+        (
+            TaskId::T8,
+            "(extractAmazon.np, italic-font, DontKnow) \
+             (extractAmazon.np, underlined, DontKnow) \
+             (extractAmazon.lp, italic-font, DontKnow) \
+             (extractAmazon.lp, underlined, Value(Tri(DistinctYes))) \
+             (extractAmazon.up, italic-font, Value(Tri(DistinctYes))) \
+             (extractAmazon.np, bold-font, DontKnow) \
+             (extractAmazon.np, preceded-by, Value(Text(\"New: $\"))) \
+             (extractAmazon.np, hyperlinked, DontKnow) \
+             (extractAmazon.np, max-value, Value(Num(200.0))) \
+             (extractAmazon.np, min-value, DontKnow) \
+             (extractAmazon.np, in-title, DontKnow) \
+             (extractAmazon.np, in-list, DontKnow)",
+        ),
+        (
+            TaskId::Panel,
+            "(extractConference.y, max-value, DontKnow) \
+             (extractConference.y, min-value, DontKnow) \
+             (extractPanelists.x, preceded-by, DontKnow) \
+             (extractPanelists.x, prec-label-max-dist, Value(Num(700.0))) \
+             (extractPanelists.x, followed-by, DontKnow) \
+             (extractConference.y, numeric, DontKnow) \
+             (extractConference.y, person-name, DontKnow) \
+             (extractPanelists.x, first-half, DontKnow)",
+        ),
+    ];
+    for (id, want) in cases {
+        let task = c.task(id, None);
+        let asked = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let developer = Recording {
+            inner: SimulatedDeveloper::new(task.oracle.clone()),
+            asked: std::rc::Rc::clone(&asked),
+        };
+        let mut session = iflex::Session::new(
+            task.engine(&c),
+            task.program.clone(),
+            Box::new(Simulation::default()),
+            Box::new(developer),
+        );
+        session.config.sample_seed = 7;
+        session.run().expect("session runs");
+        assert_eq!(asked.borrow().join(" "), want, "{id:?}");
     }
 }
