@@ -382,9 +382,10 @@ fn count_probes(
 }
 
 /// Executes one simulated refinement, reporting the projected result size
-/// and assignment count. A failed probe run carries no information, so it
-/// reports the current size (and saturated assignments, so it never wins
-/// a tie-break).
+/// and assignment count. A failed or degraded probe run carries no
+/// information — a degraded rule's widened stand-in is one tuple, which
+/// would read as the largest reduction — so it reports the current size,
+/// with saturated assignments so it never wins a tie-break.
 ///
 /// The refined program shares every rule fingerprint with the current
 /// program except the refined rule and everything downstream of it, so
@@ -407,11 +408,12 @@ fn simulate_probe(
     let saved = engine.trace_parent;
     engine.trace_parent = probe_span;
     let out = match engine.run_sampled(refined, sample) {
+        Ok(_) if engine.stats.degraded() => (current_size, usize::MAX),
         Ok(t) => {
             let sz = t.expanded_len(engine.store()).min(usize::MAX as u64) as usize;
             (sz, engine.stats.assignments_produced)
         }
-        Err(_) => (current_size, usize::MAX), // failure → no info
+        Err(_) => (current_size, usize::MAX),
     };
     engine.trace_parent = saved;
     engine.tracer.end_with(
@@ -424,9 +426,9 @@ fn simulate_probe(
 /// Runs every exact probe job, returning results in job order.
 ///
 /// Jobs are split into one contiguous chunk per thread, and each chunk
-/// runs on its own [`Engine::snapshot`] — sharing the document store,
-/// fault plan, and feature statistics with the live engine, and starting
-/// from a **copy of the live incremental cache** (so every probe reuses
+/// runs on its own [`Engine::snapshot`] — sharing the document store
+/// and fault plan with the live engine, and starting from a **copy of
+/// the live incremental cache** (so every probe reuses
 /// the current program's upstream rule results). Probes never run on the
 /// live engine, so one thread and many run the same algorithm. Snapshot
 /// engines run their probes serially (`threads = 1`) so simulation-level
@@ -698,6 +700,42 @@ mod tests {
         sim.dynamic_space(&mut eng, &p, &attr, "max-value", Sample::new(1.0, 0));
         assert!(eng.stats.degraded());
         assert!(sim.spans.is_empty());
+    }
+
+    #[test]
+    fn a_degraded_exact_probe_reports_no_information() {
+        // A join of two tables is not a count-pass shape, so its probe
+        // runs the refined program; with every rule degrading, the
+        // widened stand-in must not read as a one-tuple result.
+        let mut store = DocumentStore::new();
+        let a = store.add_markup("<b>Data Mining</b> 12");
+        let b = store.add_markup("<i>Data Mining</i> 15");
+        let mut eng = Engine::new(Arc::new(store));
+        eng.add_doc_table("t1", &[a]);
+        eng.add_doc_table("t2", &[b]);
+        let p = parse_program(
+            r#"
+            q(u) :- t1(x), e1(#x, u), t2(y), e2(#y, v), similar(#u, #v).
+            e1(#x, u) :- from(#x, u).
+            e2(#y, v) :- from(#y, v).
+        "#,
+        )
+        .unwrap();
+        let attr = attributes(&p).remove(0);
+        let yes = FeatureArg::Tri(iflex_features::FeatureValue::Yes);
+        let refined = add_constraint(&p, &attr, "bold-font", &yes);
+        eng.fault.arm(
+            iflex_engine::fault::site::EVAL_RULE,
+            iflex_engine::Trigger::Always,
+            iflex_engine::Fault::TooLarge,
+            7,
+        );
+        let sample = Sample::new(1.0, 0);
+        assert_eq!(
+            simulate_probe(&mut eng, &refined, sample, 40),
+            (40, usize::MAX)
+        );
+        assert!(eng.stats.degraded());
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub struct IterationRow {
 pub struct OptRow {
     /// The rule text (the parent rule span's name).
     pub rule: String,
-    /// The rewrite summary (`pushdowns=… reorders=… … act_sel=…`).
+    /// The rewrite summary
+    /// (`reorders=… fused=…(… steps) est_sel=… act_sel=…`).
     pub note: String,
     /// How many runs emitted this exact rule/summary pair.
     pub count: u64,

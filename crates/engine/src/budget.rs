@@ -27,8 +27,8 @@ pub enum DegradeCause {
 }
 
 impl DegradeCause {
-    /// Stable machine-readable identifier, usable inside metric names
-    /// (`engine.degradations.<slug>`): no spaces, lowercase.
+    /// Stable machine-readable identifier for the `degradation` trace
+    /// instant and the flight recorder: no spaces, lowercase.
     pub fn slug(self) -> &'static str {
         match self {
             DegradeCause::Budget => "budget",

@@ -23,7 +23,6 @@ use crate::eval::{
     COMBO_CAP, ENUM_CAP,
 };
 use crate::fault::{self, Fault, FaultPlan};
-use crate::lplan::FeatStats;
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, extracts, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
@@ -35,8 +34,7 @@ use iflex_alog::{
 use iflex_ctable::{Assignment, Cell, CompactTable, CompactTuple, Value};
 use iflex_features::{FeatureError, FeatureRegistry};
 use iflex_obs::{
-    metrics::names, Counter, FlightRecorder, Histogram, LiveSet, Registry, SpanId, SpanKind,
-    Tracer,
+    metrics::names, Counter, FlightRecorder, LiveSet, Registry, SpanId, SpanKind, Tracer,
 };
 use iflex_text::{DocId, DocumentStore};
 use std::collections::BTreeMap;
@@ -76,11 +74,10 @@ pub struct Limits {
     pub trace: bool,
     /// Run each compiled rule plan through the logical-plan optimizer
     /// (DESIGN.md §11): chains of selection / projection passes merged
-    /// into single passes, σ pushdown below joins, and selectivity-driven
-    /// reordering. Rewrites preserve results byte-for-byte except where
-    /// reordering moves a `similar` filter off a pass's token prefilter
-    /// (DESIGN.md §11), so this is an
-    /// ablation knob; incremental-cache fingerprints hash the
+    /// into single passes, and selectivity-driven reordering. Rewrites
+    /// preserve results byte-for-byte except where reordering moves a
+    /// `similar` filter off a pass's token prefilter (DESIGN.md §11), so
+    /// this is an ablation knob; incremental-cache fingerprints hash the
     /// *pre-optimization* rule and stay valid either way.
     pub use_optimizer: bool,
 }
@@ -203,8 +200,7 @@ impl fmt::Display for Degradation {
 /// fields below are filled from the registry when the run finishes — on
 /// every exit path, success or error. `degradations` is the one field
 /// still carried directly (it holds structured records, not numbers);
-/// the registry mirrors its count as `engine.degradations` plus
-/// per-cause `engine.degradations.<cause>` counters.
+/// the registry mirrors its count as `engine.degradations`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rules actually (re)computed this run.
@@ -366,9 +362,8 @@ impl From<FeatureError> for EngineError {
     }
 }
 
-/// Stable operator names for spans and per-operator metrics
-/// (`engine.op.<name>.us` / `engine.op.<name>.tuples_out`), indexed by
-/// [`op_idx`]. Static so the hot path never formats a name.
+/// Stable operator span names, indexed by [`op_idx`]. Static so the hot
+/// path never formats a name.
 const OP_NAMES: [&str; 11] = [
     "scan_ext",
     "scan_rel",
@@ -420,21 +415,8 @@ struct EngineCounters {
     incr_hits: Counter,
     incr_misses: Counter,
     incr_invalidations: Counter,
-    /// Per-operator inclusive wall-clock (µs), indexed by [`op_idx`].
-    /// Self time = inclusive − Σ direct children; `exp_trace` computes it
-    /// from the span tree.
-    op_us: Vec<Histogram>,
-    /// Per-operator output tuples, indexed by [`op_idx`].
-    op_tuples: Vec<Counter>,
-    /// Logical-plan optimizer activity (DESIGN.md §11).
-    opt_plans: Counter,
-    opt_pushdowns: Counter,
-    opt_reorders: Counter,
+    /// Fused passes in the optimized plans (DESIGN.md §11).
     opt_fused_nodes: Counter,
-    opt_fused_steps: Counter,
-    /// Estimated vs. actual per-rule selectivity, in basis points.
-    opt_est_sel_bp: Histogram,
-    opt_act_sel_bp: Histogram,
 }
 
 impl EngineCounters {
@@ -451,27 +433,7 @@ impl EngineCounters {
             incr_hits: reg.counter(names::INCR_HITS),
             incr_misses: reg.counter(names::INCR_MISSES),
             incr_invalidations: reg.counter(names::INCR_INVALIDATIONS),
-            op_us: OP_NAMES
-                .iter()
-                .map(|n| reg.histogram(&format!("{}{n}.us", names::OP_US_PREFIX)))
-                .collect(),
-            op_tuples: OP_NAMES
-                .iter()
-                .map(|n| {
-                    reg.counter(&format!(
-                        "{}{n}{}",
-                        names::OP_US_PREFIX,
-                        names::OP_TUPLES_SUFFIX
-                    ))
-                })
-                .collect(),
-            opt_plans: reg.counter(names::OPT_PLANS),
-            opt_pushdowns: reg.counter(names::OPT_PUSHDOWNS),
-            opt_reorders: reg.counter(names::OPT_REORDERS),
             opt_fused_nodes: reg.counter(names::OPT_FUSED_NODES),
-            opt_fused_steps: reg.counter(names::OPT_FUSED_STEPS),
-            opt_est_sel_bp: reg.histogram(names::OPT_EST_SEL_BP),
-            opt_act_sel_bp: reg.histogram(names::OPT_ACT_SEL_BP),
         }
     }
 }
@@ -481,13 +443,11 @@ impl EngineCounters {
 /// they must **not** share.
 ///
 /// Shared (by reference count): the immutable [`DocumentStore`], the
-/// extensional tables, the feature/procedure registries, the measured
-/// per-feature selectivity statistics the optimizer ranks constraints
-/// by, and a warm incremental cache of rule results. Sharing the rule
+/// extensional tables and the feature/procedure registries; forks also
+/// start from a warm incremental cache of rule results. Sharing the rule
 /// cache is observationally invisible: every entry is a pure function of
 /// its key, and degraded (widened) results are never inserted — so a
-/// session can never observe another session's faults through it. The
-/// statistics only steer which byte-exact rewrite fires.
+/// session can never observe another session's faults through it.
 ///
 /// Per-session (fresh on every [`EngineCore::fork`]): the fault plan, the
 /// run budget and its cancellation token, the run clock, the metrics
@@ -499,7 +459,6 @@ pub struct EngineCore {
     features: FeatureRegistry,
     procs: ProcRegistry,
     ext: BTreeMap<String, Arc<CompactTable>>,
-    feat_stats: Arc<crate::lplan::FeatureStats>,
     /// Warm rule-result entries; forks start from a clone and may publish
     /// clean entries back through [`EngineCore::publish`].
     incr: std::sync::Mutex<crate::incr::IncrCache>,
@@ -508,11 +467,10 @@ pub struct EngineCore {
 }
 
 impl EngineCore {
-    /// Forks a fresh engine off the shared core: read-only inputs and the
-    /// feature statistics are shared by `Arc`, the incremental cache
-    /// starts from a clone of the core's warm entries, and every
-    /// isolation-relevant part — fault plan, budget, clock, metrics,
-    /// tracer — is brand new.
+    /// Forks a fresh engine off the shared core: read-only inputs are
+    /// shared by `Arc`, the incremental cache starts from a clone of the
+    /// core's warm entries, and every isolation-relevant part — fault
+    /// plan, budget, clock, metrics, tracer — is brand new.
     pub fn fork(&self) -> Engine {
         let metrics = Registry::new();
         let counters = EngineCounters::new(&metrics);
@@ -534,7 +492,6 @@ impl EngineCore {
             budget: RunBudget::unlimited(),
             fault: Arc::new(FaultPlan::disarmed()),
             clock: Arc::new(RunClock::unlimited()),
-            feat_stats: Arc::clone(&self.feat_stats),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: Tracer::disabled(),
@@ -606,10 +563,6 @@ pub struct Engine {
     /// The clock of the current (or last) run; `Arc` so snapshots and
     /// worker threads observe this engine's deadline/cancellation.
     clock: Arc<RunClock>,
-    /// Measured per-feature selectivity (see
-    /// [`crate::lplan::FeatureStats`]); one instance is fed by this
-    /// engine, its snapshots, and every worker thread.
-    feat_stats: Arc<crate::lplan::FeatureStats>,
     /// Lazily computed procedure signatures, reset whenever the
     /// procedure or feature registries are touched mutably.
     proc_sigs_cache: std::sync::OnceLock<Arc<BTreeMap<String, (bool, usize)>>>,
@@ -668,7 +621,6 @@ impl Engine {
             budget: RunBudget::unlimited(),
             fault: Arc::new(FaultPlan::disarmed()),
             clock: Arc::new(RunClock::unlimited()),
-            feat_stats: Arc::default(),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: Tracer::disabled(),
@@ -681,9 +633,9 @@ impl Engine {
     }
 
     /// A cheap concurrent-execution snapshot: shares the document store,
-    /// extensional tables, reuse-cache entries, feature statistics, fault
-    /// plan, and the *current* run clock by reference count, with fresh stats
-    /// and a fresh metrics registry (a snapshot's runs never perturb this
+    /// extensional tables, reuse-cache entries, fault plan, and the
+    /// *current* run clock by reference count, with fresh stats and a
+    /// fresh metrics registry (a snapshot's runs never perturb this
     /// engine's metrics). The trace journal **is** shared — snapshot spans
     /// land in the same timeline, nested under [`Engine::trace_parent`]
     /// (which the snapshot inherits). Running a program on the snapshot
@@ -705,7 +657,6 @@ impl Engine {
             budget: self.budget.clone(),
             fault: Arc::clone(&self.fault),
             clock: Arc::clone(&self.clock),
-            feat_stats: Arc::clone(&self.feat_stats),
             proc_sigs_cache: std::sync::OnceLock::new(),
             metrics,
             tracer: self.tracer.clone(),
@@ -730,8 +681,8 @@ impl Engine {
     }
 
     /// Freezes this engine into a shareable [`EngineCore`]: the store,
-    /// tables, registries, feature statistics, and any warm
-    /// incremental-cache entries it accumulated become the seed that every
+    /// tables, registries, and any warm incremental-cache entries it
+    /// accumulated become the seed that every
     /// [`EngineCore::fork`] starts from. The typical service pattern is
     /// *configure → warm up → `into_core` → fork per session*.
     pub fn into_core(self) -> EngineCore {
@@ -740,7 +691,6 @@ impl Engine {
             features: self.features,
             procs: self.procs,
             ext: self.ext,
-            feat_stats: self.feat_stats,
             incr: std::sync::Mutex::new(self.incr),
             epoch: self.epoch,
             limits: self.limits,
@@ -759,11 +709,10 @@ impl Engine {
 
     /// Features mut. Mutable access may change feature behavior, so it
     /// invalidates everything derived from feature results: the rule
-    /// reuse cache (by epoch bump) and the measured feature statistics.
+    /// reuse cache (by epoch bump).
     pub fn features_mut(&mut self) -> &mut FeatureRegistry {
         self.epoch += 1;
         self.incr.clear();
-        self.feat_stats.clear();
         self.proc_sigs_cache = std::sync::OnceLock::new();
         &mut self.features
     }
@@ -874,8 +823,8 @@ impl Engine {
     fn relation_sizes<'a>(
         &self,
         intensional: impl IntoIterator<Item = (&'a String, (usize, usize))>,
-    ) -> BTreeMap<String, (usize, usize)> {
-        let mut rels: BTreeMap<String, (usize, usize)> = self
+    ) -> crate::lplan::Relations {
+        let mut rels: crate::lplan::Relations = self
             .ext
             .iter()
             .map(|(k, v)| (k.clone(), (v.arity(), v.len())))
@@ -892,14 +841,9 @@ impl Engine {
         let pro = self.prologue(prog)?;
         let cenv = pro.env();
         // Intensional relations are unknown before a run and modeled as
-        // empty (the rewrites still show, only size-driven choices stay
-        // neutral).
+        // empty; only the estimate reads sizes, so the rewrites are the
+        // ones a run makes.
         let rels = self.relation_sizes(pro.int_arity.iter().map(|(k, &a)| (k, (a, 0))));
-        let stats = self.feat_stats.snapshot();
-        let octx = crate::lplan::OptCtx {
-            relations: &rels,
-            stats: &stats,
-        };
         let mut out = String::new();
         use std::fmt::Write as _;
         for name in &pro.order {
@@ -907,7 +851,7 @@ impl Engine {
                 let mut plan = compile_rule(rule, &cenv)?;
                 let _ = writeln!(out, "-- {rule}");
                 let report = if self.limits.use_optimizer {
-                    crate::lplan::optimize(&mut plan, &octx)
+                    crate::lplan::optimize(&mut plan, &rels)
                 } else {
                     None
                 };
@@ -1168,24 +1112,14 @@ impl Engine {
                         // Close the estimate/actual loop: the modeled
                         // whole-rule selectivity vs. what the rule really
                         // let through, for `exp_trace`'s optimizer report.
-                        if let Some(rep) = &opt_report {
+                        if let (Some(rep), Some((t, parent))) =
+                            (&opt_report, self.tracer.ctx(rule_span))
+                        {
                             if rep.est_in_rows > 0.0 {
                                 let act = (result.len() as f64 / rep.est_in_rows)
                                     .clamp(0.0, 1.0);
-                                self.counters
-                                    .opt_act_sel_bp
-                                    .observe((act * 10_000.0) as u64);
-                                if let Some((t, parent)) = self.tracer.ctx(rule_span) {
-                                    t.instant(
-                                        parent,
-                                        SpanKind::Mark,
-                                        "opt",
-                                        Some(&format!(
-                                            "{} act_sel={act:.4}",
-                                            rep.summary()
-                                        )),
-                                    );
-                                }
+                                let note = format!("{} act_sel={act:.4}", rep.summary());
+                                t.instant(parent, SpanKind::Mark, "opt", Some(&note));
                             }
                         }
                         self.tracer
@@ -1206,9 +1140,6 @@ impl Engine {
                         // cached — the next run retries the rule exactly.
                         self.counters.rules_evaluated.inc();
                         self.counters.degradations.inc();
-                        self.metrics
-                            .counter(&format!("{}{}", names::DEGRADATIONS_PREFIX, cause.slug()))
-                            .inc();
                         // S3: if an armed fault fired since the last
                         // degradation, attribute this record to its site.
                         let site = self.fault.take_last_fired();
@@ -1277,8 +1208,7 @@ impl Engine {
     /// Runs one compiled plan through the logical-plan optimizer when
     /// [`Limits::use_optimizer`] is on, feeding it actual relation sizes
     /// (extensional tables plus every intensional relation computed so
-    /// far) and the measured per-feature pass rates. A plan the optimizer
-    /// cannot model runs unchanged.
+    /// far). A plan the optimizer cannot model runs unchanged.
     fn maybe_optimize(
         &self,
         plan: &mut Plan,
@@ -1288,20 +1218,10 @@ impl Engine {
             return None;
         }
         let rels = self.relation_sizes(computed.iter().map(|(k, v)| (k, (v.arity(), v.len()))));
-        let stats = self.feat_stats.snapshot();
-        let octx = crate::lplan::OptCtx {
-            relations: &rels,
-            stats: &stats,
-        };
-        let report = crate::lplan::optimize(plan, &octx)?;
-        let c = &self.counters;
-        c.opt_plans.inc();
-        c.opt_pushdowns.add(u64::from(report.pushdowns));
-        c.opt_reorders.add(u64::from(report.reorders));
-        c.opt_fused_nodes.add(u64::from(report.fused_nodes));
-        c.opt_fused_steps.add(u64::from(report.fused_steps));
-        c.opt_est_sel_bp
-            .observe((report.est_selectivity() * 10_000.0) as u64);
+        let report = crate::lplan::optimize(plan, &rels)?;
+        self.counters
+            .opt_fused_nodes
+            .add(u64::from(report.fused_nodes));
         Some(report)
     }
 
@@ -1378,10 +1298,9 @@ impl Engine {
     ///
     /// This wrapper owns the per-operator observability: it opens an
     /// `operator` span under `parent` (a static name — nothing is
-    /// formatted when tracing is off), times the node inclusively into
-    /// the `engine.op.<name>.us` histogram, and counts output tuples.
-    /// Both costs are per plan *node*, not per tuple, so the disabled-
-    /// path overhead is a handful of relaxed atomics per operator.
+    /// formatted when tracing is off) and closes it with the node's output
+    /// tuples. The cost is per plan *node*, not per tuple, so the
+    /// disabled path is a relaxed atomic load per operator.
     fn eval_plan(
         &mut self,
         plan: &Plan,
@@ -1390,18 +1309,12 @@ impl Engine {
         parent: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
         self.clock.tick().map_err(EngineError::from)?;
-        let op = op_idx(plan);
-        let t0 = std::time::Instant::now();
         let span = self
             .tracer
-            .begin(parent, SpanKind::Operator, OP_NAMES[op]);
+            .begin(parent, SpanKind::Operator, OP_NAMES[op_idx(plan)]);
         let result = self.eval_plan_inner(plan, computed, sample, span);
-        self.counters.op_us[op].observe(t0.elapsed().as_micros() as u64);
         match &result {
-            Ok(t) => {
-                self.counters.op_tuples[op].add(t.len() as u64);
-                self.tracer.end_with(span, &[("tuples_out", t.len() as u64)]);
-            }
+            Ok(t) => self.tracer.end_with(span, &[("tuples_out", t.len() as u64)]),
             Err(_) => self.tracer.end(span),
         }
         result
@@ -1641,7 +1554,6 @@ impl Engine {
         EvalCtx {
             store: Arc::clone(&self.store),
             features: self.features.clone(),
-            feat_stats: Arc::clone(&self.feat_stats),
             clock: Arc::clone(&self.clock),
             fault: Arc::clone(&self.fault),
         }
@@ -1720,9 +1632,6 @@ impl Engine {
     /// sends each row through [`EvalCtx::pass_row`] —
     /// per *pair* when `input` is a cross join, whose product is then
     /// never materialized — so no intermediate table exists per step.
-    /// Each morsel tallies its constraint steps' [`FeatStats`] locally
-    /// and folds them into the engine's shared statistics once, when it
-    /// finishes.
     fn eval_pass(
         &mut self,
         input: &Plan,
@@ -1747,11 +1656,10 @@ impl Engine {
             let t = Arc::clone(&t);
             crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
                 let mut overlay = vec![None; t.arity() + pass.extracts];
-                let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for tup in &t.tuples()[range] {
                     ec.clock.tick().map_err(EngineError::from)?;
-                    let row = ec.pass_row(&pass, &tup.cells, &[], None, &mut overlay, &mut tally)?;
+                    let row = ec.pass_row(&pass, &tup.cells, &[], None, &mut overlay)?;
                     if let Some((cells, extra, volume)) = row {
                         out.push((
                             CompactTuple {
@@ -1762,7 +1670,6 @@ impl Engine {
                         ));
                     }
                 }
-                ec.fold_tally(&pass, &tally);
                 Ok(out)
             })
         };
@@ -1822,7 +1729,6 @@ impl Engine {
             let ec = self.eval_ctx();
             crate::par::scatter(&self.section_ctx(span), indices, move |range| {
                 let mut overlay = vec![None; l.arity() + r.arity() + pass.extracts];
-                let mut tally = vec![FeatStats::default(); pass.steps.len()];
                 let mut out: Vec<(CompactTuple, u64)> = Vec::new();
                 for p in range.start * block..pairs.min(range.end * block) {
                     let (li, ri) = (p / r.len(), p % r.len());
@@ -1833,7 +1739,7 @@ impl Engine {
                     }
                     let pair = Some((li, ri));
                     let Some((cells, extra, volume)) =
-                        ec.pass_row(&pass, &lt.cells, &rt.cells, pair, &mut overlay, &mut tally)?
+                        ec.pass_row(&pass, &lt.cells, &rt.cells, pair, &mut overlay)?
                     else {
                         continue;
                     };
@@ -1845,7 +1751,6 @@ impl Engine {
                     let maybe = lt.maybe || rt.maybe || extra;
                     out.push((CompactTuple { cells, maybe }, volume));
                 }
-                ec.fold_tally(&pass, &tally);
                 Ok(out)
             })
         };
@@ -1910,14 +1815,12 @@ struct Step {
 /// owned (`Arc`-shared) handles. Morsel closures run on the run's
 /// worker pool, whose threads outlive any one operator's stack frame —
 /// so the bodies capture this snapshot by value instead of borrowing
-/// `&Engine`. All handles alias the engine's own (the feature
-/// statistics, clock, and fault plan share state with the engine that
-/// built the snapshot).
+/// `&Engine`. All handles alias the engine's own (the clock and fault
+/// plan share state with the engine that built the snapshot).
 #[derive(Clone)]
 pub(crate) struct EvalCtx {
     pub(crate) store: Arc<DocumentStore>,
     features: FeatureRegistry,
-    feat_stats: Arc<crate::lplan::FeatureStats>,
     pub(crate) clock: Arc<RunClock>,
     fault: Arc<FaultPlan>,
 }
@@ -1945,13 +1848,10 @@ impl EvalCtx {
     /// constraint refines or a `from` step defines goes to `overlay` (the
     /// caller's per-morsel scratch, one slot per column of the pass's
     /// schema), and output cells are built only for a row that survives
-    /// every step. Each constraint
-    /// application is counted in `tally` (the caller's per-morsel
-    /// scratch, one slot per step). Returns the output cells, whether a
-    /// may-but-not-must step widened the row (`maybe |=` at emission —
-    /// never the input row's own flag, which the caller ORs in), and the
-    /// row's pre-projection convergence volume; `None` when a step drops
-    /// it.
+    /// every step. Returns the output cells, whether a may-but-not-must
+    /// step widened the row (`maybe |=` at emission — never the input
+    /// row's own flag, which the caller ORs in), and the row's
+    /// pre-projection convergence volume; `None` when a step drops it.
     pub(crate) fn pass_row(
         &self,
         pass: &Pass,
@@ -1959,7 +1859,6 @@ impl EvalCtx {
         right: &[Cell],
         pair: Option<(usize, usize)>,
         overlay: &mut [Option<Cell>],
-        tally: &mut [FeatStats],
     ) -> Result<Option<(Vec<Cell>, bool, u64)>, EngineError> {
         fn cell<'a>(o: &'a [Option<Cell>], l: &'a [Cell], r: &'a [Cell], c: usize) -> &'a Cell {
             match &o[c] {
@@ -1970,7 +1869,7 @@ impl EvalCtx {
         }
         overlay.fill(None);
         let mut extra = false;
-        for (step, tally) in pass.steps.iter().zip(tally.iter_mut()) {
+        for step in &pass.steps {
             let mm = match &step.op {
                 FusedOp::Extract { src, col } => {
                     let spans = cell(overlay, left, right, *src).assignments().iter();
@@ -1996,7 +1895,6 @@ impl EvalCtx {
                         &self.store,
                         &self.features,
                     )?;
-                    tally.note(input, &refined);
                     if refined.is_empty() {
                         return Ok(None);
                     }
@@ -2078,16 +1976,6 @@ impl EvalCtx {
                 (cells.collect(), extra, 0)
             }
         }))
-    }
-
-    /// Folds one morsel's per-step tallies into the shared statistics,
-    /// under each constraint step's feature name.
-    pub(crate) fn fold_tally(&self, pass: &Pass, tally: &[FeatStats]) {
-        self.feat_stats
-            .fold(pass.steps.iter().zip(tally).filter_map(|(step, t)| match &step.op {
-                FusedOp::Constraint { constraint, .. } => Some((constraint.feature.as_str(), t)),
-                _ => None,
-            }));
     }
 }
 
@@ -2804,45 +2692,6 @@ mod tests {
         assert_eq!(after.tuples(), exact.tuples());
     }
 
-    /// An engine over `n` house pages, each with a bold area and a price.
-    fn bold_pages_engine(n: u32) -> Engine {
-        let mut store = DocumentStore::new();
-        let ids: Vec<DocId> = (0..n)
-            .map(|i| store.add_markup(&format!("House {i}: <b>Sqft: {}</b> price {}", 2000 + i, 9 * i)))
-            .collect();
-        let mut eng = Engine::new(Arc::new(store));
-        eng.add_doc_table("housePages", &ids);
-        eng
-    }
-
-    /// A feature that holds nowhere: `Verify` rejects every span and
-    /// `Refine` finds no sub-span.
-    struct RejectAll;
-
-    impl iflex_features::Feature for RejectAll {
-        fn name(&self) -> &'static str {
-            "reject-all"
-        }
-
-        fn verify(
-            &self,
-            _: &DocumentStore,
-            _: iflex_text::Span,
-            _: &iflex_features::FeatureArg,
-        ) -> Result<bool, FeatureError> {
-            Ok(false)
-        }
-
-        fn refine(
-            &self,
-            _: &DocumentStore,
-            _: iflex_text::Span,
-            _: &iflex_features::FeatureArg,
-        ) -> Result<Vec<Assignment>, FeatureError> {
-            Ok(Vec::new())
-        }
-    }
-
     /// A feature that holds everywhere and counts its `Verify` calls.
     struct CountVerify(&'static str, Arc<std::sync::atomic::AtomicUsize>);
 
@@ -2908,56 +2757,6 @@ mod tests {
         for calls in &calls {
             assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
         }
-    }
-
-    #[test]
-    fn measured_selectivity_moves_the_rejecting_step_first() {
-        let mut eng = bold_pages_engine(10);
-        eng.features_mut().register(Arc::new(RejectAll));
-        let prog = parse_program(
-            "q(a, b) :- housePages(x), from(#x, a), from(#x, b), \
-             bold-font(a) = yes, reject-all(b) = yes.",
-        )
-        .unwrap();
-        // EXPLAIN prints a pass's steps last-applied first.
-        let rejects_first =
-            |text: &str| text.find("σ[bold-font").unwrap() < text.find("σ[reject-all").unwrap();
-        let cold = eng.explain(&prog).unwrap();
-        assert!(!rejects_first(&cold), "no statistics yet: source order\n{cold}");
-        assert!(cold.contains("reorders=0"), "{cold}");
-        let first = eng.run(&prog).unwrap();
-        let warm = eng.explain(&prog).unwrap();
-        assert!(rejects_first(&warm), "the rejecting step runs first once measured\n{warm}");
-        assert!(!warm.contains("reorders=0"), "{warm}");
-        eng.clear_cache(); // re-evaluate under the reordered plan
-        let second = eng.run(&prog).unwrap();
-        assert_eq!(eng.stats.incr_hits, 0);
-        assert_eq!(format!("{first:?}"), format!("{second:?}"));
-        // A registry change forgets the measurements.
-        eng.features_mut();
-        assert!(eng.feat_stats.snapshot().is_empty());
-    }
-
-    #[test]
-    fn morsel_tallies_fold_to_the_serial_totals() {
-        let prog = parse_program(
-            "q(a) :- housePages(x), from(#x, a), bold-font(a) = yes, numeric(a) = yes.",
-        )
-        .unwrap();
-        let measured = |threads: usize| {
-            let mut eng = bold_pages_engine(24);
-            eng.limits.threads = threads;
-            eng.limits.morsel_tuples = (1, 2);
-            let out = eng.run(&prog).unwrap();
-            let morsels = eng.metrics.counter_value(names::PAR_MORSELS).unwrap_or(0);
-            (format!("{out:?}"), morsels, eng.feat_stats.snapshot())
-        };
-        let (serial, _, serial_stats) = measured(1);
-        let (threaded, morsels, threaded_stats) = measured(4);
-        assert!(morsels >= 2, "the pass must split into morsels");
-        assert_eq!(threaded, serial);
-        assert_eq!(serial_stats["bold-font"].verify_calls, 24);
-        assert_eq!(threaded_stats, serial_stats);
     }
 
     #[test]

@@ -9,27 +9,26 @@
 //!
 //! 0. **merge** — each chain of passes becomes one pass (its steps in
 //!    application order, the chain's projection last).
-//! 1. **σ pushdown** — steps touching only one side of a cross join sink
-//!    below it (and keep sinking through nested joins), so per-side
-//!    filtering happens before the product is formed.
-//! 2. **selectivity reordering** — each pass's steps are rescheduled
+//! 1. **selectivity reordering** — each pass's steps are rescheduled
 //!    cheapest-and-most-selective first, *only* across steps with
 //!    disjoint column sets (steps sharing a column keep their source
-//!    order, which the §4.2 prior-recheck worklist depends on).
-//!    Constraint selectivities are seeded from the per-feature
-//!    [`FeatStats`] the pass evaluator tallies.
-//! 3. **bounds check and fused count** — every pass's column indices
+//!    order, which the §4.2 prior-recheck worklist depends on). The
+//!    selectivities are static priors per step shape, so a plan depends
+//!    only on its rule and the relation sizes: EXPLAIN prints the same
+//!    plan before and after a session, and no session reorders
+//!    another's plans.
+//! 2. **bounds check and fused count** — every pass's column indices
 //!    are checked against its schema, and every pass the interpreter
 //!    runs fused ([`Plan::fused`]) is counted. A pass over a cross join
 //!    streams the product's pairs instead of materializing it.
 //!
 //! Every pass preserves results **byte-for-byte**, not just up to
 //! worlds-equivalence: moves are restricted to transformations that
-//! provably commute at the tuple/cell level (disjoint columns, whole
-//! same-side steps) — with one exception: scheduling a step ahead of a
-//! straddling `similar` filter that was first over a cross join moves
-//! it off that pass's token prefilter onto candidate enumeration, a
-//! different approximation of the same predicate (DESIGN.md §11). The
+//! provably commute at the tuple/cell level (disjoint columns) — with
+//! one exception: scheduling a step ahead of a straddling `similar`
+//! filter that was first over a cross join moves it off that pass's
+//! token prefilter onto candidate enumeration, a different
+//! approximation of the same predicate (DESIGN.md §11). The
 //! byte-exactness is what makes `Limits::use_optimizer` an ablation
 //! knob, and why incremental cache fingerprints — which hash the
 //! *pre-optimization* unfolded rule (see
@@ -39,29 +38,20 @@
 mod analyze;
 mod rewrite;
 
-pub(crate) use analyze::{FeatStats, FeatureStats};
-
 use crate::plan::Plan;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// What the optimizer knows about the world at rewrite time.
-pub struct OptCtx<'a> {
-    /// Relation name → (arity, current row count). Covers every
-    /// extensional table and every intensional relation computed earlier
-    /// in evaluation order; row counts are *actual* sizes, so the
-    /// cardinality model is exact at the leaves.
-    pub relations: &'a BTreeMap<String, (usize, usize)>,
-    /// Per-feature call statistics ([`FeatureStats::snapshot`]); seeds
-    /// constraint selectivities.
-    pub stats: &'a HashMap<String, FeatStats>,
-}
+/// Relation name → (arity, current row count): what the optimizer knows
+/// about the world at rewrite time. Covers every extensional table and
+/// every intensional relation computed earlier in evaluation order; row
+/// counts are *actual* sizes, so the cardinality model is exact at the
+/// leaves.
+pub type Relations = BTreeMap<String, (usize, usize)>;
 
-/// What the optimizer did to one plan, for `engine.opt.*` counters and
-/// the EXPLAIN rendering.
+/// What the optimizer did to one plan, for the `engine.opt.fused_nodes`
+/// counter and the EXPLAIN rendering.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OptReport {
-    /// Selections sunk below a join (one count per join crossed).
-    pub pushdowns: u32,
     /// Selection steps moved by the selectivity reordering pass.
     pub reorders: u32,
     /// Fused passes in the optimized plan ([`Plan::fused`]).
@@ -87,8 +77,7 @@ impl OptReport {
     /// One-line summary for EXPLAIN output.
     pub fn summary(&self) -> String {
         format!(
-            "pushdowns={} reorders={} fused={}({} steps) est_sel={:.4}",
-            self.pushdowns,
+            "reorders={} fused={}({} steps) est_sel={:.4}",
             self.reorders,
             self.fused_nodes,
             self.fused_steps,
@@ -98,21 +87,19 @@ impl OptReport {
 }
 
 /// Optimizes one compiled plan in place. Returns `None`, with the plan
-/// untouched, when it scans a relation missing from `ctx` — the caller
+/// untouched, when it scans a relation missing from `rels` — the caller
 /// then runs the original plan, which is always correct.
-pub fn optimize(plan: &mut Plan, ctx: &OptCtx<'_>) -> Option<OptReport> {
+pub fn optimize(plan: &mut Plan, rels: &Relations) -> Option<OptReport> {
     // Every leaf is looked up here, before anything is rewritten; the
     // passes below cannot meet an unknown relation after this.
     let mut report = OptReport {
-        est_in_rows: analyze::input_rows(plan, ctx)?,
+        est_in_rows: analyze::input_rows(plan, rels)?,
         ..OptReport::default()
     };
-    let model = analyze::SelModel::new(ctx.stats);
     rewrite::merge(plan);
-    rewrite::pushdown(plan, ctx, &mut report)?;
-    rewrite::reorder(plan, &model, &mut report);
-    report.est_out_rows = analyze::est_rows(plan, ctx, &model)?;
-    rewrite::count_fused(plan, ctx, &mut report);
+    rewrite::reorder(plan, &mut report);
+    report.est_out_rows = analyze::est_rows(plan, rels)?;
+    rewrite::count_fused(plan, rels, &mut report);
     Some(report)
 }
 
@@ -122,12 +109,12 @@ mod tests {
     use crate::plan::{compile_rule, CompileEnv, FusedOp};
     use iflex_alog::parse_rule;
 
-    fn ctx_maps() -> (BTreeMap<String, (usize, usize)>, HashMap<String, FeatStats>) {
+    fn rels() -> Relations {
         let mut rel = BTreeMap::new();
         rel.insert("small".to_string(), (1, 10));
         rel.insert("big".to_string(), (1, 1000));
         rel.insert("r2".to_string(), (2, 50));
-        (rel, HashMap::new())
+        rel
     }
 
     fn compile(src: &str) -> Plan {
@@ -147,46 +134,9 @@ mod tests {
     }
 
     fn optimize_src(src: &str) -> (Plan, OptReport) {
-        let (rel, stats) = ctx_maps();
-        let ctx = OptCtx {
-            relations: &rel,
-            stats: &stats,
-        };
         let mut plan = compile(src);
-        let report = optimize(&mut plan, &ctx).expect("optimizable");
+        let report = optimize(&mut plan, &rels()).expect("optimizable");
         (plan, report)
-    }
-
-    #[test]
-    fn pushdown_sinks_post_join_selection() {
-        // numeric(b) appears after `x < a` merges the branches, so the
-        // compiler leaves it above the join; its column is disjoint from
-        // the comparison's, so the optimizer must commute it past the
-        // comparison and sink it into the right branch.
-        let (plan, report) =
-            optimize_src("q(x, a, b) :- small(x), r2(a, b), x < a, numeric(b) = yes.");
-        assert!(report.pushdowns >= 1, "report: {report:?}");
-        let explained = plan.explain();
-        let join = explained.find("CrossJoin").unwrap();
-        let numeric = explained.find("numeric").unwrap();
-        assert!(numeric > join, "σ must print below the join:\n{explained}");
-    }
-
-    #[test]
-    fn pushdown_keeps_shared_column_order() {
-        // numeric(a) shares column `a` with the straddling similar()
-        // filter: sinking it past the filter would reorder two steps on a
-        // shared column — forbidden (candidate enumeration over a refined
-        // vs. unrefined cell differs). It must stay above.
-        let (plan, report) = optimize_src(
-            "q(a, b) :- small(x), from(#x, a), big(y), from(#y, b), \
-             similar(#a, #b), numeric(a) = yes.",
-        );
-        assert_eq!(report.pushdowns, 0, "report: {report:?}");
-        let explained = plan.explain();
-        let sim = explained.find("similar").unwrap();
-        let numeric = explained.find("numeric").unwrap();
-        assert!(numeric < sim, "σ must stay above the filter:\n{explained}");
     }
 
     #[test]
@@ -224,7 +174,7 @@ mod tests {
              big(y), from(#y, b), from(#y, c), numeric(c) = yes, \
              similar(#a, #b), p < c.",
         );
-        assert_eq!((report.pushdowns, report.reorders), (0, 2), "{report:?}");
+        assert_eq!(report.reorders, 2, "{report:?}");
         assert_eq!(
             (report.fused_nodes, report.fused_steps),
             (3, 8),
@@ -271,70 +221,30 @@ mod tests {
 
     #[test]
     fn reorder_respects_same_column_chains() {
-        // Two constraints on the same variable must keep source order no
-        // matter what the stats say.
-        let mut stats = HashMap::new();
-        stats.insert(
-            "numeric".to_string(),
-            FeatStats {
-                verify_calls: 100,
-                verify_true: 99,
-                refine_calls: 0,
-                refine_out: 0,
-            },
-        );
-        stats.insert(
-            "min-value".to_string(),
-            FeatStats {
-                verify_calls: 100,
-                verify_true: 1,
-                refine_calls: 0,
-                refine_out: 0,
-            },
-        );
-        let (rel, _) = ctx_maps();
-        let ctx = OptCtx {
-            relations: &rel,
-            stats: &stats,
-        };
-        let mut plan = compile(
-            "q(a) :- small(x), from(#x, a), numeric(a) = yes, min-value(a) = 10.",
-        );
-        let report = optimize(&mut plan, &ctx).unwrap();
+        // `a = 5` outranks the constraint (a cheap, selective equality
+        // against a constant) but shares its column, so the two keep
+        // their source order.
+        let (plan, report) =
+            optimize_src("q(a) :- small(x), from(#x, a), numeric(a) = yes, a = 5.");
         assert_eq!(report.reorders, 0, "same-column chain must not move");
-        if let Plan::Pass { steps, .. } = find_fused(&plan).expect("fused node") {
-            let feats: Vec<&str> = steps
-                .iter()
-                .filter_map(|o| match o {
-                    FusedOp::Constraint { constraint, .. } => Some(constraint.feature.as_str()),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(feats, ["numeric", "min-value"], "source order kept");
-        }
+        let Some(Plan::Pass { steps, .. }) = find_fused(&plan) else {
+            panic!("fused node:\n{}", plan.explain());
+        };
+        assert!(
+            matches!(
+                steps.as_slice(),
+                [FusedOp::Extract { .. }, FusedOp::Constraint { .. }, FusedOp::Compare { .. }]
+            ),
+            "source order kept: {steps:?}"
+        );
     }
 
     #[test]
     fn reorder_moves_selective_disjoint_op_first() {
         // A highly selective cheap comparison on column y should run
         // before a barely-selective constraint on column a.
-        let mut stats = HashMap::new();
-        stats.insert(
-            "numeric".to_string(),
-            FeatStats {
-                verify_calls: 100,
-                verify_true: 99,
-                refine_calls: 0,
-                refine_out: 0,
-            },
-        );
-        let (rel, _) = ctx_maps();
-        let ctx = OptCtx {
-            relations: &rel,
-            stats: &stats,
-        };
-        let mut plan = compile("q(a, y) :- r2(x, y), from(#x, a), numeric(a) = yes, y = 5.");
-        let report = optimize(&mut plan, &ctx).unwrap();
+        let (plan, report) =
+            optimize_src("q(a, y) :- r2(x, y), from(#x, a), numeric(a) = yes, y = 5.");
         assert!(report.reorders >= 1, "report: {report:?}");
         if let Plan::Pass { steps, .. } = find_fused(&plan).expect("fused node") {
             assert!(
@@ -346,18 +256,11 @@ mod tests {
 
     #[test]
     fn unknown_relation_aborts_optimization() {
-        let (_, stats) = ctx_maps();
-        let rel = BTreeMap::new(); // nothing known
-        let ctx = OptCtx {
-            relations: &rel,
-            stats: &stats,
-        };
         let mut plan = compile("q(x) :- small(x), x = 5.");
         let before = format!("{plan:?}");
-        assert!(optimize(&mut plan, &ctx).is_none());
+        assert!(optimize(&mut plan, &Relations::new()).is_none());
         assert_eq!(format!("{plan:?}"), before, "plan left untouched");
     }
-
     fn find_fused(p: &Plan) -> Option<&Plan> {
         if p.fused() {
             return Some(p);

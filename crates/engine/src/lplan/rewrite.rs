@@ -1,11 +1,10 @@
 //! The rewrite passes, each editing a [`Plan`] in place. The rewrites
 //! are byte-exact by construction, with the one `similar` exception
 //! the module docs in [`super`] name: merging only regroups the same
-//! steps into passes, pushdown moves whole same-side steps across a
-//! join, and reordering only permutes steps with disjoint column sets.
+//! steps into passes, and reordering only permutes steps with disjoint
+//! column sets.
 
-use super::analyze::{self, SelModel};
-use super::{OptCtx, OptReport};
+use super::{analyze, OptReport, Relations};
 use crate::plan::{extracts, FusedOp, Plan};
 
 /// Pass 0: merge each chain of passes into one — a pass whose input is a
@@ -29,101 +28,16 @@ pub fn merge(p: &mut Plan) {
     }
 }
 
-/// Pass 1: sink single-side steps below cross joins (recursively, so a
-/// step can cross several nested joins). Steps whose columns span both
-/// sides, that read no columns at all, or that define a column (whose
-/// index is this pass's) stay put; a pass left with nothing to do
-/// disappears.
-pub fn pushdown(p: &mut Plan, ctx: &OptCtx<'_>, report: &mut OptReport) -> Option<()> {
-    for input in p.inputs_mut() {
-        pushdown(input, ctx, report)?;
-    }
-    if let Plan::Pass {
-        input,
-        steps,
-        project,
-        ..
-    } = p
-    {
-        for step in std::mem::take(steps) {
-            if let Some(step) = sink(step, steps, input, ctx, report)? {
-                steps.push(step);
-            }
-        }
-        if steps.is_empty() && project.is_none() {
-            let input = input.take();
-            *p = input;
-        }
-    }
-    Some(())
-}
-
-/// Sinks one step that applies after the `kept` steps over `base` as
-/// deep as it can go; returns it back when it stays above `base`. On
-/// the way down it commutes past the kept steps when their column sets
-/// are disjoint (independent drops over disjoint cells — byte-exact),
-/// which is what lets a late σ reach a join buried under the
-/// branch-merging comparison that forced the join in the first place.
-/// It only does so when it ends at a join it can sink below — otherwise
-/// the step stays put and the selectivity reorderer decides the pass's
-/// final order (with attribution under the right counter).
-fn sink(
-    mut step: FusedOp,
-    kept: &[FusedOp],
-    base: &mut Plan,
-    ctx: &OptCtx<'_>,
-    report: &mut OptReport,
-) -> Option<Option<FusedOp>> {
-    let cols = step.cols();
-    let Plan::CrossJoin { left, right } = base else {
-        return Some(Some(step));
-    };
-    if cols.is_empty()
-        || matches!(step, FusedOp::Extract { .. })
-        || kept
-            .iter()
-            .any(|k| k.cols().iter().any(|c| cols.contains(c)))
-    {
-        return Some(Some(step));
-    }
-    let la = analyze::arity(left, ctx)?;
-    let side = if cols.iter().all(|&c| c < la) {
-        left
-    } else if cols.iter().all(|&c| c >= la) {
-        // Rebased onto the right input's schema.
-        step.cols_mut().into_iter().for_each(|c| *c -= la);
-        right
-    } else {
-        return Some(Some(step));
-    };
-    report.pushdowns += 1;
-    if let Plan::Pass {
-        input,
-        steps,
-        project: None,
-        ..
-    } = &mut **side
-    {
-        if let Some(step) = sink(step, steps, input, ctx, report)? {
-            steps.push(step);
-        }
-    } else if let Some(step) = sink(step, &[], side, ctx, report)? {
-        let input = side.take();
-        **side = Plan::pass(input, vec![step], None);
-    }
-    Some(None)
-}
-
-/// Pass 2: reschedule each pass's steps cheapest-and-most-selective
+/// Pass 1: reschedule each pass's steps cheapest-and-most-selective
 /// first, keeping the source order of any two steps whose column sets
 /// overlap (their relative order is semantically binding — §4.2 prior
 /// re-checks, cell refinement before candidate enumeration).
-pub fn reorder(p: &mut Plan, model: &SelModel<'_>, report: &mut OptReport) {
+pub fn reorder(p: &mut Plan, report: &mut OptReport) {
     for input in p.inputs_mut() {
-        reorder(input, model, report);
+        reorder(input, report);
     }
     if let Plan::Pass { steps, .. } = p {
-        let order = schedule(steps, model);
+        let order = schedule(steps);
         report.reorders += order
             .iter()
             .enumerate()
@@ -145,13 +59,13 @@ pub fn reorder(p: &mut Plan, model: &SelModel<'_>, report: &mut OptReport) {
 /// its own rank it would wait behind every selective step and hold its
 /// consumers back: it ranks by its most urgent consumer instead, running
 /// just before that step and never ahead of a more selective one.
-fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
+fn schedule(ops: &[FusedOp]) -> Vec<usize> {
     let n = ops.len();
     let conflicts = |a: &FusedOp, b: &FusedOp| -> bool {
         let ca = a.cols();
         b.cols().iter().any(|c| ca.contains(c))
     };
-    let mut rank: Vec<f64> = ops.iter().map(|op| model.rank(op)).collect();
+    let mut rank: Vec<f64> = ops.iter().map(analyze::rank).collect();
     for i in (0..n).rev() {
         if let FusedOp::Extract { col, .. } = ops[i] {
             let consumers = (i + 1..n).filter(|&j| ops[j].cols().contains(&col));
@@ -182,11 +96,11 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     order
 }
 
-/// Pass 3: check every pass's column indices against its schema, then
+/// Pass 2: check every pass's column indices against its schema, then
 /// count the passes the interpreter runs fused (see [`Plan::fused`]).
-pub fn count_fused(p: &Plan, ctx: &OptCtx<'_>, report: &mut OptReport) {
+pub fn count_fused(p: &Plan, rels: &Relations, report: &mut OptReport) {
     for input in p.inputs() {
-        count_fused(input, ctx, report);
+        count_fused(input, rels, report);
     }
     let Plan::Pass {
         input,
@@ -200,7 +114,7 @@ pub fn count_fused(p: &Plan, ctx: &OptCtx<'_>, report: &mut OptReport) {
     // and carried through rewriting untouched; re-check them against the
     // pass's schema here, once, so the interpreter's per-tuple bodies
     // index cells without a per-access name lookup.
-    if let Some(arity) = analyze::arity(input, ctx) {
+    if let Some(arity) = analyze::arity(input, rels) {
         let arity = arity + extracts(steps);
         debug_assert!(
             in_bounds(steps, project.as_ref(), arity),

@@ -120,24 +120,6 @@ impl FusedOp {
         }
     }
 
-    /// [`FusedOp::cols`], mutably — what rebasing a step onto another
-    /// schema rewrites.
-    pub fn cols_mut(&mut self) -> Vec<&mut usize> {
-        match self {
-            FusedOp::Extract { src, col } => vec![src, col],
-            FusedOp::Constraint { col, .. } => vec![col],
-            FusedOp::Compare { left, right, .. } => [left, right]
-                .into_iter()
-                .filter_map(|o| match o {
-                    Operand::Col(c) => Some(c),
-                    Operand::Const(_) => None,
-                })
-                .collect(),
-            FusedOp::VarUnify { col_a, col_b } => vec![col_a, col_b],
-            FusedOp::FilterProc { cols, .. } => cols.iter_mut().collect(),
-        }
-    }
-
     /// Short σ-style rendering for EXPLAIN output.
     pub fn render(&self) -> String {
         match self {

@@ -21,7 +21,6 @@
 
 use crate::exec::{injected, panic_message, Engine, EngineError, Pass};
 use crate::fault::site;
-use crate::lplan::FeatStats;
 use crate::pfunc::Procedure;
 use crate::plan::{CompiledConstraint, FusedOp};
 use crate::sample::Sample;
@@ -386,20 +385,12 @@ impl Engine {
                 t.len(),
                 move |range| {
                     let mut overlay = vec![None; t.arity()];
-                    let mut tally = vec![FeatStats::default(); n];
                     let mut sums: Vec<Count> = vec![Ok((0, 0)); n];
                     for tup in &t.tuples()[range] {
                         ec.clock.tick().map_err(EngineError::from)?;
-                        for ((pass, sum), tally) in passes.iter().zip(&mut sums).zip(&mut tally) {
+                        for (pass, sum) in passes.iter().zip(&mut sums) {
                             let Ok((size, volume)) = sum else { continue };
-                            let row = ec.pass_row(
-                                pass,
-                                &tup.cells,
-                                &[],
-                                None,
-                                &mut overlay,
-                                std::slice::from_mut(tally),
-                            );
+                            let row = ec.pass_row(pass, &tup.cells, &[], None, &mut overlay);
                             match row {
                                 Ok(Some((cells, _, v))) => {
                                     let store = &*ec.store;
@@ -419,9 +410,6 @@ impl Engine {
                                 Err(e) => *sum = Err(e),
                             }
                         }
-                    }
-                    for (pass, tally) in passes.iter().zip(&tally) {
-                        ec.fold_tally(pass, std::slice::from_ref(tally));
                     }
                     Ok(vec![sums])
                 },

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Well-known metric names (the engine/session contract; DESIGN.md §8).
+/// Each has a reader beyond its writer: `ExecStats`, the service's live
+/// telemetry, or the benchmark's registry layer.
 pub mod names {
     /// Rules actually (re)computed this run.
     pub const RULES_EVALUATED: &str = "engine.rules_evaluated";
@@ -24,8 +26,6 @@ pub mod names {
     pub const ASSIGNMENTS_PRODUCED: &str = "engine.assignments_produced";
     /// Rules degraded this run.
     pub const DEGRADATIONS: &str = "engine.degradations";
-    /// Per-cause degradation counters are `engine.degradations.<cause>`.
-    pub const DEGRADATIONS_PREFIX: &str = "engine.degradations.";
     /// Parallel operator sections that fanned out to worker threads.
     pub const PAR_SECTIONS: &str = "engine.par_sections";
     /// Morsels (index ranges) dispensed by the work-stealing executor,
@@ -47,28 +47,9 @@ pub mod names {
     /// the counters above this lives in a `LiveSet` and survives the
     /// per-run registry reset.
     pub const RUN_US: &str = "engine.run_us";
-    /// Per-operator wall-clock histograms are `engine.op.<name>.us`
-    /// (inclusive of nested operators; subtract children for self time —
-    /// `exp_trace` does this from the trace journal).
-    pub const OP_US_PREFIX: &str = "engine.op.";
-    /// Per-operator output-tuple counters are `engine.op.<name>.tuples_out`.
-    pub const OP_TUPLES_SUFFIX: &str = ".tuples_out";
-    /// Rules rewritten by the logical-plan optimizer this run (DESIGN.md §11).
-    pub const OPT_PLANS: &str = "engine.opt.plans";
-    /// Selections sunk below a join by the σ-pushdown pass.
-    pub const OPT_PUSHDOWNS: &str = "engine.opt.pushdowns";
-    /// Selection steps moved by the selectivity-reordering pass.
-    pub const OPT_REORDERS: &str = "engine.opt.reorders";
-    /// `Fused` batch nodes emitted by the fusion pass.
+    /// Fused passes in the rules the logical-plan optimizer rewrote this
+    /// run (DESIGN.md §11).
     pub const OPT_FUSED_NODES: &str = "engine.opt.fused_nodes";
-    /// Selection steps folded into `Fused` nodes.
-    pub const OPT_FUSED_STEPS: &str = "engine.opt.fused_steps";
-    /// Histogram of per-rule *estimated* whole-rule selectivity, in basis
-    /// points (0–10000); pairs with [`OPT_ACT_SEL_BP`] for model accuracy.
-    pub const OPT_EST_SEL_BP: &str = "engine.opt.est_sel_bp";
-    /// Histogram of per-rule *actual* whole-rule selectivity (output rows
-    /// over the product of leaf cardinalities), in basis points.
-    pub const OPT_ACT_SEL_BP: &str = "engine.opt.act_sel_bp";
 }
 
 /// A monotonically increasing (or `set`-overwritten gauge-style) metric.

@@ -2,11 +2,10 @@
 //! session workers.
 //!
 //! Every session runs on its own worker thread behind a **bounded** job
-//! queue — the bulkhead. Sessions share the immutable document store,
-//! the measured feature statistics, and the warm incremental rule cache
-//! through the core (read-only, advisory, or pure), while everything
-//! isolation-relevant — fault
-//! plan, budget, cancel token, clock, metrics — is per fork.
+//! queue — the bulkhead. Sessions share the immutable document store
+//! and the warm incremental rule cache through the core (read-only or
+//! pure), while everything isolation-relevant — fault plan, budget,
+//! cancel token, clock, metrics — is per fork.
 //! A panicking, degrading, or budget-exhausted session is contained to
 //! its own worker; siblings keep producing byte-identical results.
 //!

@@ -2,8 +2,8 @@
 //!
 //! A resilient multi-session iFlex server. Many concurrent development
 //! sessions (§2.2.4's execute → examine → refine loop) share one
-//! immutable document store, the measured feature statistics, and the
-//! warm incremental rule cache through an
+//! immutable document store and the warm incremental rule cache
+//! through an
 //! [`iflex_engine::EngineCore`], while a bulkhead-per-session worker
 //! model keeps every tenant's faults —
 //! panics, budget overflows, deadline expiry, injected chaos — strictly

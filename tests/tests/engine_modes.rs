@@ -198,6 +198,45 @@ fn readme_explain_sample_is_verbatim() {
     assert_eq!(text, format!("-- {expected}"));
 }
 
+/// A plan depends only on its rule and the relation sizes: EXPLAIN
+/// prints the same bytes on a fresh engine, after programs and a
+/// Simulation session ran on it, and on a fork whose sibling fork ran a
+/// session.
+#[test]
+fn explain_is_the_same_before_and_after_sessions() {
+    let c = Corpus::build(CorpusConfig::tiny());
+    let task = c.task(TaskId::T1, Some(30));
+    let prog = &task.program;
+    let session = |engine| {
+        let mut s = iflex::Session::new(
+            engine,
+            prog.clone(),
+            Box::new(Simulation::default()),
+            Box::new(SimulatedDeveloper::new(task.oracle.clone())),
+        );
+        s.run().expect("session runs");
+        s.engine
+    };
+    let mut engine = task.engine(&c);
+    let fresh = engine.explain(prog).unwrap();
+    let other =
+        parse_program("q(t) :- imdb(x), e(#x, t). e(#x, t) :- from(#x, t), italic-font(t) = yes.")
+            .unwrap();
+    engine.run(prog).unwrap();
+    engine.run(&other).unwrap();
+    assert_eq!(engine.explain(prog).unwrap(), fresh, "after runs");
+    let engine = session(engine);
+    assert_eq!(engine.explain(prog).unwrap(), fresh, "after a session");
+    let core = task.engine(&c).into_core();
+    let fork = core.fork();
+    session(core.fork());
+    assert_eq!(
+        fork.explain(prog).unwrap(),
+        fresh,
+        "beside a sibling's session"
+    );
+}
+
 #[test]
 fn multiple_rules_same_head_union() {
     // a predicate defined by two rules is the union of both results
