@@ -5,7 +5,7 @@
 //! (`Engine::probe_sizes`); only shapes it does not admit are sized by
 //! running the refined program [`add_constraint`] builds.
 
-use iflex_alog::{BodyAtom, ConstraintArg, Program, Rule};
+use iflex_alog::{BodyAtom, Program};
 use iflex_features::{FeatureArg, FeatureRegistry, FeatureValue};
 use std::collections::BTreeSet;
 
@@ -120,40 +120,19 @@ pub fn question_space(
     out
 }
 
-/// Converts a [`FeatureArg`] answer into the AST's constraint value.
-pub fn to_constraint_arg(arg: &FeatureArg) -> ConstraintArg {
-    match arg {
-        FeatureArg::Tri(v) => ConstraintArg::Symbol(v.to_string()),
-        FeatureArg::Num(n) => ConstraintArg::Num(*n),
-        FeatureArg::Text(t) => ConstraintArg::Str(t.clone()),
-    }
-}
+pub use iflex_engine::to_constraint_arg;
 
 /// Returns a copy of `program` with `feature(attr) = value` appended to
 /// every description rule of the attribute's IE predicate (§5.1: "iFlex
-/// adds the predicate f(a) = v to the description rule").
+/// adds the predicate f(a) = v to the description rule") — the engine's
+/// [`iflex_engine::refine`], which its probes size.
 pub fn add_constraint(
     program: &Program,
     attr: &Attribute,
     feature: &str,
     value: &FeatureArg,
 ) -> Program {
-    let mut out = program.clone();
-    for r in out.rules.iter_mut() {
-        if !r.is_description() || r.head.name != attr.pred {
-            continue;
-        }
-        push_constraint(r, &attr.var, feature, value);
-    }
-    out
-}
-
-fn push_constraint(rule: &mut Rule, var: &str, feature: &str, value: &FeatureArg) {
-    rule.body.push(BodyAtom::Constraint {
-        feature: feature.to_string(),
-        var: var.to_string(),
-        value: to_constraint_arg(value),
-    });
+    iflex_engine::refine(program, &attr.pred, &attr.var, feature, value)
 }
 
 /// The answer space the simulation strategy sums over for a feature.
@@ -187,7 +166,7 @@ pub fn answer_space(feature: &str) -> Vec<FeatureArg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iflex_alog::parse_program;
+    use iflex_alog::{parse_program, ConstraintArg};
 
     fn prog() -> Program {
         parse_program(

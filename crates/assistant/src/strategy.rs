@@ -2,8 +2,10 @@
 //! over the question space) and **simulation** (size each candidate
 //! refinement and pick the question with the largest expected reduction).
 //! Simulation sizes a candidate with the engine's count-only probe
-//! ([`Engine::probe_sizes`]) where the query rule admits it, and runs the
-//! refined program otherwise (DESIGN.md §9).
+//! ([`Engine::probe_sizes`]): an overlay σ over the query's base relation
+//! for single-input rules, a count over the current result's join lineage
+//! for joins (T3, T6, T9). Only union queries and annotated heads run the
+//! refined program (DESIGN.md §9).
 
 use crate::feedback::Examples;
 use crate::probe::{dynamic_feature, probe_program, probe_spans, spans_answer_space};
@@ -175,7 +177,7 @@ impl Simulation {
     /// the spans of the attribute's answer-space probe, which runs once
     /// per program and sample. A failed or degraded run's spans still
     /// serve this call but are not kept.
-    pub(crate) fn dynamic_space(
+    pub fn dynamic_space(
         &mut self,
         engine: &mut Engine,
         program: &Program,
@@ -213,6 +215,13 @@ impl Strategy for Simulation {
             return None;
         }
         let ordered = interleave_by_attr(by_attr);
+        // Over an empty current result every refinement sizes 0, which
+        // reads as contradicted, so the fallback below would win anyway.
+        // Answers only narrow, so the iteration's size, measured before
+        // its first answer, stays a sound zero for its later questions.
+        if ctx.current_size == 0 {
+            return ordered.into_iter().next();
+        }
 
         // Phase A (serial): derive and prune answer spaces, honoring the
         // candidate cap in interleaved order. Dynamic spaces probe the
@@ -240,16 +249,18 @@ impl Strategy for Simulation {
             cands.push((i, space));
         }
 
-        // Phase B: size every (candidate, answer) refinement. Where the
-        // query rule admits the split (DESIGN.md §9), the engine counts
-        // every answer in one pass over the cached base relation; the
-        // other shapes run the refined program on snapshot engines. A
-        // failed count, like a failed run, reports the current size.
+        // Phase B: size every (candidate, answer) refinement. The engine
+        // counts every answer it admits in one call (DESIGN.md §9): an
+        // overlay pass over the cached base relation, or a count over the
+        // current result's join lineage. Union queries and annotated heads
+        // run the refined program on snapshot engines. A failed count,
+        // like a failed run, reports the current size.
         let specs: Vec<ProbeSpec<'_>> = cands
             .iter()
             .map(|(i, space)| ProbeSpec {
                 pred: &ordered[*i].attr.pred,
                 pos: ordered[*i].attr.pos,
+                var: &ordered[*i].attr.var,
                 feature: &ordered[*i].feature,
                 values: space,
             })
@@ -423,7 +434,9 @@ fn simulate_probe(
     out
 }
 
-/// Runs every exact probe job, returning results in job order.
+/// Runs every exact probe job, returning results in job order. Only
+/// shapes [`Engine::probe_sizes`] does not count come here: union queries
+/// and annotated heads.
 ///
 /// Jobs are split into one contiguous chunk per thread, and each chunk
 /// runs on its own [`Engine::snapshot`] — sharing the document store
@@ -651,6 +664,7 @@ mod tests {
         let spec = ProbeSpec {
             pred: &q.attr.pred,
             pos: q.attr.pos,
+            var: &q.attr.var,
             feature: &q.feature,
             values: &space,
         };
@@ -704,9 +718,9 @@ mod tests {
 
     #[test]
     fn a_degraded_exact_probe_reports_no_information() {
-        // A join of two tables is not a count-pass shape, so its probe
-        // runs the refined program; with every rule degrading, the
-        // widened stand-in must not read as a one-tuple result.
+        // An exact probe runs the refined program; with every rule
+        // degrading, the widened stand-in must not read as a one-tuple
+        // result.
         let mut store = DocumentStore::new();
         let a = store.add_markup("<b>Data Mining</b> 12");
         let b = store.add_markup("<i>Data Mining</i> 15");
@@ -736,6 +750,39 @@ mod tests {
             (40, usize::MAX)
         );
         assert!(eng.stats.degraded());
+    }
+
+    #[test]
+    fn an_empty_current_result_asks_in_sequential_order_without_probing() {
+        // Every refinement of an empty result sizes 0 and reads as
+        // contradicted, so the fallback question is the answer: asked
+        // without sizing a single refinement.
+        let p = parse_program(
+            r#"
+            q(x, v) :- pages(x), extractV(#x, v), v > 1000000.
+            extractV(#x, v) :- from(#x, v), numeric(v) = yes.
+        "#,
+        )
+        .unwrap();
+        let mut eng = engine_with_pages();
+        let sample = Sample::new(1.0, 0);
+        assert_eq!(eng.run_sampled(&p, sample).unwrap().len(), 0);
+        eng.clear_cache();
+        eng.stats = Default::default();
+        let asked = BTreeSet::new();
+        let mut ctx = AssistContext {
+            program: &p,
+            engine: &mut eng,
+            asked: &asked,
+            sample,
+            current_size: 0,
+            examples: Default::default(),
+        };
+        let q = Simulation::default().next_question(&mut ctx).unwrap();
+        let first = interleave_by_attr(ordered_questions(&p, eng.features(), &asked)).remove(0);
+        assert_eq!(q, first);
+        // Any run over the cleared cache would evaluate a rule.
+        assert_eq!(eng.stats.rules_evaluated, 0, "a refinement was run");
     }
 
     #[test]

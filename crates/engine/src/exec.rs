@@ -26,7 +26,7 @@ use crate::fault::{self, Fault, FaultPlan};
 use crate::pfunc::{builtin_procs, ProcRegistry, Procedure};
 use crate::plan::{compile_rule, extracts, CompileEnv, FusedOp, Operand, Plan, PlanError};
 use crate::sample::Sample;
-use crate::similarity::SimStep;
+use crate::similarity::{SimSeed, SimStep};
 use iflex_alog::{
     evaluation_order, unfold, validate, Program, Rule, ValidateEnv, ValidateError,
 };
@@ -795,7 +795,7 @@ impl Engine {
     /// What every run and every EXPLAIN starts from: `prog` validated,
     /// unfolded and put in evaluation order, with the compiler's arity
     /// maps.
-    fn prologue(&self, prog: &Program) -> Result<Prologue, EngineError> {
+    pub(crate) fn prologue(&self, prog: &Program) -> Result<Prologue, EngineError> {
         let errors = validate(prog, &self.validate_env());
         if !errors.is_empty() {
             return Err(EngineError::Validation(errors));
@@ -820,7 +820,7 @@ impl Engine {
     /// Relation name → (arity, rows) for the optimizer's cardinality
     /// model: every extensional table at its actual size, then each of
     /// `intensional` not shadowed by one.
-    fn relation_sizes<'a>(
+    pub(crate) fn relation_sizes<'a>(
         &self,
         intensional: impl IntoIterator<Item = (&'a String, (usize, usize))>,
     ) -> crate::lplan::Relations {
@@ -1577,22 +1577,16 @@ impl Engine {
     }
 
     /// Resolves a pass once per operator: each filter step's procedure,
-    /// and — for a pass over the pairs of a join's two tables — each
-    /// built-in straddling `similar` ([`FusedOp::similar_cols`]) whose
-    /// columns no earlier step defines or refines gets a [`SimStep`]:
-    /// both sides' columns profiled once per distinct cell. The step's
-    /// position picks the approximation, and this test is where the two
-    /// meet (DESIGN.md §11): first in the pass it is the token prefilter,
-    /// anywhere else the candidate-value enumeration.
+    /// and — for a pass over the pairs of a join's two tables — the
+    /// [`SimStep`]s of [`Pass::profiled`].
     pub(crate) fn resolve_pass(
         &self,
         ops: &[FusedOp],
         project: Option<(&[usize], &[String])>,
         join: Option<(&CompactTable, &CompactTable)>,
     ) -> Result<Pass, EngineError> {
-        let mut written = Vec::new();
         let mut steps = Vec::with_capacity(ops.len());
-        for (i, op) in ops.iter().enumerate() {
+        for op in ops {
             let filter = match op {
                 FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
                     Some(Procedure::Filter(f)) => Some(f.clone()),
@@ -1600,30 +1594,20 @@ impl Engine {
                 },
                 _ => None,
             };
-            let sim = match (join, &filter) {
-                (Some((l, r)), Some(f)) if crate::pfunc::is_builtin_similar(f) => {
-                    let la = l.arity();
-                    op.similar_cols(la)
-                        .filter(|&(lc, rc)| !written.contains(&lc) && !written.contains(&(la + rc)))
-                        .map(|(lc, rc)| {
-                            SimStep::new(i == 0, (l, lc), (r, rc), &self.store, ENUM_CAP)
-                        })
-                }
-                _ => None,
-            };
-            if let FusedOp::Extract { col, .. } | FusedOp::Constraint { col, .. } = op {
-                written.push(*col);
-            }
             steps.push(Step {
                 op: op.clone(),
                 filter,
-                sim,
+                sim: None,
             });
         }
-        Ok(Pass {
+        let pass = Pass {
             steps,
             extracts: extracts(ops),
             proj: project.map(|(cols, _)| cols.to_vec()),
+        };
+        Ok(match join {
+            Some((l, r)) => pass.profiled(l, r, &self.store, &[]),
+            None => pass,
         })
     }
 
@@ -1651,30 +1635,38 @@ impl Engine {
         let pass = self.resolve_pass(ops, project, None)?;
         let t = self.eval_plan(input, computed, sample, span)?;
         let out_cols = pass.columns(t.columns().to_vec(), project);
+        let rows = self.table_rows(t, pass, span)?;
+        let rows = rows.into_iter().map(|(_, tup, volume)| (tup, volume));
+        self.pass_table(out_cols, rows, usize::MAX, project.is_some())
+    }
+
+    /// Every row of `t` through `pass`, in order: each survivor with its
+    /// row index in `t` and its volume.
+    pub(crate) fn table_rows(
+        &mut self,
+        t: Arc<CompactTable>,
+        pass: Pass,
+        span: SpanId,
+    ) -> Result<Vec<(usize, CompactTuple, u64)>, EngineError> {
         let mr = {
             let ec = self.eval_ctx();
-            let t = Arc::clone(&t);
             crate::par::scatter(&self.section_ctx(span), t.len(), move |range| {
                 let mut overlay = vec![None; t.arity() + pass.extracts];
-                let mut out: Vec<(CompactTuple, u64)> = Vec::new();
-                for tup in &t.tuples()[range] {
+                let mut out = Vec::new();
+                for i in range {
+                    let tup = &t.tuples()[i];
                     ec.clock.tick().map_err(EngineError::from)?;
                     let row = ec.pass_row(&pass, &tup.cells, &[], None, &mut overlay)?;
                     if let Some((cells, extra, volume)) = row {
-                        out.push((
-                            CompactTuple {
-                                cells,
-                                maybe: tup.maybe || extra,
-                            },
-                            volume,
-                        ));
+                        let maybe = tup.maybe || extra;
+                        out.push((i, CompactTuple { cells, maybe }, volume));
                     }
                 }
                 Ok(out)
             })
         };
         self.note_section(&mr.stats);
-        self.pass_table(out_cols, mr.merge()?, usize::MAX, project.is_some())
+        mr.merge()
     }
 
     /// A pass's output table from its surviving rows and their volumes:
@@ -1704,11 +1696,7 @@ impl Engine {
     }
 
     /// The pairwise mode of [`Engine::eval_pass`] over two already
-    /// evaluated join inputs: pairs are sent through the pass as they are
-    /// generated, left-major, and only survivors are built. The morsels
-    /// shard the pair index rather than a side, so output needs no
-    /// reordering and a join with one row on a side still spreads over
-    /// the pool.
+    /// evaluated join inputs: [`Engine::pair_rows`], built into a table.
     fn pass_over_pairs(
         &mut self,
         l: Arc<CompactTable>,
@@ -1719,6 +1707,25 @@ impl Engine {
     ) -> Result<Arc<CompactTable>, EngineError> {
         let in_cols = l.columns().iter().chain(r.columns()).cloned().collect();
         let out_cols = pass.columns(in_cols, project);
+        let rows = self.pair_rows(l, r, pass, span)?;
+        let cap = self.limits.max_result_tuples;
+        let rows = rows.into_iter().map(|(_, tup, volume)| (tup, volume));
+        self.pass_table(out_cols, rows, cap, project.is_some())
+    }
+
+    /// Every pair of `l` × `r` through `pass`: pairs are sent through the
+    /// pass as they are generated, left-major, and only survivors are
+    /// built, each with its (left, right) row indices and its volume. The
+    /// morsels shard the pair index rather than a side, so output needs
+    /// no reordering and a join with one row on a side still spreads over
+    /// the pool.
+    pub(crate) fn pair_rows(
+        &mut self,
+        l: Arc<CompactTable>,
+        r: Arc<CompactTable>,
+        pass: Pass,
+        span: SpanId,
+    ) -> Result<Vec<PairRow>, EngineError> {
         let cap = self.limits.max_result_tuples;
         let pairs = l.len() * r.len();
         // The dispenser packs index ranges into u32: past that many pairs,
@@ -1729,7 +1736,7 @@ impl Engine {
             let ec = self.eval_ctx();
             crate::par::scatter(&self.section_ctx(span), indices, move |range| {
                 let mut overlay = vec![None; l.arity() + r.arity() + pass.extracts];
-                let mut out: Vec<(CompactTuple, u64)> = Vec::new();
+                let mut out: Vec<PairRow> = Vec::new();
                 for p in range.start * block..pairs.min(range.end * block) {
                     let (li, ri) = (p / r.len(), p % r.len());
                     let (lt, rt) = (&l.tuples()[li], &r.tuples()[ri]);
@@ -1749,19 +1756,23 @@ impl Engine {
                         return Err(EngineError::TooLarge("join result".into()));
                     }
                     let maybe = lt.maybe || rt.maybe || extra;
-                    out.push((CompactTuple { cells, maybe }, volume));
+                    out.push(((li, ri), CompactTuple { cells, maybe }, volume));
                 }
                 Ok(out)
             })
         };
         self.note_section(&mr.stats);
-        self.pass_table(out_cols, mr.merge()?, cap, project.is_some())
+        mr.merge()
     }
 }
 
+/// A row of [`Engine::pair_rows`]: its (left, right) row indices, the
+/// row, and its volume.
+pub(crate) type PairRow = ((usize, usize), CompactTuple, u64);
+
 /// What [`Engine::prologue`] hands a run or an EXPLAIN.
-struct Prologue {
-    unfolded: Program,
+pub(crate) struct Prologue {
+    pub(crate) unfolded: Program,
     order: Vec<String>,
     ext_arity: BTreeMap<String, usize>,
     int_arity: BTreeMap<String, usize>,
@@ -1770,7 +1781,7 @@ struct Prologue {
 
 impl Prologue {
     /// The compiler's view of the program's predicates.
-    fn env(&self) -> CompileEnv<'_> {
+    pub(crate) fn env(&self) -> CompileEnv<'_> {
         CompileEnv {
             extensional: &self.ext_arity,
             intensional: &self.int_arity,
@@ -1784,14 +1795,76 @@ impl Prologue {
 /// and the trailing projection's columns.
 pub(crate) struct Pass {
     steps: Vec<Step>,
-    extracts: usize,
+    /// How many columns the steps define.
+    pub(crate) extracts: usize,
     proj: Option<Vec<usize>>,
 }
 
 impl Pass {
+    /// The steps that read per-row profiles in a pass over the pairs of
+    /// a join whose left input has `la` columns, as (step, left column,
+    /// right column): each built-in straddling `similar`
+    /// ([`FusedOp::similar_cols`]) whose columns no earlier step defines
+    /// or refines. The step's position picks the approximation, and this
+    /// test is where the two meet (DESIGN.md §11): first in the pass
+    /// (step 0) it is the token prefilter, anywhere else the
+    /// candidate-value enumeration.
+    pub(crate) fn sim_steps(&self, la: usize) -> Vec<(usize, usize, usize)> {
+        let mut written = Vec::new();
+        let mut out = Vec::new();
+        for (i, step) in self.steps.iter().enumerate() {
+            if let Some(f) = &step.filter {
+                let cols = step.op.similar_cols(la).filter(|&(lc, rc)| {
+                    !written.contains(&lc) && !written.contains(&(la + rc))
+                });
+                if let (true, Some((lc, rc))) = (crate::pfunc::is_builtin_similar(f), cols) {
+                    out.push((i, lc, rc));
+                }
+            }
+            if let FusedOp::Extract { col, .. } | FusedOp::Constraint { col, .. } = &step.op {
+                written.push(*col);
+            }
+        }
+        out
+    }
+
+    /// The pass over the pairs of `l` × `r`, each of its
+    /// [`Pass::sim_steps`] with a [`SimStep`]: both sides' columns
+    /// profiled once per distinct cell, except the cells `seeds` (by
+    /// step) profiled already. A profile depends on its cell alone, so a
+    /// pass profiled over some of a join's rows decides their pairs as
+    /// one profiled over all of them.
+    pub(crate) fn profiled(
+        &self,
+        l: &CompactTable,
+        r: &CompactTable,
+        store: &DocumentStore,
+        seeds: &[Option<SimSeed>],
+    ) -> Pass {
+        let mut sims: Vec<Option<SimStep>> = self.steps.iter().map(|_| None).collect();
+        for (i, lc, rc) in self.sim_steps(l.arity()) {
+            let seed = seeds.get(i).and_then(Option::as_ref);
+            sims[i] = Some(SimStep::new(i == 0, (l, lc), (r, rc), store, ENUM_CAP, seed));
+        }
+        let steps = self.steps.iter().zip(sims).map(|(step, sim)| Step {
+            op: step.op.clone(),
+            filter: step.filter.clone(),
+            sim,
+        });
+        Pass {
+            steps: steps.collect(),
+            extracts: self.extracts,
+            proj: self.proj.clone(),
+        }
+    }
+
     /// The output's column names: the projection's, else the input's
     /// followed by `_f<i>` for each column the pass defines.
-    fn columns(&self, mut cols: Vec<String>, proj: Option<(&[usize], &[String])>) -> Vec<String> {
+    pub(crate) fn columns(
+        &self,
+        mut cols: Vec<String>,
+        proj: Option<(&[usize], &[String])>,
+    ) -> Vec<String> {
         if let Some((_, names)) = proj {
             return names.to_vec();
         }
@@ -1822,7 +1895,7 @@ pub(crate) struct EvalCtx {
     pub(crate) store: Arc<DocumentStore>,
     features: FeatureRegistry,
     pub(crate) clock: Arc<RunClock>,
-    fault: Arc<FaultPlan>,
+    pub(crate) fault: Arc<FaultPlan>,
 }
 
 impl EvalCtx {

@@ -43,6 +43,7 @@
 //! may have been produced by optimized runs, which muddies ablation
 //! timing.
 
+use crate::probe::JoinTrace;
 use iflex_ctable::{Assignment, Cell, CompactTable, CompactTuple};
 use std::collections::{btree_map, BTreeMap};
 use std::mem::size_of;
@@ -73,11 +74,14 @@ struct Entry {
     /// Count-only probe sizes over `table` ([`crate::Engine::probe_sizes`]),
     /// by probe; they go when the entry goes.
     probes: BTreeMap<String, (usize, u64)>,
+    /// The rule's evaluation with row lineage, which join probes count
+    /// refinements over; it goes when the entry goes.
+    trace: Option<Arc<JoinTrace>>,
 }
 
 /// Estimated heap bytes of a cached table: its tuples, their cells and
 /// the cells' assignments.
-fn table_bytes(t: &CompactTable) -> usize {
+pub(crate) fn table_bytes(t: &CompactTable) -> usize {
     t.len() * size_of::<CompactTuple>()
         + t.len() * t.arity() * size_of::<Cell>()
         + t.stats().assignments * size_of::<Assignment>()
@@ -158,6 +162,7 @@ impl IncrCache {
             bytes,
             used: self.tick,
             probes: BTreeMap::new(),
+            trace: None,
         };
         self.bytes += bytes;
         let key = (rel.to_string(), sample.to_string(), fp, inputs);
@@ -180,6 +185,27 @@ impl IncrCache {
         };
         let bytes = probe.len() + size_of::<(String, (usize, u64))>();
         if e.probes.insert(probe, size).is_none() {
+            e.bytes += bytes;
+            self.bytes += bytes;
+            self.evict_to_budget();
+        }
+    }
+
+    /// The join trace memoized on the entry under `key`.
+    pub fn trace(&self, key: &Key) -> Option<Arc<JoinTrace>> {
+        self.entries.get(key)?.trace.clone()
+    }
+
+    /// Memoizes a join trace on the entry under `key` — a no-op once the
+    /// entry is gone or when it has one — counting its bytes against the
+    /// same budget.
+    pub fn memo_trace(&mut self, key: &Key, trace: Arc<JoinTrace>) {
+        let Some(e) = self.entries.get_mut(key) else {
+            return;
+        };
+        if e.trace.is_none() {
+            let bytes = trace.bytes();
+            e.trace = Some(trace);
             e.bytes += bytes;
             self.bytes += bytes;
             self.evict_to_budget();

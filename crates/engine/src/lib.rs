@@ -35,8 +35,8 @@ pub use budget::{CancelToken, DegradeCause, RunBudget, RunClock};
 pub use exec::{default_threads, Degradation, Engine, EngineCore, EngineError, ExecStats, Limits};
 pub use fault::{Fault, FaultPlan, Trigger};
 pub use pfunc::{builtin_procs, ProcRegistry, Procedure};
-pub use plan::{CompiledConstraint, PlanError};
-pub use probe::{ProbeSizes, ProbeSpec};
+pub use plan::{to_constraint_arg, CompiledConstraint, PlanError};
+pub use probe::{refine, ProbeSizes, ProbeSpec};
 pub use sample::Sample;
 
 // The observability crate travels with the engine: downstream crates take

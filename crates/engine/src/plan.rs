@@ -30,7 +30,7 @@ pub struct CompiledConstraint {
 /// per tuple, without materializing intermediate tables. Column indices
 /// refer to the pass's schema: the input's columns, then one column per
 /// [`FusedOp::Extract`] step, numbered from the input arity on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FusedOp {
     /// The built-in `from(#x, y)`: writes the expansion cell
     /// `expand({contain(s) | s a span of cell src})` into the new column
@@ -145,7 +145,7 @@ impl FusedOp {
 
 /// A plan node. Column indices refer to the node's *input* schema; nodes
 /// that add columns append them on the right.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Scan an extensional compact table.
     ScanExt {
@@ -473,6 +473,16 @@ pub fn constraint_arg(value: &ConstraintArg) -> Option<FeatureArg> {
             FeatureArg::Tri(s.parse::<FeatureValue>().ok()?)
         }
     })
+}
+
+/// Converts a [`FeatureArg`] into the constraint value a rule body
+/// writes: the inverse of `constraint_arg`.
+pub fn to_constraint_arg(arg: &FeatureArg) -> ConstraintArg {
+    match arg {
+        FeatureArg::Tri(v) => ConstraintArg::Symbol(v.to_string()),
+        FeatureArg::Num(n) => ConstraintArg::Num(*n),
+        FeatureArg::Text(t) => ConstraintArg::Str(t.clone()),
+    }
 }
 
 fn term_value(t: &Term) -> Option<Value> {

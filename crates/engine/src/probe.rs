@@ -2,42 +2,65 @@
 //!
 //! The Simulation strategy ranks a question by the result size
 //! |exec(g(P,(a,f,v)))| after each candidate answer `v`.
-//! [`Engine::probe_sizes`] computes those sizes without a program per
-//! answer. Where the query rule admits the split (DESIGN.md §9), an
-//! answer's refinement is one σ step over the rows of the query's **base
-//! relation** — the query rule with every extraction attribute in its
-//! head — followed by the query head's projection. A row's contribution
-//! to `expanded_len` and to the extraction volume depends on that row
-//! alone, so one pass over the base rows counts every answer of every
-//! question at once, and no result table is built. (Maturana, Riveros and
-//! Vrgoč read a cell as a set of partial mappings; counting the mappings
-//! a constraint keeps needs no output relation.)
+//! [`Engine::probe_sizes`] computes those sizes without running a program
+//! per answer, along one of two paths (DESIGN.md §9):
 //!
-//! The base relation comes from the rule cache, and the sizes are
-//! memoized on its cache entry: a "don't know" answer leaves the program
-//! unchanged, so the next question asks for the same sizes again. The
-//! memo goes with the entry — on an epoch bump, [`Engine::clear_cache`] or
-//! LRU eviction — and counts against the cache's byte budget.
+//! - **Overlay.** Where the query rule admits the split, an answer's
+//!   refinement is one σ step over the rows of the query's **base
+//!   relation** — the query rule with every extraction attribute in its
+//!   head — followed by the query head's projection. A row's contribution
+//!   to `expanded_len` and to the extraction volume depends on that row
+//!   alone, so one pass over the base rows counts every answer of every
+//!   question at once, and no result table is built. (Maturana, Riveros
+//!   and Vrgoč read a cell as a set of partial mappings; counting the
+//!   mappings a constraint keeps needs no output relation.)
+//! - **Restricted join.** Where extraction calls read different inputs
+//!   (T3, T6, T9), the query rule's plan is a skeleton of cross-join
+//!   passes over *leaf* passes, one per scanned table, and an answer
+//!   changes only the leaf pass of the side it constrains. A refinement
+//!   only narrows cells, and every step over a join's pairs is monotone
+//!   under narrowing (the token prefilter, `decide`, `compare`,
+//!   `VarUnify`, SOME past `ENUM_CAP`), so the pairs the refined program
+//!   keeps are a subset of those the current program keeps. The current
+//!   program is evaluated once with row **lineage** (a [`JoinTrace`]: each
+//!   leaf row's source tuple, each result row's leaf rows); an answer then
+//!   re-runs its leaf pass on the source tuples some result row reads, and
+//!   the join passes only over the result rows whose probed-side row
+//!   survives — the paper's §5.2 reuse ("re-execute the parts of the plan
+//!   that may possibly have changed") inside the join operator.
+//!
+//! The base relation and the current program's result come from the rule
+//! cache, and the sizes (and the trace) are memoized on that cache entry:
+//! a "don't know" answer leaves the program unchanged, so the next
+//! question asks for the same sizes again. The memos go with the entry —
+//! on an epoch bump, [`Engine::clear_cache`] or LRU eviction — and count
+//! against the cache's byte budget.
 
-use crate::exec::{injected, panic_message, Engine, EngineError, Pass};
+use crate::eval::ENUM_CAP;
+use crate::exec::{injected, panic_message, Engine, EngineError, EvalCtx, Pass};
 use crate::fault::site;
 use crate::pfunc::Procedure;
-use crate::plan::{CompiledConstraint, FusedOp};
+use crate::plan::{compile_rule, extracts, to_constraint_arg, CompiledConstraint, FusedOp, Plan};
 use crate::sample::Sample;
+use crate::similarity::{tokens_within, SimSeed};
 use iflex_alog::{Arg, BodyAtom, Head, HeadArg, Program, Rule, Term};
-use iflex_ctable::CompactTable;
+use iflex_ctable::{Cell, CompactTable, CompactTuple};
 use iflex_features::FeatureArg;
-use std::collections::BTreeSet;
+use iflex_text::DocumentStore;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One question to size: the attribute at head position `pos` of the IE
-/// predicate `pred`, the feature asked about, and its candidate answers.
+/// predicate `pred` (its variable `var` in the description rules), the
+/// feature asked about, and its candidate answers.
 #[derive(Debug, Clone, Copy)]
 pub struct ProbeSpec<'a> {
     /// The IE predicate the attribute belongs to.
     pub pred: &'a str,
     /// The attribute's position in the predicate's head.
     pub pos: usize,
+    /// The attribute's variable in the predicate's description rules.
+    pub var: &'a str,
     /// The feature asked about.
     pub feature: &'a str,
     /// The candidate answers.
@@ -49,6 +72,30 @@ pub struct ProbeSpec<'a> {
 /// otherwise `(size, assignments)` per answer, in order — or the error
 /// that left the sizes unknown.
 pub type ProbeSizes = Option<Result<Vec<(usize, usize)>, EngineError>>;
+
+/// `program` with `feature(var) = value` appended to every description
+/// rule of the IE predicate `pred` (§5.1: "iFlex adds the predicate
+/// f(a) = v to the description rule"): the refinement an answer makes and
+/// a probe sizes.
+pub fn refine(
+    program: &Program,
+    pred: &str,
+    var: &str,
+    feature: &str,
+    value: &FeatureArg,
+) -> Program {
+    let mut out = program.clone();
+    for r in out.rules.iter_mut() {
+        if r.is_description() && r.head.name == pred {
+            r.body.push(BodyAtom::Constraint {
+                feature: feature.to_string(),
+                var: var.to_string(),
+                value: to_constraint_arg(value),
+            });
+        }
+    }
+    out
+}
 
 /// A query rule split into a candidate-independent base relation and a
 /// per-answer σ (DESIGN.md §9).
@@ -160,30 +207,451 @@ fn mentions(atom: &BodyAtom, var: &str) -> usize {
     }
 }
 
-/// The rows one count pass produces for one answer: its `expanded_len`
-/// and its extraction volume, or the error that stopped it.
+/// The rows one count produces for one answer: its `expanded_len` and
+/// its extraction volume, or the error that stopped it.
 type Count = Result<(u64, u64), EngineError>;
+
+/// What one output row adds to a count: its `expanded_len` and the
+/// assignments of its cells.
+fn row_size(cells: &[Cell], store: &DocumentStore) -> (u64, u64) {
+    let len = cells
+        .iter()
+        .filter(|c| c.is_expand())
+        .fold(1u64, |acc, c| acc.saturating_mul(c.value_count(store)));
+    let assigns: usize = cells.iter().map(|c| c.assignment_count()).sum();
+    (len, assigns as u64)
+}
+
+/// A join query's optimized plan read as a skeleton: cross-join passes
+/// over leaves, each leaf a pass (possibly empty) over one scanned
+/// extensional table.
+#[derive(Debug, PartialEq)]
+struct Skeleton {
+    root: Node,
+    /// Each leaf's table and pass steps, left to right.
+    leaves: Vec<(String, Vec<FusedOp>)>,
+}
+
+/// A node of a [`Skeleton`].
+#[derive(Debug, PartialEq)]
+enum Node {
+    /// The leaf at this index.
+    Leaf(usize),
+    /// A pass over the pairs of `left` × `right`.
+    Join {
+        steps: Vec<FusedOp>,
+        project: Option<(Vec<usize>, Vec<String>)>,
+        left: Box<Node>,
+        right: Box<Node>,
+    },
+}
+
+impl Skeleton {
+    /// The skeleton of `plan`, when it holds only passes, cross joins and
+    /// extensional scans, joins at least two tables, and only its root
+    /// projects: a projecting pass counts the volume of every row it
+    /// emits, so any other one would count rows no result row reads.
+    fn of(plan: Plan) -> Option<Skeleton> {
+        fn node(plan: Plan, leaves: &mut Vec<(String, Vec<FusedOp>)>, root: bool) -> Option<Node> {
+            let (input, steps, project) = match plan {
+                Plan::ScanExt { name } => {
+                    leaves.push((name, Vec::new()));
+                    return Some(Node::Leaf(leaves.len() - 1));
+                }
+                Plan::CrossJoin { left, right } => {
+                    (Plan::CrossJoin { left, right }, Vec::new(), None)
+                }
+                Plan::Pass {
+                    input,
+                    steps,
+                    project,
+                } => (*input, steps, project),
+                _ => return None,
+            };
+            if project.is_some() && !root {
+                return None;
+            }
+            match input {
+                Plan::ScanExt { name } if project.is_none() => {
+                    leaves.push((name, steps));
+                    Some(Node::Leaf(leaves.len() - 1))
+                }
+                Plan::CrossJoin { left, right } => Some(Node::Join {
+                    steps,
+                    project,
+                    left: Box::new(node(*left, leaves, false)?),
+                    right: Box::new(node(*right, leaves, false)?),
+                }),
+                _ => None,
+            }
+        }
+        let mut leaves = Vec::new();
+        let root = node(plan, &mut leaves, true)?;
+        matches!(root, Node::Join { .. }).then_some(Skeleton { root, leaves })
+    }
+
+    /// The leaf whose pass `refined` changes, when that is all it changes:
+    /// the same joins over the same tables, and one leaf pass defining
+    /// the same columns with other steps.
+    fn probed_leaf(&self, refined: &Skeleton) -> Option<usize> {
+        if self.root != refined.root || self.leaves.len() != refined.leaves.len() {
+            return None;
+        }
+        let mut changed = None;
+        for (k, ((t, steps), (rt, rsteps))) in self.leaves.iter().zip(&refined.leaves).enumerate() {
+            if t != rt {
+                return None;
+            }
+            if steps != rsteps {
+                if changed.is_some() || extracts(steps) != extracts(rsteps) {
+                    return None;
+                }
+                changed = Some(k);
+            }
+        }
+        changed
+    }
+}
+
+/// One leaf of a [`JoinTrace`]: the rows its pass emitted, and the
+/// sampled source tuple each came from.
+#[derive(Debug)]
+struct TraceLeaf {
+    rows: Arc<CompactTable>,
+    sources: CompactTable,
+}
+
+/// The current program's query rule evaluated with row lineage, which
+/// join probes count refinements over (DESIGN.md §9). Memoized on the
+/// query's rule-cache entry.
+#[derive(Debug)]
+pub(crate) struct JoinTrace {
+    /// The skeleton's leaves, left to right.
+    leaves: Vec<TraceLeaf>,
+    /// Each result row's lineage: the index of the leaf row it reads, one
+    /// per leaf, rows concatenated.
+    lineage: Vec<u32>,
+}
+
+impl JoinTrace {
+    /// Estimated heap bytes, counted against the rule cache's budget.
+    pub(crate) fn bytes(&self) -> usize {
+        let leaves: usize = self
+            .leaves
+            .iter()
+            .map(|l| crate::incr::table_bytes(&l.rows) + crate::incr::table_bytes(&l.sources))
+            .sum();
+        leaves + self.lineage.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The lineage of every result row.
+    fn rows(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.lineage.chunks_exact(self.leaves.len())
+    }
+}
+
+/// One answer of a join probe: the leaf it refines, that leaf's refined
+/// pass, and the columns it narrows that a token prefilter reads.
+struct JoinJob {
+    leaf: usize,
+    pass: Pass,
+    check: Vec<usize>,
+}
+
+/// The skeleton's join passes, resolved once per call, with the
+/// profiles of the current result's cells their `similar` steps read (by
+/// step), and profiled per answer over the rows it reads.
+enum JoinPlan {
+    Leaf(usize),
+    Join(Pass, Vec<Option<SimSeed>>, Box<JoinPlan>, Box<JoinPlan>),
+}
+
+/// One node's rows in a restricted count: a leaf's rows are its own,
+/// found through each result row's lineage; a join's are built, one per
+/// distinct pair some result row reads, with their volumes, and each
+/// result row points at its own (or at none, when the pair failed).
+enum NodeRows {
+    Leaf(usize),
+    Join(Vec<Option<u32>>, Vec<(Vec<Cell>, u64)>),
+}
+
+/// A refined program's count over the result rows of a [`JoinTrace`]
+/// whose probed-side row survives its refined leaf pass.
+struct Restricted<'a> {
+    ec: &'a EvalCtx,
+    trace: &'a JoinTrace,
+    /// The refined leaf.
+    probed: usize,
+    /// The refined leaf's rows, by the parent's row index.
+    refined: Vec<Option<Vec<Cell>>>,
+    /// The lineage of every result row that survives the refined leaf.
+    rows: Vec<&'a [u32]>,
+}
+
+impl Restricted<'_> {
+    /// The row of `node` that result row `t` reads.
+    fn key(&self, node: &NodeRows, t: usize) -> Option<u32> {
+        match node {
+            NodeRows::Leaf(k) => Some(self.rows[t][*k]),
+            NodeRows::Join(ids, _) => ids[t],
+        }
+    }
+
+    /// The cells of row `key` of `node`.
+    fn cells<'n>(&'n self, node: &'n NodeRows, key: u32) -> &'n [Cell] {
+        let key = key as usize;
+        match node {
+            NodeRows::Leaf(k) if *k == self.probed => self.refined[key].as_deref().unwrap_or(&[]),
+            NodeRows::Leaf(k) => &self.trace.leaves[*k].rows.tuples()[key].cells,
+            NodeRows::Join(_, rows) => &rows[key].0,
+        }
+    }
+
+    /// `keys`' rows of `node` as a table, for profiling a join side.
+    fn side(&self, node: &NodeRows, keys: &[u32]) -> CompactTable {
+        let arity = keys.first().map_or(0, |&k| self.cells(node, k).len());
+        let mut t = CompactTable::new(vec![String::new(); arity]);
+        for &k in keys {
+            t.push(CompactTuple {
+                cells: self.cells(node, k).to_vec(),
+                maybe: false,
+            });
+        }
+        t
+    }
+
+    /// Evaluates `plan` over the surviving result rows: a join runs its
+    /// pass once per distinct (left row, right row) pair they read, with
+    /// its `similar` steps profiled over those rows only. The outer error
+    /// stops the whole call (the clock, an injected fault); the inner one
+    /// fails this answer.
+    fn eval(&self, plan: &JoinPlan) -> Result<Result<NodeRows, EngineError>, EngineError> {
+        let (pass, seeds, left, right) = match plan {
+            JoinPlan::Leaf(k) => return Ok(Ok(NodeRows::Leaf(*k))),
+            JoinPlan::Join(pass, seeds, left, right) => (pass, seeds, left, right),
+        };
+        let l = match self.eval(left)? {
+            Ok(l) => l,
+            Err(e) => return Ok(Err(e)),
+        };
+        let r = match self.eval(right)? {
+            Ok(r) => r,
+            Err(e) => return Ok(Err(e)),
+        };
+        // Distinct rows per side and distinct pairs, in first-use order.
+        let (mut lkeys, mut rkeys, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut lpos, mut rpos) = (HashMap::new(), HashMap::new());
+        let mut pair_pos: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut pair_of: Vec<Option<u32>> = vec![None; self.rows.len()];
+        for (t, slot) in pair_of.iter_mut().enumerate() {
+            let (Some(a), Some(b)) = (self.key(&l, t), self.key(&r, t)) else {
+                continue;
+            };
+            let a = *lpos.entry(a).or_insert_with(|| {
+                lkeys.push(a);
+                lkeys.len() as u32 - 1
+            });
+            let b = *rpos.entry(b).or_insert_with(|| {
+                rkeys.push(b);
+                rkeys.len() as u32 - 1
+            });
+            *slot = Some(*pair_pos.entry((a, b)).or_insert_with(|| {
+                pairs.push((a, b));
+                pairs.len() as u32 - 1
+            }));
+        }
+        let (lt, rt) = (self.side(&l, &lkeys), self.side(&r, &rkeys));
+        let pass = pass.profiled(&lt, &rt, &self.ec.store, seeds);
+        let mut overlay = vec![None; lt.arity() + rt.arity() + pass.extracts];
+        let mut built: Vec<(Vec<Cell>, u64)> = Vec::new();
+        let mut row_of_pair: Vec<Option<u32>> = Vec::with_capacity(pairs.len());
+        for &(a, b) in &pairs {
+            let (a, b) = (a as usize, b as usize);
+            self.ec.clock.tick().map_err(EngineError::from)?;
+            if let Some(f) = self.ec.fault.hit(site::JOIN_TUPLE) {
+                return Err(injected(f));
+            }
+            let (lc, rc) = (&lt.tuples()[a].cells, &rt.tuples()[b].cells);
+            match self.ec.pass_row(&pass, lc, rc, Some((a, b)), &mut overlay) {
+                Ok(Some((cells, _, volume))) => {
+                    row_of_pair.push(Some(built.len() as u32));
+                    built.push((cells, volume));
+                }
+                Ok(None) => row_of_pair.push(None),
+                Err(e) => return Ok(Err(e)),
+            }
+        }
+        let ids = pair_of
+            .into_iter()
+            .map(|p| p.and_then(|p| row_of_pair[p as usize]))
+            .collect();
+        Ok(Ok(NodeRows::Join(ids, built)))
+    }
+}
+
+/// A join probe's count of one answer: its size and volume, `None` when
+/// the count cannot stand for the refined run, or the error that
+/// stopped it.
+type JoinCount = Result<Option<(u64, u64)>, EngineError>;
+
+/// The memo entry of an answer whose count cannot stand for the refined
+/// run, so that the next call probes its question exactly at once.
+const INEXACT: (usize, u64) = (usize::MAX, u64::MAX);
+
+/// The refined program's count for `job` over `trace`: its leaf pass over
+/// the source tuples of the leaf rows some result row reads, then the
+/// join passes over the result rows whose probed-side row survives.
+///
+/// When the refinement narrows a column a token prefilter reads, the
+/// leaf pass runs over every leaf row, and a refined cell that gains a
+/// token leaves the count inexact (`None`): the prefilter profiles a
+/// `contain` region by its text, so a region cut inside a word may match
+/// a pair the current program dropped. The outer error stops the whole
+/// call; the inner one fails this answer.
+fn count_job(
+    ec: &EvalCtx,
+    trace: &JoinTrace,
+    joins: &JoinPlan,
+    used: &[u32],
+    job: &JoinJob,
+) -> Result<JoinCount, EngineError> {
+    let leaf = &trace.leaves[job.leaf];
+    let mut refined = vec![None; leaf.rows.len()];
+    let mut overlay = vec![None; leaf.sources.arity() + job.pass.extracts];
+    let every: Vec<u32>;
+    let rows: &[u32] = if job.check.is_empty() {
+        used
+    } else {
+        every = (0..leaf.rows.len() as u32).collect();
+        &every
+    };
+    for &i in rows {
+        let i = i as usize;
+        ec.clock.tick().map_err(EngineError::from)?;
+        let src = &leaf.sources.tuples()[i].cells;
+        let cells = match ec.pass_row(&job.pass, src, &[], None, &mut overlay) {
+            Ok(row) => row.map(|(cells, ..)| cells),
+            Err(e) => return Ok(Err(e)),
+        };
+        if let Some(cells) = &cells {
+            let parent = &leaf.rows.tuples()[i].cells;
+            let store = &ec.store;
+            if !job
+                .check
+                .iter()
+                .all(|&c| tokens_within(&cells[c], &parent[c], store))
+            {
+                return Ok(Ok(None));
+            }
+        }
+        refined[i] = cells;
+    }
+    let rows = trace
+        .rows()
+        .filter(|t| refined[t[job.leaf] as usize].is_some())
+        .collect();
+    let restricted = Restricted {
+        ec,
+        trace,
+        probed: job.leaf,
+        refined,
+        rows,
+    };
+    let root = match restricted.eval(joins)? {
+        Ok(NodeRows::Join(_, rows)) => rows,
+        Ok(NodeRows::Leaf(_)) => Vec::new(),
+        Err(e) => return Ok(Err(e)),
+    };
+    // Each result row reads its own root pair, so the root's rows are the
+    // refined result's.
+    let (mut size, mut volume) = (0u64, 0u64);
+    for (cells, v) in &root {
+        let (len, assigns) = row_size(cells, &ec.store);
+        size = size.saturating_add(len);
+        volume = volume.saturating_add(*v).saturating_add(assigns);
+    }
+    Ok(Ok(Some((size, volume))))
+}
+
+/// Seeds the `similar` steps of `plan` with the profiles of the cells
+/// they read in the current result — the `used` rows of each leaf — and
+/// returns each output column as the (leaf, column) it passes through,
+/// or `None` for a column a join pass defines. The leaf columns a token
+/// prefilter reads go to `read`.
+fn seed(
+    plan: &mut JoinPlan,
+    trace: &JoinTrace,
+    used: &[Vec<u32>],
+    store: &DocumentStore,
+    read: &mut BTreeSet<(usize, usize)>,
+) -> Vec<Option<(usize, usize)>> {
+    let (pass, seeds, left, right) = match plan {
+        JoinPlan::Leaf(k) => {
+            let arity = trace.leaves[*k].rows.arity();
+            return (0..arity).map(|c| Some((*k, c))).collect();
+        }
+        JoinPlan::Join(pass, seeds, left, right) => (pass, seeds, left, right),
+    };
+    let mut cols = seed(left, trace, used, store, read);
+    let la = cols.len();
+    cols.extend(seed(right, trace, used, store, read));
+    for (i, lc, rc) in pass.sim_steps(la) {
+        let origins = [cols[lc], cols[la + rc]];
+        if i == 0 {
+            read.extend(origins.iter().flatten());
+        }
+        let cells = origins.into_iter().flatten().flat_map(|(k, c)| {
+            let rows = trace.leaves[k].rows.tuples();
+            used[k].iter().map(move |&r| &rows[r as usize].cells[c])
+        });
+        seeds.resize_with(seeds.len().max(i + 1), || None);
+        seeds[i] = Some(SimSeed::new(i == 0, cells, store, ENUM_CAP));
+    }
+    // Only the root projects, and nothing reads its output.
+    cols.resize(cols.len() + pass.extracts, None);
+    cols
+}
+
+/// The columns of a leaf pass `refined` narrows beyond `parent`: each
+/// new constraint's and new `from` step's, and each column a `from` step
+/// extracts out of a narrowed one. Any other step drops rows, not values.
+fn narrowed(parent: &[FusedOp], refined: &[FusedOp]) -> Vec<usize> {
+    let mut cols = Vec::new();
+    for step in refined {
+        let new = !parent.contains(step);
+        match step {
+            FusedOp::Extract { src, col } if new || cols.contains(src) => cols.push(*col),
+            FusedOp::Constraint { col, .. } if new => cols.push(*col),
+            _ => {}
+        }
+    }
+    cols
+}
 
 impl Engine {
     /// Sizes every candidate answer of every question in `specs` over
     /// `sample`: for each answer, the `expanded_len` of the refined
     /// program's result and the run's `assignments_produced` — what
-    /// running the split program of DESIGN.md §9 would report — without
-    /// building that program or its result.
+    /// running the split program of DESIGN.md §9 (overlay probes) or the
+    /// refined program (join probes) would report — without building that
+    /// program's result.
     ///
-    /// The base relation is run (or served from the rule cache) once per
-    /// call, then one morsel-parallel pass sends each base row through
-    /// every answer's one-step σ and the head projection (the pass
-    /// evaluator's `pass_row`), adding up sizes instead of building rows.
-    /// Sizes are memoized on the base relation's cache entry, so a
-    /// repeated call evaluates no rule and scans no tuple.
-    /// [`Engine::stats`] describes the base run.
+    /// Overlay probes run the base relation (or serve it from the rule
+    /// cache) once per call, then one morsel-parallel pass sends each base
+    /// row through every answer's one-step σ and the head projection (the
+    /// pass evaluator's `pass_row`), adding up sizes instead of building
+    /// rows. Join probes run the current program once per call and count
+    /// every answer in one morsel section over its `JoinTrace`. Sizes
+    /// (and the trace) are memoized on the cache entry, so a repeated call
+    /// evaluates no rule and scans no tuple. [`Engine::stats`] describes
+    /// the last run.
     ///
-    /// A spec whose shape the split does not admit reports `None` (the
-    /// caller probes the refined program instead). A degraded base run, an
-    /// expired deadline, a cancellation, an injected fault, a feature
-    /// error or a panic in the pass reports `Some(Err(_))` — no size — and
-    /// nothing is memoized from it.
+    /// A spec whose shape neither path admits, or whose refinement cuts a
+    /// word a join's token prefilter reads, reports `None` (the caller
+    /// probes the refined program instead). A degraded run, an expired
+    /// deadline, a cancellation, an injected fault or a panic in the count
+    /// reports `Some(Err(_))` — no size — and nothing is memoized from it;
+    /// a feature error fails its own question only.
     pub fn probe_sizes(
         &mut self,
         prog: &Program,
@@ -197,28 +665,56 @@ impl Engine {
             .iter()
             .map(|s| self.probed_col(&split, s.pred, s.pos))
             .collect();
-        let mut out: Vec<ProbeSizes> = cols
-            .iter()
-            .zip(specs)
-            .map(|(c, s)| c.map(|_| Ok(vec![(0, 0); s.values.len()])))
-            .collect();
-        if cols.iter().all(Option::is_none) {
-            return out;
+        let mut out: Vec<ProbeSizes> = specs.iter().map(|_| None).collect();
+        if cols.iter().any(Option::is_some) {
+            self.count_overlay(&split, sample, specs, &cols, &mut out);
         }
-        let base = match self.run_sampled(&split.base, sample) {
-            Ok(t) => match self.stats.degradations.first() {
-                None => Ok(t),
-                Some(d) => Err(EngineError::from(d.cause)),
-            },
-            Err(e) => Err(e),
-        };
-        let base = match base {
+        if cols.iter().any(Option::is_none) {
+            let joins: Vec<usize> = (0..specs.len()).filter(|&i| cols[i].is_none()).collect();
+            self.count_joins(prog, split.rule, sample, specs, &joins, &mut out);
+        }
+        out
+    }
+
+    /// Runs `prog` over `sample`: its result, or the run's error — or its
+    /// first degradation's, since a degraded run is no result to count
+    /// over.
+    fn clean_run(
+        &mut self,
+        prog: &Program,
+        sample: Sample,
+    ) -> Result<Arc<CompactTable>, EngineError> {
+        let t = self.run_sampled(prog, sample)?;
+        match self.stats.degradations.first() {
+            None => Ok(t),
+            Some(d) => Err(EngineError::from(d.cause)),
+        }
+    }
+
+    /// The overlay path: every spec with a base column in `cols`, counted
+    /// over the split's base relation.
+    fn count_overlay(
+        &mut self,
+        split: &Split<'_>,
+        sample: Sample,
+        specs: &[ProbeSpec<'_>],
+        cols: &[Option<usize>],
+        out: &mut [ProbeSizes],
+    ) {
+        for ((o, c), s) in out.iter_mut().zip(cols).zip(specs) {
+            if c.is_some() {
+                *o = Some(Ok(vec![(0, 0); s.values.len()]));
+            }
+        }
+        let base = match self.clean_run(&split.base, sample) {
             Ok(t) => t,
             Err(e) => {
-                for o in out.iter_mut().flatten() {
-                    *o = Err(e.clone());
+                for (o, c) in out.iter_mut().zip(cols) {
+                    if c.is_some() {
+                        *o = Some(Err(e.clone()));
+                    }
                 }
-                return out;
+                return;
             }
         };
         let key = self.query_key.take();
@@ -230,7 +726,7 @@ impl Engine {
         // Memo hits fill in directly; the rest become one pass each.
         let mut todo: Vec<(usize, usize, String)> = Vec::new();
         let mut passes: Vec<Pass> = Vec::new();
-        for (i, (spec, col)) in specs.iter().zip(&cols).enumerate() {
+        for (i, (spec, col)) in specs.iter().zip(cols).enumerate() {
             let Some(col) = *col else { continue };
             for (j, v) in spec.values.iter().enumerate() {
                 let probe = format!("{col}/{head} {}={v:?}", spec.feature);
@@ -260,7 +756,7 @@ impl Engine {
             }
         }
         if passes.is_empty() {
-            return out;
+            return;
         }
         let counts = match self.count_pass(&base, passes) {
             Ok(counts) => counts,
@@ -281,7 +777,346 @@ impl Engine {
                 Err(e) => out[i] = Some(Err(e)),
             }
         }
-        out
+    }
+
+    /// The join path: each spec of `todo` whose answers all change only
+    /// one leaf pass of `prog`'s join skeleton, counted over the current
+    /// program's [`JoinTrace`]. A spec left `None` is probed exactly.
+    fn count_joins(
+        &mut self,
+        prog: &Program,
+        rule: &Rule,
+        sample: Sample,
+        specs: &[ProbeSpec<'_>],
+        todo: &[usize],
+        out: &mut [ProbeSizes],
+    ) {
+        let Some(parent) = self.skeleton(prog) else {
+            return;
+        };
+        // The refined call site must be the only one: the real refinement
+        // constrains every call site.
+        let one_site = |pred: &str| {
+            let sites = rule
+                .body
+                .iter()
+                .filter(|a| matches!(a, BodyAtom::Pred { name, .. } if name == pred));
+            sites.count() == 1
+        };
+        let todo: Vec<usize> = todo
+            .iter()
+            .copied()
+            .filter(|&i| one_site(specs[i].pred))
+            .collect();
+        if todo.is_empty() {
+            return;
+        }
+        if let Err(e) = self.clean_run(prog, sample) {
+            for &i in &todo {
+                out[i] = Some(Err(e.clone()));
+            }
+            return;
+        }
+        let key = self.query_key.take();
+
+        // Memo hits fill in directly; every other answer must refine one
+        // leaf pass, or its spec is probed exactly. The compiler places a
+        // constraint by its variable and the optimizer's model reads no
+        // constraint argument, so the answers of one spec compile to one
+        // plan up to the new constraint's argument: the first is compiled,
+        // the others substitute theirs.
+        let mut todo_jobs: Vec<(usize, usize, String)> = Vec::new();
+        let mut jobs: Vec<JoinJob> = Vec::new();
+        for &i in &todo {
+            let spec = &specs[i];
+            let mut sizes = vec![(0, 0); spec.values.len()];
+            let mut spec_jobs = Vec::new();
+            let mut compiled: Option<(usize, Vec<FusedOp>, usize)> = None;
+            let admitted = spec.values.iter().enumerate().all(|(j, v)| {
+                let probe = format!("join {}/{} {}={v:?}", spec.pred, spec.pos, spec.feature);
+                if let Some(memo) = key.as_ref().and_then(|k| self.incr.probe_size(k, &probe)) {
+                    sizes[j] = (memo.0, memo.1 as usize);
+                    return memo != INEXACT;
+                }
+                let (leaf, steps) = match &compiled {
+                    Some((leaf, steps, at)) => {
+                        let mut steps = steps.clone();
+                        if let FusedOp::Constraint { constraint, .. } = &mut steps[*at] {
+                            constraint.arg = v.clone();
+                        }
+                        (*leaf, steps)
+                    }
+                    None => {
+                        let refined = refine(prog, spec.pred, spec.var, spec.feature, v);
+                        let Some(mut skel) = self.skeleton(&refined) else {
+                            return false;
+                        };
+                        let Some(leaf) = parent.probed_leaf(&skel) else {
+                            return false;
+                        };
+                        let steps = std::mem::take(&mut skel.leaves[leaf].1);
+                        let new = |op: &FusedOp| match op {
+                            FusedOp::Constraint { constraint, .. } => {
+                                constraint.feature == spec.feature
+                                    && constraint.arg == *v
+                                    && !parent.leaves[leaf].1.contains(op)
+                            }
+                            _ => false,
+                        };
+                        let Some(at) = steps.iter().position(new) else {
+                            return false;
+                        };
+                        compiled = Some((leaf, steps.clone(), at));
+                        (leaf, steps)
+                    }
+                };
+                let check = narrowed(&parent.leaves[leaf].1, &steps);
+                match self.resolve_pass(&steps, None, None) {
+                    Ok(pass) => {
+                        spec_jobs.push(((i, j, probe), JoinJob { leaf, pass, check }));
+                        true
+                    }
+                    Err(_) => false,
+                }
+            });
+            if admitted {
+                out[i] = Some(Ok(sizes));
+                for (meta, job) in spec_jobs {
+                    todo_jobs.push(meta);
+                    jobs.push(job);
+                }
+            }
+        }
+        if jobs.is_empty() {
+            return;
+        }
+        let memo = key.as_ref().and_then(|k| self.incr.trace(k));
+        let counted = match memo {
+            Some(t) => Ok(t),
+            None => self.join_trace(&parent, sample).map(Arc::new),
+        }
+        .and_then(|trace| {
+            let joins = self.join_plan(&parent.root)?;
+            let counts = self.count_restricted(Arc::clone(&trace), joins, jobs)?;
+            Ok((trace, counts))
+        });
+        let counts = match counted {
+            Ok((trace, counts)) => {
+                if let Some(k) = &key {
+                    self.incr.memo_trace(k, trace);
+                }
+                counts
+            }
+            Err(e) => {
+                for (i, ..) in &todo_jobs {
+                    out[*i] = Some(Err(e.clone()));
+                }
+                return;
+            }
+        };
+        for ((i, j, probe), count) in todo_jobs.into_iter().zip(counts) {
+            let memo = match count {
+                Ok(Some((size, vol))) => {
+                    let size = size.min(usize::MAX as u64) as usize;
+                    if let Some(Ok(sizes)) = &mut out[i] {
+                        sizes[j] = (size, vol.min(usize::MAX as u64) as usize);
+                    }
+                    (size, vol)
+                }
+                Ok(None) => {
+                    out[i] = None;
+                    INEXACT
+                }
+                Err(e) => {
+                    if out[i].is_some() {
+                        out[i] = Some(Err(e));
+                    }
+                    continue;
+                }
+            };
+            if let Some(k) = &key {
+                self.incr.memo_probe(k, probe, memo);
+            }
+        }
+    }
+
+    /// The join skeleton of `prog`'s query rule as a run compiles and
+    /// optimizes it, when `prog` unfolds to that one rule.
+    fn skeleton(&self, prog: &Program) -> Option<Skeleton> {
+        let pro = self.prologue(prog).ok()?;
+        let [rule] = pro.unfolded.rules.as_slice() else {
+            return None;
+        };
+        let mut plan = compile_rule(rule, &pro.env()).ok()?;
+        if self.limits.use_optimizer {
+            crate::lplan::optimize(&mut plan, &self.relation_sizes(std::iter::empty()));
+        }
+        Skeleton::of(plan)
+    }
+
+    /// `node`'s join passes, resolved without profiles.
+    fn join_plan(&self, node: &Node) -> Result<JoinPlan, EngineError> {
+        Ok(match node {
+            Node::Leaf(k) => JoinPlan::Leaf(*k),
+            Node::Join {
+                steps,
+                project,
+                left,
+                right,
+            } => {
+                let proj = project.as_ref().map(|(c, n)| (c.as_slice(), n.as_slice()));
+                JoinPlan::Join(
+                    self.resolve_pass(steps, proj, None)?,
+                    Vec::new(),
+                    Box::new(self.join_plan(left)?),
+                    Box::new(self.join_plan(right)?),
+                )
+            }
+        })
+    }
+
+    /// Evaluates the query rule of skeleton `skel` over `sample` with row
+    /// lineage, behind the rule boundary: the `engine.eval_rule` fault
+    /// site fires once, and a panic becomes [`EngineError::RulePanic`].
+    fn join_trace(&mut self, skel: &Skeleton, sample: Sample) -> Result<JoinTrace, EngineError> {
+        self.pool = Some(crate::par::RunPool::new(self.limits.threads));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(f) = self.fault.hit(site::EVAL_RULE) {
+                return Err(injected(f));
+            }
+            let mut leaves = Vec::with_capacity(skel.leaves.len());
+            for (table, steps) in &skel.leaves {
+                leaves.push(self.trace_leaf(table, steps, sample)?);
+            }
+            let (_, lineage, _) = self.trace_join(&skel.root, &leaves)?;
+            Ok(JoinTrace { leaves, lineage })
+        }));
+        self.pool = None;
+        match caught {
+            Ok(res) => res,
+            Err(payload) => Err(EngineError::RulePanic(panic_message(payload.as_ref()))),
+        }
+    }
+
+    /// A leaf's pass over the sampled `table`, each row kept with its
+    /// source tuple.
+    fn trace_leaf(
+        &mut self,
+        table: &str,
+        steps: &[FusedOp],
+        sample: Sample,
+    ) -> Result<TraceLeaf, EngineError> {
+        let ext = self
+            .ext_tables()
+            .find(|(name, _)| *name == table)
+            .map(|(_, t)| sample.apply(t))
+            .ok_or_else(|| EngineError::MissingTable(table.to_string()))?;
+        let pass = self.resolve_pass(steps, None, None)?;
+        let mut rows = CompactTable::new(pass.columns(ext.columns().to_vec(), None));
+        let mut sources = CompactTable::new(ext.columns().to_vec());
+        let ext = Arc::new(ext);
+        for (i, row, _) in self.table_rows(Arc::clone(&ext), pass, self.trace_parent)? {
+            rows.push(row);
+            sources.push(ext.tuples()[i].clone());
+        }
+        Ok(TraceLeaf {
+            rows: Arc::new(rows),
+            sources,
+        })
+    }
+
+    /// `node` over the traced leaves: its rows, and each row's lineage
+    /// (one leaf row index per leaf below `node`, rows concatenated) with
+    /// its width.
+    fn trace_join(
+        &mut self,
+        node: &Node,
+        leaves: &[TraceLeaf],
+    ) -> Result<(Arc<CompactTable>, Vec<u32>, usize), EngineError> {
+        let (steps, project, left, right) = match node {
+            Node::Leaf(k) => {
+                let rows = Arc::clone(&leaves[*k].rows);
+                let lineage = (0..rows.len() as u32).collect();
+                return Ok((rows, lineage, 1));
+            }
+            Node::Join {
+                steps,
+                project,
+                left,
+                right,
+            } => (steps, project, left, right),
+        };
+        let (l, llin, lw) = self.trace_join(left, leaves)?;
+        let (r, rlin, rw) = self.trace_join(right, leaves)?;
+        let proj = project.as_ref().map(|(c, n)| (c.as_slice(), n.as_slice()));
+        let pass = self.resolve_pass(steps, proj, Some((&l, &r)))?;
+        let in_cols = l.columns().iter().chain(r.columns()).cloned().collect();
+        let mut out = CompactTable::new(pass.columns(in_cols, proj));
+        let rows = self.pair_rows(l, r, pass, self.trace_parent)?;
+        if rows.len() > self.limits.max_result_tuples {
+            return Err(EngineError::TooLarge("join result".into()));
+        }
+        let mut lineage = Vec::with_capacity(rows.len() * (lw + rw));
+        for ((li, ri), tup, _) in rows {
+            lineage.extend_from_slice(&llin[li * lw..][..lw]);
+            lineage.extend_from_slice(&rlin[ri * rw..][..rw]);
+            out.push(tup);
+        }
+        Ok((Arc::new(out), lineage, lw + rw))
+    }
+
+    /// Counts every job over `trace` in one morsel section, parallel
+    /// across answers, behind the rule boundary: the `engine.eval_rule`
+    /// fault site fires once, and a panic becomes
+    /// [`EngineError::RulePanic`]. A feature error fails its own answer; a
+    /// clock trip, an injected fault or a panic fails all.
+    fn count_restricted(
+        &mut self,
+        trace: Arc<JoinTrace>,
+        mut joins: JoinPlan,
+        mut jobs: Vec<JoinJob>,
+    ) -> Result<Vec<JoinCount>, EngineError> {
+        self.pool = Some(crate::par::RunPool::new(self.limits.threads));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if let Some(f) = self.fault.hit(site::EVAL_RULE) {
+                return Err(injected(f));
+            }
+            // Per leaf, its rows some result row reads.
+            let used: Vec<Vec<u32>> = (0..trace.leaves.len())
+                .map(|k| {
+                    let rows: BTreeSet<u32> = trace.rows().map(|t| t[k]).collect();
+                    rows.into_iter().collect()
+                })
+                .collect();
+            // Each cell of the current result a `similar` step reads is
+            // profiled once here, not once per answer; a narrowed column
+            // is token-checked only where a prefilter reads it.
+            let mut read = BTreeSet::new();
+            seed(&mut joins, &trace, &used, self.store(), &mut read);
+            for job in &mut jobs {
+                job.check.retain(|&c| read.contains(&(job.leaf, c)));
+            }
+            let ec = self.eval_ctx();
+            let mut section = self.section_ctx(self.trace_parent);
+            // An answer is a leaf pass and a join's worth of work: one
+            // answer per morsel keeps both threads busy.
+            section.cfg.min = 1;
+            let mr = crate::par::scatter(&section, jobs.len(), move |range| {
+                range
+                    .map(|j| {
+                        let job = &jobs[j];
+                        count_job(&ec, &trace, &joins, &used[job.leaf], job)
+                    })
+                    .collect()
+            });
+            self.note_section(&mr.stats);
+            mr.merge()
+        }));
+        self.pool = None;
+        match caught {
+            Ok(res) => res,
+            Err(payload) => Err(EngineError::RulePanic(panic_message(payload.as_ref()))),
+        }
     }
 
     /// The base column a probe of `pred`'s attribute `pos` constrains, when
@@ -296,7 +1131,7 @@ impl Engine {
     /// enumerates its input, so each of its rows carries one value the σ
     /// keeps or drops whole. Calls over different inputs join their rows,
     /// and a pre-join constraint prunes partners a post-join σ cannot (T3,
-    /// T6, T9). With one call, a compare on the probed variable (T1's
+    /// T6, T9): the join path counts those. With one call, a compare on the probed variable (T1's
     /// `votes < 25000`) only loosens the count's upper bound, so the split
     /// stays.
     fn probed_col(&self, split: &Split<'_>, pred: &str, pos: usize) -> Option<usize> {
@@ -393,18 +1228,9 @@ impl Engine {
                             let row = ec.pass_row(pass, &tup.cells, &[], None, &mut overlay);
                             match row {
                                 Ok(Some((cells, _, v))) => {
-                                    let store = &*ec.store;
-                                    let len = cells
-                                        .iter()
-                                        .filter(|c| c.is_expand())
-                                        .fold(1u64, |acc, c| {
-                                            acc.saturating_mul(c.value_count(store))
-                                        });
-                                    let assigns: usize =
-                                        cells.iter().map(|c| c.assignment_count()).sum();
+                                    let (len, assigns) = row_size(&cells, &ec.store);
                                     *size = size.saturating_add(len);
-                                    *volume =
-                                        volume.saturating_add(v).saturating_add(assigns as u64);
+                                    *volume = volume.saturating_add(v).saturating_add(assigns);
                                 }
                                 Ok(None) => {}
                                 Err(e) => *sum = Err(e),
@@ -475,50 +1301,238 @@ mod tests {
         assert!(admits(project, "extractProjects", 1));
     }
 
+    const T3: &str = r#"
+        t3(title1) :- imdb(x), extractIMDBt(#x, title1),
+                      ebert(y), extractEbertT(#y, title2),
+                      prasanna(z), extractPrasT(#z, title3),
+                      similar(#title1, #title2), similar(#title2, #title3).
+        extractIMDBt(#x, t) :- from(#x, t).
+        extractEbertT(#y, t) :- from(#y, t).
+        extractPrasT(#z, t) :- from(#z, t).
+    "#;
+    const T6: &str = r#"
+        t6(title1) :- sigmod(x), extractSIGMOD(#x, title1, authors1),
+                      icde(y), extractICDE(#y, title2, authors2),
+                      similar(#authors1, #authors2).
+        extractSIGMOD(#x, t, a) :- from(#x, t), from(#x, a), bold-font(t) = distinct-yes.
+        extractICDE(#y, t, a) :- from(#y, t), from(#y, a), bold-font(t) = distinct-yes.
+    "#;
+    const T9: &str = r#"
+        t9(title1) :- amazon(x), extractAmazonT(#x, title1, np),
+                      barnes(y), extractBarnesT(#y, title2, bp),
+                      similar(#title1, #title2), np < bp.
+        extractAmazonT(#x, t, p) :- from(#x, t), from(#x, p), numeric(p) = yes.
+        extractBarnesT(#y, t, p) :- from(#y, t), from(#y, p), numeric(p) = yes.
+    "#;
+
+    /// The probed attributes of [`T3`], [`T6`] and [`T9`] as (program, IE
+    /// predicate, position, variable).
+    const JOIN_ATTRS: [(&str, &str, usize, &str); 10] = [
+        (T3, "extractIMDBt", 1, "t"),
+        (T3, "extractEbertT", 1, "t"),
+        (T3, "extractPrasT", 1, "t"),
+        (T6, "extractSIGMOD", 1, "t"),
+        (T6, "extractSIGMOD", 2, "a"),
+        (T6, "extractICDE", 2, "a"),
+        (T9, "extractAmazonT", 1, "t"),
+        (T9, "extractAmazonT", 2, "p"),
+        (T9, "extractBarnesT", 1, "t"),
+        (T9, "extractBarnesT", 2, "p"),
+    ];
+
+    /// `engine(docs)` with the join tasks' tables, each over its pages.
+    fn join_engine(docs: usize) -> Engine {
+        let mut eng = engine(docs);
+        let ids: Vec<_> = eng.store().iter().map(|d| d.id()).collect();
+        for table in ["ebert", "prasanna", "sigmod", "icde", "amazon", "barnes"] {
+            eng.add_doc_table(table, &ids);
+        }
+        eng
+    }
+
+    /// `feature`'s answers for attribute `pos` (variable `var`) of `pred`
+    /// in `src`, sized by [`Engine::probe_sizes`] on `eng`.
+    fn join_probe(
+        eng: &mut Engine,
+        src: &str,
+        (pred, pos, var): (&str, usize, &str),
+        feature: &str,
+        sample: Sample,
+    ) -> ProbeSizes {
+        let values = answers(feature);
+        let spec = ProbeSpec {
+            pred,
+            pos,
+            var,
+            feature,
+            values: &values,
+        };
+        eng.probe_sizes(&parse_program(src).unwrap(), sample, &[spec])
+            .remove(0)
+    }
+
     #[test]
-    fn calls_over_different_inputs_probe_exactly() {
-        let t3 = r#"
-            t3(title1) :- imdb(x), extractIMDBt(#x, title1),
-                          ebert(y), extractEbertT(#y, title2),
-                          prasanna(z), extractPrasT(#z, title3),
-                          similar(#title1, #title2), similar(#title2, #title3).
-            extractIMDBt(#x, t) :- from(#x, t).
-            extractEbertT(#y, t) :- from(#y, t).
-            extractPrasT(#z, t) :- from(#z, t).
-        "#;
-        for pred in ["extractIMDBt", "extractEbertT", "extractPrasT"] {
-            assert!(!admits(t3, pred, 1), "{pred}");
+    fn calls_over_different_inputs_count_over_the_join() {
+        let sample = Sample::new(1.0, 0);
+        for (src, pred, pos, var) in JOIN_ATTRS {
+            assert!(!admits(src, pred, pos), "{pred}.{var} is no overlay");
+            let mut eng = join_engine(6);
+            let sizes = join_probe(&mut eng, src, (pred, pos, var), "italic-font", sample);
+            assert!(matches!(sizes, Some(Ok(_))), "{pred}.{var}: {sizes:?}");
         }
-        let t6 = r#"
-            t6(title1) :- sigmod(x), extractSIGMOD(#x, title1, authors1),
-                          icde(y), extractICDE(#y, title2, authors2),
-                          similar(#authors1, #authors2).
-            extractSIGMOD(#x, t, a) :- from(#x, t), from(#x, a), bold-font(t) = distinct-yes.
-            extractICDE(#y, t, a) :- from(#y, t), from(#y, a), bold-font(t) = distinct-yes.
-        "#;
-        for (pred, pos) in [
-            ("extractSIGMOD", 1),
-            ("extractSIGMOD", 2),
-            ("extractICDE", 1),
-            ("extractICDE", 2),
-        ] {
-            assert!(!admits(t6, pred, pos), "{pred}.{pos}");
+    }
+
+    #[test]
+    fn join_counts_equal_the_refined_run() {
+        let sample = Sample::new(0.8, 5);
+        for threads in [1, 2] {
+            for (src, pred, pos, var) in JOIN_ATTRS {
+                let prog = parse_program(src).unwrap();
+                let mut counted = join_engine(10);
+                counted.limits.threads = threads;
+                let mut run = join_engine(10);
+                for feature in ["italic-font", "bold-font", "max-length", "capitalized"] {
+                    let got = join_probe(&mut counted, src, (pred, pos, var), feature, sample);
+                    let Some(Ok(got)) = got else {
+                        panic!("{pred}.{var} {feature}: {got:?}");
+                    };
+                    for (v, got) in answers(feature).iter().zip(got) {
+                        let refined = refine(&prog, pred, var, feature, v);
+                        let t = run.run_sampled(&refined, sample).unwrap();
+                        let want = (
+                            t.expanded_len(run.store()) as usize,
+                            run.stats.assignments_produced,
+                        );
+                        assert_eq!(got, want, "{pred}.{var}: {feature} = {v:?}");
+                    }
+                }
+            }
         }
-        let t9 = r#"
-            t9(title1) :- amazon(x), extractAmazonT(#x, title1, np),
-                          barnes(y), extractBarnesT(#y, title2, bp),
-                          similar(#title1, #title2), np < bp.
-            extractAmazonT(#x, t, p) :- from(#x, t), from(#x, p), numeric(p) = yes.
-            extractBarnesT(#y, t, p) :- from(#y, t), from(#y, p), numeric(p) = yes.
+    }
+
+    #[test]
+    fn other_joins_probe_exactly() {
+        let sample = Sample::new(1.0, 0);
+        let exact = |src: &str, attr| {
+            let mut eng = join_engine(4);
+            eng.procs_mut()
+                .register_generator("extractType", 1, |_, _| Vec::new());
+            join_probe(&mut eng, src, attr, "italic-font", sample).is_none()
+        };
+        let union = format!("{T9}\nt9(title1) :- amazon(x), extractAmazonT(#x, title1, np).");
+        assert!(exact(&union, ("extractAmazonT", 1, "t")), "a union");
+        let annotated = T9.replace("t9(title1)", "t9(<title1>)");
+        assert!(exact(&annotated, ("extractAmazonT", 1, "t")), "ψ");
+        let generator = T9
+            .replace("t9(title1)", "t9(title1, kind)")
+            .replace("np < bp.", "np < bp, extractType(#title1, kind).");
+        assert!(exact(&generator, ("extractAmazonT", 1, "t")), "a generator");
+        let both_sides = r#"
+            q(u) :- imdb(x), e(#x, u), ebert(y), e(#y, v), similar(#u, #v).
+            e(#x, t) :- from(#x, t).
         "#;
-        for (pred, pos) in [
-            ("extractAmazonT", 1),
-            ("extractAmazonT", 2),
-            ("extractBarnesT", 1),
-            ("extractBarnesT", 2),
-        ] {
-            assert!(!admits(t9, pred, pos), "{pred}.{pos}");
+        assert!(
+            exact(both_sides, ("e", 1, "t")),
+            "one predicate on both sides"
+        );
+    }
+
+    #[test]
+    fn a_changed_join_skeleton_falls_back() {
+        let eng = join_engine(2);
+        let skeleton = |src: &str| eng.skeleton(&parse_program(src).unwrap()).unwrap();
+        let parent = skeleton(T9);
+        let leaf = T9.replace(
+            "numeric(p) = yes.\n        extractBarnesT",
+            "numeric(p) = yes, bold-font(t) = yes.\n        extractBarnesT",
+        );
+        assert_eq!(parent.probed_leaf(&skeleton(&leaf)), Some(0));
+        let join = T9.replace("np < bp.", "np < bp, np < 5000.");
+        assert_eq!(
+            parent.probed_leaf(&skeleton(&join)),
+            None,
+            "the join changed"
+        );
+        assert_eq!(parent.probed_leaf(&skeleton(T9)), None, "no leaf changed");
+    }
+
+    #[test]
+    fn repeated_join_counts_come_from_the_memo() {
+        let sample = Sample::new(1.0, 0);
+        let attr = ("extractBarnesT", 1, "t");
+        // Few pages: unit tests run the rule cache on a 4 KiB budget.
+        let mut eng = join_engine(2);
+        let first = format!("{:?}", join_probe(&mut eng, T9, attr, "bold-font", sample));
+        assert!(eng.stats.rules_evaluated > 0);
+        let again = format!("{:?}", join_probe(&mut eng, T9, attr, "bold-font", sample));
+        assert_eq!(again, first);
+        assert_eq!(
+            (eng.stats.rules_evaluated, eng.stats.tuples_scanned),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn a_failed_join_count_reports_no_size_and_is_not_memoized() {
+        use crate::fault::{Fault, Trigger};
+        let sample = Sample::new(1.0, 0);
+        let attr = ("extractAmazonT", 2, "p");
+        let prog = parse_program(T9).unwrap();
+        // Few pages, so the entry and its trace fit the unit tests' 4 KiB
+        // rule cache.
+        let mut clean = join_engine(2);
+        let want = format!(
+            "{:?}",
+            join_probe(&mut clean, T9, attr, "bold-font", sample)
+        );
+        let key = clean.query_key.clone().unwrap_or_else(|| {
+            clean.run_sampled(&prog, sample).unwrap();
+            clean.query_key.clone().unwrap()
+        });
+        assert!(
+            clean.incr.trace(&key).is_some(),
+            "a clean count keeps its trace"
+        );
+        let faults = [
+            (site::EVAL_RULE, Fault::TooLarge),
+            (site::EVAL_RULE, Fault::DeadlineExpired),
+            (site::EVAL_RULE, Fault::Panic("probe".into())),
+            (site::JOIN_TUPLE, Fault::TooLarge),
+            (site::JOIN_TUPLE, Fault::Panic("probe".into())),
+        ];
+        let memo = |eng: &Engine| {
+            let yes = FeatureArg::Tri(FeatureValue::Yes);
+            eng.incr
+                .probe_size(&key, &format!("join extractAmazonT/2 bold-font={yes:?}"))
+        };
+        assert!(memo(&clean).is_some(), "a clean count is memoized");
+        for (at, fault) in faults {
+            // The fault hits the trace, or — once another question traced
+            // the current program — the count.
+            for traced in [false, true] {
+                let mut eng = join_engine(2);
+                eng.run_sampled(&prog, sample).unwrap();
+                if traced {
+                    join_probe(&mut eng, T9, attr, "italic-font", sample);
+                }
+                eng.fault.arm(at, Trigger::Nth(0), fault.clone(), 7);
+                let failed = join_probe(&mut eng, T9, attr, "bold-font", sample);
+                let case = format!("{at} {fault:?} traced={traced}");
+                assert!(matches!(failed, Some(Err(_))), "{case}: {failed:?}");
+                assert_eq!(eng.incr.trace(&key).is_some(), traced, "{case}");
+                assert!(memo(&eng).is_none(), "{case}: a size is memoized");
+                let again = join_probe(&mut eng, T9, attr, "bold-font", sample);
+                assert_eq!(format!("{again:?}"), want, "{case}");
+            }
         }
+        // A cancelled run is no current result to count over.
+        let mut eng = join_engine(2);
+        eng.budget.cancel_token().cancel();
+        let failed = join_probe(&mut eng, T9, attr, "bold-font", sample);
+        assert!(
+            matches!(failed, Some(Err(EngineError::Cancelled))),
+            "{failed:?}"
+        );
     }
 
     #[test]
@@ -716,6 +1730,7 @@ mod tests {
                     let spec = ProbeSpec {
                         pred,
                         pos,
+                        var,
                         feature,
                         values: &values,
                     };
@@ -750,17 +1765,19 @@ mod tests {
                 eng.limits.threads = threads;
                 let specs: Vec<ProbeSpec<'_>> = attrs
                     .iter()
-                    .flat_map(|&(pred, pos, _)| {
+                    .flat_map(|&(pred, pos, var)| {
                         [
                             ProbeSpec {
                                 pred,
                                 pos,
+                                var,
                                 feature: "bold-font",
                                 values: &values,
                             },
                             ProbeSpec {
                                 pred,
                                 pos,
+                                var,
                                 feature: "max-length",
                                 values: &lengths,
                             },
@@ -787,6 +1804,7 @@ mod tests {
         let spec = [ProbeSpec {
             pred: "extractVLDB",
             pos: 2,
+            var: "fp",
             feature: "bold-font",
             values: &values,
         }];
@@ -821,6 +1839,7 @@ mod tests {
         let spec = [ProbeSpec {
             pred: "extractIMDB",
             pos: 2,
+            var: "votes",
             feature: "italic-font",
             values: &values,
         }];

@@ -6,7 +6,9 @@
 //! pair loop. Each such step interns its tokens to `u32` ids
 //! (`Interner`), and each side of the join profiles the step's column
 //! once per distinct cell (`RowProfiles`) before the pass starts; a pair
-//! then costs sorted merges of id lists. The
+//! then costs sorted merges of id lists. A profile depends on its cell
+//! alone, so profiles made ahead of time (`SimSeed`) serve any step over
+//! rows holding those cells. The
 //! step's position in the pass picks one of two approximations
 //! (`SimStep`, DESIGN.md §11), each computed exactly as the string
 //! version it replaces:
@@ -18,6 +20,7 @@ use crate::eval::MayMust;
 use iflex_ctable::{Assignment, Cell, CompactTable};
 use iflex_text::DocumentStore;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Calls `f` on each lower-cased word/number token of `text`, in order
 /// and with repeats, using `buf` as scratch.
@@ -79,9 +82,11 @@ pub fn approx_match(a: &str, b: &str) -> bool {
     containment(a, b) >= 0.8
 }
 
-/// One pass's token dictionary: each distinct token gets the next `u32`.
+/// One pass's token dictionary: each distinct token gets the next `u32`,
+/// after the ids of a [`SimSeed`]'s dictionary when it extends one.
 #[derive(Default)]
 pub(crate) struct Interner {
+    base: Arc<HashMap<String, u32>>,
     ids: HashMap<String, u32>,
     buf: String,
 }
@@ -90,12 +95,12 @@ impl Interner {
     /// Appends the ids of `text`'s tokens to `out`, unsorted and with
     /// repeats.
     fn push_ids(&mut self, text: &str, out: &mut Vec<u32>) {
-        let Interner { ids, buf } = self;
+        let Interner { base, ids, buf } = self;
         each_token(text, buf, |t| {
-            let id = match ids.get(t) {
+            let id = match base.get(t).or_else(|| ids.get(t)) {
                 Some(&id) => id,
                 None => {
-                    let id = ids.len() as u32;
+                    let id = (base.len() + ids.len()) as u32;
                     ids.insert(t.to_string(), id);
                     id
                 }
@@ -152,16 +157,44 @@ pub(crate) struct SimProfile {
     singleton: bool,
 }
 
+/// Calls `f` with the text of each of `cell`'s assignments that the token
+/// prefilter profiles: an `exact` value's text, a `contain` span's whole
+/// text.
+fn profiled_texts(cell: &Cell, store: &DocumentStore, mut f: impl FnMut(&str)) {
+    for a in cell.assignments() {
+        match a {
+            Assignment::Exact(v) => f(&v.as_text(store)),
+            Assignment::Contain(s) => f(store.span_text(s)),
+        }
+    }
+}
+
+/// True when every token the prefilter profiles `narrow` by is one it
+/// profiles `wide` by. Narrowing a cell keeps this true except where a
+/// `contain` region cuts a word: "released 1954" cut after its "1" gains
+/// the token "1".
+pub(crate) fn tokens_within(narrow: &Cell, wide: &Cell, store: &DocumentStore) -> bool {
+    let mut buf = String::new();
+    let mut wide_tokens = std::collections::HashSet::new();
+    profiled_texts(wide, store, |text| {
+        each_token(text, &mut buf, |t| {
+            if !wide_tokens.contains(t) {
+                wide_tokens.insert(t.to_string());
+            }
+        });
+    });
+    let mut within = true;
+    profiled_texts(narrow, store, |text| {
+        each_token(text, &mut buf, |t| within &= wide_tokens.contains(t));
+    });
+    within
+}
+
 impl SimProfile {
     /// The profile of `cell`, its tokens interned in `ids`.
     pub(crate) fn of(cell: &Cell, store: &DocumentStore, ids: &mut Interner) -> SimProfile {
         let mut tokens = Vec::new();
-        for a in cell.assignments() {
-            match a {
-                Assignment::Exact(v) => ids.push_ids(&v.as_text(store), &mut tokens),
-                Assignment::Contain(s) => ids.push_ids(store.span_text(s), &mut tokens),
-            }
-        }
+        profiled_texts(cell, store, |text| ids.push_ids(text, &mut tokens));
         SimProfile {
             tokens: sorted(tokens),
             singleton: cell.singleton(store).is_some(),
@@ -293,30 +326,83 @@ pub(crate) enum SimStep {
     /// The pass's first step: the token prefilter. A pair survives when
     /// its cells share a token, and is decided exactly (not `maybe`) when
     /// both cells are singletons.
-    Prefilter(RowProfiles<SimProfile>, RowProfiles<SimProfile>),
+    Prefilter(RowProfiles<Arc<SimProfile>>, RowProfiles<Arc<SimProfile>>),
     /// Any later step: [`decide`] over the cells' enumerated values.
-    Values(RowProfiles<ValueProfile>, RowProfiles<ValueProfile>),
+    Values(
+        RowProfiles<Arc<ValueProfile>>,
+        RowProfiles<Arc<ValueProfile>>,
+    ),
+}
+
+/// One `similar` step's profiles of some cells, made ahead of the steps
+/// that read them: a step over any rows holding those cells takes the
+/// profiles over, and interns the tokens of the other cells past the
+/// seed's dictionary.
+#[derive(Default)]
+pub(crate) struct SimSeed {
+    ids: Arc<HashMap<String, u32>>,
+    tokens: HashMap<Vec<Assignment>, Arc<SimProfile>>,
+    values: HashMap<Vec<Assignment>, Arc<ValueProfile>>,
+}
+
+impl SimSeed {
+    /// The profiles of `cells` for the prefilter (`first`) or for
+    /// [`decide`], whose cells enumerate at most `enum_cap` values.
+    pub(crate) fn new<'c>(
+        first: bool,
+        cells: impl IntoIterator<Item = &'c Cell>,
+        store: &DocumentStore,
+        enum_cap: u64,
+    ) -> SimSeed {
+        let mut ids = Interner::default();
+        let mut seed = SimSeed::default();
+        for cell in cells {
+            let key = cell.assignments();
+            if first && !seed.tokens.contains_key(key) {
+                let p = Arc::new(SimProfile::of(cell, store, &mut ids));
+                seed.tokens.insert(key.to_vec(), p);
+            } else if !first && !seed.values.contains_key(key) {
+                let p = Arc::new(ValueProfile::of(cell, store, enum_cap, &mut ids));
+                seed.values.insert(key.to_vec(), p);
+            }
+        }
+        seed.ids = Arc::new(ids.ids);
+        seed
+    }
 }
 
 impl SimStep {
     /// Profiles column `lcol` of `l` and column `rcol` of `r` for the
     /// prefilter (`first`) or for [`decide`], whose cells enumerate at
-    /// most `enum_cap` values.
+    /// most `enum_cap` values, taking over what `seed` profiled.
     pub(crate) fn new(
         first: bool,
         (l, lcol): (&CompactTable, usize),
         (r, rcol): (&CompactTable, usize),
         store: &DocumentStore,
         enum_cap: u64,
+        seed: Option<&SimSeed>,
     ) -> SimStep {
-        let mut ids = Interner::default();
+        let empty = SimSeed::default();
+        let seed = seed.unwrap_or(&empty);
+        let mut ids = Interner {
+            base: Arc::clone(&seed.ids),
+            ..Interner::default()
+        };
         if first {
-            let mut side =
-                |t, col| RowProfiles::build(t, col, |c| SimProfile::of(c, store, &mut ids));
+            let mut side = |t, col| {
+                RowProfiles::build(t, col, |c| match seed.tokens.get(c.assignments()) {
+                    Some(p) => Arc::clone(p),
+                    None => Arc::new(SimProfile::of(c, store, &mut ids)),
+                })
+            };
             SimStep::Prefilter(side(l, lcol), side(r, rcol))
         } else {
             let mut side = |t, col| {
-                RowProfiles::build(t, col, |c| ValueProfile::of(c, store, enum_cap, &mut ids))
+                RowProfiles::build(t, col, |c| match seed.values.get(c.assignments()) {
+                    Some(p) => Arc::clone(p),
+                    None => Arc::new(ValueProfile::of(c, store, enum_cap, &mut ids)),
+                })
             };
             SimStep::Values(side(l, lcol), side(r, rcol))
         }
@@ -495,12 +581,32 @@ mod tests {
         fn profiles_decide_as_the_string_predicates(
             l in specs(),
             r in specs(),
+            seeded in specs(),
             enum_cap in 0u64..30,
             combo_cap in 0u64..60,
         ) {
             let mut store = DocumentStore::new();
             let doc = store.add_plain(TEXT);
             let (lc, rc) = (cell_of(&l, doc, &store), cell_of(&r, doc, &store));
+
+            // A step that takes some profiles over from a seed decides as
+            // one that makes them all.
+            let sc = cell_of(&seeded, doc, &store);
+            let table = |c: &Cell| {
+                let mut t = CompactTable::new(vec!["c".into()]);
+                t.push(iflex_ctable::CompactTuple::new(vec![c.clone()]));
+                t
+            };
+            let (lt, rt) = (table(&lc), table(&rc));
+            for first in [true, false] {
+                let seed = SimSeed::new(first, [&lc, &sc], &store, enum_cap);
+                let step = |seed| SimStep::new(first, (&lt, 0), (&rt, 0), &store, enum_cap, seed);
+                prop_assert_eq!(
+                    step(Some(&seed)).eval(0, 0, false, combo_cap),
+                    step(None).eval(0, 0, false, combo_cap),
+                    "first={} {:?} / {:?}", first, lc, rc
+                );
+            }
             let mut ids = Interner::default();
 
             let by_enumeration = filter_cands(

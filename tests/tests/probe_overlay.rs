@@ -28,6 +28,7 @@ fn overlay_probes_match_refined_sizes_on_dblife_tasks() {
                 let spec = ProbeSpec {
                     pred: &q.attr.pred,
                     pos: q.attr.pos,
+                    var: &q.attr.var,
                     feature: &q.feature,
                     values: &values,
                 };
