@@ -11,9 +11,9 @@
 //!   importance, features by a curated appearance → location → semantics
 //!   order;
 //! * [`Simulation`] — sizes each candidate refinement over a sampled
-//!   subset (one count-only engine pass per choice, `Engine::probe_sizes`,
-//!   or the refined program where the rule's shape does not admit the
-//!   count) and picks the question with the minimum expected result size.
+//!   subset (one engine call per choice, `Engine::probe_sizes`, which
+//!   counts the answers it can and runs the refined program of the rest)
+//!   and picks the question with the minimum expected result size.
 //!
 //! [`ConvergenceMonitor`] implements the §5.1 convergence notification:
 //! stable result size and assignment count for k consecutive iterations.

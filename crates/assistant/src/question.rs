@@ -2,8 +2,8 @@
 //! the form "what is the value of feature f for attribute a?", and the
 //! program surgery that folds an answer back into a description rule.
 //! Sizing a candidate answer is the engine's business
-//! (`Engine::probe_sizes`); only shapes it does not admit are sized by
-//! running the refined program [`add_constraint`] builds.
+//! (`Engine::probe_sizes`), which refines a program the way
+//! [`add_constraint`] does.
 
 use iflex_alog::{BodyAtom, Program};
 use iflex_features::{FeatureArg, FeatureRegistry, FeatureValue};

@@ -1,17 +1,15 @@
 //! Question-selection strategies (§5.1): **sequential** (predefined order
 //! over the question space) and **simulation** (size each candidate
 //! refinement and pick the question with the largest expected reduction).
-//! Simulation sizes a candidate with the engine's count-only probe
+//! Simulation sizes every candidate answer with one engine call
 //! ([`Engine::probe_sizes`]): an overlay σ over the query's base relation
 //! for single-input rules, a count over the current result's join lineage
-//! for joins (T3, T6, T9). Only union queries and annotated heads run the
-//! refined program (DESIGN.md §9).
+//! for joins (T3, T6, T9), and a run of the refined program for every
+//! other shape (DESIGN.md §9).
 
 use crate::feedback::Examples;
 use crate::probe::{dynamic_feature, probe_program, probe_spans, spans_answer_space};
-use crate::question::{
-    add_constraint, answer_space, attributes, question_space, Attribute, Question,
-};
+use crate::question::{answer_space, attributes, question_space, Attribute, Question};
 use iflex_alog::{BodyAtom, Program, Term};
 use iflex_engine::{Engine, ProbeSizes, ProbeSpec, Sample};
 use iflex_features::{FeatureArg, FeatureRegistry};
@@ -99,13 +97,15 @@ pub fn attribute_importance(program: &Program, attr: &Attribute) -> u32 {
             for atom in &rule.body {
                 match atom {
                     BodyAtom::Compare { left, right, .. }
-                        if (left.var() == Some(v) || right.var() == Some(v)) => {
-                            score += 3;
-                        }
-                    BodyAtom::Pred { name, args } if name != &attr.pred
-                        && args.iter().any(|a| a.term.var() == Some(v)) => {
-                            score += 2; // join / p-function participation
-                        }
+                        if (left.var() == Some(v) || right.var() == Some(v)) =>
+                    {
+                        score += 3;
+                    }
+                    BodyAtom::Pred { name, args }
+                        if name != &attr.pred && args.iter().any(|a| a.term.var() == Some(v)) =>
+                    {
+                        score += 2; // join / p-function participation
+                    }
                     _ => {}
                 }
             }
@@ -150,7 +150,9 @@ impl Strategy for Sequential {
     }
 
     fn next_question(&mut self, ctx: &mut AssistContext<'_>) -> Option<Question> {
-        ordered_questions(ctx.program, ctx.engine.features(), ctx.asked).into_iter().next()
+        ordered_questions(ctx.program, ctx.engine.features(), ctx.asked)
+            .into_iter()
+            .next()
     }
 }
 
@@ -223,9 +225,8 @@ impl Strategy for Simulation {
             return ordered.into_iter().next();
         }
 
-        // Phase A (serial): derive and prune answer spaces, honoring the
-        // candidate cap in interleaved order. Dynamic spaces probe the
-        // live engine, so this phase stays on the session thread.
+        // Phase A: derive and prune answer spaces, honoring the candidate
+        // cap in interleaved order.
         let mut cands: Vec<(usize, Vec<FeatureArg>)> = Vec::new();
         for (i, q) in ordered.iter().enumerate() {
             let mut space = answer_space(&q.feature);
@@ -249,12 +250,10 @@ impl Strategy for Simulation {
             cands.push((i, space));
         }
 
-        // Phase B: size every (candidate, answer) refinement. The engine
-        // counts every answer it admits in one call (DESIGN.md §9): an
-        // overlay pass over the cached base relation, or a count over the
-        // current result's join lineage. Union queries and annotated heads
-        // run the refined program on snapshot engines. A failed count,
-        // like a failed run, reports the current size.
+        // Phase B: size every (candidate, answer) refinement in one engine
+        // call (DESIGN.md §9). A question whose sizes failed carries no
+        // information, so its answers report the current size, with
+        // saturated assignments so they never win a tie-break.
         let specs: Vec<ProbeSpec<'_>> = cands
             .iter()
             .map(|(i, space)| ProbeSpec {
@@ -266,27 +265,15 @@ impl Strategy for Simulation {
             })
             .collect();
         let counted = count_probes(ctx.engine, ctx.program, ctx.sample, &specs);
-        let mut jobs: Vec<Program> = Vec::new();
-        for ((i, space), sizes) in cands.iter().zip(&counted) {
-            if sizes.is_none() {
-                let q = &ordered[*i];
-                let refine = |v| add_constraint(ctx.program, &q.attr, &q.feature, v);
-                jobs.extend(space.iter().map(refine));
-            }
-        }
-        let mut exact = simulate_jobs(ctx.engine, &jobs, ctx.sample, ctx.current_size).into_iter();
         let results: Vec<Vec<(usize, usize)>> = cands
             .iter()
             .zip(counted)
-            .map(|((_, space), sizes)| match sizes {
-                Some(Ok(sizes)) => sizes,
-                Some(Err(_)) => vec![(ctx.current_size, usize::MAX); space.len()],
-                None => exact.by_ref().take(space.len()).collect(),
+            .map(|((_, space), sizes)| {
+                sizes.unwrap_or_else(|_| vec![(ctx.current_size, usize::MAX); space.len()])
             })
             .collect();
 
-        // Phase C (serial): fold expected sizes in candidate order — the
-        // same arithmetic, in the same order, as the serial walk.
+        // Phase C: fold expected sizes in candidate order.
         //
         // (expected size, expected assignments, index): primary criterion
         // is the paper's expected result size; expected assignments break
@@ -363,8 +350,8 @@ fn interleave_by_attr(by_attr: Vec<Question>) -> Vec<Question> {
     ordered
 }
 
-/// Counts the answers of `specs` with [`Engine::probe_sizes`] inside one
-/// `probe` span, which carries how many answers were counted and the
+/// Sizes the answers of `specs` with [`Engine::probe_sizes`] inside one
+/// `probe` span, which carries how many answers were sized and the
 /// smallest size among them.
 fn count_probes(
     engine: &mut Engine,
@@ -381,7 +368,7 @@ fn count_probes(
     engine.trace_parent = probe_span;
     let out = engine.probe_sizes(program, sample, specs);
     engine.trace_parent = saved;
-    let sizes = out.iter().flatten().flatten().flatten();
+    let sizes = out.iter().flatten().flatten();
     engine.tracer.end_with(
         probe_span,
         &[
@@ -390,112 +377,6 @@ fn count_probes(
         ],
     );
     out
-}
-
-/// Executes one simulated refinement, reporting the projected result size
-/// and assignment count. A failed or degraded probe run carries no
-/// information — a degraded rule's widened stand-in is one tuple, which
-/// would read as the largest reduction — so it reports the current size,
-/// with saturated assignments so it never wins a tie-break.
-///
-/// The refined program shares every rule fingerprint with the current
-/// program except the refined rule and everything downstream of it, so
-/// upstream results are served from the rule cache (DESIGN.md §9). With
-/// `Limits::use_incremental` off (ablation) every probe re-runs the whole
-/// program.
-fn simulate_probe(
-    engine: &mut Engine,
-    refined: &Program,
-    sample: Sample,
-    current_size: usize,
-) -> (usize, usize) {
-    use iflex_engine::obs::{SpanId, SpanKind};
-    // The probe span wraps the whole simulated run; the engine's own
-    // `run → rule → operator` spans nest under it via `trace_parent`.
-    let probe_span = match engine.tracer.ctx(engine.trace_parent) {
-        Some((t, parent)) => t.begin(parent, SpanKind::Probe, "probe"),
-        None => SpanId::NONE,
-    };
-    let saved = engine.trace_parent;
-    engine.trace_parent = probe_span;
-    let out = match engine.run_sampled(refined, sample) {
-        Ok(_) if engine.stats.degraded() => (current_size, usize::MAX),
-        Ok(t) => {
-            let sz = t.expanded_len(engine.store()).min(usize::MAX as u64) as usize;
-            (sz, engine.stats.assignments_produced)
-        }
-        Err(_) => (current_size, usize::MAX),
-    };
-    engine.trace_parent = saved;
-    engine.tracer.end_with(
-        probe_span,
-        &[("size", out.0 as u64), ("assignments", out.1.min(u64::MAX as usize) as u64)],
-    );
-    out
-}
-
-/// Runs every exact probe job, returning results in job order. Only
-/// shapes [`Engine::probe_sizes`] does not count come here: union queries
-/// and annotated heads.
-///
-/// Jobs are split into one contiguous chunk per thread, and each chunk
-/// runs on its own [`Engine::snapshot`] — sharing the document store
-/// and fault plan with the live engine, and starting from a **copy of
-/// the live incremental cache** (so every probe reuses
-/// the current program's upstream rule results). Probes never run on the
-/// live engine, so one thread and many run the same algorithm. Snapshot
-/// engines run their probes serially (`threads = 1`) so simulation-level
-/// fan-out does not multiply with operator-level fan-out. Warm cache entries flow back via
-/// [`Engine::absorb_cache`] in chunk order. Each job is an independent,
-/// deterministic engine run and results are folded in job order, so the
-/// thread count never changes what this returns.
-fn simulate_jobs(
-    engine: &mut Engine,
-    jobs: &[Program],
-    sample: Sample,
-    current_size: usize,
-) -> Vec<(usize, usize)> {
-    let chunk = jobs.len().div_ceil(engine.limits.threads.max(1)).max(1);
-    let snapshots: Vec<Engine> = jobs
-        .chunks(chunk)
-        .map(|_| {
-            let mut e = engine.snapshot();
-            e.limits.threads = 1;
-            e
-        })
-        .collect();
-    let joined = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .zip(snapshots)
-            .map(|(cjobs, mut eng)| {
-                scope.spawn(move || {
-                    let out: Vec<(usize, usize)> = cjobs
-                        .iter()
-                        .map(|p| simulate_probe(&mut eng, p, sample, current_size))
-                        .collect();
-                    (out, eng)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join())
-            .collect::<Vec<_>>()
-    });
-    let mut results = Vec::with_capacity(jobs.len());
-    for (cjobs, outcome) in jobs.chunks(chunk).zip(joined) {
-        match outcome {
-            Ok((out, eng)) => {
-                results.extend(out);
-                engine.absorb_cache(eng);
-            }
-            // A panicking probe worker yields no information for its
-            // chunk — the same treatment as a failed probe run.
-            Err(_) => results.extend(vec![(current_size, usize::MAX); cjobs.len()]),
-        }
-    }
-    results
 }
 
 #[cfg(test)]
@@ -604,8 +485,10 @@ mod tests {
         // the bold-font answer collapses each page to one number, so an
         // appearance or value-bound feature is expected.
         assert!(
-            !answer_space(&q.feature).is_empty() || q.feature == "preceded-by"
-                || q.feature == "followed-by" || q.feature == "max-value"
+            !answer_space(&q.feature).is_empty()
+                || q.feature == "preceded-by"
+                || q.feature == "followed-by"
+                || q.feature == "max-value"
                 || q.feature == "min-value",
             "{q:?}"
         );
@@ -624,7 +507,7 @@ mod tests {
                 engine: &mut eng,
                 asked: &asked,
                 sample: Sample::new(1.0, 0),
-                    current_size: current,
+                current_size: current,
                 examples: Default::default(),
             };
             let q = Simulation::default().next_question(&mut ctx).unwrap();
@@ -670,7 +553,7 @@ mod tests {
         };
         let sizes = eng.probe_sizes(&p, sample, &[spec]);
         assert!(
-            matches!(&sizes[0], Some(Ok(s)) if s.len() == space.len()),
+            matches!(&sizes[0], Ok(s) if s.len() == space.len()),
             "{q:?}"
         );
         assert_eq!(
@@ -714,42 +597,6 @@ mod tests {
         sim.dynamic_space(&mut eng, &p, &attr, "max-value", Sample::new(1.0, 0));
         assert!(eng.stats.degraded());
         assert!(sim.spans.is_empty());
-    }
-
-    #[test]
-    fn a_degraded_exact_probe_reports_no_information() {
-        // An exact probe runs the refined program; with every rule
-        // degrading, the widened stand-in must not read as a one-tuple
-        // result.
-        let mut store = DocumentStore::new();
-        let a = store.add_markup("<b>Data Mining</b> 12");
-        let b = store.add_markup("<i>Data Mining</i> 15");
-        let mut eng = Engine::new(Arc::new(store));
-        eng.add_doc_table("t1", &[a]);
-        eng.add_doc_table("t2", &[b]);
-        let p = parse_program(
-            r#"
-            q(u) :- t1(x), e1(#x, u), t2(y), e2(#y, v), similar(#u, #v).
-            e1(#x, u) :- from(#x, u).
-            e2(#y, v) :- from(#y, v).
-        "#,
-        )
-        .unwrap();
-        let attr = attributes(&p).remove(0);
-        let yes = FeatureArg::Tri(iflex_features::FeatureValue::Yes);
-        let refined = add_constraint(&p, &attr, "bold-font", &yes);
-        eng.fault.arm(
-            iflex_engine::fault::site::EVAL_RULE,
-            iflex_engine::Trigger::Always,
-            iflex_engine::Fault::TooLarge,
-            7,
-        );
-        let sample = Sample::new(1.0, 0);
-        assert_eq!(
-            simulate_probe(&mut eng, &refined, sample, 40),
-            (40, usize::MAX)
-        );
-        assert!(eng.stats.degraded());
     }
 
     #[test]

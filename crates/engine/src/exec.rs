@@ -223,8 +223,8 @@ pub struct ExecStats {
     /// evaluation while the incremental engine was on).
     pub incr_misses: usize,
     /// Incremental-cache entries the byte budget evicted since the
-    /// previous run ended: this run's inserts plus any snapshot caches
-    /// absorbed in between.
+    /// previous run ended: this run's inserts plus any probe sizes and
+    /// join traces memoized in between.
     pub incr_invalidations: usize,
 }
 
@@ -557,23 +557,23 @@ pub struct Engine {
     /// Wall-clock/cancellation budget applied to every run.
     pub budget: RunBudget,
     /// Fault-injection plan (disarmed by default; tests arm it). Shared
-    /// with snapshots so per-site hit counts are global: a fault armed
-    /// `Nth` fires exactly once no matter which worker reaches it.
+    /// with worker threads so per-site hit counts are global: a fault
+    /// armed `Nth` fires exactly once no matter which worker reaches it.
     pub fault: Arc<FaultPlan>,
-    /// The clock of the current (or last) run; `Arc` so snapshots and
-    /// worker threads observe this engine's deadline/cancellation.
+    /// The clock of the current (or last) run; `Arc` so worker threads
+    /// observe this engine's deadline/cancellation.
     clock: Arc<RunClock>,
     /// Lazily computed procedure signatures, reset whenever the
     /// procedure or feature registries are touched mutably.
     proc_sigs_cache: std::sync::OnceLock<Arc<BTreeMap<String, (bool, usize)>>>,
     /// The metrics registry this engine's runs drive. Per-engine (a
-    /// snapshot gets its own), reset at the start of every run;
+    /// fork gets its own), reset at the start of every run;
     /// [`Engine::stats`] is filled from it when a run finishes.
     pub metrics: Registry,
     /// The structured trace journal. Disabled by default (one relaxed
     /// atomic load per probe); sessions enable it per `IFLEX_TRACE` /
-    /// [`Limits::trace`]. Snapshots clone the handle, so every worker
-    /// appends to one shared journal.
+    /// [`Limits::trace`]. Worker threads clone the handle, so every
+    /// worker appends to one shared journal.
     pub tracer: Tracer,
     /// Parent span for the next run's `run` span: the session sets this to
     /// its current iteration/question/probe span so engine spans nest
@@ -597,8 +597,8 @@ pub struct Engine {
     /// The current run's worker pool: created (cheap, no threads yet) at
     /// the start of every run, spawned lazily by the first
     /// parallel-worthy section, reused by every later section of the run,
-    /// and joined at run end. `None` between runs; snapshots and forks
-    /// build their own.
+    /// and joined at run end; a probe's count section builds one the
+    /// same way. `None` otherwise; forks build their own.
     pub(crate) pool: Option<crate::par::RunPool>,
 }
 
@@ -630,54 +630,6 @@ impl Engine {
             flight: FlightRecorder::disabled(),
             pool: None,
         }
-    }
-
-    /// A cheap concurrent-execution snapshot: shares the document store,
-    /// extensional tables, reuse-cache entries, fault plan, and the
-    /// *current* run clock by reference count, with fresh stats and a
-    /// fresh metrics registry (a snapshot's runs never perturb this
-    /// engine's metrics). The trace journal **is** shared — snapshot spans
-    /// land in the same timeline, nested under [`Engine::trace_parent`]
-    /// (which the snapshot inherits). Running a program on the snapshot
-    /// never mutates this engine; results computed by the snapshot can be
-    /// folded back with [`Engine::absorb_cache`].
-    pub fn snapshot(&self) -> Engine {
-        let metrics = Registry::new();
-        let counters = EngineCounters::new(&metrics);
-        Engine {
-            store: Arc::clone(&self.store),
-            features: self.features.clone(),
-            procs: self.procs.clone(),
-            ext: self.ext.clone(),
-            incr: self.incr.clone(),
-            query_key: None,
-            epoch: self.epoch,
-            limits: self.limits,
-            stats: ExecStats::default(),
-            budget: self.budget.clone(),
-            fault: Arc::clone(&self.fault),
-            clock: Arc::clone(&self.clock),
-            proc_sigs_cache: std::sync::OnceLock::new(),
-            metrics,
-            tracer: self.tracer.clone(),
-            trace_parent: self.trace_parent,
-            counters,
-            // Live telemetry and the flight ring are shared: a snapshot's
-            // runs belong to the same tenant's timeline.
-            live: self.live.clone(),
-            flight: self.flight.clone(),
-            pool: None,
-        }
-    }
-
-    /// Folds the reuse-cache entries a snapshot computed back into this
-    /// engine (existing entries win — both engines computed the same
-    /// pure results). No-op if the snapshot diverged (different epoch).
-    pub fn absorb_cache(&mut self, snapshot: Engine) {
-        if snapshot.epoch != self.epoch {
-            return;
-        }
-        self.incr.absorb(snapshot.incr);
     }
 
     /// Freezes this engine into a shareable [`EngineCore`]: the store,

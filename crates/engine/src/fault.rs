@@ -184,10 +184,9 @@ impl FaultPlan {
     ///
     /// The engine calls this when it records a [`crate::Degradation`] so
     /// the record can name the injection site that caused it. Attribution
-    /// is best-effort: snapshot engines running concurrently share the
-    /// plan (clones share state), so under parallel execution the taken
-    /// site is the last one fired by *any* sharer, not necessarily the
-    /// one that degraded this rule.
+    /// is best-effort: a run's worker threads share the plan, so under
+    /// parallel execution the taken site is the last one fired by *any*
+    /// worker, not necessarily the one that degraded this rule.
     pub fn take_last_fired(&self) -> Option<&'static str> {
         self.last_fired.lock().expect("fault plan lock").take()
     }

@@ -22,14 +22,14 @@
 //! last use, and [`IncrCache::insert`] / [`IncrCache::absorb`] evict
 //! least-recently-used entries until the total is within [`BUDGET`]. The
 //! cache's contents depend only on which keys were used, in which order,
-//! never on which program ran last, so simulation probes (run on engine
-//! snapshots and folded back with [`IncrCache::absorb`]) cannot churn the
-//! base program's entries.
+//! never on which program ran last: a Simulation probe that runs a
+//! refined program leaves its rules here for the next question, and the
+//! base program's entries stay as recent as their last use.
 //!
 //! Correctness note: a degraded rule's widened stand-in is **never**
 //! inserted here (the next run must retry the rule exactly), and entries
-//! are pure functions of their key — absorbing a snapshot's entries via
-//! first-writer-wins, or evicting any entry, cannot change results.
+//! are pure functions of their key — absorbing a service fork's entries
+//! via first-writer-wins, or evicting any entry, cannot change results.
 //!
 //! Fingerprint-stability rule (DESIGN.md §11): fingerprints hash the
 //! **pre-optimization** unfolded rule — the logical-plan optimizer runs
@@ -88,8 +88,8 @@ pub(crate) fn table_bytes(t: &CompactTable) -> usize {
 }
 
 /// The incremental re-execution cache. One per [`crate::Engine`];
-/// snapshots clone it and fold results back with
-/// [`crate::Engine::absorb_cache`].
+/// service forks clone the core's and publish theirs back with
+/// [`crate::EngineCore::publish`].
 #[derive(Debug, Clone, Default)]
 pub struct IncrCache {
     entries: BTreeMap<Key, Entry>,
@@ -214,8 +214,8 @@ impl IncrCache {
 
     /// Folds another cache's entries into this one; existing entries win
     /// (both caches computed the same pure results) but take the later of
-    /// the two last uses, so entries a snapshot hit stay recent. The
-    /// engine gates this on epoch equality.
+    /// the two last uses, so entries a fork hit stay recent. The core
+    /// gates this on epoch equality.
     pub fn absorb(&mut self, other: IncrCache) {
         for (k, v) in other.entries {
             match self.entries.entry(k) {
@@ -335,10 +335,10 @@ mod tests {
     fn absorb_keeps_existing_entries() {
         let mut base = IncrCache::new();
         base.insert("q", "full", 1, 0, table(), 5);
-        let mut snap = base.clone();
-        snap.insert("q", "full", 1, 0, table(), 99);
-        snap.insert("r", "full", 2, 0, table(), 1);
-        base.absorb(snap);
+        let mut fork = base.clone();
+        fork.insert("q", "full", 1, 0, table(), 99);
+        fork.insert("r", "full", 2, 0, table(), 1);
+        base.absorb(fork);
         assert_eq!(base.get("q", "full", 1, 0).expect("q").1, 5, "existing wins");
         assert_eq!(base.get("r", "full", 2, 0).expect("r").1, 1, "new folds in");
     }

@@ -2,8 +2,8 @@
 //!
 //! The Simulation strategy ranks a question by the result size
 //! |exec(g(P,(a,f,v)))| after each candidate answer `v`.
-//! [`Engine::probe_sizes`] computes those sizes without running a program
-//! per answer, along one of two paths (DESIGN.md §9):
+//! [`Engine::probe_sizes`] sizes every answer of every question it is
+//! given, along one of three paths (DESIGN.md §9):
 //!
 //! - **Overlay.** Where the query rule admits the split, an answer's
 //!   refinement is one σ step over the rows of the query's **base
@@ -28,6 +28,11 @@
 //!   the join passes only over the result rows whose probed-side row
 //!   survives — the paper's §5.2 reuse ("re-execute the parts of the plan
 //!   that may possibly have changed") inside the join operator.
+//! - **Refined run.** Every other answer — a union query, an annotated
+//!   head, a changed join skeleton, a predicate called at several sites, a
+//!   join refinement that cuts a word a token prefilter reads — runs its
+//!   [`refine`]d program on this engine. Its upstream rules come from the
+//!   rule cache, and its own rules land there for the next question.
 //!
 //! The base relation and the current program's result come from the rule
 //! cache, and the sizes (and the trace) are memoized on that cache entry:
@@ -67,11 +72,10 @@ pub struct ProbeSpec<'a> {
     pub values: &'a [FeatureArg],
 }
 
-/// What [`Engine::probe_sizes`] reports for one [`ProbeSpec`]: `None` when
-/// the program's shape does not admit a count-only probe of the attribute,
-/// otherwise `(size, assignments)` per answer, in order — or the error
-/// that left the sizes unknown.
-pub type ProbeSizes = Option<Result<Vec<(usize, usize)>, EngineError>>;
+/// What [`Engine::probe_sizes`] reports for one [`ProbeSpec`]:
+/// `(size, assignments)` per answer, in order, or the error that left the
+/// sizes unknown.
+pub type ProbeSizes = Result<Vec<(usize, usize)>, EngineError>;
 
 /// `program` with `feature(var) = value` appended to every description
 /// rule of the IE predicate `pred` (§5.1: "iFlex adds the predicate
@@ -494,10 +498,6 @@ impl Restricted<'_> {
 /// stopped it.
 type JoinCount = Result<Option<(u64, u64)>, EngineError>;
 
-/// The memo entry of an answer whose count cannot stand for the refined
-/// run, so that the next call probes its question exactly at once.
-const INEXACT: (usize, u64) = (usize::MAX, u64::MAX);
-
 /// The refined program's count for `job` over `trace`: its leaf pass over
 /// the source tuples of the leaf rows some result row reads, then the
 /// join passes over the result rows whose probed-side row survives.
@@ -633,8 +633,7 @@ impl Engine {
     /// `sample`: for each answer, the `expanded_len` of the refined
     /// program's result and the run's `assignments_produced` — what
     /// running the split program of DESIGN.md §9 (overlay probes) or the
-    /// refined program (join probes) would report — without building that
-    /// program's result.
+    /// refined program (join probes and every other shape) reports.
     ///
     /// Overlay probes run the base relation (or serve it from the rule
     /// cache) once per call, then one morsel-parallel pass sends each base
@@ -643,42 +642,68 @@ impl Engine {
     /// rows. Join probes run the current program once per call and count
     /// every answer in one morsel section over its `JoinTrace`. Sizes
     /// (and the trace) are memoized on the cache entry, so a repeated call
-    /// evaluates no rule and scans no tuple. [`Engine::stats`] describes
-    /// the last run.
+    /// evaluates no rule and scans no tuple. An answer neither count
+    /// admits — or a join answer whose refinement cuts a word the token
+    /// prefilter reads — is sized by running its [`refine`]d program; a
+    /// join answer's run is memoized like its count. [`Engine::stats`]
+    /// describes the last run.
     ///
-    /// A spec whose shape neither path admits, or whose refinement cuts a
-    /// word a join's token prefilter reads, reports `None` (the caller
-    /// probes the refined program instead). A degraded run, an expired
-    /// deadline, a cancellation, an injected fault or a panic in the count
-    /// reports `Some(Err(_))` — no size — and nothing is memoized from it;
-    /// a feature error fails its own question only.
+    /// A degraded run, an expired deadline, a cancellation, an injected
+    /// fault or a panic in a count or a refined run fails its whole
+    /// question with `Err`, and nothing is memoized from it; a feature
+    /// error fails its own question only.
     pub fn probe_sizes(
         &mut self,
         prog: &Program,
         sample: Sample,
         specs: &[ProbeSpec<'_>],
     ) -> Vec<ProbeSizes> {
-        let Some(split) = split(prog) else {
-            return specs.iter().map(|_| None).collect();
-        };
-        let cols: Vec<Option<usize>> = specs
-            .iter()
-            .map(|s| self.probed_col(&split, s.pred, s.pos))
-            .collect();
-        let mut out: Vec<ProbeSizes> = specs.iter().map(|_| None).collect();
-        if cols.iter().any(Option::is_some) {
-            self.count_overlay(&split, sample, specs, &cols, &mut out);
+        let mut out: Vec<Option<ProbeSizes>> = vec![None; specs.len()];
+        if let Some(split) = split(prog) {
+            let cols: Vec<Option<usize>> = specs
+                .iter()
+                .map(|s| self.probed_col(&split, s.pred, s.pos))
+                .collect();
+            if cols.iter().any(Option::is_some) {
+                self.count_overlay(&split, sample, specs, &cols, &mut out);
+            }
+            if cols.iter().any(Option::is_none) {
+                let joins: Vec<usize> = (0..specs.len()).filter(|&i| cols[i].is_none()).collect();
+                self.count_joins(prog, split.rule, sample, specs, &joins, &mut out);
+            }
         }
-        if cols.iter().any(Option::is_none) {
-            let joins: Vec<usize> = (0..specs.len()).filter(|&i| cols[i].is_none()).collect();
-            self.count_joins(prog, split.rule, sample, specs, &joins, &mut out);
-        }
-        out
+        out.into_iter()
+            .zip(specs)
+            .map(|(sizes, spec)| match sizes {
+                Some(sizes) => sizes,
+                // Neither count admits the spec: run each answer.
+                None => spec
+                    .values
+                    .iter()
+                    .map(|v| self.refined_size(prog, sample, spec, v))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// `(expanded_len, assignments_produced)` of the refinement of `prog`
+    /// by `spec`'s answer `v`, run over `sample`.
+    fn refined_size(
+        &mut self,
+        prog: &Program,
+        sample: Sample,
+        spec: &ProbeSpec<'_>,
+        v: &FeatureArg,
+    ) -> Result<(usize, usize), EngineError> {
+        let refined = refine(prog, spec.pred, spec.var, spec.feature, v);
+        let t = self.clean_run(&refined, sample)?;
+        let size = t.expanded_len(self.store()).min(usize::MAX as u64) as usize;
+        Ok((size, self.stats.assignments_produced))
     }
 
     /// Runs `prog` over `sample`: its result, or the run's error — or its
     /// first degradation's, since a degraded run is no result to count
-    /// over.
+    /// over or to size.
     fn clean_run(
         &mut self,
         prog: &Program,
@@ -699,7 +724,7 @@ impl Engine {
         sample: Sample,
         specs: &[ProbeSpec<'_>],
         cols: &[Option<usize>],
-        out: &mut [ProbeSizes],
+        out: &mut [Option<ProbeSizes>],
     ) {
         for ((o, c), s) in out.iter_mut().zip(cols).zip(specs) {
             if c.is_some() {
@@ -781,7 +806,8 @@ impl Engine {
 
     /// The join path: each spec of `todo` whose answers all change only
     /// one leaf pass of `prog`'s join skeleton, counted over the current
-    /// program's [`JoinTrace`]. A spec left `None` is probed exactly.
+    /// program's [`JoinTrace`]; an answer whose count cannot stand for
+    /// its refined run is run. A spec left `None` is run whole.
     fn count_joins(
         &mut self,
         prog: &Program,
@@ -789,7 +815,7 @@ impl Engine {
         sample: Sample,
         specs: &[ProbeSpec<'_>],
         todo: &[usize],
-        out: &mut [ProbeSizes],
+        out: &mut [Option<ProbeSizes>],
     ) {
         let Some(parent) = self.skeleton(prog) else {
             return;
@@ -820,7 +846,7 @@ impl Engine {
         let key = self.query_key.take();
 
         // Memo hits fill in directly; every other answer must refine one
-        // leaf pass, or its spec is probed exactly. The compiler places a
+        // leaf pass, or its spec is run whole. The compiler places a
         // constraint by its variable and the optimizer's model reads no
         // constraint argument, so the answers of one spec compile to one
         // plan up to the new constraint's argument: the first is compiled,
@@ -836,7 +862,7 @@ impl Engine {
                 let probe = format!("join {}/{} {}={v:?}", spec.pred, spec.pos, spec.feature);
                 if let Some(memo) = key.as_ref().and_then(|k| self.incr.probe_size(k, &probe)) {
                     sizes[j] = (memo.0, memo.1 as usize);
-                    return memo != INEXACT;
+                    return true;
                 }
                 let (leaf, steps) = match &compiled {
                     Some((leaf, steps, at)) => {
@@ -915,27 +941,27 @@ impl Engine {
             }
         };
         for ((i, j, probe), count) in todo_jobs.into_iter().zip(counts) {
-            let memo = match count {
-                Ok(Some((size, vol))) => {
-                    let size = size.min(usize::MAX as u64) as usize;
+            if !matches!(out[i], Some(Ok(_))) {
+                continue; // an earlier answer of this spec failed
+            }
+            let size = match count {
+                Ok(Some((size, vol))) => Ok((size.min(usize::MAX as u64) as usize, vol)),
+                // The refinement cuts a word a prefilter reads: run it.
+                Ok(None) => self
+                    .refined_size(prog, sample, &specs[i], &specs[i].values[j])
+                    .map(|(size, vol)| (size, vol as u64)),
+                Err(e) => Err(e),
+            };
+            match size {
+                Ok((size, vol)) => {
                     if let Some(Ok(sizes)) = &mut out[i] {
                         sizes[j] = (size, vol.min(usize::MAX as u64) as usize);
                     }
-                    (size, vol)
-                }
-                Ok(None) => {
-                    out[i] = None;
-                    INEXACT
-                }
-                Err(e) => {
-                    if out[i].is_some() {
-                        out[i] = Some(Err(e));
+                    if let Some(k) = &key {
+                        self.incr.memo_probe(k, probe, (size, vol));
                     }
-                    continue;
                 }
-            };
-            if let Some(k) = &key {
-                self.incr.memo_probe(k, probe, memo);
+                Err(e) => out[i] = Some(Err(e)),
             }
         }
     }
@@ -975,27 +1001,37 @@ impl Engine {
         })
     }
 
-    /// Evaluates the query rule of skeleton `skel` over `sample` with row
-    /// lineage, behind the rule boundary: the `engine.eval_rule` fault
-    /// site fires once, and a panic becomes [`EngineError::RulePanic`].
-    fn join_trace(&mut self, skel: &Skeleton, sample: Sample) -> Result<JoinTrace, EngineError> {
+    /// Runs `body` as one evaluation behind the rule boundary: with a
+    /// worker pool of its own, after the `engine.eval_rule` fault site
+    /// fires once, and with a panic turned into
+    /// [`EngineError::RulePanic`].
+    fn rule_boundary<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
         self.pool = Some(crate::par::RunPool::new(self.limits.threads));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(f) = self.fault.hit(site::EVAL_RULE) {
                 return Err(injected(f));
             }
-            let mut leaves = Vec::with_capacity(skel.leaves.len());
-            for (table, steps) in &skel.leaves {
-                leaves.push(self.trace_leaf(table, steps, sample)?);
-            }
-            let (_, lineage, _) = self.trace_join(&skel.root, &leaves)?;
-            Ok(JoinTrace { leaves, lineage })
+            body(self)
         }));
         self.pool = None;
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(EngineError::RulePanic(panic_message(payload.as_ref()))),
-        }
+        caught
+            .unwrap_or_else(|payload| Err(EngineError::RulePanic(panic_message(payload.as_ref()))))
+    }
+
+    /// Evaluates the query rule of skeleton `skel` over `sample` with row
+    /// lineage, behind the rule boundary.
+    fn join_trace(&mut self, skel: &Skeleton, sample: Sample) -> Result<JoinTrace, EngineError> {
+        self.rule_boundary(|eng| {
+            let mut leaves = Vec::with_capacity(skel.leaves.len());
+            for (table, steps) in &skel.leaves {
+                leaves.push(eng.trace_leaf(table, steps, sample)?);
+            }
+            let (_, lineage, _) = eng.trace_join(&skel.root, &leaves)?;
+            Ok(JoinTrace { leaves, lineage })
+        })
     }
 
     /// A leaf's pass over the sampled `table`, each row kept with its
@@ -1066,21 +1102,15 @@ impl Engine {
     }
 
     /// Counts every job over `trace` in one morsel section, parallel
-    /// across answers, behind the rule boundary: the `engine.eval_rule`
-    /// fault site fires once, and a panic becomes
-    /// [`EngineError::RulePanic`]. A feature error fails its own answer; a
-    /// clock trip, an injected fault or a panic fails all.
+    /// across answers, behind the rule boundary. A feature error fails its
+    /// own answer; a clock trip, an injected fault or a panic fails all.
     fn count_restricted(
         &mut self,
         trace: Arc<JoinTrace>,
         mut joins: JoinPlan,
         mut jobs: Vec<JoinJob>,
     ) -> Result<Vec<JoinCount>, EngineError> {
-        self.pool = Some(crate::par::RunPool::new(self.limits.threads));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(f) = self.fault.hit(site::EVAL_RULE) {
-                return Err(injected(f));
-            }
+        self.rule_boundary(|eng| {
             // Per leaf, its rows some result row reads.
             let used: Vec<Vec<u32>> = (0..trace.leaves.len())
                 .map(|k| {
@@ -1092,12 +1122,12 @@ impl Engine {
             // profiled once here, not once per answer; a narrowed column
             // is token-checked only where a prefilter reads it.
             let mut read = BTreeSet::new();
-            seed(&mut joins, &trace, &used, self.store(), &mut read);
+            seed(&mut joins, &trace, &used, eng.store(), &mut read);
             for job in &mut jobs {
                 job.check.retain(|&c| read.contains(&(job.leaf, c)));
             }
-            let ec = self.eval_ctx();
-            let mut section = self.section_ctx(self.trace_parent);
+            let ec = eng.eval_ctx();
+            let mut section = eng.section_ctx(eng.trace_parent);
             // An answer is a leaf pass and a join's worth of work: one
             // answer per morsel keeps both threads busy.
             section.cfg.min = 1;
@@ -1109,14 +1139,9 @@ impl Engine {
                     })
                     .collect()
             });
-            self.note_section(&mr.stats);
+            eng.note_section(&mr.stats);
             mr.merge()
-        }));
-        self.pool = None;
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(EngineError::RulePanic(panic_message(payload.as_ref()))),
-        }
+        })
     }
 
     /// The base column a probe of `pred`'s attribute `pos` constrains, when
@@ -1199,26 +1224,19 @@ impl Engine {
     /// pass, summing per pass the surviving rows' `expanded_len` and
     /// extraction volume (`pass_row`'s pre-projection volume plus the
     /// projected cells' assignments). The pass is one evaluation behind
-    /// the rule boundary: the `engine.eval_rule` fault site fires once,
-    /// and a panic becomes [`EngineError::RulePanic`]. An error in one
-    /// pass leaves the others counting; a clock trip or a panic fails all.
+    /// the rule boundary. An error in one pass leaves the others
+    /// counting; a clock trip, an injected fault or a panic fails all.
     fn count_pass(
         &mut self,
         base: &Arc<CompactTable>,
         passes: Vec<Pass>,
     ) -> Result<Vec<Count>, EngineError> {
         let n = passes.len();
-        self.pool = Some(crate::par::RunPool::new(self.limits.threads));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if let Some(f) = self.fault.hit(site::EVAL_RULE) {
-                return Err(injected(f));
-            }
-            let ec = self.eval_ctx();
+        self.rule_boundary(|eng| {
+            let ec = eng.eval_ctx();
             let t = Arc::clone(base);
-            let mr = crate::par::scatter(
-                &self.section_ctx(self.trace_parent),
-                t.len(),
-                move |range| {
+            let mr =
+                crate::par::scatter(&eng.section_ctx(eng.trace_parent), t.len(), move |range| {
                     let mut overlay = vec![None; t.arity()];
                     let mut sums: Vec<Count> = vec![Ok((0, 0)); n];
                     for tup in &t.tuples()[range] {
@@ -1238,9 +1256,8 @@ impl Engine {
                         }
                     }
                     Ok(vec![sums])
-                },
-            );
-            self.note_section(&mr.stats);
+                });
+            eng.note_section(&mr.stats);
             let mut total: Vec<Count> = vec![Ok((0, 0)); n];
             for part in mr.merge()? {
                 for (acc, c) in total.iter_mut().zip(part) {
@@ -1255,12 +1272,7 @@ impl Engine {
                 }
             }
             Ok(total)
-        }));
-        self.pool = None;
-        match caught {
-            Ok(res) => res,
-            Err(payload) => Err(EngineError::RulePanic(panic_message(payload.as_ref()))),
-        }
+        })
     }
 }
 
@@ -1272,7 +1284,8 @@ mod tests {
     use iflex_text::DocumentStore;
 
     /// Whether the probe of attribute `pos` of `pred` in `src` is counted
-    /// over the split; otherwise the caller runs the refined program.
+    /// over the split; otherwise the join count or the refined run sizes
+    /// it.
     fn admits(src: &str, pred: &str, pos: usize) -> bool {
         let p = parse_program(src).unwrap();
         let mut eng = Engine::new(Arc::new(DocumentStore::new()));
@@ -1377,8 +1390,11 @@ mod tests {
         for (src, pred, pos, var) in JOIN_ATTRS {
             assert!(!admits(src, pred, pos), "{pred}.{var} is no overlay");
             let mut eng = join_engine(6);
-            let sizes = join_probe(&mut eng, src, (pred, pos, var), "italic-font", sample);
-            assert!(matches!(sizes, Some(Ok(_))), "{pred}.{var}: {sizes:?}");
+            let (sizes, runs) = traced(&mut eng, |eng| {
+                join_probe(eng, src, (pred, pos, var), "italic-font", sample)
+            });
+            assert!(sizes.is_ok(), "{pred}.{var}: {sizes:?}");
+            assert_eq!(runs, 1, "{pred}.{var}: an answer was run, not counted");
         }
     }
 
@@ -1387,54 +1403,115 @@ mod tests {
         let sample = Sample::new(0.8, 5);
         for threads in [1, 2] {
             for (src, pred, pos, var) in JOIN_ATTRS {
-                let prog = parse_program(src).unwrap();
                 let mut counted = join_engine(10);
                 counted.limits.threads = threads;
                 let mut run = join_engine(10);
                 for feature in ["italic-font", "bold-font", "max-length", "capitalized"] {
                     let got = join_probe(&mut counted, src, (pred, pos, var), feature, sample);
-                    let Some(Ok(got)) = got else {
-                        panic!("{pred}.{var} {feature}: {got:?}");
-                    };
-                    for (v, got) in answers(feature).iter().zip(got) {
-                        let refined = refine(&prog, pred, var, feature, v);
-                        let t = run.run_sampled(&refined, sample).unwrap();
-                        let want = (
-                            t.expanded_len(run.store()) as usize,
-                            run.stats.assignments_produced,
-                        );
-                        assert_eq!(got, want, "{pred}.{var}: {feature} = {v:?}");
-                    }
+                    let want = refined_runs(&mut run, src, (pred, var), feature, sample);
+                    assert_eq!(got.ok(), Some(want), "{pred}.{var}: {feature}");
                 }
             }
         }
     }
 
+    /// `probe`'s result on `eng`, and how many runs it started.
+    fn traced<T>(eng: &mut Engine, probe: impl FnOnce(&mut Engine) -> T) -> (T, usize) {
+        use crate::obs::{Phase, SpanKind};
+        let runs = |eng: &Engine| {
+            let events = eng.tracer.events();
+            let run = |e: &&crate::obs::TraceEvent| e.ph == Phase::Begin && e.kind == SpanKind::Run;
+            events.iter().filter(run).count()
+        };
+        eng.tracer.enable();
+        let before = runs(eng);
+        let out = probe(eng);
+        (out, runs(eng) - before)
+    }
+
+    /// `(expanded_len, assignments_produced)` of the refinement of `src`
+    /// by `feature(var) = v` for each answer `v`, each run on `eng`.
+    fn refined_runs(
+        eng: &mut Engine,
+        src: &str,
+        (pred, var): (&str, &str),
+        feature: &str,
+        sample: Sample,
+    ) -> Vec<(usize, usize)> {
+        let prog = parse_program(src).unwrap();
+        let runs = answers(feature).into_iter().map(|v| {
+            let t = eng
+                .run_sampled(&refine(&prog, pred, var, feature, &v), sample)
+                .unwrap();
+            (
+                t.expanded_len(eng.store()) as usize,
+                eng.stats.assignments_produced,
+            )
+        });
+        runs.collect()
+    }
+
     #[test]
     fn other_joins_probe_exactly() {
         let sample = Sample::new(1.0, 0);
-        let exact = |src: &str, attr| {
-            let mut eng = join_engine(4);
-            eng.procs_mut()
-                .register_generator("extractType", 1, |_, _| Vec::new());
-            join_probe(&mut eng, src, attr, "italic-font", sample).is_none()
-        };
         let union = format!("{T9}\nt9(title1) :- amazon(x), extractAmazonT(#x, title1, np).");
-        assert!(exact(&union, ("extractAmazonT", 1, "t")), "a union");
         let annotated = T9.replace("t9(title1)", "t9(<title1>)");
-        assert!(exact(&annotated, ("extractAmazonT", 1, "t")), "ψ");
         let generator = T9
             .replace("t9(title1)", "t9(title1, kind)")
             .replace("np < bp.", "np < bp, extractType(#title1, kind).");
-        assert!(exact(&generator, ("extractAmazonT", 1, "t")), "a generator");
         let both_sides = r#"
             q(u) :- imdb(x), e(#x, u), ebert(y), e(#y, v), similar(#u, #v).
             e(#x, t) :- from(#x, t).
         "#;
-        assert!(
-            exact(both_sides, ("e", 1, "t")),
-            "one predicate on both sides"
-        );
+        let shapes = [
+            (union.as_str(), ("extractAmazonT", 1, "t"), "a union"),
+            (&annotated, ("extractAmazonT", 1, "t"), "ψ"),
+            (&generator, ("extractAmazonT", 1, "t"), "a generator"),
+            (both_sides, ("e", 1, "t"), "one predicate on both sides"),
+        ];
+        for (src, (pred, pos, var), case) in shapes {
+            let engine = || {
+                let mut eng = join_engine(4);
+                eng.procs_mut()
+                    .register_generator("extractType", 1, |_, _| Vec::new());
+                eng
+            };
+            let mut eng = engine();
+            let (got, runs) = traced(&mut eng, |eng| {
+                join_probe(eng, src, (pred, pos, var), "italic-font", sample)
+            });
+            let want = refined_runs(&mut engine(), src, (pred, var), "italic-font", sample);
+            assert_eq!(got.as_ref().ok(), Some(&want), "{case}");
+            assert_eq!(runs, want.len(), "{case}: one run per answer");
+        }
+    }
+
+    #[test]
+    fn a_failed_refined_run_fails_its_question_and_is_not_memoized() {
+        use crate::fault::{Fault, FaultPlan, Trigger};
+        let sample = Sample::new(1.0, 0);
+        let union = format!("{T9}\nt9(title1) :- amazon(x), extractAmazonT(#x, title1, np).");
+        let attr = ("extractAmazonT", 1, "t");
+        let want = join_probe(&mut join_engine(2), &union, attr, "bold-font", sample);
+        assert!(want.is_ok(), "{want:?}");
+        let faults = [
+            (Trigger::Nth(0), Fault::TooLarge),
+            (Trigger::Nth(0), Fault::Panic("probe".into())),
+            (Trigger::Always, Fault::TooLarge),
+        ];
+        for (trigger, fault) in faults {
+            let case = format!("{trigger:?} {fault:?}");
+            let mut eng = join_engine(2);
+            eng.fault.arm(site::EVAL_RULE, trigger, fault, 7);
+            let failed = join_probe(&mut eng, &union, attr, "bold-font", sample);
+            assert!(failed.is_err(), "{case}: {failed:?}");
+            if trigger == Trigger::Always {
+                assert_eq!(eng.incr.len(), 0, "{case}: a degraded rule was cached");
+            }
+            eng.fault = Arc::new(FaultPlan::disarmed());
+            let again = join_probe(&mut eng, &union, attr, "bold-font", sample);
+            assert_eq!(format!("{again:?}"), format!("{want:?}"), "{case}");
+        }
     }
 
     #[test]
@@ -1513,12 +1590,12 @@ mod tests {
                 let mut eng = join_engine(2);
                 eng.run_sampled(&prog, sample).unwrap();
                 if traced {
-                    join_probe(&mut eng, T9, attr, "italic-font", sample);
+                    join_probe(&mut eng, T9, attr, "italic-font", sample).unwrap();
                 }
                 eng.fault.arm(at, Trigger::Nth(0), fault.clone(), 7);
                 let failed = join_probe(&mut eng, T9, attr, "bold-font", sample);
                 let case = format!("{at} {fault:?} traced={traced}");
-                assert!(matches!(failed, Some(Err(_))), "{case}: {failed:?}");
+                assert!(failed.is_err(), "{case}: {failed:?}");
                 assert_eq!(eng.incr.trace(&key).is_some(), traced, "{case}");
                 assert!(memo(&eng).is_none(), "{case}: a size is memoized");
                 let again = join_probe(&mut eng, T9, attr, "bold-font", sample);
@@ -1529,10 +1606,7 @@ mod tests {
         let mut eng = join_engine(2);
         eng.budget.cancel_token().cancel();
         let failed = join_probe(&mut eng, T9, attr, "bold-font", sample);
-        assert!(
-            matches!(failed, Some(Err(EngineError::Cancelled))),
-            "{failed:?}"
-        );
+        assert!(matches!(failed, Err(EngineError::Cancelled)), "{failed:?}");
     }
 
     #[test]
@@ -1735,7 +1809,7 @@ mod tests {
                         values: &values,
                     };
                     let got = counted.probe_sizes(&prog, sample, &[spec]);
-                    let Some(Ok(got)) = &got[0] else {
+                    let Ok(got) = &got[0] else {
                         panic!("{query} {pred}.{pos} {feature}: {:?}", got[0]);
                     };
                     for (v, &got) in values.iter().zip(got) {
@@ -1852,7 +1926,7 @@ mod tests {
                 .unwrap();
             eng.fault.arm(site::EVAL_RULE, Trigger::Nth(0), fault, 7);
             let failed = eng.probe_sizes(&prog, sample, &spec);
-            assert!(matches!(failed[0], Some(Err(_))), "{failed:?}");
+            assert!(failed[0].is_err(), "{failed:?}");
             assert_eq!(format!("{:?}", eng.probe_sizes(&prog, sample, &spec)), want);
         }
         // A degraded base run is no base to count over.
@@ -1860,7 +1934,7 @@ mod tests {
         eng.budget.cancel_token().cancel();
         let failed = eng.probe_sizes(&prog, sample, &spec);
         assert!(
-            matches!(failed[0], Some(Err(EngineError::Cancelled))),
+            matches!(failed[0], Err(EngineError::Cancelled)),
             "{failed:?}"
         );
         // A feature error fails its own question only.
@@ -1876,7 +1950,7 @@ mod tests {
         let mut eng = engine(12);
         let out = eng.probe_sizes(&prog, sample, &specs);
         assert!(
-            matches!(out[0], Some(Ok(_))) && matches!(out[1], Some(Err(EngineError::Feature(_)))),
+            out[0].is_ok() && matches!(out[1], Err(EngineError::Feature(_))),
             "{out:?}"
         );
     }

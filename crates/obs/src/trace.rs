@@ -1,8 +1,7 @@
 //! The structured trace journal.
 //!
 //! A [`Tracer`] is a cheap cloneable handle; clones (the engine, its
-//! snapshots, worker threads, the session loop) append to one shared
-//! journal. Every probe starts with a relaxed atomic load of the enabled
+//! worker threads, the session loop) append to one shared journal. Every probe starts with a relaxed atomic load of the enabled
 //! flag — a disabled tracer performs **no allocation and no locking**,
 //! which the counter-based tests below assert and the tier-1 smoke gate
 //! verifies stays overhead-neutral.

@@ -20,6 +20,7 @@ echo "== rustfmt (files formatted so far) =="
 # are checked. A file joins the list once it is formatted, and every new
 # file joins it when it is added.
 rustfmt --check --edition 2021 \
+  crates/assistant/src/strategy.rs \
   crates/engine/src/probe.rs \
   crates/engine/src/similarity.rs \
   tests/tests/probe_overlay.rs \

@@ -7,13 +7,14 @@
 //! (`Engine::probe_sizes`), and by running the refined program
 //! (`add_constraint`). `(expanded_len, assignments_produced)` must agree,
 //! at one thread and at two; the full T9 is checked on one feature. A
-//! question the engine does not count — a refinement that cuts a word,
-//! which the token prefilter may match on — is skipped; each task must
-//! count some.
+//! counted question starts one run, the current program's; an answer
+//! whose refinement cuts a word, which the token prefilter may match on,
+//! is run instead, and must agree too. Each task must count some.
 
 use iflex::assistant::{add_constraint, answer_space, attributes, question_space, Simulation};
 use iflex::prelude::*;
 use iflex_corpus::{Corpus, CorpusConfig, Task, TaskId};
+use iflex_engine::obs::{Phase, SpanKind, TraceEvent};
 use iflex_engine::ProbeSpec;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -58,6 +59,13 @@ fn session_programs(c: &Corpus, task: &Task) -> Vec<Program> {
     programs
 }
 
+/// How many runs `engine` has started since its tracer was enabled.
+fn runs(engine: &Engine) -> usize {
+    let events = engine.tracer.events();
+    let run = |e: &&TraceEvent| e.ph == Phase::Begin && e.kind == SpanKind::Run;
+    events.iter().filter(run).count()
+}
+
 /// Checks every question of `program` about one of `features` (every
 /// question, without) at `threads`; returns how many answers were
 /// counted.
@@ -70,6 +78,7 @@ fn check(
 ) -> usize {
     let mut counted = task.engine(c);
     counted.limits.threads = threads;
+    counted.tracer.enable();
     let mut run = task.engine(c);
     let input = run.ext_tables().map(|(_, t)| t.len()).max().unwrap_or(0);
     let sample = Sample::auto(input, SessionConfig::default().sample_seed);
@@ -93,12 +102,13 @@ fn check(
             feature: &q.feature,
             values: &values,
         };
-        // A refinement that cuts a word may gain a prefilter token, and
-        // its question is probed exactly.
-        let Some(sizes) = counted.probe_sizes(program, sample, &[spec]).remove(0) else {
-            continue;
-        };
+        let before = runs(&counted);
+        let sizes = counted.probe_sizes(program, sample, &[spec]).remove(0);
         let sizes = sizes.unwrap_or_else(|e| panic!("{:?}: {}: {e}", task.id, q.text));
+        // One run for the current program, plus one per answer whose
+        // refinement cuts a word and may gain a prefilter token.
+        let started = runs(&counted) - before;
+        assert!(started <= 1 + values.len(), "{:?}: {}", task.id, q.text);
         for (v, got) in values.iter().zip(sizes) {
             let refined = add_constraint(program, &q.attr, &q.feature, v);
             let t = run
@@ -113,7 +123,7 @@ fn check(
                 "{:?} threads={threads}: {} = {v:?}\n{program}",
                 task.id, q.text
             );
-            n += 1;
+            n += usize::from(started <= 1);
         }
     }
     n
