@@ -300,7 +300,10 @@ mod tests {
         assert!(c.get("a", "full", 1, 0).is_some()); // refresh a: b is now oldest
         c.insert("d", "full", 4, 0, rows(n), 0);
         assert_eq!(c.take_evicted(), 1);
-        assert!(c.get("b", "full", 2, 0).is_none(), "least recently used goes");
+        assert!(
+            c.get("b", "full", 2, 0).is_none(),
+            "least recently used goes"
+        );
         for (rel, fp) in [("a", 1), ("c", 3), ("d", 4)] {
             assert!(c.get(rel, "full", fp, 0).is_some(), "{rel} survives");
         }
@@ -339,7 +342,11 @@ mod tests {
         fork.insert("q", "full", 1, 0, table(), 99);
         fork.insert("r", "full", 2, 0, table(), 1);
         base.absorb(fork);
-        assert_eq!(base.get("q", "full", 1, 0).expect("q").1, 5, "existing wins");
+        assert_eq!(
+            base.get("q", "full", 1, 0).expect("q").1,
+            5,
+            "existing wins"
+        );
         assert_eq!(base.get("r", "full", 2, 0).expect("r").1, 1, "new folds in");
     }
 

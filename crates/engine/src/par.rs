@@ -295,7 +295,11 @@ struct MorselSpan<'a> {
 }
 
 impl<'a> MorselSpan<'a> {
-    fn begin(trace: Option<&'a (Tracer, SpanId)>, range: &Range<usize>, stolen: bool) -> Option<Self> {
+    fn begin(
+        trace: Option<&'a (Tracer, SpanId)>,
+        range: &Range<usize>,
+        stolen: bool,
+    ) -> Option<Self> {
         trace.map(|(tracer, parent)| MorselSpan {
             id: tracer.begin(*parent, SpanKind::Morsel, &format!("morsel{}", range.start)),
             tracer,
@@ -625,9 +629,13 @@ mod tests {
         let run = |items: Vec<u64>| {
             move |r: Range<usize>| Ok(items[r].iter().map(|x| x * 3 + 1).collect())
         };
-        let serial = scatter(&SectionCtx::new(None, tiny()), items.len(), run(items.clone()))
-            .merge()
-            .unwrap();
+        let serial = scatter(
+            &SectionCtx::new(None, tiny()),
+            items.len(),
+            run(items.clone()),
+        )
+        .merge()
+        .unwrap();
         for threads in [2, 3, 8] {
             let pool = RunPool::new(threads);
             let ctx = SectionCtx::new(Some(&pool), MorselCfg { min: 8, max: 64 });
@@ -685,10 +693,7 @@ mod tests {
     /// Forces a steal deterministically: participant 0's segment is free,
     /// the workers' segments sleep per item, so the caller drains its own
     /// segment and then must steal from a sleeping victim's back.
-    fn stealing_section(
-        n: usize,
-        fault: Option<FaultPlan>,
-    ) -> MorselRun<usize> {
+    fn stealing_section(n: usize, fault: Option<FaultPlan>) -> MorselRun<usize> {
         let pool = RunPool::new(2);
         let mut ctx = SectionCtx::new(Some(&pool), MorselCfg { min: 2, max: 2 });
         ctx.fault = fault;

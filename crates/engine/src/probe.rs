@@ -23,11 +23,16 @@
 //!   `VarUnify`, SOME past `ENUM_CAP`), so the pairs the refined program
 //!   keeps are a subset of those the current program keeps. The current
 //!   program is evaluated once with row **lineage** (a [`JoinTrace`]: each
-//!   leaf row's source tuple, each result row's leaf rows); an answer then
-//!   re-runs its leaf pass on the source tuples some result row reads, and
-//!   the join passes only over the result rows whose probed-side row
-//!   survives — the paper's §5.2 reuse ("re-execute the parts of the plan
-//!   that may possibly have changed") inside the join operator.
+//!   leaf row's source tuple, each result row's leaf rows). A result row
+//!   contributes `(expanded_len, volume)` on its own, and the join passes
+//!   are deterministic in their cells, so the trace also keeps, per leaf
+//!   row `r`, the summed contribution `W(r)` of the result rows that read
+//!   it. An answer then re-runs its leaf pass on the source tuples some
+//!   result row reads and counts as a **delta**: a leaf row the answer
+//!   left cell-for-cell unchanged adds its `W(r)`, a dropped one nothing,
+//!   and the join passes run only over the result rows whose probed leaf
+//!   row narrowed — the paper's §5.2 reuse ("re-execute the parts of the
+//!   plan that may possibly have changed") inside the join operator.
 //! - **Refined run.** Every other answer — a union query, an annotated
 //!   head, a changed join skeleton, a predicate called at several sites, a
 //!   join refinement that cuts a word a token prefilter reads — runs its
@@ -44,6 +49,7 @@
 use crate::eval::ENUM_CAP;
 use crate::exec::{injected, panic_message, Engine, EngineError, EvalCtx, Pass};
 use crate::fault::site;
+use crate::obs::SpanKind;
 use crate::pfunc::Procedure;
 use crate::plan::{compile_rule, extracts, to_constraint_arg, CompiledConstraint, FusedOp, Plan};
 use crate::sample::Sample;
@@ -317,17 +323,38 @@ impl Skeleton {
     }
 }
 
-/// One leaf of a [`JoinTrace`]: the rows its pass emitted, and the
-/// sampled source tuple each came from.
+/// What the result rows reading one leaf row contribute to a count
+/// together: `W(r)` of DESIGN.md §9.
+#[derive(Debug, Clone, Copy, Default)]
+struct Weight {
+    /// How many result rows read the leaf row.
+    rows: u64,
+    /// Their summed `expanded_len`.
+    len: u64,
+    /// Their summed extraction volume.
+    volume: u64,
+}
+
+/// One leaf of a [`JoinTrace`]: the rows its pass emitted, the sampled
+/// source tuple each came from, and what the result rows reading each
+/// one contribute.
 #[derive(Debug)]
 struct TraceLeaf {
     rows: Arc<CompactTable>,
     sources: CompactTable,
+    /// Each row's `W(r)`, by row.
+    weights: Vec<Weight>,
+    /// The rows some result row reads, ascending.
+    used: Vec<u32>,
 }
 
 /// The current program's query rule evaluated with row lineage, which
-/// join probes count refinements over (DESIGN.md §9). Memoized on the
-/// query's rule-cache entry.
+/// join probes count refinements over (DESIGN.md §9): each leaf row's
+/// source tuple, each result row's leaf rows, and per leaf row the summed
+/// contribution `W(r)` — `expanded_len` and extraction volume — of the
+/// result rows that read it, which an answer leaving that row unchanged
+/// adds instead of re-evaluating them. Memoized on the query's rule-cache
+/// entry.
 #[derive(Debug)]
 pub(crate) struct JoinTrace {
     /// The skeleton's leaves, left to right.
@@ -340,18 +367,34 @@ pub(crate) struct JoinTrace {
 impl JoinTrace {
     /// Estimated heap bytes, counted against the rule cache's budget.
     pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of;
         let leaves: usize = self
             .leaves
             .iter()
-            .map(|l| crate::incr::table_bytes(&l.rows) + crate::incr::table_bytes(&l.sources))
+            .map(|l| {
+                crate::incr::table_bytes(&l.rows)
+                    + crate::incr::table_bytes(&l.sources)
+                    + l.weights.len() * size_of::<Weight>()
+                    + l.used.len() * size_of::<u32>()
+            })
             .sum();
-        leaves + self.lineage.len() * std::mem::size_of::<u32>()
+        leaves + self.lineage.len() * size_of::<u32>()
     }
 
     /// The lineage of every result row.
     fn rows(&self) -> std::slice::ChunksExact<'_, u32> {
         self.lineage.chunks_exact(self.leaves.len())
     }
+}
+
+/// A node of a [`Skeleton`] evaluated over the traced leaves: its rows,
+/// each row's volume, and each row's lineage (one leaf row index per leaf
+/// below the node, rows concatenated) with its width.
+struct Traced {
+    rows: Arc<CompactTable>,
+    volumes: Vec<u64>,
+    lineage: Vec<u32>,
+    width: usize,
 }
 
 /// One answer of a join probe: the leaf it refines, that leaf's refined
@@ -379,16 +422,19 @@ enum NodeRows {
     Join(Vec<Option<u32>>, Vec<(Vec<Cell>, u64)>),
 }
 
-/// A refined program's count over the result rows of a [`JoinTrace`]
-/// whose probed-side row survives its refined leaf pass.
+/// The re-evaluated part of a refined program's delta count
+/// ([`count_job`]): the result rows of a [`JoinTrace`] whose probed leaf
+/// row its refined leaf pass narrowed. The rows reading a leaf row it
+/// left unchanged are served from that row's `W(r)`, and the rows reading
+/// one it dropped contribute nothing, so neither appears here.
 struct Restricted<'a> {
     ec: &'a EvalCtx,
     trace: &'a JoinTrace,
     /// The refined leaf.
     probed: usize,
-    /// The refined leaf's rows, by the parent's row index.
+    /// The refined leaf's narrowed rows, by the parent's row index.
     refined: Vec<Option<Vec<Cell>>>,
-    /// The lineage of every result row that survives the refined leaf.
+    /// The lineage of every result row whose probed leaf row narrowed.
     rows: Vec<&'a [u32]>,
 }
 
@@ -424,21 +470,25 @@ impl Restricted<'_> {
         t
     }
 
-    /// Evaluates `plan` over the surviving result rows: a join runs its
+    /// Evaluates `plan` over the narrowed result rows: a join runs its
     /// pass once per distinct (left row, right row) pair they read, with
-    /// its `similar` steps profiled over those rows only. The outer error
-    /// stops the whole call (the clock, an injected fault); the inner one
-    /// fails this answer.
-    fn eval(&self, plan: &JoinPlan) -> Result<Result<NodeRows, EngineError>, EngineError> {
+    /// its `similar` steps profiled over those rows only, and adds the
+    /// pairs to `pairs_rerun`. The outer error stops the whole call (the
+    /// clock, an injected fault); the inner one fails this answer.
+    fn eval(
+        &self,
+        plan: &JoinPlan,
+        pairs_rerun: &mut u64,
+    ) -> Result<Result<NodeRows, EngineError>, EngineError> {
         let (pass, seeds, left, right) = match plan {
             JoinPlan::Leaf(k) => return Ok(Ok(NodeRows::Leaf(*k))),
             JoinPlan::Join(pass, seeds, left, right) => (pass, seeds, left, right),
         };
-        let l = match self.eval(left)? {
+        let l = match self.eval(left, pairs_rerun)? {
             Ok(l) => l,
             Err(e) => return Ok(Err(e)),
         };
-        let r = match self.eval(right)? {
+        let r = match self.eval(right, pairs_rerun)? {
             Ok(r) => r,
             Err(e) => return Ok(Err(e)),
         };
@@ -464,6 +514,7 @@ impl Restricted<'_> {
                 pairs.len() as u32 - 1
             }));
         }
+        *pairs_rerun += pairs.len() as u64;
         let (lt, rt) = (self.side(&l, &lkeys), self.side(&r, &rkeys));
         let pass = pass.profiled(&lt, &rt, &self.ec.store, seeds);
         let mut overlay = vec![None; lt.arity() + rt.arity() + pass.extracts];
@@ -498,9 +549,36 @@ impl Restricted<'_> {
 /// stopped it.
 type JoinCount = Result<Option<(u64, u64)>, EngineError>;
 
-/// The refined program's count for `job` over `trace`: its leaf pass over
-/// the source tuples of the leaf rows some result row reads, then the
-/// join passes over the result rows whose probed-side row survives.
+/// How a call's join counts split their work, reported by its `delta`
+/// trace mark.
+#[derive(Debug, Clone, Copy, Default)]
+struct Delta {
+    /// Leaf rows an answer left unchanged, served from their `W(r)`.
+    leaves_served: u64,
+    /// The result rows reading them.
+    rows_served: u64,
+    /// Result rows whose probed leaf row an answer narrowed, re-evaluated.
+    rows_rerun: u64,
+    /// Distinct pairs the join passes re-evaluated for them.
+    pairs_rerun: u64,
+}
+
+impl Delta {
+    fn add(&mut self, other: Delta) {
+        self.leaves_served += other.leaves_served;
+        self.rows_served += other.rows_served;
+        self.rows_rerun += other.rows_rerun;
+        self.pairs_rerun += other.pairs_rerun;
+    }
+}
+
+/// The refined program's count for `job` over `trace`, as a delta of the
+/// current one: its leaf pass over the source tuples of the leaf rows
+/// some result row reads; then, per surviving leaf row, its `W(r)` when
+/// the refined cells equal the parent's — each such row costing the
+/// clock one tick and the fault plan one `engine.join_tuple` hit, as one
+/// re-evaluated pair would — and otherwise the join passes over the
+/// result rows that read it. When no row narrowed, no join pass runs.
 ///
 /// When the refinement narrows a column a token prefilter reads, the
 /// leaf pass runs over every leaf row, and a refined cell that gains a
@@ -512,15 +590,17 @@ fn count_job(
     ec: &EvalCtx,
     trace: &JoinTrace,
     joins: &JoinPlan,
-    used: &[u32],
     job: &JoinJob,
-) -> Result<JoinCount, EngineError> {
+) -> Result<(JoinCount, Delta), EngineError> {
     let leaf = &trace.leaves[job.leaf];
+    let mut delta = Delta::default();
+    let (mut size, mut volume) = (0u64, 0u64);
     let mut refined = vec![None; leaf.rows.len()];
+    let mut narrowed = false;
     let mut overlay = vec![None; leaf.sources.arity() + job.pass.extracts];
     let every: Vec<u32>;
     let rows: &[u32] = if job.check.is_empty() {
-        used
+        &leaf.used
     } else {
         every = (0..leaf.rows.len() as u32).collect();
         &every
@@ -530,58 +610,76 @@ fn count_job(
         ec.clock.tick().map_err(EngineError::from)?;
         let src = &leaf.sources.tuples()[i].cells;
         let cells = match ec.pass_row(&job.pass, src, &[], None, &mut overlay) {
-            Ok(row) => row.map(|(cells, ..)| cells),
-            Err(e) => return Ok(Err(e)),
+            Ok(Some((cells, ..))) => cells,
+            Ok(None) => continue,
+            Err(e) => return Ok((Err(e), delta)),
         };
-        if let Some(cells) = &cells {
-            let parent = &leaf.rows.tuples()[i].cells;
-            let store = &ec.store;
-            if !job
-                .check
-                .iter()
-                .all(|&c| tokens_within(&cells[c], &parent[c], store))
-            {
-                return Ok(Ok(None));
+        let parent = &leaf.rows.tuples()[i].cells;
+        let w = leaf.weights[i];
+        if cells == *parent {
+            // The join passes are deterministic in their cells, so every
+            // result row reading this row contributes what it did in the
+            // trace.
+            if w.rows > 0 {
+                ec.clock.tick().map_err(EngineError::from)?;
+                if let Some(f) = ec.fault.hit(site::JOIN_TUPLE) {
+                    return Err(injected(f));
+                }
+                size = size.saturating_add(w.len);
+                volume = volume.saturating_add(w.volume);
+                delta.leaves_served += 1;
+                delta.rows_served += w.rows;
             }
+            continue;
         }
-        refined[i] = cells;
+        let store = &ec.store;
+        if !job
+            .check
+            .iter()
+            .all(|&c| tokens_within(&cells[c], &parent[c], store))
+        {
+            return Ok((Ok(None), delta));
+        }
+        narrowed |= w.rows > 0;
+        refined[i] = Some(cells);
     }
-    let rows = trace
-        .rows()
-        .filter(|t| refined[t[job.leaf] as usize].is_some())
-        .collect();
-    let restricted = Restricted {
-        ec,
-        trace,
-        probed: job.leaf,
-        refined,
-        rows,
-    };
-    let root = match restricted.eval(joins)? {
-        Ok(NodeRows::Join(_, rows)) => rows,
-        Ok(NodeRows::Leaf(_)) => Vec::new(),
-        Err(e) => return Ok(Err(e)),
-    };
-    // Each result row reads its own root pair, so the root's rows are the
-    // refined result's.
-    let (mut size, mut volume) = (0u64, 0u64);
-    for (cells, v) in &root {
-        let (len, assigns) = row_size(cells, &ec.store);
-        size = size.saturating_add(len);
-        volume = volume.saturating_add(*v).saturating_add(assigns);
+    if narrowed {
+        let rows: Vec<&[u32]> = trace
+            .rows()
+            .filter(|t| refined[t[job.leaf] as usize].is_some())
+            .collect();
+        delta.rows_rerun = rows.len() as u64;
+        let restricted = Restricted {
+            ec,
+            trace,
+            probed: job.leaf,
+            refined,
+            rows,
+        };
+        let root = match restricted.eval(joins, &mut delta.pairs_rerun)? {
+            Ok(NodeRows::Join(_, rows)) => rows,
+            Ok(NodeRows::Leaf(_)) => Vec::new(),
+            Err(e) => return Ok((Err(e), delta)),
+        };
+        // Each result row reads its own root pair, so the root's rows are
+        // the refined result's.
+        for (cells, v) in &root {
+            let (len, assigns) = row_size(cells, &ec.store);
+            size = size.saturating_add(len);
+            volume = volume.saturating_add(*v).saturating_add(assigns);
+        }
     }
-    Ok(Ok(Some((size, volume))))
+    Ok((Ok(Some((size, volume))), delta))
 }
 
 /// Seeds the `similar` steps of `plan` with the profiles of the cells
-/// they read in the current result — the `used` rows of each leaf — and
+/// they read in the current result — the used rows of each leaf — and
 /// returns each output column as the (leaf, column) it passes through,
 /// or `None` for a column a join pass defines. The leaf columns a token
 /// prefilter reads go to `read`.
 fn seed(
     plan: &mut JoinPlan,
     trace: &JoinTrace,
-    used: &[Vec<u32>],
     store: &DocumentStore,
     read: &mut BTreeSet<(usize, usize)>,
 ) -> Vec<Option<(usize, usize)>> {
@@ -592,17 +690,18 @@ fn seed(
         }
         JoinPlan::Join(pass, seeds, left, right) => (pass, seeds, left, right),
     };
-    let mut cols = seed(left, trace, used, store, read);
+    let mut cols = seed(left, trace, store, read);
     let la = cols.len();
-    cols.extend(seed(right, trace, used, store, read));
+    cols.extend(seed(right, trace, store, read));
     for (i, lc, rc) in pass.sim_steps(la) {
         let origins = [cols[lc], cols[la + rc]];
         if i == 0 {
             read.extend(origins.iter().flatten());
         }
         let cells = origins.into_iter().flatten().flat_map(|(k, c)| {
-            let rows = trace.leaves[k].rows.tuples();
-            used[k].iter().map(move |&r| &rows[r as usize].cells[c])
+            let leaf = &trace.leaves[k];
+            let rows = leaf.rows.tuples();
+            leaf.used.iter().map(move |&r| &rows[r as usize].cells[c])
         });
         seeds.resize_with(seeds.len().max(i + 1), || None);
         seeds[i] = Some(SimSeed::new(i == 0, cells, store, ENUM_CAP));
@@ -640,7 +739,9 @@ impl Engine {
     /// row through every answer's one-step σ and the head projection (the
     /// pass evaluator's `pass_row`), adding up sizes instead of building
     /// rows. Join probes run the current program once per call and count
-    /// every answer in one morsel section over its `JoinTrace`. Sizes
+    /// every answer in one morsel section over its `JoinTrace`, as a delta
+    /// that re-evaluates join rows only where the answer narrowed their
+    /// probed leaf row. Sizes
     /// (and the trace) are memoized on the cache entry, so a repeated call
     /// evaluates no rule and scans no tuple. An answer neither count
     /// admits — or a join answer whose refinement cuts a word the token
@@ -1022,15 +1123,36 @@ impl Engine {
     }
 
     /// Evaluates the query rule of skeleton `skel` over `sample` with row
-    /// lineage, behind the rule boundary.
+    /// lineage, behind the rule boundary, and sums each result row's
+    /// contribution into the `W(r)` of every leaf row it reads.
     fn join_trace(&mut self, skel: &Skeleton, sample: Sample) -> Result<JoinTrace, EngineError> {
         self.rule_boundary(|eng| {
             let mut leaves = Vec::with_capacity(skel.leaves.len());
             for (table, steps) in &skel.leaves {
                 leaves.push(eng.trace_leaf(table, steps, sample)?);
             }
-            let (_, lineage, _) = eng.trace_join(&skel.root, &leaves)?;
-            Ok(JoinTrace { leaves, lineage })
+            let root = eng.trace_join(&skel.root, &leaves)?;
+            // A result row contributes what a count sums for it: its
+            // `expanded_len`, and its root pass's volume plus its cells'
+            // assignments.
+            let lineage = root.lineage.chunks_exact(root.width);
+            for ((tup, &v), t) in root.rows.tuples().iter().zip(&root.volumes).zip(lineage) {
+                let (len, assigns) = row_size(&tup.cells, eng.store());
+                for (leaf, &r) in leaves.iter_mut().zip(t) {
+                    let w = &mut leaf.weights[r as usize];
+                    w.rows += 1;
+                    w.len = w.len.saturating_add(len);
+                    w.volume = w.volume.saturating_add(v).saturating_add(assigns);
+                }
+            }
+            for leaf in &mut leaves {
+                let read = |&r: &u32| leaf.weights[r as usize].rows > 0;
+                leaf.used = (0..leaf.weights.len() as u32).filter(read).collect();
+            }
+            Ok(JoinTrace {
+                leaves,
+                lineage: root.lineage,
+            })
         })
     }
 
@@ -1056,24 +1178,24 @@ impl Engine {
             sources.push(ext.tuples()[i].clone());
         }
         Ok(TraceLeaf {
+            weights: vec![Weight::default(); rows.len()],
+            used: Vec::new(),
             rows: Arc::new(rows),
             sources,
         })
     }
 
-    /// `node` over the traced leaves: its rows, and each row's lineage
-    /// (one leaf row index per leaf below `node`, rows concatenated) with
-    /// its width.
-    fn trace_join(
-        &mut self,
-        node: &Node,
-        leaves: &[TraceLeaf],
-    ) -> Result<(Arc<CompactTable>, Vec<u32>, usize), EngineError> {
+    /// `node` over the traced leaves, with each row's volume and lineage.
+    fn trace_join(&mut self, node: &Node, leaves: &[TraceLeaf]) -> Result<Traced, EngineError> {
         let (steps, project, left, right) = match node {
             Node::Leaf(k) => {
                 let rows = Arc::clone(&leaves[*k].rows);
-                let lineage = (0..rows.len() as u32).collect();
-                return Ok((rows, lineage, 1));
+                return Ok(Traced {
+                    volumes: vec![0; rows.len()],
+                    lineage: (0..rows.len() as u32).collect(),
+                    width: 1,
+                    rows,
+                });
             }
             Node::Join {
                 steps,
@@ -1082,28 +1204,40 @@ impl Engine {
                 right,
             } => (steps, project, left, right),
         };
-        let (l, llin, lw) = self.trace_join(left, leaves)?;
-        let (r, rlin, rw) = self.trace_join(right, leaves)?;
+        let l = self.trace_join(left, leaves)?;
+        let r = self.trace_join(right, leaves)?;
         let proj = project.as_ref().map(|(c, n)| (c.as_slice(), n.as_slice()));
-        let pass = self.resolve_pass(steps, proj, Some((&l, &r)))?;
-        let in_cols = l.columns().iter().chain(r.columns()).cloned().collect();
+        let pass = self.resolve_pass(steps, proj, Some((&l.rows, &r.rows)))?;
+        let in_cols = [l.rows.columns(), r.rows.columns()].concat();
         let mut out = CompactTable::new(pass.columns(in_cols, proj));
-        let rows = self.pair_rows(l, r, pass, self.trace_parent)?;
+        let rows = self.pair_rows(l.rows, r.rows, pass, self.trace_parent)?;
         if rows.len() > self.limits.max_result_tuples {
             return Err(EngineError::TooLarge("join result".into()));
         }
+        let (lw, rw) = (l.width, r.width);
         let mut lineage = Vec::with_capacity(rows.len() * (lw + rw));
-        for ((li, ri), tup, _) in rows {
-            lineage.extend_from_slice(&llin[li * lw..][..lw]);
-            lineage.extend_from_slice(&rlin[ri * rw..][..rw]);
+        let mut volumes = Vec::with_capacity(rows.len());
+        for ((li, ri), tup, volume) in rows {
+            lineage.extend_from_slice(&l.lineage[li * lw..][..lw]);
+            lineage.extend_from_slice(&r.lineage[ri * rw..][..rw]);
+            volumes.push(volume);
             out.push(tup);
         }
-        Ok((Arc::new(out), lineage, lw + rw))
+        Ok(Traced {
+            rows: Arc::new(out),
+            volumes,
+            lineage,
+            width: lw + rw,
+        })
     }
 
     /// Counts every job over `trace` in one morsel section, parallel
-    /// across answers, behind the rule boundary. A feature error fails its
-    /// own answer; a clock trip, an injected fault or a panic fails all.
+    /// across answers, behind the rule boundary, each as a delta
+    /// ([`count_job`]). A feature error fails its own answer; a clock
+    /// trip, an injected fault or a panic fails all. With the tracer on, a
+    /// call that counts emits one `delta` mark: the leaf rows and result
+    /// rows its answers served from the trace, and the result rows and
+    /// distinct pairs they re-evaluated.
     fn count_restricted(
         &mut self,
         trace: Arc<JoinTrace>,
@@ -1111,18 +1245,11 @@ impl Engine {
         mut jobs: Vec<JoinJob>,
     ) -> Result<Vec<JoinCount>, EngineError> {
         self.rule_boundary(|eng| {
-            // Per leaf, its rows some result row reads.
-            let used: Vec<Vec<u32>> = (0..trace.leaves.len())
-                .map(|k| {
-                    let rows: BTreeSet<u32> = trace.rows().map(|t| t[k]).collect();
-                    rows.into_iter().collect()
-                })
-                .collect();
             // Each cell of the current result a `similar` step reads is
             // profiled once here, not once per answer; a narrowed column
             // is token-checked only where a prefilter reads it.
             let mut read = BTreeSet::new();
-            seed(&mut joins, &trace, &used, eng.store(), &mut read);
+            seed(&mut joins, &trace, eng.store(), &mut read);
             for job in &mut jobs {
                 job.check.retain(|&c| read.contains(&(job.leaf, c)));
             }
@@ -1133,14 +1260,24 @@ impl Engine {
             section.cfg.min = 1;
             let mr = crate::par::scatter(&section, jobs.len(), move |range| {
                 range
-                    .map(|j| {
-                        let job = &jobs[j];
-                        count_job(&ec, &trace, &joins, &used[job.leaf], job)
-                    })
+                    .map(|j| count_job(&ec, &trace, &joins, &jobs[j]))
                     .collect()
             });
             eng.note_section(&mr.stats);
-            mr.merge()
+            let mut total = Delta::default();
+            let counts = mr.merge()?.into_iter().map(|(count, delta)| {
+                total.add(delta);
+                count
+            });
+            let counts = counts.collect();
+            if let Some((t, parent)) = eng.tracer.ctx(eng.trace_parent) {
+                let note = format!(
+                    "leaf_rows_served={} rows_served={} rows_rerun={} pairs_rerun={}",
+                    total.leaves_served, total.rows_served, total.rows_rerun, total.pairs_rerun
+                );
+                t.instant(parent, SpanKind::Mark, "delta", Some(&note));
+            }
+            Ok(counts)
         })
     }
 
@@ -1439,16 +1576,29 @@ mod tests {
         sample: Sample,
     ) -> Vec<(usize, usize)> {
         let prog = parse_program(src).unwrap();
-        let runs = answers(feature).into_iter().map(|v| {
-            let t = eng
-                .run_sampled(&refine(&prog, pred, var, feature, &v), sample)
-                .unwrap();
-            (
-                t.expanded_len(eng.store()) as usize,
-                eng.stats.assignments_produced,
-            )
-        });
+        let runs = answers(feature)
+            .into_iter()
+            .map(|v| refined_run(eng, &prog, (pred, var), feature, &v, sample));
         runs.collect()
+    }
+
+    /// `(expanded_len, assignments_produced)` of the refinement of `prog`
+    /// by `feature(var) = v`, run on `eng`.
+    fn refined_run(
+        eng: &mut Engine,
+        prog: &Program,
+        (pred, var): (&str, &str),
+        feature: &str,
+        v: &FeatureArg,
+        sample: Sample,
+    ) -> (usize, usize) {
+        let t = eng
+            .run_sampled(&refine(prog, pred, var, feature, v), sample)
+            .unwrap();
+        (
+            t.expanded_len(eng.store()) as usize,
+            eng.stats.assignments_produced,
+        )
     }
 
     #[test]
@@ -1607,6 +1757,138 @@ mod tests {
         eng.budget.cancel_token().cancel();
         let failed = join_probe(&mut eng, T9, attr, "bold-font", sample);
         assert!(matches!(failed, Err(EngineError::Cancelled)), "{failed:?}");
+    }
+
+    /// An engine whose join tables hold two pages: one with bold and
+    /// italic text, one with bold text only. Few pages, so a trace fits
+    /// the unit tests' 4 KiB rule cache.
+    fn mixed_join_engine() -> Engine {
+        let mut store = DocumentStore::new();
+        let pages = [
+            "<title>Conf 0</title> <b>Paper on joins</b> by <i>Ada Lovelace</i> pages 10 - 12 votes 900",
+            "<title>Conf 1</title> <b>Paper on spans</b> by Alan Turing pages 11 - 14 votes 1800",
+        ];
+        let ids: Vec<_> = pages.iter().map(|p| store.add_markup(p)).collect();
+        let mut eng = Engine::new(Arc::new(store));
+        for table in [
+            "imdb", "ebert", "prasanna", "sigmod", "icde", "amazon", "barnes",
+        ] {
+            eng.add_doc_table(table, &ids);
+        }
+        eng
+    }
+
+    /// The last `delta` mark's four figures: leaf rows served, result
+    /// rows served, result rows re-evaluated, pairs re-evaluated.
+    fn last_delta(eng: &Engine) -> [u64; 4] {
+        let events = eng.tracer.events();
+        let mark = events.iter().rev().find(|e| e.name == "delta").unwrap();
+        let note = mark.note.as_deref().unwrap();
+        let mut figures = note
+            .split(' ')
+            .map(|kv| kv.split_once('=').unwrap().1.parse().unwrap());
+        [(); 4].map(|_| figures.next().unwrap())
+    }
+
+    #[test]
+    fn unchanged_leaf_rows_are_served_from_the_trace() {
+        use crate::fault::{Fault, Trigger};
+        use FeatureArg::Num;
+        let sample = Sample::new(1.0, 0);
+        let yes = FeatureArg::Tri(FeatureValue::Yes);
+        // Per attribute: an answer leaving every used leaf row unchanged,
+        // one narrowing every row, and one dropping some rows.
+        let whole_page = [
+            ("min-length", Num(2.0)),
+            ("in-title", yes.clone()),
+            ("italic-font", yes),
+        ];
+        let number = [
+            ("max-length", Num(80.0)),
+            ("min-length", Num(2.0)),
+            ("min-length", Num(4.0)),
+        ];
+        let attrs = [
+            (T3, ("extractEbertT", 1, "t"), &whole_page),
+            (T6, ("extractSIGMOD", 2, "a"), &whole_page),
+            (T9, ("extractAmazonT", 1, "t"), &whole_page),
+            (T9, ("extractBarnesT", 2, "p"), &number),
+        ];
+        for threads in [1, 2] {
+            for (src, (pred, pos, var), answers) in attrs {
+                let prog = parse_program(src).unwrap();
+                let mut eng = mixed_join_engine();
+                eng.limits.threads = threads;
+                eng.run_sampled(&prog, sample).unwrap();
+                let key = eng.query_key.clone().unwrap();
+                // Another question traces the current program.
+                join_probe(&mut eng, src, (pred, pos, var), "underlined", sample).unwrap();
+                let trace = eng.incr.trace(&key).expect("the trace fits the cache");
+                let (feature, v) = &answers[0];
+                let skel = eng.skeleton(&refine(&prog, pred, var, feature, v));
+                let leaf = eng.skeleton(&prog).unwrap().probed_leaf(&skel.unwrap());
+                let used = trace.leaves[leaf.unwrap()].used.len() as u64;
+                let rows = trace.rows().count() as u64;
+                eng.tracer.enable();
+                let never = Trigger::Nth(u64::MAX);
+                eng.fault.arm(site::JOIN_TUPLE, never, Fault::TooLarge, 7);
+                for (kind, (feature, v)) in answers.iter().enumerate() {
+                    let case = format!("threads={threads} {pred}.{var} {feature}={v:?}");
+                    let hits = eng.fault.hit_count(site::JOIN_TUPLE);
+                    let values = [v.clone()];
+                    let spec = ProbeSpec {
+                        pred,
+                        pos,
+                        var,
+                        feature,
+                        values: &values,
+                    };
+                    let got = eng.probe_sizes(&prog, sample, &[spec]).remove(0);
+                    let hits = eng.fault.hit_count(site::JOIN_TUPLE) - hits;
+                    let mut run = mixed_join_engine();
+                    let want = refined_run(&mut run, &prog, (pred, var), feature, v, sample);
+                    assert_eq!(got.ok(), Some(vec![want]), "{case}");
+                    let [leaves_served, rows_served, rows_rerun, pairs_rerun] = last_delta(&eng);
+                    match kind {
+                        0 => {
+                            assert_eq!((leaves_served, rows_served), (used, rows), "{case}");
+                            assert_eq!((rows_rerun, pairs_rerun), (0, 0), "{case}");
+                            assert_eq!(hits, leaves_served, "{case}: a join pair ran");
+                        }
+                        1 => assert_eq!((rows_served, rows_rerun), (0, rows), "{case}"),
+                        _ => {
+                            assert!(rows_rerun > 0, "{case}: nothing narrowed");
+                            assert!(rows_served + rows_rerun < rows, "{case}: nothing dropped");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_join_count_marks_its_delta_when_traced() {
+        let sample = Sample::new(1.0, 0);
+        let attr = ("extractAmazonT", 1, "t");
+        let delta = |e: &&crate::obs::TraceEvent| e.name == "delta";
+        let mut eng = join_engine(2);
+        join_probe(&mut eng, T9, attr, "bold-font", sample).unwrap();
+        assert!(eng.tracer.events().is_empty(), "the tracer is off");
+        eng.tracer.enable();
+        eng.trace_parent = eng
+            .tracer
+            .begin(crate::obs::SpanId::NONE, SpanKind::Probe, "probe");
+        join_probe(&mut eng, T9, attr, "italic-font", sample).unwrap();
+        let events = eng.tracer.events();
+        let marks: Vec<_> = events.iter().filter(delta).collect();
+        assert_eq!(marks.len(), 1, "one mark per call: {marks:?}");
+        assert_eq!(
+            (marks[0].kind, marks[0].parent),
+            (SpanKind::Mark, eng.trace_parent.0)
+        );
+        // A call the memo serves counts nothing.
+        join_probe(&mut eng, T9, attr, "italic-font", sample).unwrap();
+        assert_eq!(eng.tracer.events().iter().filter(delta).count(), 1);
     }
 
     #[test]

@@ -21,6 +21,8 @@ echo "== rustfmt (files formatted so far) =="
 # file joins it when it is added.
 rustfmt --check --edition 2021 \
   crates/assistant/src/strategy.rs \
+  crates/engine/src/incr.rs \
+  crates/engine/src/par.rs \
   crates/engine/src/probe.rs \
   crates/engine/src/similarity.rs \
   tests/tests/probe_overlay.rs \
