@@ -18,6 +18,7 @@
 
 use crate::annotate::{apply_annotations, ATABLE_BUDGET};
 use crate::budget::{DegradeCause, RunBudget, RunClock};
+use crate::constraint::Chain;
 use crate::eval::{
     candidates_budgeted, cells_may_equal, compare_cands, filter_cands, Cands, CMP_ENUM_CAP,
     COMBO_CAP, ENUM_CAP,
@@ -1505,7 +1506,6 @@ impl Engine {
     pub(crate) fn eval_ctx(&self) -> EvalCtx {
         EvalCtx {
             store: Arc::clone(&self.store),
-            features: self.features.clone(),
             clock: Arc::clone(&self.clock),
             fault: Arc::clone(&self.fault),
         }
@@ -1529,8 +1529,10 @@ impl Engine {
     }
 
     /// Resolves a pass once per operator: each filter step's procedure,
-    /// and — for a pass over the pairs of a join's two tables — the
-    /// [`SimStep`]s of [`Pass::profiled`].
+    /// each constraint step's features, and — for a pass over the pairs
+    /// of a join's two tables — the [`SimStep`]s of [`Pass::profiled`].
+    /// An unregistered feature fails here, with the error its first row
+    /// would raise.
     pub(crate) fn resolve_pass(
         &self,
         ops: &[FusedOp],
@@ -1539,16 +1541,23 @@ impl Engine {
     ) -> Result<Pass, EngineError> {
         let mut steps = Vec::with_capacity(ops.len());
         for op in ops {
-            let filter = match op {
+            let (filter, chain) = match op {
                 FusedOp::FilterProc { name, .. } => match self.procs.get(name) {
-                    Some(Procedure::Filter(f)) => Some(f.clone()),
+                    Some(Procedure::Filter(f)) => (Some(f.clone()), None),
                     _ => return Err(EngineError::BadProcedure(name.clone())),
                 },
-                _ => None,
+                FusedOp::Constraint {
+                    constraint, priors, ..
+                } => {
+                    let chain = Chain::resolve(constraint, priors, &self.features)?;
+                    (None, Some(chain))
+                }
+                _ => (None, None),
             };
             steps.push(Step {
                 op: op.clone(),
                 filter,
+                chain,
                 sim: None,
             });
         }
@@ -1801,6 +1810,7 @@ impl Pass {
         let steps = self.steps.iter().zip(sims).map(|(step, sim)| Step {
             op: step.op.clone(),
             filter: step.filter.clone(),
+            chain: step.chain.clone(),
             sim,
         });
         Pass {
@@ -1831,6 +1841,13 @@ struct Step {
     op: FusedOp,
     /// A filter step's procedure.
     filter: Option<crate::pfunc::FilterFn>,
+    /// A constraint step's `Verify`/`Refine` chain, its features looked
+    /// up once per pass. Its kernel verifies an input exact value against
+    /// the step's own constraint only, an exact value that `Refine(k)`
+    /// returned against every constraint but `k`, and runs the §4.2
+    /// worklist, whose round cap counts `Refine` calls only, just for
+    /// mixed cells and regions that carry priors.
+    chain: Option<Chain>,
     /// A built-in `similar` step's per-row profiles of a join's two
     /// sides, which it reads instead of calling `filter`.
     sim: Option<SimStep>,
@@ -1845,7 +1862,6 @@ struct Step {
 #[derive(Clone)]
 pub(crate) struct EvalCtx {
     pub(crate) store: Arc<DocumentStore>,
-    features: FeatureRegistry,
     pub(crate) clock: Arc<RunClock>,
     pub(crate) fault: Arc<FaultPlan>,
 }
@@ -1907,19 +1923,9 @@ impl EvalCtx {
                     overlay[*col] = Some(Cell::expansion(assigns));
                     continue;
                 }
-                FusedOp::Constraint {
-                    col,
-                    constraint,
-                    priors,
-                } => {
-                    let input = cell(overlay, left, right, *col);
-                    let refined = crate::constraint::apply_constraint(
-                        input,
-                        constraint,
-                        priors,
-                        &self.store,
-                        &self.features,
-                    )?;
+                FusedOp::Constraint { col, .. } => {
+                    let chain = step.chain.as_ref().expect("a resolved chain");
+                    let refined = chain.apply(cell(overlay, left, right, *col), &self.store)?;
                     if refined.is_empty() {
                         return Ok(None);
                     }
@@ -2782,6 +2788,67 @@ mod tests {
         for calls in &calls {
             assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 3);
         }
+    }
+
+    /// A feature whose `Refine` returns each token of a region as an
+    /// exact value, and which counts its `Verify` calls.
+    struct ExactTokens(Arc<std::sync::atomic::AtomicUsize>);
+
+    impl iflex_features::Feature for ExactTokens {
+        fn name(&self) -> &'static str {
+            "exact-tokens"
+        }
+
+        fn verify(
+            &self,
+            _: &DocumentStore,
+            _: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<bool, FeatureError> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Ok(true)
+        }
+
+        fn refine(
+            &self,
+            store: &DocumentStore,
+            s: iflex_text::Span,
+            _: &iflex_features::FeatureArg,
+        ) -> Result<Vec<Assignment>, FeatureError> {
+            let toks = store.doc(s.doc).token_slice(&s).iter();
+            let span = |t: &iflex_text::Token| iflex_text::Span::new(s.doc, t.start, t.end);
+            Ok(toks.map(|t| Assignment::exact_span(span(t))).collect())
+        }
+    }
+
+    #[test]
+    fn a_refined_exact_is_never_verified_against_its_producer() {
+        // `Refine(k)` returns only values satisfying `k`, so its exact
+        // values owe the chain's other constraints and not `k`, whichever
+        // of the two steps runs first.
+        let mut store = DocumentStore::new();
+        let d = store.add_plain("one two three");
+        let mut eng = Engine::new(Arc::new(store));
+        eng.add_doc_table("pages", &[d]);
+        let own = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let other = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        eng.features_mut()
+            .register(Arc::new(ExactTokens(Arc::clone(&own))));
+        eng.features_mut()
+            .register(Arc::new(CountVerify("count-a", Arc::clone(&other))));
+        for chain in [
+            "count-a(x) = yes, exact-tokens(x) = yes",
+            "exact-tokens(x) = yes, count-a(x) = yes",
+        ] {
+            let prog = parse_program(&format!(
+                "q(d, x) :- pages(d), t(#d, x).\nt(#d, x) :- from(#d, x), {chain}."
+            ))
+            .unwrap();
+            let out = eng.run(&prog).unwrap();
+            assert_eq!(out.tuples()[0].cells[1].value_count(eng.store()), 3);
+        }
+        assert_eq!(own.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(other.load(std::sync::atomic::Ordering::Relaxed), 6);
     }
 
     #[test]

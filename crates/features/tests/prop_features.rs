@@ -16,43 +16,75 @@ fn arb_markup() -> impl Strategy<Value = String> {
             "[a-z]{1,5}".prop_map(|w| format!("<b>{w}</b>")),
             (0u32..9_999).prop_map(|n| format!("<u>{n}</u>")),
             "[A-Z][a-z]{1,5}".prop_map(|w| w),
+            "[A-Z][a-z]{1,5} [A-Z][a-z]{1,5}".prop_map(|w| format!("<i>{w}</i>")),
+            "[a-z]{1,5}".prop_map(|w| format!("<title>{w}</title>")),
+            (0u32..999).prop_map(|n| format!("<li>{n}</li>")),
+            Just("price:".to_string()),
         ],
         1..12,
     )
     .prop_map(|toks| toks.join(" "))
 }
 
+/// One argument of every kind a built-in feature takes: tri-state
+/// values, numeric bounds, and text for the context labels and patterns.
+/// Each feature rejects the kinds it does not take.
+fn args() -> Vec<FeatureArg> {
+    vec![
+        FeatureArg::yes(),
+        FeatureArg::distinct_yes(),
+        FeatureArg::no(),
+        FeatureArg::Num(2.0),
+        FeatureArg::Num(100.0),
+        FeatureArg::Num(5_000.0),
+        FeatureArg::Text("price".into()),
+        FeatureArg::Text("[A-Z][a-z]+".into()),
+    ]
+}
+
 proptest! {
-    /// For the "yes"-style features: Refine's output regions verify, and
-    /// every exact assignment it produces satisfies Verify.
+    /// For every registered feature and every argument it takes, over
+    /// the whole document and over a token sub-span: every exact
+    /// assignment Refine produces satisfies Verify, and every produced
+    /// span stays inside the refined region. A constraint step relies
+    /// on the first half: it never verifies an exact value against the
+    /// constraint whose Refine produced it.
     #[test]
-    fn refine_output_verifies(src in arb_markup()) {
+    fn refine_output_verifies(src in arb_markup(), seed in 0usize..64) {
         let mut store = DocumentStore::new();
         let id = store.add_markup(&src);
-        let full = store.doc(id).full_span();
+        let doc = store.doc(id);
+        let full = doc.full_span();
+        let toks = doc.tokens().tokens();
+        let mut regions = vec![full];
+        if !toks.is_empty() {
+            let (a, b) = (seed % toks.len(), (seed * 7) % toks.len());
+            regions.push(Span::new(id, toks[a.min(b)].start, toks[a.max(b)].end));
+        }
         let reg = FeatureRegistry::default();
-        for (fname, arg) in [
-            ("numeric", FeatureArg::yes()),
-            ("bold-font", FeatureArg::distinct_yes()),
-            ("underlined", FeatureArg::distinct_yes()),
-            ("capitalized", FeatureArg::yes()),
-            ("min-value", FeatureArg::Num(100.0)),
-            ("max-value", FeatureArg::Num(5_000.0)),
-        ] {
+        for fname in reg.names() {
             let f = reg.get(fname).unwrap();
-            let out = f.refine(&store, full, &arg).unwrap();
-            for a in out {
-                if let Assignment::Exact(v) = &a {
-                    prop_assert!(
-                        f.verify_value(&store, v, &arg).unwrap(),
-                        "{fname}: refined exact {v} does not verify in {src:?}"
-                    );
-                }
-                // all produced spans stay inside the refined region
-                if let Some(s) = a.span() {
-                    prop_assert!(full.contains(&s), "{fname}: {s} outside region");
+            let mut taken = 0;
+            for arg in args() {
+                for &region in &regions {
+                    let Ok(out) = f.refine(&store, region, &arg) else {
+                        continue; // an argument kind this feature does not take
+                    };
+                    taken += 1;
+                    for a in out {
+                        if let Assignment::Exact(v) = &a {
+                            prop_assert!(
+                                f.verify_value(&store, v, &arg).unwrap(),
+                                "{fname}({arg}): refined exact {v} does not verify in {src:?}"
+                            );
+                        }
+                        if let Some(s) = a.span() {
+                            prop_assert!(region.contains(&s), "{fname}: {s} outside {region}");
+                        }
+                    }
                 }
             }
+            prop_assert!(taken > 0, "{fname} took none of the arguments");
         }
     }
 

@@ -21,10 +21,12 @@ echo "== rustfmt (files formatted so far) =="
 # file joins it when it is added.
 rustfmt --check --edition 2021 \
   crates/assistant/src/strategy.rs \
+  crates/engine/src/constraint.rs \
   crates/engine/src/incr.rs \
   crates/engine/src/par.rs \
   crates/engine/src/probe.rs \
   crates/engine/src/similarity.rs \
+  crates/features/tests/prop_features.rs \
   tests/tests/probe_overlay.rs \
   tests/tests/probe_join.rs
 
