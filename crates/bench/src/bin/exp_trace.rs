@@ -11,7 +11,7 @@
 //!   on any malformed output — the tier-1 gate.
 
 use iflex_bench::trace_report::{
-    iteration_timeline, latency_quantiles, optimizer_notes, render_report, rule_self_time,
+    iteration_timeline, latency_quantiles, operator_self_time, render_report, rule_self_time,
     run_rates, truncation,
 };
 use iflex_bench::{run_session, Strat};
@@ -49,10 +49,9 @@ fn smoke(path: &str) -> Result<(), String> {
     if timeline.is_empty() {
         return Err("trace contains no iteration spans".into());
     }
-    // the optimizer runs by default; its per-rule rewrite summaries and
-    // estimated-vs-actual selectivities must surface in the report
-    if optimizer_notes(&spans, &events).is_empty() {
-        return Err("trace contains no optimizer instants".into());
+    // every T1 rule extracts in one pass, so a fused pass must have run
+    if !operator_self_time(&spans).iter().any(|r| r.name == "fused") {
+        return Err("trace contains no fused pass".into());
     }
     // the telemetry sections reconstruct from the same spans: per-rule
     // latency quantiles and trailing run rates must populate, and a

@@ -57,60 +57,6 @@ pub struct IterationRow {
     pub size: Option<u64>,
 }
 
-/// One logical-plan-optimizer record (DESIGN.md §11): the rule and the
-/// pass summary + estimated-vs-actual selectivity the engine emitted as
-/// an `opt` instant under the rule span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OptRow {
-    /// The rule text (the parent rule span's name).
-    pub rule: String,
-    /// The rewrite summary
-    /// (`reorders=… fused=…(… steps) est_sel=… act_sel=…`).
-    pub note: String,
-    /// How many runs emitted this exact rule/summary pair.
-    pub count: u64,
-}
-
-/// Collects the optimizer instants, deduplicated by (rule, summary) —
-/// a session re-optimizes the same rule every run, so identical
-/// rewrites collapse into one row with a count.
-pub fn optimizer_notes(
-    spans: &[Span],
-    events: &[iflex_engine::obs::trace::TraceEvent],
-) -> Vec<OptRow> {
-    let by_id: BTreeMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();
-    let mut rows: Vec<OptRow> = Vec::new();
-    for e in events
-        .iter()
-        .filter(|e| e.ph == iflex_engine::obs::Phase::Instant && e.name == "opt")
-    {
-        let rule = by_id
-            .get(&e.parent)
-            .map(|s| s.name.as_str())
-            .unwrap_or("<unknown rule>")
-            .to_string();
-        let note = e.note.clone().unwrap_or_default();
-        match rows.iter_mut().find(|r| r.rule == rule && r.note == note) {
-            Some(r) => r.count += 1,
-            None => rows.push(OptRow { rule, note, count: 1 }),
-        }
-    }
-    rows
-}
-
-/// Renders the optimizer table.
-pub fn render_optimizer(rows: &[OptRow]) -> String {
-    let mut out = String::from("Logical-plan optimizer (per rule)\n");
-    if rows.is_empty() {
-        out += "  (no rules optimized)\n";
-        return out;
-    }
-    for r in rows {
-        out += &format!("  ×{:<4} {}\n        {}\n", r.count, r.rule, r.note);
-    }
-    out
-}
-
 fn children_index(spans: &[Span]) -> BTreeMap<u64, Vec<usize>> {
     let mut by_parent: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     for (i, s) in spans.iter().enumerate() {
@@ -426,8 +372,6 @@ pub fn render_report(spans: &[Span], events: &[iflex_engine::obs::trace::TraceEv
     out += &render_latency(&latency_quantiles(spans, SpanKind::Operator), "Per-operator");
     out += "\n";
     out += &render_run_rates(&run_rates(spans));
-    out += "\n";
-    out += &render_optimizer(&optimizer_notes(spans, events));
     out += "\n";
     out += &render_timeline(&iteration_timeline(spans));
     let by_id: BTreeMap<u64, &Span> = spans.iter().map(|s| (s.id, s)).collect();

@@ -73,14 +73,6 @@ pub struct Limits {
     /// [`Engine::tracer`]; this flag exists so embedding code can opt in
     /// without touching the environment.
     pub trace: bool,
-    /// Run each compiled rule plan through the logical-plan optimizer
-    /// (DESIGN.md §11): chains of selection / projection passes merged
-    /// into single passes, and selectivity-driven reordering. Rewrites
-    /// preserve results byte-for-byte except where reordering moves a
-    /// `similar` filter off a pass's token prefilter (DESIGN.md §11), so
-    /// this is an ablation knob; incremental-cache fingerprints hash the
-    /// *pre-optimization* rule and stay valid either way.
-    pub use_optimizer: bool,
 }
 
 impl Default for Limits {
@@ -91,7 +83,6 @@ impl Default for Limits {
             morsel_tuples: (16, 65_536),
             use_incremental: true,
             trace: false,
-            use_optimizer: true,
         }
     }
 }
@@ -144,27 +135,6 @@ pub(crate) fn parse_threads_value(v: &str) -> Option<usize> {
 fn warn_knob_once(msg: &str) {
     static WARNED: std::sync::Once = std::sync::Once::new();
     WARNED.call_once(|| eprintln!("{msg}"));
-}
-
-/// Warns once per process when the optimizer is ablated while the
-/// incremental cache stays on. The combination is *valid* — rule
-/// fingerprints hash the pre-optimization unfolded rule (see
-/// [`crate::plan::rule_fingerprint`]), and every optimizer rewrite is
-/// byte-exact, so cache entries remain shareable between optimized and
-/// unoptimized executions — but a warm shared cache can serve results
-/// that were computed by an optimized engine, which skews A/B *timing*
-/// comparisons. Its own `Once`: [`warn_knob_once`] fires for the first
-/// knob warning of any kind and would swallow this one.
-fn warn_optimizer_off_incremental_on() {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "iflex: use_optimizer=false with use_incremental=true — cache entries \
-             stay valid and shareable (fingerprints hash the pre-optimization rule), \
-             but warm entries may have been produced by an optimized engine; disable \
-             use_incremental too for a clean ablation timing"
-        );
-    });
 }
 
 /// One graceful-degradation event: a rule whose evaluation could not be
@@ -416,7 +386,7 @@ struct EngineCounters {
     incr_hits: Counter,
     incr_misses: Counter,
     incr_invalidations: Counter,
-    /// Fused passes in the optimized plans (DESIGN.md §11).
+    /// Fused passes in the compiled plans (DESIGN.md §11).
     opt_fused_nodes: Counter,
 }
 
@@ -770,48 +740,17 @@ impl Engine {
         })
     }
 
-    /// Relation name → (arity, rows) for the optimizer's cardinality
-    /// model: every extensional table at its actual size, then each of
-    /// `intensional` not shadowed by one.
-    pub(crate) fn relation_sizes<'a>(
-        &self,
-        intensional: impl IntoIterator<Item = (&'a String, (usize, usize))>,
-    ) -> crate::lplan::Relations {
-        let mut rels: crate::lplan::Relations = self
-            .ext
-            .iter()
-            .map(|(k, v)| (k.clone(), (v.arity(), v.len())))
-            .collect();
-        for (k, size) in intensional {
-            rels.entry(k.clone()).or_insert(size);
-        }
-        rels
-    }
-
     /// Renders the compiled execution plan of `prog` (one fragment per
     /// unfolded rule, evaluation order first) — EXPLAIN for Alog.
     pub fn explain(&self, prog: &Program) -> Result<String, EngineError> {
         let pro = self.prologue(prog)?;
         let cenv = pro.env();
-        // Intensional relations are unknown before a run and modeled as
-        // empty; only the estimate reads sizes, so the rewrites are the
-        // ones a run makes.
-        let rels = self.relation_sizes(pro.int_arity.iter().map(|(k, &a)| (k, (a, 0))));
         let mut out = String::new();
-        use std::fmt::Write as _;
         for name in &pro.order {
             for rule in pro.unfolded.rules_for(name) {
-                let mut plan = compile_rule(rule, &cenv)?;
-                let _ = writeln!(out, "-- {rule}");
-                let report = if self.limits.use_optimizer {
-                    crate::lplan::optimize(&mut plan, &rels)
-                } else {
-                    None
-                };
-                out.push_str(&plan.explain());
-                if let Some(report) = report {
-                    let _ = writeln!(out, "-- opt: {}", report.summary());
-                }
+                let plan = compile_rule(rule, &cenv)?;
+                out += &format!("-- {rule}\n");
+                out += &plan.explain();
             }
         }
         Ok(out)
@@ -847,9 +786,6 @@ impl Engine {
         self.metrics.reset();
         self.stats = ExecStats::default();
         let live_t0 = std::time::Instant::now();
-        if !self.limits.use_optimizer && self.limits.use_incremental {
-            warn_optimizer_off_incremental_on();
-        }
         // Clear stale fault-site attribution from a previous run so a
         // degradation this run is never blamed on last run's injection.
         self.fault.take_last_fired();
@@ -1038,13 +974,8 @@ impl Engine {
                         Err(e) => lookup_err = Some(e),
                     }
                 }
-                let mut plan = compile_rule(rule, &cenv)?;
-                // Logical-plan optimization (DESIGN.md §11). Runs *after*
-                // fingerprinting — `rule_fingerprint` hashes the rendered
-                // rule, so cache identities are optimizer-invariant — and
-                // rewrites only byte-exactly, so a cached unoptimized
-                // result and a fresh optimized one are interchangeable.
-                let opt_report = self.maybe_optimize(&mut plan, &computed);
+                let plan = compile_rule(rule, &cenv)?;
+                self.counters.opt_fused_nodes.add(plan.fused_passes());
                 let rule_span = match self.tracer.ctx(run_span) {
                     Some((t, parent)) => t.begin(parent, SpanKind::Rule, &rule.to_string()),
                     None => SpanId::NONE,
@@ -1062,19 +993,6 @@ impl Engine {
                             .get()
                             .saturating_sub(before) as usize;
                         self.counters.rules_evaluated.inc();
-                        // Close the estimate/actual loop: the modeled
-                        // whole-rule selectivity vs. what the rule really
-                        // let through, for `exp_trace`'s optimizer report.
-                        if let (Some(rep), Some((t, parent))) =
-                            (&opt_report, self.tracer.ctx(rule_span))
-                        {
-                            if rep.est_in_rows > 0.0 {
-                                let act = (result.len() as f64 / rep.est_in_rows)
-                                    .clamp(0.0, 1.0);
-                                let note = format!("{} act_sel={act:.4}", rep.summary());
-                                t.instant(parent, SpanKind::Mark, "opt", Some(&note));
-                            }
-                        }
                         self.tracer
                             .end_with(rule_span, &[("tuples_out", result.len() as u64)]);
                         parts.push(Part::Table(Arc::clone(&result)));
@@ -1156,26 +1074,6 @@ impl Engine {
         computed
             .remove(&prog.query)
             .ok_or_else(|| EngineError::MissingTable(prog.query.clone()))
-    }
-
-    /// Runs one compiled plan through the logical-plan optimizer when
-    /// [`Limits::use_optimizer`] is on, feeding it actual relation sizes
-    /// (extensional tables plus every intensional relation computed so
-    /// far). A plan the optimizer cannot model runs unchanged.
-    fn maybe_optimize(
-        &self,
-        plan: &mut Plan,
-        computed: &BTreeMap<String, Arc<CompactTable>>,
-    ) -> Option<crate::lplan::OptReport> {
-        if !self.limits.use_optimizer {
-            return None;
-        }
-        let rels = self.relation_sizes(computed.iter().map(|(k, v)| (k, (v.arity(), v.len()))));
-        let report = crate::lplan::optimize(plan, &rels)?;
-        self.counters
-            .opt_fused_nodes
-            .add(u64::from(report.fused_nodes));
-        Some(report)
     }
 
     /// Looks up a rule's result in the incremental rule cache behind the

@@ -31,17 +31,11 @@
 //! are pure functions of their key — absorbing a service fork's entries
 //! via first-writer-wins, or evicting any entry, cannot change results.
 //!
-//! Fingerprint-stability rule (DESIGN.md §11): fingerprints hash the
-//! **pre-optimization** unfolded rule — the logical-plan optimizer runs
-//! *after* fingerprinting (`Engine::maybe_optimize` in `exec.rs`), and
-//! its rewrites are byte-exact, so cache identities are
-//! optimizer-invariant and entries stay valid and shareable whether a
-//! run optimizes or not. Any future pass that is only
-//! worlds-equivalent (not byte-exact) must salt the fingerprint
-//! instead. The engine warns once when `use_optimizer` is off while
-//! `use_incremental` is on: entries remain *valid*, but warm entries
-//! may have been produced by optimized runs, which muddies ablation
-//! timing.
+//! Fingerprint-stability rule (DESIGN.md §11): a compiled plan is a
+//! function of its rule and the signatures of the procedures it calls —
+//! exactly what the fingerprint hashes — so one fingerprint names one
+//! plan. A plan choice that read anything else (relation sizes, learned
+//! statistics) would have to salt the fingerprint with it.
 
 use crate::probe::JoinTrace;
 use iflex_ctable::{Assignment, Cell, CompactTable, CompactTuple};

@@ -22,7 +22,6 @@ mod eval;
 pub mod exec;
 pub mod fault;
 mod incr;
-mod lplan;
 mod par;
 pub mod pfunc;
 mod plan;

@@ -1,5 +1,9 @@
 //! Logical plans for Alog rules (§4): one plan fragment per unfolded rule,
-//! compiled bottom-up and capped with the ψ annotation operator.
+//! compiled bottom-up and capped with the ψ annotation operator. The
+//! compiler emits the plan that runs (DESIGN.md §11): each chain of
+//! selections is one pass, its steps scheduled by [`schedule`].
+
+mod schedule;
 
 use iflex_alog::{BodyAtom, CmpOp, ConstraintArg, Rule, Term};
 use iflex_ctable::Value;
@@ -80,9 +84,9 @@ pub enum FusedOp {
 }
 
 impl FusedOp {
-    /// The columns this step reads or defines (used by the optimizer's
-    /// dependency analysis; steps touching disjoint column sets commute
-    /// byte-exactly).
+    /// The columns this step reads or defines (used by the step
+    /// scheduler's dependency analysis; steps touching disjoint column
+    /// sets commute byte-exactly).
     pub fn cols(&self) -> Vec<usize> {
         match self {
             FusedOp::Extract { src, col } => vec![*src, *col],
@@ -124,7 +128,11 @@ impl FusedOp {
     pub fn render(&self) -> String {
         match self {
             FusedOp::Extract { src, col } => format!("from(#{src})→{col}"),
-            FusedOp::Constraint { col, constraint, priors } => format!(
+            FusedOp::Constraint {
+                col,
+                constraint,
+                priors,
+            } => format!(
                 "σ[{}(col {col}) = {}]{}",
                 constraint.feature,
                 constraint.arg,
@@ -134,7 +142,12 @@ impl FusedOp {
                     format!(" (+{} priors)", priors.len())
                 }
             ),
-            FusedOp::Compare { left, op, right, offset } => {
+            FusedOp::Compare {
+                left,
+                op,
+                right,
+                offset,
+            } => {
                 format!("σ[{left:?} {op} {right:?} + {offset}]")
             }
             FusedOp::VarUnify { col_a, col_b } => format!("σ[col {col_a} == col {col_b}]"),
@@ -188,8 +201,8 @@ pub enum Plan {
     /// order, then an optional projection, with no intermediate table per
     /// step. Without a projection the output is the pass's schema: the
     /// input's columns, then the columns its `from` steps define. The
-    /// compiler emits one pass per step and one for the head projection;
-    /// the optimizer merges chains of passes and rewrites them in place.
+    /// compiler appends each selection to the open pass of its branch, so
+    /// a chain of selections and the head projection form one pass.
     ///
     /// When `input` is a [`Plan::CrossJoin`], the pass streams over the
     /// cross product's pairs, left-major, instead of materializing it.
@@ -221,7 +234,12 @@ impl Plan {
     /// Moves the node out, leaving an empty scan behind (for rewrites
     /// that rebuild a node around its own old contents).
     pub fn take(&mut self) -> Plan {
-        std::mem::replace(self, Plan::ScanExt { name: String::new() })
+        std::mem::replace(
+            self,
+            Plan::ScanExt {
+                name: String::new(),
+            },
+        )
     }
 
     /// The node's direct inputs: none for a scan, both sides of a join,
@@ -237,8 +255,8 @@ impl Plan {
         a.into_iter().chain(b)
     }
 
-    /// [`Plan::inputs`], mutably — what the optimizer's passes recurse
-    /// through to rewrite a plan in place.
+    /// [`Plan::inputs`], mutably — what the compiler recurses through to
+    /// schedule every pass's steps.
     pub fn inputs_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
         let (a, b) = match self {
             Plan::ScanExt { .. } | Plan::ScanRel { .. } => (None, None),
@@ -250,26 +268,8 @@ impl Plan {
         a.into_iter().chain(b)
     }
 
-    /// Column count of the node's output, given each scanned relation's
-    /// (`None` when `rel` does not know one).
-    pub fn arity(&self, rel: &dyn Fn(&str) -> Option<usize>) -> Option<usize> {
-        Some(match self {
-            Plan::ScanExt { name } | Plan::ScanRel { name } => rel(name)?,
-            Plan::GenerateProc {
-                input, out_arity, ..
-            } => input.arity(rel)? + out_arity,
-            Plan::CrossJoin { left, right } => left.arity(rel)? + right.arity(rel)?,
-            Plan::Pass {
-                project: Some((cols, _)),
-                ..
-            } => cols.len(),
-            Plan::Pass { input, steps, .. } => input.arity(rel)? + extracts(steps),
-            Plan::Annotate { input, .. } => input.arity(rel)?,
-        })
-    }
-
     /// Whether this node is a *fused* pass (DESIGN.md §11) — what the
-    /// `engine.opt.fused_*` counters count, the operator span is named
+    /// `engine.opt.fused_nodes` counter counts, the operator span is named
     /// after and EXPLAIN heads `Fused[…]`: a pass that does two or more
     /// things (steps plus projection), that defines a column (a `from`
     /// step has no operator of its own), or that does at least one thing
@@ -287,6 +287,11 @@ impl Plan {
         weight >= 2
             || extracts(steps) > 0
             || (weight == 1 && matches!(**input, Plan::CrossJoin { .. }))
+    }
+
+    /// How many fused passes ([`Plan::fused`]) the plan holds.
+    pub fn fused_passes(&self) -> u64 {
+        u64::from(self.fused()) + self.inputs().map(Plan::fused_passes).sum::<u64>()
     }
 
     /// Pretty, indented operator-tree rendering (for EXPLAIN-style
@@ -408,7 +413,10 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Deadlock { rule, atom } => {
-                write!(f, "cannot order rule body (atom '{atom}' never ready): {rule}")
+                write!(
+                    f,
+                    "cannot order rule body (atom '{atom}' never ready): {rule}"
+                )
             }
             PlanError::UnboundHead { rule, var } => {
                 write!(f, "head variable {var} unbound in: {rule}")
@@ -420,7 +428,10 @@ impl fmt::Display for PlanError {
                 write!(f, "bad constraint value {value} in: {rule}")
             }
             PlanError::UnknownPredicate { rule, name } => {
-                write!(f, "predicate {name} is not a relation or procedure in: {rule}")
+                write!(
+                    f,
+                    "predicate {name} is not a relation or procedure in: {rule}"
+                )
             }
             PlanError::Internal { rule, detail } => {
                 write!(f, "compiler invariant failed ({detail}) in: {rule}")
@@ -469,9 +480,7 @@ pub fn constraint_arg(value: &ConstraintArg) -> Option<FeatureArg> {
     Some(match value {
         ConstraintArg::Num(n) => FeatureArg::Num(*n),
         ConstraintArg::Str(s) => FeatureArg::Text(s.clone()),
-        ConstraintArg::Symbol(s) => {
-            FeatureArg::Tri(s.parse::<FeatureValue>().ok()?)
-        }
+        ConstraintArg::Symbol(s) => FeatureArg::Tri(s.parse::<FeatureValue>().ok()?),
     })
 }
 
@@ -507,10 +516,26 @@ struct Branch {
     applied: BTreeMap<String, Vec<CompiledConstraint>>,
 }
 
+/// Schedules the steps of every pass in `plan` ([`schedule`]).
+fn schedule_passes(plan: &mut Plan) {
+    plan.inputs_mut().for_each(schedule_passes);
+    if let Plan::Pass { steps, .. } = plan {
+        schedule::schedule(steps);
+    }
+}
+
 impl Branch {
-    /// Caps the branch's plan with a one-step pass.
+    /// Appends `step` to the branch's open pass — a [`Plan::Pass`] without
+    /// a projection — or caps the branch's plan with a new one-step pass.
     fn select(&mut self, step: FusedOp) {
-        self.plan = Plan::pass(self.plan.take(), vec![step], None);
+        match &mut self.plan {
+            Plan::Pass {
+                steps,
+                project: None,
+                ..
+            } => steps.push(step),
+            plan => *plan = Plan::pass(plan.take(), vec![step], None),
+        }
     }
 
     fn unify_dup(&mut self, var: &str, new_col: usize) {
@@ -529,36 +554,31 @@ impl Branch {
 /// both sides.
 fn merge(a: Branch, b: Branch) -> Branch {
     let shift = a.ncols;
-    let mut bound = a.bound.clone();
-    let mut plan = Plan::CrossJoin {
-        left: Box::new(a.plan),
-        right: Box::new(b.plan),
+    let mut merged = Branch {
+        plan: Plan::CrossJoin {
+            left: Box::new(a.plan),
+            right: Box::new(b.plan),
+        },
+        bound: a.bound,
+        ncols: a.ncols + b.ncols,
+        applied: a.applied,
     };
-    let mut applied = a.applied;
     for (var, chain) in b.applied {
-        applied.entry(var).or_default().extend(chain);
+        merged.applied.entry(var).or_default().extend(chain);
     }
     for (var, col) in b.bound {
         let bcol = col + shift;
-        match bound.get(&var) {
-            Some(&acol) => {
-                let step = FusedOp::VarUnify {
-                    col_a: acol,
-                    col_b: bcol,
-                };
-                plan = Plan::pass(plan, vec![step], None);
-            }
+        match merged.bound.get(&var) {
+            Some(&acol) => merged.select(FusedOp::VarUnify {
+                col_a: acol,
+                col_b: bcol,
+            }),
             None => {
-                bound.insert(var, bcol);
+                merged.bound.insert(var, bcol);
             }
         }
     }
-    Branch {
-        plan,
-        bound,
-        ncols: a.ncols + b.ncols,
-        applied,
-    }
+    merged
 }
 
 /// Merges the branches at `idxs` out of `branches`, returning the merged
@@ -584,13 +604,15 @@ fn branch_of(branches: &[Branch], var: &str) -> Option<usize> {
     branches.iter().position(|b| b.bound.contains_key(var))
 }
 
-/// Compiles one unfolded, non-description rule into a plan fragment whose
-/// output columns are the head variables in order (ψ appended last).
+/// Compiles one unfolded, non-description rule into the plan that runs:
+/// its output columns are the head variables in order (ψ appended last).
 ///
 /// Atoms are applied in a ready-first order over independent branches:
 /// relation scans open branches; `from`, constraints, and single-branch
 /// selections stay on their branch; predicates spanning branches merge
-/// them (cross join + variable unification) first.
+/// them (cross join + variable unification) first. Every selection joins
+/// its branch's open pass, the head projection closes the top one, and
+/// each pass's steps are then scheduled ([`schedule`]).
 pub fn compile_rule(rule: &Rule, env: &CompileEnv<'_>) -> Result<Plan, PlanError> {
     let rule_str = rule.to_string();
     let mut branches: Vec<Branch> = Vec::new();
@@ -647,7 +669,18 @@ pub fn compile_rule(rule: &Rule, env: &CompileEnv<'_>) -> Result<Plan, PlanError
         proj_cols.push(col);
         names.push(a.var.clone());
     }
-    let projected = Plan::pass(branch.plan, Vec::new(), Some((proj_cols, names)));
+    let project = Some((proj_cols, names));
+    let mut projected = branch.plan;
+    if let Plan::Pass {
+        project: open @ None,
+        ..
+    } = &mut projected
+    {
+        *open = project;
+    } else {
+        projected = Plan::pass(projected, Vec::new(), project);
+    }
+    schedule_passes(&mut projected);
 
     // ψ for the rule's annotations.
     let annotated: Vec<usize> = rule
@@ -867,17 +900,18 @@ fn apply_atom(
                 detail: "comparison branch merge produced no branch".into(),
             })?;
             let b = &mut branches[bi];
-            let resolve = |t: &Term, b: &Branch| -> Result<Operand, PlanError> {
-                match t {
-                    Term::Var(v) => Ok(Operand::Col(b.bound[v.as_str()])),
-                    other => term_value(other).map(Operand::Const).ok_or_else(|| {
-                        PlanError::Internal {
-                            rule: rule_str.to_string(),
-                            detail: "unbound variable resolved as constant".into(),
-                        }
-                    }),
-                }
-            };
+            let resolve =
+                |t: &Term, b: &Branch| -> Result<Operand, PlanError> {
+                    match t {
+                        Term::Var(v) => Ok(Operand::Col(b.bound[v.as_str()])),
+                        other => term_value(other).map(Operand::Const).ok_or_else(|| {
+                            PlanError::Internal {
+                                rule: rule_str.to_string(),
+                                detail: "unbound variable resolved as constant".into(),
+                            }
+                        }),
+                    }
+                };
             let l = resolve(left, b)?;
             let r = resolve(right, b)?;
             b.select(FusedOp::Compare {
@@ -933,6 +967,7 @@ mod tests {
         let mut ext = BTreeMap::new();
         ext.insert("pagesA".to_string(), 1);
         ext.insert("pagesB".to_string(), 1);
+        ext.insert("r2".to_string(), 2);
         let int = BTreeMap::new();
         let mut procs = BTreeMap::new();
         procs.insert("similar".to_string(), (true, 0));
@@ -940,7 +975,9 @@ mod tests {
         (ext, int, procs)
     }
 
-    fn compile(src: &str) -> Plan {
+    /// Compiles `src` over `pagesA`, `pagesB`, `r2(a, b)`, the `similar`
+    /// filter and the one-output `gen` generator.
+    pub(super) fn compile(src: &str) -> Plan {
         let (ext, int, procs) = env_maps();
         let env = CompileEnv {
             extensional: &ext,
@@ -1020,8 +1057,7 @@ mod tests {
             intensional: &int,
             procedures: &procs,
         };
-        let err =
-            compile_rule(&parse_rule("q(a) :- from(#z, a).").unwrap(), &env).unwrap_err();
+        let err = compile_rule(&parse_rule("q(a) :- from(#z, a).").unwrap(), &env).unwrap_err();
         assert!(matches!(err, PlanError::Deadlock { .. }));
     }
 
@@ -1030,6 +1066,90 @@ mod tests {
         let plan = compile("q(x, <a>)? :- pagesA(x), from(#x, a).");
         let explained = plan.explain();
         assert!(explained.starts_with("ψ[existence=true, attrs=[1]]"));
+    }
+
+    #[test]
+    fn similar_filter_specialization_is_preserved() {
+        let plan =
+            compile("q(a, b) :- pagesA(x), from(#x, a), pagesB(y), from(#y, b), similar(#a, #b).");
+        // The straddling similar filter must stay the first step of the
+        // pass directly over the CrossJoin, where the interpreter runs it
+        // as the pass's token prefilter.
+        assert_eq!(
+            plan.explain(),
+            "Fused[1 steps]\n\
+             \x20 π[[1, 3] as [\"a\", \"b\"]]\n\
+             \x20 Filter[similar[1, 3]]\n\
+             \x20 CrossJoin\n\
+             \x20   Fused[1 steps]\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(pagesA)\n\
+             \x20   Fused[1 steps]\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(pagesB)\n"
+        );
+    }
+
+    #[test]
+    fn similar_then_comparison_over_a_join_keeps_its_plan() {
+        // T9's top rule: the cheap comparison is scheduled ahead of the
+        // similarity filter, so `similar` is no longer the first step over
+        // the join — it runs inside the fused pairwise pass by candidate
+        // enumeration, not as the pass's prefilter. Each side extracts and
+        // constrains in one pass of its own below the join, its `from`
+        // steps scheduled after the constraint they do not feed.
+        let plan = compile(
+            "q(a) :- pagesA(x), from(#x, a), from(#x, p), numeric(p) = yes, \
+             pagesB(y), from(#y, b), from(#y, c), numeric(c) = yes, \
+             similar(#a, #b), p < c.",
+        );
+        assert_eq!(plan.fused_passes(), 3);
+        assert_eq!(
+            plan.explain(),
+            "Fused[2 steps]\n\
+             \x20 π[[1] as [\"a\"]]\n\
+             \x20 Filter[similar[1, 4]]\n\
+             \x20 σ[Col(2) < Col(5) + 0]\n\
+             \x20 CrossJoin\n\
+             \x20   Fused[3 steps]\n\
+             \x20     σ[numeric(col 2) = yes]\n\
+             \x20     from(#0)→2\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(pagesA)\n\
+             \x20   Fused[3 steps]\n\
+             \x20     σ[numeric(col 2) = yes]\n\
+             \x20     from(#0)→2\n\
+             \x20     from(#0)→1\n\
+             \x20     ScanExt(pagesB)\n"
+        );
+    }
+
+    #[test]
+    fn adjacent_selections_fuse_with_projection() {
+        // The extraction, both constraints and the head projection are
+        // one pass over the scan.
+        let plan = compile("q(a) :- pagesA(x), from(#x, a), numeric(a) = yes, min-value(a) = 10.");
+        let Plan::Pass {
+            input,
+            steps,
+            project,
+        } = &plan
+        else {
+            panic!("one pass:\n{}", plan.explain());
+        };
+        assert!(plan.fused(), "{}", plan.explain());
+        assert_eq!(plan.fused_passes(), 1);
+        assert_eq!(steps.len(), 3, "{steps:?}");
+        assert!(project.is_some());
+        assert!(matches!(**input, Plan::ScanExt { .. }));
+    }
+
+    #[test]
+    fn single_selection_stays_standalone() {
+        // A scan and its projection alone: nothing worth fusing.
+        let plan = compile("q(x) :- pagesA(x).");
+        assert!(!plan.explain().contains("Fused["), "{}", plan.explain());
+        assert_eq!(plan.fused_passes(), 0);
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn row_size(cells: &[Cell], store: &DocumentStore) -> (u64, u64) {
     (len, assigns as u64)
 }
 
-/// A join query's optimized plan read as a skeleton: cross-join passes
+/// A join query's compiled plan read as a skeleton: cross-join passes
 /// over leaves, each leaf a pass (possibly empty) over one scanned
 /// extensional table.
 #[derive(Debug, PartialEq)]
@@ -948,7 +948,7 @@ impl Engine {
 
         // Memo hits fill in directly; every other answer must refine one
         // leaf pass, or its spec is run whole. The compiler places a
-        // constraint by its variable and the optimizer's model reads no
+        // constraint by its variable and its step scheduler reads no
         // constraint argument, so the answers of one spec compile to one
         // plan up to the new constraint's argument: the first is compiled,
         // the others substitute theirs.
@@ -1067,18 +1067,14 @@ impl Engine {
         }
     }
 
-    /// The join skeleton of `prog`'s query rule as a run compiles and
-    /// optimizes it, when `prog` unfolds to that one rule.
+    /// The join skeleton of `prog`'s query rule as a run compiles it,
+    /// when `prog` unfolds to that one rule.
     fn skeleton(&self, prog: &Program) -> Option<Skeleton> {
         let pro = self.prologue(prog).ok()?;
         let [rule] = pro.unfolded.rules.as_slice() else {
             return None;
         };
-        let mut plan = compile_rule(rule, &pro.env()).ok()?;
-        if self.limits.use_optimizer {
-            crate::lplan::optimize(&mut plan, &self.relation_sizes(std::iter::empty()));
-        }
-        Skeleton::of(plan)
+        Skeleton::of(compile_rule(rule, &pro.env()).ok()?)
     }
 
     /// `node`'s join passes, resolved without profiles.

@@ -26,8 +26,13 @@ const SITES: &[&str] = &[
     fault::site::IO_READ,
 ];
 
+/// How many shapes [`program`] generates.
+const KINDS: u8 = 8;
+
 /// An engine over `n` markup documents, with a second relation for join
-/// shapes and a pass-through generator for generator shapes.
+/// shapes, a 3×-larger corpus (`big`) for skewed joins, a two-column
+/// table (`r2`: an exact number and a numeric-text span) for a post-join
+/// selection, and a pass-through generator for generator shapes.
 fn build_engine(n: usize, threads: usize) -> Engine {
     let mut store = DocumentStore::new();
     let mut ids = Vec::new();
@@ -39,9 +44,23 @@ fn build_engine(n: usize, threads: usize) -> Engine {
             i % 7
         )));
     }
+    let big: Vec<_> = (0..3 * n)
+        .map(|i| store.add_markup(&format!("item {} cost <b>{}</b>", i, i + 5)))
+        .collect();
+    let r2_rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            let d = store.add_plain(format!("{}", i * 3));
+            vec![Value::Num(i as f64), Value::Span(store.doc(d).full_span())]
+        })
+        .collect();
     let mut eng = Engine::new(Arc::new(store));
     eng.add_doc_table("pages", &ids);
     eng.add_doc_table("others", &ids);
+    eng.add_doc_table("big", &big);
+    eng.add_table(
+        "r2",
+        iflex_ctable::CompactTable::from_exact_rows(vec!["a".into(), "b".into()], r2_rows),
+    );
     eng.procs_mut().register_generator("gen", 1, |_, args| {
         let Some(Value::Span(x)) = args.first() else {
             return vec![];
@@ -52,20 +71,39 @@ fn build_engine(n: usize, threads: usize) -> Engine {
     eng
 }
 
-/// Program shapes covering the sharded operators: extraction with a
-/// domain constraint, a cross join, a generator procedure, a comparison,
-/// and an annotated head (the ψ operator).
+/// Program shapes covering the sharded operators and the passes the
+/// compiler fuses: extraction with a domain constraint, a cross join, a
+/// generator procedure, a comparison, an annotated head (the ψ operator),
+/// a skewed join, a post-join selection, a similarity join, and a
+/// similarity prefilter with a trailing step and a projection in one
+/// pass.
 fn program(kind: u8) -> Program {
-    let src = match kind % 4 {
+    let src = match kind % KINDS {
         0 => {
             "q(x, <v>) :- pages(x), e(#x, v).\n\
              e(#x, v) :- from(#x, v), numeric(v) = yes."
         }
         1 => "q(x, y) :- pages(x), others(y).",
         2 => "q(v) :- pages(x), gen(#x, v).",
-        _ => {
+        3 => {
             "q(x, v) :- pages(x), e(#x, v), v > 20.\n\
              e(#x, v) :- from(#x, v), numeric(v) = yes."
+        }
+        // a skewed join: pages × big is 1:3, streamed pair by pair
+        4 => "q(x, y) :- pages(x), big(y).",
+        // a post-join selection: `x < a` straddles pages × r2 and forces
+        // the join; `numeric(b)` touches only the right side and runs
+        // over the pairs (it keeps every r2 row)
+        5 => "q(x, a, b) :- pages(x), r2(a, b), x < a, numeric(b) = yes.",
+        // a similarity join: the straddling `similar` is the first step
+        // over the cross join, so it runs as the pass's token prefilter
+        6 => "q(a, b) :- pages(x), from(#x, a), big(y), from(#y, b), similar(#a, #b).",
+        // `numeric(a)` shares `a` with the straddling `similar`, so
+        // `similar` stays first: prefilter, constraint and π run in one
+        // pass over the pairs, as in T3's outer rule
+        _ => {
+            "q(a) :- pages(x), from(#x, a), big(y), from(#y, b), \
+             similar(#a, #b), numeric(a) = yes."
         }
     };
     parse_program(src).unwrap()
@@ -79,20 +117,20 @@ fn observe_morsel(
     n: usize,
     threads: usize,
     kind: u8,
-    arm: Option<(usize, u64, bool)>,
+    arm: Option<(usize, Trigger, bool)>,
     morsel: Option<(usize, usize)>,
 ) -> (String, Vec<String>) {
     let mut eng = build_engine(n, threads);
     if let Some(m) = morsel {
         eng.limits.morsel_tuples = m;
     }
-    if let Some((site_idx, nth, panic_not_budget)) = arm {
+    if let Some((site_idx, trigger, panic_not_budget)) = arm {
         let f = if panic_not_budget {
             Fault::Panic("prop-parallel".into())
         } else {
             Fault::TooLarge
         };
-        eng.fault.arm(SITES[site_idx % SITES.len()], Trigger::Nth(nth), f, 11);
+        eng.fault.arm(SITES[site_idx % SITES.len()], trigger, f, 11);
     }
     let table = eng.run(&program(kind)).unwrap();
     let degraded: Vec<String> = eng
@@ -107,7 +145,7 @@ fn observe_morsel(
 }
 
 /// [`observe_morsel`] with the default morsel bounds.
-fn observe(n: usize, threads: usize, kind: u8, arm: Option<(usize, u64, bool)>) -> (String, Vec<String>) {
+fn observe(n: usize, threads: usize, kind: u8, arm: Option<(usize, Trigger, bool)>) -> (String, Vec<String>) {
     observe_morsel(n, threads, kind, arm, None)
 }
 
@@ -118,7 +156,7 @@ proptest! {
     #[test]
     fn parallel_equals_serial_exact(
         n in 1usize..24,
-        kind in 0u8..4,
+        kind in 0u8..KINDS,
     ) {
         let serial = observe(n, 1, kind, None);
         for threads in [2usize, 4, 8] {
@@ -126,22 +164,25 @@ proptest! {
         }
     }
 
-    /// Faulted runs: a single armed Nth fault at any named site degrades
-    /// the same rule and leaves the same widened table, at every thread
-    /// count. Rules evaluate serially and every shard joins before the
-    /// rule boundary, so the shared hit counter reaches a rule boundary
-    /// with the same value no matter how tuples were scattered.
+    /// Faulted runs: a single armed Nth fault, or an always-armed one, at
+    /// any named site degrades the same rules and leaves the same widened
+    /// table, at every thread count. Rules evaluate serially and every
+    /// shard joins before the rule boundary, so the shared hit counter
+    /// reaches a rule boundary with the same value no matter how tuples
+    /// were scattered.
     #[test]
     fn faults_degrade_identically_across_thread_counts(
         n in 4usize..24,
-        kind in 0u8..4,
+        kind in 0u8..KINDS,
         site_idx in 0usize..5,
-        nth in 0u64..8,
+        nth in 0u64..9,
         panic_not_budget in any::<bool>(),
     ) {
-        let armed = Some((site_idx, nth, panic_not_budget));
+        // One draw in nine arms the site on every visit.
+        let trigger = if nth == 8 { Trigger::Always } else { Trigger::Nth(nth) };
+        let armed = Some((site_idx, trigger, panic_not_budget));
         let serial = observe(n, 1, kind, armed);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 4, 8] {
             prop_assert_eq!(&observe(n, threads, kind, armed), &serial, "threads={}", threads);
         }
     }
@@ -151,7 +192,7 @@ proptest! {
     #[test]
     fn warm_caches_preserve_results(
         n in 1usize..16,
-        kind in 0u8..4,
+        kind in 0u8..KINDS,
     ) {
         let prog = program(kind);
         let mut eng = build_engine(n, 8);
@@ -168,7 +209,7 @@ proptest! {
     #[test]
     fn morsel_sizes_preserve_exact_results(
         n in 1usize..24,
-        kind in 0u8..4,
+        kind in 0u8..KINDS,
         min_idx in 0usize..4,
     ) {
         let min = [1usize, 2, 4, 64][min_idx];
@@ -189,14 +230,14 @@ proptest! {
     #[test]
     fn morsel_sizes_degrade_identically(
         n in 4usize..24,
-        kind in 0u8..4,
+        kind in 0u8..KINDS,
         site_idx in 0usize..5,
         nth in 0u64..6,
         panic_not_budget in any::<bool>(),
         min_idx in 0usize..3,
     ) {
         let min = [1usize, 2, 16][min_idx];
-        let armed = Some((site_idx, nth, panic_not_budget));
+        let armed = Some((site_idx, Trigger::Nth(nth), panic_not_budget));
         let serial = observe(n, 1, kind, armed);
         for threads in [2usize, 4, 8] {
             prop_assert_eq!(
@@ -215,7 +256,7 @@ proptest! {
 #[test]
 fn traced_runs_match_untraced_at_every_thread_count() {
     use iflex_engine::obs::{validate_nesting, FlightRecorder, LiveSet, SpanKind};
-    for kind in 0..4u8 {
+    for kind in 0..KINDS {
         let baseline = observe(16, 1, kind, None);
         for threads in [1usize, 2, 4, 8] {
             let mut eng = build_engine(16, threads);
@@ -254,12 +295,24 @@ fn traced_runs_match_untraced_at_every_thread_count() {
 #[test]
 fn disabled_tracer_journals_nothing_across_runs() {
     let mut eng = build_engine(16, 4);
-    for kind in 0..4u8 {
+    for kind in 0..KINDS {
         eng.run(&program(kind)).unwrap();
     }
     assert_eq!(eng.tracer.recorded(), 0, "no events journaled");
     assert_eq!(eng.tracer.dropped(), 0, "nothing hit the journal cap");
     assert!(eng.tracer.events().is_empty());
+}
+
+/// The shapes run fused passes: the fusion counter is non-zero on the
+/// constraint-and-comparison chain, so the properties above do not pass
+/// vacuously over unfused plans.
+#[test]
+fn shapes_actually_exercise_the_passes() {
+    use iflex_engine::obs::metrics::names;
+    let mut eng = build_engine(8, 1);
+    eng.run(&program(3)).unwrap();
+    let fused = eng.metrics.counter_value(names::OPT_FUSED_NODES);
+    assert!(fused.unwrap_or(0) > 0, "kind 3 fused nothing: {fused:?}");
 }
 
 /// Faulted + traced: the degradation instant carries the cause and the

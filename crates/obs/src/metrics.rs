@@ -47,8 +47,8 @@ pub mod names {
     /// the counters above this lives in a `LiveSet` and survives the
     /// per-run registry reset.
     pub const RUN_US: &str = "engine.run_us";
-    /// Fused passes in the rules the logical-plan optimizer rewrote this
-    /// run (DESIGN.md §11).
+    /// Fused passes in the plans of the rules this run compiled and
+    /// evaluated (DESIGN.md §11).
     pub const OPT_FUSED_NODES: &str = "engine.opt.fused_nodes";
 }
 

@@ -166,11 +166,20 @@ impl fmt::Display for ParseError {
     }
 }
 
-/// Parses one JSON value; trailing non-whitespace is an error.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a bound a request line of
+/// a few thousand `[` overflows a connection thread's stack and aborts
+/// the process. Requests and the host's replies nest at most a few
+/// levels (an `ask-question` reply is object → array → object), so this
+/// leaves ample room.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON value; trailing non-whitespace, and nesting deeper
+/// than [`MAX_DEPTH`], are errors.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters", pos));
@@ -188,12 +197,15 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and
+/// objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err("nesting too deep", *pos)),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -283,7 +295,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -292,7 +304,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -305,7 +317,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(b, pos);
@@ -324,7 +336,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             return Err(err("expected ':'", *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         pairs.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -426,6 +438,22 @@ mod tests {
         let src = r#"[1, [2, {"k": [3]}], "s"]"#;
         let v = parse(src).unwrap();
         assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let at_bound = parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(parse(&at_bound.render()).unwrap(), at_bound);
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let over = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((over.msg.as_str(), over.at), ("nesting too deep", MAX_DEPTH));
+        let objects = format!("{{\"k\":{objects}}}");
+        assert_eq!(parse(&objects).unwrap_err().msg, "nesting too deep");
+        // Far past the bound the parser stops at it, without recursing
+        // through the rest of the line.
+        assert_eq!(parse(&"[".repeat(100_000)).unwrap_err().at, MAX_DEPTH);
     }
 
     #[test]

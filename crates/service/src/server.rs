@@ -462,6 +462,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_refused_and_the_connection_survives() {
+        // A 1 MiB line of `[` used to recurse once per byte and overflow
+        // the connection thread's stack; it is one invalid-JSON reply now.
+        let host = host();
+        let nested = "[".repeat(MAX_LINE_BYTES);
+        let responses = run_transcript(&host, &format!("{nested}\n{{\"cmd\":\"stats\"}}\n"));
+        assert_eq!(responses.len(), 2);
+        assert!(is_rejection(&responses[0]), "got: {}", responses[0].render());
+        let error = responses[0].get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.starts_with("invalid JSON: nesting too deep"), "{error}");
+        assert_eq!(responses[1].get("ok"), Some(&Json::Bool(true)));
+        assert!(host.is_accepting());
+    }
+
+    #[test]
     fn oversized_line_is_never_buffered_whole() {
         /// Hands out `left` bytes of one line without an end.
         struct Endless {

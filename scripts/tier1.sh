@@ -24,6 +24,8 @@ rustfmt --check --edition 2021 \
   crates/engine/src/constraint.rs \
   crates/engine/src/incr.rs \
   crates/engine/src/par.rs \
+  crates/engine/src/plan.rs \
+  crates/engine/src/plan/schedule.rs \
   crates/engine/src/probe.rs \
   crates/engine/src/similarity.rs \
   crates/features/tests/prop_features.rs \
@@ -34,7 +36,7 @@ echo "== rustdoc (workspace, private items included) =="
 # Broken and public-to-private intra-doc links are errors, so a doc
 # comment naming a deleted item fails here, in every crate.
 # --document-private-items extends the check to crate-private modules
-# (the engine's plan, lplan, incr, ...).
+# (the engine's plan, incr, probe, ...).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
   --exclude proptest --exclude rand --exclude serde --document-private-items
 

@@ -174,8 +174,8 @@ fn explain_matches_runtime_behaviour() {
 }
 
 /// The README's "Explaining a plan" sample, program and output, verbatim:
-/// the optimizer's choices (fusion, step order, the estimate) and the
-/// rendering may not drift from what the documentation shows.
+/// the compiler's choices (fusion, step order) and the rendering may not
+/// drift from what the documentation shows.
 #[test]
 fn readme_explain_sample_is_verbatim() {
     let readme = include_str!("../../README.md");
@@ -334,7 +334,6 @@ fn similarity_join_argument_order_changes_neither_table_nor_scans() {
     // — in the same pass over the two inputs, each evaluated once.
     let run = |filter: &str| {
         let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
-        engine.limits.use_optimizer = false;
         let names = |rows: &[&str]| {
             CompactTable::from_exact_rows(
                 vec!["n".into()],
@@ -355,14 +354,13 @@ fn similarity_join_argument_order_changes_neither_table_nor_scans() {
 
 #[test]
 fn selective_step_over_a_cross_join_streams_under_the_cap() {
-    // With the optimizer off a selection sits directly on its cross join.
-    // The pass filters the 40 × 40 pairs as it generates them, so a cap
-    // of 100 tuples is never reached by the 5 that survive — for a
+    // The selection and the head projection are one pass over the cross
+    // join. The pass filters the 40 × 40 pairs as it generates them, so a
+    // cap of 100 tuples is never reached by the 5 that survive — for a
     // comparison, a shared-variable unification, and a filter that is not
     // the `similar(x, y)` prefilter alike.
-    let engine_with = |optimizer: bool| {
+    let new_engine = || {
         let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
-        engine.limits.use_optimizer = optimizer;
         engine.limits.max_result_tuples = 100;
         let column = |rows: Vec<Value>| {
             CompactTable::from_exact_rows(
@@ -378,33 +376,27 @@ fn selective_step_over_a_cross_join_streams_under_the_cap() {
     };
     for body in ["r(x), s(y), x = y", "r(x), s(x)", "rn(x), sn(y), similar(y, x)"] {
         let prog = parse_program(&format!("q(x) :- {body}.")).unwrap();
-        let run = |optimizer: bool| {
-            let mut engine = engine_with(optimizer);
-            let table = engine.run(&prog).unwrap();
-            assert!(!engine.stats.degraded(), "{body}: {:?}", engine.stats.degradations);
-            assert_eq!(table.len(), 5, "{body}");
-            format!("{table:?}")
-        };
-        assert_eq!(run(false), run(true), "{body}");
+        let mut engine = new_engine();
+        let table = engine.run(&prog).unwrap();
+        assert!(!engine.stats.degraded(), "{body}: {:?}", engine.stats.degradations);
+        assert_eq!(table.len(), 5, "{body}");
     }
     // A *result* over the cap still degrades the rule, also when no
     // single morsel reaches it and only the merge can notice.
     let prog = parse_program("q(x, y) :- r(x), s(y), x != y.").unwrap();
-    for optimizer in [false, true] {
-        let mut engine = engine_with(optimizer);
-        engine.limits.threads = 4;
-        engine.limits.morsel_tuples = (1, 2);
-        let table = engine.run(&prog).expect("an over-cap result degrades");
-        let causes: Vec<_> = engine.stats.degradations.iter().map(|d| d.cause).collect();
-        assert_eq!(causes, [iflex::engine::DegradeCause::Budget], "optimizer={optimizer}");
-        assert!(table.tuples().iter().all(|t| t.maybe), "optimizer={optimizer}");
-    }
+    let mut engine = new_engine();
+    engine.limits.threads = 4;
+    engine.limits.morsel_tuples = (1, 2);
+    let table = engine.run(&prog).expect("an over-cap result degrades");
+    let causes: Vec<_> = engine.stats.degradations.iter().map(|d| d.cause).collect();
+    assert_eq!(causes, [iflex::engine::DegradeCause::Budget]);
+    assert!(table.tuples().iter().all(|t| t.maybe));
 }
 
 #[test]
 fn similarity_prefilter_is_capped_by_its_survivors() {
     // `numeric(a)` shares `a` with the straddling `similar`, so the
-    // optimizer keeps `similar` first over the join, where it is the
+    // compiler keeps `similar` first over the join, where it is the
     // pass's token prefilter. All 8 × 8 pairs share the token "lot" and
     // pass the prefilter, more than the cap of 20; `numeric(a)` then
     // keeps only the pairs of the one left row with a number. Only those
@@ -459,13 +451,12 @@ fn parallel_and_sequential_joins_agree() {
         assert_eq!(run_with(1), run_with(4), "{id:?}");
     }
 
-    // A 1 × 64 join under one step that keeps every pair, compiled as
-    // written (optimizer off): its pass shards the 64 pairs, not the one
-    // left row, so the threaded arm splits it into several morsels.
+    // A 1 × 64 join under one step that keeps every pair: its pass
+    // shards the 64 pairs, not the one left row, so the threaded arm
+    // splits it into several morsels.
     use iflex::engine::obs::{validate_nesting, SpanKind};
     let single_left_row = |threads: usize| {
         let mut engine = Engine::new(std::sync::Arc::new(DocumentStore::new()));
-        engine.limits.use_optimizer = false;
         engine.limits.threads = threads;
         engine.limits.morsel_tuples = (1, 2);
         let column = |vals: std::ops::Range<u32>| {
@@ -480,8 +471,8 @@ fn parallel_and_sequential_joins_agree() {
         let prog = parse_program("q(x, y) :- r(x), s(y), x < y.").unwrap();
         let table = engine.run(&prog).unwrap();
         assert_eq!(table.len(), 64);
-        // Count the morsels of the join pass alone: the head's π pass
-        // over the 64 joined rows is a section of its own.
+        // Count the morsels of the one pass over the join, which also
+        // projects onto the head.
         let spans = validate_nesting(&engine.tracer.events()).unwrap();
         let join = spans
             .iter()
@@ -512,11 +503,9 @@ fn title_tables(store: &mut DocumentStore) -> (Vec<iflex::text::DocId>, Vec<ifle
 
 #[test]
 fn a_filter_position_similar_over_a_join_reads_profiles_as_it_enumerated() {
-    // The optimizer fuses `u != v` and the built-in `similar` into the
+    // The compiler fuses `u != v` and the built-in `similar` into the
     // join's pass with the comparison first, so `similar` decides each
-    // pair from the two sides' per-row value profiles. (Compiled as
-    // written, `similar` would be a pass of its own over the joined
-    // rows.) Registered under another name, the same predicate is a
+    // pair from the two sides' per-row value profiles. Registered under another name, the same predicate is a
     // plain filter that enumerates each pair's values and calls
     // `approx_match` per combination.
     let run = |filter: &str, threads: usize| {

@@ -329,62 +329,6 @@ fn iteration_records_cover_the_whole_session() {
     assert_eq!(q_sum, out.questions_asked);
 }
 
-/// A task and the strategy its session runs with.
-type StrategyCase = (TaskId, fn() -> Box<dyn Strategy>);
-
-/// Optimizer ablation at session level: a full iFlex session (subset
-/// iterations, questions, refinement, convergence, final full run) must
-/// be **observationally identical** with `Limits::use_optimizer` on or
-/// off — same final table bytes, same [`iflex::StopReason`], same
-/// iteration and question counts — on the tiny corpus, for selection
-/// tasks under Sequential and the three join tasks under Simulation.
-///
-/// This is not a law at every scale: T9 under Simulation diverges from
-/// corpus scale 0.1 up (same final table, more questions with the
-/// optimizer off), because reordering `np < bp` ahead of
-/// `similar(...)` moves the similarity test off the token-prefilter join
-/// and the two paths approximate `similar` differently (ROADMAP item 4).
-#[test]
-fn session_stop_reason_and_table_survive_optimizer_ablation() {
-    let c = corpus();
-    let cases: [StrategyCase; 5] = [
-        (TaskId::T1, || Box::new(Sequential)),
-        (TaskId::T5, || Box::new(Sequential)),
-        (TaskId::T3, || Box::new(Simulation::default())),
-        (TaskId::T6, || Box::new(Simulation::default())),
-        (TaskId::T9, || Box::new(Simulation::default())),
-    ];
-    for (id, strategy) in cases {
-        let run = |use_optimizer: bool| {
-            let task = c.task(id, Some(20));
-            let mut engine = task.engine(&c);
-            engine.limits.use_optimizer = use_optimizer;
-            // ablate the incremental cache too, per the engine's own
-            // warn-once guidance, so both runs are cold
-            engine.limits.use_incremental = false;
-            let mut session = iflex::Session::new(
-                engine,
-                task.program.clone(),
-                strategy(),
-                Box::new(SimulatedDeveloper::new(task.oracle.clone())),
-            );
-            if task.needs_type_cleanup {
-                session.clock.charge_cleanup(session.cost.write_cleanup_secs);
-            }
-            let out = session.run().expect("session runs");
-            (
-                format!("{:?}", out.table),
-                out.stop,
-                out.iterations,
-                out.questions_asked,
-            )
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on, off, "session ablation diverged for {id:?}");
-    }
-}
-
 #[test]
 fn extract_cold_programs_keep_their_result_sizes() {
     // The six programs the benchmark's `extract-cold` workload runs: each

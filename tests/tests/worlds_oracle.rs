@@ -329,71 +329,3 @@ fn memoized_pass_keeps_the_input_rows_own_maybe_flag() {
     assert_eq!(format!("{cold:?}"), format!("{second:?}"));
 }
 
-/// Optimizer ablation over genuinely uncertain inputs: each oracle
-/// shape (σ with comparison, π, ⋈ with a straddling equality, domain
-/// constraint) must yield a **byte-identical** table with
-/// `Limits::use_optimizer` on or off — not merely worlds-equivalent.
-/// This extends the oracle above (which runs with the optimizer at its
-/// default) with an explicit on/off differential over choice cells and
-/// maybe tuples, where candidate-set handling would expose any rewrite
-/// that is only set-equivalent.
-#[test]
-fn optimizer_ablation_is_byte_identical_on_oracle_shapes() {
-    let mut store = DocumentStore::new();
-    let d = store.add_plain("5 20 42");
-    let five = Span::new(d, 0, 1);
-    let twenty = Span::new(d, 2, 4);
-    let n42 = Span::new(d, 5, 7);
-    let store = Arc::new(store);
-
-    let uncertain = |maybe: bool| {
-        let mut t = CompactTable::new(vec!["a".into(), "b".into()]);
-        t.push(CompactTuple::new(vec![
-            Cell::of(vec![
-                Assignment::exact_span(five),
-                Assignment::exact_span(twenty),
-            ]),
-            exact_num(10.0),
-        ]));
-        let second = vec![Cell::of(vec![Assignment::exact_span(n42)]), exact_num(20.0)];
-        t.push(if maybe {
-            CompactTuple::maybe(second)
-        } else {
-            CompactTuple::new(second)
-        });
-        t
-    };
-
-    let programs = [
-        "q(a) :- t(a, b), a < 10.",
-        "q(a) :- t(a, b).",
-        "q(a, b, c) :- t(a, b), s(b2, c), b = b2, numeric(c) = yes.",
-        "q(a) :- t(a, b), numeric(a) = yes, a > 4.",
-    ];
-    for maybe in [false, true] {
-        for prog_src in programs {
-            let run = |use_optimizer: bool| {
-                let mut eng = Engine::new(Arc::clone(&store));
-                eng.limits.use_optimizer = use_optimizer;
-                eng.add_table("t", uncertain(maybe));
-                let mut s = CompactTable::new(vec!["b2".into(), "c".into()]);
-                s.push(CompactTuple::new(vec![
-                    exact_num(10.0),
-                    Cell::of(vec![
-                        Assignment::exact_span(n42),
-                        Assignment::exact_span(twenty),
-                    ]),
-                ]));
-                s.push(CompactTuple::maybe(vec![exact_num(20.0), exact_num(7.0)]));
-                eng.add_table("s", s);
-                let prog = parse_program(prog_src).unwrap();
-                format!("{:?}", eng.run(&prog).unwrap())
-            };
-            assert_eq!(
-                run(true),
-                run(false),
-                "ablation diverged: {prog_src} (maybe={maybe})"
-            );
-        }
-    }
-}
